@@ -1,8 +1,16 @@
-//! The experiment harness: one function per table/figure of the paper,
-//! shared by the regeneration binaries (`src/bin/fig*.rs`) and the
-//! wall-clock benches (`benches/`).
+//! The experiment harness: one sweep function per figure of the paper
+//! (this file) and the table of named experiments — each a sweep plus
+//! its one rendering — that the `experiments` binary runs ([`rows`]).
 //!
-//! Every experiment supports two scales:
+//! ```sh
+//! cargo run -p ftnoc-bench --release --bin experiments            # every row
+//! cargo run -p ftnoc-bench --release --bin experiments -- fig5 table1
+//! ```
+//!
+//! Host-time measurement is not this crate's job: `benchmark/` is the
+//! repository's one performance harness.
+//!
+//! The figure sweeps support two scales:
 //!
 //! - **quick** (default): thousands of packets per point — seconds per
 //!   figure, same qualitative shapes;
@@ -13,7 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod chart;
-pub mod harness;
+pub mod rows;
 
 use ftnoc_fault::FaultRates;
 use ftnoc_power::{report::table1_report, Table1};
@@ -23,7 +31,7 @@ use ftnoc_traffic::TrafficPattern;
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Scaled-down runs for CI and `cargo bench`.
+    /// Scaled-down runs for CI.
     Quick,
     /// The paper's full 300 000-message runs.
     Paper,
@@ -109,8 +117,9 @@ pub fn figure5(scale: Scale) -> Vec<Point> {
     points
 }
 
-/// Figure 6: HBH latency vs error rate for the NR, BC and TN patterns.
-pub fn figure6(scale: Scale) -> Vec<Point> {
+/// Figures 6 and 7: HBH latency and energy per message vs error rate
+/// for the NR, BC and TN patterns (one sweep, read two ways).
+pub fn figure6_7(scale: Scale) -> Vec<Point> {
     let mut points = Vec::new();
     for pattern in TrafficPattern::PAPER_PATTERNS {
         for &rate in &ERROR_RATES {
@@ -133,12 +142,6 @@ pub fn figure6(scale: Scale) -> Vec<Point> {
         }
     }
     points
-}
-
-/// Figure 7: HBH energy per message vs error rate for NR, BC and TN —
-/// the same sweep as Figure 6 read through the energy model.
-pub fn figure7(scale: Scale) -> Vec<Point> {
-    figure6(scale)
 }
 
 /// Figures 8 and 9: transmission- and retransmission-buffer utilization
@@ -246,11 +249,6 @@ pub fn figure13(scale: Scale) -> Vec<(Fig13Class, f64, SimReport)> {
     points
 }
 
-/// Table 1: the calibrated area/power model.
-pub fn table1() -> Table1 {
-    Table1::compute()
-}
-
 /// Renders a latency (or other metric) sweep as an aligned text table,
 /// series as columns.
 pub fn render_series_table(
@@ -295,9 +293,10 @@ pub fn render_series_table(
     out
 }
 
-/// Renders Table 1 with the paper's reference values.
+/// Renders Table 1 (the calibrated area/power model) with the paper's
+/// reference values.
 pub fn render_table1() -> String {
-    table1_report(&table1())
+    table1_report(&Table1::compute())
 }
 
 #[cfg(test)]

@@ -1,9 +1,7 @@
 //! The unified hard-fault configuration API: one typed [`FaultPlan`]
 //! builder and one `--fault SPEC` grammar covering every hard-fault
 //! dimension — link/router × at-reset/at-cycle/wear-out × notify
-//! latency. The legacy `--kill-link` / `--kill-link-at` /
-//! `--fault-notify` flags are thin compat shims that lower into the
-//! same plan.
+//! latency.
 //!
 //! # Spec grammar
 //!

@@ -371,9 +371,9 @@ impl SimConfigBuilder {
     /// entries become `hard_faults`, the schedules become
     /// `scheduled_kills`/`router_kills`, and the wear-out/notify knobs
     /// land in their fields. This is the single seam every fault
-    /// front-end (the `--fault` grammar, the legacy flag shims, the
-    /// fuzzer) goes through. Call [`FaultPlan::validate`] first — the
-    /// lowering itself does not re-check the topology.
+    /// front-end (the `--fault` grammar, the fuzzer) goes through. Call
+    /// [`FaultPlan::validate`] first — the lowering itself does not
+    /// re-check the topology.
     pub fn fault_plan(&mut self, plan: &FaultPlan) -> &mut Self {
         self.config.hard_faults = plan.base_faults(self.config.topology);
         self.config.scheduled_kills = plan.link_kills().to_vec();

@@ -6,9 +6,9 @@
 //! contiguous chunk), the pool is synchronised with two [`Barrier`]s
 //! per cycle, and the serial pre/commit phases run on the calling
 //! thread in between. With `threads <= 1` no pool is spawned and
-//! [`Stepper::step`] degenerates to exactly the serial
-//! [`Network::step`] — and because the compute phase is
-//! cross-router-pure (see the determinism argument in
+//! [`Stepper::step`] sweeps the routers in place on the calling thread
+//! ([`Network::step`] is one such step) — and because the compute phase
+//! is cross-router-pure (see the determinism argument in
 //! [`crate::network`]), any thread count produces byte-identical
 //! results at the same seed.
 //!
@@ -29,7 +29,7 @@ use ftnoc_metrics::{MeshTelemetry, ProfileSnapshot};
 use ftnoc_trace::TraceSink;
 
 use crate::network::{
-    collect_telemetry, compute_cell, NetCore, Network, Progress, RouterCell, RunEnv,
+    collect_telemetry, compute_cells, NetCore, Network, Progress, RouterCell, RunEnv,
 };
 
 /// Shared cycle-synchronisation state between the main thread and the
@@ -97,11 +97,7 @@ impl<S: TraceSink> Stepper<'_, S> {
         match self.sync {
             None => {
                 let span = profile.map(|_| Instant::now());
-                for (n, cell) in self.cells.iter().enumerate() {
-                    if self.env.active.is_active(n) {
-                        compute_cell(self.env, &mut cell.lock().unwrap(), now);
-                    }
-                }
+                compute_cells(self.env, self.cells, 0, now);
                 if let (Some(p), Some(t)) = (profile, span) {
                     p.lane(0).add_compute(t);
                 }
@@ -219,11 +215,7 @@ impl<S: TraceSink> Network<S> {
                     let now = sync.now.load(Ordering::Acquire);
                     let span = profile.map(|_| Instant::now());
                     let compute = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        for (i, cell) in cells[lo..hi].iter().enumerate() {
-                            if env.active.is_active(lo + i) {
-                                compute_cell(env, &mut cell.lock().unwrap(), now);
-                            }
-                        }
+                        compute_cells(env, &cells[lo..hi], lo, now);
                     }));
                     if let Err(payload) = compute {
                         *sync.panics[t].lock().unwrap_or_else(|e| e.into_inner()) = Some(payload);
@@ -261,23 +253,6 @@ mod tests {
         let mut b = SimConfig::builder();
         b.injection_rate(0.2).seed(7);
         b.build().unwrap()
-    }
-
-    #[test]
-    fn stepper_matches_network_step() {
-        let mut a = Network::new(config());
-        let mut b = Network::new(config());
-        for _ in 0..500 {
-            a.step();
-        }
-        b.with_stepper(1, |st| {
-            for _ in 0..500 {
-                st.step();
-            }
-        });
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.packets_injected(), b.packets_injected());
-        assert_eq!(a.packets_ejected(), b.packets_ejected());
     }
 
     #[test]

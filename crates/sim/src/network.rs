@@ -370,11 +370,24 @@ pub struct Network<S: TraceSink = NullSink> {
     pub(crate) core: NetCore<S>,
 }
 
+/// The compute sweep over `cells`, a contiguous run of the network's
+/// cells starting at router index `lo`: every router the activity set
+/// marks awake this cycle is locked and computed, in index order. Both
+/// [`crate::engine::Stepper`] arms run this — the serial arm over the
+/// whole network, each pool worker over its own chunk.
+pub(crate) fn compute_cells(env: &RunEnv, cells: &[Mutex<RouterCell>], lo: usize, now: u64) {
+    for (i, cell) in cells.iter().enumerate() {
+        if env.active.is_active(lo + i) {
+            compute_cell(env, &mut cell.lock().unwrap(), now);
+        }
+    }
+}
+
 /// The compute phase of one router: pop this router's own inbound
 /// wires, then run the full per-cycle pipeline. Touches nothing outside
 /// `cell`, which is what makes running it concurrently across cells
 /// race-free (and thread-count-independent) by construction.
-pub(crate) fn compute_cell(env: &RunEnv, cell: &mut RouterCell, now: u64) {
+fn compute_cell(env: &RunEnv, cell: &mut RouterCell, now: u64) {
     // A dead router computes nothing, draws nothing, counts nothing —
     // before the fault stream is positioned and before the computed
     // cycle is booked, so gated and full-sweep runs stay byte-identical
@@ -735,18 +748,10 @@ impl<S: TraceSink> Network<S> {
         collect_telemetry(&self.env, &self.cells)
     }
 
-    /// Advances the network by one clock cycle (the serial engine; the
-    /// worker pool in [`crate::engine`] drives the same three phases).
+    /// Advances the network by one clock cycle: one serial
+    /// [`crate::engine::Stepper::step`].
     pub fn step(&mut self) {
-        let Network { env, cells, core } = self;
-        let now = core.now;
-        core.pre(env, cells, now);
-        for (n, cell) in cells.iter().enumerate() {
-            if env.active.is_active(n) {
-                compute_cell(env, &mut cell.lock().unwrap(), now);
-            }
-        }
-        core.commit(env, cells, now);
+        self.with_stepper(1, |st| st.step());
     }
 
     /// Peak per-node source-side retransmission-buffer occupancy (flits)
@@ -1728,7 +1733,7 @@ impl<S: TraceSink> NetCore<S> {
                 );
                 continue;
             }
-            let (blocked, fwd, action) = {
+            let (fwd, action) = {
                 let mut cell = cells[at.index()].lock().unwrap();
                 // Probes travel as regular flits: charge a link traversal.
                 cell.router.events.link += 1;
@@ -1737,7 +1742,7 @@ impl<S: TraceSink> NetCore<S> {
                     cell.router
                         .probe
                         .on_probe(flight.signal, blocked, fwd.map(|(_, vc)| vc));
-                (blocked, fwd, action)
+                (fwd, action)
             };
             // The probe mutated this router's protocol state: make sure
             // it computes next cycle to act on it.
@@ -1778,12 +1783,6 @@ impl<S: TraceSink> NetCore<S> {
                     }
                 }
                 ProbeAction::Discard => {
-                    if std::env::var_os("FTNOC_PROBE_DEBUG").is_some() {
-                        eprintln!(
-                            "cyc {now}: probe from {} died at {} named {} (blocked={blocked}, fwd={fwd:?}, path={:?})",
-                            flight.signal.origin, at, flight.signal.vc, flight.path
-                        );
-                    }
                     {
                         let mut origin = cells[flight.signal.origin.index()].lock().unwrap();
                         origin.router.probe.probe_lost();
@@ -1799,12 +1798,6 @@ impl<S: TraceSink> NetCore<S> {
                     );
                 }
                 ProbeAction::Confirmed => {
-                    if std::env::var_os("FTNOC_PROBE_DEBUG").is_some() {
-                        eprintln!(
-                            "cyc {now}: probe from {} CONFIRMED at {} named {} (blocked={blocked}, fwd={fwd:?}, path={:?})",
-                            flight.signal.origin, at, flight.signal.vc, flight.path
-                        );
-                    }
                     cells[at.index()]
                         .lock()
                         .unwrap()

@@ -53,15 +53,6 @@ fn demo_skip_credit() -> bool {
     *FLAG.get_or_init(|| std::env::var_os("FTNOC_DEMO_SKIP_CREDIT").is_some())
 }
 
-/// Cached `FTNOC_TRACE_NODE` value (diagnostic tracing, read once).
-fn trace_node() -> Option<&'static str> {
-    use std::sync::OnceLock;
-    static TRACE: OnceLock<Option<String>> = OnceLock::new();
-    TRACE
-        .get_or_init(|| std::env::var("FTNOC_TRACE_NODE").ok())
-        .as_deref()
-}
-
 /// Immutable per-cycle context shared by the router phases.
 pub struct Ctx<'a> {
     /// The run configuration.
@@ -708,15 +699,6 @@ impl Router {
                 if !front.kind.is_head() {
                     // Stranded flit: no wormhole to follow (possible only
                     // under corruption without full protection). Discard.
-                    if std::env::var_os("FTNOC_STRAND_DEBUG").is_some() {
-                        eprintln!(
-                            "cyc {}: stranded {} at {} port {} vc {v}",
-                            ctx.now,
-                            front,
-                            self.id,
-                            Direction::for_port(p)
-                        );
-                    }
                     self.inputs[p].buffer.pop(v);
                     self.errors.stranded_flits += 1;
                     self.trace.emit(|| TraceEvent::FlitDropped {
@@ -930,9 +912,6 @@ impl Router {
                     takeover
                 };
                 if let Some((op, ov)) = takeover {
-                    if trace_node().is_some_and(|t| t == self.id.index().to_string()) {
-                        eprintln!("cyc {}: {} TAKEOVER in ({p},{v}) head {} -> out ({op},{ov}) old_alloc {:?}", ctx.now, self.id, self.inputs[p].buffer.front(v).map(|f| f.to_string()).unwrap_or_default(), self.outputs[op].allocated[ov]);
-                    }
                     self.outputs[op].allocated[ov] = Some((p, v));
                     self.outputs[op].allocated_at[ov] = ctx.now;
                     let packet = self.inputs[p].buffer.front(v).expect("VaWait head").packet;
@@ -978,12 +957,6 @@ impl Router {
                         break;
                     };
                     let flit = self.inputs[p].buffer.pop(v).expect("front exists");
-                    if trace_node().is_some_and(|t| t == self.id.index().to_string()) {
-                        eprintln!(
-                            "cyc {}: {} ABSORB {} from ({p},{v}) into out ({op},{ov})",
-                            ctx.now, self.id, flit
-                        );
-                    }
                     let absorbed = self.outputs[op].senders[ov].buffer_mut().absorb(flit);
                     debug_assert!(absorbed);
                     self.inputs[p].vcs[v].progressed = true;
@@ -1207,18 +1180,6 @@ impl Router {
         // Commit.
         for &(input, op, ov, _) in winners.iter() {
             let (p, v) = (input / vcs, input % vcs);
-            if trace_node().is_some_and(|t| t == self.id.index().to_string()) {
-                eprintln!(
-                    "cyc {}: {} VA ({p},{v}) head {} -> out ({op},{ov})",
-                    ctx.now,
-                    self.id,
-                    self.inputs[p]
-                        .buffer
-                        .front(v)
-                        .map(|f| f.to_string())
-                        .unwrap_or_default()
-                );
-            }
             if ov < vcs {
                 self.outputs[op].allocated[ov] = Some((p, v));
                 self.outputs[op].allocated_at[ov] = ctx.now;
@@ -1455,15 +1416,12 @@ impl Router {
                     if let Some(flit) = self.outputs[port].senders[v].next_replay(ctx.now) {
                         self.events.retransmission += 1;
                         self.events.link += 1;
-                        self.emit_drive(
-                            ctx.now,
-                            LinkDrive {
-                                dir,
-                                flit,
-                                vc: v as u8,
-                                is_replay: true,
-                            },
-                        );
+                        self.emit_drive(LinkDrive {
+                            dir,
+                            flit,
+                            vc: v as u8,
+                            is_replay: true,
+                        });
                     }
                     continue;
                 }
@@ -1503,15 +1461,12 @@ impl Router {
                         }
                         self.events.link += 1;
                         self.events.crossbar += 1;
-                        self.emit_drive(
-                            ctx.now,
-                            LinkDrive {
-                                dir,
-                                flit,
-                                vc: v as u8,
-                                is_replay: false,
-                            },
-                        );
+                        self.emit_drive(LinkDrive {
+                            dir,
+                            flit,
+                            vc: v as u8,
+                            is_replay: false,
+                        });
                     }
                     continue;
                 }
@@ -1541,15 +1496,12 @@ impl Router {
                         self.events.retrans_shift += 1;
                     }
                     self.events.link += 1;
-                    self.emit_drive(
-                        ctx.now,
-                        LinkDrive {
-                            dir,
-                            flit: entry.flit,
-                            vc: entry.out_vc,
-                            is_replay: false,
-                        },
-                    );
+                    self.emit_drive(LinkDrive {
+                        dir,
+                        flit: entry.flit,
+                        vc: entry.out_vc,
+                        is_replay: false,
+                    });
                 }
             }
         }
@@ -1559,7 +1511,7 @@ impl Router {
     /// Finalizes one outgoing flit: trace it, apply §4.4 crossbar upsets
     /// and link soft errors from this router's fault stream, and queue
     /// the drive for the commit phase.
-    fn emit_drive(&mut self, now: u64, mut drive: LinkDrive) {
+    fn emit_drive(&mut self, mut drive: LinkDrive) {
         self.trace.emit(|| TraceEvent::FlitSent {
             packet: drive.flit.packet.raw(),
             seq: drive.flit.seq,
@@ -1575,15 +1527,6 @@ impl Router {
         }
         // Link soft errors (injection counted by the fault injector).
         let _ = self.fi.corrupt_on_link(&mut drive.flit.payload);
-        if let Some(target) = trace_node() {
-            let n = self.id.index();
-            if target == n.to_string() {
-                eprintln!(
-                    "cyc {now}: n{n} drives {} dir {} vc {} replay={}",
-                    drive.flit, drive.dir, drive.vc, drive.is_replay
-                );
-            }
-        }
         self.drives.push(drive);
     }
 

@@ -7,7 +7,7 @@ use ftnoc_fault::FaultRates;
 use ftnoc_sim::{DeadlockConfig, ErrorScheme, RoutingAlgorithm, SimConfig};
 use ftnoc_traffic::TrafficPattern;
 use ftnoc_types::config::{BufferOrg, PipelineDepth, RouterConfig};
-use ftnoc_types::geom::{Direction, NodeId, Topology, TopologyKind};
+use ftnoc_types::geom::{NodeId, Topology, TopologyKind};
 
 /// The `--help` text.
 pub const HELP: &str = "\
@@ -26,8 +26,6 @@ OPTIONS (run):
                         per router) | chiplet:WxH:CWxCH (CWxCH tiles,
                         requires --routing fta) | bare WxH = mesh
                         (default 8x8)
-    --torus             wrap-around links on a bare WxH grid
-                        (same as --topology torus:WxH)
     --scheme S          hbh | e2e | fec | none        (default hbh)
     --routing R         dt | ad | fa | oe | fta       (default dt; fta =
                         fault-aware up*/down* — deadlock-free around any
@@ -76,10 +74,6 @@ OPTIONS (run):
                           notify:L      fault-table publication lags
                                         local detection by L cycles
                                         (default 4)
-    --kill-link N:D     compat shim for --fault link:N:D (repeatable)
-    --kill-link-at C:N:D
-                        compat shim for --fault link:N:D@C (repeatable)
-    --fault-notify N    compat shim for --fault notify:N
     --threads N         compute-phase worker threads (default 1; any N
                         gives byte-identical results at the same seed)
     --no-activity-gating
@@ -207,17 +201,6 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Direction letter of the legacy kill flags (case-insensitive).
-fn parse_cli_dir(d: &str) -> Option<Direction> {
-    match d {
-        "n" | "N" => Some(Direction::North),
-        "e" | "E" => Some(Direction::East),
-        "s" | "S" => Some(Direction::South),
-        "w" | "W" => Some(Direction::West),
-        _ => None,
-    }
-}
-
 /// Parses an argument vector (without the program name).
 ///
 /// # Errors
@@ -247,7 +230,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut topo = (8u8, 8u8, TopologyKind::Mesh);
     let mut concentration = 1u8;
     let mut chip: Option<(u8, u8)> = None;
-    let mut torus_flag = false;
     let mut scheme = ErrorScheme::Hbh;
     let mut routing = RoutingAlgorithm::XyDeterministic;
     let mut pattern = TrafficPattern::Uniform;
@@ -277,8 +259,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut report_json = false;
     let mut metrics_out: Option<std::path::PathBuf> = None;
     let mut metrics_every = 1_000u64;
-    // Every hard-fault flag — the --fault grammar and the legacy
-    // shims alike — lowers into this one plan.
     let mut fplan = ftnoc_fault::FaultPlan::new();
 
     fn value<'a>(
@@ -304,10 +284,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         .ok_or_else(|| err(format!("{flag} expects WxH, got `{v}`")))?;
                     Ok((num(w, flag)?, num(h, flag)?))
                 }
-                if let Some(rest) = v.strip_prefix("mesh:") {
-                    (topo.0, topo.1) = grid(rest, flag)?;
-                    topo.2 = TopologyKind::Mesh;
-                } else if let Some(rest) = v.strip_prefix("torus:") {
+                if let Some(rest) = v.strip_prefix("torus:") {
                     (topo.0, topo.1) = grid(rest, flag)?;
                     topo.2 = TopologyKind::Torus;
                 } else if let Some(rest) = v.strip_prefix("cmesh:") {
@@ -327,12 +304,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     chip = Some(grid(tile, flag)?);
                     topo.2 = TopologyKind::Chiplet;
                 } else {
-                    // Legacy form: a bare WxH grid (mesh, or torus when
-                    // the --torus flag is also given).
-                    (topo.0, topo.1) = grid(v, flag)?;
+                    // `mesh:WxH`, or a bare WxH grid.
+                    (topo.0, topo.1) = grid(v.strip_prefix("mesh:").unwrap_or(v), flag)?;
+                    topo.2 = TopologyKind::Mesh;
                 }
             }
-            "--torus" => torus_flag = true,
             "--scheme" => {
                 scheme = match value(&mut it, flag)? {
                     "hbh" => ErrorScheme::Hbh,
@@ -422,56 +398,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "--fault" => {
                 fplan.add_spec(value(&mut it, flag)?).map_err(err)?;
             }
-            "--kill-link" => {
-                let v = value(&mut it, flag)?;
-                let (node, dir) = v
-                    .split_once(':')
-                    .ok_or_else(|| err(format!("--kill-link expects N:D, got `{v}`")))?;
-                let node: u16 = num(node, flag)?;
-                let dir = parse_cli_dir(dir).ok_or_else(|| {
-                    err(format!(
-                        "--kill-link direction must be n|e|s|w, got `{dir}`"
-                    ))
-                })?;
-                fplan.link_at_reset(NodeId::new(node), dir);
-            }
-            "--kill-link-at" => {
-                let v = value(&mut it, flag)?;
-                let mut parts = v.splitn(3, ':');
-                let (Some(c), Some(node), Some(dir)) = (parts.next(), parts.next(), parts.next())
-                else {
-                    return Err(err(format!("--kill-link-at expects C:N:D, got `{v}`")));
-                };
-                let at: u64 = num(c, flag)?;
-                if at == 0 {
-                    return Err(err(
-                        "--kill-link-at: the kill cycle must be > 0 (a link dead \
-                         from cycle 0 is a static fault — use --kill-link)",
-                    ));
-                }
-                let node: u16 = num(node, flag)?;
-                let dir = parse_cli_dir(dir).ok_or_else(|| {
-                    err(format!(
-                        "--kill-link-at direction must be n|e|s|w, got `{dir}`"
-                    ))
-                })?;
-                fplan.kill_link_at(at, NodeId::new(node), dir);
-            }
-            "--fault-notify" => {
-                fplan.notify_latency(num(value(&mut it, flag)?, flag)?);
-            }
             other => return Err(err(format!("unknown flag `{other}`; try --help"))),
         }
     }
 
-    if torus_flag {
-        if !matches!(topo.2, TopologyKind::Mesh | TopologyKind::Torus) {
-            return Err(err(
-                "--torus only applies to a plain WxH grid; use --topology torus:WxH instead",
-            ));
-        }
-        topo.2 = TopologyKind::Torus;
-    }
     let topology = match topo.2 {
         TopologyKind::Mesh | TopologyKind::Torus => Topology::try_new(topo.0, topo.1, topo.2),
         TopologyKind::CMesh => Topology::try_cmesh(topo.0, topo.1, concentration),
@@ -500,7 +430,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     if metrics_every == 0 {
         return Err(err("--metrics-every must be at least 1"));
     }
-    // One validation seam for every fault front-end: node ranges, link
+    // One validation seam for the whole plan: node ranges, link
     // existence, double kills (in schedule order), and connectivity of
     // the end state once every scheduled kill has landed.
     fplan
@@ -676,7 +606,7 @@ mod tests {
     #[test]
     fn full_flag_set_parses() {
         let cmd = parse(&args(
-            "run --topology 4x6 --torus --scheme fec --routing fa --pattern tn \
+            "run --topology torus:4x6 --scheme fec --routing fa --pattern tn \
              --inj 0.1 --error-rate 0.01 --rt-rate 0.001 --no-ac --vcs 2 \
              --buffer 8 --retrans 6 --pipeline 2 --packet-len 8 --packets 100 \
              --warmup 10 --seed 42 --deadlock-recovery --profile",
@@ -744,8 +674,6 @@ mod tests {
         assert!(e.0.contains("chiplet:WxH:CWxCH"), "{e}");
         let e = parse(&args("run --topology chiplet:8x8:3x3")).unwrap_err();
         assert!(e.0.contains("--topology"), "{e}");
-        let e = parse(&args("run --topology cmesh:4x4:2 --torus")).unwrap_err();
-        assert!(e.0.contains("--torus only applies"), "{e}");
     }
 
     #[test]
@@ -950,7 +878,7 @@ mod tests {
     fn kill_link_parses_and_validates_connectivity() {
         use ftnoc_types::geom::Direction;
         let Command::Run { config, .. } =
-            parse(&args("run --routing ad --kill-link 27:e --kill-link 0:s")).unwrap()
+            parse(&args("run --routing ad --fault link:27:e --fault link:0:s")).unwrap()
         else {
             panic!("expected run");
         };
@@ -965,14 +893,14 @@ mod tests {
             .hard_faults
             .link_is_dead(NodeId::new(0), Direction::South));
 
-        let e = parse(&args("run --kill-link banana")).unwrap_err();
-        assert!(e.0.contains("N:D"), "{e}");
-        let e = parse(&args("run --kill-link 3:x")).unwrap_err();
-        assert!(e.0.contains("n|e|s|w"), "{e}");
-        let e = parse(&args("run --kill-link 99:e")).unwrap_err();
+        let e = parse(&args("run --fault link:banana")).unwrap_err();
+        assert!(e.0.contains("link:N:D"), "{e}");
+        let e = parse(&args("run --fault link:3:x")).unwrap_err();
+        assert!(e.0.contains("n/e/s/w"), "{e}");
+        let e = parse(&args("run --fault link:99:e")).unwrap_err();
         assert!(e.0.contains("out of range"), "{e}");
         // Cutting off a corner node entirely disconnects the mesh.
-        let e = parse(&args("run --kill-link 0:e --kill-link 0:s")).unwrap_err();
+        let e = parse(&args("run --fault link:0:e --fault link:0:s")).unwrap_err();
         assert!(e.0.contains("disconnected"), "{e}");
     }
 
@@ -980,7 +908,7 @@ mod tests {
     fn kill_link_at_parses_and_validates() {
         use ftnoc_types::geom::Direction;
         let Command::Run { config, .. } = parse(&args(
-            "run --routing fta --kill-link-at 500:27:e --fault-notify 8",
+            "run --routing fta --fault link:27:e@500 --fault notify:8",
         ))
         .unwrap() else {
             panic!("expected run");
@@ -995,20 +923,22 @@ mod tests {
         // Mid-run kills never appear in the static base set.
         assert!(config.hard_faults.is_empty());
 
-        let e = parse(&args("run --kill-link-at banana")).unwrap_err();
-        assert!(e.0.contains("C:N:D"), "{e}");
-        let e = parse(&args("run --kill-link-at 0:27:e")).unwrap_err();
-        assert!(e.0.contains("--kill-link"), "{e}");
-        let e = parse(&args("run --kill-link-at 10:99:e")).unwrap_err();
+        let e = parse(&args("run --fault link:27:e@banana")).unwrap_err();
+        assert!(e.0.contains("not a number"), "{e}");
+        // A link dead from cycle 0 is a static fault: `@0` is refused
+        // with a pointer at the at-reset form.
+        let e = parse(&args("run --fault link:27:e@0")).unwrap_err();
+        assert!(e.0.contains("at-reset"), "{e}");
+        let e = parse(&args("run --fault link:99:e@10")).unwrap_err();
         assert!(e.0.contains("out of range"), "{e}");
-        let e = parse(&args("run --kill-link-at 10:0:n")).unwrap_err();
+        let e = parse(&args("run --fault link:0:n@10")).unwrap_err();
         assert!(e.0.contains("no link"), "{e}");
         // A static kill plus a scheduled kill of the same link is a
         // configuration error.
-        let e = parse(&args("run --kill-link 27:e --kill-link-at 10:27:e")).unwrap_err();
+        let e = parse(&args("run --fault link:27:e --fault link:27:e@10")).unwrap_err();
         assert!(e.0.contains("already dead"), "{e}");
         // Scheduled kills that eventually isolate a corner are rejected.
-        let e = parse(&args("run --kill-link-at 10:0:e --kill-link-at 20:0:s")).unwrap_err();
+        let e = parse(&args("run --fault link:0:e@10 --fault link:0:s@20")).unwrap_err();
         assert!(e.0.contains("disconnected"), "{e}");
     }
 
@@ -1045,36 +975,37 @@ mod tests {
         assert!(e.0.contains("at-reset"), "{e}");
     }
 
-    /// The compat contract: the legacy kill flags lower to exactly the
-    /// configuration the unified `--fault` grammar produces.
+    /// Help/parser agreement: every `--flag` token the run and fuzz
+    /// sections of [`HELP`] mention is known to the matching parser,
+    /// and the four removed shims are not.
     #[test]
-    fn legacy_kill_flags_lower_to_the_equivalent_fault_plan() {
-        use ftnoc_types::geom::Direction;
-        let legacy = parse(&args(
-            "run --routing fta --kill-link 27:e --kill-link-at 500:12:s --fault-notify 8",
-        ))
-        .unwrap();
-        let unified = parse(&args(
-            "run --routing fta --fault link:27:e --fault link:12:s@500 --fault notify:8",
-        ))
-        .unwrap();
-        let (Command::Run { config: a, .. }, Command::Run { config: b, .. }) = (legacy, unified)
-        else {
-            panic!("expected run commands");
-        };
-        for n in 0..a.topology.node_count() as u16 {
-            for dir in Direction::CARDINAL {
-                assert_eq!(
-                    a.hard_faults.link_is_dead(NodeId::new(n), dir),
-                    b.hard_faults.link_is_dead(NodeId::new(n), dir),
-                    "base fault sets diverge at {n}:{dir:?}"
-                );
-            }
+    fn help_and_parsers_agree_on_the_flag_set() {
+        fn flags(section: &str) -> impl Iterator<Item = &str> {
+            section
+                .split_whitespace()
+                .filter(|t| t.starts_with("--"))
+                .map(|t| t.trim_end_matches(|c: char| !c.is_ascii_alphanumeric()))
         }
-        assert_eq!(a.scheduled_kills, b.scheduled_kills);
-        assert_eq!(a.router_kills, b.router_kills);
-        assert_eq!(a.wearout, b.wearout);
-        assert_eq!(a.fault_notify_latency, b.fault_notify_latency);
+        let unknown = |cmd: &str, flag: &str| match parse(&args(&format!("{cmd} {flag}"))) {
+            Err(e) => e.0.contains("unknown"),
+            Ok(_) => false,
+        };
+        let (_, rest) = HELP.split_once("OPTIONS (run):").expect("run section");
+        let (run, fuzz) = rest.split_once("OPTIONS (fuzz):").expect("fuzz section");
+        assert!(flags(run).any(|f| f == "--fault") && flags(fuzz).any(|f| f == "--repro"));
+        for flag in flags(run) {
+            assert!(!unknown("run", flag), "HELP lists `{flag}`, run rejects it");
+        }
+        for flag in flags(fuzz) {
+            assert!(
+                !unknown("fuzz", flag),
+                "HELP lists `{flag}`, fuzz rejects it"
+            );
+        }
+        for flag in ["--kill-link", "--kill-link-at", "--fault-notify", "--torus"] {
+            assert!(unknown("run", flag), "`{flag}` was removed");
+            assert!(!HELP.contains(flag), "HELP still mentions `{flag}`");
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn fault_free(seed: u64) -> SimConfigBuilder {
     b
 }
 
-/// A dead link with adaptive detours (`--kill-link` scenario): probes
+/// A dead link with adaptive detours (`--fault link:N:D` scenario): probes
 /// are discarded at the fault boundary, blocking clusters around it.
 fn kill_link(seed: u64) -> SimConfigBuilder {
     let topo = Topology::mesh(4, 4);
