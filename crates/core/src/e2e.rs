@@ -12,7 +12,7 @@
 //! and source buffers must cover a worst-case round trip rather than 3
 //! cycles. [`E2eSource::occupancy_flits`] exposes the buffer-size cost.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ftnoc_ecc::hamming;
 use ftnoc_types::flit::Flit;
@@ -32,7 +32,9 @@ struct PendingPacket {
 /// Source-side E2E bookkeeping for one node.
 #[derive(Debug)]
 pub struct E2eSource {
-    pending: HashMap<PacketId, PendingPacket>,
+    /// Ordered by id, so a timeout scan retransmits in the same order on
+    /// every run of one seed.
+    pending: BTreeMap<PacketId, PendingPacket>,
     timeout: u64,
     max_attempts: u32,
     retransmitted: u64,
@@ -55,7 +57,7 @@ impl E2eSource {
         assert!(timeout > 0, "timeout must be non-zero");
         assert!(max_attempts > 0, "max_attempts must be non-zero");
         E2eSource {
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             timeout,
             max_attempts,
             retransmitted: 0,
@@ -98,28 +100,26 @@ impl E2eSource {
         Some(pending.packet.clone())
     }
 
-    /// Collects packets whose ACK timed out, refreshing their timers;
-    /// each returned packet must be retransmitted by the caller.
+    /// Collects packets whose ACK timed out, in [`PacketId`] order,
+    /// refreshing their timers; each returned packet must be
+    /// retransmitted by the caller.
     pub fn take_expired(&mut self, now: u64) -> Vec<Packet> {
         let mut expired = Vec::new();
-        let mut drop: Vec<PacketId> = Vec::new();
-        for (id, pending) in self.pending.iter_mut() {
-            if now.saturating_sub(pending.sent_at) >= self.timeout {
-                if pending.attempts >= self.max_attempts {
-                    drop.push(*id);
-                    continue;
-                }
-                pending.attempts += 1;
-                pending.sent_at = now;
-                self.timed_out += 1;
-                self.retransmitted += 1;
-                expired.push(pending.packet.clone());
+        self.pending.retain(|_, pending| {
+            if now.saturating_sub(pending.sent_at) < self.timeout {
+                return true;
             }
-        }
-        for id in drop {
-            self.pending.remove(&id);
-            self.abandoned += 1;
-        }
+            if pending.attempts >= self.max_attempts {
+                self.abandoned += 1;
+                return false;
+            }
+            pending.attempts += 1;
+            pending.sent_at = now;
+            self.timed_out += 1;
+            self.retransmitted += 1;
+            expired.push(pending.packet.clone());
+            true
+        });
         expired
     }
 
@@ -342,6 +342,22 @@ mod tests {
         // Timer refreshed: not expired again immediately.
         assert!(src.take_expired(60).is_empty());
         assert!(!src.take_expired(100).is_empty());
+    }
+
+    #[test]
+    fn two_sources_expire_in_the_same_order() {
+        // Ids sent out of order: expiry must come back sorted, not in
+        // whatever order a per-instance hasher happens to iterate.
+        let expire = || {
+            let mut src = E2eSource::new(50, 8);
+            for id in [40, 7, 23, 12, 31, 5, 18, 36, 2, 27] {
+                src.on_send(packet(id, 2, 7), 0);
+            }
+            let expired = src.take_expired(50);
+            expired.iter().map(|p| p.id().raw()).collect::<Vec<_>>()
+        };
+        assert_eq!(expire(), expire());
+        assert_eq!(expire(), [2, 5, 7, 12, 18, 23, 27, 31, 36, 40]);
     }
 
     #[test]

@@ -33,8 +33,8 @@ impl HardFaults {
     pub fn kill_link(&mut self, topo: Topology, node: NodeId, dir: Direction) {
         assert!(dir.is_cardinal(), "the PE port is not an inter-router link");
         self.dead_links.insert((node, dir));
-        if let Some(neigh) = topo.neighbor(topo.coord_of(node), dir) {
-            self.dead_links.insert((topo.id_of(neigh), dir.opposite()));
+        if let Some(neigh) = topo.neighbor_id(node, dir) {
+            self.dead_links.insert((neigh, dir.opposite()));
         }
     }
 
@@ -42,7 +42,7 @@ impl HardFaults {
     pub fn kill_router(&mut self, topo: Topology, node: NodeId) {
         self.dead_routers.insert(node);
         for dir in Direction::CARDINAL {
-            if topo.neighbor(topo.coord_of(node), dir).is_some() {
+            if topo.neighbor_id(node, dir).is_some() {
                 self.kill_link(topo, node, dir);
             }
         }
@@ -86,15 +86,13 @@ impl HardFaults {
         queue.push_back(start);
         let mut reached = 1;
         while let Some(id) = queue.pop_front() {
-            let coord = topo.coord_of(id);
             for dir in Direction::CARDINAL {
                 if self.link_is_dead(id, dir) {
                     continue;
                 }
-                let Some(nc) = topo.neighbor(coord, dir) else {
+                let Some(nid) = topo.neighbor_id(id, dir) else {
                     continue;
                 };
-                let nid = topo.id_of(nc);
                 if self.router_is_dead(nid) || visited[nid.index()] {
                     continue;
                 }

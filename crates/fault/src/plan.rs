@@ -299,7 +299,7 @@ impl FaultPlan {
         };
         let check_link = |node: NodeId, dir: Direction, what: &str| {
             check_node(node, what)?;
-            if topo.neighbor(topo.coord_of(node), dir).is_none() {
+            if topo.neighbor_id(node, dir).is_none() {
                 Err(format!("{what}: no link {}:{dir} in {topo}", node))
             } else {
                 Ok(())

@@ -164,7 +164,7 @@ impl FaultTimeline {
                 KillEvent::Link(k) => {
                     assert!(k.dir.is_cardinal(), "the PE port is not a link");
                     assert!(
-                        topo.neighbor(topo.coord_of(k.node), k.dir).is_some(),
+                        topo.neighbor_id(k.node, k.dir).is_some(),
                         "scheduled kill {}:{} targets a link absent from {topo}",
                         k.node,
                         k.dir
@@ -213,7 +213,7 @@ impl FaultTimeline {
     /// wear-out death happens first, so the moot schedule entry is
     /// dropped. Only the serial commit phase may call this.
     pub fn push_link_kill(&mut self, at: u64, node: NodeId, dir: Direction) -> bool {
-        if !dir.is_cardinal() || self.topo.neighbor(self.topo.coord_of(node), dir).is_none() {
+        if !dir.is_cardinal() || self.topo.neighbor_id(node, dir).is_none() {
             return false;
         }
         if self.link_dead_now(at, node, dir) {
@@ -223,9 +223,7 @@ impl FaultTimeline {
         let topo = self.topo;
         let covers = move |k: &ScheduledKill| {
             (k.node == node && k.dir == dir)
-                || topo
-                    .neighbor(topo.coord_of(k.node), k.dir)
-                    .is_some_and(|c| topo.id_of(c) == node && k.dir.opposite() == dir)
+                || (topo.neighbor_id(k.node, k.dir) == Some(node) && k.dir.opposite() == dir)
         };
         self.events
             .retain(|ev| !matches!(ev, KillEvent::Link(k) if k.at > at && covers(k)));
@@ -298,10 +296,7 @@ impl FaultTimeline {
         if self.epochs[0].1.link_is_dead(node, dir) {
             return true;
         }
-        let other = self
-            .topo
-            .neighbor(self.topo.coord_of(node), dir)
-            .map(|c| self.topo.id_of(c));
+        let other = self.topo.neighbor_id(node, dir);
         self.events
             .iter()
             .take_while(|ev| ev.at() <= now)
@@ -366,17 +361,17 @@ impl FaultTimeline {
             match ev {
                 KillEvent::Link(k) => {
                     push(&mut out, k.node, k.dir, k.at);
-                    if let Some(c) = self.topo.neighbor(self.topo.coord_of(k.node), k.dir) {
-                        push(&mut out, self.topo.id_of(c), k.dir.opposite(), k.at);
+                    if let Some(m) = self.topo.neighbor_id(k.node, k.dir) {
+                        push(&mut out, m, k.dir.opposite(), k.at);
                     }
                 }
                 KillEvent::Router(k) => {
                     for dir in Direction::CARDINAL {
-                        let Some(c) = self.topo.neighbor(self.topo.coord_of(k.node), dir) else {
+                        let Some(m) = self.topo.neighbor_id(k.node, dir) else {
                             continue;
                         };
                         push(&mut out, k.node, dir, k.at);
-                        push(&mut out, self.topo.id_of(c), dir.opposite(), k.at);
+                        push(&mut out, m, dir.opposite(), k.at);
                     }
                 }
             }

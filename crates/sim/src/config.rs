@@ -115,6 +115,12 @@ impl Default for DeadlockConfig {
     }
 }
 
+/// Flit sequence numbers the loss ledger's per-packet `u128` mask can
+/// hold. [`SimConfigBuilder::build`] rejects longer packets on runs that
+/// can lose flits, so the conservation oracle never audits a truncated
+/// mask.
+pub(crate) const LOSS_MASK_FLITS: usize = u128::BITS as usize;
+
 /// Complete configuration of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -453,12 +459,18 @@ impl SimConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for invalid injection rates; fault rates
-    /// and router knobs are validated by their own types.
+    /// Returns a [`ConfigError`] for invalid injection rates and for
+    /// router kills with packets the loss ledger cannot track; fault
+    /// rates and router knobs are validated by their own types.
     pub fn build(&self) -> Result<SimConfig, ConfigError> {
         let c = &self.config;
         if !(c.injection_rate > 0.0 && c.injection_rate <= 1.0) {
             return Err(ConfigError::InvalidInjectionRate(c.injection_rate));
+        }
+        if c.can_lose_flits() && c.flits_per_packet() > LOSS_MASK_FLITS {
+            return Err(ConfigError::PacketTooLongForLossLedger(
+                c.flits_per_packet(),
+            ));
         }
         c.faults.assert_valid();
         let mut config = c.clone();
@@ -490,7 +502,7 @@ impl Default for SimConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftnoc_types::geom::Direction;
+    use ftnoc_types::geom::{Direction, NodeId};
 
     #[test]
     fn default_config_matches_paper_platform() {
@@ -513,6 +525,27 @@ mod tests {
     fn invalid_injection_rate_rejected() {
         assert!(SimConfig::builder().injection_rate(0.0).build().is_err());
         assert!(SimConfig::builder().injection_rate(1.2).build().is_err());
+    }
+
+    #[test]
+    fn router_kill_with_packets_beyond_the_loss_mask_is_rejected() {
+        let kill = ScheduledRouterKill {
+            at: 100,
+            node: NodeId::new(5),
+        };
+        let build = |flits: usize, kills: Vec<ScheduledRouterKill>| {
+            let mut router = RouterConfig::builder();
+            router.flits_per_packet(flits);
+            let mut b = SimConfig::builder();
+            b.router(router.build().unwrap()).router_kills(kills);
+            b.build()
+        };
+        assert_eq!(
+            build(LOSS_MASK_FLITS + 1, vec![kill]).unwrap_err(),
+            ConfigError::PacketTooLongForLossLedger(LOSS_MASK_FLITS + 1)
+        );
+        assert!(build(LOSS_MASK_FLITS, vec![kill]).is_ok());
+        assert!(build(LOSS_MASK_FLITS + 1, Vec::new()).is_ok());
     }
 
     #[test]

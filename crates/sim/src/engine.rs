@@ -1,72 +1,47 @@
-//! The parallel cycle engine: a hand-rolled `std::thread::scope` worker
-//! pool that fans the compute phase of each cycle out across routers.
+//! The cycle driver: [`Stepper`] runs pre → compute → commit, with the
+//! compute phase swept in place or fanned out across a hand-rolled
+//! `std::thread::scope` worker pool.
 //!
-//! Zero dependencies and zero `unsafe`: routers live in
-//! `Mutex<RouterCell>` cells (uncontended — each worker owns a disjoint
-//! contiguous chunk), the pool is synchronised with two [`Barrier`]s
-//! per cycle, and the serial pre/commit phases run on the calling
-//! thread in between. With `threads <= 1` no pool is spawned and
-//! [`Stepper::step`] sweeps the routers in place on the calling thread
-//! ([`Network::step`] is one such step) — and because the compute phase
-//! is cross-router-pure (see the determinism argument in
-//! [`crate::network`]), any thread count produces byte-identical
-//! results at the same seed.
+//! Zero dependencies, zero `unsafe`, no locks around routers: the
+//! network owns a plain `Vec<RouterCell>`, [`Network::with_stepper`]
+//! splits it once into one `&mut` chunk per worker, and owning a chunk
+//! is what synchronises the pool. Pre and commit run on the calling
+//! thread while every chunk is home; for the compute span the driver
+//! lends each worker its chunk over a channel and blocks until it comes
+//! back. With `threads <= 1` there is one chunk, no pool, and the sweep
+//! runs in place ([`Network::step`] is one such step). Compute is
+//! cross-router-pure (see [`crate::network`]), so any thread count is
+//! byte-identical at the same seed.
 //!
-//! Panics are part of that contract: a compute-phase panic on a worker
-//! (a violated `debug_assert!` under fault fuzzing, say) is caught,
-//! parked, and replayed on the calling thread after the cycle's `done`
-//! barrier — never a deadlocked barrier, and always the panic the
-//! serial schedule would have raised, so callers like the fuzz
-//! campaign runner can `catch_unwind` the whole run and get identical
-//! payloads at any thread count.
+//! Panics are part of that contract: a worker catches a compute-phase
+//! panic and sends it home with the chunk; once every chunk is back the
+//! driver replays the lowest-indexed worker's payload — the panic the
+//! serial schedule would have raised — so a fuzz campaign's
+//! `catch_unwind` sees identical payloads at any thread count. Dropping
+//! the stepper drops the lending channels, which stops the workers, on
+//! normal exit and on unwinding alike.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
 
 use ftnoc_metrics::{MeshTelemetry, ProfileSnapshot};
 use ftnoc_trace::TraceSink;
 
 use crate::network::{
-    collect_telemetry, compute_cells, NetCore, Network, Progress, RouterCell, RunEnv,
+    collect_telemetry, compute_cells, Cells, NetCore, Network, Progress, RouterCell, RunEnv,
 };
 
-/// Shared cycle-synchronisation state between the main thread and the
-/// compute workers.
-struct CycleSync {
-    /// Cycle-start barrier: main + workers. Workers block here between
-    /// cycles; the main thread's wait releases one compute round.
-    start: Barrier,
-    /// Cycle-done barrier: main + workers. Crossing it means every
-    /// router's compute phase for this cycle has finished.
-    done: Barrier,
-    /// The cycle the workers should compute (published before `start`).
-    now: AtomicU64,
-    /// Shutdown flag checked by workers right after `start`.
-    stop: AtomicBool,
-    /// One slot per worker holding a compute-phase panic caught this
-    /// cycle. Workers must reach `done` even when a router panics (a
-    /// violated `debug_assert!`, a poisoned cell lock), or the main
-    /// thread would park on the barrier forever; instead the panic is
-    /// parked here and the main thread replays the lowest-indexed slot
-    /// after `done` — which is the panic the serial schedule would have
-    /// hit first, so the payload is identical at any thread count.
-    panics: Vec<Mutex<Option<Box<dyn Any + Send>>>>,
-}
+/// A compute-phase panic caught on a worker.
+type Panic = Box<dyn Any + Send>;
 
-/// Releases the worker pool on drop (normal exit *and* unwinding), so a
-/// panic in the driver body cannot leave workers parked on the start
-/// barrier and deadlock the scope join.
-struct StopGuard<'a> {
-    sync: &'a CycleSync,
-}
-
-impl Drop for StopGuard<'_> {
-    fn drop(&mut self) {
-        self.sync.stop.store(true, Ordering::Release);
-        self.sync.start.wait();
-    }
+/// The driver's end of one pool worker.
+struct Worker<'a> {
+    /// Lends the worker its chunk for the compute span of one cycle.
+    lend: Sender<(u64, &'a mut [RouterCell])>,
+    /// Brings the chunk back, with the panic its sweep raised, if any.
+    back: Receiver<(&'a mut [RouterCell], Option<Panic>)>,
 }
 
 /// A cycle driver borrowed from [`Network::with_stepper`]: steps the
@@ -74,9 +49,10 @@ impl Drop for StopGuard<'_> {
 /// (or serially when no pool was requested).
 pub struct Stepper<'a, S: TraceSink> {
     env: &'a RunEnv,
-    cells: &'a [Mutex<RouterCell>],
+    cells: Cells<'a>,
     core: &'a mut NetCore<S>,
-    sync: Option<&'a CycleSync>,
+    /// One per chunk of `cells`; empty on the serial arm.
+    workers: Vec<Worker<'a>>,
 }
 
 impl<S: TraceSink> Stepper<'_, S> {
@@ -90,32 +66,40 @@ impl<S: TraceSink> Stepper<'_, S> {
         let profile = self.env.profile.as_ref();
         let now = self.core.now;
         let span = profile.map(|_| Instant::now());
-        self.core.pre(self.env, self.cells, now);
+        self.core.pre(self.env, &mut self.cells, now);
         if let (Some(p), Some(t)) = (profile, span) {
             p.add_pre(t);
         }
-        match self.sync {
-            None => {
-                let span = profile.map(|_| Instant::now());
-                compute_cells(self.env, self.cells, 0, now);
-                if let (Some(p), Some(t)) = (profile, span) {
-                    p.lane(0).add_compute(t);
-                }
+        if self.workers.is_empty() {
+            let span = profile.map(|_| Instant::now());
+            compute_cells(self.env, self.cells.chunks[0], 0, now);
+            if let (Some(p), Some(t)) = (profile, span) {
+                p.lane(0).add_compute(t);
             }
-            Some(sync) => {
-                sync.now.store(now, Ordering::Release);
-                sync.start.wait();
-                sync.done.wait();
-                for slot in &sync.panics {
-                    let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Some(payload) = slot.take() {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
+        } else {
+            for (worker, chunk) in self.workers.iter().zip(self.cells.chunks.drain(..)) {
+                worker
+                    .lend
+                    .send((now, chunk))
+                    .expect("workers live as long as the stepper");
+            }
+            // Collect in worker order: the chunks go back in place, and
+            // the first payload seen is the lowest-indexed router's.
+            let mut panic = None;
+            for worker in &self.workers {
+                let (chunk, caught) = worker
+                    .back
+                    .recv()
+                    .expect("a worker always returns its chunk");
+                self.cells.chunks.push(chunk);
+                panic = panic.or(caught);
+            }
+            if let Some(payload) = panic {
+                resume_unwind(payload);
             }
         }
         let span = profile.map(|_| Instant::now());
-        self.core.commit(self.env, self.cells, now);
+        self.core.commit(self.env, &mut self.cells, now);
         if let (Some(p), Some(t)) = (profile, span) {
             p.add_commit(t);
         }
@@ -133,25 +117,25 @@ impl<S: TraceSink> Stepper<'_, S> {
 
     /// A [`Progress`] snapshot (what run observers receive).
     pub fn progress(&self) -> Progress {
-        self.core.progress(self.cells)
+        self.core.progress(self.cells.iter())
     }
 
     /// A full [`crate::snapshot::NetSnapshot`] of the commit-boundary
     /// state, for per-cycle invariant checking between steps. Pure read
     /// — taking snapshots does not perturb the simulation.
     pub fn snapshot(&self) -> crate::snapshot::NetSnapshot {
-        crate::network::build_snapshot(self.env, self.cells, self.core)
+        crate::network::build_snapshot(self.env, self.cells.iter(), self.core)
     }
 
     /// Marks the beginning of the measurement window.
     pub fn start_measurement(&mut self) {
-        self.core.start_measurement(self.cells);
+        self.core.start_measurement(self.cells.iter());
     }
 
     /// Harvests every router's hotspot counters (same snapshot
     /// [`Network::telemetry`] takes after the run).
     pub fn telemetry(&self) -> MeshTelemetry {
-        collect_telemetry(self.env, self.cells)
+        collect_telemetry(self.env, self.cells.iter())
     }
 
     /// A snapshot of the phase profiler (`None` unless
@@ -165,87 +149,71 @@ impl<S: TraceSink> Network<S> {
     /// Runs `body` with a [`Stepper`] whose compute phase executes on
     /// `threads` worker threads (`<= 1` means serial, in-place, with no
     /// pool spawned). The pool spans the whole call, so per-cycle cost
-    /// is two barrier crossings rather than thread spawns.
+    /// is one chunk hand-off per worker rather than thread spawns.
     pub fn with_stepper<R>(
         &mut self,
         threads: usize,
         body: impl FnOnce(&mut Stepper<'_, S>) -> R,
     ) -> R {
         let Network { env, cells, core } = self;
-        let threads = threads.min(cells.len());
-        if threads <= 1 {
-            let mut stepper = Stepper {
+        let env: &RunEnv = env;
+        let chunk_len = cells.len().div_ceil(threads.max(1));
+        let chunks: Vec<_> = cells.chunks_mut(chunk_len).collect();
+        let pool = chunks.len();
+        let cells = Cells { chunks, chunk_len };
+        let run = |workers| {
+            body(&mut Stepper {
                 env,
                 cells,
                 core,
-                sync: None,
-            };
-            return body(&mut stepper);
-        }
-        let sync = CycleSync {
-            start: Barrier::new(threads + 1),
-            done: Barrier::new(threads + 1),
-            now: AtomicU64::new(core.now),
-            stop: AtomicBool::new(false),
-            panics: (0..threads).map(|_| Mutex::new(None)).collect(),
+                workers,
+            })
         };
-        let env: &RunEnv = env;
-        let cells: &[Mutex<RouterCell>] = cells;
+        if pool <= 1 {
+            return run(Vec::new());
+        }
         std::thread::scope(|scope| {
-            let chunk = cells.len().div_ceil(threads);
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(cells.len());
-                let sync = &sync;
-                let profile = env.profile.as_ref();
+            let profile = env.profile.as_ref();
+            let spawn = |t: usize| {
+                let (lend, borrowed) = channel::<(u64, &mut [RouterCell])>();
+                let (give_back, back) = channel();
                 scope.spawn(move || loop {
-                    // Worker-side phase timing (when profiling is on):
-                    // time parked on either barrier is "barrier wait" —
-                    // both chunk imbalance and the serial phases the
-                    // main thread runs in between — and the chunk loop
-                    // is this lane's compute span.
+                    // Profiling: time parked waiting for the chunk is
+                    // "barrier wait" (chunk imbalance plus the serial
+                    // phases in between); the sweep is this lane's
+                    // compute span.
                     let wait = profile.map(|_| Instant::now());
-                    sync.start.wait();
-                    if sync.stop.load(Ordering::Acquire) {
+                    // The stepper is gone once its senders are.
+                    let Ok((now, chunk)) = borrowed.recv() else {
                         break;
-                    }
+                    };
                     if let (Some(p), Some(w)) = (profile, wait) {
                         p.lane(t).add_barrier(w);
                     }
-                    let now = sync.now.load(Ordering::Acquire);
                     let span = profile.map(|_| Instant::now());
-                    let compute = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        compute_cells(env, &cells[lo..hi], lo, now);
-                    }));
-                    if let Err(payload) = compute {
-                        *sync.panics[t].lock().unwrap_or_else(|e| e.into_inner()) = Some(payload);
-                    }
+                    let sweep = AssertUnwindSafe(|| compute_cells(env, chunk, t * chunk_len, now));
+                    let caught = catch_unwind(sweep).err();
                     if let (Some(p), Some(s)) = (profile, span) {
                         p.lane(t).add_compute(s);
                     }
-                    let wait = profile.map(|_| Instant::now());
-                    sync.done.wait();
-                    if let (Some(p), Some(w)) = (profile, wait) {
-                        p.lane(t).add_barrier(w);
+                    if give_back.send((chunk, caught)).is_err() {
+                        break;
                     }
                 });
-            }
-            let guard = StopGuard { sync: &sync };
-            let mut stepper = Stepper {
-                env,
-                cells,
-                core,
-                sync: Some(&sync),
+                Worker { lend, back }
             };
-            let result = body(&mut stepper);
-            drop(guard);
-            result
+            run((0..pool).map(spawn).collect())
         })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use ftnoc_types::flit::{Flit, FlitKind};
+    use ftnoc_types::geom::{Direction, NodeId};
+    use ftnoc_types::packet::PacketId;
+    use ftnoc_types::Header;
+
     use crate::config::SimConfig;
     use crate::network::Network;
 
@@ -258,39 +226,62 @@ mod tests {
     #[test]
     fn worker_pool_is_cycle_identical_to_serial() {
         let mut a = Network::new(config());
-        let mut b = Network::new(config());
         a.with_stepper(1, |st| {
             for _ in 0..500 {
                 st.step();
             }
         });
-        b.with_stepper(4, |st| {
-            for _ in 0..500 {
-                st.step();
-            }
-        });
-        assert_eq!(a.packets_injected(), b.packets_injected());
-        assert_eq!(a.packets_ejected(), b.packets_ejected());
-        let (sa, sb) = (a.stats(), b.stats());
-        assert_eq!(sa.events, sb.events);
-        assert_eq!(sa.errors, sb.errors);
-        assert_eq!(a.latency_percentiles(), b.latency_percentiles());
+        // 64 routers over 4 workers split evenly; over 5 the chunks are
+        // four of 13 and one of 12.
+        for threads in [4, 5] {
+            let mut b = Network::new(config());
+            b.with_stepper(threads, |st| {
+                for _ in 0..500 {
+                    st.step();
+                }
+            });
+            assert_eq!(a.packets_injected(), b.packets_injected());
+            assert_eq!(a.packets_ejected(), b.packets_ejected());
+            let (sa, sb) = (a.stats(), b.stats());
+            assert_eq!(sa.events, sb.events);
+            assert_eq!(sa.errors, sb.errors);
+            assert_eq!(a.latency_percentiles(), b.latency_percentiles());
+        }
+    }
+
+    /// Puts a flit naming a VC that does not exist on `node`'s inbound
+    /// wire from `dir`, so the router's arrival stage indexes out of
+    /// bounds — a compute-phase panic whose message carries `vc`.
+    fn corrupt(net: &mut Network, node: usize, dir: Direction, vc: u8) {
+        let header = Header::new(NodeId::new(0), NodeId::new(1));
+        let flit = Flit::new(PacketId::new(u64::MAX), 0, FlitKind::Head, header, 0, 0);
+        net.cells[node].io.flit_in[dir.index()]
+            .as_mut()
+            .expect("the wire exists")
+            .send_flit(flit, vc, 0);
     }
 
     #[test]
     fn worker_panic_propagates_instead_of_deadlocking() {
-        let mut net = Network::new(config());
-        // Poison a cell lock so the worker that owns it panics inside
-        // its compute phase (`lock().unwrap()`), as a violated
-        // debug-assert in router logic would.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = net.cells[0].lock().unwrap();
-            panic!("poison the cell");
-        }));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            net.with_stepper(2, |st| st.step())
-        }));
-        assert!(caught.is_err(), "worker panic must surface, not deadlock");
+        for threads in [1, 2] {
+            let mut net = Network::new(config());
+            // One corrupt cell in each half of the mesh: both sweeps of
+            // a two-worker pool panic in the same cycle.
+            corrupt(&mut net, 3, Direction::East, 200);
+            corrupt(&mut net, 60, Direction::East, 201);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                net.with_stepper(threads, |st| {
+                    st.step();
+                    st.step();
+                })
+            }));
+            let payload = caught.expect_err("the compute panic must surface, not hang");
+            let message = payload.downcast_ref::<String>().expect("an index panic");
+            assert!(
+                message.contains("index is 200"),
+                "threads={threads}: expected router 3's panic, got {message:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! organised as an explicit **two-phase (compute → commit) cycle
 //! engine**.
 //!
-//! Each cycle runs three steps:
+//! The network owns its routers as a plain `Vec<RouterCell>`: a router
+//! shares nothing with its neighbours but wires, every wire belongs to
+//! its receiver's cell, so `&mut` to a cell is all the exclusion the
+//! engine needs. Each cycle runs three steps:
 //!
 //! 1. **pre** (serial): snapshot per-node recovery state into each
 //!    router's `neighbor_recovering` mask, then run open-loop injection
@@ -11,7 +14,8 @@
 //!    the shared traffic RNG, which must stay serial for determinism).
 //! 2. **compute** (parallelisable): every router independently pops its
 //!    *own* inbound wires (NACKs, credits, flits), then runs
-//!    control/VA/SA/ST and end-of-cycle bookkeeping. No router writes
+//!    control/VA/SA/ST and end-of-cycle bookkeeping. It is handed
+//!    `&mut` to its own cell and nothing else, so no router can write
 //!    another router's state in this step — outputs are buffered in the
 //!    router (`drives`, `ejected`, `freed_credits`, trace events) or in
 //!    its cell (`arrival_nacks`, `probe_req`).
@@ -30,7 +34,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock};
+use std::sync::RwLock;
 
 use ftnoc_core::ac::VcRef;
 use ftnoc_core::deadlock::probe::{ActivationAction, ActivationSignal, ProbeAction, ProbeSignal};
@@ -46,7 +50,7 @@ use ftnoc_types::geom::{Direction, NodeId, Topology};
 use ftnoc_types::packet::{Packet, PacketId};
 use ftnoc_types::Header;
 
-use crate::config::{ErrorScheme, SimConfig};
+use crate::config::{ErrorScheme, SimConfig, LOSS_MASK_FLITS};
 use crate::link::PortIo;
 use crate::router::{ArrivalAction, Ctx, Router};
 use crate::routing::FaultState;
@@ -103,9 +107,9 @@ impl ActivityWheel {
 /// per node, refreshed serially from the wheel at the start of each pre
 /// phase and read by the compute workers. Atomic words only so the
 /// shared [`RunEnv`] can be written through `&self`; every write
-/// happens on the main thread before the cycle-start barrier releases
-/// the workers, so they always observe the fully refreshed set (the
-/// barrier is the synchronisation edge — relaxed accesses suffice).
+/// happens on the main thread before it lends the workers their chunks,
+/// so they always observe the fully refreshed set (the channel hand-off
+/// is the synchronisation edge — relaxed accesses suffice).
 pub(crate) struct ActiveSet {
     words: Vec<AtomicU64>,
     gating: bool,
@@ -218,8 +222,7 @@ struct ActivationFlight {
 
 /// One router plus everything only it touches during the compute phase:
 /// its receiver-owned link wires and the per-cycle outputs the commit
-/// phase drains. Wrapped in a `Mutex` so the worker pool can hand out
-/// exclusive access per cell without `unsafe`.
+/// phase drains.
 pub(crate) struct RouterCell {
     /// The router proper.
     pub router: Router,
@@ -257,8 +260,8 @@ pub(crate) struct RunEnv {
     pub active: ActiveSet,
     /// The run's fault state: the hard-fault timeline (static base set
     /// plus scheduled mid-run kills) with one pre-built fault-aware
-    /// routing plan per publication epoch. Compute workers take
-    /// uncontended read locks; the only writer is the serial commit
+    /// routing plan per publication epoch. Each compute sweep takes one
+    /// uncontended read lock; the only writer is the serial commit
     /// phase when the wear-out model realizes a link death, which
     /// happens strictly between compute sweeps — so readers never
     /// observe a half-updated plan at any thread count.
@@ -289,14 +292,12 @@ pub(crate) struct NetCore<S: TraceSink> {
     /// Peak per-node E2E/FEC source-buffer occupancy in flits.
     e2e_peak_source_flits: u64,
     stats: NetworkStats,
-    warmup_snapshot: Option<(EventCounts, ErrorStats)>,
+    warmup_snapshot: (EventCounts, ErrorStats),
     warmup_counts: (u64, u64, u64, u64, u64), // injected, ejected, flits, lat_sum, lat_max
     /// Structured-event instrumentation (free with [`NullSink`]).
     tracer: Tracer<S>,
     /// Per-node recovery state last cycle (transition-event edges).
     prev_recovering: Vec<bool>,
-    /// Reusable per-cycle recovery snapshot (pre phase).
-    recovering_scratch: Vec<bool>,
     /// Pending router wake-ups, indexed by cycle (activity gating).
     wheel: ActivityWheel,
     /// Cycles at which fault state changes somewhere (kill detection
@@ -312,8 +313,9 @@ pub(crate) struct NetCore<S: TraceSink> {
     /// amputated by a dead router). The conservation oracle closes the
     /// ledger: injected == ejected + in-flight + lost.
     flits_lost: u64,
-    /// Per-packet bitmask of lost flit sequence numbers (seq < 128),
-    /// keyed by raw packet id — the loss ledger the oracle audits.
+    /// Per-packet bitmask of lost flit sequence numbers (below
+    /// [`LOSS_MASK_FLITS`]), keyed by raw packet id — the loss ledger
+    /// the oracle audits.
     lost: HashMap<u64, u128>,
     /// Time-ordered fault event log: configured kills up front, wear-out
     /// deaths appended as they realize. The single observer feed the
@@ -348,17 +350,6 @@ pub struct Progress {
     pub any_in_recovery: bool,
 }
 
-/// Shared read access to one router (a lock guard that dereferences to
-/// [`Router`], so call sites read fields and methods directly).
-pub struct RouterRef<'a>(MutexGuard<'a, RouterCell>);
-
-impl std::ops::Deref for RouterRef<'_> {
-    type Target = Router;
-    fn deref(&self) -> &Router {
-        &self.0.router
-    }
-}
-
 /// The simulated network.
 ///
 /// Generic over the trace sink `S`: with the default [`NullSink`] every
@@ -366,28 +357,73 @@ impl std::ops::Deref for RouterRef<'_> {
 /// pays nothing for its observability.
 pub struct Network<S: TraceSink = NullSink> {
     pub(crate) env: RunEnv,
-    pub(crate) cells: Vec<Mutex<RouterCell>>,
+    pub(crate) cells: Vec<RouterCell>,
     pub(crate) core: NetCore<S>,
+}
+
+/// The network's cells as a [`crate::engine::Stepper`] holds them: split
+/// once into contiguous chunks, one per compute worker (a single chunk
+/// on the serial arm). The serial pre and commit phases index through
+/// the view; for the compute span the pool arm moves each `&mut` chunk
+/// out to its worker and back, so a chunk is only ever reachable from
+/// one thread.
+pub(crate) struct Cells<'a> {
+    /// The chunks in router order; all `chunk_len` long but the last.
+    pub(crate) chunks: Vec<&'a mut [RouterCell]>,
+    pub(crate) chunk_len: usize,
+}
+
+impl Cells<'_> {
+    /// Every cell in router order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &RouterCell> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+}
+
+impl std::ops::Index<usize> for Cells<'_> {
+    type Output = RouterCell;
+    #[inline]
+    fn index(&self, n: usize) -> &RouterCell {
+        &self.chunks[n / self.chunk_len][n % self.chunk_len]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Cells<'_> {
+    #[inline]
+    fn index_mut(&mut self, n: usize) -> &mut RouterCell {
+        &mut self.chunks[n / self.chunk_len][n % self.chunk_len]
+    }
 }
 
 /// The compute sweep over `cells`, a contiguous run of the network's
 /// cells starting at router index `lo`: every router the activity set
-/// marks awake this cycle is locked and computed, in index order. Both
-/// [`crate::engine::Stepper`] arms run this — the serial arm over the
-/// whole network, each pool worker over its own chunk.
-pub(crate) fn compute_cells(env: &RunEnv, cells: &[Mutex<RouterCell>], lo: usize, now: u64) {
-    for (i, cell) in cells.iter().enumerate() {
+/// marks awake this cycle is computed, in index order, under one read
+/// of the fault state. Both [`crate::engine::Stepper`] arms run this —
+/// the serial arm over the whole network, each pool worker over the
+/// chunk it was lent.
+pub(crate) fn compute_cells(env: &RunEnv, cells: &mut [RouterCell], lo: usize, now: u64) {
+    let faults = env
+        .faults
+        .read()
+        .expect("the fault state's only writer is the commit phase");
+    let ctx = Ctx {
+        config: &env.config,
+        topo: env.topo,
+        now,
+        faults: &faults,
+    };
+    for (i, cell) in cells.iter_mut().enumerate() {
         if env.active.is_active(lo + i) {
-            compute_cell(env, &mut cell.lock().unwrap(), now);
+            compute_cell(&ctx, cell);
         }
     }
 }
 
 /// The compute phase of one router: pop this router's own inbound
-/// wires, then run the full per-cycle pipeline. Touches nothing outside
-/// `cell`, which is what makes running it concurrently across cells
-/// race-free (and thread-count-independent) by construction.
-fn compute_cell(env: &RunEnv, cell: &mut RouterCell, now: u64) {
+/// wires, then run the full per-cycle pipeline. It can touch nothing
+/// outside `cell`, which is what makes running it concurrently across
+/// cells race-free (and thread-count-independent) by construction.
+fn compute_cell(ctx: &Ctx<'_>, cell: &mut RouterCell) {
     // A dead router computes nothing, draws nothing, counts nothing —
     // before the fault stream is positioned and before the computed
     // cycle is booked, so gated and full-sweep runs stay byte-identical
@@ -396,13 +432,7 @@ fn compute_cell(env: &RunEnv, cell: &mut RouterCell, now: u64) {
         cell.wants_wake = false;
         return;
     }
-    let faults = env.faults.read().unwrap();
-    let ctx = Ctx {
-        config: &env.config,
-        topo: env.topo,
-        now,
-        faults: &faults,
-    };
+    let now = ctx.now;
     let RouterCell {
         router,
         io,
@@ -455,7 +485,7 @@ fn compute_cell(env: &RunEnv, cell: &mut RouterCell, now: u64) {
         let Some((flit, vc)) = fw.deliver_flit(now) else {
             continue;
         };
-        let action = router.accept_flit(&ctx, d, vc, flit);
+        let action = router.accept_flit(ctx, d, vc, flit);
         let port = d.index() as u8;
         match action {
             ArrivalAction::Accepted => router.trace.emit(|| TraceEvent::FlitReceived {
@@ -480,13 +510,13 @@ fn compute_cell(env: &RunEnv, cell: &mut RouterCell, now: u64) {
     }
 
     // 4-7. Control, VC allocation, switch allocation, switch traversal.
-    router.control_phase(&ctx);
-    router.va_phase(&ctx, *neighbor_recovering);
-    router.sa_phase(&ctx);
-    router.st_phase(&ctx);
+    router.control_phase(ctx);
+    router.va_phase(ctx, *neighbor_recovering);
+    router.sa_phase(ctx);
+    router.st_phase(ctx);
 
     // 8. Blocked tracking, probe-launch decision, statistics.
-    *probe_req = router.end_cycle(&ctx);
+    *probe_req = router.end_cycle(ctx);
 
     // Wake-up bookkeeping: stay in the active set while any local work
     // or undelivered inbound wire traffic remains. Commit-side
@@ -510,24 +540,20 @@ impl<S: TraceSink> Network<S> {
     pub fn with_tracer(config: SimConfig, tracer: Tracer<S>) -> Self {
         let topo = config.topology;
         let n = topo.node_count();
-        let cells: Vec<Mutex<RouterCell>> = topo
+        let mut cells: Vec<RouterCell> = topo
             .nodes()
             .map(|id| {
-                let coord = topo.coord_of(id);
-                let mut exists = [false; 4];
-                for d in Direction::CARDINAL {
-                    exists[d.index()] = topo.neighbor(coord, d).is_some();
-                }
+                let exists = Direction::CARDINAL.map(|d| topo.neighbor_id(id, d).is_some());
                 let mut router = Router::new(id, &config, exists);
                 router.trace.enabled = tracer.enabled();
-                Mutex::new(RouterCell {
+                RouterCell {
                     router,
                     io: PortIo::new(exists),
                     neighbor_recovering: [false; 4],
                     probe_req: None,
                     arrival_nacks: Vec::new(),
                     wants_wake: false,
-                })
+                }
             })
             .collect();
         let pes = (0..topo.terminal_count())
@@ -557,7 +583,7 @@ impl<S: TraceSink> Network<S> {
         for node in topo.nodes() {
             if faults.timeline().router_dead_now(0, node) {
                 dead_now[node.index()] = true;
-                cells[node.index()].lock().unwrap().router.dead = true;
+                cells[node.index()].router.dead = true;
             }
         }
         while kills_done < router_kills.len() && router_kills[kills_done].at == 0 {
@@ -568,10 +594,9 @@ impl<S: TraceSink> Network<S> {
             let budgets = topo
                 .nodes()
                 .map(|id| {
-                    let coord = topo.coord_of(id);
                     let mut b = [u64::MAX; 4];
                     for d in Direction::CARDINAL {
-                        if topo.neighbor(coord, d).is_some() {
+                        if topo.neighbor_id(id, d).is_some() {
                             b[d.index()] = spec.budget_for(seed, id, d);
                         }
                     }
@@ -612,11 +637,10 @@ impl<S: TraceSink> Network<S> {
                 measuring: false,
                 e2e_peak_source_flits: 0,
                 stats: NetworkStats::default(),
-                warmup_snapshot: None,
+                warmup_snapshot: Default::default(),
                 warmup_counts: (0, 0, 0, 0, 0),
                 tracer,
                 prev_recovering: vec![false; n],
-                recovering_scratch: Vec::with_capacity(n),
                 wheel: ActivityWheel::new(n, gating),
                 fault_boundaries,
                 flits_injected: 0,
@@ -661,36 +685,27 @@ impl<S: TraceSink> Network<S> {
     pub fn fault_counts(&self) -> FaultCounts {
         let mut total = FaultCounts::default();
         for cell in &self.cells {
-            total.absorb(&cell.lock().unwrap().router.fault_counts());
+            total.absorb(&cell.router.fault_counts());
         }
         total
     }
 
     /// Direct read access to a router (tests and probing tools).
-    pub fn router(&self, id: NodeId) -> RouterRef<'_> {
-        RouterRef(self.cells[id.index()].lock().unwrap())
+    pub fn router(&self, id: NodeId) -> &Router {
+        &self.cells[id.index()].router
     }
 
     /// Marks the beginning of the measurement window: snapshots every
     /// cumulative counter so reported statistics exclude warm-up.
     pub fn start_measurement(&mut self) {
-        let Network { cells, core, .. } = self;
-        core.start_measurement(cells);
+        self.core.start_measurement(self.cells.iter());
     }
 
     /// Aggregated statistics for the measurement window.
     pub fn stats(&self) -> NetworkStats {
-        let mut events = EventCounts::default();
-        let mut errors = ErrorStats::default();
-        for cell in &self.cells {
-            let cell = cell.lock().unwrap();
-            events = sum_events(&events, &cell.router.events);
-            errors = sum_errors(&errors, &cell.router.errors);
-        }
+        let (events, errors) = sum_censuses(self.cells.iter());
         let core = &self.core;
-        let (snap_ev, snap_err) = core
-            .warmup_snapshot
-            .unwrap_or((EventCounts::default(), ErrorStats::default()));
+        let (snap_ev, snap_err) = core.warmup_snapshot;
         let (wi, we, wf, wl, _wm) = core.warmup_counts;
         NetworkStats {
             events: events.delta_since(&snap_ev),
@@ -723,8 +738,7 @@ impl<S: TraceSink> Network<S> {
 
     /// A [`Progress`] snapshot (what run observers receive).
     pub fn progress(&self) -> Progress {
-        let Network { cells, core, .. } = self;
-        core.progress(cells)
+        self.core.progress(self.cells.iter())
     }
 
     /// Turns on the engine phase profiler, with one timing lane per
@@ -745,7 +759,7 @@ impl<S: TraceSink> Network<S> {
     /// Harvests every router's hotspot counters (cumulative since
     /// construction).
     pub fn telemetry(&self) -> MeshTelemetry {
-        collect_telemetry(&self.env, &self.cells)
+        collect_telemetry(&self.env, self.cells.iter())
     }
 
     /// Advances the network by one clock cycle: one serial
@@ -763,9 +777,7 @@ impl<S: TraceSink> Network<S> {
 
     /// Whether any node is currently in deadlock-recovery mode.
     pub fn any_in_recovery(&self) -> bool {
-        self.cells
-            .iter()
-            .any(|c| c.lock().unwrap().router.probe.in_recovery())
+        self.cells.iter().any(|c| c.router.probe.in_recovery())
     }
 
     /// Flits ejected to the local PEs since construction.
@@ -803,33 +815,30 @@ impl<S: TraceSink> Network<S> {
     /// recovery-held slots empty everywhere; in-flight wires may still
     /// carry expired-replica traffic).
     pub fn is_drained(&self) -> bool {
-        self.cells
-            .iter()
-            .all(|c| c.lock().unwrap().router.is_drained())
+        self.cells.iter().all(|c| c.router.is_drained())
     }
 
     /// A full [`crate::snapshot::NetSnapshot`] of the commit-boundary
     /// state (the invariant oracle's inspection surface). Pure read.
     pub fn snapshot(&self) -> crate::snapshot::NetSnapshot {
-        let Network { env, cells, core } = self;
-        build_snapshot(env, cells, core)
+        build_snapshot(&self.env, self.cells.iter(), &self.core)
     }
 }
 
 /// Builds a [`crate::snapshot::NetSnapshot`] from the engine's parts
 /// (shared by [`Network::snapshot`] and [`crate::Stepper::snapshot`]).
-pub(crate) fn build_snapshot<S: TraceSink>(
+pub(crate) fn build_snapshot<'c, S: TraceSink>(
     env: &RunEnv,
-    cells: &[Mutex<RouterCell>],
+    cells: impl Iterator<Item = &'c RouterCell>,
     core: &NetCore<S>,
 ) -> crate::snapshot::NetSnapshot {
     use crate::snapshot::{NetSnapshot, PeSnapshot, WireSnapshot};
     let topo = env.topo;
-    let mut routers = Vec::with_capacity(cells.len());
-    let mut wires = Vec::with_capacity(cells.len());
-    let mut neighbors = Vec::with_capacity(cells.len());
-    for (n, cell) in cells.iter().enumerate() {
-        let cell = cell.lock().unwrap();
+    let n_routers = topo.node_count();
+    let mut routers = Vec::with_capacity(n_routers);
+    let mut wires = Vec::with_capacity(n_routers);
+    let mut neighbors = Vec::with_capacity(n_routers);
+    for (n, cell) in cells.enumerate() {
         routers.push(cell.router.snapshot());
         let mut wire = WireSnapshot::default();
         for d in Direction::CARDINAL {
@@ -842,12 +851,8 @@ pub(crate) fn build_snapshot<S: TraceSink>(
             }
         }
         wires.push(wire);
-        let coord = topo.coord_of(NodeId::new(n as u16));
-        let mut mask = [None; 4];
-        for d in Direction::CARDINAL {
-            mask[d.index()] = topo.neighbor(coord, d).map(|c| topo.id_of(c).index());
-        }
-        neighbors.push(mask);
+        let id = NodeId::new(n as u16);
+        neighbors.push(Direction::CARDINAL.map(|d| topo.neighbor_id(id, d).map(NodeId::index)));
     }
     let pes = core
         .pes
@@ -864,11 +869,14 @@ pub(crate) fn build_snapshot<S: TraceSink>(
     // After a full step the active set still holds cycle `now - 1`'s
     // membership (the refresh for `now` happens in the next pre phase),
     // which is exactly the cycle this snapshot reflects.
-    let computed = (0..cells.len()).map(|n| env.active.is_active(n)).collect();
+    let computed = (0..n_routers).map(|n| env.active.is_active(n)).collect();
     // The network's fault table as of the snapshot cycle: every
     // directed dead link endpoint with the cycle its death became
     // locally known (the oracle checks allocations against it).
-    let faults = env.faults.read().unwrap();
+    let faults = env
+        .faults
+        .read()
+        .expect("the fault state's only writer is the commit phase");
     let dead_ports = faults
         .timeline()
         .dead_ports_at(core.now.saturating_sub(1))
@@ -936,53 +944,38 @@ impl<S: TraceSink> NetCore<S> {
         self.packets_ejected
     }
 
-    /// Pre phase (serial): refresh the `neighbor_recovering` snapshots,
-    /// then run injection and the E2E timeout scans.
-    pub(crate) fn pre(&mut self, env: &RunEnv, cells: &[Mutex<RouterCell>], now: u64) {
+    /// Pre phase (serial): refresh the `neighbor_recovering` masks, then
+    /// run injection and the E2E timeout scans.
+    pub(crate) fn pre(&mut self, env: &RunEnv, cells: &mut Cells<'_>, now: u64) {
         // Publish this cycle's active set before anything below can add
         // to it (injection wakes the routers it feeds).
         env.active.refresh(&mut self.wheel, now);
-        self.recovering_scratch.clear();
-        for cell in cells {
-            self.recovering_scratch
-                .push(cell.lock().unwrap().router.probe.in_recovery());
-        }
-        for (n, cell) in cells.iter().enumerate() {
-            let coord = env.topo.coord_of(NodeId::new(n as u16));
+        for id in env.topo.nodes() {
             let mut mask = [false; 4];
             for d in Direction::CARDINAL {
-                if let Some(nc) = env.topo.neighbor(coord, d) {
-                    mask[d.index()] = self.recovering_scratch[env.topo.id_of(nc).index()];
+                if let Some(m) = env.topo.neighbor_id(id, d) {
+                    mask[d.index()] = cells[m.index()].router.probe.in_recovery();
                 }
             }
-            cell.lock().unwrap().neighbor_recovering = mask;
+            cells[id.index()].neighbor_recovering = mask;
         }
         self.inject_phase(env, cells, now);
     }
 
     /// A [`Progress`] snapshot for observers.
-    pub(crate) fn progress(&self, cells: &[Mutex<RouterCell>]) -> Progress {
+    pub(crate) fn progress<'c>(&self, mut cells: impl Iterator<Item = &'c RouterCell>) -> Progress {
         Progress {
             now: self.now,
             packets_injected: self.packets_injected,
             packets_ejected: self.packets_ejected,
             latency_sum: self.latency_sum,
-            any_in_recovery: cells
-                .iter()
-                .any(|c| c.lock().unwrap().router.probe.in_recovery()),
+            any_in_recovery: cells.any(|c| c.router.probe.in_recovery()),
         }
     }
 
     /// Starts the measurement window (see [`Network::start_measurement`]).
-    pub(crate) fn start_measurement(&mut self, cells: &[Mutex<RouterCell>]) {
-        let mut events = EventCounts::default();
-        let mut errors = ErrorStats::default();
-        for cell in cells {
-            let cell = cell.lock().unwrap();
-            events = sum_events(&events, &cell.router.events);
-            errors = sum_errors(&errors, &cell.router.errors);
-        }
-        self.warmup_snapshot = Some((events, errors));
+    pub(crate) fn start_measurement<'c>(&mut self, cells: impl Iterator<Item = &'c RouterCell>) {
+        self.warmup_snapshot = sum_censuses(cells);
         self.warmup_counts = (
             self.packets_injected,
             self.packets_ejected,
@@ -997,10 +990,10 @@ impl<S: TraceSink> NetCore<S> {
 
     /// Open-loop injection: create new packets, push flits of the packet
     /// currently entering, run E2E timeout scans.
-    fn inject_phase(&mut self, env: &RunEnv, cells: &[Mutex<RouterCell>], now: u64) {
+    fn inject_phase(&mut self, env: &RunEnv, cells: &mut Cells<'_>, now: u64) {
         let scheme = env.config.scheme;
         let vcs = env.config.router.vcs_per_port();
-        let n_routers = cells.len();
+        let n_routers = env.topo.node_count();
         let source_open = env
             .config
             .stop_injection_after
@@ -1060,9 +1053,9 @@ impl<S: TraceSink> NetCore<S> {
             }
 
             // Nothing queued, nothing mid-injection, no timeout scan
-            // due: the rest of the loop body is a no-op — skip the cell
-            // lock. (The injector draw above always happens, so the
-            // traffic RNG stream is independent of this shortcut.)
+            // due: the rest of the loop body is a no-op. (The injector
+            // draw above always happens, so the traffic RNG stream is
+            // independent of this shortcut.)
             if self.pes[t].source_queue.is_empty()
                 && self.pes[t].injecting.is_none()
                 && !(scheme.uses_end_to_end_control() && now.is_multiple_of(32))
@@ -1070,7 +1063,7 @@ impl<S: TraceSink> NetCore<S> {
                 continue;
             }
 
-            let mut cell = cells[node].lock().unwrap();
+            let cell = &mut cells[node];
 
             // E2E/FEC timeouts (scanned every 32 cycles to bound cost).
             if scheme.uses_end_to_end_control() && now.is_multiple_of(32) {
@@ -1119,36 +1112,35 @@ impl<S: TraceSink> NetCore<S> {
     /// Commit phase (serial, node order): apply every cross-router
     /// effect buffered during compute, move the side-bands, sample
     /// statistics, advance the clock.
-    pub(crate) fn commit(&mut self, env: &RunEnv, cells: &[Mutex<RouterCell>], now: u64) {
+    pub(crate) fn commit(&mut self, env: &RunEnv, cells: &mut Cells<'_>, now: u64) {
         let topo = env.topo;
-        for n in 0..cells.len() {
+        let n_routers = topo.node_count();
+        for n in 0..n_routers {
             // A skipped router ran no compute phase: its output buffers
             // are exactly as this loop left them last time (empty), so
             // there is nothing to drain and no wake-up to schedule.
             if !env.active.is_active(n) {
                 continue;
             }
-            let mut cell = cells[n].lock().unwrap();
+            let node = NodeId::new(n as u16);
 
             // Buffered trace events, in the phase order they occurred.
             if self.tracer.enabled() {
-                for i in 0..cell.router.trace.events.len() {
-                    let ev = cell.router.trace.events[i];
+                for &ev in &cells[n].router.trace.events {
                     self.tracer.emit(now, n as u16, ev);
                 }
             }
-            cell.router.trace.events.clear();
+            cells[n].router.trace.events.clear();
 
             // Link drives onto the receiving router's forward wires. A
             // drive aimed at a dead router (the sender not yet notified,
             // or mid-wormhole toward the corpse) is lost at the pins —
             // booked into the loss ledger, never onto a wire, so the
             // skipped victim accumulates no due traffic.
-            for i in 0..cell.router.drives.len() {
-                let drive = cell.router.drives[i];
+            for i in 0..cells[n].router.drives.len() {
+                let drive = cells[n].router.drives[i];
                 let m = topo
-                    .neighbor(topo.coord_of(NodeId::new(n as u16)), drive.dir)
-                    .map(|c| topo.id_of(c))
+                    .neighbor_id(node, drive.dir)
                     .expect("drive targets an existing link");
                 if self.dead_now[m.index()] {
                     self.record_lost_flit(
@@ -1159,7 +1151,7 @@ impl<S: TraceSink> NetCore<S> {
                     );
                     continue;
                 }
-                cells[m.index()].lock().unwrap().io.flit_in[drive.dir.opposite().index()]
+                cells[m.index()].io.flit_in[drive.dir.opposite().index()]
                     .as_mut()
                     .expect("forward wire exists")
                     .send_flit(drive.flit, drive.vc, now);
@@ -1168,74 +1160,65 @@ impl<S: TraceSink> NetCore<S> {
                 }
                 self.wheel.schedule(m.index(), now + 1);
             }
-            cell.router.drives.clear();
+            cells[n].router.drives.clear();
 
             // Ejections to the local PEs (the out port picks the
             // terminal on concentrated topologies).
-            for i in 0..cell.router.ejected.len() {
-                let (flit, port) = cell.router.ejected[i];
-                self.eject_flit(
-                    env,
-                    &mut cell.router,
-                    NodeId::new(n as u16),
-                    flit,
-                    port,
-                    now,
-                );
+            let router = &mut cells[n].router;
+            for i in 0..router.ejected.len() {
+                let (flit, port) = router.ejected[i];
+                self.eject_flit(env, router, node, flit, port, now);
             }
-            cell.router.ejected.clear();
+            router.ejected.clear();
 
             // Freed credits back to the upstream routers.
-            for i in 0..cell.router.freed_credits.len() {
-                let (dir_in, vc) = cell.router.freed_credits[i];
+            for i in 0..cells[n].router.freed_credits.len() {
+                let (dir_in, vc) = cells[n].router.freed_credits[i];
                 let up = topo
-                    .neighbor(topo.coord_of(NodeId::new(n as u16)), dir_in)
-                    .map(|c| topo.id_of(c))
+                    .neighbor_id(node, dir_in)
                     .expect("credit for an existing link");
                 if self.dead_now[up.index()] {
                     continue;
                 }
-                cells[up.index()].lock().unwrap().io.rev_in[dir_in.opposite().index()]
+                cells[up.index()].io.rev_in[dir_in.opposite().index()]
                     .as_mut()
                     .expect("reverse wire exists")
                     .send_credit(vc, now);
                 self.wheel.schedule(up.index(), now + 1);
             }
-            cell.router.freed_credits.clear();
+            cells[n].router.freed_credits.clear();
 
             // Arrival NACKs back to the upstream routers.
-            for i in 0..cell.arrival_nacks.len() {
-                let (p, vc) = cell.arrival_nacks[i];
+            for i in 0..cells[n].arrival_nacks.len() {
+                let (p, vc) = cells[n].arrival_nacks[i];
                 let up = topo
-                    .neighbor(topo.coord_of(NodeId::new(n as u16)), p)
-                    .map(|c| topo.id_of(c))
+                    .neighbor_id(node, p)
                     .expect("nack for an existing link");
                 if self.dead_now[up.index()] {
                     continue;
                 }
-                cells[up.index()].lock().unwrap().io.rev_in[p.opposite().index()]
+                cells[up.index()].io.rev_in[p.opposite().index()]
                     .as_mut()
                     .expect("reverse wire exists")
                     .send_nack(vc, now);
                 self.wheel.schedule(up.index(), now + 2);
             }
-            cell.arrival_nacks.clear();
+            cells[n].arrival_nacks.clear();
 
             // Probe launches onto the side-band.
-            if let Some((via, named)) = cell.probe_req.take() {
-                let origin = NodeId::new(n as u16);
-                match topo
-                    .neighbor(topo.coord_of(origin), via)
-                    .map(|c| topo.id_of(c))
-                {
+            if let Some((via, named)) = cells[n].probe_req.take() {
+                match topo.neighbor_id(node, via) {
                     // A probe aimed at a dead router is driven into dead
                     // pins — same silent loss as an unconnected port.
                     Some(to) if !self.dead_now[to.index()] => {
                         self.probes.push(ProbeFlight {
-                            signal: ProbeSignal { origin, vc: named },
+                            signal: ProbeSignal {
+                                origin: node,
+                                vc: named,
+                            },
                             to,
                             deliver_at: now + 1,
-                            path: vec![origin],
+                            path: vec![node],
                         });
                         self.tracer.emit(
                             now,
@@ -1247,25 +1230,17 @@ impl<S: TraceSink> NetCore<S> {
                             },
                         );
                     }
-                    _ => {
-                        // A logic upset (unprotected VA/RT) can leave the
-                        // suspected VC waiting on a port with no link —
-                        // the probe is driven into an unconnected wire
-                        // and silently lost, like any mid-path discard.
-                        cell.router.probe.probe_lost();
-                        cell.router.errors.probes_discarded += 1;
-                        self.tracer.emit(
-                            now,
-                            n as u16,
-                            TraceEvent::ProbeDiscarded { origin: n as u16 },
-                        );
-                    }
+                    // A logic upset (unprotected VA/RT) can leave the
+                    // suspected VC waiting on a port with no link —
+                    // the probe is driven into an unconnected wire
+                    // and silently lost, like any mid-path discard.
+                    _ => self.discard_probe(cells, node, node, now),
                 }
             }
 
             // The self-requested re-wake this cell's compute phase asked
             // for (non-quiescent state, or pending inbound wire traffic).
-            if cell.wants_wake {
+            if cells[n].wants_wake {
                 self.wheel.schedule(n, now + 1);
             }
         }
@@ -1286,7 +1261,10 @@ impl<S: TraceSink> NetCore<S> {
         if !pending.is_empty() {
             let notify = self.wearout.as_ref().map_or(0, |w| w.notify);
             let at = now + 1;
-            let mut faults = env.faults.write().unwrap();
+            let mut faults = env
+                .faults
+                .write()
+                .expect("no compute sweep outlives its cycle");
             for (node, d) in pending {
                 let nid = NodeId::new(node as u16);
                 let dir = Direction::CARDINAL[d];
@@ -1327,7 +1305,7 @@ impl<S: TraceSink> NetCore<S> {
         // exit in end_cycle) become start/end events.
         if self.tracer.enabled() {
             for (n, cell) in cells.iter().enumerate() {
-                let rec = cell.lock().unwrap().router.probe.in_recovery();
+                let rec = cell.router.probe.in_recovery();
                 if rec != self.prev_recovering[n] {
                     let event = if rec {
                         TraceEvent::RecoveryStarted
@@ -1354,8 +1332,7 @@ impl<S: TraceSink> NetCore<S> {
             let mut tx_cap = 0;
             let mut rx_occ = 0;
             let mut rx_cap = 0;
-            for cell in cells {
-                let cell = cell.lock().unwrap();
+            for cell in cells.iter() {
                 let (a, b, c, d) = cell.router.sample_occupancy();
                 tx_occ += a;
                 tx_cap += b;
@@ -1377,7 +1354,7 @@ impl<S: TraceSink> NetCore<S> {
         // full sweep would. (A no-op for static-fault runs and when
         // gating is off.)
         if self.fault_boundaries.binary_search(&(now + 1)).is_ok() {
-            for n in 0..cells.len() {
+            for n in 0..n_routers {
                 self.wheel.schedule(n, now + 1);
             }
         }
@@ -1390,7 +1367,9 @@ impl<S: TraceSink> NetCore<S> {
     /// oracle audits both), and the structured drop event.
     fn record_lost_flit(&mut self, at_node: u16, flit: Flit, port: u8, now: u64) {
         self.flits_lost += 1;
-        if flit.seq < 128 {
+        // `SimConfigBuilder::build` bounds real sequence numbers on any
+        // run that gets here; one beyond the mask is a corrupted field.
+        if usize::from(flit.seq) < LOSS_MASK_FLITS {
             *self.lost.entry(flit.packet.raw()).or_insert(0) |= 1 << u32::from(flit.seq);
         }
         self.tracer.emit(
@@ -1411,10 +1390,10 @@ impl<S: TraceSink> NetCore<S> {
     /// original to the loss ledger. Serial-commit only — structural
     /// mutation with no RNG draws, so gated/ungated runs and every
     /// thread count stay byte-identical through a death.
-    fn kill_router(&mut self, env: &RunEnv, cells: &[Mutex<RouterCell>], victim: NodeId, now: u64) {
+    fn kill_router(&mut self, env: &RunEnv, cells: &mut Cells<'_>, victim: NodeId, now: u64) {
         let topo = env.topo;
         let v = victim.index();
-        let n_routers = cells.len();
+        let n_routers = topo.node_count();
         let dest_router = |f: &Flit| f.header.dest.index() % n_routers;
 
         // Pass A: membership. A packet is truncated by this death when
@@ -1422,33 +1401,30 @@ impl<S: TraceSink> NetCore<S> {
         // through (or held traffic toward) the victim, a flit on a wire
         // into the victim, or a destination terminal behind it.
         let mut members: HashSet<u64> = HashSet::new();
-        {
-            let vcell = cells[v].lock().unwrap();
-            vcell.router.scan_flits(|flit, original| {
-                if original {
+        let vcell = &cells[v];
+        vcell.router.scan_flits(|flit, original| {
+            if original {
+                members.insert(flit.packet.raw());
+            }
+        });
+        vcell.router.open_wormholes(|_, _, _, packet| {
+            members.insert(packet.raw());
+        });
+        for d in Direction::CARDINAL {
+            if let Some(fw) = vcell.io.flit_in[d.index()].as_ref() {
+                if let Some((flit, _, _)) = fw.peek() {
                     members.insert(flit.packet.raw());
-                }
-            });
-            vcell.router.open_wormholes(|_, _, _, packet| {
-                members.insert(packet.raw());
-            });
-            for d in Direction::CARDINAL {
-                if let Some(fw) = vcell.io.flit_in[d.index()].as_ref() {
-                    if let Some((flit, _, _)) = fw.peek() {
-                        members.insert(flit.packet.raw());
-                    }
                 }
             }
         }
-        for d in Direction::CARDINAL {
-            let Some(nc) = topo.neighbor(topo.coord_of(victim), d) else {
-                continue;
-            };
-            let m = topo.id_of(nc).index();
-            if self.dead_now[m] {
-                continue;
-            }
-            let c = cells[m].lock().unwrap();
+        // The victim's live neighbours, with the direction leaving it.
+        let live_neighbors: Vec<(Direction, usize)> = Direction::CARDINAL
+            .into_iter()
+            .filter_map(|d| Some((d, topo.neighbor_id(victim, d)?.index())))
+            .filter(|&(_, m)| !self.dead_now[m])
+            .collect();
+        for &(d, m) in &live_neighbors {
+            let c = &cells[m];
             let toward = d.opposite().index();
             c.router.open_wormholes(|_, _, out_port, packet| {
                 if out_port == toward {
@@ -1461,11 +1437,10 @@ impl<S: TraceSink> NetCore<S> {
                 }
             });
         }
-        for (i, cell) in cells.iter().enumerate() {
+        for (i, c) in cells.iter().enumerate() {
             if i == v || self.dead_now[i] {
                 continue;
             }
-            let c = cell.lock().unwrap();
             c.router.scan_flits(|flit, _| {
                 if dest_router(flit) == v {
                     members.insert(flit.packet.raw());
@@ -1486,30 +1461,28 @@ impl<S: TraceSink> NetCore<S> {
         // every live router, wire and terminal sheds the member
         // packets; reverse side-bands crossing the corpse go quiet.
         let mut lost: Vec<(u16, Flit, u8)> = Vec::new();
-        {
-            let mut vcell = cells[v].lock().unwrap();
-            for (flit, port) in vcell.router.die() {
-                lost.push((v as u16, flit, port));
-            }
-            vcell.router.probe.exit_recovery();
-            for d in Direction::CARDINAL {
-                if let Some(fw) = vcell.io.flit_in[d.index()].as_mut() {
-                    if let Some((flit, _)) = fw.purge_if(|_| true) {
-                        lost.push((v as u16, flit, d.index() as u8));
-                    }
-                }
-                if let Some(rw) = vcell.io.rev_in[d.index()].as_mut() {
-                    rw.clear();
-                }
-            }
-            vcell.probe_req = None;
-            vcell.arrival_nacks.clear();
+        let vcell = &mut cells[v];
+        for (flit, port) in vcell.router.die() {
+            lost.push((v as u16, flit, port));
         }
-        for (i, cell) in cells.iter().enumerate() {
+        vcell.router.probe.exit_recovery();
+        for d in Direction::CARDINAL {
+            if let Some(fw) = vcell.io.flit_in[d.index()].as_mut() {
+                if let Some((flit, _)) = fw.purge_if(|_| true) {
+                    lost.push((v as u16, flit, d.index() as u8));
+                }
+            }
+            if let Some(rw) = vcell.io.rev_in[d.index()].as_mut() {
+                rw.clear();
+            }
+        }
+        vcell.probe_req = None;
+        vcell.arrival_nacks.clear();
+        for i in 0..n_routers {
             if i == v || self.dead_now[i] {
                 continue;
             }
-            let mut c = cell.lock().unwrap();
+            let c = &mut cells[i];
             for (flit, port) in c.router.purge_packets(&members) {
                 lost.push((i as u16, flit, port));
             }
@@ -1521,16 +1494,8 @@ impl<S: TraceSink> NetCore<S> {
                 }
             }
         }
-        for d in Direction::CARDINAL {
-            let Some(nc) = topo.neighbor(topo.coord_of(victim), d) else {
-                continue;
-            };
-            let m = topo.id_of(nc).index();
-            if self.dead_now[m] {
-                continue;
-            }
-            let mut c = cells[m].lock().unwrap();
-            if let Some(rw) = c.io.rev_in[d.opposite().index()].as_mut() {
+        for &(d, m) in &live_neighbors {
+            if let Some(rw) = cells[m].io.rev_in[d.opposite().index()].as_mut() {
                 rw.clear();
             }
         }
@@ -1702,11 +1667,28 @@ impl<S: TraceSink> NetCore<S> {
         self.pes[from.index()].source_queue.push_front(packet);
     }
 
+    /// A probe lost on the side-band (dead pins, an unconnected port, a
+    /// hop that discards it), reported at node `at`: the origin gives up
+    /// on it and must compute next cycle to re-arm.
+    fn discard_probe(&mut self, cells: &mut Cells<'_>, origin: NodeId, at: NodeId, now: u64) {
+        let router = &mut cells[origin.index()].router;
+        router.probe.probe_lost();
+        router.errors.probes_discarded += 1;
+        self.wheel.schedule(origin.index(), now + 1);
+        self.tracer.emit(
+            now,
+            at.index() as u16,
+            TraceEvent::ProbeDiscarded {
+                origin: origin.index() as u16,
+            },
+        );
+    }
+
     /// Probe side-band delivery (1 hop per cycle). In-place
     /// `swap_remove` loop: flights not yet due (including the ones
     /// re-pushed for `now + 1`) are skipped, so the pass allocates
     /// nothing in the steady state.
-    fn deliver_probes(&mut self, env: &RunEnv, cells: &[Mutex<RouterCell>], now: u64) {
+    fn deliver_probes(&mut self, env: &RunEnv, cells: &mut Cells<'_>, now: u64) {
         let mut i = 0;
         while i < self.probes.len() {
             if self.probes[i].deliver_at > now {
@@ -1715,47 +1697,28 @@ impl<S: TraceSink> NetCore<S> {
             }
             let mut flight = self.probes.swap_remove(i);
             let at = flight.to;
+            let origin = flight.signal.origin;
             // Delivered into dead pins: the corpse absorbs the probe
             // and the origin gives up on it, like any mid-path discard.
             if self.dead_now[at.index()] {
-                {
-                    let mut origin = cells[flight.signal.origin.index()].lock().unwrap();
-                    origin.router.probe.probe_lost();
-                    origin.router.errors.probes_discarded += 1;
-                }
-                self.wheel.schedule(flight.signal.origin.index(), now + 1);
-                self.tracer.emit(
-                    now,
-                    at.index() as u16,
-                    TraceEvent::ProbeDiscarded {
-                        origin: flight.signal.origin.index() as u16,
-                    },
-                );
+                self.discard_probe(cells, origin, at, now);
                 continue;
             }
-            let (fwd, action) = {
-                let mut cell = cells[at.index()].lock().unwrap();
-                // Probes travel as regular flits: charge a link traversal.
-                cell.router.events.link += 1;
-                let (blocked, fwd) = cell.router.probe_forward_info(flight.signal.vc);
-                let action =
-                    cell.router
-                        .probe
-                        .on_probe(flight.signal, blocked, fwd.map(|(_, vc)| vc));
-                (fwd, action)
-            };
+            let router = &mut cells[at.index()].router;
+            // Probes travel as regular flits: charge a link traversal.
+            router.events.link += 1;
+            let (blocked, fwd) = router.probe_forward_info(flight.signal.vc);
+            let action = router
+                .probe
+                .on_probe(flight.signal, blocked, fwd.map(|(_, vc)| vc));
             // The probe mutated this router's protocol state: make sure
             // it computes next cycle to act on it.
             self.wheel.schedule(at.index(), now + 1);
             match action {
                 ProbeAction::Forward(sig) => {
                     let (dir, _) = fwd.expect("forward implies a next hop");
-                    let next = env
-                        .topo
-                        .neighbor(env.topo.coord_of(at), dir)
-                        .map(|c| env.topo.id_of(c));
-                    match next {
-                        Some(next) if flight.path.len() <= 4 * cells.len() => {
+                    match env.topo.neighbor_id(at, dir) {
+                        Some(next) if flight.path.len() <= 4 * env.topo.node_count() => {
                             flight.path.push(at);
                             self.probes.push(ProbeFlight {
                                 signal: sig,
@@ -1764,56 +1727,22 @@ impl<S: TraceSink> NetCore<S> {
                                 path: flight.path,
                             });
                         }
-                        _ => {
-                            {
-                                let mut origin =
-                                    cells[flight.signal.origin.index()].lock().unwrap();
-                                origin.router.probe.probe_lost();
-                                origin.router.errors.probes_discarded += 1;
-                            }
-                            self.wheel.schedule(flight.signal.origin.index(), now + 1);
-                            self.tracer.emit(
-                                now,
-                                at.index() as u16,
-                                TraceEvent::ProbeDiscarded {
-                                    origin: flight.signal.origin.index() as u16,
-                                },
-                            );
-                        }
+                        _ => self.discard_probe(cells, origin, at, now),
                     }
                 }
-                ProbeAction::Discard => {
-                    {
-                        let mut origin = cells[flight.signal.origin.index()].lock().unwrap();
-                        origin.router.probe.probe_lost();
-                        origin.router.errors.probes_discarded += 1;
-                    }
-                    self.wheel.schedule(flight.signal.origin.index(), now + 1);
-                    self.tracer.emit(
-                        now,
-                        at.index() as u16,
-                        TraceEvent::ProbeDiscarded {
-                            origin: flight.signal.origin.index() as u16,
-                        },
-                    );
-                }
+                ProbeAction::Discard => self.discard_probe(cells, origin, at, now),
                 ProbeAction::Confirmed => {
-                    cells[at.index()]
-                        .lock()
-                        .unwrap()
-                        .router
-                        .errors
-                        .deadlocks_confirmed += 1;
+                    cells[at.index()].router.errors.deadlocks_confirmed += 1;
                     self.tracer.emit(
                         now,
                         at.index() as u16,
                         TraceEvent::DeadlockConfirmed {
-                            origin: flight.signal.origin.index() as u16,
+                            origin: origin.index() as u16,
                         },
                     );
                     flight.path.push(at); // back at the origin
                     self.activations.push(ActivationFlight {
-                        origin: flight.signal.origin,
+                        origin,
                         path: flight.path,
                         next_index: 1,
                         deliver_at: now + 1,
@@ -1825,7 +1754,7 @@ impl<S: TraceSink> NetCore<S> {
 
     /// Activation delivery along the recorded probe path (in-place
     /// `swap_remove` loop, same discipline as the probe transport).
-    fn deliver_activations(&mut self, cells: &[Mutex<RouterCell>], now: u64) {
+    fn deliver_activations(&mut self, cells: &mut Cells<'_>, now: u64) {
         let mut i = 0;
         while i < self.activations.len() {
             if self.activations[i].deliver_at > now {
@@ -1841,21 +1770,18 @@ impl<S: TraceSink> NetCore<S> {
             if self.dead_now[at.index()] {
                 continue;
             }
-            let action = {
-                let mut cell = cells[at.index()].lock().unwrap();
-                cell.router.events.link += 1;
-                // Count recovery *entries* (rising edges only): a node
-                // already recovering still answers EnterRecoveryAndForward
-                // for forwarding purposes, which must not double-count.
-                let was_recovering = cell.router.probe.in_recovery();
-                let action = cell.router.probe.on_activation(ActivationSignal {
-                    origin: flight.origin,
-                });
-                if !was_recovering && cell.router.probe.in_recovery() {
-                    cell.router.recoveries += 1;
-                }
-                action
-            };
+            let router = &mut cells[at.index()].router;
+            router.events.link += 1;
+            // Count recovery *entries* (rising edges only): a node
+            // already recovering still answers EnterRecoveryAndForward
+            // for forwarding purposes, which must not double-count.
+            let was_recovering = router.probe.in_recovery();
+            let action = router.probe.on_activation(ActivationSignal {
+                origin: flight.origin,
+            });
+            if !was_recovering && router.probe.in_recovery() {
+                router.recoveries += 1;
+            }
             // The activation may have flipped this router into recovery
             // mode: it must compute next cycle to start absorbing.
             self.wheel.schedule(at.index(), now + 1);
@@ -1874,14 +1800,15 @@ impl<S: TraceSink> NetCore<S> {
 /// Harvests one [`RouterTelemetry`] per router (node-id order) into a
 /// mesh-shaped snapshot. Shared by [`Network::telemetry`] and the
 /// stepper so interval emission and post-run reads agree exactly.
-pub(crate) fn collect_telemetry(env: &RunEnv, cells: &[Mutex<RouterCell>]) -> MeshTelemetry {
+pub(crate) fn collect_telemetry<'c>(
+    env: &RunEnv,
+    cells: impl Iterator<Item = &'c RouterCell>,
+) -> MeshTelemetry {
     MeshTelemetry {
         width: env.topo.width() as usize,
         height: env.topo.height() as usize,
         routers: cells
-            .iter()
             .map(|cell| {
-                let cell = cell.lock().unwrap();
                 let r = &cell.router;
                 RouterTelemetry {
                     flits_routed: r.events.crossbar,
@@ -1900,38 +1827,12 @@ pub(crate) fn collect_telemetry(env: &RunEnv, cells: &[Mutex<RouterCell>]) -> Me
     }
 }
 
-fn sum_events(a: &EventCounts, b: &EventCounts) -> EventCounts {
-    EventCounts {
-        buffer_write: a.buffer_write + b.buffer_write,
-        buffer_read: a.buffer_read + b.buffer_read,
-        crossbar: a.crossbar + b.crossbar,
-        link: a.link + b.link,
-        route: a.route + b.route,
-        va: a.va + b.va,
-        sa: a.sa + b.sa,
-        retrans_shift: a.retrans_shift + b.retrans_shift,
-        retransmission: a.retransmission + b.retransmission,
-        ecc_check: a.ecc_check + b.ecc_check,
-        nack: a.nack + b.nack,
-        ac_check: a.ac_check + b.ac_check,
+/// The event and error censuses summed over every router.
+fn sum_censuses<'c>(cells: impl Iterator<Item = &'c RouterCell>) -> (EventCounts, ErrorStats) {
+    let mut sums = (EventCounts::default(), ErrorStats::default());
+    for cell in cells {
+        sums.0.absorb(&cell.router.events);
+        sums.1.absorb(&cell.router.errors);
     }
-}
-
-fn sum_errors(a: &ErrorStats, b: &ErrorStats) -> ErrorStats {
-    ErrorStats {
-        link_corrected_inline: a.link_corrected_inline + b.link_corrected_inline,
-        link_recovered_by_replay: a.link_recovered_by_replay + b.link_recovered_by_replay,
-        flits_dropped: a.flits_dropped + b.flits_dropped,
-        rt_corrected: a.rt_corrected + b.rt_corrected,
-        va_corrected: a.va_corrected + b.va_corrected,
-        sa_corrected: a.sa_corrected + b.sa_corrected,
-        crossbar_corrected: a.crossbar_corrected + b.crossbar_corrected,
-        handshake_masked: a.handshake_masked + b.handshake_masked,
-        e2e_retransmissions: a.e2e_retransmissions + b.e2e_retransmissions,
-        misdelivered: a.misdelivered + b.misdelivered,
-        stranded_flits: a.stranded_flits + b.stranded_flits,
-        probes_sent: a.probes_sent + b.probes_sent,
-        deadlocks_confirmed: a.deadlocks_confirmed + b.deadlocks_confirmed,
-        probes_discarded: a.probes_discarded + b.probes_discarded,
-    }
+    sums
 }

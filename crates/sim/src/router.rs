@@ -770,10 +770,7 @@ impl Router {
                         debug_assert!(
                             !xy_minimal_progress(
                                 ctx.topo,
-                                ctx.topo
-                                    .neighbor(ctx.topo.coord_of(self.id), wrong)
-                                    .map(|c| ctx.topo.id_of(c))
-                                    .unwrap_or(self.id),
+                                ctx.topo.neighbor_id(self.id, wrong).unwrap_or(self.id),
                                 wrong.opposite(),
                                 dest
                             ) || ctx.config.routing != RoutingAlgorithm::XyDeterministic

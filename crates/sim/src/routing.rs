@@ -95,8 +95,7 @@ impl FaultAwarePlan {
             if hard.router_is_dead(u) || hard.link_is_dead(u, d) {
                 return None;
             }
-            let vc = topo.neighbor(topo.coord_of(u), d)?;
-            let v = topo.id_of(vc);
+            let v = topo.neighbor_id(u, d)?;
             if hard.router_is_dead(v) {
                 None
             } else {
@@ -148,8 +147,8 @@ impl FaultAwarePlan {
         let mut order: Vec<usize> = (0..n).filter(|&i| level[i] != u32::MAX).collect();
         order.sort_by_key(|&i| key(i));
         let neighbor_of = |i: usize, d: Direction| -> Option<usize> {
-            topo.neighbor(topo.coord_of(NodeId::new(i as u16)), d)
-                .map(|c| topo.id_of(c).index())
+            topo.neighbor_id(NodeId::new(i as u16), d)
+                .map(NodeId::index)
         };
         let mut down_reach = vec![vec![0u64; words]; n];
         for &u in order.iter().rev() {
@@ -237,10 +236,8 @@ impl FaultAwarePlan {
         let arrived_down = came_from.is_cardinal()
             && self
                 .topo
-                .neighbor(self.topo.coord_of(here), came_from)
-                .is_some_and(|prev| {
-                    self.link_class(self.topo.id_of(prev), came_from.opposite()) == LinkClass::Down
-                });
+                .neighbor_id(here, came_from)
+                .is_some_and(|prev| self.link_class(prev, came_from.opposite()) == LinkClass::Down);
         let mut out = self.phase_candidates(here, dest, arrived_down);
         if out.is_empty() && arrived_down {
             // Online reconfiguration restart: the plan changed under an
@@ -270,13 +267,11 @@ impl FaultAwarePlan {
     }
 
     fn phase_candidates(&self, here: NodeId, dest: NodeId, arrived_down: bool) -> Vec<Direction> {
-        let here_c = self.topo.coord_of(here);
         let mut out = Vec::with_capacity(4);
         for d in Direction::CARDINAL {
-            let Some(vc) = self.topo.neighbor(here_c, d) else {
+            let Some(v) = self.topo.neighbor_id(here, d).map(NodeId::index) else {
                 continue;
             };
-            let v = self.topo.id_of(vc).index();
             match self.class[here.index()][d.index()] {
                 LinkClass::Down if has_bit(&self.down_reach[v], dest.index()) => out.push(d),
                 LinkClass::Up if !arrived_down && has_bit(&self.full_reach[v], dest.index()) => {
@@ -330,8 +325,10 @@ fn fault_regions(topo: Topology, hard: &HardFaults) -> Vec<FaultRect> {
             rect.x1 = rect.x1.max(uc.x());
             rect.y1 = rect.y1.max(uc.y());
             for d in Direction::CARDINAL {
-                if let Some(vc) = topo.neighbor(uc, d) {
-                    let v = topo.id_of(vc).index();
+                if let Some(v) = topo
+                    .neighbor_id(NodeId::new(u as u16), d)
+                    .map(NodeId::index)
+                {
                     if faulty[v] && !seen[v] {
                         seen[v] = true;
                         stack.push(v);
@@ -613,11 +610,10 @@ mod tests {
             if c[0] == Direction::Local {
                 return hops;
             }
-            let next = topo()
-                .neighbor(topo().coord_of(here), c[0])
+            here = topo()
+                .neighbor_id(here, c[0])
                 .unwrap_or_else(|| panic!("{alg:?} walked off the mesh"));
             came_from = c[0].opposite();
-            here = topo().id_of(next);
             hops += 1;
             assert!(
                 hops <= 2 * topo().node_count() as u32,
@@ -876,7 +872,7 @@ mod tests {
                 if plan.link_class(u, d1) == LinkClass::None {
                     continue;
                 }
-                let v = t.id_of(t.neighbor(t.coord_of(u), d1).unwrap());
+                let v = t.neighbor_id(u, d1).unwrap();
                 for d2 in Direction::CARDINAL {
                     if plan.link_class(v, d2) == LinkClass::None {
                         continue;

@@ -92,6 +92,22 @@ impl EventCounts {
             .collect()
     }
 
+    /// Element-wise accumulation (summing the per-router censuses).
+    pub fn absorb(&mut self, other: &EventCounts) {
+        self.buffer_write += other.buffer_write;
+        self.buffer_read += other.buffer_read;
+        self.crossbar += other.crossbar;
+        self.link += other.link;
+        self.route += other.route;
+        self.va += other.va;
+        self.sa += other.sa;
+        self.retrans_shift += other.retrans_shift;
+        self.retransmission += other.retransmission;
+        self.ecc_check += other.ecc_check;
+        self.nack += other.nack;
+        self.ac_check += other.ac_check;
+    }
+
     /// Element-wise difference (for warm-up snapshots).
     pub fn delta_since(&self, snapshot: &EventCounts) -> EventCounts {
         EventCounts {
@@ -150,6 +166,24 @@ impl ErrorStats {
     /// Figure 13a.
     pub fn link_total_corrected(&self) -> u64 {
         self.link_corrected_inline + self.link_recovered_by_replay
+    }
+
+    /// Element-wise accumulation (summing the per-router censuses).
+    pub fn absorb(&mut self, other: &ErrorStats) {
+        self.link_corrected_inline += other.link_corrected_inline;
+        self.link_recovered_by_replay += other.link_recovered_by_replay;
+        self.flits_dropped += other.flits_dropped;
+        self.rt_corrected += other.rt_corrected;
+        self.va_corrected += other.va_corrected;
+        self.sa_corrected += other.sa_corrected;
+        self.crossbar_corrected += other.crossbar_corrected;
+        self.handshake_masked += other.handshake_masked;
+        self.e2e_retransmissions += other.e2e_retransmissions;
+        self.misdelivered += other.misdelivered;
+        self.stranded_flits += other.stranded_flits;
+        self.probes_sent += other.probes_sent;
+        self.deadlocks_confirmed += other.deadlocks_confirmed;
+        self.probes_discarded += other.probes_discarded;
     }
 
     /// Element-wise difference.

@@ -21,6 +21,9 @@ pub enum ConfigError {
     },
     /// Packet length outside `1..=256`.
     InvalidPacketLength(usize),
+    /// A router kill combined with packets longer than the 128 flit
+    /// sequence numbers the loss ledger's per-packet mask can hold.
+    PacketTooLongForLossLedger(usize),
     /// DAMQ pool too small for one reserved slot per VC plus a shared
     /// slot, or above the 1024-slot sanity cap.
     InvalidDamqPool {
@@ -62,6 +65,10 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidPacketLength(n) => {
                 write!(f, "packet length {n} outside 1..=256")
             }
+            ConfigError::PacketTooLongForLossLedger(n) => write!(
+                f,
+                "packet length {n} above the 128 flits the loss ledger tracks under a router kill"
+            ),
             ConfigError::InvalidDamqPool { requested, minimum } => write!(
                 f,
                 "damq pool size {requested} outside {minimum}..=1024 \
@@ -105,6 +112,7 @@ mod tests {
             }
             .to_string(),
             ConfigError::InvalidPacketLength(0).to_string(),
+            ConfigError::PacketTooLongForLossLedger(200).to_string(),
             ConfigError::InvalidDamqPool {
                 requested: 2,
                 minimum: 4,

@@ -539,6 +539,12 @@ impl Topology {
         }
     }
 
+    /// The router across the link leaving `id` in `dir`, or `None` when
+    /// the link does not exist ([`Topology::neighbor`] on node ids).
+    pub fn neighbor_id(self, id: NodeId, dir: Direction) -> Option<NodeId> {
+        self.neighbor(self.coord_of(id), dir).map(|c| self.id_of(c))
+    }
+
     /// Whether the link leaving `coord` in `dir` is a chiplet gateway:
     /// it crosses a tile boundary at the designated mid-edge offset.
     /// Always `false` outside chiplet topologies.
@@ -950,6 +956,23 @@ mod tests {
         // Every enumerated link exists and is distinct.
         for (n, d) in chiplet.links() {
             assert!(chiplet.neighbor(chiplet.coord_of(n), d).is_some());
+        }
+    }
+
+    #[test]
+    fn neighbor_id_matches_the_coordinate_chain() {
+        for topo in [
+            Topology::mesh(5, 3),
+            Topology::torus(4, 4),
+            Topology::cmesh(4, 4, 4),
+            Topology::chiplet(8, 8, 4, 4),
+        ] {
+            for n in topo.nodes() {
+                for d in Direction::ALL {
+                    let chain = topo.neighbor(topo.coord_of(n), d).map(|c| topo.id_of(c));
+                    assert_eq!(topo.neighbor_id(n, d), chain, "{topo} {n} {d}");
+                }
+            }
         }
     }
 

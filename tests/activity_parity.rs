@@ -14,7 +14,7 @@
 use ftnoc_check::{ArmedInvariants, Oracle};
 use ftnoc_fault::{FaultRates, HardFaults, ScheduledKill};
 use ftnoc_sim::{
-    DeadlockConfig, Network, RoutingAlgorithm, SimConfig, SimConfigBuilder, Simulator,
+    DeadlockConfig, ErrorScheme, Network, RoutingAlgorithm, SimConfig, SimConfigBuilder, Simulator,
 };
 use ftnoc_trace::{MemorySink, Tracer};
 use ftnoc_traffic::InjectionProcess;
@@ -53,6 +53,16 @@ fn kill_link(seed: u64) -> SimConfigBuilder {
 fn transient_error(seed: u64) -> SimConfigBuilder {
     let mut b = fault_free(seed);
     b.injection_rate(0.2).faults(FaultRates::link_only(0.01));
+    b
+}
+
+/// End-to-end retransmission under link soft errors, with a timeout
+/// short enough that packets whose NACK went astray expire mid-run:
+/// the 32-cycle timeout scan is a source of work the wake wheel never
+/// sees, and its retransmission order is part of the trace.
+fn e2e_transient_error(seed: u64) -> SimConfigBuilder {
+    let mut b = transient_error(seed);
+    b.scheme(ErrorScheme::E2e).e2e_timeout(200);
     b
 }
 
@@ -187,6 +197,15 @@ fn kill_link_runs_are_gating_invariant() {
 #[test]
 fn transient_error_runs_are_gating_invariant() {
     assert_gating_parity("transient-error", transient_error, dbg_capped(10_000));
+}
+
+#[test]
+fn e2e_transient_error_runs_are_gating_invariant() {
+    assert_gating_parity(
+        "e2e-transient-error",
+        e2e_transient_error,
+        dbg_capped(10_000),
+    );
 }
 
 #[test]

@@ -10,7 +10,7 @@
 use ftnoc_check::Oracle;
 use ftnoc_fault::{FaultRates, ScheduledKill};
 use ftnoc_sim::{
-    DeadlockConfig, Network, RoutingAlgorithm, SimConfig, SimConfigBuilder, Simulator,
+    DeadlockConfig, ErrorScheme, Network, RoutingAlgorithm, SimConfig, SimConfigBuilder, Simulator,
 };
 use ftnoc_trace::{MemorySink, Tracer};
 use ftnoc_traffic::InjectionProcess;
@@ -33,6 +33,16 @@ fn fault_free(seed: u64) -> SimConfigBuilder {
 fn link_fault(seed: u64) -> SimConfigBuilder {
     let mut b = fault_free(seed);
     b.faults(FaultRates::link_only(0.01));
+    b
+}
+
+/// End-to-end retransmission under link soft errors, with a timeout
+/// short enough that packets whose NACK went astray expire mid-run:
+/// one source's timeout scan retransmits several packets at once, so
+/// their order is part of the trace.
+fn e2e_link_fault(seed: u64) -> SimConfigBuilder {
+    let mut b = link_fault(seed);
+    b.scheme(ErrorScheme::E2e).e2e_timeout(200);
     b
 }
 
@@ -149,6 +159,11 @@ fn fault_free_runs_are_thread_count_invariant() {
 #[test]
 fn link_fault_runs_are_thread_count_invariant() {
     assert_parity("link-fault", link_fault, 10_000);
+}
+
+#[test]
+fn e2e_link_fault_runs_are_thread_count_invariant() {
+    assert_parity("e2e-link-fault", e2e_link_fault, 10_000);
 }
 
 #[test]
