@@ -12,7 +12,7 @@ use std::io::{self, Write};
 
 use ftnoc_core::deadlock::DeadlockCycleSpec;
 use ftnoc_core::recovery::{recovery_latency, LogicFaultKind};
-use ftnoc_fault::{FaultRates, ScheduledKill};
+use ftnoc_fault::{FaultPlan, FaultRates};
 use ftnoc_power::EnergyModel;
 use ftnoc_sim::{
     DeadlockConfig, Network, RoutingAlgorithm, SimConfig, SimConfigBuilder, SimReport, Simulator,
@@ -573,11 +573,11 @@ fn topology_sweep(_: Scale, out: &mut dyn Write) -> io::Result<()> {
         let mut b = drain_workload(topo(), rate, 0xF70C, INJECT_FOR, MAX_CYCLES);
         b.routing(RoutingAlgorithm::FaultAware);
         if let Some(node) = kill {
-            b.scheduled_kills(vec![ScheduledKill {
-                at: KILL_AT,
-                node: NodeId::new(node),
-                dir: Direction::East,
-            }]);
+            b.fault_plan(FaultPlan::new().kill_link_at(
+                KILL_AT,
+                NodeId::new(node),
+                Direction::East,
+            ));
         }
         let mut net = Network::new(b.build().expect("valid sweep config"));
         // Step in chunks so the drain point (network empty after

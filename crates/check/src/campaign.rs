@@ -11,7 +11,8 @@
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ftnoc_fault::{FaultRates, ScheduledKill, ScheduledRouterKill, WearoutSpec};
+use ftnoc_fault::plan::dir_char;
+use ftnoc_fault::{FaultPlan, FaultRates, WearoutSpec};
 use ftnoc_rng::Rng;
 use ftnoc_sim::config::{DeadlockConfig, ErrorScheme, RoutingAlgorithm};
 use ftnoc_sim::{Network, SimConfig};
@@ -234,23 +235,14 @@ impl CampaignParams {
         // the sampled algorithm — legacy routing must still honour the
         // dead-port invariant while the network wedges or drains.
         let kill = r.gen_bool(0.125);
-        let east_links = (p.width as u64 - 1) * p.height as u64;
-        let south_links = p.width as u64 * (p.height as u64 - 1);
-        let pick = r.gen_range(0..east_links + south_links);
+        let pick = r.gen_range(0..mesh_link_count(p.width, p.height));
         let at = r.gen_range(1..p.cycles);
         let nfy = r.gen_range(0..9u64);
         let coerce = r.gen_bool(0.75);
         if kill {
             // A single-link kill keeps every ≥2×2 mesh connected, so
             // the fault-aware spanning tree always spans all nodes.
-            if pick < east_links {
-                let w = p.width as u64 - 1;
-                p.kill_node = ((pick / w) * p.width as u64 + pick % w) as u16;
-                p.kill_dir = Direction::East;
-            } else {
-                p.kill_node = (pick - east_links) as u16;
-                p.kill_dir = Direction::South;
-            }
+            (p.kill_node, p.kill_dir) = mesh_link(p.width, p.height, pick);
             p.kill_at = at;
             p.notify = nfy;
             if coerce {
@@ -303,8 +295,8 @@ impl CampaignParams {
                 p.scheme = ErrorScheme::Hbh;
             }
             // A link kill landing on one of the victim's own links is
-            // moot once the router dies (and the timeline rejects kills
-            // of already-dead links), so drop it.
+            // moot once the router dies (and the plan check rejects
+            // kills of already-dead links), so drop it.
             if p.kill_at > 0 {
                 let n = u64::from(p.kill_node);
                 let other = match p.kill_dir {
@@ -325,12 +317,36 @@ impl CampaignParams {
         p
     }
 
+    /// The hard-fault dimensions as the [`FaultPlan`] the campaign runs
+    /// under. `nfy` only means something next to a fault.
+    fn fault_plan(&self) -> FaultPlan {
+        let mut plan = FaultPlan::new();
+        if self.kill_at > 0 {
+            plan.kill_link_at(self.kill_at, NodeId::new(self.kill_node), self.kill_dir);
+        }
+        if self.rkill_at > 0 {
+            plan.kill_router_at(self.rkill_at, NodeId::new(self.rkill_node));
+        }
+        if self.wear_budget > 0 {
+            plan.wearout(WearoutSpec {
+                mean_budget: self.wear_budget,
+                seed: 0, // derive the budget seed from the run seed
+            });
+        }
+        if !plan.is_empty() {
+            plan.notify_latency(self.notify);
+        }
+        plan
+    }
+
     /// Builds the simulator configuration.
     ///
     /// # Errors
     ///
-    /// Propagates [`ConfigError`] for out-of-range knobs (cannot happen
-    /// for sampled or shrunk parameters).
+    /// Propagates [`ConfigError`] for out-of-range knobs and for a kill
+    /// that names a node or link the grid lacks or hits a dead target
+    /// (cannot happen for sampled parameters; a hand-written or shrunk
+    /// spec can).
     pub fn to_config(&self) -> Result<SimConfig, ConfigError> {
         let mut router = RouterConfig::builder();
         router
@@ -379,28 +395,7 @@ impl CampaignParams {
         if self.stop_after > 0 {
             b.stop_injection_after(self.stop_after);
         }
-        if self.kill_at > 0 {
-            b.scheduled_kills(vec![ScheduledKill {
-                at: self.kill_at,
-                node: NodeId::new(self.kill_node),
-                dir: self.kill_dir,
-            }]);
-        }
-        if self.rkill_at > 0 {
-            b.router_kills(vec![ScheduledRouterKill {
-                at: self.rkill_at,
-                node: NodeId::new(self.rkill_node),
-            }]);
-        }
-        if self.wear_budget > 0 {
-            b.wearout(Some(WearoutSpec {
-                mean_budget: self.wear_budget,
-                seed: 0, // derive the budget seed from the run seed
-            }));
-        }
-        if self.kill_at > 0 || self.rkill_at > 0 || self.wear_budget > 0 {
-            b.fault_notify_latency(self.notify);
-        }
+        b.fault_plan(&self.fault_plan());
         b.build()
     }
 
@@ -461,31 +456,20 @@ impl CampaignParams {
                 let _ = write!(s, ",topo=cmesh,conc={conc}");
             }
         }
-        if self.kill_at > 0 || self.rkill_at > 0 || self.wear_budget > 0 {
-            let _ = write!(s, ",nfy={}", self.notify);
+        // The fault dimensions print from the plan: `nfy`/`kill@` keep
+        // their historical keys, the later dimensions are `--fault`
+        // specs verbatim so a reproducer reads like the CLI flag.
+        let plan = self.fault_plan();
+        if let Some(nfy) = plan.notify() {
+            let _ = write!(s, ",nfy={nfy}");
         }
-        if self.kill_at > 0 {
-            let _ = write!(
-                s,
-                ",kill@{}={}:{}",
-                self.kill_at,
-                self.kill_node,
-                match self.kill_dir {
-                    Direction::North => "n",
-                    Direction::East => "e",
-                    Direction::South => "s",
-                    Direction::West => "w",
-                    Direction::Local => "l",
-                },
-            );
+        for k in plan.link_kills() {
+            let _ = write!(s, ",kill@{}={}:{}", k.at, k.node.index(), dir_char(k.dir));
         }
-        // Runtime fault dimensions use the `--fault SPEC` grammar so a
-        // reproducer reads the same as the CLI flag that plants it.
-        if self.rkill_at > 0 {
-            let _ = write!(s, ",fault=router:{}@{}", self.rkill_node, self.rkill_at);
-        }
-        if self.wear_budget > 0 {
-            let _ = write!(s, ",fault=wearout:{}", self.wear_budget);
+        for spec in plan.to_specs() {
+            if spec.starts_with("router:") || spec.starts_with("wearout:") {
+                let _ = write!(s, ",fault={spec}");
+            }
         }
         s
     }
@@ -590,41 +574,44 @@ impl CampaignParams {
                 "topo" => topo_key = Some(v.to_string()),
                 "conc" => conc_key = Some(v.parse().map_err(bad!())?),
                 "nfy" => p.notify = v.parse().map_err(bad!())?,
+                // `fault=SPEC` and `kill@C=N:D` (= `link:N:D@C`) parse
+                // through the `--fault` grammar; the campaign carries a
+                // mid-run router kill and a run-seeded wear-out only.
                 "fault" => {
-                    if let Some(rest) = v.strip_prefix("router:") {
-                        let (n, at) = rest.split_once('@').ok_or_else(|| {
-                            format!("bad value for fault: {v:?} (expected router:N@C)")
-                        })?;
-                        p.rkill_node = n.parse().map_err(bad!())?;
-                        p.rkill_at = at.parse().map_err(bad!())?;
-                        if p.rkill_at == 0 {
-                            return Err(format!("bad value for fault: {v:?} (cycle must be > 0)"));
+                    let mut one = FaultPlan::new();
+                    one.add_spec(v)
+                        .map_err(|e| format!("bad value for fault: {e}"))?;
+                    match (one.router_kills(), one.wearout_spec()) {
+                        ([kill], None) => {
+                            p.rkill_at = kill.at;
+                            p.rkill_node = kill.node.index() as u16;
                         }
-                    } else if let Some(rest) = v.strip_prefix("wearout:") {
-                        p.wear_budget = rest.parse().map_err(bad!())?;
-                        if p.wear_budget == 0 {
-                            return Err(format!("bad value for fault: {v:?} (budget must be > 0)"));
+                        (
+                            [],
+                            Some(WearoutSpec {
+                                mean_budget,
+                                seed: 0,
+                            }),
+                        ) => {
+                            p.wear_budget = mean_budget;
                         }
-                    } else {
-                        return Err(format!("unknown fault spec {v:?}"));
+                        _ => {
+                            return Err(format!(
+                                "bad value for fault: {v:?} (expected router:N@C or wearout:M)"
+                            ))
+                        }
                     }
                 }
                 _ if k.starts_with("kill@") => {
-                    p.kill_at = k["kill@".len()..].parse().map_err(bad!())?;
-                    if p.kill_at == 0 {
-                        return Err(format!("bad value for {k}: kill cycle must be > 0"));
-                    }
-                    let (n, d) = v
-                        .split_once(':')
-                        .ok_or_else(|| format!("bad value for {k}: {v:?} (expected N:D)"))?;
-                    p.kill_node = n.parse().map_err(bad!())?;
-                    p.kill_dir = match d {
-                        "n" => Direction::North,
-                        "e" => Direction::East,
-                        "s" => Direction::South,
-                        "w" => Direction::West,
-                        _ => return Err(format!("unknown kill direction {d:?}")),
+                    let mut one = FaultPlan::new();
+                    one.add_spec(&format!("link:{v}@{}", &k["kill@".len()..]))
+                        .map_err(|e| format!("bad value for {k}: {e}"))?;
+                    let [kill] = one.link_kills() else {
+                        return Err(format!("bad value for {k}: {v:?} (expected N:D)"));
                     };
+                    p.kill_at = kill.at;
+                    p.kill_node = kill.node.index() as u16;
+                    p.kill_dir = kill.dir;
                 }
                 _ => return Err(format!("unknown key {k:?}")),
             }
@@ -641,6 +628,26 @@ impl CampaignParams {
             return Err("conc only applies to topo=cmesh".into());
         }
         Ok(p)
+    }
+}
+
+/// Links of a `width`×`height` mesh: east links first, then south.
+fn mesh_link_count(width: u8, height: u8) -> u64 {
+    (u64::from(width) - 1) * u64::from(height) + u64::from(width) * (u64::from(height) - 1)
+}
+
+/// Link number `pick` of that enumeration as `(node, direction)` — how
+/// the sampler and the mid-run scenario filter plant a kill.
+fn mesh_link(width: u8, height: u8, pick: u64) -> (u16, Direction) {
+    let w = u64::from(width) - 1;
+    let east_links = w * u64::from(height);
+    if pick < east_links {
+        (
+            ((pick / w) * u64::from(width) + pick % w) as u16,
+            Direction::East,
+        )
+    } else {
+        ((pick - east_links) as u16, Direction::South)
     }
 }
 
@@ -747,6 +754,11 @@ pub(crate) fn shrink(
             }
             runs += 1;
             if let Err(v) = run_campaign(&cand) {
+                // A reduction that no longer builds (a kill left off
+                // the shrunk grid) reproduces nothing.
+                if v.invariant == "config" {
+                    continue;
+                }
                 best = cand;
                 violation = v;
                 steps.push(ShrinkStepRec {
@@ -858,6 +870,69 @@ mod tests {
         assert!(CampaignParams::from_spec("fault=router:5@0").is_err());
         assert!(CampaignParams::from_spec("fault=wearout:0").is_err());
         assert!(CampaignParams::from_spec("fault=banana").is_err());
+        // Grammar the plan accepts but a campaign cannot carry.
+        assert!(CampaignParams::from_spec("fault=wearout:5:7").is_err());
+        assert!(CampaignParams::from_spec("fault=link:0:e@5").is_err());
+        assert!(CampaignParams::from_spec("fault=notify:3").is_err());
+        assert!(CampaignParams::from_spec("kill@0=0:e").is_err());
+        assert!(CampaignParams::from_spec("kill@5=0:x").is_err());
+        assert!(CampaignParams::from_spec("kill@5=0").is_err());
+    }
+
+    /// Reproducer bytes are a compatibility surface: these three specs
+    /// were printed before the fault dimensions moved onto `FaultPlan`
+    /// (master seed 0xF70C, campaigns 1 / 45 / 8) and must keep
+    /// sampling, printing and re-parsing to the same bytes.
+    #[test]
+    fn reproducer_bytes_are_pinned() {
+        let pinned = [
+            (
+                1,
+                "w=2,h=2,vcs=1,buf=2,rtx=4,pipe=2,route=fta,scheme=none,ac=1,\
+                 pat=transpose,proc=bern,inj=0.3490940348670351,link=0,hs=0,rt=0.001,\
+                 va=0,sa=0,xbar=0,rbuf=0,dl=1,cth=32,stop=0,seed=6362733068398363939,\
+                 cycles=1929,threads=2,pool=3,gate=0,topo=torus,nfy=0,kill@1060=0:e",
+            ),
+            (
+                45,
+                "w=3,h=4,vcs=3,buf=5,rtx=5,pipe=4,route=fta,scheme=hbh,ac=0,\
+                  pat=bitrev,proc=bern,inj=0.06017141127580823,link=0.001,hs=0,rt=0,\
+                  va=0,sa=0,xbar=0,rbuf=0,dl=1,cth=32,stop=0,seed=1969312120355977816,\
+                  cycles=1928,threads=4,pool=0,gate=1,topo=cmesh,conc=3,nfy=4,\
+                  fault=router:5@684",
+            ),
+            (
+                8,
+                "w=4,h=3,vcs=1,buf=4,rtx=4,pipe=2,route=xy,scheme=e2e,ac=1,\
+                 pat=transpose,proc=bern,inj=0.10286198920688645,link=0.001,hs=0,rt=0,\
+                 va=0,sa=0,xbar=0,rbuf=0,dl=1,cth=8,stop=0,seed=815076178094569843,\
+                 cycles=1666,threads=1,pool=0,gate=1,nfy=4,fault=wearout:163",
+            ),
+        ];
+        for (index, spec) in pinned {
+            assert_eq!(CampaignParams::sample(0xF70C, index).to_spec(), spec);
+            assert_eq!(CampaignParams::from_spec(spec).unwrap().to_spec(), spec);
+        }
+    }
+
+    /// A kill the grid cannot host is a typed configuration error — it
+    /// used to be an assertion inside `Network::new`.
+    #[test]
+    fn off_grid_kills_are_config_errors() {
+        let p = CampaignParams::from_spec("w=3,h=3,kill@10=8:e").unwrap();
+        assert_eq!(
+            p.to_config().unwrap_err(),
+            ConfigError::FaultLinkAbsent {
+                node: NodeId::new(8),
+                dir: Direction::East,
+            }
+        );
+        let p = CampaignParams::from_spec("w=3,h=3,fault=router:9@10").unwrap();
+        assert!(matches!(
+            p.to_config().unwrap_err(),
+            ConfigError::FaultNodeOutOfRange { .. }
+        ));
+        assert_eq!(p.check().unwrap_err().invariant, "config");
     }
 
     /// Router-kill campaigns are always well-formed: fault-aware
@@ -970,17 +1045,8 @@ pub(crate) fn apply_scenario_filter(params: &mut CampaignParams, scenario: Optio
     params.routing = RoutingAlgorithm::FaultAware;
     params.deadlock = true;
     if params.kill_at == 0 {
-        let east_links = (params.width as u64 - 1) * params.height as u64;
-        let south_links = params.width as u64 * (params.height as u64 - 1);
-        let pick = params.seed % (east_links + south_links);
-        if pick < east_links {
-            let w = params.width as u64 - 1;
-            params.kill_node = ((pick / w) * params.width as u64 + pick % w) as u16;
-            params.kill_dir = Direction::East;
-        } else {
-            params.kill_node = (pick - east_links) as u16;
-            params.kill_dir = Direction::South;
-        }
+        let pick = params.seed % mesh_link_count(params.width, params.height);
+        (params.kill_node, params.kill_dir) = mesh_link(params.width, params.height, pick);
         params.kill_at = 1 + (params.seed >> 32) % params.cycles.max(2).div_euclid(2);
         params.notify = (params.seed >> 56) % 9;
     }

@@ -123,9 +123,9 @@ impl ArmedInvariants {
         // purge and wedges half-lost in a retransmission sender), no
         // link upsets, and no end-to-end control traffic (whose source
         // buffers sit outside the flit ledger).
-        let lossy = !config.router_kills.is_empty();
+        let lossy = config.can_lose_flits();
         let clean_drain = config.routing == RoutingAlgorithm::FaultAware
-            && config.fault_notify_latency == 0
+            && config.notify_latency() == 0
             && f.link == 0.0
             && !config.scheme.uses_end_to_end_control();
         ArmedInvariants {
@@ -238,9 +238,9 @@ impl Oracle {
             .iter()
             .map(event_view)
             .collect();
+        oracle.notify = tl.notify_latency();
         oracle.timeline = Some(tl);
-        oracle.wearout_armed = config.wearout.is_some();
-        oracle.notify = config.fault_notify_latency;
+        oracle.wearout_armed = config.fault_plan.wearout_spec().is_some();
         oracle
     }
 

@@ -102,21 +102,12 @@ impl CreditLedger {
         }
     }
 
-    /// The raw per-VC counter, for snapshots and debug dumps: remaining
+    /// The raw per-VC counter, for snapshots: remaining
     /// credits (static) or outstanding flits (DAMQ).
     pub fn count(&self, vc: usize) -> u32 {
         match self {
             CreditLedger::Static { credits, .. } => credits[vc],
             CreditLedger::Damq { outstanding, .. } => outstanding[vc],
-        }
-    }
-
-    /// Whether `vc` sits at its quiescent state (nothing consumed or
-    /// everything credited back) — used to elide idle debug-dump lines.
-    pub fn is_quiescent(&self, vc: usize) -> bool {
-        match self {
-            CreditLedger::Static { credits, init } => credits[vc] == *init,
-            CreditLedger::Damq { outstanding, .. } => outstanding[vc] == 0,
         }
     }
 }
@@ -137,8 +128,6 @@ mod tests {
         l.release(0);
         assert!(l.available(0));
         assert_eq!(l.count(0), 1);
-        assert!(!l.is_quiescent(0));
-        assert!(l.is_quiescent(1));
     }
 
     #[test]

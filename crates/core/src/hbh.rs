@@ -122,11 +122,6 @@ impl ReceiverVerdict {
             ReceiverVerdict::Accept | ReceiverVerdict::AcceptCorrected
         )
     }
-
-    /// Whether a NACK must be propagated upstream this cycle.
-    pub fn sends_nack(self) -> bool {
-        matches!(self, ReceiverVerdict::NackAndDrop)
-    }
 }
 
 /// Receiver half of the HBH protocol for one virtual channel.

@@ -149,12 +149,12 @@ mod tests {
         let tl = FaultTimeline::with_events(
             topo,
             HardFaults::new(),
-            vec![ScheduledKill {
+            &[ScheduledKill {
                 at: 300,
                 node: NodeId::new(5),
                 dir: Direction::East,
             }],
-            vec![ScheduledRouterKill {
+            &[ScheduledRouterKill {
                 at: 100,
                 node: NodeId::new(9),
             }],

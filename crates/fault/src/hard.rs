@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use ftnoc_types::geom::{Coord, Direction, NodeId, Topology};
+use ftnoc_types::geom::{Direction, NodeId, Topology};
 
 /// Registry of permanent failures in the network.
 #[derive(Debug, Clone, Default)]
@@ -103,16 +103,12 @@ impl HardFaults {
         }
         reached == live.len()
     }
-
-    /// Convenience for coordinates.
-    pub fn kill_link_at(&mut self, topo: Topology, coord: Coord, dir: Direction) {
-        self.kill_link(topo, topo.id_of(coord), dir);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftnoc_types::geom::Coord;
 
     fn topo() -> Topology {
         Topology::mesh(4, 4)
@@ -164,7 +160,7 @@ mod tests {
         let mut hf = HardFaults::new();
         // Cut the 4x4 mesh along the full vertical seam between x=1 and x=2.
         for y in 0..4 {
-            hf.kill_link_at(topo(), Coord::new(1, y), Direction::East);
+            hf.kill_link(topo(), topo().id_of(Coord::new(1, y)), Direction::East);
         }
         assert!(!hf.network_is_connected(topo()));
     }

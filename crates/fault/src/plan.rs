@@ -1,7 +1,16 @@
-//! The unified hard-fault configuration API: one typed [`FaultPlan`]
+//! The hard-fault description of a run: one typed [`FaultPlan`]
 //! builder and one `--fault SPEC` grammar covering every hard-fault
 //! dimension — link/router × at-reset/at-cycle/wear-out × notify
-//! latency.
+//! latency. A `SimConfig` carries the plan itself; nothing else
+//! describes a degraded graph.
+//!
+//! Two checks, one fold: [`FaultPlan::check`] is the structural check
+//! (typed [`ConfigError`]; `SimConfigBuilder::build` runs it, so a built
+//! configuration cannot panic on its fault description), and
+//! [`FaultPlan::validate`] is the front-end policy on top of it — the
+//! same errors as strings plus end-state connectivity, which the CLI
+//! and the benchmark demand but the fuzzer deliberately does not (it
+//! samples plans that strand a node).
 //!
 //! # Spec grammar
 //!
@@ -30,10 +39,11 @@
 //! assert_eq!(plan.to_specs(), vec!["router:27@500", "notify:8"]);
 //! ```
 
+use ftnoc_types::error::ConfigError;
 use ftnoc_types::geom::{Direction, NodeId, Topology};
 
 use crate::hard::HardFaults;
-use crate::schedule::{FaultTimeline, ScheduledKill, ScheduledRouterKill};
+use crate::schedule::{FaultTimeline, KillEvent, ScheduledKill, ScheduledRouterKill};
 
 /// The wear-out (aging) model: every inter-router link draws a seeded
 /// lifetime budget around `mean_budget`; once the cumulative flit
@@ -150,7 +160,7 @@ impl FaultPlan {
         &self.router_kills
     }
 
-    /// The at-reset registry the plan lowers to.
+    /// The at-reset registry: every `link:N:D` / `router:N` entry.
     pub fn base_faults(&self, topo: Topology) -> HardFaults {
         let mut hf = HardFaults::new();
         for &(node, dir) in &self.reset_links {
@@ -165,11 +175,13 @@ impl FaultPlan {
     /// Parses one spec (the `--fault` grammar) into the plan.
     pub fn add_spec(&mut self, spec: &str) -> Result<(), String> {
         let err = |msg: &str| Err(format!("--fault {spec}: {msg}"));
+        fn num<T: std::str::FromStr>(spec: &str, what: &str, s: &str) -> Result<T, String> {
+            s.parse()
+                .map_err(|_| format!("--fault {spec}: {what} `{s}` is not a number"))
+        }
         let (head, at) = match spec.split_once('@') {
             Some((head, c)) => {
-                let at: u64 = c
-                    .parse()
-                    .map_err(|_| format!("--fault {spec}: cycle `{c}` is not a number"))?;
+                let at: u64 = num(spec, "cycle", c)?;
                 if at == 0 {
                     return err("a kill at cycle 0 is an at-reset fault; drop the `@0`");
                 }
@@ -183,9 +195,7 @@ impl FaultPlan {
                 let (Some(n), Some(d), None) = (parts.next(), parts.next(), parts.next()) else {
                     return err("expected link:N:D or link:N:D@C");
                 };
-                let node: u16 = n
-                    .parse()
-                    .map_err(|_| format!("--fault {spec}: node `{n}` is not a number"))?;
+                let node: u16 = num(spec, "node", n)?;
                 let dir = parse_dir(d).ok_or_else(|| {
                     format!("--fault {spec}: direction `{d}` is not one of n/e/s/w")
                 })?;
@@ -198,9 +208,7 @@ impl FaultPlan {
                 let (Some(n), None) = (parts.next(), parts.next()) else {
                     return err("expected router:N or router:N@C");
                 };
-                let node: u16 = n
-                    .parse()
-                    .map_err(|_| format!("--fault {spec}: node `{n}` is not a number"))?;
+                let node: u16 = num(spec, "node", n)?;
                 match at {
                     Some(at) => self.kill_router_at(at, NodeId::new(node)),
                     None => self.router_at_reset(NodeId::new(node)),
@@ -216,18 +224,11 @@ impl FaultPlan {
                 if parts.next().is_some() {
                     return err("expected wearout:MEAN or wearout:MEAN:SEED");
                 }
-                let mean: u64 = m
-                    .parse()
-                    .map_err(|_| format!("--fault {spec}: budget `{m}` is not a number"))?;
+                let mean: u64 = num(spec, "budget", m)?;
                 if mean == 0 {
                     return err("a zero mean budget kills every link at once");
                 }
-                let seed: u64 = match seed {
-                    Some(s) => s
-                        .parse()
-                        .map_err(|_| format!("--fault {spec}: seed `{s}` is not a number"))?,
-                    None => 0,
-                };
+                let seed: u64 = seed.map_or(Ok(0), |s| num(spec, "seed", s))?;
                 self.wearout(WearoutSpec {
                     mean_budget: mean,
                     seed,
@@ -240,10 +241,7 @@ impl FaultPlan {
                 let (Some(l), None) = (parts.next(), parts.next()) else {
                     return err("expected notify:L");
                 };
-                let latency: u64 = l
-                    .parse()
-                    .map_err(|_| format!("--fault {spec}: latency `{l}` is not a number"))?;
-                self.notify_latency(latency);
+                self.notify_latency(num(spec, "latency", l)?);
             }
             _ => return err("expected link:…, router:…, wearout:… or notify:…"),
         }
@@ -285,85 +283,102 @@ impl FaultPlan {
         out
     }
 
-    /// Validates the plan against a topology: every node in range,
-    /// every named link present, no double kills, and the end state
-    /// (every scheduled kill landed) leaves the live network connected.
-    pub fn validate(&self, topo: Topology) -> Result<(), String> {
-        let n = topo.node_count();
-        let check_node = |node: NodeId, what: &str| {
-            if node.index() >= n {
-                Err(format!("{what}: node {} out of range for {topo}", node))
-            } else {
+    /// The structural check every consumer of a plan relies on: every
+    /// node in range, every named link present in `topo` (the `Local`
+    /// port is not a link), and no scheduled kill aimed at a link or
+    /// router that an at-reset fault or an earlier kill — in the order
+    /// the timeline lands them — has already taken down. A router kill
+    /// *may* cover links that died earlier: the router death subsumes
+    /// them. Returns the end state, every scheduled kill landed.
+    ///
+    /// # Errors
+    ///
+    /// The first offending entry, as a typed [`ConfigError`] carrying
+    /// its node and direction.
+    pub fn check(&self, topo: Topology) -> Result<HardFaults, ConfigError> {
+        let nodes = topo.node_count();
+        let node_ok = |node: NodeId| {
+            if node.index() < nodes {
                 Ok(())
+            } else {
+                Err(ConfigError::FaultNodeOutOfRange { node, nodes })
             }
         };
-        let check_link = |node: NodeId, dir: Direction, what: &str| {
-            check_node(node, what)?;
-            if topo.neighbor_id(node, dir).is_none() {
-                Err(format!("{what}: no link {}:{dir} in {topo}", node))
-            } else {
+        let link_ok = |node: NodeId, dir: Direction| {
+            node_ok(node)?;
+            if dir.is_cardinal() && topo.neighbor_id(node, dir).is_some() {
                 Ok(())
+            } else {
+                Err(ConfigError::FaultLinkAbsent { node, dir })
             }
         };
         for &(node, dir) in &self.reset_links {
-            check_link(node, dir, "link")?;
+            link_ok(node, dir)?;
         }
         for &node in &self.reset_routers {
-            check_node(node, "router")?;
+            node_ok(node)?;
         }
-        // Fold in schedule order, rejecting kills of already-dead targets.
         let mut folded = self.base_faults(topo);
-        let mut events: Vec<(u64, Option<Direction>, NodeId)> = self
-            .link_kills
-            .iter()
-            .map(|k| (k.at, Some(k.dir), k.node))
-            .chain(self.router_kills.iter().map(|k| (k.at, None, k.node)))
-            .collect();
-        events.sort_by_key(|&(at, dir, node)| (at, dir.is_none(), node, dir.map(|d| d.index())));
-        for &(at, dir, node) in &events {
-            match dir {
-                Some(dir) => {
-                    check_link(node, dir, "link kill")?;
-                    if folded.link_is_dead(node, dir) {
-                        return Err(format!(
-                            "link kill at cycle {at}: link {node}:{dir} is already dead"
-                        ));
+        for ev in KillEvent::merged(&self.link_kills, &self.router_kills) {
+            match ev {
+                KillEvent::Link(k) => {
+                    link_ok(k.node, k.dir)?;
+                    if folded.link_is_dead(k.node, k.dir) {
+                        return Err(ConfigError::FaultTargetAlreadyDead {
+                            at: k.at,
+                            node: k.node,
+                            dir: Some(k.dir),
+                        });
                     }
-                    folded.kill_link(topo, node, dir);
+                    folded.kill_link(topo, k.node, k.dir);
                 }
-                None => {
-                    check_node(node, "router kill")?;
-                    if folded.router_is_dead(node) {
-                        return Err(format!(
-                            "router kill at cycle {at}: router {node} is already dead"
-                        ));
+                KillEvent::Router(k) => {
+                    node_ok(k.node)?;
+                    if folded.router_is_dead(k.node) {
+                        return Err(ConfigError::FaultTargetAlreadyDead {
+                            at: k.at,
+                            node: k.node,
+                            dir: None,
+                        });
                     }
-                    folded.kill_router(topo, node);
+                    folded.kill_router(topo, k.node);
                 }
             }
         }
-        if !folded.network_is_connected(topo) {
+        Ok(folded)
+    }
+
+    /// The front-end policy on top of [`FaultPlan::check`]: the same
+    /// structural errors as strings, plus the requirement that the end
+    /// state leaves the live network connected. The CLI and the
+    /// benchmark call this before building a configuration; the
+    /// configuration builder itself only runs the structural check.
+    pub fn validate(&self, topo: Topology) -> Result<(), String> {
+        let end = self.check(topo).map_err(|e| e.to_string())?;
+        if !end.network_is_connected(topo) {
             return Err("the configured faults leave the network disconnected".into());
         }
         Ok(())
     }
 
-    /// Lowers the plan into a [`FaultTimeline`]. `default_notify` is
-    /// the run's default publication latency, used when the plan does
-    /// not set one. Call [`FaultPlan::validate`] first: the timeline
-    /// constructor panics on configuration errors.
+    /// The plan's [`FaultTimeline`]. `default_notify` is the run's
+    /// default publication latency, used when the plan does not set
+    /// one. The plan must have passed [`FaultPlan::check`] — every plan
+    /// inside a built `SimConfig` has; the timeline re-checks nothing.
     pub fn timeline(&self, topo: Topology, default_notify: u64) -> FaultTimeline {
         FaultTimeline::with_events(
             topo,
             self.base_faults(topo),
-            self.link_kills.clone(),
-            self.router_kills.clone(),
+            &self.link_kills,
+            &self.router_kills,
             self.notify_latency.unwrap_or(default_notify),
         )
     }
 }
 
-fn parse_dir(s: &str) -> Option<Direction> {
+/// Parses a spec-grammar direction letter (`n`/`e`/`s`/`w`, either
+/// case).
+pub fn parse_dir(s: &str) -> Option<Direction> {
     match s {
         "n" | "N" => Some(Direction::North),
         "e" | "E" => Some(Direction::East),
@@ -373,7 +388,9 @@ fn parse_dir(s: &str) -> Option<Direction> {
     }
 }
 
-fn dir_char(dir: Direction) -> char {
+/// The spec-grammar letter of a direction (the inverse of
+/// [`parse_dir`]).
+pub fn dir_char(dir: Direction) -> char {
     match dir {
         Direction::North => 'n',
         Direction::East => 'e',
@@ -484,7 +501,38 @@ mod tests {
     }
 
     #[test]
-    fn plan_lowers_to_the_equivalent_timeline() {
+    fn check_folds_in_timeline_order() {
+        // Same cycle: the timeline lands the router death first, so the
+        // link kill on the corpse's port is the offender — and the
+        // end state of an accepted plan is what the timeline ends in.
+        let mut plan = FaultPlan::new();
+        plan.kill_link_at(10, NodeId::new(5), Direction::East)
+            .kill_router_at(10, NodeId::new(5));
+        assert_eq!(
+            plan.check(topo()).unwrap_err(),
+            ConfigError::FaultTargetAlreadyDead {
+                at: 10,
+                node: NodeId::new(5),
+                dir: Some(Direction::East),
+            }
+        );
+        let mut plan = FaultPlan::new();
+        plan.kill_router_at(20, NodeId::new(5))
+            .kill_link_at(10, NodeId::new(5), Direction::East)
+            .link_at_reset(NodeId::new(0), Direction::East);
+        let end = plan.check(topo()).unwrap();
+        let tl = plan.timeline(topo(), 4);
+        let last = tl.effective(tl.epoch_count() - 1);
+        for node in topo().nodes() {
+            assert_eq!(end.router_is_dead(node), last.router_is_dead(node));
+            for dir in Direction::CARDINAL {
+                assert_eq!(end.link_is_dead(node, dir), last.link_is_dead(node, dir));
+            }
+        }
+    }
+
+    #[test]
+    fn plan_timeline_matches_the_plan() {
         let mut plan = FaultPlan::new();
         plan.add_spec("link:0:e").unwrap();
         plan.add_spec("router:9@250").unwrap();

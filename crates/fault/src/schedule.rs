@@ -56,12 +56,27 @@ pub struct ScheduledRouterKill {
 
 /// One entry of the merged kill schedule, in time order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KillEvent {
+pub(crate) enum KillEvent {
     Link(ScheduledKill),
     Router(ScheduledRouterKill),
 }
 
 impl KillEvent {
+    /// Merges both schedules into the one order kills land in — the
+    /// order [`crate::FaultPlan::check`] folds and the timeline replays.
+    pub(crate) fn merged(
+        kills: &[ScheduledKill],
+        router_kills: &[ScheduledRouterKill],
+    ) -> Vec<KillEvent> {
+        let mut events: Vec<KillEvent> = kills
+            .iter()
+            .map(|&k| KillEvent::Link(k))
+            .chain(router_kills.iter().map(|&k| KillEvent::Router(k)))
+            .collect();
+        events.sort_by_key(KillEvent::sort_key);
+        events
+    }
+
     fn at(&self) -> u64 {
         match self {
             KillEvent::Link(k) => k.at,
@@ -98,96 +113,46 @@ pub struct FaultTimeline {
 }
 
 impl FaultTimeline {
-    /// Builds a link-kills-only timeline (the pre-router-kill API).
-    ///
-    /// # Panics
-    ///
-    /// See [`FaultTimeline::with_events`].
-    pub fn new(
-        topo: Topology,
-        base: HardFaults,
-        kills: Vec<ScheduledKill>,
-        notify_latency: u64,
-    ) -> Self {
-        FaultTimeline::with_events(topo, base, kills, Vec::new(), notify_latency)
-    }
-
-    /// Builds the timeline from both link and router kill schedules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a link kill targets the `Local` port, a link missing
-    /// from the topology, or a link already dead at its cycle (base
-    /// fault, earlier kill, or earlier router death) — and if a router
-    /// kill targets an already-dead router. All configuration errors,
-    /// not runtime conditions. A router kill *is* allowed to cover links
-    /// that died earlier: the router death subsumes them.
+    /// Builds the timeline from a base set and both kill schedules.
+    /// The inputs must already have passed [`crate::FaultPlan::check`]
+    /// (this is what [`crate::FaultPlan::timeline`] hands over): nothing
+    /// is re-checked here. A router kill may cover links that died
+    /// earlier — the router death subsumes them.
     pub fn with_events(
         topo: Topology,
         base: HardFaults,
-        kills: Vec<ScheduledKill>,
-        router_kills: Vec<ScheduledRouterKill>,
+        kills: &[ScheduledKill],
+        router_kills: &[ScheduledRouterKill],
         notify_latency: u64,
     ) -> Self {
-        let mut events: Vec<KillEvent> = kills
-            .into_iter()
-            .map(KillEvent::Link)
-            .chain(router_kills.into_iter().map(KillEvent::Router))
-            .collect();
-        events.sort_by_key(KillEvent::sort_key);
         let mut tl = FaultTimeline {
             topo,
             notify_latency,
-            events,
+            events: KillEvent::merged(kills, router_kills),
             kills: Vec::new(),
             router_kills: Vec::new(),
             epochs: vec![(0, base)],
         };
-        tl.rebuild(true);
+        tl.rebuild();
         tl
     }
 
     /// Recomputes the projections and per-epoch effective sets from
-    /// `self.events` and the base set in `epochs[0]`. `validate` runs
-    /// the configuration assertions (skipped when re-folding after a
-    /// runtime wear-out insertion, which pre-checks liveness itself).
-    fn rebuild(&mut self, validate: bool) {
+    /// `self.events` and the base set in `epochs[0]`.
+    fn rebuild(&mut self) {
         let topo = self.topo;
         self.kills.clear();
         self.router_kills.clear();
         self.epochs.truncate(1);
         self.epochs[0].0 = 0;
         for ev in &self.events {
-            let (_, current) = self.epochs.last().unwrap();
-            let mut next = current.clone();
+            let mut next = self.epochs.last().unwrap().1.clone();
             match ev {
                 KillEvent::Link(k) => {
-                    assert!(k.dir.is_cardinal(), "the PE port is not a link");
-                    assert!(
-                        topo.neighbor_id(k.node, k.dir).is_some(),
-                        "scheduled kill {}:{} targets a link absent from {topo}",
-                        k.node,
-                        k.dir
-                    );
-                    if validate {
-                        assert!(
-                            !current.link_is_dead(k.node, k.dir),
-                            "scheduled kill {}:{} targets an already-dead link",
-                            k.node,
-                            k.dir
-                        );
-                    }
                     next.kill_link(topo, k.node, k.dir);
                     self.kills.push(*k);
                 }
                 KillEvent::Router(k) => {
-                    if validate {
-                        assert!(
-                            !current.router_is_dead(k.node),
-                            "scheduled kill of {} targets an already-dead router",
-                            k.node
-                        );
-                    }
                     next.kill_router(topo, k.node);
                     self.router_kills.push(*k);
                 }
@@ -199,11 +164,6 @@ impl FaultTimeline {
                 self.epochs.push((published, next));
             }
         }
-    }
-
-    /// A timeline with no mid-run kills: the base set, forever.
-    pub fn static_only(topo: Topology, base: HardFaults) -> Self {
-        FaultTimeline::new(topo, base, Vec::new(), 0)
     }
 
     /// Realizes a runtime (wear-out) link kill at cycle `at`. Returns
@@ -230,7 +190,7 @@ impl FaultTimeline {
         self.events
             .push(KillEvent::Link(ScheduledKill { at, node, dir }));
         self.events.sort_by_key(KillEvent::sort_key);
-        self.rebuild(false);
+        self.rebuild();
         true
     }
 
@@ -427,7 +387,7 @@ mod tests {
 
     #[test]
     fn static_timeline_has_one_epoch() {
-        let tl = FaultTimeline::static_only(topo(), HardFaults::new());
+        let tl = FaultTimeline::with_events(topo(), HardFaults::new(), &[], &[], 0);
         assert!(tl.is_static());
         assert_eq!(tl.epoch_count(), 1);
         assert_eq!(tl.epoch_at(0), 0);
@@ -439,10 +399,11 @@ mod tests {
 
     #[test]
     fn detection_precedes_publication() {
-        let tl = FaultTimeline::new(
+        let tl = FaultTimeline::with_events(
             topo(),
             HardFaults::new(),
-            vec![kill(100, 5, Direction::East)],
+            &[kill(100, 5, Direction::East)],
+            &[],
             8,
         );
         // Before the kill: nothing is dead anywhere.
@@ -466,7 +427,7 @@ mod tests {
     fn dead_ports_table_lists_both_endpoints_with_since() {
         let mut base = HardFaults::new();
         base.kill_link(topo(), NodeId::new(0), Direction::East);
-        let tl = FaultTimeline::new(topo(), base, vec![kill(50, 9, Direction::South)], 4);
+        let tl = FaultTimeline::with_events(topo(), base, &[kill(50, 9, Direction::South)], &[], 4);
         let before = tl.dead_ports_at(49);
         assert_eq!(before.len(), 2); // base endpoints only
         assert!(before.iter().all(|&(_, _, s)| s == 0));
@@ -478,13 +439,14 @@ mod tests {
 
     #[test]
     fn kills_merge_into_cumulative_epochs() {
-        let tl = FaultTimeline::new(
+        let tl = FaultTimeline::with_events(
             topo(),
             HardFaults::new(),
-            vec![
+            &[
                 kill(200, 10, Direction::North),
                 kill(100, 5, Direction::East),
             ],
+            &[],
             4,
         );
         assert_eq!(tl.epoch_count(), 3);
@@ -501,25 +463,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already-dead")]
-    fn double_kill_is_rejected() {
-        let _ = FaultTimeline::new(
-            topo(),
-            HardFaults::new(),
-            vec![kill(10, 5, Direction::East), kill(20, 6, Direction::West)],
-            4,
-        );
-    }
-
-    #[test]
     fn router_kill_kills_every_link_at_its_cycle() {
-        let tl = FaultTimeline::with_events(
-            topo(),
-            HardFaults::new(),
-            Vec::new(),
-            vec![rkill(100, 5)],
-            8,
-        );
+        let tl = FaultTimeline::with_events(topo(), HardFaults::new(), &[], &[rkill(100, 5)], 8);
         assert!(!tl.is_static());
         assert!(!tl.router_dead_now(99, NodeId::new(5)));
         assert!(tl.router_dead_now(100, NodeId::new(5)));
@@ -553,8 +498,8 @@ mod tests {
         let tl = FaultTimeline::with_events(
             topo(),
             HardFaults::new(),
-            vec![kill(50, 5, Direction::East)],
-            vec![rkill(100, 5)],
+            &[kill(50, 5, Direction::East)],
+            &[rkill(100, 5)],
             0,
         );
         assert_eq!(tl.epoch_count(), 3);
@@ -567,23 +512,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already-dead router")]
-    fn double_router_kill_is_rejected() {
-        let _ = FaultTimeline::with_events(
-            topo(),
-            HardFaults::new(),
-            Vec::new(),
-            vec![rkill(10, 5), rkill(20, 5)],
-            4,
-        );
-    }
-
-    #[test]
     fn wearout_push_realizes_and_preempts() {
-        let mut tl = FaultTimeline::new(
+        let mut tl = FaultTimeline::with_events(
             topo(),
             HardFaults::new(),
-            vec![kill(1000, 5, Direction::East)],
+            &[kill(1000, 5, Direction::East)],
+            &[],
             4,
         );
         // Realize a wear-out death of the same link at cycle 200: the

@@ -9,10 +9,6 @@
 //!
 //! The pieces:
 //!
-//! - [`registry`] — a named schema of counters/gauges/histograms with
-//!   per-worker [`registry::Accum`] buffers merged commutatively at
-//!   commit boundaries, plus snapshot/delta plumbing for periodic
-//!   interval emission.
 //! - [`profile`] — the [`profile::EngineProfile`] wall-clock phase
 //!   profiler for the two-phase cycle engine: per-worker compute and
 //!   barrier-wait lanes plus the serial pre/commit spans, all plain
@@ -48,12 +44,10 @@ pub mod emit;
 pub mod heatmap;
 pub mod json;
 pub mod profile;
-pub mod registry;
 pub mod report;
 pub mod telemetry;
 
 pub use emit::{IntervalLine, MetaLine};
 pub use heatmap::{LayoutKind, TopoLayout};
 pub use profile::{EngineProfile, ProfileSnapshot};
-pub use registry::{Accum, CounterId, GaugeId, HistId, Registry};
 pub use telemetry::{MeshTelemetry, RouterTelemetry};

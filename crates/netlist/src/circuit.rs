@@ -136,11 +136,6 @@ impl Circuit {
         self.outputs.push((name.to_string(), node));
     }
 
-    /// Names of the registered outputs, in registration order.
-    pub fn output_names(&self) -> Vec<&str> {
-        self.outputs.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Evaluates the circuit for the given input assignment; unlisted
     /// inputs default to false.
     pub fn evaluate(&self, assignment: &[(&str, bool)]) -> HashMap<String, bool> {

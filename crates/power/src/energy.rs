@@ -72,11 +72,6 @@ impl EnergyModel {
         }
     }
 
-    /// Builds from a custom primitive library.
-    pub fn with_primitives(prims: Primitives) -> Self {
-        EnergyModel { prims }
-    }
-
     /// Energy charged for one event.
     pub fn cost(&self, event: EnergyEvent) -> Picojoules {
         let b = FLIT_TOTAL_BITS as f64;

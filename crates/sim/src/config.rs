@@ -1,9 +1,6 @@
 //! Simulation configuration.
 
-use ftnoc_fault::{
-    FaultPlan, FaultRates, FaultTimeline, HardFaults, ScheduledKill, ScheduledRouterKill,
-    WearoutSpec,
-};
+use ftnoc_fault::{FaultPlan, FaultRates, FaultTimeline};
 use ftnoc_traffic::{InjectionProcess, TrafficPattern};
 use ftnoc_types::config::RouterConfig;
 use ftnoc_types::error::ConfigError;
@@ -121,6 +118,10 @@ impl Default for DeadlockConfig {
 /// mask.
 pub(crate) const LOSS_MASK_FLITS: usize = u128::BITS as usize;
 
+/// Cycles between a mid-run fault's local detection and its
+/// network-wide publication when the [`FaultPlan`] sets no `notify`.
+const DEFAULT_FAULT_NOTIFY: u64 = 4;
+
 /// Complete configuration of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -143,26 +144,11 @@ pub struct SimConfig {
     pub injection_rate: f64,
     /// Soft-fault rates per site.
     pub faults: FaultRates,
-    /// Permanent link/router failures.
-    pub hard_faults: HardFaults,
-    /// Hard link faults that land mid-run (online reconfiguration).
-    /// The adjacent routers detect a kill the cycle it happens; the
-    /// rest of the network learns of it [`fault_notify_latency`] cycles
-    /// later, when route plans are recomputed.
-    ///
-    /// [`fault_notify_latency`]: SimConfig::fault_notify_latency
-    pub scheduled_kills: Vec<ScheduledKill>,
-    /// Whole-router deaths that land mid-run: every link of the router
-    /// dies at once, the router stops computing, and its buffered flits
-    /// are counted into the run's `flits_lost` ledger.
-    pub router_kills: Vec<ScheduledRouterKill>,
-    /// The wear-out (aging) model: seeded per-link lifetime budgets in
-    /// flits; a link dies when the traffic it has carried exhausts its
-    /// budget. `None` disables wear-out.
-    pub wearout: Option<WearoutSpec>,
-    /// Cycles between a mid-run fault's local detection and its
-    /// network-wide publication.
-    pub fault_notify_latency: u64,
+    /// The run's hard faults, all of them: links and routers dead at
+    /// reset or dying at a cycle, the wear-out model, and the
+    /// detection → publication latency (default 4 cycles). Checked
+    /// structurally by [`SimConfigBuilder::build`].
+    pub fault_plan: FaultPlan,
     /// Deadlock detection/recovery.
     pub deadlock: DeadlockConfig,
     /// RNG seed (traffic and faults).
@@ -189,8 +175,9 @@ pub struct SimConfig {
     /// Activity gating: skip the compute phase of routers with no
     /// scheduled wake-up (quiescent routers). Results are byte-identical
     /// with gating on or off at the same seed — like `threads`, this is
-    /// purely a wall-clock knob; `false` forces the full-sweep engine
-    /// (the parity reference, CLI `--no-activity-gating`).
+    /// purely a wall-clock knob; `false` forces the full-sweep engine,
+    /// the reference the parity suites and a quarter of the fuzz
+    /// campaigns (`gate=0`) compare against.
     pub activity_gating: bool,
 }
 
@@ -208,34 +195,33 @@ impl SimConfig {
         self.router.flits_per_packet()
     }
 
-    /// Expands the static hard faults plus the kill schedules into the
-    /// run's [`FaultTimeline`]. Wear-out kills are not part of the
-    /// configured timeline — the sim realizes them online from traffic.
+    /// The [`FaultTimeline`] of the configured plan. Wear-out kills are
+    /// not part of it — the sim realizes them online from traffic.
     pub fn fault_timeline(&self) -> FaultTimeline {
-        FaultTimeline::with_events(
-            self.topology,
-            self.hard_faults.clone(),
-            self.scheduled_kills.clone(),
-            self.router_kills.clone(),
-            self.fault_notify_latency,
-        )
+        self.fault_plan
+            .timeline(self.topology, self.notify_latency())
+    }
+
+    /// Cycles between a mid-run fault's local detection and its
+    /// network-wide publication: the plan's `notify`, or the default.
+    pub fn notify_latency(&self) -> u64 {
+        self.fault_plan.notify().unwrap_or(DEFAULT_FAULT_NOTIFY)
     }
 
     /// The wear-out budget seed the run actually uses: the spec's
     /// explicit seed, or one derived from the run seed.
     pub fn wearout_seed(&self) -> u64 {
-        match self.wearout {
+        match self.fault_plan.wearout_spec() {
             Some(w) if w.seed != 0 => w.seed,
             _ => self.seed ^ 0x00AE_510F_BADE,
         }
     }
 
     /// Whether the run can lose flits (a router death purges buffers):
-    /// any configured router kill or the wear-out model being armed.
-    /// Wear-out alone never loses flits (link deaths drain gracefully),
-    /// but it shares the relaxed credit-accounting invariants.
+    /// any configured router kill. Wear-out alone never loses flits —
+    /// link deaths drain gracefully.
     pub fn can_lose_flits(&self) -> bool {
-        !self.router_kills.is_empty()
+        !self.fault_plan.router_kills().is_empty()
     }
 }
 
@@ -267,11 +253,7 @@ impl SimConfigBuilder {
                 injection: InjectionProcess::Regular,
                 injection_rate: 0.25,
                 faults: FaultRates::none(),
-                hard_faults: HardFaults::new(),
-                scheduled_kills: Vec::new(),
-                router_kills: Vec::new(),
-                wearout: None,
-                fault_notify_latency: 4,
+                fault_plan: FaultPlan::new(),
                 deadlock: DeadlockConfig::default(),
                 seed: 0xF7_0C,
                 warmup_packets: 2_000,
@@ -349,52 +331,12 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets permanent failures.
-    pub fn hard_faults(&mut self, hard_faults: HardFaults) -> &mut Self {
-        self.config.hard_faults = hard_faults;
-        self
-    }
-
-    /// Schedules hard link faults that land mid-run.
-    pub fn scheduled_kills(&mut self, kills: Vec<ScheduledKill>) -> &mut Self {
-        self.config.scheduled_kills = kills;
-        self
-    }
-
-    /// Schedules whole-router deaths that land mid-run.
-    pub fn router_kills(&mut self, kills: Vec<ScheduledRouterKill>) -> &mut Self {
-        self.config.router_kills = kills;
-        self
-    }
-
-    /// Arms (or disarms, with `None`) the wear-out model.
-    pub fn wearout(&mut self, spec: Option<WearoutSpec>) -> &mut Self {
-        self.config.wearout = spec;
-        self
-    }
-
-    /// Lowers a [`FaultPlan`] into the configuration: the at-reset
-    /// entries become `hard_faults`, the schedules become
-    /// `scheduled_kills`/`router_kills`, and the wear-out/notify knobs
-    /// land in their fields. This is the single seam every fault
-    /// front-end (the `--fault` grammar, the fuzzer) goes through. Call
-    /// [`FaultPlan::validate`] first — the lowering itself does not
-    /// re-check the topology.
+    /// Sets the run's hard faults — the only way to configure them.
+    /// [`SimConfigBuilder::build`] runs [`FaultPlan::check`] against the
+    /// topology; whether the end state must stay connected is the
+    /// caller's policy ([`FaultPlan::validate`]).
     pub fn fault_plan(&mut self, plan: &FaultPlan) -> &mut Self {
-        self.config.hard_faults = plan.base_faults(self.config.topology);
-        self.config.scheduled_kills = plan.link_kills().to_vec();
-        self.config.router_kills = plan.router_kills().to_vec();
-        self.config.wearout = plan.wearout_spec();
-        if let Some(latency) = plan.notify() {
-            self.config.fault_notify_latency = latency;
-        }
-        self
-    }
-
-    /// Sets the local-detection → network-publication latency for
-    /// mid-run faults.
-    pub fn fault_notify_latency(&mut self, cycles: u64) -> &mut Self {
-        self.config.fault_notify_latency = cycles;
+        self.config.fault_plan = plan.clone();
         self
     }
 
@@ -459,14 +401,17 @@ impl SimConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for invalid injection rates and for
-    /// router kills with packets the loss ledger cannot track; fault
-    /// rates and router knobs are validated by their own types.
+    /// Returns a [`ConfigError`] for invalid injection rates, for a
+    /// fault plan that names a node or link the topology lacks or kills
+    /// a target twice ([`FaultPlan::check`]), and for router kills with
+    /// packets the loss ledger cannot track; fault rates and router
+    /// knobs are validated by their own types.
     pub fn build(&self) -> Result<SimConfig, ConfigError> {
         let c = &self.config;
         if !(c.injection_rate > 0.0 && c.injection_rate <= 1.0) {
             return Err(ConfigError::InvalidInjectionRate(c.injection_rate));
         }
+        c.fault_plan.check(c.topology)?;
         if c.can_lose_flits() && c.flits_per_packet() > LOSS_MASK_FLITS {
             return Err(ConfigError::PacketTooLongForLossLedger(
                 c.flits_per_packet(),
@@ -529,23 +474,21 @@ mod tests {
 
     #[test]
     fn router_kill_with_packets_beyond_the_loss_mask_is_rejected() {
-        let kill = ScheduledRouterKill {
-            at: 100,
-            node: NodeId::new(5),
-        };
-        let build = |flits: usize, kills: Vec<ScheduledRouterKill>| {
+        let mut kill = FaultPlan::new();
+        kill.kill_router_at(100, NodeId::new(5));
+        let build = |flits: usize, plan: &FaultPlan| {
             let mut router = RouterConfig::builder();
             router.flits_per_packet(flits);
             let mut b = SimConfig::builder();
-            b.router(router.build().unwrap()).router_kills(kills);
+            b.router(router.build().unwrap()).fault_plan(plan);
             b.build()
         };
         assert_eq!(
-            build(LOSS_MASK_FLITS + 1, vec![kill]).unwrap_err(),
+            build(LOSS_MASK_FLITS + 1, &kill).unwrap_err(),
             ConfigError::PacketTooLongForLossLedger(LOSS_MASK_FLITS + 1)
         );
-        assert!(build(LOSS_MASK_FLITS, vec![kill]).is_ok());
-        assert!(build(LOSS_MASK_FLITS + 1, Vec::new()).is_ok());
+        assert!(build(LOSS_MASK_FLITS, &kill).is_ok());
+        assert!(build(LOSS_MASK_FLITS + 1, &FaultPlan::new()).is_ok());
     }
 
     #[test]
@@ -567,42 +510,110 @@ mod tests {
     #[test]
     fn fault_timeline_defaults_to_static() {
         let c = SimConfig::default();
-        assert_eq!(c.fault_notify_latency, 4);
-        assert!(c.scheduled_kills.is_empty());
-        assert!(c.router_kills.is_empty());
-        assert!(c.wearout.is_none());
+        assert!(c.fault_plan.is_empty());
         assert!(c.fault_timeline().is_static());
+        assert_eq!(c.notify_latency(), 4);
         assert!(!c.can_lose_flits());
     }
 
     #[test]
-    fn fault_plan_lowers_into_the_config() {
+    fn the_config_carries_the_plan() {
+        let specs = [
+            "link:0:e",
+            "link:5:s@100",
+            "router:9@250",
+            "wearout:1000:7",
+            "notify:8",
+        ];
         let mut plan = FaultPlan::new();
-        plan.add_spec("link:0:e").unwrap();
-        plan.add_spec("link:5:s@100").unwrap();
-        plan.add_spec("router:9@250").unwrap();
-        plan.add_spec("wearout:1000:7").unwrap();
-        plan.add_spec("notify:8").unwrap();
-        let c = SimConfig::builder().fault_plan(&plan).build().unwrap();
-        assert!(c
-            .hard_faults
-            .link_is_dead(ftnoc_types::geom::NodeId::new(0), Direction::East));
-        assert_eq!(c.scheduled_kills.len(), 1);
-        assert_eq!(c.router_kills.len(), 1);
-        assert_eq!(c.router_kills[0].at, 250);
-        assert_eq!(
-            c.wearout,
-            Some(WearoutSpec {
-                mean_budget: 1000,
-                seed: 7
-            })
-        );
+        for spec in specs {
+            plan.add_spec(spec).unwrap();
+        }
+        // The setter stores the plan; the topology may be set after it.
+        let mut b = SimConfig::builder();
+        b.fault_plan(&plan).topology(Topology::mesh(4, 4));
+        let c = b.build().unwrap();
+        assert_eq!(c.fault_plan.to_specs(), specs);
         assert_eq!(c.wearout_seed(), 7);
-        assert_eq!(c.fault_notify_latency, 8);
         assert!(c.can_lose_flits());
         let tl = c.fault_timeline();
+        assert!(tl.link_dead_now(0, NodeId::new(0), Direction::East));
         assert_eq!(tl.router_kills().len(), 1);
         assert_eq!(tl.kills().len(), 1);
+        assert_eq!(tl.notify_latency(), 8);
+    }
+
+    /// Every structural fault-plan error surfaces from `build()` as a
+    /// typed error naming the offender; `Network::new` is never reached.
+    #[test]
+    fn build_rejects_structurally_broken_fault_plans() {
+        let build = |specs: &[&str]| {
+            let mut plan = FaultPlan::new();
+            for spec in specs {
+                plan.add_spec(spec).unwrap();
+            }
+            let mut b = SimConfig::builder();
+            b.topology(Topology::mesh(4, 4)).fault_plan(&plan);
+            b.build().map(|_| ())
+        };
+        let n = NodeId::new;
+        let dead = |at, node, dir| {
+            Err(ConfigError::FaultTargetAlreadyDead {
+                at,
+                node: n(node),
+                dir,
+            })
+        };
+        let absent = |node, dir| ConfigError::FaultLinkAbsent { node: n(node), dir };
+        // Second kill of one physical link, named from the far endpoint.
+        assert_eq!(
+            build(&["link:5:e@10", "link:6:w@20"]),
+            dead(20, 6, Some(Direction::West))
+        );
+        // A link kill on a port of a router that is already dead.
+        assert_eq!(
+            build(&["router:5@10", "link:4:e@20"]),
+            dead(20, 4, Some(Direction::East))
+        );
+        assert_eq!(build(&["router:5", "router:5@20"]), dead(20, 5, None));
+        for (spec, node) in [("link:99:e@10", 99), ("router:16", 16), ("link:16:e", 16)] {
+            let (node, nodes) = (n(node), 16);
+            assert_eq!(
+                build(&[spec]),
+                Err(ConfigError::FaultNodeOutOfRange { node, nodes })
+            );
+        }
+        // Mesh edge: node 0 has no north link.
+        assert_eq!(build(&["link:0:n@10"]), Err(absent(0, Direction::North)));
+        // The PE port is not a link (unreachable from the spec grammar).
+        let mut plan = FaultPlan::new();
+        plan.kill_link_at(10, n(5), Direction::Local);
+        assert_eq!(
+            SimConfig::builder().fault_plan(&plan).build().unwrap_err(),
+            absent(5, Direction::Local)
+        );
+        // A router death covering an earlier link kill is legal.
+        assert_eq!(build(&["link:5:e@10", "router:5@20"]), Ok(()));
+    }
+
+    /// Connectivity is front-end policy, not a structural error: the
+    /// fuzzer samples plans that strand a node, and they must build.
+    #[test]
+    fn build_accepts_a_plan_that_disconnects_the_network() {
+        let topo = Topology::mesh(2, 2);
+        let mut plan = FaultPlan::new();
+        plan.kill_link_at(50, NodeId::new(0), Direction::East)
+            .kill_router_at(80, NodeId::new(2));
+        assert!(plan.validate(topo).unwrap_err().contains("disconnected"));
+        let mut b = SimConfig::builder();
+        b.topology(topo)
+            .routing(RoutingAlgorithm::FaultAware)
+            .fault_plan(&plan);
+        let config = b.build().unwrap();
+        let mut net = crate::Network::new(config);
+        for _ in 0..200 {
+            net.step();
+        }
     }
 
     #[test]

@@ -186,9 +186,6 @@ struct ProbeFlight {
 /// delivered traffic — deterministic at any thread count and identical
 /// under activity gating (a skipped router moved no flits).
 struct WearState {
-    /// The configured notify latency (publication lag of a realized
-    /// death, mirroring scheduled kills).
-    notify: u64,
     /// `budgets[n][d]`: flits the link leaving `n` in direction `d`
     /// survives. `u64::MAX` where the topology has no link.
     budgets: Vec<[u64; 4]>,
@@ -589,7 +586,7 @@ impl<S: TraceSink> Network<S> {
         while kills_done < router_kills.len() && router_kills[kills_done].at == 0 {
             kills_done += 1;
         }
-        let wearout = config.wearout.map(|spec| {
+        let wearout = config.fault_plan.wearout_spec().map(|spec| {
             let seed = config.wearout_seed();
             let budgets = topo
                 .nodes()
@@ -604,7 +601,6 @@ impl<S: TraceSink> Network<S> {
                 })
                 .collect::<Vec<_>>();
             WearState {
-                notify: config.fault_notify_latency,
                 counts: vec![[0; 4]; budgets.len()],
                 budgets,
                 pending: Vec::new(),
@@ -722,13 +718,6 @@ impl<S: TraceSink> Network<S> {
             retx_capacity: core.stats.retx_capacity,
             port_occupancy: core.stats.port_occupancy,
         }
-    }
-
-    /// Borrowed view of the measurement-window latency histogram (the
-    /// allocation-free path heartbeats and reports read percentiles
-    /// from — [`Network::stats`] deliberately no longer clones it).
-    pub fn latency_histogram(&self) -> &LatencyHistogram {
-        &self.core.latency_hist
     }
 
     /// (p50, p95, p99) latency bucket bounds of the measurement window.
@@ -1259,12 +1248,14 @@ impl<S: TraceSink> NetCore<S> {
             _ => Vec::new(),
         };
         if !pending.is_empty() {
-            let notify = self.wearout.as_ref().map_or(0, |w| w.notify);
             let at = now + 1;
             let mut faults = env
                 .faults
                 .write()
                 .expect("no compute sweep outlives its cycle");
+            // A realized death publishes with the same lag as a
+            // scheduled kill.
+            let notify = faults.timeline().notify_latency();
             for (node, d) in pending {
                 let nid = NodeId::new(node as u16);
                 let dir = Direction::CARDINAL[d];

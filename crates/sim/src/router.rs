@@ -1670,52 +1670,6 @@ impl Router {
         (blocked, forward)
     }
 
-    /// Full human-readable state dump (diagnostics and tests).
-    pub fn debug_dump(&self) -> String {
-        use std::fmt::Write as _;
-        let vcs = self.cfg.vcs_per_port();
-        let mut s = format!("router {} recovery={}\n", self.id, self.probe.in_recovery());
-        for p in 0..self.cfg.ports() {
-            let dir = Direction::for_port(p);
-            for v in 0..vcs {
-                let i = &self.inputs[p].vcs[v];
-                if self.inputs[p].buffer.is_empty(v) && matches!(i.state, VcState::Idle) {
-                    continue;
-                }
-                let _ = writeln!(
-                    s,
-                    "  in {dir}_{v}: buf {}/{} blocked {} state {:?}",
-                    self.inputs[p].buffer.len(v),
-                    self.inputs[p].buffer.vc_capacity(v),
-                    i.blocked_cycles,
-                    i.state
-                );
-            }
-        }
-        for p in 0..self.cfg.ports() {
-            let dir = Direction::for_port(p);
-            let o = &self.outputs[p];
-            if !o.exists {
-                continue;
-            }
-            for v in 0..vcs {
-                let occ = o.senders[v].buffer().occupancy();
-                let held = o.senders[v].buffer().held_count();
-                if occ == 0 && o.allocated[v].is_none() && o.credits.is_quiescent(v) {
-                    continue;
-                }
-                let _ = writeln!(
-                    s,
-                    "  out {dir}_{v}: credits {} alloc {:?} retx occ {occ} held {held} stq {}",
-                    o.credits.count(v),
-                    o.allocated[v],
-                    o.st_queue.len()
-                );
-            }
-        }
-        s
-    }
-
     /// Diagnostic view of every input VC: its reference, blocked-cycle
     /// count and onward dependency edge (as the probe chase sees it).
     pub fn blocked_summary(&self) -> Vec<BlockedVcSummary> {

@@ -367,7 +367,7 @@ impl FaultState {
 
     /// Static faults only (tests and direct construction).
     pub fn from_hard(topo: Topology, hard: HardFaults) -> Self {
-        FaultState::new(FaultTimeline::static_only(topo, hard))
+        FaultState::new(FaultTimeline::with_events(topo, hard, &[], &[], 0))
     }
 
     /// No faults at all.
@@ -1067,14 +1067,15 @@ mod tests {
     #[test]
     fn mid_run_kill_switches_plans_at_publication() {
         use ftnoc_fault::{FaultTimeline, ScheduledKill};
-        let tl = FaultTimeline::new(
+        let tl = FaultTimeline::with_events(
             topo(),
             HardFaults::new(),
-            vec![ScheduledKill {
+            &[ScheduledKill {
                 at: 100,
                 node: NodeId::new(27),
                 dir: Direction::East,
             }],
+            &[],
             8,
         );
         let f = FaultState::new(tl);

@@ -6,7 +6,7 @@ use ftnoc_trace::{NullSink, TraceSink, Tracer};
 
 use crate::config::SimConfig;
 use crate::engine::Stepper;
-use crate::network::{Network, Progress};
+use crate::network::Network;
 use crate::stats::{ErrorStats, EventCounts, OccupancyHistogram};
 
 /// The outcome of one simulation run.
@@ -232,25 +232,12 @@ impl<S: TraceSink> Simulator<S> {
     /// Runs to completion: warm-up until `warmup_packets` ejections, then
     /// measurement until `measure_packets` more (or the cycle cap).
     pub fn run(&mut self) -> SimReport {
-        self.run_observed(0, |_| {})
-    }
-
-    /// Runs like [`Simulator::run`], invoking `observer` with a
-    /// [`Progress`] snapshot every `every` cycles (`0` disables it) —
-    /// the CLI's `--stats-every` hook for periodic interval metrics on
-    /// long runs. The whole run executes under one worker-pool session
-    /// sized by [`SimConfig::threads`].
-    pub fn run_observed<F: FnMut(Progress)>(&mut self, every: u64, mut observer: F) -> SimReport {
-        self.run_instrumented(|st| {
-            if every > 0 && st.now().is_multiple_of(every) {
-                observer(st.progress());
-            }
-        })
+        self.run_instrumented(|_| {})
     }
 
     /// The fully-instrumented run driver: like [`Simulator::run`], but
     /// `each_cycle` sees the borrowed [`Stepper`] after every step and
-    /// can take [`Progress`], telemetry and profile snapshots at its
+    /// can take [`crate::Progress`], telemetry and profile snapshots at its
     /// own cadence (the CLI's `--metrics-out` emitter). Read-only
     /// access: observation cannot perturb the run.
     pub fn run_instrumented<F: FnMut(&Stepper<'_, S>)>(&mut self, mut each_cycle: F) -> SimReport {

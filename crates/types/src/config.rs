@@ -40,12 +40,6 @@ impl PipelineDepth {
         self as u32
     }
 
-    /// Per-hop latency in cycles for a header flit under zero contention
-    /// (pipeline stages; the link adds one more cycle).
-    pub const fn header_latency(self) -> u32 {
-        self.stages()
-    }
-
     /// Whether routing for the *next* hop is computed at the current hop
     /// (look-ahead routing, used by 1-3 stage organisations).
     pub const fn uses_lookahead_routing(self) -> bool {

@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::geom::{Direction, NodeId};
+
 /// Errors produced while validating a router or topology configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
@@ -34,6 +36,32 @@ pub enum ConfigError {
     },
     /// Injection rate outside `(0, 1]` flits/node/cycle.
     InvalidInjectionRate(f64),
+    /// A hard-fault entry names a router the topology does not have.
+    FaultNodeOutOfRange {
+        /// The offending router.
+        node: NodeId,
+        /// Routers in the topology.
+        nodes: usize,
+    },
+    /// A hard-fault entry names a link the topology does not have: a
+    /// mesh edge, a suppressed chiplet boundary, or the `Local` PE port.
+    FaultLinkAbsent {
+        /// The endpoint the entry names.
+        node: NodeId,
+        /// The direction of the missing link as seen from `node`.
+        dir: Direction,
+    },
+    /// A scheduled kill targets a link or router that an at-reset fault
+    /// or an earlier kill (in schedule order) has already taken down.
+    FaultTargetAlreadyDead {
+        /// The cycle of the offending kill.
+        at: u64,
+        /// The router, or the endpoint of the link.
+        node: NodeId,
+        /// The link's direction as seen from `node`; `None` for a
+        /// whole-router kill.
+        dir: Option<Direction>,
+    },
     /// Concentrated-mesh concentration outside `1..=8`.
     InvalidConcentration(u8),
     /// Chiplet tile dimensions that are zero or do not evenly divide the
@@ -77,6 +105,16 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidInjectionRate(r) => {
                 write!(f, "injection rate {r} outside (0, 1] flits/node/cycle")
             }
+            ConfigError::FaultNodeOutOfRange { node, nodes } => {
+                write!(f, "fault node {node} out of range for {nodes} routers")
+            }
+            ConfigError::FaultLinkAbsent { node, dir } => {
+                write!(f, "no link {node}:{dir} in the topology")
+            }
+            ConfigError::FaultTargetAlreadyDead { at, node, dir } => match dir {
+                Some(dir) => write!(f, "link kill at cycle {at}: {node}:{dir} is already dead"),
+                None => write!(f, "router kill at cycle {at}: {node} is already dead"),
+            },
             ConfigError::InvalidConcentration(c) => {
                 write!(f, "concentration {c} outside 1..=8")
             }
@@ -119,6 +157,12 @@ mod tests {
             }
             .to_string(),
             ConfigError::InvalidInjectionRate(1.5).to_string(),
+            ConfigError::FaultTargetAlreadyDead {
+                at: 10,
+                node: NodeId::new(5),
+                dir: None,
+            }
+            .to_string(),
         ];
         for msg in msgs {
             assert!(!msg.is_empty());

@@ -140,11 +140,6 @@ impl FlitPayload {
         self.check
     }
 
-    /// Replaces the data bits, keeping the check bits.
-    pub fn set_data(&mut self, data: u64) {
-        self.data = data;
-    }
-
     /// Replaces the check bits.
     pub fn set_check(&mut self, check: u8) {
         self.check = check;

@@ -12,9 +12,11 @@ fn main() -> Result<(), ftnoc::types::ConfigError> {
     let topo = Topology::mesh(6, 6);
 
     // Kill one link; adaptive routing steers around it.
-    let mut hard = HardFaults::new();
-    hard.kill_link(topo, topo.id_of(Coord::new(2, 2)), Direction::East);
-    assert!(hard.network_is_connected(topo));
+    let mut faults = FaultPlan::new();
+    faults.link_at_reset(topo.id_of(Coord::new(2, 2)), Direction::East);
+    faults
+        .validate(topo)
+        .expect("one dead link leaves the mesh connected");
 
     let router = RouterConfig::builder()
         .vcs_per_port(4)
@@ -32,7 +34,7 @@ fn main() -> Result<(), ftnoc::types::ConfigError> {
         })
         .injection_rate(0.15)
         .faults(FaultRates::link_only(0.001))
-        .hard_faults(hard)
+        .fault_plan(&faults)
         .warmup_packets(1_000)
         .measure_packets(4_000);
     let config = b.build()?;

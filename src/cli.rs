@@ -76,11 +76,6 @@ OPTIONS (run):
                                         (default 4)
     --threads N         compute-phase worker threads (default 1; any N
                         gives byte-identical results at the same seed)
-    --no-activity-gating
-                        compute every router every cycle instead of
-                        skipping provably quiescent ones (byte-identical
-                        results either way; the full sweep is the slower
-                        parity reference)
     --profile           print the per-event energy breakdown
 
 OBSERVABILITY (run):
@@ -201,6 +196,22 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// The value following `flag`.
+fn value<'a>(
+    it: &mut std::iter::Peekable<std::slice::Iter<'a, String>>,
+    flag: &str,
+) -> Result<&'a str, CliError> {
+    it.next()
+        .map(String::as_str)
+        .ok_or_else(|| err(format!("{flag} needs a value")))
+}
+
+/// Parses the value `v` of `flag`.
+fn num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, CliError> {
+    v.parse()
+        .map_err(|_| err(format!("{flag}: cannot parse `{v}`")))
+}
+
 /// Parses an argument vector (without the program name).
 ///
 /// # Errors
@@ -248,7 +259,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut seed = 0xF7_0Cu64;
     let mut deadlock = false;
     let mut threads = 1usize;
-    let mut activity_gating = true;
     let mut profile = false;
     let mut trace: Option<std::path::PathBuf> = None;
     let mut trace_async = false;
@@ -260,19 +270,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut metrics_out: Option<std::path::PathBuf> = None;
     let mut metrics_every = 1_000u64;
     let mut fplan = ftnoc_fault::FaultPlan::new();
-
-    fn value<'a>(
-        it: &mut std::iter::Peekable<std::slice::Iter<'a, String>>,
-        flag: &str,
-    ) -> Result<&'a str, CliError> {
-        it.next()
-            .map(String::as_str)
-            .ok_or_else(|| err(format!("{flag} needs a value")))
-    }
-    fn num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, CliError> {
-        v.parse()
-            .map_err(|_| err(format!("{flag}: cannot parse `{v}`")))
-    }
 
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -376,7 +373,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "--seed" => seed = num(value(&mut it, flag)?, flag)?,
             "--deadlock-recovery" => deadlock = true,
             "--threads" => threads = num(value(&mut it, flag)?, flag)?,
-            "--no-activity-gating" => activity_gating = false,
             "--profile" => profile = true,
             "--trace" => trace = Some(std::path::PathBuf::from(value(&mut it, flag)?)),
             "--trace-async" => trace_async = true,
@@ -430,9 +426,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     if metrics_every == 0 {
         return Err(err("--metrics-every must be at least 1"));
     }
-    // One validation seam for the whole plan: node ranges, link
-    // existence, double kills (in schedule order), and connectivity of
-    // the end state once every scheduled kill has landed.
+    // The CLI's policy on top of the structural check `build()` runs
+    // anyway: the end state, once every scheduled kill has landed, must
+    // leave the network connected.
     fplan
         .validate(topology)
         .map_err(|e| err(format!("--fault: {e}")))?;
@@ -468,8 +464,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             cthres: 32,
         })
         .fault_plan(&fplan)
-        .threads(threads)
-        .activity_gating(activity_gating);
+        .threads(threads);
     let config = Box::new(b.build().map_err(|e| err(format!("config: {e}")))?);
     Ok(Command::Run {
         config,
@@ -490,18 +485,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
 fn parse_fuzz(
     it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
 ) -> Result<Command, CliError> {
-    fn value<'a>(
-        it: &mut std::iter::Peekable<std::slice::Iter<'a, String>>,
-        flag: &str,
-    ) -> Result<&'a str, CliError> {
-        it.next()
-            .map(String::as_str)
-            .ok_or_else(|| err(format!("{flag} needs a value")))
-    }
-    fn num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, CliError> {
-        v.parse()
-            .map_err(|_| err(format!("{flag}: cannot parse `{v}`")))
-    }
     let mut plan = ftnoc_check::CampaignPlan::new();
     let mut repro = None;
     let mut failures_out = None;
@@ -558,6 +541,14 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// The configuration a `run …` command line parses to.
+    fn run_config(s: &str) -> Box<SimConfig> {
+        match parse(&args(s)).unwrap() {
+            Command::Run { config, .. } => config,
+            other => panic!("expected run, got {other:?}"),
+        }
+    }
+
     #[test]
     fn no_args_is_help() {
         assert!(matches!(parse(&[]).unwrap(), Command::Help));
@@ -600,7 +591,8 @@ mod tests {
         assert!(!report_json);
         assert_eq!(metrics_out, None);
         assert_eq!(metrics_every, 1000);
-        assert!(config.hard_faults.is_empty());
+        assert!(config.fault_plan.is_empty());
+        assert!(config.activity_gating);
     }
 
     #[test]
@@ -635,25 +627,17 @@ mod tests {
 
     #[test]
     fn topology_forms_parse() {
-        let Command::Run { config, .. } = parse(&args("run --topology torus:4x4")).unwrap() else {
-            panic!("expected run");
-        };
+        let config = run_config("run --topology torus:4x4");
         assert_eq!(config.topology.kind(), TopologyKind::Torus);
         assert_eq!(config.topology.node_count(), 16);
 
-        let Command::Run { config, .. } = parse(&args("run --topology cmesh:4x4:4")).unwrap()
-        else {
-            panic!("expected run");
-        };
+        let config = run_config("run --topology cmesh:4x4:4");
         assert_eq!(config.topology.kind(), TopologyKind::CMesh);
         assert_eq!(config.topology.node_count(), 16);
         assert_eq!(config.topology.terminal_count(), 64);
         assert_eq!(config.router.ports(), 8, "4 cardinals + 4 local ports");
 
-        let cmd = parse(&args("run --topology chiplet:8x8:4x4 --routing fta")).unwrap();
-        let Command::Run { config, .. } = cmd else {
-            panic!("expected run");
-        };
+        let config = run_config("run --topology chiplet:8x8:4x4 --routing fta");
         assert_eq!(config.topology.kind(), TopologyKind::Chiplet);
         assert_eq!(config.topology.chip_dims(), Some((4, 4)));
     }
@@ -708,54 +692,28 @@ mod tests {
 
     #[test]
     fn threads_flag_parses_and_defaults_to_serial() {
-        let Command::Run { config, .. } = parse(&args("run")).unwrap() else {
-            panic!("expected run");
-        };
+        let config = run_config("run");
         assert_eq!(config.threads, 1);
-        let Command::Run { config, .. } = parse(&args("run --threads 4")).unwrap() else {
-            panic!("expected run");
-        };
+        let config = run_config("run --threads 4");
         assert_eq!(config.threads, 4);
         let e = parse(&args("run --threads banana")).unwrap_err();
         assert!(e.0.contains("--threads"), "{e}");
     }
 
     #[test]
-    fn activity_gating_flag_parses_and_defaults_on() {
-        let Command::Run { config, .. } = parse(&args("run")).unwrap() else {
-            panic!("expected run");
-        };
-        assert!(config.activity_gating);
-        let Command::Run { config, .. } = parse(&args("run --no-activity-gating")).unwrap() else {
-            panic!("expected run");
-        };
-        assert!(!config.activity_gating);
-    }
-
-    #[test]
     fn buffer_org_flags_parse() {
         use ftnoc_types::config::BufferOrg;
-        let Command::Run { config, .. } = parse(&args("run")).unwrap() else {
-            panic!("expected run");
-        };
+        let config = run_config("run");
         assert_eq!(config.router.buffer_org(), BufferOrg::StaticPartition);
 
         // Equal-budget default pool: vcs × buffer.
-        let Command::Run { config, .. } =
-            parse(&args("run --vcs 2 --buffer 5 --buffer-org damq")).unwrap()
-        else {
-            panic!("expected run");
-        };
+        let config = run_config("run --vcs 2 --buffer 5 --buffer-org damq");
         assert_eq!(
             config.router.buffer_org(),
             BufferOrg::Damq { pool_size: 10 }
         );
 
-        let Command::Run { config, .. } =
-            parse(&args("run --buffer-org damq --damq-pool 16")).unwrap()
-        else {
-            panic!("expected run");
-        };
+        let config = run_config("run --buffer-org damq --damq-pool 16");
         assert_eq!(
             config.router.buffer_org(),
             BufferOrg::Damq { pool_size: 16 }
@@ -877,21 +835,13 @@ mod tests {
     #[test]
     fn kill_link_parses_and_validates_connectivity() {
         use ftnoc_types::geom::Direction;
-        let Command::Run { config, .. } =
-            parse(&args("run --routing ad --fault link:27:e --fault link:0:s")).unwrap()
-        else {
-            panic!("expected run");
-        };
-        assert!(config
-            .hard_faults
-            .link_is_dead(NodeId::new(27), Direction::East));
+        let config = run_config("run --routing ad --fault link:27:e --fault link:0:s");
+        assert_eq!(config.fault_plan.to_specs(), ["link:27:e", "link:0:s"]);
         // Killing a link marks both endpoints.
-        assert!(config
-            .hard_faults
-            .link_is_dead(NodeId::new(28), Direction::West));
-        assert!(config
-            .hard_faults
-            .link_is_dead(NodeId::new(0), Direction::South));
+        let dead = config.fault_plan.base_faults(config.topology);
+        assert!(dead.link_is_dead(NodeId::new(27), Direction::East));
+        assert!(dead.link_is_dead(NodeId::new(28), Direction::West));
+        assert!(dead.link_is_dead(NodeId::new(0), Direction::South));
 
         let e = parse(&args("run --fault link:banana")).unwrap_err();
         assert!(e.0.contains("link:N:D"), "{e}");
@@ -907,21 +857,20 @@ mod tests {
     #[test]
     fn kill_link_at_parses_and_validates() {
         use ftnoc_types::geom::Direction;
-        let Command::Run { config, .. } = parse(&args(
-            "run --routing fta --fault link:27:e@500 --fault notify:8",
-        ))
-        .unwrap() else {
-            panic!("expected run");
-        };
+        let config = run_config("run --routing fta --fault link:27:e@500 --fault notify:8");
         assert_eq!(config.routing, RoutingAlgorithm::FaultAware);
-        assert_eq!(config.scheduled_kills.len(), 1);
-        assert_eq!(config.scheduled_kills[0].at, 500);
-        assert_eq!(config.scheduled_kills[0].node, NodeId::new(27));
-        assert_eq!(config.scheduled_kills[0].dir, Direction::East);
-        assert_eq!(config.fault_notify_latency, 8);
+        assert_eq!(config.fault_plan.to_specs(), ["link:27:e@500", "notify:8"]);
+        let [kill] = config.fault_plan.link_kills() else {
+            panic!("expected one scheduled kill");
+        };
+        assert_eq!(
+            (kill.at, kill.node, kill.dir),
+            (500, NodeId::new(27), Direction::East)
+        );
+        assert_eq!(config.notify_latency(), 8);
 
         // Mid-run kills never appear in the static base set.
-        assert!(config.hard_faults.is_empty());
+        assert!(config.fault_plan.base_faults(config.topology).is_empty());
 
         let e = parse(&args("run --fault link:27:e@banana")).unwrap_err();
         assert!(e.0.contains("not a number"), "{e}");
@@ -944,28 +893,20 @@ mod tests {
 
     #[test]
     fn fault_specs_parse_and_lower() {
-        use ftnoc_types::geom::Direction;
-        let Command::Run { config, .. } = parse(&args(
+        let config = run_config(
             "run --routing fta --fault link:0:e --fault router:27@400 \
              --fault wearout:800:7 --fault notify:8",
-        ))
-        .unwrap() else {
-            panic!("expected run");
-        };
-        assert!(config
-            .hard_faults
-            .link_is_dead(NodeId::new(0), Direction::East));
-        assert_eq!(config.router_kills.len(), 1);
-        assert_eq!(config.router_kills[0].at, 400);
-        assert_eq!(config.router_kills[0].node, NodeId::new(27));
-        assert_eq!(
-            config.wearout,
-            Some(ftnoc_fault::WearoutSpec {
-                mean_budget: 800,
-                seed: 7
-            })
         );
-        assert_eq!(config.fault_notify_latency, 8);
+        assert_eq!(
+            config.fault_plan.to_specs(),
+            ["link:0:e", "router:27@400", "wearout:800:7", "notify:8"]
+        );
+        let [kill] = config.fault_plan.router_kills() else {
+            panic!("expected one router kill");
+        };
+        assert_eq!((kill.at, kill.node), (400, NodeId::new(27)));
+        assert_eq!(config.wearout_seed(), 7);
+        assert_eq!(config.notify_latency(), 8);
 
         let e = parse(&args("run --fault gamma:1")).unwrap_err();
         assert!(e.0.contains("expected"), "{e}");
@@ -973,11 +914,14 @@ mod tests {
         assert!(e.0.contains("out of range"), "{e}");
         let e = parse(&args("run --fault router:0@0")).unwrap_err();
         assert!(e.0.contains("at-reset"), "{e}");
+        // Same cycle: the router dies first, so the link kill is moot.
+        let e = parse(&args("run --fault link:5:e@10 --fault router:5@10")).unwrap_err();
+        assert!(e.0.contains("already dead"), "{e}");
     }
 
     /// Help/parser agreement: every `--flag` token the run and fuzz
     /// sections of [`HELP`] mention is known to the matching parser,
-    /// and the four removed shims are not.
+    /// and the removed flags are not.
     #[test]
     fn help_and_parsers_agree_on_the_flag_set() {
         fn flags(section: &str) -> impl Iterator<Item = &str> {
@@ -1002,7 +946,13 @@ mod tests {
                 "HELP lists `{flag}`, fuzz rejects it"
             );
         }
-        for flag in ["--kill-link", "--kill-link-at", "--fault-notify", "--torus"] {
+        for flag in [
+            "--kill-link",
+            "--kill-link-at",
+            "--fault-notify",
+            "--torus",
+            "--no-activity-gating",
+        ] {
             assert!(unknown("run", flag), "`{flag}` was removed");
             assert!(!HELP.contains(flag), "HELP still mentions `{flag}`");
         }
@@ -1011,11 +961,7 @@ mod tests {
     #[test]
     fn fault_aware_routing_aliases_parse() {
         for alias in ["fta", "fault-aware"] {
-            let Command::Run { config, .. } =
-                parse(&args(&format!("run --routing {alias}"))).unwrap()
-            else {
-                panic!("expected run");
-            };
+            let config = run_config(&format!("run --routing {alias}"));
             assert_eq!(config.routing, RoutingAlgorithm::FaultAware);
         }
     }

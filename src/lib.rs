@@ -20,7 +20,7 @@
 //! | [`core`] | `ftnoc-core` | HBH/E2E/FEC schemes, deadlock recovery, AC |
 //! | [`sim`] | `ftnoc-sim` | the cycle-accurate network simulator |
 //! | [`check`] | `ftnoc-check` | cycle-level invariant oracle, fault-campaign fuzzer |
-//! | [`metrics`] | `ftnoc-metrics` | metrics registry, phase profiler, hotspot telemetry |
+//! | [`metrics`] | `ftnoc-metrics` | phase profiler, hotspot telemetry, metrics JSONL |
 //!
 //! # Quickstart
 //!

@@ -12,7 +12,7 @@
 //! observation-equivalent to the full sweep.
 
 use ftnoc_check::{ArmedInvariants, Oracle};
-use ftnoc_fault::{FaultRates, HardFaults, ScheduledKill};
+use ftnoc_fault::{FaultPlan, FaultRates};
 use ftnoc_sim::{
     DeadlockConfig, ErrorScheme, Network, RoutingAlgorithm, SimConfig, SimConfigBuilder, Simulator,
 };
@@ -37,11 +37,9 @@ fn fault_free(seed: u64) -> SimConfigBuilder {
 /// are discarded at the fault boundary, blocking clusters around it.
 fn kill_link(seed: u64) -> SimConfigBuilder {
     let topo = Topology::mesh(4, 4);
-    let mut hard = HardFaults::new();
-    hard.kill_link(topo, topo.id_of(Coord::new(1, 1)), Direction::East);
     let mut b = fault_free(seed);
     b.routing(RoutingAlgorithm::WestFirstAdaptive)
-        .hard_faults(hard)
+        .fault_plan(FaultPlan::new().link_at_reset(topo.id_of(Coord::new(1, 1)), Direction::East))
         .deadlock(DeadlockConfig {
             enabled: true,
             cthres: 32,
@@ -103,12 +101,11 @@ fn fault_aware_midrun(seed: u64) -> SimConfigBuilder {
     let topo = Topology::mesh(4, 4);
     let mut b = fault_free(seed);
     b.routing(RoutingAlgorithm::FaultAware)
-        .scheduled_kills(vec![ScheduledKill {
-            at: 1_000,
-            node: topo.id_of(Coord::new(1, 1)),
-            dir: Direction::East,
-        }])
-        .fault_notify_latency(6)
+        .fault_plan(
+            FaultPlan::new()
+                .kill_link_at(1_000, topo.id_of(Coord::new(1, 1)), Direction::East)
+                .notify_latency(6),
+        )
         .deadlock(DeadlockConfig {
             enabled: true,
             cthres: 32,
@@ -122,13 +119,12 @@ fn fault_aware_midrun(seed: u64) -> SimConfigBuilder {
 /// boundary — the gated engine must track them like any other edge.
 fn torus_midrun(seed: u64) -> SimConfigBuilder {
     let topo = Topology::torus(4, 4);
-    let kill = ScheduledKill {
-        at: 1_000,
-        node: topo.id_of(Coord::new(3, 1)),
-        dir: Direction::East,
-    };
     let mut b = fault_aware_midrun(seed);
-    b.topology(topo).scheduled_kills(vec![kill]);
+    b.topology(topo).fault_plan(
+        FaultPlan::new()
+            .kill_link_at(1_000, topo.id_of(Coord::new(3, 1)), Direction::East)
+            .notify_latency(6),
+    );
     b
 }
 

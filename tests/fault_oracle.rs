@@ -24,12 +24,11 @@ fn midrun_config() -> SimConfig {
                 .expect("valid router"),
         )
         .routing(RoutingAlgorithm::FaultAware)
-        .scheduled_kills(vec![ScheduledKill {
-            at: 300,
-            node: NodeId::new(5),
-            dir: Direction::East,
-        }])
-        .fault_notify_latency(6)
+        .fault_plan(
+            FaultPlan::new()
+                .kill_link_at(300, NodeId::new(5), Direction::East)
+                .notify_latency(6),
+        )
         .injection(InjectionProcess::Bernoulli)
         .injection_rate(0.25)
         .seed(1)
@@ -115,11 +114,11 @@ fn router_death_config() -> SimConfig {
     let mut b = SimConfig::builder();
     b.topology(Topology::mesh(4, 4))
         .routing(RoutingAlgorithm::FaultAware)
-        .router_kills(vec![ScheduledRouterKill {
-            at: 300,
-            node: NodeId::new(5),
-        }])
-        .fault_notify_latency(0)
+        .fault_plan(
+            FaultPlan::new()
+                .kill_router_at(300, NodeId::new(5))
+                .notify_latency(0),
+        )
         .injection(InjectionProcess::Bernoulli)
         .injection_rate(0.2)
         .seed(1)
@@ -142,11 +141,14 @@ fn wearout_config() -> SimConfig {
     let mut b = SimConfig::builder();
     b.topology(Topology::mesh(4, 4))
         .routing(RoutingAlgorithm::FaultAware)
-        .wearout(Some(WearoutSpec {
-            mean_budget: 800,
-            seed: 0,
-        }))
-        .fault_notify_latency(4)
+        .fault_plan(
+            FaultPlan::new()
+                .wearout(WearoutSpec {
+                    mean_budget: 800,
+                    seed: 0,
+                })
+                .notify_latency(4),
+        )
         .injection(InjectionProcess::Bernoulli)
         .injection_rate(0.2)
         .seed(42)

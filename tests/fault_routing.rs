@@ -22,9 +22,12 @@ fn build_on(
     recovery: bool,
     kills: Vec<ScheduledKill>,
 ) -> SimConfig {
-    let mut hard = HardFaults::new();
+    let mut plan = FaultPlan::new();
     if kills.is_empty() {
-        hard.kill_link(topo, NodeId::new(27), Direction::East);
+        plan.link_at_reset(NodeId::new(27), Direction::East);
+    }
+    for k in kills {
+        plan.kill_link_at(k.at, k.node, k.dir);
     }
     let mut b = SimConfig::builder();
     b.topology(topo)
@@ -37,8 +40,7 @@ fn build_on(
                 .expect("valid router"),
         )
         .routing(routing)
-        .hard_faults(hard)
-        .scheduled_kills(kills)
+        .fault_plan(&plan)
         .injection(InjectionProcess::Bernoulli)
         .injection_rate(0.25)
         .seed(1)

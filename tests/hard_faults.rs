@@ -7,11 +7,11 @@ fn topo() -> Topology {
     Topology::mesh(6, 6)
 }
 
-fn run(hard: HardFaults, routing: RoutingAlgorithm) -> SimReport {
+fn run(hard: &FaultPlan, routing: RoutingAlgorithm) -> SimReport {
     let mut b = SimConfig::builder();
     b.topology(topo())
         .routing(routing)
-        .hard_faults(hard)
+        .fault_plan(hard)
         .injection_rate(0.1)
         .warmup_packets(500)
         .measure_packets(2_000)
@@ -21,10 +21,10 @@ fn run(hard: HardFaults, routing: RoutingAlgorithm) -> SimReport {
 
 #[test]
 fn adaptive_routing_survives_a_dead_link() {
-    let mut hard = HardFaults::new();
-    hard.kill_link(topo(), topo().id_of(Coord::new(2, 2)), Direction::East);
-    assert!(hard.network_is_connected(topo()));
-    let report = run(hard, RoutingAlgorithm::FullyAdaptive);
+    let mut hard = FaultPlan::new();
+    hard.link_at_reset(topo().id_of(Coord::new(2, 2)), Direction::East);
+    assert!(hard.base_faults(topo()).network_is_connected(topo()));
+    let report = run(&hard, RoutingAlgorithm::FullyAdaptive);
     assert!(report.completed, "traffic must route around the dead link");
     assert_eq!(report.errors.misdelivered, 0);
 }
@@ -35,11 +35,11 @@ fn adaptive_routing_survives_multiple_dead_links_with_recovery() {
     // adaptive routing can deadlock — exactly the faulty environment
     // §3.2 targets ("deadlock recovery in both fault-free and faulty
     // environments"). With the recovery machinery on, traffic flows.
-    let mut hard = HardFaults::new();
-    hard.kill_link(topo(), topo().id_of(Coord::new(1, 1)), Direction::East);
-    hard.kill_link(topo(), topo().id_of(Coord::new(3, 3)), Direction::South);
-    hard.kill_link(topo(), topo().id_of(Coord::new(4, 2)), Direction::North);
-    assert!(hard.network_is_connected(topo()));
+    let mut hard = FaultPlan::new();
+    hard.link_at_reset(topo().id_of(Coord::new(1, 1)), Direction::East)
+        .link_at_reset(topo().id_of(Coord::new(3, 3)), Direction::South)
+        .link_at_reset(topo().id_of(Coord::new(4, 2)), Direction::North);
+    assert!(hard.base_faults(topo()).network_is_connected(topo()));
     let mut b = SimConfig::builder();
     b.topology(topo())
         .routing(RoutingAlgorithm::FullyAdaptive)
@@ -49,7 +49,7 @@ fn adaptive_routing_survives_multiple_dead_links_with_recovery() {
                 .build()
                 .expect("valid router"),
         )
-        .hard_faults(hard)
+        .fault_plan(&hard)
         .deadlock(DeadlockConfig {
             enabled: true,
             cthres: 32,
@@ -67,12 +67,12 @@ fn adaptive_routing_survives_multiple_dead_links_with_recovery() {
 fn hard_fault_blocking_is_not_reported_as_deadlock() {
     // §3.2.2: long blocking near a hard fault must not trigger recovery;
     // the probe is discarded by the router adjacent to the fault.
-    let mut hard = HardFaults::new();
-    hard.kill_link(topo(), topo().id_of(Coord::new(2, 2)), Direction::East);
+    let mut hard = FaultPlan::new();
+    hard.link_at_reset(topo().id_of(Coord::new(2, 2)), Direction::East);
     let mut b = SimConfig::builder();
     b.topology(topo())
         .routing(RoutingAlgorithm::WestFirstAdaptive)
-        .hard_faults(hard)
+        .fault_plan(&hard)
         .deadlock(DeadlockConfig {
             enabled: true,
             cthres: 32,

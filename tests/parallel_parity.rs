@@ -8,7 +8,7 @@
 //! cross-router-pure, so the thread count is purely a wall-clock knob.
 
 use ftnoc_check::Oracle;
-use ftnoc_fault::{FaultRates, ScheduledKill};
+use ftnoc_fault::{FaultPlan, FaultRates};
 use ftnoc_sim::{
     DeadlockConfig, ErrorScheme, Network, RoutingAlgorithm, SimConfig, SimConfigBuilder, Simulator,
 };
@@ -82,12 +82,11 @@ fn fault_aware_midrun(seed: u64) -> SimConfigBuilder {
     let mut b = SimConfig::builder();
     b.topology(Topology::mesh(4, 4))
         .routing(RoutingAlgorithm::FaultAware)
-        .scheduled_kills(vec![ScheduledKill {
-            at: 1_000,
-            node: NodeId::new(5),
-            dir: Direction::East,
-        }])
-        .fault_notify_latency(6)
+        .fault_plan(
+            FaultPlan::new()
+                .kill_link_at(1_000, NodeId::new(5), Direction::East)
+                .notify_latency(6),
+        )
         .injection(InjectionProcess::Bernoulli)
         .injection_rate(0.2)
         .seed(seed)
@@ -109,12 +108,11 @@ fn fault_aware_midrun(seed: u64) -> SimConfigBuilder {
 /// cycles in every dimension.
 fn torus_midrun(seed: u64) -> SimConfigBuilder {
     let mut b = fault_aware_midrun(seed);
-    b.topology(Topology::torus(4, 4))
-        .scheduled_kills(vec![ScheduledKill {
-            at: 1_000,
-            node: NodeId::new(7),
-            dir: Direction::East,
-        }]);
+    b.topology(Topology::torus(4, 4)).fault_plan(
+        FaultPlan::new()
+            .kill_link_at(1_000, NodeId::new(7), Direction::East)
+            .notify_latency(6),
+    );
     b
 }
 

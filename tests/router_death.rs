@@ -10,7 +10,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use ftnoc_fault::{FaultCause, ScheduledRouterKill, WearoutSpec};
+use ftnoc_fault::{FaultCause, FaultPlan, WearoutSpec};
 use ftnoc_sim::{DeadlockConfig, RoutingAlgorithm, SimConfig, SimConfigBuilder, Simulator};
 use ftnoc_trace::{MemorySink, Tracer};
 use ftnoc_traffic::InjectionProcess;
@@ -31,11 +31,11 @@ fn router_death(seed: u64) -> SimConfigBuilder {
     let mut b = SimConfig::builder();
     b.topology(Topology::mesh(8, 8))
         .routing(RoutingAlgorithm::FaultAware)
-        .router_kills(vec![ScheduledRouterKill {
-            at: 400,
-            node: NodeId::new(VICTIM),
-        }])
-        .fault_notify_latency(0)
+        .fault_plan(
+            FaultPlan::new()
+                .kill_router_at(400, NodeId::new(VICTIM))
+                .notify_latency(0),
+        )
         .injection(InjectionProcess::Bernoulli)
         .injection_rate(0.15)
         .seed(seed)
@@ -58,11 +58,14 @@ fn wearout(seed: u64) -> SimConfigBuilder {
     let mut b = SimConfig::builder();
     b.topology(Topology::mesh(4, 4))
         .routing(RoutingAlgorithm::FaultAware)
-        .wearout(Some(WearoutSpec {
-            mean_budget: 800,
-            seed: 0,
-        }))
-        .fault_notify_latency(4)
+        .fault_plan(
+            FaultPlan::new()
+                .wearout(WearoutSpec {
+                    mean_budget: 800,
+                    seed: 0,
+                })
+                .notify_latency(4),
+        )
         .injection(InjectionProcess::Bernoulli)
         .injection_rate(0.2)
         .seed(seed)
