@@ -84,77 +84,91 @@ pub struct Point {
     pub report: SimReport,
 }
 
-fn base_config(scale: Scale) -> ftnoc_sim::SimConfigBuilder {
-    let mut b = SimConfig::builder();
-    b.injection_rate(0.25);
-    scale.apply(&mut b);
-    b
+/// The one sweep loop: every series at every x runs the base platform
+/// (0.25 flits/node/cycle at `scale`) as `configure` adjusts it, reports
+/// `[tag] series progress (elapsed)` on stderr and becomes one [`Point`].
+fn sweep<S: Copy>(
+    scale: Scale,
+    tag: &str,
+    series: &[(&str, S)],
+    xs: &[f64],
+    progress: impl Fn(S, f64, &SimReport) -> String,
+    configure: impl Fn(&mut ftnoc_sim::SimConfigBuilder, S, f64),
+) -> Vec<Point> {
+    let mut points = Vec::new();
+    for &(label, s) in series {
+        for &x in xs {
+            let mut b = SimConfig::builder();
+            b.injection_rate(0.25);
+            scale.apply(&mut b);
+            configure(&mut b, s, x);
+            let t = std::time::Instant::now();
+            let report = Simulator::new(b.build().expect("valid config")).run();
+            let line = progress(s, x, &report);
+            eprintln!("[{tag}] {label} {line} ({:.1?})", t.elapsed());
+            let series = label.to_string();
+            points.push(Point { series, x, report });
+        }
+    }
+    points
+}
+
+fn latency_at_rate<S>(_: S, rate: f64, report: &SimReport) -> String {
+    format!("rate {rate:.0e}: {:.1} cycles", report.avg_latency)
 }
 
 /// Figure 5: average latency vs link error rate for HBH, E2E and FEC
 /// (uniform traffic, 0.25 flits/node/cycle).
 pub fn figure5(scale: Scale) -> Vec<Point> {
-    let mut points = Vec::new();
-    for scheme in [ErrorScheme::Hbh, ErrorScheme::E2e, ErrorScheme::Fec] {
-        for &rate in &ERROR_RATES {
-            let mut b = base_config(scale);
+    let schemes = [ErrorScheme::Hbh, ErrorScheme::E2e, ErrorScheme::Fec];
+    let series = schemes.map(|s| (s.short_name(), s));
+    sweep(
+        scale,
+        "fig5",
+        &series,
+        &ERROR_RATES,
+        latency_at_rate,
+        |b, scheme, rate| {
             b.scheme(scheme).faults(FaultRates::link_only(rate));
-            let t = std::time::Instant::now();
-            let report = Simulator::new(b.build().expect("valid config")).run();
-            eprintln!(
-                "[fig5] {} rate {rate:.0e}: {:.1} cycles ({:.1?})",
-                scheme.short_name(),
-                report.avg_latency,
-                t.elapsed()
-            );
-            points.push(Point {
-                series: scheme.short_name().to_string(),
-                x: rate,
-                report,
-            });
-        }
-    }
-    points
+        },
+    )
 }
 
 /// Figures 6 and 7: HBH latency and energy per message vs error rate
 /// for the NR, BC and TN patterns (one sweep, read two ways).
 pub fn figure6_7(scale: Scale) -> Vec<Point> {
-    let mut points = Vec::new();
-    for pattern in TrafficPattern::PAPER_PATTERNS {
-        for &rate in &ERROR_RATES {
-            let mut b = base_config(scale);
+    let patterns = TrafficPattern::PAPER_PATTERNS;
+    let series = patterns.each_ref().map(|p| (p.short_name(), p));
+    sweep(
+        scale,
+        "fig6/7",
+        &series,
+        &ERROR_RATES,
+        latency_at_rate,
+        |b, pattern, rate| {
             b.pattern(pattern.clone())
                 .faults(FaultRates::link_only(rate));
-            let t = std::time::Instant::now();
-            let report = Simulator::new(b.build().expect("valid config")).run();
-            eprintln!(
-                "[fig6/7] {} rate {rate:.0e}: {:.1} cycles ({:.1?})",
-                pattern.short_name(),
-                report.avg_latency,
-                t.elapsed()
-            );
-            points.push(Point {
-                series: pattern.short_name().to_string(),
-                x: rate,
-                report,
-            });
-        }
-    }
-    points
+        },
+    )
 }
 
 /// Figures 8 and 9: transmission- and retransmission-buffer utilization
 /// vs injection rate for the adaptive (AD) and deterministic (DT)
 /// routing algorithms.
 pub fn figure8_9(scale: Scale) -> Vec<Point> {
-    let mut points = Vec::new();
-    for routing in [
+    let algorithms = [
         RoutingAlgorithm::WestFirstAdaptive,
         RoutingAlgorithm::XyDeterministic,
-    ] {
-        for &inj in &INJECTION_RATES {
-            let mut b = base_config(scale);
+    ];
+    let series = algorithms.map(|r| (r.short_name(), r));
+    let progress = |_, inj, r: &SimReport| format!("inj {inj}: tx {:.3}", r.tx_utilization);
+    sweep(
+        scale,
+        "fig8/9",
+        &series,
+        &INJECTION_RATES,
+        progress,
+        |b, routing, inj| {
             b.routing(routing).injection_rate(inj);
             if scale == Scale::Quick {
                 // Above saturation, ejection-count targets stretch out;
@@ -163,22 +177,8 @@ pub fn figure8_9(scale: Scale) -> Vec<Point> {
                     .measure_packets(3_000)
                     .max_cycles(150_000);
             }
-            let t = std::time::Instant::now();
-            let report = Simulator::new(b.build().expect("valid config")).run();
-            eprintln!(
-                "[fig8/9] {} inj {inj}: tx {:.3} ({:.1?})",
-                routing.short_name(),
-                report.tx_utilization,
-                t.elapsed()
-            );
-            points.push(Point {
-                series: routing.short_name().to_string(),
-                x: inj,
-                report,
-            });
-        }
-    }
-    points
+        },
+    )
 }
 
 /// Figure 13's three fault classes.
@@ -228,25 +228,23 @@ impl Fig13Class {
 }
 
 /// Figure 13: each fault class simulated independently across error
-/// rates; (a) reads corrected-error counts, (b) reads energy per packet.
-pub fn figure13(scale: Scale) -> Vec<(Fig13Class, f64, SimReport)> {
-    let mut points = Vec::new();
-    for class in Fig13Class::ALL {
-        for &rate in &FIG13_RATES {
-            let mut b = base_config(scale);
+/// rates (series = [`Fig13Class::label`]); (a) reads corrected-error
+/// counts, (b) reads energy per packet.
+pub fn figure13(scale: Scale) -> Vec<Point> {
+    let series = Fig13Class::ALL.map(|c| (c.label(), c));
+    let progress = |class: Fig13Class, rate, r: &SimReport| {
+        format!("rate {rate:.0e}: corrected {}", class.corrected(r))
+    };
+    sweep(
+        scale,
+        "fig13",
+        &series,
+        &FIG13_RATES,
+        progress,
+        |b, class, rate| {
             b.faults(class.rates(rate));
-            let t = std::time::Instant::now();
-            let report = Simulator::new(b.build().expect("valid config")).run();
-            eprintln!(
-                "[fig13] {} rate {rate:.0e}: corrected {} ({:.1?})",
-                class.label(),
-                class.corrected(&report),
-                t.elapsed()
-            );
-            points.push((class, rate, report));
-        }
-    }
-    points
+        },
+    )
 }
 
 /// Renders a latency (or other metric) sweep as an aligned text table,

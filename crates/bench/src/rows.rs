@@ -238,11 +238,11 @@ fn fig13(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         for rate in FIG13_RATES {
             write!(out, "{rate:>10.0e}")?;
             for class in Fig13Class::ALL {
-                let (_, _, report) = points
+                let point = points
                     .iter()
-                    .find(|(c, x, _)| *c == class && *x == rate)
+                    .find(|p| p.series == class.label() && p.x == rate)
                     .expect("figure13 sweeps every class at every rate");
-                write!(out, " {:>10}", cell(class, report))?;
+                write!(out, " {:>10}", cell(class, &point.report))?;
             }
             writeln!(out)?;
         }

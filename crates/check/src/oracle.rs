@@ -13,7 +13,7 @@
 //! draws no randomness, so oracle-on runs are byte-identical to
 //! oracle-off runs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
 use ftnoc_core::ac::VcRef;
@@ -179,8 +179,9 @@ pub struct Oracle {
     /// Recent wait-edge history, oldest first, for the temporal probe
     /// chase (see [`Oracle::check_probe`]).
     hist: VecDeque<WaitFrame>,
-    /// Scratch for conservation: packet → seq bitmask.
-    resident: HashMap<u64, u128>,
+    /// Scratch for conservation: packet → seq bitmask. Ordered, so the
+    /// violation reported is the lowest broken packet on every run.
+    resident: BTreeMap<u64, u128>,
     /// The run's hard-fault history, for cross-checking the snapshot's
     /// published fault table against what the configuration implies
     /// (`None` when constructed via [`Oracle::with_arming`] — the
@@ -255,7 +256,7 @@ impl Oracle {
             prev_confirmed: Vec::new(),
             cthres: 1,
             hist: VecDeque::new(),
-            resident: HashMap::new(),
+            resident: BTreeMap::new(),
             timeline: None,
             expected_configured: Vec::new(),
             wear_folded: 0,

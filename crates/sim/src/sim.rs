@@ -57,10 +57,6 @@ pub struct SimReport {
     /// (0 when the platform cannot say) — provenance for wall-clock
     /// comparisons, not a simulation result.
     pub available_parallelism: usize,
-    /// Async trace-sink queue stats `(dropped_records, max_depth)`,
-    /// when the run traced through an async sink (set by the CLI after
-    /// the sink is recovered).
-    pub trace_queue: Option<(u64, u64)>,
     /// Whether the run ended by reaching the packet target (vs the
     /// cycle cap — a capped saturated/wedged run reports `false`).
     pub completed: bool,
@@ -174,12 +170,6 @@ impl SimReport {
             ",\"threads\":{},\"available_parallelism\":{}",
             self.threads, self.available_parallelism
         );
-        if let Some((dropped, max_depth)) = self.trace_queue {
-            let _ = write!(
-                s,
-                ",\"trace_queue\":{{\"dropped\":{dropped},\"max_depth\":{max_depth}}}"
-            );
-        }
         let _ = write!(
             s,
             ",\"flits_lost\":{},\"e2e_peak_source_buffer_flits\":{},\"completed\":{}}}",
@@ -307,7 +297,6 @@ impl<S: TraceSink> Simulator<S> {
             available_parallelism: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(0),
-            trace_queue: None,
             e2e_peak_source_buffer_flits: self.network.e2e_peak_source_flits(),
             completed,
         }
@@ -514,24 +503,5 @@ mod tests {
         assert!(json.contains("\"avg_latency\":null"), "{json}");
         assert!(json.contains("\"throughput\":null"), "{json}");
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
-    }
-
-    #[test]
-    fn report_json_includes_trace_queue_when_set() {
-        let mut report = Simulator::new(
-            small_config()
-                .warmup_packets(0)
-                .measure_packets(10)
-                .build()
-                .unwrap(),
-        )
-        .run();
-        assert!(!report.to_json().contains("\"trace_queue\""));
-        report.trace_queue = Some((3, 17));
-        let json = report.to_json();
-        assert!(
-            json.contains("\"trace_queue\":{\"dropped\":3,\"max_depth\":17}"),
-            "{json}"
-        );
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! A zero-dependency tracing substrate: cycle-stamped structured events
 //! ([`TraceEvent`]/[`TraceRecord`]), pluggable compile-time-dispatched
-//! sinks ([`TraceSink`]: [`NullSink`], [`MemorySink`], [`JsonlSink`],
-//! and the non-blocking bounded-queue [`AsyncSink`] wrapper),
+//! sinks ([`TraceSink`]: [`NullSink`], [`MemorySink`], [`JsonlSink`]),
 //! bounded per-router [`FlightRecorder`] rings for post-mortem dumps,
 //! and [`SpanCollector`] per-packet lifecycle spans with latency
 //! attribution.
@@ -37,16 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod async_sink;
 pub mod event;
-pub mod queue;
 pub mod recorder;
 pub mod sink;
 pub mod span;
 
-pub use async_sink::{AsyncSink, AsyncSinkStats, OverflowPolicy};
 pub use event::{AcStage, DropReason, TraceEvent, TraceRecord};
-pub use queue::{AsyncQueue, QueueConsumer};
 pub use recorder::FlightRecorder;
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink};
 pub use span::{LatencyBreakdown, PacketSpan, SpanCollector};
@@ -126,13 +121,6 @@ impl<S: TraceSink> Tracer<S> {
     /// All flight recorders (empty when disabled).
     pub fn recorders(&self) -> &[FlightRecorder] {
         &self.recorders
-    }
-
-    /// Read access to the sink while tracing is still attached (e.g.
-    /// reading an [`AsyncSink`]'s queue stats mid-run or post-run,
-    /// before `into_sink` tears the tracer down).
-    pub fn sink(&self) -> &S {
-        &self.sink
     }
 
     /// Flushes and surrenders the sink (e.g. to read a

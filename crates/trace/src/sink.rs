@@ -67,10 +67,16 @@ impl TraceSink for MemorySink {
 
 /// Streams records as JSON Lines to any writer (typically a buffered
 /// file — see [`JsonlSink::create`]).
+///
+/// A trace is diagnostic output: an I/O error must not kill a
+/// simulation that is otherwise healthy, and must not pass unnoticed
+/// either. The sink keeps the first error, writes nothing after it, and
+/// hands it over through [`JsonlSink::take_error`].
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
     line: String,
+    error: Option<io::Error>,
 }
 
 impl JsonlSink<BufWriter<File>> {
@@ -86,28 +92,41 @@ impl<W: Write> JsonlSink<W> {
         JsonlSink {
             writer,
             line: String::with_capacity(128),
+            error: None,
         }
+    }
+
+    /// The first I/O error a write or flush met, if any. Call it after
+    /// the final [`TraceSink::flush`]: a buffered writer reports most
+    /// failures only then.
+    pub fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
     }
 
     /// Flushes and returns the underlying writer.
     pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
+        self.flush();
         self.writer
     }
 }
 
 impl<W: Write> TraceSink for JsonlSink<W> {
     fn record(&mut self, rec: &TraceRecord) {
+        if self.error.is_some() {
+            return;
+        }
         self.line.clear();
         rec.write_json(&mut self.line);
         self.line.push('\n');
-        // A trace is diagnostic output; an I/O error here must not kill
-        // a simulation that is otherwise healthy.
-        let _ = self.writer.write_all(self.line.as_bytes());
+        if let Err(e) = self.writer.write_all(self.line.as_bytes()) {
+            self.error = Some(e);
+        }
     }
 
     fn flush(&mut self) {
-        let _ = self.writer.flush();
+        if self.error.is_none() {
+            self.error = self.writer.flush().err();
+        }
     }
 }
 
@@ -139,6 +158,51 @@ mod tests {
         assert_eq!(sink.records.len(), 5);
         assert!(sink.records.windows(2).all(|w| w[0].cycle < w[1].cycle));
         assert_eq!(sink.to_jsonl().lines().count(), 5);
+    }
+
+    /// Accepts `room` bytes, then fails every write; counts the calls.
+    struct FailAfter {
+        room: usize,
+        written: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.written.len() + buf.len() > self.room {
+                return Err(io::Error::other(format!("full at call {}", self.calls)));
+            }
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_the_first_error_and_stops_writing() {
+        let line = rec(3).to_json().len() + 1;
+        let mut sink = JsonlSink::new(FailAfter {
+            room: 2 * line,
+            written: Vec::new(),
+            calls: 0,
+        });
+        for c in 3..9 {
+            sink.record(&rec(c));
+        }
+        sink.flush();
+        let e = sink.take_error().expect("the third record did not fit");
+        assert_eq!(e.to_string(), "full at call 3");
+        let w = sink.into_inner();
+        assert_eq!(w.calls, 3, "no write is attempted after the first error");
+        let text = String::from_utf8(w.written).unwrap();
+        assert_eq!(
+            text,
+            format!("{}\n{}\n", rec(3).to_json(), rec(4).to_json())
+        );
     }
 
     #[test]

@@ -13,7 +13,9 @@ use ftnoc::cli::{parse, Command, HELP};
 use ftnoc::metrics_io::MetricsEmitter;
 use ftnoc_power::EnergyModel;
 use ftnoc_sim::{Progress, SimConfig, SimReport, Simulator};
-use ftnoc_trace::{AsyncSink, JsonlSink, OverflowPolicy, TraceSink, Tracer};
+use ftnoc_trace::{JsonlSink, TraceSink, Tracer};
+use std::fs::File;
+use std::io::{self, BufWriter};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,9 +58,6 @@ fn main() {
             config,
             profile,
             trace,
-            trace_async,
-            trace_queue,
-            trace_policy,
             flight_recorder,
             stats_every,
             report_json,
@@ -66,8 +65,8 @@ fn main() {
             metrics_every,
         }) => {
             let config = *config;
-            let mut emitter = metrics_out.map(|path| {
-                match MetricsEmitter::create(&path, metrics_every, &config) {
+            let mut emitter = metrics_out.as_ref().map(|path| {
+                match MetricsEmitter::create(path, metrics_every, &config) {
                     Ok(em) => em,
                     Err(e) => {
                         eprintln!("error: cannot open metrics file {}: {e}", path.display());
@@ -75,48 +74,30 @@ fn main() {
                     }
                 }
             });
-            let report = match trace {
+            // A failing trace or metrics file never kills a healthy run:
+            // the report is printed first, then each failure, then exit 1.
+            let mut io_errors = Vec::new();
+            let report = match &trace {
                 Some(path) => {
-                    let sink = match JsonlSink::create(&path) {
+                    let sink = match JsonlSink::create(path) {
                         Ok(sink) => sink,
                         Err(e) => {
                             eprintln!("error: cannot open trace file {}: {e}", path.display());
                             std::process::exit(2);
                         }
                     };
-                    if trace_async {
-                        let sink = AsyncSink::new(sink, trace_queue, trace_policy);
-                        let (mut report, tracer) = run_traced(
-                            config,
-                            sink,
-                            flight_recorder,
-                            stats_every,
-                            emitter.as_mut(),
-                        );
-                        // Queue health goes into the report before the
-                        // sink is torn down.
-                        let stats = tracer.sink().stats();
-                        report.trace_queue = Some((stats.dropped, stats.max_depth));
-                        let (_, dropped) = tracer.into_sink().finish();
-                        // Lossy traces are never silent: the drop policy
-                        // always reports its count.
-                        if trace_policy == OverflowPolicy::Drop {
-                            eprintln!(
-                                "trace: {dropped} record(s) dropped by the bounded queue \
-                                 (--trace-queue {trace_queue}, --trace-policy drop)"
-                            );
-                        }
-                        report
-                    } else {
-                        run_traced(config, sink, flight_recorder, stats_every, emitter.as_mut()).0
+                    let (report, error) =
+                        run_traced(config, sink, flight_recorder, stats_every, emitter.as_mut());
+                    if let Some(e) = error {
+                        io_errors.push(format!("trace file {}: {e}", path.display()));
                     }
+                    report
                 }
                 None => run_observed(&mut Simulator::new(config), stats_every, emitter.as_mut()),
             };
-            if let Some(em) = emitter {
-                let dropped = em.finish();
-                if dropped > 0 {
-                    eprintln!("metrics: {dropped} interval line(s) dropped");
+            if let (Some(em), Some(path)) = (emitter, &metrics_out) {
+                if let Err(e) = em.finish() {
+                    io_errors.push(format!("metrics file {}: {e}", path.display()));
                 }
             }
             if report_json {
@@ -124,31 +105,36 @@ fn main() {
             } else {
                 print_human_report(&report, profile);
             }
+            if !io_errors.is_empty() {
+                for e in &io_errors {
+                    eprintln!("error: {e}");
+                }
+                std::process::exit(1);
+            }
         }
     }
 }
 
 /// Runs a traced simulation with flight recorders, dumping them on a
-/// wedged or misdelivering run. Generic over the sink so the sync and
-/// async trace paths share one body.
-fn run_traced<S: TraceSink>(
+/// wedged or misdelivering run. Returns the report and the first I/O
+/// error the trace file met, if any.
+fn run_traced(
     config: SimConfig,
-    sink: S,
+    sink: JsonlSink<BufWriter<File>>,
     flight_recorder: usize,
     stats_every: u64,
     metrics: Option<&mut MetricsEmitter>,
-) -> (SimReport, Tracer<S>) {
+) -> (SimReport, Option<io::Error>) {
     let nodes = config.topology.node_count();
     let mut sim = Simulator::with_tracer(config, Tracer::new(sink, nodes, flight_recorder));
     let report = run_observed(&mut sim, stats_every, metrics);
-    let mut tracer = sim.into_tracer();
-    tracer.flush();
+    let tracer = sim.into_tracer();
     // Post-mortem: a wedged or misdelivering run dumps the per-router
     // flight recorders for offline diagnosis.
     if !report.completed || report.errors.misdelivered > 0 {
         dump_flight_recorders(&tracer);
     }
-    (report, tracer)
+    (report, tracer.into_sink().take_error())
 }
 
 /// The `ftnoc fuzz` subcommand: replay a single reproducer spec, or run

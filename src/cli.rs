@@ -80,13 +80,6 @@ OPTIONS (run):
 
 OBSERVABILITY (run):
     --trace FILE        stream a cycle-stamped JSONL event trace to FILE
-    --trace-async       move trace I/O onto a writer thread behind a
-                        bounded queue so emission never stalls the sim
-                        hot loop (JSONL bytes stay identical)
-    --trace-queue N     bounded queue capacity in records (default 4096)
-    --trace-policy P    block | drop — behaviour when the queue is full
-                        (default block: lossless backpressure; drop:
-                        discard and count, the count is reported)
     --flight-recorder N per-router post-mortem ring capacity (default 256;
                         dumped to stderr when a traced run wedges or
                         misdelivers)
@@ -139,13 +132,6 @@ pub enum Command {
         profile: bool,
         /// JSONL event-trace destination (`--trace`).
         trace: Option<std::path::PathBuf>,
-        /// Route trace I/O through the bounded-queue writer thread
-        /// (`--trace-async`).
-        trace_async: bool,
-        /// Bounded trace-queue capacity in records (`--trace-queue`).
-        trace_queue: usize,
-        /// Full-queue behaviour for the async trace (`--trace-policy`).
-        trace_policy: ftnoc_trace::OverflowPolicy,
         /// Per-router flight-recorder capacity (with `--trace`).
         flight_recorder: usize,
         /// Interval-progress period in cycles (`--stats-every`, 0 = off).
@@ -261,9 +247,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut threads = 1usize;
     let mut profile = false;
     let mut trace: Option<std::path::PathBuf> = None;
-    let mut trace_async = false;
-    let mut trace_queue = 4096usize;
-    let mut trace_policy = ftnoc_trace::OverflowPolicy::Block;
     let mut flight_recorder = 256usize;
     let mut stats_every = 0u64;
     let mut report_json = false;
@@ -375,15 +358,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "--threads" => threads = num(value(&mut it, flag)?, flag)?,
             "--profile" => profile = true,
             "--trace" => trace = Some(std::path::PathBuf::from(value(&mut it, flag)?)),
-            "--trace-async" => trace_async = true,
-            "--trace-queue" => trace_queue = num(value(&mut it, flag)?, flag)?,
-            "--trace-policy" => {
-                trace_policy = match value(&mut it, flag)? {
-                    "block" => ftnoc_trace::OverflowPolicy::Block,
-                    "drop" => ftnoc_trace::OverflowPolicy::Drop,
-                    v => return Err(err(format!("--trace-policy expects block|drop, got `{v}`"))),
-                }
-            }
             "--flight-recorder" => flight_recorder = num(value(&mut it, flag)?, flag)?,
             "--stats-every" => stats_every = num(value(&mut it, flag)?, flag)?,
             "--report-json" => report_json = true,
@@ -416,12 +390,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
     if damq_pool.is_some() && !damq {
         return Err(err("--damq-pool requires --buffer-org damq"));
-    }
-    if trace_async && trace.is_none() {
-        return Err(err("--trace-async requires --trace FILE"));
-    }
-    if trace_queue == 0 {
-        return Err(err("--trace-queue must be at least 1"));
     }
     if metrics_every == 0 {
         return Err(err("--metrics-every must be at least 1"));
@@ -470,9 +438,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         config,
         profile,
         trace,
-        trace_async,
-        trace_queue,
-        trace_policy,
         flight_recorder,
         stats_every,
         report_json,
@@ -566,9 +531,6 @@ mod tests {
             config,
             profile,
             trace,
-            trace_async,
-            trace_queue,
-            trace_policy,
             flight_recorder,
             stats_every,
             report_json,
@@ -583,9 +545,6 @@ mod tests {
         assert_eq!(config.scheme, ErrorScheme::Hbh);
         assert_eq!(config.injection_rate, 0.25);
         assert_eq!(trace, None);
-        assert!(!trace_async);
-        assert_eq!(trace_queue, 4096);
-        assert_eq!(trace_policy, ftnoc_trace::OverflowPolicy::Block);
         assert_eq!(flight_recorder, 256);
         assert_eq!(stats_every, 0);
         assert!(!report_json);
@@ -770,34 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn async_trace_flags_parse() {
-        use ftnoc_trace::OverflowPolicy;
-        let cmd = parse(&args(
-            "run --trace out.jsonl --trace-async --trace-queue 128 --trace-policy drop",
-        ))
-        .unwrap();
-        let Command::Run {
-            trace_async,
-            trace_queue,
-            trace_policy,
-            ..
-        } = cmd
-        else {
-            panic!("expected run");
-        };
-        assert!(trace_async);
-        assert_eq!(trace_queue, 128);
-        assert_eq!(trace_policy, OverflowPolicy::Drop);
-
-        let e = parse(&args("run --trace-async")).unwrap_err();
-        assert!(e.0.contains("--trace FILE"), "{e}");
-        let e = parse(&args("run --trace out.jsonl --trace-policy maybe")).unwrap_err();
-        assert!(e.0.contains("block|drop"), "{e}");
-        let e = parse(&args("run --trace out.jsonl --trace-queue 0")).unwrap_err();
-        assert!(e.0.contains("--trace-queue"), "{e}");
-    }
-
-    #[test]
     fn metrics_flags_parse() {
         let cmd = parse(&args("run --metrics-out m.jsonl --metrics-every 250")).unwrap();
         let Command::Run {
@@ -952,6 +883,9 @@ mod tests {
             "--fault-notify",
             "--torus",
             "--no-activity-gating",
+            "--trace-async",
+            "--trace-queue",
+            "--trace-policy",
         ] {
             assert!(unknown("run", flag), "`{flag}` was removed");
             assert!(!HELP.contains(flag), "HELP still mentions `{flag}`");

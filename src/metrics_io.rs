@@ -1,14 +1,16 @@
-//! The `--metrics-out` file emitter: periodic JSONL interval lines off
-//! the simulation hot path.
+//! The `--metrics-out` file emitter: periodic JSONL interval lines.
 //!
-//! [`MetricsEmitter`] owns a bounded [`AsyncQueue`] in front of a
-//! buffered file on a writer thread (the same machinery the async
-//! trace sink uses), so serializing and writing a metrics line never
-//! stalls the cycle loop. Lines are built from read-only snapshots
-//! ([`ftnoc_sim::Progress`], [`MeshTelemetry`], [`ProfileSnapshot`])
-//! taken at commit boundaries — emission cannot perturb the run, and a
-//! metrics-enabled run produces byte-identical traces and reports to a
-//! metrics-free one.
+//! [`MetricsEmitter`] serializes each line on the calling thread and
+//! writes it into the buffered file it opened: one line per
+//! `--metrics-every` cycles is too rare to be worth a writer thread.
+//! Lines are built from read-only snapshots ([`ftnoc_sim::Progress`],
+//! [`MeshTelemetry`], [`ProfileSnapshot`]) taken at commit boundaries —
+//! emission cannot perturb the run, and a metrics-enabled run produces
+//! byte-identical traces and reports to a metrics-free one.
+//!
+//! An I/O error never kills the run and is never silent: the emitter
+//! keeps the first one, writes nothing after it, and
+//! [`MetricsEmitter::finish`] returns it.
 //!
 //! File format: one [`MetaLine`] describing the run, then one
 //! [`IntervalLine`] per emission with cumulative totals and per-window
@@ -16,31 +18,16 @@
 
 use ftnoc_metrics::{IntervalLine, LayoutKind, MeshTelemetry, MetaLine, ProfileSnapshot};
 use ftnoc_sim::{Progress, SimConfig};
-use ftnoc_trace::{AsyncQueue, OverflowPolicy, QueueConsumer};
 use ftnoc_types::geom::TopologyKind;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
-
-/// Writes each queued line (newline-terminated) through a buffered
-/// file on the queue's writer thread.
-struct LineFileWriter(BufWriter<File>);
-
-impl QueueConsumer<String> for LineFileWriter {
-    fn consume(&mut self, line: &String) {
-        // A mid-run I/O failure surfaces as a writer-thread panic at
-        // the next queue join — the run itself is never perturbed.
-        writeln!(self.0, "{line}").expect("write metrics line");
-    }
-
-    fn flush(&mut self) {
-        self.0.flush().expect("flush metrics file");
-    }
-}
 
 /// Periodic metrics emission for one run. See the module docs.
 pub struct MetricsEmitter {
-    queue: AsyncQueue<String, LineFileWriter>,
+    file: BufWriter<File>,
+    /// The first write error; once set, nothing more is written.
+    error: Option<io::Error>,
     every: u64,
     /// Cumulative (injected, ejected, latency_sum) at the previous
     /// emission — the baseline for per-window deltas.
@@ -51,19 +38,15 @@ pub struct MetricsEmitter {
 }
 
 impl MetricsEmitter {
-    /// Opens `path`, spawns the writer thread and queues the meta
-    /// line. `every` is the emission interval in cycles (≥ 1).
+    /// Opens `path` and writes the meta line. `every` is the emission
+    /// interval in cycles (≥ 1).
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the file cannot be
     /// created.
-    pub fn create(path: &Path, every: u64, config: &SimConfig) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        let writer = LineFileWriter(BufWriter::new(file));
-        // Interval lines are rare (one per `every` cycles) and the
-        // policy is lossless: a metrics file is never silently partial.
-        let mut queue = AsyncQueue::new(writer, 64, OverflowPolicy::Block);
+    pub fn create(path: &Path, every: u64, config: &SimConfig) -> io::Result<Self> {
+        let file = BufWriter::new(File::create(path)?);
         let topology = match config.topology.kind() {
             TopologyKind::Mesh => LayoutKind::Mesh,
             TopologyKind::Torus => LayoutKind::Torus,
@@ -90,13 +73,21 @@ impl MetricsEmitter {
             metrics_every: every.max(1),
             seed: config.seed,
         };
-        queue.push(meta.to_json());
-        Ok(MetricsEmitter {
-            queue,
+        let mut emitter = MetricsEmitter {
+            file,
+            error: None,
             every: every.max(1),
             prev: (0, 0, 0),
             last_cycle: None,
-        })
+        };
+        emitter.write_line(&meta.to_json());
+        Ok(emitter)
+    }
+
+    fn write_line(&mut self, line: &str) {
+        if self.error.is_none() {
+            self.error = writeln!(self.file, "{line}").err();
+        }
     }
 
     /// Whether `cycle` lands on an emission boundary.
@@ -104,7 +95,7 @@ impl MetricsEmitter {
         cycle.is_multiple_of(self.every)
     }
 
-    /// Queues one interval line from commit-boundary snapshots. A
+    /// Writes one interval line from commit-boundary snapshots. A
     /// repeat call for an already-emitted cycle is a no-op (the final
     /// flush at run end reuses this).
     pub fn record(
@@ -134,15 +125,20 @@ impl MetricsEmitter {
             progress.packets_ejected,
             progress.latency_sum,
         );
-        self.queue.push(line.to_json());
+        self.write_line(&line.to_json());
     }
 
-    /// Drains and closes the file, returning the number of dropped
-    /// lines (always 0 under the lossless policy; the count exists so
-    /// a policy change can never lose data silently).
-    pub fn finish(self) -> u64 {
-        let (_, dropped) = self.queue.finish();
-        dropped
+    /// Flushes and closes the file.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first I/O error any line or the final flush met; the
+    /// file is then incomplete.
+    pub fn finish(mut self) -> io::Result<()> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.file.flush(),
+        }
     }
 }
 
@@ -187,7 +183,7 @@ mod tests {
         em.record(progress(200, 90, 70, 1400), mesh(), None);
         // The final flush at an already-emitted cycle is a no-op.
         em.record(progress(200, 90, 70, 1400), mesh(), None);
-        assert_eq!(em.finish(), 0);
+        em.finish().unwrap();
 
         let content = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -202,5 +198,16 @@ mod tests {
         assert_eq!(delta.u64_field("injected"), Some(50));
         assert_eq!(delta.u64_field("ejected"), Some(40));
         assert_eq!(delta.get("avg_latency").unwrap().as_f64(), Some(20.0));
+    }
+
+    /// `/dev/full` opens and then refuses every byte: the emitter must
+    /// report that from `finish`, not panic.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn unwritable_file_surfaces_from_finish() {
+        let mut em = MetricsEmitter::create(Path::new("/dev/full"), 100, &config()).unwrap();
+        em.record(progress(100, 40, 30, 600), mesh(), None);
+        let e = em.finish().expect_err("/dev/full accepts no data");
+        assert_eq!(e.kind(), io::ErrorKind::StorageFull, "{e}");
     }
 }

@@ -296,6 +296,53 @@ fn oracle_flags_doctored_loss_accounting() {
     assert_eq!(v.node, Some(5));
 }
 
+/// Doctored snapshot with two holed packets: the conservation violation
+/// names the lower packet id on every run, so `--failures-out` bytes
+/// repeat. Each run uses a fresh oracle, hence a fresh scratch map.
+#[test]
+fn conservation_names_the_lowest_broken_packet() {
+    let doctored_run = || {
+        let config = midrun_config();
+        let mut oracle = Oracle::new(&config);
+        assert!(oracle.arming().conservation);
+        let mut net = Network::new(config);
+        for _ in 0..200 {
+            net.step();
+            oracle.check(&net.snapshot()).expect("honest run must pass");
+        }
+        let mut snap = net.snapshot();
+        let template = *snap
+            .routers
+            .iter()
+            .flat_map(|r| r.inputs.iter().flatten())
+            .flat_map(|ivc| ivc.flits.iter())
+            .next()
+            .expect("traffic in flight at cycle 200");
+        // Flits 0 and 2 of two packets no source ever issued, at an
+        // injection front (no buffer, credit or wormhole to upset); the
+        // higher id goes in first.
+        for (pkt, seq) in [
+            (u64::MAX, 0),
+            (u64::MAX, 2),
+            (u64::MAX - 1, 0),
+            (u64::MAX - 1, 2),
+        ] {
+            snap.pes[0].injecting.push(Flit {
+                packet: PacketId::new(pkt),
+                seq,
+                ..template
+            });
+        }
+        oracle.check(&snap).expect_err("a seq hole must be flagged")
+    };
+    for _ in 0..2 {
+        let v = doctored_run();
+        assert_eq!(v.invariant, "conservation");
+        let lower = format!("packet p{} ", u64::MAX - 1);
+        assert!(v.detail.starts_with(&lower), "{}", v.detail);
+    }
+}
+
 /// Doctored snapshot: a wear-out event in a run that configures no
 /// wear-out model is an invented fault and must be flagged.
 #[test]

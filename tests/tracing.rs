@@ -4,9 +4,7 @@
 
 use ftnoc_fault::FaultRates;
 use ftnoc_sim::{DeadlockConfig, RoutingAlgorithm, SimConfig, SimReport, Simulator};
-use ftnoc_trace::{
-    AsyncSink, JsonlSink, MemorySink, OverflowPolicy, SpanCollector, TraceEvent, Tracer,
-};
+use ftnoc_trace::{MemorySink, SpanCollector, TraceEvent, Tracer};
 use ftnoc_traffic::InjectionProcess;
 use ftnoc_types::config::RouterConfig;
 use ftnoc_types::geom::Topology;
@@ -80,39 +78,6 @@ fn jsonl_trace_is_byte_identical_across_runs() {
     // A different seed must actually change the trace.
     let (_, tc) = traced_cycles(small_faulty_config(99), 3_000, 0);
     assert_ne!(a, tc.into_sink().to_jsonl());
-}
-
-/// The non-blocking trace path changes nothing observable: a simulation
-/// traced through an [`AsyncSink`]-wrapped JSONL sink — even one forced
-/// through a single-slot queue, so every `record` call exercises
-/// backpressure — produces byte-identical output to the synchronous
-/// sink, and the lossless `Block` policy drops nothing.
-#[test]
-fn async_sink_trace_is_byte_identical_to_sync() {
-    let run = |sink: JsonlSink<Vec<u8>>, asynchronous: bool| -> (Vec<u8>, u64) {
-        let config = small_faulty_config(1234);
-        let nodes = config.topology.node_count();
-        if asynchronous {
-            let sink = AsyncSink::new(sink, 1, OverflowPolicy::Block);
-            let mut sim = Simulator::with_tracer(config, Tracer::new(sink, nodes, 0));
-            sim.run_cycles(3_000);
-            let (sink, dropped) = sim.into_tracer().into_sink().finish();
-            (sink.into_inner(), dropped)
-        } else {
-            let mut sim = Simulator::with_tracer(config, Tracer::new(sink, nodes, 0));
-            sim.run_cycles(3_000);
-            (sim.into_tracer().into_sink().into_inner(), 0)
-        }
-    };
-    let (sync_bytes, _) = run(JsonlSink::new(Vec::new()), false);
-    let (async_bytes, dropped) = run(JsonlSink::new(Vec::new()), true);
-    let lines = sync_bytes.iter().filter(|&&b| b == b'\n').count();
-    assert!(lines > 100, "trace suspiciously short: {lines} lines");
-    assert_eq!(dropped, 0, "Block policy must be lossless");
-    assert_eq!(
-        async_bytes, sync_bytes,
-        "async trace bytes differ from the synchronous sink"
-    );
 }
 
 /// Within each router, event cycle stamps never go backwards.
