@@ -18,7 +18,7 @@ use ftnoc_sim::config::{DeadlockConfig, ErrorScheme, RoutingAlgorithm};
 use ftnoc_sim::{Network, SimConfig};
 use ftnoc_traffic::{InjectionProcess, TrafficPattern};
 use ftnoc_types::config::{BufferOrg, PipelineDepth, RouterConfig};
-use ftnoc_types::geom::{Direction, NodeId, Topology};
+use ftnoc_types::geom::{Direction, NodeId, Topology, TopologyKind};
 use ftnoc_types::ConfigError;
 
 use crate::oracle::{Oracle, Violation};
@@ -343,10 +343,10 @@ impl CampaignParams {
     ///
     /// # Errors
     ///
-    /// Propagates [`ConfigError`] for out-of-range knobs and for a kill
-    /// that names a node or link the grid lacks or hits a dead target
-    /// (cannot happen for sampled parameters; a hand-written or shrunk
-    /// spec can).
+    /// Propagates [`ConfigError`] for out-of-range knobs, a zero grid
+    /// dimension, and a kill that names a node or link the grid lacks
+    /// or hits a dead target (cannot happen for sampled parameters; a
+    /// hand-written or shrunk spec can).
     pub fn to_config(&self) -> Result<SimConfig, ConfigError> {
         let mut router = RouterConfig::builder();
         router
@@ -360,10 +360,10 @@ impl CampaignParams {
             });
         }
         let topology = match self.topo {
-            FuzzTopology::Mesh => Topology::mesh(self.width, self.height),
-            FuzzTopology::Torus => Topology::torus(self.width, self.height),
-            FuzzTopology::CMesh { conc } => Topology::try_cmesh(self.width, self.height, conc)?,
-        };
+            FuzzTopology::Mesh => Topology::try_new(self.width, self.height, TopologyKind::Mesh),
+            FuzzTopology::Torus => Topology::try_new(self.width, self.height, TopologyKind::Torus),
+            FuzzTopology::CMesh { conc } => Topology::try_cmesh(self.width, self.height, conc),
+        }?;
         let mut b = SimConfig::builder();
         b.topology(topology)
             .router(router.build()?)
@@ -507,7 +507,7 @@ impl CampaignParams {
                 .ok_or_else(|| format!("malformed entry {item:?} (expected k=v)"))?;
             macro_rules! bad {
                 () => {
-                    |_| format!("bad value for {k}: {v:?}")
+                    |_| bad_value(k, v)
                 };
             }
             match k {
@@ -516,7 +516,12 @@ impl CampaignParams {
                 "vcs" => p.vcs = v.parse().map_err(bad!())?,
                 "buf" => p.buffer = v.parse().map_err(bad!())?,
                 "rtx" => p.retrans = v.parse().map_err(bad!())?,
-                "pipe" => p.pipeline = pipeline_from(v.parse().map_err(bad!())?),
+                "pipe" => {
+                    p.pipeline = match v.parse().map_err(bad!())? {
+                        depth @ 1..=4 => pipeline_from(depth),
+                        _ => return Err(bad_value(k, v)),
+                    }
+                }
                 "route" => {
                     p.routing = match v {
                         "xy" => RoutingAlgorithm::XyDeterministic,
@@ -536,7 +541,7 @@ impl CampaignParams {
                         _ => return Err(format!("unknown scheme {v:?}")),
                     }
                 }
-                "ac" => p.ac = v != "0",
+                "ac" => p.ac = flag(k, v)?,
                 "pat" => {
                     p.pattern = match v {
                         "uniform" => TrafficPattern::Uniform,
@@ -563,14 +568,14 @@ impl CampaignParams {
                 "sa" => p.logic[2] = v.parse().map_err(bad!())?,
                 "xbar" => p.logic[3] = v.parse().map_err(bad!())?,
                 "rbuf" => p.logic[4] = v.parse().map_err(bad!())?,
-                "dl" => p.deadlock = v != "0",
+                "dl" => p.deadlock = flag(k, v)?,
                 "cth" => p.cthres = v.parse().map_err(bad!())?,
                 "stop" => p.stop_after = v.parse().map_err(bad!())?,
                 "seed" => p.seed = v.parse().map_err(bad!())?,
                 "cycles" => p.cycles = v.parse().map_err(bad!())?,
                 "threads" => p.threads = v.parse().map_err(bad!())?,
                 "pool" => p.damq_pool = v.parse().map_err(bad!())?,
-                "gate" => p.gating = v != "0",
+                "gate" => p.gating = flag(k, v)?,
                 "topo" => topo_key = Some(v.to_string()),
                 "conc" => conc_key = Some(v.parse().map_err(bad!())?),
                 "nfy" => p.notify = v.parse().map_err(bad!())?,
@@ -648,6 +653,20 @@ fn mesh_link(width: u8, height: u8, pick: u64) -> (u16, Direction) {
         )
     } else {
         ((pick - east_links) as u16, Direction::South)
+    }
+}
+
+/// The parse error for value `v` of reproducer-spec key `k`.
+fn bad_value(k: &str, v: &str) -> String {
+    format!("bad value for {k}: {v:?}")
+}
+
+/// A `0|1` reproducer-spec boolean.
+fn flag(k: &str, v: &str) -> Result<bool, String> {
+    match v {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err(bad_value(k, v)),
     }
 }
 
@@ -933,6 +952,37 @@ mod tests {
             ConfigError::FaultNodeOutOfRange { .. }
         ));
         assert_eq!(p.check().unwrap_err().invariant, "config");
+    }
+
+    /// Every out-of-range `--repro` value is refused by name, and a zero
+    /// grid dimension is a typed configuration error — `pipe=0` used to
+    /// run a 4-stage pipeline, `ac=banana` used to mean `1`, and `w=0`
+    /// used to panic inside `Topology::mesh`.
+    #[test]
+    fn out_of_range_spec_values_are_rejected() {
+        for spec in [
+            "w=3,h=3,pipe=0",
+            "w=3,h=3,pipe=9",
+            "w=3,h=3,ac=banana",
+            "w=3,h=3,dl=maybe",
+            "w=3,h=3,gate=x",
+        ] {
+            let (k, v) = spec.rsplit_once(',').unwrap().1.split_once('=').unwrap();
+            assert_eq!(
+                CampaignParams::from_spec(spec).unwrap_err(),
+                format!("bad value for {k}: {v:?}")
+            );
+        }
+        let p = CampaignParams::from_spec("w=3,h=3,pipe=1,ac=0,dl=1,gate=0").unwrap();
+        assert_eq!(
+            (p.pipeline, p.ac, p.deadlock, p.gating),
+            (PipelineDepth::One, false, true, false)
+        );
+        for spec in ["w=0,h=3", "w=3,h=0,topo=torus", "w=0,h=3,topo=cmesh,conc=2"] {
+            let p = CampaignParams::from_spec(spec).unwrap();
+            assert_eq!(p.to_config().unwrap_err(), ConfigError::ZeroDimension);
+            assert_eq!(p.check().unwrap_err().invariant, "config");
+        }
     }
 
     /// Router-kill campaigns are always well-formed: fault-aware

@@ -8,11 +8,16 @@
 //! symptom classes), HBH go-back-N replay equivalence, and soundness of
 //! the §3.2.2 deadlock probes. A [`CampaignPlan`] describes a fuzz run
 //! — thousands of short randomized simulations across the configuration
-//! space, checking the oracle every cycle — and its [`CampaignRunner`]
+//! space, checking the oracle every cycle — and [`CampaignPlan::run`]
 //! executes it serially or batched across a worker pool, shrinking any
 //! failure to a minimal, replayable reproducer spec. The report (and
-//! the [`FuzzEvent`] stream observers receive) is identical at any
-//! thread count.
+//! the [`FuzzEvent`] stream the caller's closure receives) is identical
+//! at any thread count.
+//!
+//! The seam to the simulator is state in, closure out: the oracle reads
+//! run state from one [`ftnoc_sim::NetSnapshot`] per cycle and takes
+//! everything the configuration fixes (router shape, neighbour table,
+//! fault plan) from the [`ftnoc_sim::SimConfig`] it is built from.
 //!
 //! # Examples
 //!
@@ -29,13 +34,12 @@
 //! Sweeping sampled campaigns on a worker pool:
 //!
 //! ```
-//! use ftnoc_check::{CampaignPlan, NullObserver};
+//! use ftnoc_check::CampaignPlan;
 //!
 //! let report = CampaignPlan::new()
 //!     .campaigns(4)
 //!     .threads(2)
-//!     .runner()
-//!     .run(&mut NullObserver);
+//!     .run(&mut |_| {});
 //! assert_eq!(report.campaigns_run, 4);
 //! assert!(report.failures.is_empty());
 //! ```
@@ -49,8 +53,6 @@ pub mod oracle;
 pub mod runner;
 
 pub use campaign::{CampaignParams, FuzzTopology, OrgFilter, ScenarioFilter};
-pub use observer::{
-    FuzzEvent, FuzzObserver, LineRenderer, MemoryObserver, NullObserver, TelemetryObserver,
-};
+pub use observer::FuzzEvent;
 pub use oracle::{ArmedInvariants, Oracle, Violation};
-pub use runner::{CampaignPlan, CampaignRunner, Failure, FuzzReport};
+pub use runner::{CampaignPlan, Failure, FuzzReport};

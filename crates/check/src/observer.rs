@@ -1,28 +1,26 @@
 //! Typed progress events for fuzz runs.
 //!
-//! The old API handed consumers a `&mut dyn FnMut(String)` log callback,
-//! which forced the CLI, CI artifacts and tests to parse the same
-//! free-form strings. [`FuzzObserver`] replaces it: the runner emits
-//! structured [`FuzzEvent`]s and every consumer — terminal rendering,
-//! `--failures-out` artifacts, parity tests — interprets the same typed
-//! stream.
+//! [`crate::CampaignPlan::run`] hands every structured [`FuzzEvent`] to
+//! the one `FnMut(&FuzzEvent)` its caller passes: the CLI prints
+//! [`FuzzEvent::terminal_lines`], tests collect the events with
+//! `|e| events.push(e.clone())`, a quiet sweep passes `|_| {}`.
 //!
 //! Events are always delivered in **campaign-index order**, whatever the
-//! runner's thread count: the batched scheduler completes campaigns out
+//! plan's thread count: the batched scheduler completes campaigns out
 //! of order but buffers their outcomes and replays them in order (see
-//! [`crate::runner`]). An observer therefore sees the exact same event
+//! [`crate::runner`]). The closure therefore sees the exact same event
 //! sequence at `--threads 1` and `--threads 16`.
 
 use crate::oracle::Violation;
 
 /// One structured progress event of a fuzz run.
 ///
-/// Owned (no borrowed payloads): the batched runner records events on
+/// Owned (no borrowed payloads): the batched run records events on
 /// worker threads and replays them on the aggregation thread.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FuzzEvent {
     /// Campaign `index` of `total` is about to execute (in replay
-    /// order; under the batched runner the campaign has in fact already
+    /// order; in a batched run the campaign has in fact already
     /// finished when this is delivered).
     CampaignStarted {
         /// Campaign index (the RNG stream of the master seed).
@@ -74,163 +72,30 @@ pub enum FuzzEvent {
     },
 }
 
-/// Consumes the typed event stream of a fuzz run.
-pub trait FuzzObserver {
-    /// Receives one event. Events arrive in campaign-index order.
-    fn on_event(&mut self, event: &FuzzEvent);
-}
-
-/// Ignores every event (benchmarks, quiet CI sweeps).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl FuzzObserver for NullObserver {
-    fn on_event(&mut self, _event: &FuzzEvent) {}
-}
-
-/// Any closure over `&FuzzEvent` is an observer.
-impl<F: FnMut(&FuzzEvent)> FuzzObserver for F {
-    fn on_event(&mut self, event: &FuzzEvent) {
-        self(event)
-    }
-}
-
-/// Collects every event (tests, programmatic analysis).
-#[derive(Debug, Default)]
-pub struct MemoryObserver {
-    /// The events, in delivery (campaign-index) order.
-    pub events: Vec<FuzzEvent>,
-}
-
-impl MemoryObserver {
-    /// An empty collector.
-    pub fn new() -> Self {
-        MemoryObserver::default()
-    }
-}
-
-impl FuzzObserver for MemoryObserver {
-    fn on_event(&mut self, event: &FuzzEvent) {
-        self.events.push(event.clone());
-    }
-}
-
-/// Counts the event stream while forwarding it to another observer —
-/// the `ftnoc fuzz --metrics-out` tap. The counters summarize a whole
-/// run as one JSON line ([`TelemetryObserver::to_json_line`]) without
-/// retaining the events themselves, so the tap is O(1) memory on
-/// million-campaign sweeps. Because the event stream is delivered in
-/// campaign-index order at any thread count, the counters (and the
-/// emitted line, wall-clock aside) are thread-count-invariant too.
-#[derive(Debug)]
-pub struct TelemetryObserver<O: FuzzObserver> {
-    inner: O,
-    /// Campaigns whose outcome has been delivered.
-    pub campaigns_run: u64,
-    /// Campaigns that passed every invariant.
-    pub passed: u64,
-    /// Violations found (pre-shrink).
-    pub violations: u64,
-    /// Shrink transforms kept across all failures.
-    pub shrink_steps: u64,
-    /// Minimal reproducers produced.
-    pub failures_shrunk: u64,
-}
-
-impl<O: FuzzObserver> TelemetryObserver<O> {
-    /// Wraps `inner`, counting every event that passes through.
-    pub fn new(inner: O) -> Self {
-        TelemetryObserver {
-            inner,
-            campaigns_run: 0,
-            passed: 0,
-            violations: 0,
-            shrink_steps: 0,
-            failures_shrunk: 0,
-        }
-    }
-
-    /// Hands the wrapped observer back.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
-    /// The counters as one JSON line (the `fuzz --metrics-out` file
-    /// format). `wall_ms` and `threads` come from the caller: wall
-    /// clock is run provenance, not part of the deterministic stream.
-    pub fn to_json_line(&self, wall_ms: u64, threads: usize) -> String {
-        format!(
-            "{{\"kind\":\"fuzz\",\"campaigns_run\":{},\"passed\":{},\"violations\":{},\
-             \"shrink_steps\":{},\"failures_shrunk\":{},\"wall_ms\":{wall_ms},\
-             \"threads\":{threads}}}",
-            self.campaigns_run,
-            self.passed,
-            self.violations,
-            self.shrink_steps,
-            self.failures_shrunk
-        )
-    }
-}
-
-impl<O: FuzzObserver> FuzzObserver for TelemetryObserver<O> {
-    fn on_event(&mut self, event: &FuzzEvent) {
-        match event {
-            FuzzEvent::CampaignStarted { .. } | FuzzEvent::Summary { .. } => {}
-            FuzzEvent::CampaignPassed { .. } => {
-                self.campaigns_run += 1;
-                self.passed += 1;
-            }
-            FuzzEvent::ViolationFound { .. } => {
-                self.campaigns_run += 1;
-                self.violations += 1;
-            }
-            FuzzEvent::ShrinkStep { .. } => self.shrink_steps += 1,
-            FuzzEvent::FailureShrunk { .. } => self.failures_shrunk += 1,
-        }
-        self.inner.on_event(event);
-    }
-}
-
-/// Renders events as the `ftnoc fuzz` terminal lines via a line sink
-/// (the CLI's stdout printer; also reused by output-parity tests).
-///
-/// The rendering is byte-stable across thread counts because the event
-/// stream itself is.
-pub struct LineRenderer<F: FnMut(&str)> {
-    total: u64,
-    emit: F,
-}
-
-impl<F: FnMut(&str)> LineRenderer<F> {
-    /// A renderer forwarding each formatted line to `emit`.
-    pub fn new(emit: F) -> Self {
-        LineRenderer { total: 0, emit }
-    }
-}
-
-impl<F: FnMut(&str)> FuzzObserver for LineRenderer<F> {
-    fn on_event(&mut self, event: &FuzzEvent) {
-        match event {
-            FuzzEvent::CampaignStarted { total, .. } => self.total = *total,
-            FuzzEvent::CampaignPassed { .. } | FuzzEvent::ShrinkStep { .. } => {}
+impl FuzzEvent {
+    /// The `ftnoc fuzz` terminal lines this event prints (none for most
+    /// events). `total` is the planned campaign count. Byte-stable
+    /// across thread counts because the event stream itself is.
+    pub fn terminal_lines(&self, total: u64) -> Vec<String> {
+        match self {
             FuzzEvent::ViolationFound {
                 index,
                 violation,
                 spec,
-            } => {
-                (self.emit)(&format!(
-                    "campaign {index}/{}: FAILED — {violation}",
-                    self.total
-                ));
-                (self.emit)(&format!("  unshrunk spec: {spec}"));
-            }
+            } => vec![
+                format!("campaign {index}/{total}: FAILED — {violation}"),
+                format!("  unshrunk spec: {spec}"),
+            ],
             FuzzEvent::FailureShrunk {
                 violation, spec, ..
-            } => {
-                (self.emit)(&format!("  shrunk to: {violation}"));
-                (self.emit)(&format!("  reproduce with: ftnoc fuzz --repro \"{spec}\""));
-            }
-            FuzzEvent::Summary { .. } => {}
+            } => vec![
+                format!("  shrunk to: {violation}"),
+                format!("  reproduce with: ftnoc fuzz --repro \"{spec}\""),
+            ],
+            FuzzEvent::CampaignStarted { .. }
+            | FuzzEvent::CampaignPassed { .. }
+            | FuzzEvent::ShrinkStep { .. }
+            | FuzzEvent::Summary { .. } => Vec::new(),
         }
     }
 }
@@ -238,58 +103,52 @@ impl<F: FnMut(&str)> FuzzObserver for LineRenderer<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::Violation;
 
-    fn violation() -> Violation {
-        Violation {
-            cycle: 10,
-            node: Some(0),
-            invariant: "test",
-            detail: "test".into(),
-        }
-    }
-
+    /// The four lines `ftnoc fuzz` prints for one failing campaign,
+    /// byte for byte.
     #[test]
-    fn telemetry_counts_and_forwards() {
-        let mut tap = TelemetryObserver::new(MemoryObserver::new());
+    fn a_failure_renders_as_four_terminal_lines() {
+        let violation = Violation {
+            cycle: 10,
+            node: Some(3),
+            invariant: "credit-accounting",
+            detail: "link East vc 0: 5 > 4".into(),
+        };
         let events = [
-            FuzzEvent::CampaignStarted { index: 0, total: 3 },
-            FuzzEvent::CampaignPassed { index: 0 },
-            FuzzEvent::CampaignStarted { index: 1, total: 3 },
+            FuzzEvent::CampaignStarted {
+                index: 7,
+                total: 60,
+            },
             FuzzEvent::ViolationFound {
-                index: 1,
-                violation: violation(),
-                spec: "s".into(),
+                index: 7,
+                violation: violation.clone(),
+                spec: "w=4,h=4".into(),
             },
             FuzzEvent::ShrinkStep {
-                index: 1,
+                index: 7,
                 reruns: 1,
-                violation: violation(),
-                spec: "s2".into(),
+                violation: violation.clone(),
+                spec: "w=2,h=2".into(),
             },
             FuzzEvent::FailureShrunk {
-                index: 1,
-                violation: violation(),
-                spec: "s2".into(),
+                index: 7,
+                violation,
+                spec: "w=2,h=2".into(),
             },
             FuzzEvent::Summary {
-                campaigns_run: 2,
+                campaigns_run: 8,
                 failures: 1,
             },
         ];
-        for e in &events {
-            tap.on_event(e);
-        }
-        assert_eq!(tap.campaigns_run, 2);
-        assert_eq!(tap.passed, 1);
-        assert_eq!(tap.violations, 1);
-        assert_eq!(tap.shrink_steps, 1);
-        assert_eq!(tap.failures_shrunk, 1);
-        let line = tap.to_json_line(1234, 4);
-        assert!(line.contains("\"campaigns_run\":2"), "{line}");
-        assert!(line.contains("\"wall_ms\":1234"), "{line}");
-        assert!(line.contains("\"threads\":4"), "{line}");
-        // The tap forwarded every event untouched.
-        assert_eq!(tap.into_inner().events.len(), events.len());
+        let lines: Vec<String> = events.iter().flat_map(|e| e.terminal_lines(60)).collect();
+        assert_eq!(
+            lines,
+            [
+                "campaign 7/60: FAILED — [credit-accounting] cycle 10 node 3: link East vc 0: 5 > 4",
+                "  unshrunk spec: w=4,h=4",
+                "  shrunk to: [credit-accounting] cycle 10 node 3: link East vc 0: 5 > 4",
+                "  reproduce with: ftnoc fuzz --repro \"w=2,h=2\"",
+            ]
+        );
     }
 }

@@ -13,16 +13,16 @@
 //! draws no randomness, so oracle-on runs are byte-identical to
 //! oracle-off runs.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use ftnoc_core::ac::VcRef;
 use ftnoc_fault::{FaultCause, FaultEvent, FaultEventKind, FaultLog, FaultTimeline};
 use ftnoc_sim::config::ErrorScheme;
 use ftnoc_sim::router::BlockedVcSummary;
-use ftnoc_sim::snapshot::{FaultEventView, NetSnapshot, VcStateView};
+use ftnoc_sim::snapshot::{NetSnapshot, VcStateView};
 use ftnoc_sim::{RoutingAlgorithm, SimConfig};
-use ftnoc_types::config::BufferOrg;
+use ftnoc_types::config::{BufferOrg, RouterConfig};
 use ftnoc_types::flit::Flit;
 use ftnoc_types::geom::{Direction, NodeId};
 
@@ -166,6 +166,12 @@ fn key(f: &Flit) -> (u64, u8) {
 /// [`Oracle::check`]; the first violation is returned as an error.
 pub struct Oracle {
     arm: ArmedInvariants,
+    /// The run's router shape: radix, VCs per port, buffer depth and
+    /// organisation.
+    router: RouterConfig,
+    /// `neighbors[n][d]`: the node reached from node `n` in cardinal
+    /// direction `d`, if the link exists.
+    neighbors: Vec<[Option<usize>; 4]>,
     /// Back-of-buffer identity per input VC last cycle (arrival
     /// detection: a FIFO's back only changes on push).
     prev_back: Vec<Option<(u64, u8)>>,
@@ -192,7 +198,7 @@ pub struct Oracle {
     timeline: Option<FaultTimeline>,
     /// The configured (non-wear-out) fault events the timeline implies,
     /// in log order — the snapshot's log must carry exactly these.
-    expected_configured: Vec<FaultEventView>,
+    expected_configured: Vec<FaultEvent>,
     /// Wear-out events already validated and folded into the mirror (a
     /// count works because the wear-out subsequence of the log is
     /// realized strictly forward in time, hence append-only).
@@ -202,23 +208,6 @@ pub struct Oracle {
     wearout_armed: bool,
     /// The run's fault publication latency (validates `published_at`).
     notify: u64,
-    sized: bool,
-}
-
-/// A [`ftnoc_fault::FaultLog`] entry as the snapshot renders it.
-fn event_view(ev: &FaultEvent) -> FaultEventView {
-    let (router, node, dir) = match ev.kind {
-        FaultEventKind::RouterDown { node } => (true, node.index(), 0),
-        FaultEventKind::LinkDown { node, dir } => (false, node.index(), dir.index()),
-    };
-    FaultEventView {
-        at: ev.at,
-        published_at: ev.published_at,
-        wearout: ev.cause == FaultCause::Wearout,
-        router,
-        node,
-        dir,
-    }
 }
 
 /// One cycle of per-node probe-relevant state: `(in_recovery,
@@ -231,29 +220,36 @@ struct WaitFrame {
 impl Oracle {
     /// Creates an oracle armed for `config`.
     pub fn new(config: &SimConfig) -> Self {
-        let mut oracle = Oracle::with_arming(ArmedInvariants::from_config(config));
+        let mut oracle = Oracle::with_arming(config, ArmedInvariants::from_config(config));
         oracle.cthres = config.deadlock.cthres;
         let tl = config.fault_timeline();
-        oracle.expected_configured = FaultLog::from_timeline(&tl)
-            .events()
-            .iter()
-            .map(event_view)
-            .collect();
+        oracle.expected_configured = FaultLog::from_timeline(&tl).events().to_vec();
         oracle.notify = tl.notify_latency();
         oracle.timeline = Some(tl);
         oracle.wearout_armed = config.fault_plan.wearout_spec().is_some();
         oracle
     }
 
-    /// Creates an oracle with an explicit arming matrix. The probe
-    /// chase assumes the most permissive blocking threshold (1); use
-    /// [`Oracle::new`] to check against the configured `Cthres`.
-    pub fn with_arming(arm: ArmedInvariants) -> Self {
+    /// Creates an oracle for runs of `config` with an explicit arming
+    /// matrix. Unlike [`Oracle::new`] it does not cross-check the
+    /// snapshot's fault tables against the configuration (a test may
+    /// doctor them freely), and the probe chase assumes the most
+    /// permissive blocking threshold (1) instead of the configured
+    /// `Cthres`.
+    pub fn with_arming(config: &SimConfig, arm: ArmedInvariants) -> Self {
+        let topo = config.topology;
+        let nodes = topo.node_count();
+        let slots = nodes * config.router.ports() * config.router.vcs_per_port();
         Oracle {
             arm,
-            prev_back: Vec::new(),
-            last_arrival: Vec::new(),
-            prev_confirmed: Vec::new(),
+            router: config.router,
+            neighbors: topo
+                .nodes()
+                .map(|n| Direction::CARDINAL.map(|d| topo.neighbor_id(n, d).map(NodeId::index)))
+                .collect(),
+            prev_back: vec![None; slots],
+            last_arrival: vec![None; slots],
+            prev_confirmed: vec![0; nodes],
             cthres: 1,
             hist: VecDeque::new(),
             resident: BTreeMap::new(),
@@ -262,7 +258,6 @@ impl Oracle {
             wear_folded: 0,
             wearout_armed: false,
             notify: 0,
-            sized: false,
         }
     }
 
@@ -274,13 +269,6 @@ impl Oracle {
     /// Validates one commit-boundary snapshot. Returns the first
     /// violation found; internal tracking state is updated either way.
     pub fn check(&mut self, snap: &NetSnapshot) -> Result<(), Violation> {
-        if !self.sized {
-            let slots = snap.routers.len() * snap.ports * snap.vcs_per_port;
-            self.prev_back = vec![None; slots];
-            self.last_arrival = vec![None; slots];
-            self.prev_confirmed = vec![0; snap.routers.len()];
-            self.sized = true;
-        }
         let mut first = self.check_structural(snap).err();
         // Fault-event validation folds realized wear-out kills into the
         // oracle's timeline mirror, so it must run every cycle (before
@@ -343,7 +331,7 @@ impl Oracle {
                 // Σ_v max(len(v), 1) ≤ pool. This is the structural form
                 // of the liveness guarantee that an empty VC can always
                 // accept one flit (wormhole atomicity / §3.2 recovery).
-                if let BufferOrg::Damq { pool_size } = snap.buffer_org {
+                if let BufferOrg::Damq { pool_size } = self.router.buffer_org() {
                     let floor: usize = port.iter().map(|ivc| ivc.flits.len().max(1)).sum();
                     if floor > pool_size {
                         return Err(Violation::new(
@@ -568,12 +556,10 @@ impl Oracle {
                 detail,
             })
         };
-        let configured: Vec<FaultEventView> = snap
+        let (wear, configured): (Vec<FaultEvent>, Vec<FaultEvent>) = snap
             .fault_events
             .iter()
-            .filter(|e| !e.wearout)
-            .copied()
-            .collect();
+            .partition(|e| e.cause == FaultCause::Wearout);
         if configured != self.expected_configured {
             return violation(format!(
                 "snapshot logs configured fault events {configured:?} but the \
@@ -581,12 +567,6 @@ impl Oracle {
                 self.expected_configured
             ));
         }
-        let wear: Vec<FaultEventView> = snap
-            .fault_events
-            .iter()
-            .filter(|e| e.wearout)
-            .copied()
-            .collect();
         if wear.len() < self.wear_folded
             || wear[..self.wear_folded]
                 .windows(2)
@@ -605,12 +585,12 @@ impl Oracle {
                     "wear-out event {ev:?} in a run with no wear-out model"
                 ));
             }
-            if ev.router {
+            let FaultEventKind::LinkDown { node, dir } = ev.kind else {
                 return violation(format!(
                     "wear-out event {ev:?} claims a whole router; wear-out \
                      kills links"
                 ));
-            }
+            };
             if ev.at > snap.now {
                 return violation(format!(
                     "wear-out event {ev:?} is logged before being realized \
@@ -625,11 +605,11 @@ impl Oracle {
                     self.notify
                 ));
             }
-            if ev.dir >= 4
-                || snap
+            if dir == Direction::Local
+                || self
                     .neighbors
-                    .get(ev.node)
-                    .is_none_or(|row| row[ev.dir].is_none())
+                    .get(node.index())
+                    .is_none_or(|row| row[dir.index()].is_none())
             {
                 return violation(format!(
                     "wear-out event {ev:?} names a link the topology does not \
@@ -637,11 +617,7 @@ impl Oracle {
                 ));
             }
             let tl = self.timeline.as_mut().expect("checked above");
-            if !tl.push_link_kill(
-                ev.at,
-                NodeId::new(ev.node as u16),
-                Direction::CARDINAL[ev.dir],
-            ) {
+            if !tl.push_link_kill(ev.at, node, dir) {
                 return violation(format!(
                     "wear-out event {ev:?} kills a link that is already dead"
                 ));
@@ -771,7 +747,7 @@ impl Oracle {
     /// deadlock recovery are skipped — recovery takeovers legitimately
     /// leave stale reservations while held flits drain.
     fn check_exclusivity(&self, snap: &NetSnapshot) -> Result<(), Violation> {
-        let vcs = snap.vcs_per_port;
+        let vcs = self.router.vcs_per_port();
         for (n, r) in snap.routers.iter().enumerate() {
             if r.in_recovery {
                 continue;
@@ -783,7 +759,8 @@ impl Oracle {
                     .iter()
                     .any(|(_, held)| *held)
             };
-            let mut owners: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
+            #[allow(clippy::disallowed_types, reason = "lookup-only: duplicate-key test")]
+            let mut owners = std::collections::HashMap::<(usize, usize), (usize, usize)>::new();
             for (p, port) in r.inputs.iter().enumerate() {
                 for (v, ivc) in port.iter().enumerate() {
                     let VcStateView::Active { out_port, out_vc } = ivc.state else {
@@ -907,13 +884,13 @@ impl Oracle {
     /// Replay duplicates are deduplicated by flit identity in both
     /// organisations: a retransmitted copy shares its original's credit.
     fn check_credits(&self, snap: &NetSnapshot) -> Result<(), Violation> {
-        let vcs = snap.vcs_per_port;
-        let depth = snap.buffer_depth;
+        let vcs = self.router.vcs_per_port();
+        let depth = self.router.buffer_depth();
         let mut seen: Vec<(u64, u8)> = Vec::with_capacity(depth + 2);
         for (n, r) in snap.routers.iter().enumerate() {
             for d in Direction::CARDINAL {
                 let op = d.index();
-                let Some(m) = snap.neighbors[n][op] else {
+                let Some(m) = self.neighbors[n][op] else {
                     continue;
                 };
                 let q = d.opposite().index();
@@ -949,7 +926,7 @@ impl Oracle {
                         .filter(|(cv, _)| usize::from(*cv) == v)
                         .count();
                     let credits = r.outputs[op].vcs[v].credits as usize;
-                    match snap.buffer_org {
+                    match self.router.buffer_org() {
                         BufferOrg::StaticPartition => {
                             let lhs = credits + seen.len() + pending;
                             if lhs > depth || (self.arm.credit_exact && lhs != depth) {
@@ -1112,13 +1089,13 @@ impl Oracle {
     /// the commit boundary, hence monotone (`seq` strictly increasing)
     /// rather than exact `seq + 1` succession.
     fn check_arrival(&mut self, snap: &NetSnapshot) -> Option<Violation> {
-        let vcs = snap.vcs_per_port;
+        let (ports, vcs) = (self.router.ports(), self.router.vcs_per_port());
         let mut first = None;
         for (n, r) in snap.routers.iter().enumerate() {
             for d in Direction::CARDINAL {
                 let p = d.index();
                 for v in 0..vcs {
-                    let idx = (n * snap.ports + p) * vcs + v;
+                    let idx = (n * ports + p) * vcs + v;
                     let back = r.inputs[p][v].flits.last();
                     let cur = back.map(key);
                     if cur.is_some() && cur != self.prev_back[idx] {
@@ -1239,6 +1216,7 @@ impl Oracle {
         // origin blocked for >= Cthres cycles with a known onward edge
         // (Rule 1). The probe is delivered to the neighbor next cycle.
         let mut queue: Vec<(u64, usize, VcRef)> = Vec::new();
+        #[allow(clippy::disallowed_types, reason = "lookup-only: first-insert test")]
         let mut seen = std::collections::HashSet::new();
         for t0 in t_max.saturating_sub(hop_cap)..t_max.saturating_sub(1) {
             for off in 0..2u64 {
@@ -1251,7 +1229,7 @@ impl Oracle {
                         continue;
                     }
                     let Some((via, named)) = fwd else { continue };
-                    let Some(next) = snap.neighbors[origin][via.index()] else {
+                    let Some(next) = self.neighbors[origin][via.index()] else {
                         continue;
                     };
                     if seen.insert((t0 + 1, next, named)) {
@@ -1285,7 +1263,7 @@ impl Oracle {
                 let Some((dir, next_named)) = fwd else {
                     continue;
                 };
-                let Some(next) = snap.neighbors[node][dir.index()] else {
+                let Some(next) = self.neighbors[node][dir.index()] else {
                     continue;
                 };
                 if seen.insert((t + 1, next, next_named)) {

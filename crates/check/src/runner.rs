@@ -1,6 +1,6 @@
-//! The batched campaign engine: [`CampaignPlan`] describes a fuzz run,
-//! [`CampaignRunner`] executes it — serially or across a worker pool —
-//! and produces a [`FuzzReport`] that is **identical at any thread
+//! The batched campaign engine: [`CampaignPlan`] describes a fuzz run
+//! and [`CampaignPlan::run`] executes it — serially or across a worker
+//! pool — producing a [`FuzzReport`] that is **identical at any thread
 //! count**.
 //!
 //! # Determinism argument
@@ -14,12 +14,12 @@
 //! *ordering* (which campaign's result is looked at first) and the
 //! *stopping rule* (`max_failures` truncates the run).
 //!
-//! The runner removes both: workers claim campaign indices from a
+//! [`CampaignPlan::run`] removes both: workers claim campaign indices from a
 //! shared counter and complete them out of order, but every outcome is
 //! buffered and **aggregated strictly in campaign-index order** on the
 //! driving thread. The stopping rule is applied during that in-order
 //! replay — exactly where the serial loop applies it — so the set of
-//! campaigns that *count* (and the report, the observer event stream,
+//! campaigns that *count* (and the report, the [`FuzzEvent`] stream,
 //! and the `--failures-out` artifact derived from them) is byte-for-byte
 //! the serial one. Results for indices at or beyond the in-order cutoff
 //! are discarded, and the claim bound is lowered so workers stop
@@ -33,7 +33,7 @@ use crate::campaign::{
     apply_org_filter, apply_scenario_filter, run_campaign, shrink, CampaignParams, OrgFilter,
     ScenarioFilter, ShrinkStepRec,
 };
-use crate::observer::{FuzzEvent, FuzzObserver};
+use crate::observer::FuzzEvent;
 use crate::oracle::Violation;
 
 /// One collected (and shrunk) failure.
@@ -77,18 +77,18 @@ impl FuzzReport {
 /// Describes a fuzz run: how many campaigns, from which master seed,
 /// under which filters and budgets, on how many threads.
 ///
-/// Build one with the chainable methods and hand it to
-/// [`CampaignPlan::runner`]:
+/// Build one with the chainable methods and call
+/// [`CampaignPlan::run`] with a closure that receives the progress
+/// events:
 ///
 /// ```
-/// use ftnoc_check::{CampaignPlan, NullObserver};
+/// use ftnoc_check::CampaignPlan;
 ///
 /// let report = CampaignPlan::new()
 ///     .campaigns(3)
 ///     .master_seed(7)
 ///     .threads(2)
-///     .runner()
-///     .run(&mut NullObserver);
+///     .run(&mut |_| {});
 /// assert_eq!(report.campaigns_run, 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,18 +174,6 @@ impl CampaignPlan {
         self.threads = threads;
         self
     }
-
-    /// Finalises the plan into a runnable [`CampaignRunner`].
-    pub fn runner(self) -> CampaignRunner {
-        CampaignRunner { plan: self }
-    }
-}
-
-/// Executes a [`CampaignPlan`]. See the module docs for the
-/// determinism argument.
-#[derive(Debug, Clone)]
-pub struct CampaignRunner {
-    plan: CampaignPlan,
 }
 
 /// Everything a worker reports back about one campaign.
@@ -206,25 +194,21 @@ struct FailureData {
     spec: String,
 }
 
-impl CampaignRunner {
-    /// The plan this runner executes.
-    pub fn plan(&self) -> &CampaignPlan {
-        &self.plan
-    }
-
+impl CampaignPlan {
     /// Runs the plan to completion, streaming [`FuzzEvent`]s (always in
-    /// campaign-index order) to `observer`.
-    pub fn run(&self, observer: &mut dyn FuzzObserver) -> FuzzReport {
+    /// campaign-index order, at any thread count) to `on_event`. See
+    /// the module docs for the determinism argument.
+    pub fn run(&self, on_event: &mut dyn FnMut(&FuzzEvent)) -> FuzzReport {
         // Campaigns legitimately convert engine panics into violations;
         // keep the default hook from spraying backtraces.
         let quiet = QuietPanics::install();
-        let report = if self.plan.threads <= 1 {
-            self.run_serial(observer)
+        let report = if self.threads <= 1 {
+            self.run_serial(on_event)
         } else {
-            self.run_batched(observer)
+            self.run_batched(on_event)
         };
         drop(quiet);
-        observer.on_event(&FuzzEvent::Summary {
+        on_event(&FuzzEvent::Summary {
             campaigns_run: report.campaigns_run,
             failures: report.failures.len(),
         });
@@ -234,12 +218,12 @@ impl CampaignRunner {
     /// Executes campaign `index` of the plan: sample, filter, run, and
     /// shrink on failure. Pure — safe to call from any thread.
     fn execute(&self, index: u64) -> Outcome {
-        let mut params = CampaignParams::sample(self.plan.seed, index);
-        apply_org_filter(&mut params, self.plan.org);
-        apply_scenario_filter(&mut params, self.plan.scenario);
+        let mut params = CampaignParams::sample(self.seed, index);
+        apply_org_filter(&mut params, self.org);
+        apply_scenario_filter(&mut params, self.scenario);
         let failure = run_campaign(&params).err().map(|first| {
             let unshrunk_spec = params.to_spec();
-            let (small, violation, steps) = shrink(&params, self.plan.shrink_budget);
+            let (small, violation, steps) = shrink(&params, self.shrink_budget);
             FailureData {
                 first,
                 unshrunk_spec,
@@ -252,10 +236,10 @@ impl CampaignRunner {
     }
 
     /// The serial path: execute and aggregate in one loop.
-    fn run_serial(&self, observer: &mut dyn FuzzObserver) -> FuzzReport {
-        let mut agg = Aggregator::new(&self.plan);
-        for i in 0..self.plan.campaigns {
-            agg.ingest(self.execute(i), observer);
+    fn run_serial(&self, on_event: &mut dyn FnMut(&FuzzEvent)) -> FuzzReport {
+        let mut agg = Aggregator::new(self);
+        for i in 0..self.campaigns {
+            agg.ingest(self.execute(i), on_event);
             if agg.cutoff.is_some() {
                 break;
             }
@@ -266,10 +250,9 @@ impl CampaignRunner {
     /// The batched path: workers claim indices from a shared counter,
     /// outcomes come home over a channel, and the driving thread
     /// re-orders them for in-order aggregation.
-    fn run_batched(&self, observer: &mut dyn FuzzObserver) -> FuzzReport {
-        let campaigns = self.plan.campaigns;
+    fn run_batched(&self, on_event: &mut dyn FnMut(&FuzzEvent)) -> FuzzReport {
+        let campaigns = self.campaigns;
         let workers = self
-            .plan
             .threads
             .min(usize::try_from(campaigns).unwrap_or(usize::MAX));
         // Next unclaimed campaign index.
@@ -299,7 +282,7 @@ impl CampaignRunner {
             }
             drop(tx);
 
-            let mut agg = Aggregator::new(&self.plan);
+            let mut agg = Aggregator::new(self);
             let mut parked: BTreeMap<u64, Outcome> = BTreeMap::new();
             let mut expect = 0u64;
             'aggregate: while expect < agg.cutoff.unwrap_or(campaigns) {
@@ -310,7 +293,7 @@ impl CampaignRunner {
                 };
                 parked.insert(outcome.index, outcome);
                 while let Some(outcome) = parked.remove(&expect) {
-                    agg.ingest(outcome, observer);
+                    agg.ingest(outcome, on_event);
                     expect += 1;
                     if let Some(cutoff) = agg.cutoff {
                         // Stop workers claiming indices that cannot
@@ -329,7 +312,7 @@ impl CampaignRunner {
 }
 
 /// In-order aggregation: turns a stream of index-ordered [`Outcome`]s
-/// into the report and the observer event stream. Both execution paths
+/// into the report and the [`FuzzEvent`] stream. Both execution paths
 /// funnel through here, which is what makes them byte-identical.
 struct Aggregator<'p> {
     plan: &'p CampaignPlan,
@@ -348,32 +331,32 @@ impl<'p> Aggregator<'p> {
         }
     }
 
-    fn ingest(&mut self, outcome: Outcome, observer: &mut dyn FuzzObserver) {
+    fn ingest(&mut self, outcome: Outcome, on_event: &mut dyn FnMut(&FuzzEvent)) {
         debug_assert!(self.cutoff.is_none(), "ingest past the cutoff");
         let index = outcome.index;
-        observer.on_event(&FuzzEvent::CampaignStarted {
+        on_event(&FuzzEvent::CampaignStarted {
             index,
             total: self.plan.campaigns,
         });
         self.report.campaigns_run += 1;
         let Some(fail) = outcome.failure else {
-            observer.on_event(&FuzzEvent::CampaignPassed { index });
+            on_event(&FuzzEvent::CampaignPassed { index });
             return;
         };
-        observer.on_event(&FuzzEvent::ViolationFound {
+        on_event(&FuzzEvent::ViolationFound {
             index,
             violation: fail.first,
             spec: fail.unshrunk_spec,
         });
         for step in fail.steps {
-            observer.on_event(&FuzzEvent::ShrinkStep {
+            on_event(&FuzzEvent::ShrinkStep {
                 index,
                 reruns: step.reruns,
                 violation: step.violation,
                 spec: step.spec,
             });
         }
-        observer.on_event(&FuzzEvent::FailureShrunk {
+        on_event(&FuzzEvent::FailureShrunk {
             index,
             violation: fail.violation.clone(),
             spec: fail.spec.clone(),
@@ -416,7 +399,6 @@ impl Drop for QuietPanics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::MemoryObserver;
 
     fn quick_plan(threads: usize) -> CampaignPlan {
         CampaignPlan::new()
@@ -444,22 +426,20 @@ mod tests {
 
     #[test]
     fn serial_and_batched_reports_match_on_a_healthy_engine() {
-        let mut obs1 = MemoryObserver::new();
-        let mut obs4 = MemoryObserver::new();
-        let r1 = quick_plan(1).runner().run(&mut obs1);
-        let r4 = quick_plan(4).runner().run(&mut obs4);
+        let (mut events1, mut events4) = (Vec::new(), Vec::new());
+        let r1 = quick_plan(1).run(&mut |e| events1.push(e.clone()));
+        let r4 = quick_plan(4).run(&mut |e| events4.push(e.clone()));
         assert_eq!(r1, r4);
-        assert_eq!(obs1.events, obs4.events);
+        assert_eq!(events1, events4);
         assert_eq!(r1.campaigns_run, 8);
         assert!(r1.failures.is_empty());
     }
 
     #[test]
     fn observer_sees_campaigns_in_index_order() {
-        let mut obs = MemoryObserver::new();
-        quick_plan(4).runner().run(&mut obs);
-        let starts: Vec<u64> = obs
-            .events
+        let mut events = Vec::new();
+        quick_plan(4).run(&mut |e| events.push(e.clone()));
+        let starts: Vec<u64> = events
             .iter()
             .filter_map(|e| match e {
                 FuzzEvent::CampaignStarted { index, .. } => Some(*index),
@@ -467,16 +447,12 @@ mod tests {
             })
             .collect();
         assert_eq!(starts, (0..8).collect::<Vec<_>>());
-        assert!(matches!(obs.events.last(), Some(FuzzEvent::Summary { .. })));
+        assert!(matches!(events.last(), Some(FuzzEvent::Summary { .. })));
     }
 
     #[test]
     fn empty_plan_reports_zero_campaigns() {
-        let report = CampaignPlan::new()
-            .campaigns(0)
-            .threads(4)
-            .runner()
-            .run(&mut crate::NullObserver);
+        let report = CampaignPlan::new().campaigns(0).threads(4).run(&mut |_| {});
         assert_eq!(report.campaigns_run, 0);
         assert!(report.failures.is_empty());
     }

@@ -22,8 +22,6 @@
 //! ECC blanket like all other flits; the simulator models that transport,
 //! while this module owns the per-node protocol state machine.
 
-use std::collections::HashSet;
-
 use ftnoc_types::geom::NodeId;
 
 use crate::ac::VcRef;
@@ -80,7 +78,8 @@ pub struct ProbeProtocol {
     /// voided by Rule 4).
     probe_outstanding: bool,
     /// Origins whose probes passed through us (Rule 3 evidence).
-    seen_probes: HashSet<NodeId>,
+    #[allow(clippy::disallowed_types, reason = "lookup-only: membership tests")]
+    seen_probes: std::collections::HashSet<NodeId>,
     probes_sent: u64,
     deadlocks_confirmed: u64,
     false_suspicions: u64,
@@ -101,7 +100,7 @@ impl ProbeProtocol {
             cthres,
             in_recovery: false,
             probe_outstanding: false,
-            seen_probes: HashSet::new(),
+            seen_probes: Default::default(),
             probes_sent: 0,
             deadlocks_confirmed: 0,
             false_suspicions: 0,

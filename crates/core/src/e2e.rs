@@ -12,7 +12,7 @@
 //! and source buffers must cover a worst-case round trip rather than 3
 //! cycles. [`E2eSource::occupancy_flits`] exposes the buffer-size cost.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use ftnoc_ecc::hamming;
 use ftnoc_types::flit::Flit;
@@ -172,7 +172,8 @@ pub enum E2eVerdict {
 /// the packet.
 #[derive(Debug, Default)]
 pub struct E2eDestination {
-    partial: HashMap<PacketId, PartialPacket>,
+    #[allow(clippy::disallowed_types, reason = "lookup-only: keyed entry/remove")]
+    partial: std::collections::HashMap<PacketId, PartialPacket>,
     accepted: u64,
     rejected: u64,
     misdelivered: u64,

@@ -5,15 +5,14 @@
 //! router adjacent to the fault and adaptive routing steers around it.
 //! [`HardFaults`] is the registry the routing and probing logic consult.
 
-use std::collections::HashSet;
-
 use ftnoc_types::geom::{Direction, NodeId, Topology};
 
 /// Registry of permanent failures in the network.
 #[derive(Debug, Clone, Default)]
+#[allow(clippy::disallowed_types, reason = "lookup-only: insert/contains/len")]
 pub struct HardFaults {
-    dead_links: HashSet<(NodeId, Direction)>,
-    dead_routers: HashSet<NodeId>,
+    dead_links: std::collections::HashSet<(NodeId, Direction)>,
+    dead_routers: std::collections::HashSet<NodeId>,
 }
 
 impl HardFaults {

@@ -552,7 +552,7 @@ mod tests {
             mean_budget: 1000,
             seed: 0,
         };
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for n in 0..16u16 {
             for dir in Direction::CARDINAL {
                 let b = w.budget_for(42, NodeId::new(n), dir);

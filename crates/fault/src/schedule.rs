@@ -303,6 +303,7 @@ impl FaultTimeline {
     /// `since`. This is the network's fault table as the snapshot
     /// exposes it to the invariant oracle.
     pub fn dead_ports_at(&self, now: u64) -> Vec<(NodeId, Direction, u64)> {
+        #[allow(clippy::disallowed_types, reason = "lookup-only: first-insert test")]
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
         let mut push = |out: &mut Vec<_>, node: NodeId, dir: Direction, since: u64| {

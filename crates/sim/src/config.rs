@@ -162,8 +162,6 @@ pub struct SimConfig {
     pub max_cycles: u64,
     /// E2E/FEC source timeout in cycles.
     pub e2e_timeout: u64,
-    /// E2E/FEC maximum retransmission attempts per packet.
-    pub e2e_max_attempts: u32,
     /// Stop generating new traffic after this cycle (closed/drain
     /// workloads, e.g. the deadlock-recovery experiments). `None` keeps
     /// the open-loop source running for the whole run.
@@ -260,7 +258,6 @@ impl SimConfigBuilder {
                 measure_packets: 8_000,
                 max_cycles: 2_000_000,
                 e2e_timeout: 400,
-                e2e_max_attempts: 16,
                 stop_injection_after: None,
                 threads: 1,
                 activity_gating: true,

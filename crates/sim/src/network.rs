@@ -32,7 +32,7 @@
 //! count and scheduling** — and `--threads N` is byte-identical to the
 //! serial engine.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -40,7 +40,7 @@ use ftnoc_core::ac::VcRef;
 use ftnoc_core::deadlock::probe::{ActivationAction, ActivationSignal, ProbeAction, ProbeSignal};
 use ftnoc_core::e2e::{E2eDestination, E2eSource, E2eVerdict};
 use ftnoc_ecc::protect_flit;
-use ftnoc_fault::{FaultCause, FaultCounts, FaultEventKind, FaultLog, ScheduledRouterKill};
+use ftnoc_fault::{FaultCounts, FaultLog, ScheduledRouterKill};
 use ftnoc_metrics::{EngineProfile, MeshTelemetry, ProfileSnapshot, RouterTelemetry};
 use ftnoc_rng::Rng;
 use ftnoc_trace::{DropReason, NullSink, TraceEvent, TraceSink, Tracer};
@@ -66,6 +66,9 @@ const CLASS_NACK: u8 = 2;
 /// so this only bounds memory in above-capacity sweeps (e.g. the
 /// Figure 8/9 utilization curves at injection rates up to 1.0).
 const SOURCE_QUEUE_CAP: usize = 512;
+
+/// E2E/FEC retransmission attempts before a source abandons a packet.
+const E2E_MAX_ATTEMPTS: u32 = 16;
 
 /// Slots in the wake-up wheel. Every wake-up the engine schedules lands
 /// at most two cycles out (the NACK side-band's `now + 2` visibility),
@@ -275,9 +278,11 @@ pub(crate) struct NetCore<S: TraceSink> {
     probes: Vec<ProbeFlight>,
     activations: Vec<ActivationFlight>,
     /// Maps control packets to (class, referenced data packet).
-    control_refs: HashMap<PacketId, (u8, PacketId)>,
+    #[allow(clippy::disallowed_types, reason = "lookup-only: keyed insert/remove")]
+    control_refs: std::collections::HashMap<PacketId, (u8, PacketId)>,
     /// Data packets already delivered clean (duplicate suppression).
-    delivered: HashSet<PacketId>,
+    #[allow(clippy::disallowed_types, reason = "lookup-only: first-insert test")]
+    delivered: std::collections::HashSet<PacketId>,
     /// Cumulative counters (reset via snapshots at warm-up).
     packets_injected: u64,
     packets_ejected: u64,
@@ -313,7 +318,7 @@ pub(crate) struct NetCore<S: TraceSink> {
     /// Per-packet bitmask of lost flit sequence numbers (below
     /// [`LOSS_MASK_FLITS`]), keyed by raw packet id — the loss ledger
     /// the oracle audits.
-    lost: HashMap<u64, u128>,
+    lost: BTreeMap<u64, u128>,
     /// Time-ordered fault event log: configured kills up front, wear-out
     /// deaths appended as they realize. The single observer feed the
     /// snapshot, metrics emitter and trace sink all consume.
@@ -563,7 +568,7 @@ impl<S: TraceSink> Network<S> {
                 .expect("validated rate"),
                 source_queue: VecDeque::new(),
                 injecting: None,
-                e2e_source: E2eSource::new(config.e2e_timeout, config.e2e_max_attempts),
+                e2e_source: E2eSource::new(config.e2e_timeout, E2E_MAX_ATTEMPTS),
                 e2e_dest: E2eDestination::new(),
             })
             .collect();
@@ -622,8 +627,8 @@ impl<S: TraceSink> Network<S> {
                 next_packet: 1,
                 probes: Vec::new(),
                 activations: Vec::new(),
-                control_refs: HashMap::new(),
-                delivered: HashSet::new(),
+                control_refs: Default::default(),
+                delivered: Default::default(),
                 packets_injected: 0,
                 packets_ejected: 0,
                 flits_ejected: 0,
@@ -641,7 +646,7 @@ impl<S: TraceSink> Network<S> {
                 fault_boundaries,
                 flits_injected: 0,
                 flits_lost: 0,
-                lost: HashMap::new(),
+                lost: BTreeMap::new(),
                 fault_log,
                 wearout,
                 router_kills,
@@ -788,9 +793,7 @@ impl<S: TraceSink> Network<S> {
     /// ledger, sorted — the packets a router death truncated. Tests use
     /// this to separate "must still deliver" from "correctly lost".
     pub fn lost_packets(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.core.lost.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.core.lost.keys().copied().collect()
     }
 
     /// The run's fault event log: configured kills up front, wear-out
@@ -822,12 +825,10 @@ pub(crate) fn build_snapshot<'c, S: TraceSink>(
     core: &NetCore<S>,
 ) -> crate::snapshot::NetSnapshot {
     use crate::snapshot::{NetSnapshot, PeSnapshot, WireSnapshot};
-    let topo = env.topo;
-    let n_routers = topo.node_count();
+    let n_routers = env.topo.node_count();
     let mut routers = Vec::with_capacity(n_routers);
     let mut wires = Vec::with_capacity(n_routers);
-    let mut neighbors = Vec::with_capacity(n_routers);
-    for (n, cell) in cells.enumerate() {
+    for cell in cells {
         routers.push(cell.router.snapshot());
         let mut wire = WireSnapshot::default();
         for d in Direction::CARDINAL {
@@ -840,8 +841,6 @@ pub(crate) fn build_snapshot<'c, S: TraceSink>(
             }
         }
         wires.push(wire);
-        let id = NodeId::new(n as u16);
-        neighbors.push(Direction::CARDINAL.map(|d| topo.neighbor_id(id, d).map(NodeId::index)));
     }
     let pes = core
         .pes
@@ -882,44 +881,13 @@ pub(crate) fn build_snapshot<'c, S: TraceSink>(
         .into_iter()
         .map(|(n, since)| (n.index(), since))
         .collect();
-    let mut lost: Vec<(u64, u128)> = core.lost.iter().map(|(&id, &mask)| (id, mask)).collect();
-    lost.sort_unstable_by_key(|&(id, _)| id);
-    let fault_events = core
-        .fault_log
-        .events()
-        .iter()
-        .map(|ev| {
-            let (router, node, dir) = match ev.kind {
-                FaultEventKind::RouterDown { node } => (true, node.index(), 0),
-                FaultEventKind::LinkDown { node, dir } => (false, node.index(), dir.index()),
-            };
-            crate::snapshot::FaultEventView {
-                at: ev.at,
-                published_at: ev.published_at,
-                wearout: ev.cause == FaultCause::Wearout,
-                router,
-                node,
-                dir,
-            }
-        })
-        .collect();
     NetSnapshot {
         now: core.now,
         dead_ports,
-        scheme: env.config.scheme,
-        ports: env.config.router.ports(),
-        vcs_per_port: env.config.router.vcs_per_port(),
-        buffer_depth: env.config.router.buffer_depth(),
-        buffer_org: env.config.router.buffer_org(),
-        packets_injected: core.packets_injected,
-        packets_ejected: core.packets_ejected,
-        flits_ejected: core.flits_ejected,
-        flits_injected: core.flits_injected,
         flits_lost: core.flits_lost,
-        lost,
+        lost: core.lost.iter().map(|(&id, &mask)| (id, mask)).collect(),
         dead_routers,
-        fault_events,
-        neighbors,
+        fault_events: core.fault_log.events().to_vec(),
         routers,
         wires,
         pes,
@@ -1391,7 +1359,7 @@ impl<S: TraceSink> NetCore<S> {
         // it has an original flit inside the victim, an open wormhole
         // through (or held traffic toward) the victim, a flit on a wire
         // into the victim, or a destination terminal behind it.
-        let mut members: HashSet<u64> = HashSet::new();
+        let mut members: BTreeSet<u64> = BTreeSet::new();
         let vcell = &cells[v];
         vcell.router.scan_flits(|flit, original| {
             if original {
@@ -1565,25 +1533,9 @@ impl<S: TraceSink> NetCore<S> {
         }
 
         match scheme {
-            ErrorScheme::Hbh => {
+            ErrorScheme::Hbh | ErrorScheme::Unprotected => {
                 if flit.kind.is_tail() {
-                    if flit.header.dest == term {
-                        self.complete_packet(node, flit, now);
-                    } else {
-                        router.errors.misdelivered += 1;
-                        self.tracer.emit(
-                            now,
-                            node.index() as u16,
-                            TraceEvent::Misdelivered {
-                                packet: flit.packet.raw(),
-                            },
-                        );
-                    }
-                }
-            }
-            ErrorScheme::Unprotected => {
-                if flit.kind.is_tail() {
-                    if fields.dest == term {
+                    if Router::routed_dest(scheme, &flit) == term {
                         self.complete_packet(node, flit, now);
                     } else {
                         router.errors.misdelivered += 1;

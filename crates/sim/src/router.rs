@@ -237,8 +237,9 @@ struct Scratch {
     flagged: Vec<usize>,
     /// SA stage 1 result per input port: (vc, out port, out vc).
     port_winner: Vec<Option<(usize, usize, usize)>>,
-    /// SA grants: (input port, input vc, out port, out vc).
-    grants: Vec<(usize, usize, usize, usize)>,
+    /// SA grants: (input port, input vc, out port, out vc, collided in
+    /// the crossbar — §4.3(c) without the AC).
+    grants: Vec<(usize, usize, usize, usize, bool)>,
 }
 
 /// A flit leaving the router this cycle.
@@ -459,7 +460,7 @@ impl Router {
     /// stay byte-identical.
     pub(crate) fn purge_packets(
         &mut self,
-        members: &std::collections::HashSet<u64>,
+        members: &std::collections::BTreeSet<u64>,
     ) -> Vec<(Flit, u8)> {
         let mut lost = Vec::new();
         let ports = self.cfg.ports();
@@ -666,9 +667,10 @@ impl Router {
         ArrivalAction::Accepted
     }
 
-    /// The destination field a router actually routes on: schemes without
-    /// per-hop checking latch it from the raw (possibly corrupted) word.
-    fn routed_dest(scheme: ErrorScheme, flit: &Flit) -> NodeId {
+    /// The destination field a router actually routes on (and ejection
+    /// compares against): schemes without per-hop checking latch it from
+    /// the raw (possibly corrupted) word.
+    pub(crate) fn routed_dest(scheme: ErrorScheme, flit: &Flit) -> NodeId {
         match scheme {
             ErrorScheme::Hbh | ErrorScheme::Fec => flit.header.dest,
             ErrorScheme::E2e | ErrorScheme::Unprotected => {
@@ -1275,7 +1277,7 @@ impl Router {
                 }
                 if let Some(p) = self.sa_out_arbiters[op].grant(&sc.lines) {
                     let (v, _, ov) = sc.port_winner[p].expect("winner recorded");
-                    sc.grants.push((p, v, op, ov));
+                    sc.grants.push((p, v, op, ov, false));
                 }
             }
         }
@@ -1303,7 +1305,7 @@ impl Router {
                     if ctx.config.ac_enabled {
                         self.events.ac_check += 1;
                         sc.sa_entries.clear();
-                        for &(p, v, op, _) in grants.iter() {
+                        for &(p, v, op, ..) in grants.iter() {
                             sc.sa_entries.push(SaEntry {
                                 input_port: Direction::for_port(p),
                                 winning_vc: v as u8,
@@ -1329,10 +1331,8 @@ impl Router {
                         grants.remove(i);
                         self.errors.sa_corrected += 1;
                     } else {
-                        let flit = &mut grants[i];
-                        let _ = flit;
                         // Corrupt the flit payload at commit below.
-                        grants[i].1 |= 1 << 31; // mark via high bit
+                        grants[i].4 = true;
                         i += 1;
                     }
                 }
@@ -1348,9 +1348,7 @@ impl Router {
 
         // Commit grants: pop flits, reserve credits, queue for ST.
         let st_gap = u64::from(ctx.config.router.pipeline() != PipelineDepth::One);
-        for &(p, v_marked, op, ov) in grants.iter() {
-            let collide = v_marked & (1 << 31) != 0;
-            let v = v_marked & !(1 << 31);
+        for &(p, v, op, ov, collide) in grants.iter() {
             if !self.outputs[op].exists || ov >= vcs {
                 continue;
             }
@@ -1563,24 +1561,9 @@ impl Router {
                 {
                     continue;
                 }
-                // The suspected flit's onward dependency: the downstream
-                // VC it streams toward (Active), or the busy output VC a
-                // waiting head needs (VaWait).
-                let edge = match &self.inputs[p].vcs[v].state {
-                    VcState::Active {
-                        out_port, out_vc, ..
-                    } => {
-                        let dir = Direction::for_port(*out_port);
-                        if dir == Direction::Local || *out_vc >= vcs {
-                            None
-                        } else {
-                            Some((dir, VcRef::new(dir.opposite(), *out_vc as u8)))
-                        }
-                    }
-                    VcState::VaWait { candidates, .. } => self.va_wait_edge(candidates),
-                    VcState::Idle => None,
+                let Some((dir, named)) = self.forward_edge(p, v) else {
+                    continue;
                 };
-                let Some((dir, named)) = edge else { continue };
                 if self.probe.should_probe(blocked) {
                     self.errors.probes_sent += 1;
                     // Cool down: this VC is not re-suspected until another
@@ -1651,14 +1634,21 @@ impl Router {
         if p >= self.inputs.len() || v >= vcs {
             return (false, None);
         }
-        let input = &self.inputs[p].vcs[v];
-        let blocked = input.blocked_cycles > 0 && !self.inputs[p].buffer.is_empty(v);
-        let forward = match &input.state {
+        let blocked =
+            self.inputs[p].vcs[v].blocked_cycles > 0 && !self.inputs[p].buffer.is_empty(v);
+        (blocked, self.forward_edge(p, v))
+    }
+
+    /// The onward dependency of input VC `(p, v)`: the downstream VC it
+    /// streams toward (`Active`), or the busy output VC a waiting head
+    /// needs (`VaWait`).
+    fn forward_edge(&self, p: usize, v: usize) -> Option<(Direction, VcRef)> {
+        match &self.inputs[p].vcs[v].state {
             VcState::Active {
                 out_port, out_vc, ..
             } => {
                 let dir = Direction::for_port(*out_port);
-                if dir == Direction::Local || *out_vc >= vcs {
+                if dir == Direction::Local || *out_vc >= self.cfg.vcs_per_port() {
                     None
                 } else {
                     Some((dir, VcRef::new(dir.opposite(), *out_vc as u8)))
@@ -1666,8 +1656,7 @@ impl Router {
             }
             VcState::VaWait { candidates, .. } => self.va_wait_edge(candidates),
             VcState::Idle => None,
-        };
-        (blocked, forward)
+        }
     }
 
     /// Diagnostic view of every input VC: its reference, blocked-cycle
@@ -1836,7 +1825,6 @@ impl Router {
                                     out_port, out_vc, ..
                                 } => VcStateView::Active { out_port, out_vc },
                             },
-                            blocked_cycles: vc.blocked_cycles,
                         }
                     })
                     .collect()
@@ -1869,13 +1857,11 @@ impl Router {
                     .map(|e| StEntryView {
                         flit: e.flit,
                         out_vc: e.out_vc,
-                        execute_at: e.execute_at,
                     })
                     .collect(),
             })
             .collect();
         RouterSnapshot {
-            id: self.id,
             dead: self.dead,
             in_recovery: self.probe.in_recovery(),
             deadlocks_confirmed: self.errors.deadlocks_confirmed,

@@ -2,12 +2,16 @@
 //! commit boundary — the inspection surface consumed by the
 //! `ftnoc-check` invariant oracle.
 //!
-//! A [`NetSnapshot`] is a plain-data copy of everything architecturally
-//! observable at the end of a cycle: every input VC buffer (flits, state,
-//! blocked count), every output port (credits, reservations, ST queue,
+//! A [`NetSnapshot`] is a plain-data copy of the run *state* the oracle
+//! reads at the end of a cycle: every input VC buffer (flits, state),
+//! every output port (credits, reservations, ST queue,
 //! retransmission-sender slots), every link wire (flits, credits and
 //! NACKs in flight), every processing element (queued and partially
-//! injected packets) and the per-node probe/recovery state.
+//! injected packets), the per-node probe/recovery state and the fault
+//! tables, ledger and log. It carries state only: what the run's
+//! [`crate::SimConfig`] already fixes (scheme, router radix, VC count,
+//! buffer depth and organisation, the neighbour table) the oracle takes
+//! from the configuration it is built from.
 //!
 //! Snapshots are built **only on demand** ([`crate::Network::snapshot`] /
 //! [`crate::Stepper::snapshot`]): a run that never asks for one pays
@@ -16,12 +20,10 @@
 //! cannot perturb the simulation (oracle-on runs stay byte-identical to
 //! oracle-off runs).
 
-use ftnoc_types::config::BufferOrg;
+use ftnoc_fault::FaultEvent;
 use ftnoc_types::flit::Flit;
-use ftnoc_types::geom::NodeId;
 use ftnoc_types::packet::PacketId;
 
-use crate::config::ErrorScheme;
 use crate::router::BlockedVcSummary;
 
 /// Mirror of the private wormhole VC state machine.
@@ -50,8 +52,6 @@ pub struct InputVcView {
     pub capacity: usize,
     /// Wormhole state.
     pub state: VcStateView,
-    /// Consecutive cycles the head has failed to progress.
-    pub blocked_cycles: u64,
 }
 
 /// One per-VC retransmission sender on an output port.
@@ -70,7 +70,7 @@ pub struct SenderView {
 #[derive(Debug, Clone)]
 pub struct OutputVcView {
     /// Sender-side credit counter for the downstream buffer. Semantics
-    /// depend on the run's [`NetSnapshot::buffer_org`]: under
+    /// depend on the run's buffer organisation: under
     /// `StaticPartition` this is the *remaining credits* for the VC
     /// (initially `buffer_depth`), under `Damq` it is the *outstanding
     /// flit count* (sent but not yet credited back, initially 0).
@@ -93,8 +93,6 @@ pub struct StEntryView {
     pub flit: Flit,
     /// Output VC it will be tagged with.
     pub out_vc: u8,
-    /// Cycle at which it may traverse.
-    pub execute_at: u64,
 }
 
 /// One output port.
@@ -111,8 +109,6 @@ pub struct OutputPortView {
 /// One router at a commit boundary.
 #[derive(Debug, Clone)]
 pub struct RouterSnapshot {
-    /// The node id.
-    pub id: NodeId,
     /// Whether the router has been killed by a whole-router fault. A
     /// dead router is structurally empty (the death purge drained it)
     /// and never computes again.
@@ -155,27 +151,6 @@ pub struct PeSnapshot {
     pub injecting: Vec<Flit>,
 }
 
-/// One mid-run fault event as the snapshot exposes it — a plain-data
-/// view of the network's [`ftnoc_fault::FaultLog`], the single observer
-/// feed the oracle, the metrics emitter and the trace sink all consume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEventView {
-    /// The cycle the fault lands (local detection).
-    pub at: u64,
-    /// The cycle it is published network-wide.
-    pub published_at: u64,
-    /// `true` when realized online by the wear-out model (budget
-    /// exhausted), `false` for configured kills.
-    pub wearout: bool,
-    /// `true` for a whole-router death, `false` for a single link.
-    pub router: bool,
-    /// The node (the router for a router death, one endpoint for a
-    /// link death).
-    pub node: usize,
-    /// The link direction as seen from `node` (0 for router deaths).
-    pub dir: usize,
-}
-
 /// The whole network at a commit boundary.
 #[derive(Debug, Clone)]
 pub struct NetSnapshot {
@@ -189,29 +164,6 @@ pub struct NetSnapshot {
     /// both validates this table against the run configuration and
     /// arms the dead-port allocation invariant with it.
     pub dead_ports: Vec<(usize, usize, u64)>,
-    /// The link-error handling scheme of the run.
-    pub scheme: ErrorScheme,
-    /// Router radix: 4 cardinal ports plus one local port per attached
-    /// terminal (5 everywhere except a concentrated mesh).
-    pub ports: usize,
-    /// VCs per port.
-    pub vcs_per_port: usize,
-    /// Input buffer depth in flits (per VC, static-partition meaning;
-    /// under a DAMQ this is still the configured depth knob, but pool
-    /// accounting goes through [`NetSnapshot::buffer_org`]).
-    pub buffer_depth: usize,
-    /// Input-buffer organisation of every cardinal port — decides how
-    /// the oracle interprets [`OutputVcView::credits`] and per-port
-    /// capacity.
-    pub buffer_org: BufferOrg,
-    /// Packets injected since construction.
-    pub packets_injected: u64,
-    /// Packets ejected since construction.
-    pub packets_ejected: u64,
-    /// Flits ejected since construction.
-    pub flits_ejected: u64,
-    /// Flits that physically entered the network since construction.
-    pub flits_injected: u64,
     /// Flits lost to whole-router deaths since construction. The
     /// conservation oracle closes the ledger against the per-packet
     /// masks in [`NetSnapshot::lost`].
@@ -223,13 +175,11 @@ pub struct NetSnapshot {
     /// sorted by node (0 for routers dead from reset).
     pub dead_routers: Vec<(usize, u64)>,
     /// Every mid-run fault event of the run, realized or still
-    /// scheduled, in time order (the oracle validates wear-out entries
-    /// against the configuration and folds realized ones into its
-    /// fault-table mirror).
-    pub fault_events: Vec<FaultEventView>,
-    /// `neighbors[n][d]`: the node index reached from node `n` in
-    /// cardinal direction `d`, if the link exists.
-    pub neighbors: Vec<[Option<usize>; 4]>,
+    /// scheduled, in time order — the network's [`ftnoc_fault::FaultLog`]
+    /// as it stands (the oracle validates wear-out entries against the
+    /// configuration and folds realized ones into its fault-table
+    /// mirror).
+    pub fault_events: Vec<FaultEvent>,
     /// Per-router state.
     pub routers: Vec<RouterSnapshot>,
     /// Per-router receiver-owned wires.

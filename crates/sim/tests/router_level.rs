@@ -2,8 +2,10 @@
 //! pipeline timing, credit flow and wormhole exclusivity.
 
 use ftnoc_ecc::protect_flit;
+use ftnoc_fault::FaultRates;
 use ftnoc_sim::router::{Ctx, LinkDrive, Router};
 use ftnoc_sim::routing::FaultState;
+use ftnoc_sim::snapshot::VcStateView;
 use ftnoc_sim::SimConfig;
 use ftnoc_types::flit::FlitKind;
 use ftnoc_types::geom::{Direction, NodeId, Topology};
@@ -20,7 +22,10 @@ struct Harness {
 
 impl Harness {
     fn new() -> Self {
-        let config = SimConfig::builder().build().expect("valid config");
+        Harness::with_config(SimConfig::builder().build().expect("valid config"))
+    }
+
+    fn with_config(config: SimConfig) -> Self {
         Harness {
             router: Router::new(NodeId::new(9), &config, [true; 4]),
             faults: FaultState::fault_free(Topology::mesh(8, 8)),
@@ -152,7 +157,7 @@ fn wormholes_never_share_a_vc() {
         h.router.inject_local(4, 0, flit(1, seq, 4, 14));
         h.router.inject_local(4, 1, flit(2, seq, 4, 14));
     }
-    let mut per_vc: std::collections::HashMap<u8, Vec<u64>> = std::collections::HashMap::new();
+    let mut per_vc: std::collections::BTreeMap<u8, Vec<u64>> = std::collections::BTreeMap::new();
     for _ in 0..30 {
         for d in h.step() {
             per_vc.entry(d.vc).or_default().push(d.flit.packet.raw());
@@ -239,4 +244,50 @@ fn local_delivery_ejects() {
         ejected += h.router.ejected.len();
     }
     assert_eq!(ejected, 4);
+}
+
+/// §4.3 with the AC off: a switch-allocator upset on every grant
+/// suppresses or misroutes flits, yet every VC index the router's
+/// snapshot exposes stays inside the configured range.
+#[test]
+fn sa_upsets_without_the_ac_keep_vc_indices_in_range() {
+    let mut b = SimConfig::builder();
+    b.faults(FaultRates {
+        sa: 1.0,
+        ..FaultRates::none()
+    })
+    .ac_enabled(false);
+    let mut h = Harness::with_config(b.build().expect("valid config"));
+    let (ports, vcs) = (h.config.router.ports(), h.config.router.vcs_per_port());
+    let mut packet = 0;
+    let mut granted = 0;
+    for _ in 0..200 {
+        for v in 0..vcs {
+            if h.router.local_vc_idle(4, v) {
+                packet += 1;
+                for seq in 0..4 {
+                    h.router.inject_local(4, v, flit(packet, seq, 4, 14));
+                }
+            }
+        }
+        for d in h.step() {
+            h.router.handle_credit(d.dir, d.vc);
+        }
+        let snap = h.router.snapshot();
+        for ivc in snap.inputs.iter().flatten() {
+            if let VcStateView::Active { out_port, out_vc } = ivc.state {
+                assert!(out_port < ports && out_vc < vcs, "{:?}", ivc.state);
+            }
+        }
+        for out in &snap.outputs {
+            for (p, v) in out.vcs.iter().filter_map(|ovc| ovc.allocated) {
+                assert!(p < ports && v < vcs, "reservation names input {p}.{v}");
+            }
+            for e in &out.st_queue {
+                assert!(usize::from(e.out_vc) < vcs, "ST entry on VC {}", e.out_vc);
+                granted += 1;
+            }
+        }
+    }
+    assert!(granted > 0, "some grant must survive to the ST queue");
 }

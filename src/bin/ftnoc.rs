@@ -30,8 +30,7 @@ fn main() {
             plan,
             repro,
             failures_out,
-            metrics_out,
-        }) => run_fuzz_command(plan, repro, failures_out, metrics_out),
+        }) => run_fuzz_command(plan, repro, failures_out),
         Ok(Command::Report { file }) => {
             let content = match std::fs::read_to_string(&file) {
                 Ok(c) => c,
@@ -142,7 +141,7 @@ fn run_traced(
 /// threads when `--threads` asks for it). Exits non-zero when any
 /// invariant was violated.
 ///
-/// Everything printed here is derived from the runner's in-order
+/// Everything printed here is derived from the plan's in-order
 /// [`ftnoc_check::FuzzEvent`] stream and the aggregated report, so the
 /// terminal output and the `--failures-out` bytes are identical at any
 /// thread count.
@@ -150,9 +149,8 @@ fn run_fuzz_command(
     plan: ftnoc_check::CampaignPlan,
     repro: Option<String>,
     failures_out: Option<std::path::PathBuf>,
-    metrics_out: Option<std::path::PathBuf>,
 ) {
-    use ftnoc_check::{CampaignParams, LineRenderer, TelemetryObserver};
+    use ftnoc_check::CampaignParams;
     if let Some(spec) = repro {
         let params = match CampaignParams::from_spec(&spec) {
             Ok(p) => p,
@@ -174,18 +172,11 @@ fn run_fuzz_command(
         "fuzz: {} campaigns, master seed {:#x}",
         plan.campaigns, plan.seed
     );
-    let threads = plan.threads;
-    let started = std::time::Instant::now();
-    // The telemetry tap counts the in-order event stream while the
-    // renderer prints it; its counters are thread-count-invariant.
-    let mut tap = TelemetryObserver::new(LineRenderer::new(|line: &str| println!("{line}")));
-    let report = plan.runner().run(&mut tap);
-    if let Some(path) = &metrics_out {
-        let line = tap.to_json_line(started.elapsed().as_millis() as u64, threads);
-        if let Err(e) = std::fs::write(path, line + "\n") {
-            eprintln!("error: cannot write {}: {e}", path.display());
+    let report = plan.run(&mut |event| {
+        for line in event.terminal_lines(plan.campaigns) {
+            println!("{line}");
         }
-    }
+    });
     if report.failures.is_empty() {
         println!(
             "fuzz: {} campaigns passed, no invariant violations",

@@ -111,8 +111,6 @@ OPTIONS (fuzz):
                         topology (torus / concentrated mesh), or the
                         link wear-out model with a small lifetime
                         budget; default: the sampler's natural mix
-    --metrics-out FILE  write a one-line JSON summary of the sweep
-                        (campaign/violation/shrink counters, wall time)
 
 Every campaign is a short simulation whose every cycle is validated by
 the invariant oracle (flit conservation, credit accounting, wormhole
@@ -151,9 +149,6 @@ pub enum Command {
         repro: Option<String>,
         /// Append shrunk reproducer specs to this file.
         failures_out: Option<std::path::PathBuf>,
-        /// Write the one-line sweep summary to this file
-        /// (`--metrics-out`).
-        metrics_out: Option<std::path::PathBuf>,
     },
     /// Render a `--metrics-out` file (`ftnoc report FILE`).
     Report {
@@ -453,7 +448,6 @@ fn parse_fuzz(
     let mut plan = ftnoc_check::CampaignPlan::new();
     let mut repro = None;
     let mut failures_out = None;
-    let mut metrics_out = None;
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--campaigns" => plan = plan.campaigns(num(value(it, flag)?, flag)?),
@@ -464,9 +458,6 @@ fn parse_fuzz(
             "--repro" => repro = Some(value(it, flag)?.to_string()),
             "--failures-out" => {
                 failures_out = Some(std::path::PathBuf::from(value(it, flag)?));
-            }
-            "--metrics-out" => {
-                metrics_out = Some(std::path::PathBuf::from(value(it, flag)?));
             }
             "--org" => {
                 plan = plan.org(match value(it, flag)? {
@@ -494,7 +485,6 @@ fn parse_fuzz(
         plan,
         repro,
         failures_out,
-        metrics_out,
     })
 }
 
@@ -890,6 +880,9 @@ mod tests {
             assert!(unknown("run", flag), "`{flag}` was removed");
             assert!(!HELP.contains(flag), "HELP still mentions `{flag}`");
         }
+        // Removed from `fuzz` only: `run --metrics-out` stays.
+        assert!(unknown("fuzz", "--metrics-out"), "removed from fuzz");
+        assert!(flags(fuzz).all(|f| f != "--metrics-out"));
     }
 
     #[test]
@@ -916,23 +909,6 @@ mod tests {
         );
         let e = parse(&args("fuzz --scenario banana")).unwrap_err();
         assert!(e.0.contains("midrun-fault"), "{e}");
-    }
-
-    #[test]
-    fn fuzz_metrics_out_parses() {
-        let Command::Fuzz { metrics_out, .. } = parse(&args("fuzz")).unwrap() else {
-            panic!("expected fuzz");
-        };
-        assert_eq!(metrics_out, None);
-        let Command::Fuzz { metrics_out, .. } =
-            parse(&args("fuzz --metrics-out fuzz.json")).unwrap()
-        else {
-            panic!("expected fuzz");
-        };
-        assert_eq!(
-            metrics_out.as_deref(),
-            Some(std::path::Path::new("fuzz.json"))
-        );
     }
 
     #[test]

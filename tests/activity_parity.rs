@@ -260,7 +260,7 @@ fn oracle_flags_a_skipped_router_that_was_not_quiescent() {
     // The history-tracking invariants (arrival order, probe soundness)
     // need one snapshot per cycle; this test inspects a single boundary,
     // so arm nothing — the structural and activity checks always run.
-    let mut oracle = Oracle::with_arming(ArmedInvariants::none());
+    let mut oracle = Oracle::with_arming(&config, ArmedInvariants::none());
     let mut net = Network::new(config);
     for _ in 0..200 {
         net.step();

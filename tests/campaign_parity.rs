@@ -15,7 +15,7 @@
 
 use std::process::{Command, Output};
 
-use ftnoc_check::{CampaignPlan, FuzzReport, MemoryObserver, OrgFilter};
+use ftnoc_check::{CampaignPlan, FuzzEvent, FuzzReport, OrgFilter};
 
 /// Campaign budget per (seed, org) cell: debug builds simulate an order
 /// of magnitude slower, so the sweep shrinks with the profile.
@@ -25,16 +25,15 @@ const CAMPAIGNS: u64 = if cfg!(debug_assertions) { 10 } else { 120 };
 /// criterion; 0xF70C is CI's production master seed).
 const SEEDS: [u64; 3] = [0xF70C, 1, 2];
 
-fn run_plan(seed: u64, org: Option<OrgFilter>, threads: usize) -> (FuzzReport, MemoryObserver) {
-    let mut obs = MemoryObserver::new();
+fn run_plan(seed: u64, org: Option<OrgFilter>, threads: usize) -> (FuzzReport, Vec<FuzzEvent>) {
+    let mut events = Vec::new();
     let report = CampaignPlan::new()
         .campaigns(CAMPAIGNS)
         .master_seed(seed)
         .org(org)
         .threads(threads)
-        .runner()
-        .run(&mut obs);
-    (report, obs)
+        .run(&mut |e| events.push(e.clone()));
+    (report, events)
 }
 
 /// Healthy engine: reports, artifact bytes and full event streams are
@@ -54,10 +53,7 @@ fn healthy_reports_are_thread_invariant() {
                 r4.failures_artifact(),
                 "seed {seed:#x} org {org:?}: artifact bytes differ"
             );
-            assert_eq!(
-                o1.events, o4.events,
-                "seed {seed:#x} org {org:?}: event streams differ"
-            );
+            assert_eq!(o1, o4, "seed {seed:#x} org {org:?}: event streams differ");
             assert_eq!(r1.campaigns_run, CAMPAIGNS);
             assert!(
                 r1.failures.is_empty(),
@@ -75,7 +71,7 @@ fn oversubscribed_pool_matches_serial() {
     let (r1, o1) = run_plan(7, None, 1);
     let (rn, on) = run_plan(7, None, 32);
     assert_eq!(r1, rn);
-    assert_eq!(o1.events, on.events);
+    assert_eq!(o1, on);
 }
 
 fn ftnoc_fuzz(seed: u64, threads: &str, artifact: &std::path::Path) -> Output {

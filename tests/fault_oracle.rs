@@ -5,8 +5,8 @@
 //! including the §3.2.2 wait-for/probe window — armed.
 
 use ftnoc::check::{ArmedInvariants, Oracle};
+use ftnoc::fault::FaultEventKind;
 use ftnoc::prelude::*;
-use ftnoc::sim::snapshot::FaultEventView;
 use ftnoc::sim::Network;
 
 /// A 4×4 fault-aware run with one mid-run kill: link 5→east dies at
@@ -213,7 +213,9 @@ fn oracle_follows_online_wearout_deaths() {
     }
     let snap = net.snapshot();
     assert!(
-        snap.fault_events.iter().any(|e| e.wearout),
+        snap.fault_events
+            .iter()
+            .any(|e| e.cause == FaultCause::Wearout),
         "mean budget 800 under load must realize at least one wear-out kill"
     );
     assert!(
@@ -355,13 +357,14 @@ fn oracle_flags_an_invented_wearout_event() {
         oracle.check(&net.snapshot()).expect("honest run must pass");
     }
     let mut snap = net.snapshot();
-    snap.fault_events.push(FaultEventView {
+    snap.fault_events.push(FaultEvent {
         at: 50,
         published_at: 50,
-        wearout: true,
-        router: false,
-        node: 1,
-        dir: Direction::East.index(),
+        cause: FaultCause::Wearout,
+        kind: FaultEventKind::LinkDown {
+            node: NodeId::new(1),
+            dir: Direction::East,
+        },
     });
     let v = oracle
         .check(&snap)
@@ -388,7 +391,7 @@ fn oracle_flags_an_allocation_onto_a_dead_port() {
     // own table is trusted, so the test can doctor it freely.
     let mut arm = ArmedInvariants::none();
     arm.dead_port = true;
-    let mut oracle = Oracle::with_arming(arm);
+    let mut oracle = Oracle::with_arming(&config, arm);
     let mut net = Network::new(config);
     for _ in 0..200 {
         net.step();
