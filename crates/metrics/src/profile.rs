@@ -10,9 +10,10 @@
 //! is why profiling is excluded from determinism checks by
 //! construction rather than by exception.
 //!
-//! Interpretation caveats: on a 1-core container (the committed
-//! BENCH_*.json files record `available_parallelism: 1`) worker lanes
-//! time-slice one CPU, so "barrier wait" mostly measures the scheduler,
+//! Interpretation caveats: on a container with as many workers as
+//! cores or more (the host stamped into `benchmark/baseline/` has two
+//! vCPUs) worker lanes time-slice the CPUs with the main thread, so
+//! "barrier wait" mostly measures the scheduler,
 //! not algorithmic imbalance. Compare lanes against each other on the
 //! same run, not across hosts.
 

@@ -117,7 +117,7 @@ impl<S: TraceSink> Stepper<'_, S> {
 
     /// A [`Progress`] snapshot (what run observers receive).
     pub fn progress(&self) -> Progress {
-        self.core.progress(self.cells.iter())
+        self.core.progress(self.env)
     }
 
     /// A full [`crate::snapshot::NetSnapshot`] of the commit-boundary

@@ -8,21 +8,36 @@
 //! its receiver's cell, so `&mut` to a cell is all the exclusion the
 //! engine needs. Each cycle runs three steps:
 //!
-//! 1. **pre** (serial): snapshot per-node recovery state into each
-//!    router's `neighbor_recovering` mask, then run open-loop injection
-//!    and the E2E timeout scans (both touch only node-local state plus
-//!    the shared traffic RNG, which must stay serial for determinism).
-//! 2. **compute** (parallelisable): every router independently pops its
-//!    *own* inbound wires (NACKs, credits, flits), then runs
+//! 1. **pre** (serial): publish this cycle's active set, then run
+//!    open-loop injection and the E2E timeout scans (both touch only
+//!    node-local state plus the shared traffic RNG, which must stay
+//!    serial for determinism).
+//! 2. **compute** (parallelisable): every awake router independently
+//!    pops its *own* inbound wires (NACKs, credits, flits), then runs
 //!    control/VA/SA/ST and end-of-cycle bookkeeping. It is handed
 //!    `&mut` to its own cell and nothing else, so no router can write
 //!    another router's state in this step — outputs are buffered in the
 //!    router (`drives`, `ejected`, `freed_credits`, trace events) or in
-//!    its cell (`arrival_nacks`, `probe_req`).
+//!    its cell (`arrival_nacks`, `probe_req`). The one piece of
+//!    neighbour state it reads, which neighbours are in deadlock
+//!    recovery, comes from the shared recovering set (below).
 //! 3. **commit** (serial, node order): route the buffered drives,
 //!    credits and NACKs onto the *receiving* router's wires, eject
-//!    flits to the PEs, move the probe/activation side-band, take the
-//!    statistics samples and advance the clock.
+//!    flits to the PEs, move the probe/activation side-band, book the
+//!    recovery-mode edges, take the statistics samples and advance the
+//!    clock.
+//!
+//! Outside an awake router's own pipeline the engine's work follows
+//! the active set: compute, the commit drain and the occupancy sampler
+//! all walk `ActiveSet::awake`, and neighbour lookups read a table
+//! built once. The **recovering set** — which routers are in recovery
+//! mode, a per-link handshake wire in hardware — is written only by
+//! commit, on the transition edges (a computed router's `end_cycle`
+//! exit, an activation's entry, a dying router), so during compute it
+//! is a frozen end-of-previous-commit snapshot that any worker may
+//! read. The one serial loop that stays O(terminals) every cycle is the
+//! injector draw: skipping an idle terminal's draw would shift the
+//! shared traffic RNG stream.
 //!
 //! Determinism argument: compute is side-effect-free across routers
 //! (each router owns the wires it pops, fault/trace state is
@@ -33,6 +48,7 @@
 //! serial engine.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -106,31 +122,90 @@ impl ActivityWheel {
     }
 }
 
+/// A set of router indices as atomic bit words. Atomic only so the
+/// shared [`RunEnv`] can be written through `&self`: every write
+/// happens on the main thread while it holds all the chunks, so workers
+/// always observe the finished set (the channel hand-off is the
+/// synchronisation edge — relaxed accesses suffice).
+pub(crate) struct NodeBits(Vec<AtomicU64>);
+
+impl NodeBits {
+    fn new(n: usize) -> Self {
+        NodeBits((0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, n: usize) -> bool {
+        self.0[n / 64].load(Ordering::Relaxed) & (1 << (n % 64)) != 0
+    }
+
+    #[inline]
+    fn set(&self, n: usize, member: bool) {
+        if member {
+            self.0[n / 64].fetch_or(1 << (n % 64), Ordering::Relaxed);
+        } else {
+            self.0[n / 64].fetch_and(!(1 << (n % 64)), Ordering::Relaxed);
+        }
+    }
+
+    fn any(&self) -> bool {
+        self.0.iter().any(|w| w.load(Ordering::Relaxed) != 0)
+    }
+}
+
 /// The per-cycle active set: one "compute this router this cycle" bit
 /// per node, refreshed serially from the wheel at the start of each pre
-/// phase and read by the compute workers. Atomic words only so the
-/// shared [`RunEnv`] can be written through `&self`; every write
-/// happens on the main thread before it lends the workers their chunks,
-/// so they always observe the fully refreshed set (the channel hand-off
-/// is the synchronisation edge — relaxed accesses suffice).
+/// phase and read by the compute workers.
 pub(crate) struct ActiveSet {
-    words: Vec<AtomicU64>,
+    bits: NodeBits,
+    /// Router count: bits at and above it are never members.
+    nodes: usize,
     gating: bool,
 }
 
 impl ActiveSet {
-    fn new(n: usize, gating: bool) -> Self {
+    fn new(nodes: usize, gating: bool) -> Self {
         ActiveSet {
-            words: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            bits: NodeBits::new(nodes),
+            nodes,
             gating,
         }
     }
 
-    /// Whether router `n` is in this cycle's active set (always, when
-    /// gating is off).
-    #[inline]
-    pub(crate) fn is_active(&self, n: usize) -> bool {
-        !self.gating || self.words[n / 64].load(Ordering::Relaxed) & (1 << (n % 64)) != 0
+    /// This cycle's awake routers, in node order — every router when
+    /// gating is off. The one iteration the compute sweep, the commit
+    /// drain and the occupancy sampler share.
+    pub(crate) fn awake(&self) -> impl Iterator<Item = usize> + '_ {
+        self.awake_in(0..self.nodes)
+    }
+
+    /// The awake routers with an index in `range` (a worker's chunk).
+    /// The words are clipped to `range` and to the router count here,
+    /// so neither the cycle-0 all-ones store nor the never-written words
+    /// of a gating-off run can leak a phantom router to a caller.
+    pub(crate) fn awake_in(&self, range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let (lo, hi) = (range.start, range.end.min(self.nodes));
+        (lo / 64..hi.div_ceil(64)).flat_map(move |w| {
+            let base = w * 64;
+            let mut bits = if self.gating {
+                self.bits.0[w].load(Ordering::Relaxed)
+            } else {
+                !0
+            };
+            if lo > base {
+                bits &= !0 << (lo - base);
+            }
+            if hi - base < 64 {
+                bits &= (1 << (hi - base)) - 1;
+            }
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    base + bit
+                })
+            })
+        })
     }
 
     /// Adds router `n` to the *current* cycle's active set (the
@@ -138,7 +213,7 @@ impl ActiveSet {
     #[inline]
     fn wake_now(&self, n: usize) {
         if self.gating {
-            self.words[n / 64].fetch_or(1 << (n % 64), Ordering::Relaxed);
+            self.bits.set(n, true);
         }
     }
 
@@ -150,7 +225,7 @@ impl ActiveSet {
             return;
         }
         let slot = &mut wheel.slots[(now % WHEEL_SLOTS) as usize];
-        for (word, bits) in self.words.iter().zip(slot.iter_mut()) {
+        for (word, bits) in self.bits.0.iter().zip(slot.iter_mut()) {
             let value = if now == 0 { !0 } else { *bits };
             word.store(value, Ordering::Relaxed);
             *bits = 0;
@@ -229,9 +304,6 @@ pub(crate) struct RouterCell {
     /// Inbound wires owned by this router (popped during compute,
     /// pushed by the commit phase only).
     pub io: PortIo,
-    /// Snapshot of each cardinal neighbour's recovery mode (refreshed
-    /// in the pre phase; a per-link handshake wire in hardware).
-    pub neighbor_recovering: [bool; 4],
     /// Probe launch requested by `end_cycle` this cycle.
     pub probe_req: Option<(Direction, VcRef)>,
     /// Arrival NACKs to send upstream: (arrival port, vc).
@@ -258,6 +330,13 @@ pub(crate) struct RunEnv {
     /// context so compute workers can test their cells without touching
     /// the serial core.
     pub active: ActiveSet,
+    /// `neighbors[n][d]`: the router across the link leaving `n` in
+    /// cardinal direction `d` ([`Topology::neighbor_table`]).
+    neighbors: Vec<[Option<NodeId>; 4]>,
+    /// The routers in deadlock-recovery mode as of the last commit. The
+    /// serial commit phase is its only writer, on transition edges, so
+    /// a compute sweep reads a frozen snapshot at any thread count.
+    pub recovering: NodeBits,
     /// The run's fault state: the hard-fault timeline (static base set
     /// plus scheduled mid-run kills) with one pre-built fault-aware
     /// routing plan per publication epoch. Each compute sweep takes one
@@ -266,6 +345,14 @@ pub(crate) struct RunEnv {
     /// happens strictly between compute sweeps — so readers never
     /// observe a half-updated plan at any thread count.
     pub faults: RwLock<FaultState>,
+}
+
+impl RunEnv {
+    /// The router across the link leaving router `n` in direction `d`.
+    #[inline]
+    fn neighbor(&self, n: usize, d: Direction) -> Option<NodeId> {
+        self.neighbors[n][d.index()]
+    }
 }
 
 /// Serial state owned by the main thread: traffic endpoints, the
@@ -298,8 +385,10 @@ pub(crate) struct NetCore<S: TraceSink> {
     warmup_counts: (u64, u64, u64, u64, u64), // injected, ejected, flits, lat_sum, lat_max
     /// Structured-event instrumentation (free with [`NullSink`]).
     tracer: Tracer<S>,
-    /// Per-node recovery state last cycle (transition-event edges).
-    prev_recovering: Vec<bool>,
+    /// Routers whose recovery mode may have flipped this cycle, noted
+    /// where the flip happens and settled against
+    /// [`RunEnv::recovering`] once per commit.
+    recovery_edges: Vec<usize>,
     /// Pending router wake-ups, indexed by cycle (activity gating).
     wheel: ActivityWheel,
     /// Cycles at which fault state changes somewhere (kill detection
@@ -380,20 +469,33 @@ impl Cells<'_> {
     pub(crate) fn iter(&self) -> impl Iterator<Item = &RouterCell> {
         self.chunks.iter().flat_map(|chunk| chunk.iter())
     }
+
+    /// Router `n`'s (chunk, offset). Everything below `chunk_len` —
+    /// every router, on the serial arm — resolves without a divide.
+    #[inline]
+    fn locate(&self, n: usize) -> (usize, usize) {
+        if n < self.chunk_len {
+            (0, n)
+        } else {
+            (n / self.chunk_len, n % self.chunk_len)
+        }
+    }
 }
 
 impl std::ops::Index<usize> for Cells<'_> {
     type Output = RouterCell;
     #[inline]
     fn index(&self, n: usize) -> &RouterCell {
-        &self.chunks[n / self.chunk_len][n % self.chunk_len]
+        let (chunk, i) = self.locate(n);
+        &self.chunks[chunk][i]
     }
 }
 
 impl std::ops::IndexMut<usize> for Cells<'_> {
     #[inline]
     fn index_mut(&mut self, n: usize) -> &mut RouterCell {
-        &mut self.chunks[n / self.chunk_len][n % self.chunk_len]
+        let (chunk, i) = self.locate(n);
+        &mut self.chunks[chunk][i]
     }
 }
 
@@ -414,10 +516,8 @@ pub(crate) fn compute_cells(env: &RunEnv, cells: &mut [RouterCell], lo: usize, n
         now,
         faults: &faults,
     };
-    for (i, cell) in cells.iter_mut().enumerate() {
-        if env.active.is_active(lo + i) {
-            compute_cell(&ctx, cell);
-        }
+    for n in env.active.awake_in(lo..lo + cells.len()) {
+        compute_cell(env, &ctx, &mut cells[n - lo]);
     }
 }
 
@@ -425,7 +525,7 @@ pub(crate) fn compute_cells(env: &RunEnv, cells: &mut [RouterCell], lo: usize, n
 /// wires, then run the full per-cycle pipeline. It can touch nothing
 /// outside `cell`, which is what makes running it concurrently across
 /// cells race-free (and thread-count-independent) by construction.
-fn compute_cell(ctx: &Ctx<'_>, cell: &mut RouterCell) {
+fn compute_cell(env: &RunEnv, ctx: &Ctx<'_>, cell: &mut RouterCell) {
     // A dead router computes nothing, draws nothing, counts nothing —
     // before the fault stream is positioned and before the computed
     // cycle is booked, so gated and full-sweep runs stay byte-identical
@@ -438,7 +538,6 @@ fn compute_cell(ctx: &Ctx<'_>, cell: &mut RouterCell) {
     let RouterCell {
         router,
         io,
-        neighbor_recovering,
         probe_req,
         arrival_nacks,
         wants_wake,
@@ -513,7 +612,9 @@ fn compute_cell(ctx: &Ctx<'_>, cell: &mut RouterCell) {
 
     // 4-7. Control, VC allocation, switch allocation, switch traversal.
     router.control_phase(ctx);
-    router.va_phase(ctx, *neighbor_recovering);
+    let neighbor_recovering = env.neighbors[router.id().index()]
+        .map(|m| m.is_some_and(|m| env.recovering.contains(m.index())));
+    router.va_phase(ctx, neighbor_recovering);
     router.sa_phase(ctx);
     router.st_phase(ctx);
 
@@ -542,16 +643,17 @@ impl<S: TraceSink> Network<S> {
     pub fn with_tracer(config: SimConfig, tracer: Tracer<S>) -> Self {
         let topo = config.topology;
         let n = topo.node_count();
+        let neighbors = topo.neighbor_table();
         let mut cells: Vec<RouterCell> = topo
             .nodes()
-            .map(|id| {
-                let exists = Direction::CARDINAL.map(|d| topo.neighbor_id(id, d).is_some());
+            .zip(&neighbors)
+            .map(|(id, links)| {
+                let exists = links.map(|m| m.is_some());
                 let mut router = Router::new(id, &config, exists);
                 router.trace.enabled = tracer.enabled();
                 RouterCell {
                     router,
                     io: PortIo::new(exists),
-                    neighbor_recovering: [false; 4],
                     probe_req: None,
                     arrival_nacks: Vec::new(),
                     wants_wake: false,
@@ -598,7 +700,7 @@ impl<S: TraceSink> Network<S> {
                 .map(|id| {
                     let mut b = [u64::MAX; 4];
                     for d in Direction::CARDINAL {
-                        if topo.neighbor_id(id, d).is_some() {
+                        if neighbors[id.index()][d.index()].is_some() {
                             b[d.index()] = spec.budget_for(seed, id, d);
                         }
                     }
@@ -617,6 +719,8 @@ impl<S: TraceSink> Network<S> {
                 topo,
                 profile: None,
                 active: ActiveSet::new(n, gating),
+                neighbors,
+                recovering: NodeBits::new(n),
                 faults: RwLock::new(faults),
             },
             cells,
@@ -641,7 +745,7 @@ impl<S: TraceSink> Network<S> {
                 warmup_snapshot: Default::default(),
                 warmup_counts: (0, 0, 0, 0, 0),
                 tracer,
-                prev_recovering: vec![false; n],
+                recovery_edges: Vec::new(),
                 wheel: ActivityWheel::new(n, gating),
                 fault_boundaries,
                 flits_injected: 0,
@@ -732,7 +836,7 @@ impl<S: TraceSink> Network<S> {
 
     /// A [`Progress`] snapshot (what run observers receive).
     pub fn progress(&self) -> Progress {
-        self.core.progress(self.cells.iter())
+        self.core.progress(&self.env)
     }
 
     /// Turns on the engine phase profiler, with one timing lane per
@@ -771,7 +875,7 @@ impl<S: TraceSink> Network<S> {
 
     /// Whether any node is currently in deadlock-recovery mode.
     pub fn any_in_recovery(&self) -> bool {
-        self.cells.iter().any(|c| c.router.probe.in_recovery())
+        self.env.recovering.any()
     }
 
     /// Flits ejected to the local PEs since construction.
@@ -857,7 +961,10 @@ pub(crate) fn build_snapshot<'c, S: TraceSink>(
     // After a full step the active set still holds cycle `now - 1`'s
     // membership (the refresh for `now` happens in the next pre phase),
     // which is exactly the cycle this snapshot reflects.
-    let computed = (0..n_routers).map(|n| env.active.is_active(n)).collect();
+    let mut computed = vec![false; n_routers];
+    for n in env.active.awake() {
+        computed[n] = true;
+    }
     // The network's fault table as of the snapshot cycle: every
     // directed dead link endpoint with the cycle its death became
     // locally known (the oracle checks allocations against it).
@@ -901,38 +1008,37 @@ impl<S: TraceSink> NetCore<S> {
         self.packets_ejected
     }
 
-    /// Pre phase (serial): refresh the `neighbor_recovering` masks, then
-    /// run injection and the E2E timeout scans.
+    /// Pre phase (serial): publish the active set, then run injection
+    /// and the E2E timeout scans.
     pub(crate) fn pre(&mut self, env: &RunEnv, cells: &mut Cells<'_>, now: u64) {
         // Publish this cycle's active set before anything below can add
         // to it (injection wakes the routers it feeds).
         env.active.refresh(&mut self.wheel, now);
-        for id in env.topo.nodes() {
-            let mut mask = [false; 4];
-            for d in Direction::CARDINAL {
-                if let Some(m) = env.topo.neighbor_id(id, d) {
-                    mask[d.index()] = cells[m.index()].router.probe.in_recovery();
-                }
-            }
-            cells[id.index()].neighbor_recovering = mask;
-        }
         self.inject_phase(env, cells, now);
     }
 
     /// A [`Progress`] snapshot for observers.
-    pub(crate) fn progress<'c>(&self, mut cells: impl Iterator<Item = &'c RouterCell>) -> Progress {
+    pub(crate) fn progress(&self, env: &RunEnv) -> Progress {
         Progress {
             now: self.now,
             packets_injected: self.packets_injected,
             packets_ejected: self.packets_ejected,
             latency_sum: self.latency_sum,
-            any_in_recovery: cells.any(|c| c.router.probe.in_recovery()),
+            any_in_recovery: env.recovering.any(),
         }
     }
 
     /// Starts the measurement window (see [`Network::start_measurement`]).
     pub(crate) fn start_measurement<'c>(&mut self, cells: impl Iterator<Item = &'c RouterCell>) {
-        self.warmup_snapshot = sum_censuses(cells);
+        // The occupancy sums' denominators ride along the census pass:
+        // which ports exist never changes, so a window's capacity is a
+        // constant and `commit` need not re-add it every cycle.
+        let mut stats = NetworkStats::default();
+        self.warmup_snapshot = sum_censuses(cells.inspect(|cell| {
+            let (_, tx_cap, _, retx_cap) = cell.router.sample_occupancy();
+            stats.tx_capacity += tx_cap;
+            stats.retx_capacity += retx_cap;
+        }));
         self.warmup_counts = (
             self.packets_injected,
             self.packets_ejected,
@@ -940,7 +1046,7 @@ impl<S: TraceSink> NetCore<S> {
             self.latency_sum,
             self.latency_max,
         );
-        self.stats = NetworkStats::default();
+        self.stats = stats;
         self.latency_hist = LatencyHistogram::new();
         self.measuring = true;
     }
@@ -1070,15 +1176,11 @@ impl<S: TraceSink> NetCore<S> {
     /// effect buffered during compute, move the side-bands, sample
     /// statistics, advance the clock.
     pub(crate) fn commit(&mut self, env: &RunEnv, cells: &mut Cells<'_>, now: u64) {
-        let topo = env.topo;
-        let n_routers = topo.node_count();
-        for n in 0..n_routers {
-            // A skipped router ran no compute phase: its output buffers
-            // are exactly as this loop left them last time (empty), so
-            // there is nothing to drain and no wake-up to schedule.
-            if !env.active.is_active(n) {
-                continue;
-            }
+        // Awake routers only. A skipped router ran no compute phase: its
+        // output buffers are exactly as this loop left them last time
+        // (empty), so there is nothing to drain and no wake-up to
+        // schedule.
+        for n in env.active.awake() {
             let node = NodeId::new(n as u16);
 
             // Buffered trace events, in the phase order they occurred.
@@ -1096,8 +1198,8 @@ impl<S: TraceSink> NetCore<S> {
             // skipped victim accumulates no due traffic.
             for i in 0..cells[n].router.drives.len() {
                 let drive = cells[n].router.drives[i];
-                let m = topo
-                    .neighbor_id(node, drive.dir)
+                let m = env
+                    .neighbor(n, drive.dir)
                     .expect("drive targets an existing link");
                 if self.dead_now[m.index()] {
                     self.record_lost_flit(
@@ -1131,8 +1233,8 @@ impl<S: TraceSink> NetCore<S> {
             // Freed credits back to the upstream routers.
             for i in 0..cells[n].router.freed_credits.len() {
                 let (dir_in, vc) = cells[n].router.freed_credits[i];
-                let up = topo
-                    .neighbor_id(node, dir_in)
+                let up = env
+                    .neighbor(n, dir_in)
                     .expect("credit for an existing link");
                 if self.dead_now[up.index()] {
                     continue;
@@ -1148,9 +1250,7 @@ impl<S: TraceSink> NetCore<S> {
             // Arrival NACKs back to the upstream routers.
             for i in 0..cells[n].arrival_nacks.len() {
                 let (p, vc) = cells[n].arrival_nacks[i];
-                let up = topo
-                    .neighbor_id(node, p)
-                    .expect("nack for an existing link");
+                let up = env.neighbor(n, p).expect("nack for an existing link");
                 if self.dead_now[up.index()] {
                     continue;
                 }
@@ -1164,7 +1264,7 @@ impl<S: TraceSink> NetCore<S> {
 
             // Probe launches onto the side-band.
             if let Some((via, named)) = cells[n].probe_req.take() {
-                match topo.neighbor_id(node, via) {
+                match env.neighbor(n, via) {
                     // A probe aimed at a dead router is driven into dead
                     // pins — same silent loss as an unconnected port.
                     Some(to) if !self.dead_now[to.index()] => {
@@ -1199,6 +1299,11 @@ impl<S: TraceSink> NetCore<S> {
             // for (non-quiescent state, or pending inbound wire traffic).
             if cells[n].wants_wake {
                 self.wheel.schedule(n, now + 1);
+            }
+
+            // `end_cycle` may have left recovery mode.
+            if cells[n].router.probe.in_recovery() != env.recovering.contains(n) {
+                self.recovery_edges.push(n);
             }
         }
 
@@ -1261,19 +1366,23 @@ impl<S: TraceSink> NetCore<S> {
         self.deliver_activations(cells, now);
 
         // Recovery-mode transition edges (entry via activation signals,
-        // exit in end_cycle) become start/end events.
-        if self.tracer.enabled() {
-            for (n, cell) in cells.iter().enumerate() {
-                let rec = cell.router.probe.in_recovery();
-                if rec != self.prev_recovering[n] {
-                    let event = if rec {
-                        TraceEvent::RecoveryStarted
-                    } else {
-                        TraceEvent::RecoveryEnded
-                    };
-                    self.tracer.emit(now, n as u16, event);
-                    self.prev_recovering[n] = rec;
-                }
+        // exit in end_cycle or by death), settled in node order: each
+        // updates the recovering set next cycle's compute reads and
+        // becomes a start/end event. A router noted twice, or one that
+        // left and re-entered within the cycle, compares equal and
+        // books nothing.
+        self.recovery_edges.sort_unstable();
+        self.recovery_edges.dedup();
+        for n in self.recovery_edges.drain(..) {
+            let rec = cells[n].router.probe.in_recovery();
+            if rec != env.recovering.contains(n) {
+                env.recovering.set(n, rec);
+                let event = if rec {
+                    TraceEvent::RecoveryStarted
+                } else {
+                    TraceEvent::RecoveryEnded
+                };
+                self.tracer.emit(now, n as u16, event);
             }
         }
 
@@ -1287,23 +1396,20 @@ impl<S: TraceSink> NetCore<S> {
             }
         }
         if self.measuring {
-            let mut tx_occ = 0;
-            let mut tx_cap = 0;
-            let mut rx_occ = 0;
-            let mut rx_cap = 0;
-            for cell in cells.iter() {
-                let (a, b, c, d) = cell.router.sample_occupancy();
-                tx_occ += a;
-                tx_cap += b;
-                rx_occ += c;
-                rx_cap += d;
-                cell.router
-                    .record_port_occupancy(&mut self.stats.port_occupancy);
+            let mut skipped = env.topo.node_count() as u64;
+            for n in env.active.awake() {
+                let router = &cells[n].router;
+                let (tx_occ, _, retx_occ, _) = router.sample_occupancy();
+                self.stats.tx_occupancy_sum += tx_occ;
+                self.stats.retx_occupancy_sum += retx_occ;
+                router.record_port_occupancy(&mut self.stats.port_occupancy);
+                skipped -= 1;
             }
-            self.stats.tx_occupancy_sum += tx_occ;
-            self.stats.retx_occupancy_sum += rx_occ;
-            self.stats.tx_capacity = tx_cap;
-            self.stats.retx_capacity = rx_cap;
+            // A skipped router is quiescent (the invariant
+            // `Oracle::check_activity` enforces): it holds no flit, so
+            // it adds nothing to the sums and its four cardinal input
+            // ports each sample as empty.
+            self.stats.port_occupancy.record_empty(4 * skipped);
             self.stats.cycles += 1;
         }
 
@@ -1313,7 +1419,7 @@ impl<S: TraceSink> NetCore<S> {
         // full sweep would. (A no-op for static-fault runs and when
         // gating is off.)
         if self.fault_boundaries.binary_search(&(now + 1)).is_ok() {
-            for n in 0..n_routers {
+            for n in 0..env.topo.node_count() {
                 self.wheel.schedule(n, now + 1);
             }
         }
@@ -1350,9 +1456,8 @@ impl<S: TraceSink> NetCore<S> {
     /// mutation with no RNG draws, so gated/ungated runs and every
     /// thread count stay byte-identical through a death.
     fn kill_router(&mut self, env: &RunEnv, cells: &mut Cells<'_>, victim: NodeId, now: u64) {
-        let topo = env.topo;
         let v = victim.index();
-        let n_routers = topo.node_count();
+        let n_routers = env.topo.node_count();
         let dest_router = |f: &Flit| f.header.dest.index() % n_routers;
 
         // Pass A: membership. A packet is truncated by this death when
@@ -1379,7 +1484,7 @@ impl<S: TraceSink> NetCore<S> {
         // The victim's live neighbours, with the direction leaving it.
         let live_neighbors: Vec<(Direction, usize)> = Direction::CARDINAL
             .into_iter()
-            .filter_map(|d| Some((d, topo.neighbor_id(victim, d)?.index())))
+            .filter_map(|d| Some((d, env.neighbor(v, d)?.index())))
             .filter(|&(_, m)| !self.dead_now[m])
             .collect();
         for &(d, m) in &live_neighbors {
@@ -1425,6 +1530,7 @@ impl<S: TraceSink> NetCore<S> {
             lost.push((v as u16, flit, port));
         }
         vcell.router.probe.exit_recovery();
+        self.recovery_edges.push(v);
         for d in Direction::CARDINAL {
             if let Some(fw) = vcell.io.flit_in[d.index()].as_mut() {
                 if let Some((flit, _)) = fw.purge_if(|_| true) {
@@ -1660,7 +1766,7 @@ impl<S: TraceSink> NetCore<S> {
             match action {
                 ProbeAction::Forward(sig) => {
                     let (dir, _) = fwd.expect("forward implies a next hop");
-                    match env.topo.neighbor_id(at, dir) {
+                    match env.neighbor(at.index(), dir) {
                         Some(next) if flight.path.len() <= 4 * env.topo.node_count() => {
                             flight.path.push(at);
                             self.probes.push(ProbeFlight {
@@ -1724,6 +1830,7 @@ impl<S: TraceSink> NetCore<S> {
             });
             if !was_recovering && router.probe.in_recovery() {
                 router.recoveries += 1;
+                self.recovery_edges.push(at.index());
             }
             // The activation may have flipped this router into recovery
             // mode: it must compute next cycle to start absorbing.
@@ -1778,4 +1885,88 @@ fn sum_censuses<'c>(cells: impl Iterator<Item = &'c RouterCell>) -> (EventCounts
         sums.1.absorb(&cell.router.errors);
     }
     sums
+}
+
+#[cfg(test)]
+mod tests {
+    use ftnoc_types::config::{BufferOrg, RouterConfig};
+
+    use super::*;
+    use crate::stats::OccupancyHistogram;
+
+    /// N = 9 leaves 55 spare bits in the only word, 64 none, and 72 a
+    /// second word 8 bits wide.
+    const SIZES: [usize; 3] = [9, 64, 72];
+
+    #[test]
+    fn gated_active_set_yields_exactly_the_scheduled_routers() {
+        for n in SIZES {
+            let mut wheel = ActivityWheel::new(n, true);
+            let active = ActiveSet::new(n, true);
+            assert_eq!(active.awake().count(), 0, "n={n}: nothing published yet");
+
+            // Cycle 0 stores all-ones words: the tail must not leak.
+            active.refresh(&mut wheel, 0);
+            assert!(active.awake().eq(0..n), "n={n}: cycle 0 wakes exactly 0..n");
+
+            let picked = [0, 5, n - 1];
+            for node in picked {
+                wheel.schedule(node, 1);
+            }
+            active.refresh(&mut wheel, 1);
+            assert!(active.awake().eq(picked), "n={n}: node order, no extras");
+            active.wake_now(3);
+            assert!(
+                active.awake().eq([0, 3, 5, n - 1]),
+                "n={n}: woken by injection"
+            );
+            // A worker's chunk sees its own slice of the set only.
+            assert!(active.awake_in(4..n - 1).eq([5]), "n={n}");
+            assert!(active.awake_in(4..n).eq([5, n - 1]), "n={n}");
+
+            active.refresh(&mut wheel, 2);
+            assert_eq!(active.awake().count(), 0, "n={n}: slot 2 was empty");
+        }
+    }
+
+    #[test]
+    fn ungated_active_set_is_every_router_whatever_the_words_hold() {
+        for n in SIZES {
+            let mut wheel = ActivityWheel::new(n, false);
+            let active = ActiveSet::new(n, false);
+            // The words are never written when gating is off.
+            assert!(active.awake().eq(0..n), "n={n}: before any refresh");
+            wheel.schedule(2, 1);
+            active.refresh(&mut wheel, 0);
+            active.refresh(&mut wheel, 1);
+            assert!(active.awake().eq(0..n), "n={n}: after refreshes");
+            assert!(active.awake_in(4..n - 1).eq(4..n - 1), "n={n}");
+        }
+    }
+
+    /// What `commit` books for a router it did not visit: no occupied
+    /// slot and four decile-0 port samples. Holds for a quiescent router
+    /// under either buffer organisation.
+    #[test]
+    fn a_quiescent_router_samples_as_the_skipped_router_constant() {
+        for org in [BufferOrg::StaticPartition, BufferOrg::Damq { pool_size: 8 }] {
+            let mut b = SimConfig::builder();
+            b.router(RouterConfig::builder().buffer_org(org).build().unwrap());
+            let config = b.build().unwrap();
+            // A corner router: two of its cardinal ports have no link.
+            let router = Router::new(NodeId::new(0), &config, [false, true, true, false]);
+            assert!(router.is_quiescent());
+
+            let (tx_occ, tx_cap, retx_occ, retx_cap) = router.sample_occupancy();
+            assert_eq!((tx_occ, retx_occ), (0, 0), "{org:?}");
+            assert!(tx_cap > 0 && retx_cap > 0, "{org:?}");
+
+            let mut sampled = OccupancyHistogram::default();
+            router.record_port_occupancy(&mut sampled);
+            let mut constant = OccupancyHistogram::default();
+            constant.record_empty(4);
+            assert_eq!(sampled, constant, "{org:?}");
+            assert_eq!(sampled.buckets()[0], 4, "{org:?}");
+        }
+    }
 }

@@ -303,6 +303,13 @@ impl OccupancyHistogram {
         self.count += 1;
     }
 
+    /// Records `samples` samples of an empty port in one step (the
+    /// routers an activity-gated cycle skipped hold no flit).
+    pub fn record_empty(&mut self, samples: u64) {
+        self.buckets[0] += samples;
+        self.count += samples;
+    }
+
     /// The ten decile counts, lowest fill first.
     pub fn buckets(&self) -> &[u64; 10] {
         &self.buckets

@@ -545,6 +545,16 @@ impl Topology {
         self.neighbor(self.coord_of(id), dir).map(|c| self.id_of(c))
     }
 
+    /// [`Topology::neighbor_id`] tabulated: entry `n` holds router `n`'s
+    /// neighbour in each of [`Direction::CARDINAL`], by direction index.
+    /// Per-cycle code reads this instead of redoing the coordinate
+    /// arithmetic on every lookup.
+    pub fn neighbor_table(self) -> Vec<[Option<NodeId>; 4]> {
+        self.nodes()
+            .map(|id| Direction::CARDINAL.map(|d| self.neighbor_id(id, d)))
+            .collect()
+    }
+
     /// Whether the link leaving `coord` in `dir` is a chiplet gateway:
     /// it crosses a tile boundary at the designated mid-edge offset.
     /// Always `false` outside chiplet topologies.
@@ -971,6 +981,29 @@ mod tests {
                 for d in Direction::ALL {
                     let chain = topo.neighbor(topo.coord_of(n), d).map(|c| topo.id_of(c));
                     assert_eq!(topo.neighbor_id(n, d), chain, "{topo} {n} {d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn neighbor_table_tabulates_neighbor_id_and_is_symmetric() {
+        for topo in [
+            Topology::mesh(9, 8),
+            Topology::torus(4, 4), // wrap links
+            Topology::cmesh(4, 4, 4),
+            Topology::chiplet(8, 8, 4, 4), // gateway links
+        ] {
+            let table = topo.neighbor_table();
+            assert_eq!(table.len(), topo.node_count());
+            for n in topo.nodes() {
+                for d in Direction::CARDINAL {
+                    let m = table[n.index()][d.index()];
+                    assert_eq!(m, topo.neighbor_id(n, d), "{topo} {n} {d}");
+                    if let Some(m) = m {
+                        let back = table[m.index()][d.opposite().index()];
+                        assert_eq!(back, Some(n), "{topo} {n} {d}: link is one-way");
+                    }
                 }
             }
         }

@@ -128,6 +128,44 @@ fn torus_midrun(seed: u64) -> SimConfigBuilder {
     b
 }
 
+/// A 9×8 mesh: 72 routers, so the active set spans two words and the
+/// second is only 8 bits wide. Every other row fits in one word; this
+/// one holds the awake-router walk (compute, commit drain, occupancy
+/// sampling) to the contract across the word boundary and the tail.
+fn two_word_mesh(seed: u64) -> SimConfigBuilder {
+    let mut b = fault_free(seed);
+    b.topology(Topology::mesh(9, 8)).injection_rate(0.05);
+    b
+}
+
+/// The deadlock-recovery shape (pushed to 0.30 injection so every seed
+/// deadlocks within a few hundred cycles) with a router dying while its
+/// neighbourhood is in recovery mode: the victim is the first router of
+/// the kill-free run to enter recovery, and it dies three cycles later,
+/// while the activation signal is still walking the probe path. The
+/// recovering set then changes through all three of its edge sites in
+/// a handful of cycles — activations entering, `end_cycle` leaving, and
+/// the death purge pulling the victim out.
+fn recovery_overlapping_death(seed: u64) -> SimConfigBuilder {
+    let mut b = deadlock_recovery(seed);
+    b.injection_rate(0.30);
+    let config = b.build().unwrap();
+    let mut nodes = config.topology.nodes();
+    let mut net = Network::new(config);
+    while !net.any_in_recovery() {
+        assert!(
+            net.now() < 3_000,
+            "seed {seed}: no deadlock to recover from"
+        );
+        net.step();
+    }
+    let victim = nodes
+        .find(|&id| net.router(id).probe.in_recovery())
+        .expect("some router is recovering");
+    b.fault_plan(FaultPlan::new().kill_router_at(net.now() + 3, victim));
+    b
+}
+
 /// Runs `cycles` cycles and returns the full JSONL trace plus the JSON
 /// run report.
 fn run(
@@ -155,7 +193,11 @@ const fn dbg_capped(cycles: u64) -> u64 {
     }
 }
 
-fn assert_gating_parity(name: &str, make: fn(u64) -> SimConfigBuilder, cycles: u64) {
+/// Holds the gated engine to the full sweep's bytes on three seeds and
+/// returns the reference traces, one per seed, for rows that also
+/// assert what their scenario exercised.
+fn assert_gating_parity(name: &str, make: fn(u64) -> SimConfigBuilder, cycles: u64) -> Vec<String> {
+    let mut traces = Vec::new();
     for seed in [1u64, 42, 0xF70C] {
         let (trace_ref, report_ref) = run(make(seed), false, 1, cycles);
         assert!(
@@ -177,7 +219,9 @@ fn assert_gating_parity(name: &str, make: fn(u64) -> SimConfigBuilder, cycles: u
                 "{name}/seed {seed}: gated @{threads}t report diverged from full sweep"
             );
         }
+        traces.push(trace_ref);
     }
+    traces
 }
 
 #[test]
@@ -217,6 +261,53 @@ fn fault_aware_midrun_kill_runs_are_gating_invariant() {
 #[test]
 fn torus_wrap_link_kill_runs_are_gating_invariant() {
     assert_gating_parity("torus-midrun", torus_midrun, dbg_capped(10_000));
+}
+
+#[test]
+fn two_word_mesh_runs_are_gating_invariant() {
+    assert_gating_parity("two-word-mesh", two_word_mesh, dbg_capped(4_000));
+}
+
+/// The `cycle` and `node` of a trace line.
+fn cycle_and_node(line: &str) -> (u64, u64) {
+    let event = ftnoc_metrics::json::parse(line).expect("a JSON trace line");
+    let field = |key| event.u64_field(key).expect("every event carries it");
+    (field("cycle"), field("node"))
+}
+
+#[test]
+fn router_death_during_recovery_runs_are_gating_invariant() {
+    let traces = assert_gating_parity(
+        "recovery-overlapping-death",
+        recovery_overlapping_death,
+        dbg_capped(12_000),
+    );
+    // The row is only worth its time if the death really landed inside a
+    // recovery episode: other routers recovering, the victim among them.
+    for trace in traces {
+        let killed = trace
+            .lines()
+            .find(|l| l.contains("\"router_killed\""))
+            .expect("the router death is in the trace");
+        let (at, victim) = cycle_and_node(killed);
+        let edges = |kind: &str| {
+            trace
+                .lines()
+                .filter(|l| l.contains(kind))
+                .map(cycle_and_node)
+                .collect::<Vec<_>>()
+        };
+        let (starts, ends) = (edges("\"recovery_start\""), edges("\"recovery_end\""));
+        let before = |edges: &[(u64, u64)]| edges.iter().filter(|&&(c, _)| c < at).count();
+        assert!(
+            before(&starts) > before(&ends) + 1,
+            "no router besides the victim was recovering at cycle {at}"
+        );
+        assert!(
+            ends.contains(&(at, victim)),
+            "the death of n{victim} at cycle {at} did not end its recovery"
+        );
+    }
 }
 
 /// Gating must actually *skip* work, not just match the full sweep: at
