@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Fail on public items that nothing outside a test reaches.
+
+Every `pub fn|struct|enum|const|trait|type|static` name declared under
+`crates/*/src` and `src` is word-matched against those same sources plus
+`examples/` and `benchmark/src`, each file cut at its first
+`#[cfg(test)]` and stripped of `//` comments and `pub use` re-exports.
+A name whose only occurrences are its own declarations has no caller: it
+must either go or be listed, with its reason, in
+`.github/api-reach-allow.txt` (`name: reason`, one per line). A flagged
+name has zero textual references, so the check has no false positives;
+it can miss an item that shares its name with a live one.
+"""
+import collections
+import glob
+import pathlib
+import re
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+ALLOW = ROOT / ".github" / "api-reach-allow.txt"
+DECL = re.compile(
+    r"\bpub\s+(?:const\s+|unsafe\s+)*(?:fn|struct|enum|const|trait|type|static)\s+([A-Za-z_]\w*)"
+)
+
+
+def live_text(path):
+    text = path.read_text().split("#[cfg(test)]")[0]
+    text = re.sub(r"\bpub use [^;]*;", "", text)
+    return "\n".join(line.split("//")[0] for line in text.splitlines())
+
+
+def sources(*patterns):
+    return [
+        pathlib.Path(hit)
+        for pattern in patterns
+        for hit in sorted(glob.glob(str(ROOT / pattern), recursive=True))
+    ]
+
+
+def main():
+    declaring = sources("crates/*/src/**/*.rs", "src/**/*.rs")
+    callers = sources("examples/**/*.rs", "benchmark/src/**/*.rs")
+    declared = collections.defaultdict(list)
+    words = collections.Counter()
+    for path in declaring + callers:
+        text = live_text(path)
+        words.update(re.findall(r"[A-Za-z_]\w*", text))
+        if path in declaring:
+            for name in DECL.findall(text):
+                declared[name].append(str(path.relative_to(ROOT)))
+
+    allowed = {}
+    for n, line in enumerate(ALLOW.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        name, _, reason = line.partition(":")
+        if not reason.strip():
+            sys.exit(f"{ALLOW.name}:{n}: `{name}` has no reason")
+        allowed[name.strip()] = reason.strip()
+
+    unreached = {n: f for n, f in declared.items() if words[n] == len(f)}
+    failed = False
+    for name in sorted(unreached.keys() - allowed.keys()):
+        print(f"unreached: {name} ({', '.join(unreached[name])})")
+        failed = True
+    for name in sorted(allowed.keys() - unreached.keys()):
+        print(f"stale allowlist entry: {name} (now referenced, or gone)")
+        failed = True
+    sys.exit(1 if failed else 0)
+
+
+if __name__ == "__main__":
+    main()

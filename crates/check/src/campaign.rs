@@ -75,8 +75,8 @@ pub struct CampaignParams {
     pub link: f64,
     /// Handshake (reverse-wire) soft-error rate.
     pub handshake: f64,
-    /// RT / VA / SA / crossbar / retrans-buffer logic upset rates.
-    pub logic: [f64; 5],
+    /// RT / VA / SA / crossbar logic upset rates.
+    pub logic: [f64; 4],
     /// Deadlock detection enabled.
     pub deadlock: bool,
     /// Deadlock criticality threshold.
@@ -119,17 +119,56 @@ pub struct CampaignParams {
     pub wear_budget: u64,
 }
 
-fn pattern_name(p: &TrafficPattern) -> &'static str {
-    match p {
-        TrafficPattern::Uniform => "uniform",
-        TrafficPattern::BitComplement => "bitcomp",
-        TrafficPattern::Tornado => "tornado",
-        TrafficPattern::Transpose => "transpose",
-        TrafficPattern::BitReverse => "bitrev",
-        TrafficPattern::Shuffle => "shuffle",
-        TrafficPattern::Hotspot { .. } => "hotspot",
-        _ => "other",
-    }
+/// Reproducer-spec names of the four enumerated keys, one table per
+/// key, read in both directions by [`CampaignParams::to_spec`] and
+/// [`CampaignParams::from_spec`]. What is not in a table can be neither
+/// sampled nor parsed.
+const ROUTES: [(&str, RoutingAlgorithm); 5] = [
+    ("xy", RoutingAlgorithm::XyDeterministic),
+    ("wf", RoutingAlgorithm::WestFirstAdaptive),
+    ("fa", RoutingAlgorithm::FullyAdaptive),
+    ("oe", RoutingAlgorithm::OddEven),
+    ("fta", RoutingAlgorithm::FaultAware),
+];
+const SCHEMES: [(&str, ErrorScheme); 4] = [
+    ("hbh", ErrorScheme::Hbh),
+    ("e2e", ErrorScheme::E2e),
+    ("fec", ErrorScheme::Fec),
+    ("none", ErrorScheme::Unprotected),
+];
+const PATTERNS: [(&str, TrafficPattern); 6] = [
+    ("uniform", TrafficPattern::Uniform),
+    ("bitcomp", TrafficPattern::BitComplement),
+    ("tornado", TrafficPattern::Tornado),
+    ("transpose", TrafficPattern::Transpose),
+    ("bitrev", TrafficPattern::BitReverse),
+    ("shuffle", TrafficPattern::Shuffle),
+];
+const PROCESSES: [(&str, InjectionProcess); 2] = [
+    ("reg", InjectionProcess::Regular),
+    ("bern", InjectionProcess::Bernoulli),
+];
+
+/// The table's name for `value`.
+fn spec_name<T: PartialEq + std::fmt::Debug>(
+    table: &[(&'static str, T)],
+    value: &T,
+) -> &'static str {
+    let name = table
+        .iter()
+        .find(|(_, t)| t == value)
+        .map(|(name, _)| *name);
+    debug_assert!(name.is_some(), "{value:?} has no reproducer-spec name");
+    name.unwrap_or("?")
+}
+
+/// The table's value for `name`; `what` says which key in the error.
+fn spec_value<T: Clone>(table: &[(&str, T)], what: &str, name: &str) -> Result<T, String> {
+    table
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, t)| t.clone())
+        .ok_or_else(|| format!("unknown {what} {name:?}"))
 }
 
 impl CampaignParams {
@@ -151,15 +190,21 @@ impl CampaignParams {
         };
         let (link, handshake, logic) = match r.gen_range(0..10u32) {
             // Fault-free: every invariant armed, exact credit equality.
-            0..=2 => (0.0, 0.0, [0.0; 5]),
+            0..=2 => (0.0, 0.0, [0.0; 4]),
             // Link faults: the HBH replay path under stress.
-            3..=6 => (10f64.powi(-(r.gen_range(2..4u64) as i32)), 0.0, [0.0; 5]),
+            3..=6 => (10f64.powi(-(r.gen_range(2..4u64) as i32)), 0.0, [0.0; 4]),
             // Link + handshake faults (TMR-voted NACK wires).
-            7 => (1e-2, 1e-3, [0.0; 5]),
-            // Logic upsets: RT/VA/SA/crossbar/retrans-buffer sites.
+            7 => (1e-2, 1e-3, [0.0; 4]),
+            // Logic upsets: RT/VA/SA/crossbar sites. The draw keeps the
+            // range it had when a fifth rate existed that nothing drew
+            // at, so every later parameter of a (seed, index) is
+            // unchanged; a 4 selects no site and the campaign runs as
+            // what it always was, fault-free and fully armed.
             _ => {
-                let mut logic = [0.0; 5];
-                logic[r.gen_range(0..5usize)] = 1e-3;
+                let mut logic = [0.0; 4];
+                if let Some(rate) = logic.get_mut(r.gen_range(0..5usize)) {
+                    *rate = 1e-3;
+                }
                 (0.0, 0.0, logic)
             }
         };
@@ -379,7 +424,6 @@ impl CampaignParams {
                 va: self.logic[1],
                 sa: self.logic[2],
                 crossbar: self.logic[3],
-                retrans_buffer: self.logic[4],
                 handshake: self.handshake,
                 ..FaultRates::none()
             })
@@ -405,7 +449,7 @@ impl CampaignParams {
         let _ = write!(
             s,
             "w={},h={},vcs={},buf={},rtx={},pipe={},route={},scheme={},ac={},\
-             pat={},proc={},inj={},link={},hs={},rt={},va={},sa={},xbar={},rbuf={},\
+             pat={},proc={},inj={},link={},hs={},rt={},va={},sa={},xbar={},\
              dl={},cth={},stop={},seed={},cycles={},threads={},pool={},gate={}",
             self.width,
             self.height,
@@ -413,25 +457,11 @@ impl CampaignParams {
             self.buffer,
             self.retrans,
             self.pipeline as u8,
-            match self.routing {
-                RoutingAlgorithm::XyDeterministic => "xy",
-                RoutingAlgorithm::WestFirstAdaptive => "wf",
-                RoutingAlgorithm::FullyAdaptive => "fa",
-                RoutingAlgorithm::OddEven => "oe",
-                RoutingAlgorithm::FaultAware => "fta",
-            },
-            match self.scheme {
-                ErrorScheme::Hbh => "hbh",
-                ErrorScheme::E2e => "e2e",
-                ErrorScheme::Fec => "fec",
-                ErrorScheme::Unprotected => "none",
-            },
+            spec_name(&ROUTES, &self.routing),
+            spec_name(&SCHEMES, &self.scheme),
             u8::from(self.ac),
-            pattern_name(&self.pattern),
-            match self.injection {
-                InjectionProcess::Regular => "reg",
-                InjectionProcess::Bernoulli => "bern",
-            },
+            spec_name(&PATTERNS, &self.pattern),
+            spec_name(&PROCESSES, &self.injection),
             self.rate,
             self.link,
             self.handshake,
@@ -439,7 +469,6 @@ impl CampaignParams {
             self.logic[1],
             self.logic[2],
             self.logic[3],
-            self.logic[4],
             u8::from(self.deadlock),
             self.cthres,
             self.stop_after,
@@ -482,7 +511,7 @@ impl CampaignParams {
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         // Start from a fixed baseline so a spec may omit fields.
         let mut p = CampaignParams::sample(0, 0);
-        p.logic = [0.0; 5];
+        p.logic = [0.0; 4];
         p.damq_pool = 0;
         p.gating = true;
         p.kill_at = 0;
@@ -522,44 +551,11 @@ impl CampaignParams {
                         _ => return Err(bad_value(k, v)),
                     }
                 }
-                "route" => {
-                    p.routing = match v {
-                        "xy" => RoutingAlgorithm::XyDeterministic,
-                        "wf" => RoutingAlgorithm::WestFirstAdaptive,
-                        "fa" => RoutingAlgorithm::FullyAdaptive,
-                        "oe" => RoutingAlgorithm::OddEven,
-                        "fta" => RoutingAlgorithm::FaultAware,
-                        _ => return Err(format!("unknown routing {v:?}")),
-                    }
-                }
-                "scheme" => {
-                    p.scheme = match v {
-                        "hbh" => ErrorScheme::Hbh,
-                        "e2e" => ErrorScheme::E2e,
-                        "fec" => ErrorScheme::Fec,
-                        "none" => ErrorScheme::Unprotected,
-                        _ => return Err(format!("unknown scheme {v:?}")),
-                    }
-                }
+                "route" => p.routing = spec_value(&ROUTES, "routing", v)?,
+                "scheme" => p.scheme = spec_value(&SCHEMES, "scheme", v)?,
                 "ac" => p.ac = flag(k, v)?,
-                "pat" => {
-                    p.pattern = match v {
-                        "uniform" => TrafficPattern::Uniform,
-                        "bitcomp" => TrafficPattern::BitComplement,
-                        "tornado" => TrafficPattern::Tornado,
-                        "transpose" => TrafficPattern::Transpose,
-                        "bitrev" => TrafficPattern::BitReverse,
-                        "shuffle" => TrafficPattern::Shuffle,
-                        _ => return Err(format!("unknown pattern {v:?}")),
-                    }
-                }
-                "proc" => {
-                    p.injection = match v {
-                        "reg" => InjectionProcess::Regular,
-                        "bern" => InjectionProcess::Bernoulli,
-                        _ => return Err(format!("unknown injection process {v:?}")),
-                    }
-                }
+                "pat" => p.pattern = spec_value(&PATTERNS, "pattern", v)?,
+                "proc" => p.injection = spec_value(&PROCESSES, "injection process", v)?,
                 "inj" => p.rate = v.parse().map_err(bad!())?,
                 "link" => p.link = v.parse().map_err(bad!())?,
                 "hs" => p.handshake = v.parse().map_err(bad!())?,
@@ -567,7 +563,6 @@ impl CampaignParams {
                 "va" => p.logic[1] = v.parse().map_err(bad!())?,
                 "sa" => p.logic[2] = v.parse().map_err(bad!())?,
                 "xbar" => p.logic[3] = v.parse().map_err(bad!())?,
-                "rbuf" => p.logic[4] = v.parse().map_err(bad!())?,
                 "dl" => p.deadlock = flag(k, v)?,
                 "cth" => p.cthres = v.parse().map_err(bad!())?,
                 "stop" => p.stop_after = v.parse().map_err(bad!())?,
@@ -840,7 +835,7 @@ fn transforms(p: &CampaignParams, v: &Violation) -> Vec<CampaignParams> {
     push(&|c| c.buffer = c.buffer.max(3) - 1);
     push(&|c| c.retrans = c.retrans.max(4) - 1);
     push(&|c| c.handshake = 0.0);
-    push(&|c| c.logic = [0.0; 5]);
+    push(&|c| c.logic = [0.0; 4]);
     push(&|c| c.link = 0.0);
     push(&|c| c.stop_after = 0);
     push(&|c| c.pattern = TrafficPattern::Uniform);
@@ -909,14 +904,14 @@ mod tests {
                 1,
                 "w=2,h=2,vcs=1,buf=2,rtx=4,pipe=2,route=fta,scheme=none,ac=1,\
                  pat=transpose,proc=bern,inj=0.3490940348670351,link=0,hs=0,rt=0.001,\
-                 va=0,sa=0,xbar=0,rbuf=0,dl=1,cth=32,stop=0,seed=6362733068398363939,\
+                 va=0,sa=0,xbar=0,dl=1,cth=32,stop=0,seed=6362733068398363939,\
                  cycles=1929,threads=2,pool=3,gate=0,topo=torus,nfy=0,kill@1060=0:e",
             ),
             (
                 45,
                 "w=3,h=4,vcs=3,buf=5,rtx=5,pipe=4,route=fta,scheme=hbh,ac=0,\
                   pat=bitrev,proc=bern,inj=0.06017141127580823,link=0.001,hs=0,rt=0,\
-                  va=0,sa=0,xbar=0,rbuf=0,dl=1,cth=32,stop=0,seed=1969312120355977816,\
+                  va=0,sa=0,xbar=0,dl=1,cth=32,stop=0,seed=1969312120355977816,\
                   cycles=1928,threads=4,pool=0,gate=1,topo=cmesh,conc=3,nfy=4,\
                   fault=router:5@684",
             ),
@@ -924,7 +919,7 @@ mod tests {
                 8,
                 "w=4,h=3,vcs=1,buf=4,rtx=4,pipe=2,route=xy,scheme=e2e,ac=1,\
                  pat=transpose,proc=bern,inj=0.10286198920688645,link=0.001,hs=0,rt=0,\
-                 va=0,sa=0,xbar=0,rbuf=0,dl=1,cth=8,stop=0,seed=815076178094569843,\
+                 va=0,sa=0,xbar=0,dl=1,cth=8,stop=0,seed=815076178094569843,\
                  cycles=1666,threads=1,pool=0,gate=1,nfy=4,fault=wearout:163",
             ),
         ];

@@ -74,6 +74,10 @@ impl fmt::Display for Violation {
 /// | credit equality | no logic, link upsets or router kills |
 /// | probe soundness (§3.2.2) | no logic upsets |
 /// | dead-port allocation | AC enabled, or no VA upsets |
+///
+/// "Logic upsets" are the four intra-router sites the simulator draws
+/// at: RT, VA, SA and crossbar. Handshake upsets gate nothing (TMR
+/// votes them away).
 #[derive(Debug, Clone, Copy)]
 pub struct ArmedInvariants {
     /// Exclusivity of VC/crossbar allocations (the AC's §4 guarantees).
@@ -103,11 +107,7 @@ impl ArmedInvariants {
     /// Derives the arming matrix from a run configuration.
     pub fn from_config(config: &SimConfig) -> Self {
         let f = &config.faults;
-        let logic_free = f.rt == 0.0
-            && f.va == 0.0
-            && f.sa == 0.0
-            && f.crossbar == 0.0
-            && f.retrans_buffer == 0.0;
+        let logic_free = f.rt == 0.0 && f.va == 0.0 && f.sa == 0.0 && f.crossbar == 0.0;
         let hbh = config.scheme == ErrorScheme::Hbh;
         // Handshake upsets hit single replicas of a TMR-protected strobe
         // and are always voted away (§3.1), so they never change delivery

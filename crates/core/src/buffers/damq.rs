@@ -26,8 +26,6 @@
 
 use ftnoc_types::flit::Flit;
 
-use super::BufferOrganization;
-
 /// Sentinel for "no slot" in the intrusive links.
 const NIL: u32 = u32::MAX;
 
@@ -59,7 +57,7 @@ impl DamqBuffer {
     /// Panics unless `pool_size > vcs ≥ 1` (config validation enforces
     /// this upstream; the reserved-slot policy needs one slot per VC
     /// plus shared capacity).
-    pub fn new(vcs: usize, pool_size: usize) -> Self {
+    pub(super) fn new(vcs: usize, pool_size: usize) -> Self {
         assert!(
             vcs >= 1 && pool_size > vcs,
             "damq pool must exceed vc count"
@@ -94,29 +92,27 @@ impl DamqBuffer {
             .map(|q| (q.len as usize).saturating_sub(1))
             .sum()
     }
-}
 
-impl BufferOrganization for DamqBuffer {
-    fn vcs(&self) -> usize {
+    pub(super) fn vcs(&self) -> usize {
         self.queues.len()
     }
 
-    fn total_capacity(&self) -> usize {
+    pub(super) fn total_capacity(&self) -> usize {
         self.slots.len()
     }
 
-    fn vc_capacity(&self, _vc: usize) -> usize {
+    pub(super) fn vc_capacity(&self, _vc: usize) -> usize {
         // Own reservation plus the whole shared region.
         self.slots.len() - (self.queues.len() - 1)
     }
 
-    fn free_slots(&self, vc: usize) -> usize {
+    pub(super) fn free_slots(&self, vc: usize) -> usize {
         let shared_free = self.shared_capacity() - self.shared_used();
         let reservation = usize::from(self.queues[vc].len == 0);
         shared_free + reservation
     }
 
-    fn push(&mut self, vc: usize, flit: Flit) -> bool {
+    pub(super) fn push(&mut self, vc: usize, flit: Flit) -> bool {
         if self.free_slots(vc) == 0 {
             return false;
         }
@@ -137,7 +133,7 @@ impl BufferOrganization for DamqBuffer {
         true
     }
 
-    fn front(&self, vc: usize) -> Option<&Flit> {
+    pub(super) fn front(&self, vc: usize) -> Option<&Flit> {
         let head = self.queues[vc].head;
         if head == NIL {
             return None;
@@ -145,7 +141,7 @@ impl BufferOrganization for DamqBuffer {
         self.slots[head as usize].as_ref()
     }
 
-    fn pop(&mut self, vc: usize) -> Option<Flit> {
+    pub(super) fn pop(&mut self, vc: usize) -> Option<Flit> {
         let q = &mut self.queues[vc];
         let slot = q.head;
         if slot == NIL {
@@ -163,15 +159,15 @@ impl BufferOrganization for DamqBuffer {
         flit
     }
 
-    fn len(&self, vc: usize) -> usize {
+    pub(super) fn len(&self, vc: usize) -> usize {
         self.queues[vc].len as usize
     }
 
-    fn occupied(&self) -> usize {
+    pub(super) fn occupied(&self) -> usize {
         self.occupied
     }
 
-    fn extend_flits(&self, vc: usize, out: &mut Vec<Flit>) {
+    pub(super) fn extend_flits(&self, vc: usize, out: &mut Vec<Flit>) {
         let mut slot = self.queues[vc].head;
         while slot != NIL {
             if let Some(flit) = self.slots[slot as usize] {

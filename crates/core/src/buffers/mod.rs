@@ -2,13 +2,13 @@
 //!
 //! The paper's platform statically partitions each input port into
 //! per-VC transmission FIFOs with per-VC credit counters. This module
-//! lifts that choice into an explicit [`BufferOrganization`] trait with
-//! two implementations:
+//! makes that choice explicit: [`PortBuffer`] is the one buffer type the
+//! router holds, an enum over two organisations private to this module:
 //!
-//! - [`StaticPartitionBuffer`] — bit-for-bit the original behaviour:
-//!   one [`TransmissionFifo`](crate::TransmissionFifo) of
-//!   `buffer_depth` flits per VC.
-//! - [`DamqBuffer`] — a dynamically-allocated multi-queue (Jamali &
+//! - the static partition — bit-for-bit the original behaviour: one
+//!   [`TransmissionFifo`](crate::TransmissionFifo) of `buffer_depth`
+//!   flits per VC.
+//! - the DAMQ — a dynamically-allocated multi-queue (Jamali &
 //!   Khademzadeh): one shared flit pool per input port with per-VC
 //!   logical queues threaded through a linked free-list, and **one
 //!   reserved slot per VC** so an empty VC can always accept a header.
@@ -33,61 +33,30 @@ mod damq;
 mod static_partition;
 
 pub use credit::CreditLedger;
-pub use damq::DamqBuffer;
-pub use static_partition::StaticPartitionBuffer;
+use damq::DamqBuffer;
+use static_partition::StaticPartitionBuffer;
 
 use ftnoc_types::config::BufferOrg;
 use ftnoc_types::flit::Flit;
 
-/// Contract every input-buffer organisation satisfies.
-///
-/// An organisation owns all flit storage of **one input port** and
-/// exposes per-VC FIFO semantics on top of it. Implementations must
-/// keep per-VC FIFO order (wormhole ordering depends on it) and must
-/// only report a free slot when a subsequent `push` to that VC is
-/// guaranteed to succeed.
-pub trait BufferOrganization {
-    /// Number of virtual channels multiplexed over this port.
-    fn vcs(&self) -> usize;
-
-    /// Total flit slots owned by the port (all VCs).
-    fn total_capacity(&self) -> usize;
-
-    /// Most flits `vc` could ever hold.
-    fn vc_capacity(&self, vc: usize) -> usize;
-
-    /// Slots `vc` could accept right now.
-    fn free_slots(&self, vc: usize) -> usize;
-
-    /// Appends a flit to `vc`'s logical queue; `false` when full.
-    fn push(&mut self, vc: usize, flit: Flit) -> bool;
-
-    /// The flit at the front of `vc`'s queue.
-    fn front(&self, vc: usize) -> Option<&Flit>;
-
-    /// Removes and returns the front flit of `vc`'s queue.
-    fn pop(&mut self, vc: usize) -> Option<Flit>;
-
-    /// Flits currently queued on `vc`.
-    fn len(&self, vc: usize) -> usize;
-
-    /// Whether `vc`'s queue is empty.
-    fn is_empty(&self, vc: usize) -> bool {
-        self.len(vc) == 0
-    }
-
-    /// Flits currently resident across all VCs.
-    fn occupied(&self) -> usize;
-
-    /// Appends `vc`'s queued flits, front to back, to `out` (snapshot
-    /// support — organisations store flits in different layouts, so
-    /// iteration is by copy-out rather than by slice).
-    fn extend_flits(&self, vc: usize, out: &mut Vec<Flit>);
+macro_rules! dispatch {
+    ($self:ident, $b:ident => $e:expr) => {
+        match $self {
+            PortBuffer::Static($b) => $e,
+            PortBuffer::Damq($b) => $e,
+        }
+    };
 }
 
-/// Enum-dispatched input-port buffer: the router stores this directly
-/// so the hot path stays monomorphic and `Debug`/snapshot code stays
-/// deterministic (no trait objects).
+/// All flit storage of **one input port**, with per-VC FIFO semantics
+/// on top of it, under either organisation.
+///
+/// Both organisations keep per-VC FIFO order (wormhole ordering depends
+/// on it) and only report a free slot when a subsequent `push` to that
+/// VC is guaranteed to succeed. Enum-dispatched, so the hot path stays
+/// monomorphic and `Debug`/snapshot code stays deterministic; the
+/// methods are `#[inline]` because the router calls them per flit from
+/// another crate (without it `sat8` measures 2 % slower).
 #[derive(Debug, Clone)]
 pub enum PortBuffer {
     /// Statically-partitioned per-VC FIFOs.
@@ -106,55 +75,72 @@ impl PortBuffer {
             BufferOrg::Damq { pool_size } => PortBuffer::Damq(DamqBuffer::new(vcs, pool_size)),
         }
     }
-}
 
-macro_rules! dispatch {
-    ($self:ident, $b:ident => $e:expr) => {
-        match $self {
-            PortBuffer::Static($b) => $e,
-            PortBuffer::Damq($b) => $e,
-        }
-    };
-}
-
-impl BufferOrganization for PortBuffer {
-    fn vcs(&self) -> usize {
+    /// Number of virtual channels multiplexed over this port.
+    #[inline]
+    pub fn vcs(&self) -> usize {
         dispatch!(self, b => b.vcs())
     }
 
-    fn total_capacity(&self) -> usize {
+    /// Total flit slots owned by the port (all VCs).
+    #[inline]
+    pub fn total_capacity(&self) -> usize {
         dispatch!(self, b => b.total_capacity())
     }
 
-    fn vc_capacity(&self, vc: usize) -> usize {
+    /// Most flits `vc` could ever hold.
+    #[inline]
+    pub fn vc_capacity(&self, vc: usize) -> usize {
         dispatch!(self, b => b.vc_capacity(vc))
     }
 
-    fn free_slots(&self, vc: usize) -> usize {
+    /// Slots `vc` could accept right now.
+    #[inline]
+    pub fn free_slots(&self, vc: usize) -> usize {
         dispatch!(self, b => b.free_slots(vc))
     }
 
-    fn push(&mut self, vc: usize, flit: Flit) -> bool {
+    /// Appends a flit to `vc`'s logical queue; `false` when full.
+    #[inline]
+    pub fn push(&mut self, vc: usize, flit: Flit) -> bool {
         dispatch!(self, b => b.push(vc, flit))
     }
 
-    fn front(&self, vc: usize) -> Option<&Flit> {
+    /// The flit at the front of `vc`'s queue.
+    #[inline]
+    pub fn front(&self, vc: usize) -> Option<&Flit> {
         dispatch!(self, b => b.front(vc))
     }
 
-    fn pop(&mut self, vc: usize) -> Option<Flit> {
+    /// Removes and returns the front flit of `vc`'s queue.
+    #[inline]
+    pub fn pop(&mut self, vc: usize) -> Option<Flit> {
         dispatch!(self, b => b.pop(vc))
     }
 
-    fn len(&self, vc: usize) -> usize {
+    /// Flits currently queued on `vc`.
+    #[inline]
+    pub fn len(&self, vc: usize) -> usize {
         dispatch!(self, b => b.len(vc))
     }
 
-    fn occupied(&self) -> usize {
+    /// Whether `vc`'s queue is empty.
+    #[inline]
+    pub fn is_empty(&self, vc: usize) -> bool {
+        self.len(vc) == 0
+    }
+
+    /// Flits currently resident across all VCs.
+    #[inline]
+    pub fn occupied(&self) -> usize {
         dispatch!(self, b => b.occupied())
     }
 
-    fn extend_flits(&self, vc: usize, out: &mut Vec<Flit>) {
+    /// Appends `vc`'s queued flits, front to back, to `out` (snapshot
+    /// support — the organisations store flits in different layouts, so
+    /// iteration is by copy-out rather than by slice).
+    #[inline]
+    pub fn extend_flits(&self, vc: usize, out: &mut Vec<Flit>) {
         dispatch!(self, b => b.extend_flits(vc, out))
     }
 }

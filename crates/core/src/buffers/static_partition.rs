@@ -6,7 +6,6 @@
 
 use ftnoc_types::flit::Flit;
 
-use super::BufferOrganization;
 use crate::retransmission::TransmissionFifo;
 
 /// One private FIFO per VC. Bit-for-bit the pre-refactor behaviour:
@@ -19,52 +18,50 @@ pub struct StaticPartitionBuffer {
 
 impl StaticPartitionBuffer {
     /// `vcs` FIFOs of `depth` flits each.
-    pub fn new(vcs: usize, depth: usize) -> Self {
+    pub(super) fn new(vcs: usize, depth: usize) -> Self {
         StaticPartitionBuffer {
             fifos: (0..vcs).map(|_| TransmissionFifo::new(depth)).collect(),
             depth,
         }
     }
-}
 
-impl BufferOrganization for StaticPartitionBuffer {
-    fn vcs(&self) -> usize {
+    pub(super) fn vcs(&self) -> usize {
         self.fifos.len()
     }
 
-    fn total_capacity(&self) -> usize {
+    pub(super) fn total_capacity(&self) -> usize {
         self.fifos.len() * self.depth
     }
 
-    fn vc_capacity(&self, _vc: usize) -> usize {
+    pub(super) fn vc_capacity(&self, _vc: usize) -> usize {
         self.depth
     }
 
-    fn free_slots(&self, vc: usize) -> usize {
+    pub(super) fn free_slots(&self, vc: usize) -> usize {
         self.fifos[vc].free_slots()
     }
 
-    fn push(&mut self, vc: usize, flit: Flit) -> bool {
+    pub(super) fn push(&mut self, vc: usize, flit: Flit) -> bool {
         self.fifos[vc].push(flit)
     }
 
-    fn front(&self, vc: usize) -> Option<&Flit> {
+    pub(super) fn front(&self, vc: usize) -> Option<&Flit> {
         self.fifos[vc].front()
     }
 
-    fn pop(&mut self, vc: usize) -> Option<Flit> {
+    pub(super) fn pop(&mut self, vc: usize) -> Option<Flit> {
         self.fifos[vc].pop()
     }
 
-    fn len(&self, vc: usize) -> usize {
+    pub(super) fn len(&self, vc: usize) -> usize {
         self.fifos[vc].len()
     }
 
-    fn occupied(&self) -> usize {
+    pub(super) fn occupied(&self) -> usize {
         self.fifos.iter().map(TransmissionFifo::len).sum()
     }
 
-    fn extend_flits(&self, vc: usize, out: &mut Vec<Flit>) {
+    pub(super) fn extend_flits(&self, vc: usize, out: &mut Vec<Flit>) {
         out.extend(self.fifos[vc].iter().copied());
     }
 }

@@ -48,9 +48,7 @@ pub mod recovery;
 pub mod retransmission;
 
 pub use ac::{AcFinding, AllocationComparator, SaEntry, VaEntry, VcRef};
-pub use buffers::{
-    BufferOrganization, CreditLedger, DamqBuffer, PortBuffer, StaticPartitionBuffer,
-};
+pub use buffers::{CreditLedger, PortBuffer};
 pub use hbh::{HbhReceiver, HbhSender, ReceiverVerdict};
 pub use recovery::{recovery_latency, LogicFaultKind};
 pub use retransmission::{RetransmissionBuffer, TransmissionFifo};

@@ -7,9 +7,7 @@
 //!
 //! - [`hamming`]: an extended Hamming(72,64) SEC/DED code matching the
 //!   72-bit flit word of [`ftnoc_types::flit`],
-//! - [`parity`]: single even-parity detection (a cheaper baseline),
-//! - [`crc`]: CRC-8/CRC-16 detection-only baselines,
-//! - [`tmr`]: bitwise and value-level majority voters.
+//! - [`tmr`]: a triplicated, majority-voted handshake line.
 //!
 //! # Examples
 //!
@@ -30,13 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crc;
 pub mod hamming;
-pub mod parity;
 pub mod tmr;
 
 pub use hamming::{decode, encode, DecodeOutcome};
-pub use tmr::{vote3_bits, vote3_values};
 
 use ftnoc_types::flit::{Flit, FlitPayload};
 

@@ -2,58 +2,9 @@
 //!
 //! The paper protects the narrow router-to-router handshaking wires
 //! (credits, NACKs, probe strobes) by triplicating each line and voting.
-//! [`vote3_bits`] is the bitwise majority gate; [`vote3_values`] votes on
-//! whole values and reports whether the replicas disagreed (so the fault
-//! statistics can count masked upsets).
-
-/// Bitwise 2-of-3 majority across three words.
-///
-/// # Examples
-///
-/// ```
-/// use ftnoc_ecc::tmr::vote3_bits;
-///
-/// // One corrupted replica is outvoted:
-/// assert_eq!(vote3_bits(0b1010, 0b1010, 0b0110), 0b1010);
-/// ```
-pub fn vote3_bits(a: u64, b: u64, c: u64) -> u64 {
-    (a & b) | (a & c) | (b & c)
-}
-
-/// Outcome of a value-level TMR vote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VoteOutcome<T> {
-    /// The majority value.
-    pub value: T,
-    /// Whether any replica disagreed (an upset was masked).
-    pub disagreement: bool,
-}
-
-/// Votes on three replicated values, returning the 2-of-3 majority.
-///
-/// Returns `None` when all three replicas differ (an unmaskable
-/// multi-upset — with single-event upsets this cannot happen, per the
-/// paper's fault model, but the API reports it rather than guessing).
-pub fn vote3_values<T: PartialEq + Copy>(a: T, b: T, c: T) -> Option<VoteOutcome<T>> {
-    if a == b {
-        Some(VoteOutcome {
-            value: a,
-            disagreement: a != c,
-        })
-    } else if a == c {
-        Some(VoteOutcome {
-            value: a,
-            disagreement: true,
-        })
-    } else if b == c {
-        Some(VoteOutcome {
-            value: b,
-            disagreement: true,
-        })
-    } else {
-        None
-    }
-}
+//! [`TmrLine`] is one such wire: it reads the 2-of-3 majority and reports
+//! whether the replicas disagreed (so the fault statistics can count
+//! masked upsets).
 
 /// A triplicated boolean line with voting, modelling one handshake wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,11 +18,6 @@ impl TmrLine {
         TmrLine {
             replicas: [value; 3],
         }
-    }
-
-    /// Drives all replicas to `value`.
-    pub fn drive(&mut self, value: bool) {
-        self.replicas = [value; 3];
     }
 
     /// Injects an upset into replica `index` (`0..3`).
@@ -100,45 +46,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bitwise_majority_masks_one_bad_replica() {
-        let good = 0xDEAD_BEEF_u64;
-        for bit in 0..64 {
-            let bad = good ^ (1u64 << bit);
-            assert_eq!(vote3_bits(good, good, bad), good);
-            assert_eq!(vote3_bits(good, bad, good), good);
-            assert_eq!(vote3_bits(bad, good, good), good);
-        }
-    }
-
-    #[test]
-    fn bitwise_majority_of_agreement_is_identity() {
-        assert_eq!(vote3_bits(42, 42, 42), 42);
-    }
-
-    #[test]
-    fn value_vote_reports_disagreement() {
-        let v = vote3_values(1u8, 1, 2).unwrap();
-        assert_eq!(v.value, 1);
-        assert!(v.disagreement);
-        let v = vote3_values(3u8, 3, 3).unwrap();
-        assert!(!v.disagreement);
-        let v = vote3_values(7u8, 9, 7).unwrap();
-        assert_eq!(v.value, 7);
-    }
-
-    #[test]
-    fn value_vote_detects_total_disagreement() {
-        assert_eq!(vote3_values(1u8, 2, 3), None);
-    }
-
-    #[test]
     fn tmr_line_masks_single_upset() {
         let mut line = TmrLine::new(true);
         assert!(line.read());
         line.upset(1);
         assert!(line.read());
         assert!(line.has_disagreement());
-        line.drive(false);
+        let line = TmrLine::new(false);
         assert!(!line.read());
         assert!(!line.has_disagreement());
     }

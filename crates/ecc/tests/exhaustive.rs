@@ -1,12 +1,11 @@
 //! Exhaustive coverage of the ECC substrate beyond the sampled
 //! property tests: every single-bit position of every code, the full
-//! TMR truth table, and the documented design limits (parity misses
-//! double flips; two simultaneous TMR upsets win the vote).
+//! TMR truth table, and the documented design limit (two simultaneous
+//! TMR upsets win the vote).
 
-use ftnoc_ecc::crc::{crc16_ccitt, crc16_word, crc8, crc8_word};
 use ftnoc_ecc::hamming::{decode, encode, DecodeOutcome};
-use ftnoc_ecc::tmr::{vote3_bits, vote3_values, TmrLine};
-use ftnoc_ecc::{check_flit, parity, protect_flit, FlitCheck};
+use ftnoc_ecc::tmr::TmrLine;
+use ftnoc_ecc::{check_flit, protect_flit, FlitCheck};
 use ftnoc_types::flit::{Flit, FlitKind};
 use ftnoc_types::geom::NodeId;
 use ftnoc_types::packet::PacketId;
@@ -74,85 +73,6 @@ fn flit_check_repairs_every_single_bit_position() {
     }
 }
 
-// ----------------------------------------------------------------- Parity
-
-/// Even parity catches every single-bit flip — all 64 data positions
-/// plus the parity bit itself — for every word class.
-#[test]
-fn parity_detects_every_single_bit_flip() {
-    for word in words() {
-        let p = parity::parity_bit(word);
-        assert!(parity::check(word, p), "clean word {word:#x}");
-        for bit in 0..64 {
-            assert!(
-                !parity::check(word ^ (1u64 << bit), p),
-                "word {word:#x} bit {bit} slipped through"
-            );
-        }
-        assert!(!parity::check(word, p ^ 1), "parity-bit flip {word:#x}");
-    }
-}
-
-/// Parity's design limit, exhaustively: *no* double flip is ever
-/// detected — which is exactly why the paper pairs it with
-/// retransmission only for single-upset fault models.
-#[test]
-fn parity_misses_every_double_flip() {
-    let word = 0x0F0F_5A5A_3C3C_A5A5u64;
-    let p = parity::parity_bit(word);
-    for a in 0..64 {
-        for b in (a + 1)..64 {
-            let corrupted = word ^ (1u64 << a) ^ (1u64 << b);
-            assert!(
-                parity::check(corrupted, p),
-                "double flip ({a},{b}) unexpectedly detected"
-            );
-        }
-    }
-}
-
-// -------------------------------------------------------------------- CRC
-
-/// Both CRCs detect every single-bit flip of every word class (the
-/// syndrome never collides with the clean checksum).
-#[test]
-fn crc_detects_every_single_bit_flip() {
-    for word in words() {
-        let c8 = crc8_word(word);
-        let c16 = crc16_word(word);
-        for bit in 0..64 {
-            let corrupted = word ^ (1u64 << bit);
-            assert_ne!(crc8_word(corrupted), c8, "crc8 word {word:#x} bit {bit}");
-            assert_ne!(crc16_word(corrupted), c16, "crc16 word {word:#x} bit {bit}");
-        }
-    }
-}
-
-/// CRC-16/CCITT detects every double flip of a 64-bit word (its
-/// minimum distance over short messages exceeds 2), exhaustively.
-#[test]
-fn crc16_detects_every_double_flip() {
-    let word = 0xFEED_FACE_0BAD_F00Du64;
-    let clean = crc16_word(word);
-    for a in 0..64 {
-        for b in (a + 1)..64 {
-            let corrupted = word ^ (1u64 << a) ^ (1u64 << b);
-            assert_ne!(crc16_word(corrupted), clean, "double flip ({a},{b})");
-        }
-    }
-}
-
-/// Byte-slice and word views agree on the same bytes, so the link
-/// model can checksum either representation.
-#[test]
-fn crc_byte_and_word_views_agree() {
-    for word in words() {
-        let bytes = word.to_le_bytes();
-        assert_eq!(crc8(&bytes), crc8_word(word), "crc8 {word:#x}");
-        assert_eq!(crc16_ccitt(&bytes), crc16_word(word), "crc16 {word:#x}");
-    }
-}
-
 // -------------------------------------------------------------------- TMR
 
 /// The complete 8-row truth table of a voted line: the read is the
@@ -201,31 +121,4 @@ fn tmr_double_fault_miscorrects_for_every_replica_pair() {
             }
         }
     }
-}
-
-/// Bitwise majority voting, exhaustively per bit: all 8 replica-bit
-/// combinations in one call via three crafted words.
-#[test]
-fn vote3_bits_truth_table() {
-    // Bit i of (a, b, c) enumerates combination i of the truth table.
-    let a = 0b1010_1010u64;
-    let b = 0b1100_1100u64;
-    let c = 0b1111_0000u64;
-    // Majority per combination 0..=7: 0,0,0,1,0,1,1,1.
-    assert_eq!(vote3_bits(a, b, c), 0b1110_1000);
-}
-
-/// Value-level voting over every assignment of two symbols to three
-/// replicas, plus the all-distinct unmaskable case.
-#[test]
-fn vote3_values_truth_table() {
-    for pattern in 0u8..8 {
-        let pick = |i: u8| if pattern & (1 << i) != 0 { 'x' } else { 'y' };
-        let (a, b, c) = (pick(0), pick(1), pick(2));
-        let outcome = vote3_values(a, b, c).expect("two symbols always have a majority");
-        let xs = [a, b, c].iter().filter(|&&v| v == 'x').count();
-        assert_eq!(outcome.value, if xs >= 2 { 'x' } else { 'y' });
-        assert_eq!(outcome.disagreement, xs == 1 || xs == 2);
-    }
-    assert_eq!(vote3_values(1u8, 2, 3), None);
 }

@@ -9,7 +9,10 @@ use ftnoc_types::geom::{Direction, NodeId, Topology};
 
 /// Registry of permanent failures in the network.
 #[derive(Debug, Clone, Default)]
-#[allow(clippy::disallowed_types, reason = "lookup-only: insert/contains/len")]
+#[allow(
+    clippy::disallowed_types,
+    reason = "lookup-only: insert/contains/is_empty"
+)]
 pub struct HardFaults {
     dead_links: std::collections::HashSet<(NodeId, Direction)>,
     dead_routers: std::collections::HashSet<NodeId>,
@@ -60,11 +63,6 @@ impl HardFaults {
     /// Whether any hard fault is registered.
     pub fn is_empty(&self) -> bool {
         self.dead_links.is_empty() && self.dead_routers.is_empty()
-    }
-
-    /// Number of dead directed link endpoints.
-    pub fn dead_link_count(&self) -> usize {
-        self.dead_links.len()
     }
 
     /// Checks that the fault set leaves every live node pair connected
@@ -128,7 +126,7 @@ mod tests {
         hf.kill_link(topo(), NodeId::new(0), Direction::East);
         assert!(hf.link_is_dead(NodeId::new(0), Direction::East));
         assert!(hf.link_is_dead(NodeId::new(1), Direction::West));
-        assert_eq!(hf.dead_link_count(), 2);
+        assert_eq!(hf.dead_links.len(), 2);
         assert!(hf.network_is_connected(topo()));
     }
 
@@ -138,7 +136,7 @@ mod tests {
         // North link of a top-row node does not exist on a mesh; killing it
         // registers only the local endpoint.
         hf.kill_link(topo(), NodeId::new(0), Direction::North);
-        assert_eq!(hf.dead_link_count(), 1);
+        assert_eq!(hf.dead_links.len(), 1);
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub struct FaultCounts {
     pub sa: u64,
     /// Crossbar upsets.
     pub crossbar: u64,
-    /// Retransmission-buffer upsets.
-    pub retrans_buffer: u64,
     /// Handshake-wire upsets.
     pub handshake: u64,
 }
@@ -45,19 +43,12 @@ impl FaultCounts {
         self.va += other.va;
         self.sa += other.sa;
         self.crossbar += other.crossbar;
-        self.retrans_buffer += other.retrans_buffer;
         self.handshake += other.handshake;
     }
 
     /// Total injected faults across all sites.
     pub fn total(&self) -> u64 {
-        self.link
-            + self.rt
-            + self.va
-            + self.sa
-            + self.crossbar
-            + self.retrans_buffer
-            + self.handshake
+        self.link + self.rt + self.va + self.sa + self.crossbar + self.handshake
     }
 }
 
@@ -83,10 +74,12 @@ impl FaultInjector {
     ///
     /// # Panics
     ///
-    /// Panics if any rate is outside `[0, 1]` (see
-    /// [`FaultRates::assert_valid`]).
+    /// Panics if [`FaultRates::validate`] fails; a built `SimConfig`
+    /// cannot fail it.
     pub fn new(rates: FaultRates, seed: u64) -> Self {
-        rates.assert_valid();
+        rates
+            .validate()
+            .expect("fault rates are validated at config build");
         FaultInjector {
             rates,
             rng: CounterRng::new(seed),
@@ -108,11 +101,6 @@ impl FaultInjector {
     /// The injected-fault census so far.
     pub fn counts(&self) -> FaultCounts {
         self.counts
-    }
-
-    /// Resets the census (e.g. at the end of warm-up).
-    pub fn reset_counts(&mut self) {
-        self.counts = FaultCounts::default();
     }
 
     fn fires(&mut self, rate: f64) -> bool {
@@ -193,15 +181,6 @@ impl FaultInjector {
         fired
     }
 
-    /// Samples a retransmission-buffer upset for one stored flit-cycle.
-    pub fn retrans_buffer_upset(&mut self) -> bool {
-        let fired = self.fires(self.rates.retrans_buffer);
-        if fired {
-            self.counts.retrans_buffer += 1;
-        }
-        fired
-    }
-
     /// Samples a handshake-wire upset for one transfer.
     pub fn handshake_upset(&mut self) -> bool {
         let fired = self.fires(self.rates.handshake);
@@ -221,23 +200,6 @@ impl FaultInjector {
         assert!(range >= 2, "cannot corrupt a choice over {range} values");
         let mut v = self.rng.bounded((range - 1) as u64) as usize;
         if v >= correct.min(range - 1) {
-            v += 1;
-        }
-        v
-    }
-
-    /// Corrupts a choice over `0..range` where the corrupted value may
-    /// also be an *invalid* id in `range..range_with_invalid` (VA scenario
-    /// (1): "one input VC is assigned an invalid output VC").
-    pub fn corrupt_choice_maybe_invalid(
-        &mut self,
-        correct: usize,
-        range: usize,
-        range_with_invalid: usize,
-    ) -> usize {
-        debug_assert!(range_with_invalid >= range);
-        let mut v = self.rng.bounded((range_with_invalid - 1) as u64) as usize;
-        if v >= correct.min(range_with_invalid - 1) {
             v += 1;
         }
         v
@@ -263,7 +225,6 @@ mod tests {
             assert!(!inj.va_upset());
             assert!(!inj.sa_upset());
             assert!(!inj.crossbar_upset());
-            assert!(!inj.retrans_buffer_upset());
             assert!(!inj.handshake_upset());
         }
         assert_eq!(inj.counts().total(), 0);
@@ -286,7 +247,6 @@ mod tests {
             va: 1.0,
             sa: 1.0,
             crossbar: 1.0,
-            retrans_buffer: 1.0,
             handshake: 1.0,
             mix: ErrorMix::default(),
         };
@@ -296,24 +256,13 @@ mod tests {
         inj.va_upset();
         inj.sa_upset();
         inj.crossbar_upset();
-        inj.retrans_buffer_upset();
         inj.handshake_upset();
         let c = inj.counts();
         assert_eq!(
-            (
-                c.link,
-                c.rt,
-                c.va,
-                c.sa,
-                c.crossbar,
-                c.retrans_buffer,
-                c.handshake
-            ),
-            (1, 1, 1, 1, 1, 1, 1)
+            (c.link, c.rt, c.va, c.sa, c.crossbar, c.handshake),
+            (1, 1, 1, 1, 1, 1)
         );
-        assert_eq!(c.total(), 7);
-        inj.reset_counts();
-        assert_eq!(inj.counts().total(), 0);
+        assert_eq!(c.total(), 6);
     }
 
     #[test]
@@ -357,22 +306,6 @@ mod tests {
                 assert!(v < 5);
             }
         }
-    }
-
-    #[test]
-    fn corrupt_choice_maybe_invalid_can_exceed_range() {
-        // 3 valid VCs encoded in 2 bits: ids 0..3 valid, 3 invalid.
-        let mut inj = FaultInjector::new(FaultRates::none(), 13);
-        let mut saw_invalid = false;
-        for _ in 0..500 {
-            let v = inj.corrupt_choice_maybe_invalid(1, 3, 4);
-            assert_ne!(v, 1);
-            assert!(v < 4);
-            if v >= 3 {
-                saw_invalid = true;
-            }
-        }
-        assert!(saw_invalid, "invalid ids should be reachable");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Per-site fault-rate configuration.
 
+use ftnoc_types::error::ConfigError;
+
 /// Mixture of single- vs multi-bit upsets within one link error event.
 ///
 /// Crosstalk makes adjacent-wire double flips non-negligible (§3.1); the
@@ -22,11 +24,6 @@ impl ErrorMix {
     pub fn single_bit(&self) -> f64 {
         self.single_bit
     }
-
-    /// Probability that an error event flips two bits.
-    pub fn multi_bit(&self) -> f64 {
-        1.0 - self.single_bit
-    }
 }
 
 impl Default for ErrorMix {
@@ -35,13 +32,15 @@ impl Default for ErrorMix {
     }
 }
 
-/// Per-event fault probabilities for every fault site of §3–§4.
+/// Per-event fault probabilities for the six fault sites of §3–§4 the
+/// simulator draws at. (§4.5's retransmission-buffer upset is not one:
+/// under the single-event model a corrupted copy only matters if a
+/// second fault forces its replay, so the paper dismisses it.)
 ///
 /// All rates are probabilities per *opportunity*: per flit-link-traversal
 /// for `link`, per route computation for `rt`, per VC allocation for
 /// `va`, per switch grant for `sa`, per crossbar flit traversal for
-/// `crossbar`, per retransmission-buffer residency cycle for
-/// `retrans_buffer`, and per handshake transfer for `handshake`.
+/// `crossbar`, and per handshake transfer for `handshake`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultRates {
     /// Link (inter-router wire) soft-error rate.
@@ -54,11 +53,9 @@ pub struct FaultRates {
     pub sa: f64,
     /// Crossbar single-bit upset rate (§4.4).
     pub crossbar: f64,
-    /// Retransmission-buffer cell upset rate (§4.5).
-    pub retrans_buffer: f64,
     /// Handshake-wire upset rate (§4.6).
     pub handshake: f64,
-    /// Single- vs multi-bit mixture for link and buffer upsets.
+    /// Single- vs multi-bit mixture for link upsets.
     pub mix: ErrorMix,
 }
 
@@ -100,37 +97,21 @@ impl FaultRates {
         }
     }
 
-    /// Whether every rate is zero.
-    pub fn is_fault_free(&self) -> bool {
-        self.link == 0.0
-            && self.rt == 0.0
-            && self.va == 0.0
-            && self.sa == 0.0
-            && self.crossbar == 0.0
-            && self.retrans_buffer == 0.0
-            && self.handshake == 0.0
-    }
-
-    /// Validates that every rate is a probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rate is outside `[0, 1]` or NaN.
-    pub fn assert_valid(&self) {
-        for (name, r) in [
+    /// Checks that every rate is a probability (NaN is not).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (site, rate) in [
             ("link", self.link),
             ("rt", self.rt),
             ("va", self.va),
             ("sa", self.sa),
             ("crossbar", self.crossbar),
-            ("retrans_buffer", self.retrans_buffer),
             ("handshake", self.handshake),
         ] {
-            assert!(
-                (0.0..=1.0).contains(&r),
-                "fault rate `{name}` = {r} is not a probability"
-            );
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(ConfigError::InvalidFaultRate { site, rate });
+            }
         }
+        Ok(())
     }
 }
 
@@ -140,9 +121,7 @@ mod tests {
 
     #[test]
     fn default_mix_is_ninety_ten() {
-        let mix = ErrorMix::default();
-        assert!((mix.single_bit() - 0.9).abs() < 1e-12);
-        assert!((mix.multi_bit() - 0.1).abs() < 1e-12);
+        assert!((ErrorMix::default().single_bit() - 0.9).abs() < 1e-12);
     }
 
     #[test]
@@ -153,25 +132,43 @@ mod tests {
 
     #[test]
     fn scenario_constructors_set_one_site() {
-        assert!(FaultRates::none().is_fault_free());
+        assert_eq!(FaultRates::none(), FaultRates::default());
         let r = FaultRates::link_only(0.01);
         assert_eq!(r.link, 0.01);
         assert_eq!(r.sa, 0.0);
-        assert!(!r.is_fault_free());
         assert_eq!(FaultRates::rt_only(0.5).rt, 0.5);
         assert_eq!(FaultRates::va_only(0.5).va, 0.5);
         assert_eq!(FaultRates::sa_only(0.5).sa, 0.5);
     }
 
     #[test]
-    #[should_panic(expected = "not a probability")]
-    fn assert_valid_rejects_out_of_range() {
-        FaultRates::link_only(1.5).assert_valid();
-    }
-
-    #[test]
-    fn assert_valid_accepts_bounds() {
-        FaultRates::link_only(1.0).assert_valid();
-        FaultRates::none().assert_valid();
+    fn validate_names_the_site_and_rejects_nan() {
+        type Set = fn(&mut FaultRates, f64);
+        let sites: [(&str, Set); 6] = [
+            ("link", |r, v| r.link = v),
+            ("rt", |r, v| r.rt = v),
+            ("va", |r, v| r.va = v),
+            ("sa", |r, v| r.sa = v),
+            ("crossbar", |r, v| r.crossbar = v),
+            ("handshake", |r, v| r.handshake = v),
+        ];
+        for (site, set) in sites {
+            for bad in [1.5, -0.1, f64::NAN, f64::INFINITY] {
+                let mut rates = FaultRates::none();
+                set(&mut rates, bad);
+                match rates.validate() {
+                    Err(ConfigError::InvalidFaultRate { site: s, rate }) => {
+                        assert_eq!(s, site);
+                        assert!(rate == bad || (rate.is_nan() && bad.is_nan()));
+                    }
+                    other => panic!("{site}={bad}: {other:?}"),
+                }
+            }
+            for good in [0.0, 1.0] {
+                let mut rates = FaultRates::none();
+                set(&mut rates, good);
+                assert_eq!(rates.validate(), Ok(()));
+            }
+        }
     }
 }

@@ -215,11 +215,6 @@ impl FaultTimeline {
         &self.router_kills
     }
 
-    /// Whether the timeline has no mid-run kills (faults are static).
-    pub fn is_static(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Number of publication epochs (`1` when static).
     pub fn epoch_count(&self) -> usize {
         self.epochs.len()
@@ -389,7 +384,6 @@ mod tests {
     #[test]
     fn static_timeline_has_one_epoch() {
         let tl = FaultTimeline::with_events(topo(), HardFaults::new(), &[], &[], 0);
-        assert!(tl.is_static());
         assert_eq!(tl.epoch_count(), 1);
         assert_eq!(tl.epoch_at(0), 0);
         assert_eq!(tl.epoch_at(u64::MAX), 0);
@@ -466,7 +460,6 @@ mod tests {
     #[test]
     fn router_kill_kills_every_link_at_its_cycle() {
         let tl = FaultTimeline::with_events(topo(), HardFaults::new(), &[], &[rkill(100, 5)], 8);
-        assert!(!tl.is_static());
         assert!(!tl.router_dead_now(99, NodeId::new(5)));
         assert!(tl.router_dead_now(100, NodeId::new(5)));
         // Node 5 of a 4x4 mesh is interior: all four links die, seen

@@ -178,11 +178,6 @@ impl Circuit {
             })
             .sum()
     }
-
-    /// Number of primary inputs.
-    pub fn input_count(&self) -> usize {
-        self.input_index.len()
-    }
 }
 
 #[cfg(test)]
@@ -263,7 +258,7 @@ mod tests {
         c.output("g", g);
         assert_eq!(c.gate_count(), 3);
         assert!((c.nand2_equivalents() - 4.0).abs() < 1e-12);
-        assert_eq!(c.input_count(), 2);
+        assert_eq!(c.input_index.len(), 2);
     }
 
     #[test]
@@ -272,6 +267,6 @@ mod tests {
         let a1 = c.input("a");
         let a2 = c.input("a");
         assert_eq!(a1, a2);
-        assert_eq!(c.input_count(), 1);
+        assert_eq!(c.input_index.len(), 1);
     }
 }

@@ -19,7 +19,7 @@
 //! - [`area`]: component-by-component router area/power and Table 1.
 //! - [`energy`]: per-event energies consumed by the cycle-accurate
 //!   simulator's accounting.
-//! - [`report`]: pretty-printed component tables.
+//! - [`report`]: the pretty-printed Table 1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,35 +1,8 @@
-//! Human-readable component tables.
+//! The human-readable Table 1 report.
 
 use std::fmt::Write as _;
 
-use crate::area::{AcUnitModel, RouterModel, Table1};
-
-/// Renders the per-component raw inventory of a router model.
-pub fn component_table(model: &RouterModel) -> String {
-    let comps = model.components();
-    let total_area: f64 = comps.iter().map(|c| c.area_um2).sum();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<24} {:>12} {:>8}",
-        "component", "area (um2)", "share"
-    );
-    for c in &comps {
-        let _ = writeln!(
-            out,
-            "{:<24} {:>12.0} {:>7.1}%",
-            c.name,
-            c.area_um2,
-            c.area_um2 / total_area * 100.0
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{:<24} {:>12.0} {:>8}",
-        "total (pre-overhead)", total_area, ""
-    );
-    out
-}
+use crate::area::Table1;
 
 /// Renders the Table 1 reproduction side by side with the paper's values.
 pub fn table1_report(t: &Table1) -> String {
@@ -68,37 +41,9 @@ pub fn table1_report(t: &Table1) -> String {
     out
 }
 
-/// Renders the AC model's gate budget.
-pub fn ac_report(model: &AcUnitModel) -> String {
-    format!(
-        "AC unit: {:.0} NAND2-equivalent gates, {:.0} flip-flops, raw {:.0} um2\n",
-        model.gate_count(),
-        model.flipflop_count(),
-        model.raw_area_um2()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::area::table1_router_config;
-
-    #[test]
-    fn component_table_lists_every_component() {
-        let model = RouterModel::new(table1_router_config());
-        let table = component_table(&model);
-        for name in [
-            "input buffers",
-            "retransmission buffers",
-            "crossbar",
-            "vc allocator",
-            "switch allocator",
-            "routing unit",
-            "ecc codecs",
-        ] {
-            assert!(table.contains(name), "missing {name} in:\n{table}");
-        }
-    }
 
     #[test]
     fn table1_report_includes_paper_reference() {
@@ -106,12 +51,5 @@ mod tests {
         assert!(report.contains("119.55"));
         assert!(report.contains("0.374862"));
         assert!(report.contains("paper"));
-    }
-
-    #[test]
-    fn ac_report_is_single_line_summary() {
-        let model = AcUnitModel::new(table1_router_config());
-        let report = ac_report(&model);
-        assert!(report.contains("gates"));
     }
 }

@@ -37,11 +37,6 @@ impl RoutingAlgorithm {
         matches!(self, RoutingAlgorithm::FullyAdaptive)
     }
 
-    /// Whether the algorithm may choose among several output ports.
-    pub fn is_adaptive(self) -> bool {
-        !matches!(self, RoutingAlgorithm::XyDeterministic)
-    }
-
     /// Short label used in tables (`DT`, `AD`, …).
     pub fn short_name(self) -> &'static str {
         match self {
@@ -81,11 +76,6 @@ impl ErrorScheme {
             ErrorScheme::Fec => "FEC",
             ErrorScheme::Unprotected => "NONE",
         }
-    }
-
-    /// Whether the scheme checks/repairs flits at every hop.
-    pub fn checks_per_hop(self) -> bool {
-        matches!(self, ErrorScheme::Hbh | ErrorScheme::Fec)
     }
 
     /// Whether end-to-end ACK/NACK control traffic is generated.
@@ -399,22 +389,23 @@ impl SimConfigBuilder {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for invalid injection rates, for a
-    /// fault plan that names a node or link the topology lacks or kills
-    /// a target twice ([`FaultPlan::check`]), and for router kills with
-    /// packets the loss ledger cannot track; fault rates and router
-    /// knobs are validated by their own types.
+    /// fault rate that is not a probability ([`FaultRates::validate`]),
+    /// for a fault plan that names a node or link the topology lacks or
+    /// kills a target twice ([`FaultPlan::check`]), and for router kills
+    /// with packets the loss ledger cannot track; router knobs are
+    /// validated by their own type.
     pub fn build(&self) -> Result<SimConfig, ConfigError> {
         let c = &self.config;
         if !(c.injection_rate > 0.0 && c.injection_rate <= 1.0) {
             return Err(ConfigError::InvalidInjectionRate(c.injection_rate));
         }
+        c.faults.validate()?;
         c.fault_plan.check(c.topology)?;
         if c.can_lose_flits() && c.flits_per_packet() > LOSS_MASK_FLITS {
             return Err(ConfigError::PacketTooLongForLossLedger(
                 c.flits_per_packet(),
             ));
         }
-        c.faults.assert_valid();
         let mut config = c.clone();
         // The router radix follows the topology: 4 cardinals plus one
         // local port per attached terminal. Re-derived here so callers
@@ -470,6 +461,23 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_rate_that_is_no_probability_is_a_typed_error() {
+        let build = |faults| SimConfig::builder().faults(faults).build();
+        assert_eq!(
+            build(FaultRates::link_only(2.0)).unwrap_err(),
+            ConfigError::InvalidFaultRate {
+                site: "link",
+                rate: 2.0
+            }
+        );
+        assert!(matches!(
+            build(FaultRates::sa_only(f64::NAN)),
+            Err(ConfigError::InvalidFaultRate { site: "sa", .. })
+        ));
+        assert!(build(FaultRates::link_only(1.0)).is_ok());
+    }
+
+    #[test]
     fn router_kill_with_packets_beyond_the_loss_mask_is_rejected() {
         let mut kill = FaultPlan::new();
         kill.kill_router_at(100, NodeId::new(5));
@@ -493,14 +501,12 @@ mod tests {
         assert!(!RoutingAlgorithm::XyDeterministic.can_deadlock());
         assert!(!RoutingAlgorithm::WestFirstAdaptive.can_deadlock());
         assert!(RoutingAlgorithm::FullyAdaptive.can_deadlock());
-        assert!(RoutingAlgorithm::WestFirstAdaptive.is_adaptive());
         assert_eq!(RoutingAlgorithm::XyDeterministic.short_name(), "DT");
         assert_eq!(RoutingAlgorithm::WestFirstAdaptive.short_name(), "AD");
-        // Fault-aware is adaptive and deadlock-free by construction
-        // (acyclic up*/down* relation) — recovery is optional, a
-        // transition safety net, never a correctness requirement.
+        // Fault-aware is deadlock-free by construction (acyclic
+        // up*/down* relation) — recovery is optional, a transition
+        // safety net, never a correctness requirement.
         assert!(!RoutingAlgorithm::FaultAware.can_deadlock());
-        assert!(RoutingAlgorithm::FaultAware.is_adaptive());
         assert_eq!(RoutingAlgorithm::FaultAware.short_name(), "FTA");
     }
 
@@ -508,7 +514,7 @@ mod tests {
     fn fault_timeline_defaults_to_static() {
         let c = SimConfig::default();
         assert!(c.fault_plan.is_empty());
-        assert!(c.fault_timeline().is_static());
+        assert!(c.fault_timeline().boundaries().is_empty());
         assert_eq!(c.notify_latency(), 4);
         assert!(!c.can_lose_flits());
     }
@@ -615,9 +621,6 @@ mod tests {
 
     #[test]
     fn scheme_properties() {
-        assert!(ErrorScheme::Hbh.checks_per_hop());
-        assert!(ErrorScheme::Fec.checks_per_hop());
-        assert!(!ErrorScheme::E2e.checks_per_hop());
         assert!(ErrorScheme::E2e.uses_end_to_end_control());
         assert!(ErrorScheme::Fec.uses_end_to_end_control());
         assert!(!ErrorScheme::Hbh.uses_end_to_end_control());

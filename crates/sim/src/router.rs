@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 
 use ftnoc_core::ac::{AllocationComparator, RtEntry, SaEntry, VaEntry, VcRef};
-use ftnoc_core::buffers::{BufferOrganization, CreditLedger, PortBuffer};
+use ftnoc_core::buffers::{CreditLedger, PortBuffer};
 use ftnoc_core::deadlock::probe::ProbeProtocol;
 use ftnoc_core::fec::{FecHop, FecOutcome};
 use ftnoc_core::hbh::{HbhReceiver, HbhSender, ReceiverVerdict};

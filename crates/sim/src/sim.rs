@@ -151,19 +151,14 @@ impl SimReport {
             er.deadlocks_confirmed,
             er.probes_discarded,
         );
+        // `retrans_buffer` is a literal: no such fault was ever drawn, but
+        // the benchmark digests and CI's `sparse8` gate hash these bytes.
         let fc = &self.faults_injected;
         let _ = write!(
             s,
             ",\"faults_injected\":{{\"link\":{},\"link_multi_bit\":{},\"rt\":{},\
-             \"va\":{},\"sa\":{},\"crossbar\":{},\"retrans_buffer\":{},\"handshake\":{}}}",
-            fc.link,
-            fc.link_multi_bit,
-            fc.rt,
-            fc.va,
-            fc.sa,
-            fc.crossbar,
-            fc.retrans_buffer,
-            fc.handshake,
+             \"va\":{},\"sa\":{},\"crossbar\":{},\"retrans_buffer\":0,\"handshake\":{}}}",
+            fc.link, fc.link_multi_bit, fc.rt, fc.va, fc.sa, fc.crossbar, fc.handshake,
         );
         let _ = write!(
             s,

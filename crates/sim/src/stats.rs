@@ -266,14 +266,6 @@ impl LatencyHistogram {
             self.quantile(0.99),
         )
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
 }
 
 /// A decile histogram of per-port input-buffer fill levels: bucket `i`
@@ -333,14 +325,6 @@ impl OccupancyHistogram {
         }
         let hot: u64 = self.buckets[i.min(9)..].iter().sum();
         hot as f64 / self.count as f64
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &OccupancyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
     }
 }
 
@@ -506,17 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = LatencyHistogram::new();
-        a.record(5);
-        let mut b = LatencyHistogram::new();
-        b.record(500);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.quantile(1.0), 511);
-    }
-
-    #[test]
     fn empty_histogram_is_zero() {
         let h = LatencyHistogram::new();
         assert!(h.is_empty());
@@ -561,11 +534,6 @@ mod tests {
         assert_eq!(h.buckets()[4], 1);
         assert_eq!(h.buckets()[9], 2);
         assert!((h.frac_at_or_above(9) - 0.5).abs() < 1e-12);
-        let mut other = OccupancyHistogram::default();
-        other.record(1, 10);
-        h.merge(&other);
-        assert_eq!(h.len(), 5);
-        assert_eq!(h.buckets()[1], 1);
     }
 
     #[test]

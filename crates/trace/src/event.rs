@@ -19,10 +19,6 @@ pub enum DropReason {
     Corrupt,
     /// Body flit with no live wormhole to join (upstream state upset).
     Stranded,
-    /// Arrival targeted an invalid or out-of-range virtual channel.
-    InvalidVc,
-    /// Buffer overflow: no credit-tracked slot free on arrival.
-    NoBuffer,
     /// Lost to a whole-router death: the flit sat inside (or was
     /// wormholing toward) a router that was killed mid-run.
     RouterDead,
@@ -33,8 +29,6 @@ impl DropReason {
         match self {
             DropReason::Corrupt => "corrupt",
             DropReason::Stranded => "stranded",
-            DropReason::InvalidVc => "invalid_vc",
-            DropReason::NoBuffer => "no_buffer",
             DropReason::RouterDead => "router_dead",
         }
     }

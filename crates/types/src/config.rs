@@ -40,12 +40,6 @@ impl PipelineDepth {
         self as u32
     }
 
-    /// Whether routing for the *next* hop is computed at the current hop
-    /// (look-ahead routing, used by 1-3 stage organisations).
-    pub const fn uses_lookahead_routing(self) -> bool {
-        !matches!(self, PipelineDepth::Four)
-    }
-
     /// All four organisations.
     pub const ALL: [PipelineDepth; 4] = [
         PipelineDepth::One,
@@ -78,25 +72,6 @@ pub enum BufferOrg {
     },
 }
 
-impl BufferOrg {
-    /// Total flit slots per input port under this organisation.
-    pub const fn port_slots(self, vcs: usize, buffer_depth: usize) -> usize {
-        match self {
-            BufferOrg::StaticPartition => vcs * buffer_depth,
-            BufferOrg::Damq { pool_size } => pool_size,
-        }
-    }
-
-    /// Most flits a single VC can ever hold: its static depth, or the
-    /// whole pool minus the other VCs' reserved slots.
-    pub const fn vc_capacity(self, vcs: usize, buffer_depth: usize) -> usize {
-        match self {
-            BufferOrg::StaticPartition => buffer_depth,
-            BufferOrg::Damq { pool_size } => pool_size - (vcs - 1),
-        }
-    }
-}
-
 /// Static configuration of one router (and, by replication, the network).
 ///
 /// Construct via [`RouterConfig::builder`]; [`RouterConfig::default`]
@@ -113,7 +88,7 @@ impl BufferOrg {
 ///     .pipeline(PipelineDepth::Two)
 ///     .build()?;
 /// assert_eq!(cfg.vcs_per_port(), 4);
-/// assert_eq!(cfg.total_vcs(), 20);
+/// assert_eq!(cfg.buffer_depth(), 8);
 /// # Ok::<(), ftnoc_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,11 +119,6 @@ impl RouterConfig {
         self.vcs_per_port
     }
 
-    /// Total VCs across all ports (`P × V`).
-    pub const fn total_vcs(&self) -> usize {
-        self.ports * self.vcs_per_port
-    }
-
     /// Per-VC input (transmission) buffer depth in flits.
     pub const fn buffer_depth(&self) -> usize {
         self.buffer_depth
@@ -177,20 +147,6 @@ impl RouterConfig {
     /// Input-buffer organisation of the receive side.
     pub const fn buffer_org(&self) -> BufferOrg {
         self.buffer_org
-    }
-
-    /// Total input-buffer slots per port under the configured
-    /// organisation.
-    pub const fn port_buffer_slots(&self) -> usize {
-        self.buffer_org
-            .port_slots(self.vcs_per_port, self.buffer_depth)
-    }
-
-    /// Most flits a single input VC can ever hold under the configured
-    /// organisation.
-    pub const fn vc_buffer_capacity(&self) -> usize {
-        self.buffer_org
-            .vc_capacity(self.vcs_per_port, self.buffer_depth)
     }
 }
 
@@ -343,7 +299,6 @@ mod tests {
         assert_eq!(cfg.retrans_depth(), 3);
         assert_eq!(cfg.flits_per_packet(), 4);
         assert_eq!(cfg.pipeline(), PipelineDepth::Three);
-        assert_eq!(cfg.total_vcs(), 15);
         assert_eq!(cfg.link_width_bits(), 72);
     }
 
@@ -401,8 +356,6 @@ mod tests {
     fn pipeline_depth_properties() {
         assert_eq!(PipelineDepth::One.stages(), 1);
         assert_eq!(PipelineDepth::Four.stages(), 4);
-        assert!(PipelineDepth::Three.uses_lookahead_routing());
-        assert!(!PipelineDepth::Four.uses_lookahead_routing());
         assert_eq!(PipelineDepth::ALL.len(), 4);
     }
 
@@ -410,19 +363,6 @@ mod tests {
     fn default_buffer_org_is_static() {
         let cfg = RouterConfig::default();
         assert_eq!(cfg.buffer_org(), BufferOrg::StaticPartition);
-        assert_eq!(cfg.port_buffer_slots(), 12);
-        assert_eq!(cfg.vc_buffer_capacity(), 4);
-    }
-
-    #[test]
-    fn damq_capacity_accounting() {
-        let cfg = RouterConfig::builder()
-            .buffer_org(BufferOrg::Damq { pool_size: 12 })
-            .build()
-            .unwrap();
-        // 3 VCs: 12-slot pool, each VC may grow to 12 − 2 = 10 flits.
-        assert_eq!(cfg.port_buffer_slots(), 12);
-        assert_eq!(cfg.vc_buffer_capacity(), 10);
     }
 
     #[test]

@@ -36,6 +36,14 @@ pub enum ConfigError {
     },
     /// Injection rate outside `(0, 1]` flits/node/cycle.
     InvalidInjectionRate(f64),
+    /// A soft-fault rate that is not a probability (outside `[0, 1]`,
+    /// or NaN).
+    InvalidFaultRate {
+        /// The fault site the rate belongs to (`link`, `rt`, …).
+        site: &'static str,
+        /// The offending value.
+        rate: f64,
+    },
     /// A hard-fault entry names a router the topology does not have.
     FaultNodeOutOfRange {
         /// The offending router.
@@ -105,6 +113,9 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidInjectionRate(r) => {
                 write!(f, "injection rate {r} outside (0, 1] flits/node/cycle")
             }
+            ConfigError::InvalidFaultRate { site, rate } => {
+                write!(f, "fault rate `{site}` = {rate} is not a probability")
+            }
             ConfigError::FaultNodeOutOfRange { node, nodes } => {
                 write!(f, "fault node {node} out of range for {nodes} routers")
             }
@@ -157,6 +168,11 @@ mod tests {
             }
             .to_string(),
             ConfigError::InvalidInjectionRate(1.5).to_string(),
+            ConfigError::InvalidFaultRate {
+                site: "link",
+                rate: f64::NAN,
+            }
+            .to_string(),
             ConfigError::FaultTargetAlreadyDead {
                 at: 10,
                 node: NodeId::new(5),

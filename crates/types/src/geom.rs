@@ -442,13 +442,6 @@ impl Topology {
         4 + terminal.index() / self.node_count()
     }
 
-    /// The terminal attached to `router` at local-port offset `k`
-    /// (`0 <= k < local_ports()`).
-    pub fn terminal_on(self, router: NodeId, k: usize) -> NodeId {
-        debug_assert!(k < self.local_ports());
-        NodeId::new((k * self.node_count()) as u16 + router.raw())
-    }
-
     /// Tile dimensions in routers for a chiplet topology, `None`
     /// otherwise.
     pub const fn chip_dims(self) -> Option<(u8, u8)> {
@@ -568,21 +561,6 @@ impl Topology {
         match dir {
             Direction::East | Direction::West => coord.y() % self.chip_h == (self.chip_h - 1) / 2,
             Direction::North | Direction::South => coord.x() % self.chip_w == (self.chip_w - 1) / 2,
-            Direction::Local => false,
-        }
-    }
-
-    /// Whether the link leaving `coord` in `dir` wraps around the torus
-    /// boundary. Always `false` on the other topologies.
-    pub fn wrap_link(self, coord: Coord, dir: Direction) -> bool {
-        if self.kind != TopologyKind::Torus {
-            return false;
-        }
-        match dir {
-            Direction::North => coord.y() == 0,
-            Direction::South => coord.y() == self.height - 1,
-            Direction::West => coord.x() == 0,
-            Direction::East => coord.x() == self.width - 1,
             Direction::Local => false,
         }
     }
@@ -891,7 +869,7 @@ mod tests {
         for t in topo.terminals() {
             let r = topo.router_of_terminal(t);
             let k = topo.local_port_of_terminal(t) - 4;
-            assert_eq!(topo.terminal_on(r, k), t);
+            assert_eq!(k * topo.node_count() + r.index(), t.index());
         }
         // Terminal 0..16 are each router's first PE: identity mapping.
         assert_eq!(topo.router_of_terminal(NodeId::new(5)), NodeId::new(5));
@@ -1007,16 +985,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn wrap_links_only_on_torus_boundary() {
-        let torus = Topology::torus(8, 8);
-        assert!(torus.wrap_link(Coord::new(7, 3), Direction::East));
-        assert!(torus.wrap_link(Coord::new(0, 3), Direction::West));
-        assert!(torus.wrap_link(Coord::new(3, 0), Direction::North));
-        assert!(!torus.wrap_link(Coord::new(3, 3), Direction::East));
-        assert!(!Topology::mesh(8, 8).wrap_link(Coord::new(7, 3), Direction::East));
     }
 
     #[test]

@@ -12,17 +12,9 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 pub struct Cycles(pub u64);
 
 impl Cycles {
-    /// Zero cycles.
-    pub const ZERO: Cycles = Cycles(0);
-
     /// The raw count.
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// Converts to seconds at a given clock frequency.
-    pub fn to_seconds(self, clock_hz: f64) -> f64 {
-        self.0 as f64 / clock_hz
     }
 }
 
@@ -63,9 +55,6 @@ impl fmt::Display for Cycles {
 pub struct Picojoules(pub f64);
 
 impl Picojoules {
-    /// Zero energy.
-    pub const ZERO: Picojoules = Picojoules(0.0);
-
     /// The raw value in pJ.
     pub const fn raw(self) -> f64 {
         self.0
@@ -226,7 +215,7 @@ mod tests {
     #[test]
     fn cycles_arithmetic() {
         assert_eq!(Cycles(3) + Cycles(4), Cycles(7));
-        assert_eq!(Cycles(3) - Cycles(4), Cycles::ZERO);
+        assert_eq!(Cycles(3) - Cycles(4), Cycles(0));
         let mut c = Cycles(1);
         c += Cycles(2);
         assert_eq!(c, Cycles(3));
@@ -234,12 +223,6 @@ mod tests {
             vec![Cycles(1), Cycles(2)].into_iter().sum::<Cycles>(),
             Cycles(3)
         );
-    }
-
-    #[test]
-    fn cycles_to_seconds_at_500mhz() {
-        let s = Cycles(500_000_000).to_seconds(500e6);
-        assert!((s - 1.0).abs() < 1e-12);
     }
 
     #[test]

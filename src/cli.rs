@@ -629,6 +629,18 @@ mod tests {
         assert!(e.0.contains("config"), "{e}");
         let e = parse(&args("run --retrans 1")).unwrap_err();
         assert!(e.0.contains("router config"), "{e}");
+        // A rate that is no probability used to panic in `build()`.
+        for (flags, site) in [
+            ("run --error-rate 2", "link"),
+            ("run --error-rate nan", "link"),
+            ("run --sa-rate -1", "sa"),
+        ] {
+            let e = parse(&args(flags)).unwrap_err();
+            assert!(
+                e.0.starts_with(&format!("config: fault rate `{site}`")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn planted_credit_bug_is_caught_and_shrunk() {
 fn router_kill_during_recovery_drain_releases_reservations() {
     let spec = "w=3,h=3,vcs=1,buf=2,rtx=4,pipe=2,route=fta,scheme=hbh,ac=0,\
                 pat=transpose,proc=reg,inj=0.2667472864679211,link=0,hs=0,rt=0,\
-                va=0,sa=0,xbar=0,rbuf=0,dl=1,cth=16,stop=0,\
+                va=0,sa=0,xbar=0,dl=1,cth=16,stop=0,\
                 seed=6263434702522491685,cycles=1753,threads=1,pool=0,gate=0,\
                 nfy=0,fault=router:3@1753,fault=wearout:134";
     let out = ftnoc(&["fuzz", "--repro", spec], false);
