@@ -15,7 +15,7 @@ use ftnoc_fault::plan::dir_char;
 use ftnoc_fault::{FaultPlan, FaultRates, WearoutSpec};
 use ftnoc_rng::Rng;
 use ftnoc_sim::config::{DeadlockConfig, ErrorScheme, RoutingAlgorithm};
-use ftnoc_sim::{Network, SimConfig};
+use ftnoc_sim::{NetSnapshot, Network, SimConfig};
 use ftnoc_traffic::{InjectionProcess, TrafficPattern};
 use ftnoc_types::config::{BufferOrg, PipelineDepth, RouterConfig};
 use ftnoc_types::geom::{Direction, NodeId, Topology, TopologyKind};
@@ -677,8 +677,8 @@ fn pipeline_from(depth: u64) -> PipelineDepth {
 impl CampaignParams {
     /// Runs this campaign under the oracle. `Ok` means every cycle
     /// passed; a panic anywhere in the engine (e.g. a violated
-    /// `debug_assert!`) is converted into a `"panic"` violation rather
-    /// than aborting the caller.
+    /// `debug_assert!`), its construction included, is converted into a
+    /// `"panic"` violation rather than aborting the caller.
     ///
     /// # Errors
     ///
@@ -703,15 +703,15 @@ pub(crate) fn run_campaign(params: &CampaignParams) -> Result<(), Violation> {
             })
         }
     };
-    let mut oracle = Oracle::new(&config);
-    let cycles = params.cycles;
-    let threads = params.threads;
-    let mut net = Network::new(config);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        net.with_stepper(threads, |st| {
-            for _ in 0..cycles {
+        let mut oracle = Oracle::new(&config);
+        // One snapshot per campaign, refilled every cycle.
+        let mut snap = NetSnapshot::default();
+        Network::new(config).with_stepper(params.threads, |st| {
+            for _ in 0..params.cycles {
                 st.step();
-                oracle.check(&st.snapshot())?;
+                st.snapshot_into(&mut snap);
+                oracle.check(&snap)?;
             }
             Ok(())
         })
@@ -950,9 +950,10 @@ mod tests {
     }
 
     /// Every out-of-range `--repro` value is refused by name, and a zero
-    /// grid dimension is a typed configuration error — `pipe=0` used to
-    /// run a 4-stage pipeline, `ac=banana` used to mean `1`, and `w=0`
-    /// used to panic inside `Topology::mesh`.
+    /// grid dimension or blocking threshold is a typed configuration
+    /// error — `pipe=0` used to run a 4-stage pipeline, `ac=banana` used
+    /// to mean `1`, `w=0` used to panic inside `Topology::mesh` and
+    /// `cth=0` inside `Network::new`, outside the `catch_unwind`.
     #[test]
     fn out_of_range_spec_values_are_rejected() {
         for spec in [
@@ -976,6 +977,14 @@ mod tests {
         for spec in ["w=0,h=3", "w=3,h=0,topo=torus", "w=0,h=3,topo=cmesh,conc=2"] {
             let p = CampaignParams::from_spec(spec).unwrap();
             assert_eq!(p.to_config().unwrap_err(), ConfigError::ZeroDimension);
+            assert_eq!(p.check().unwrap_err().invariant, "config");
+        }
+        for spec in ["w=3,h=3,dl=1,cth=0", "w=3,h=3,dl=0,cth=0"] {
+            let p = CampaignParams::from_spec(spec).unwrap();
+            assert_eq!(
+                p.to_config().unwrap_err(),
+                ConfigError::ZeroBlockingThreshold
+            );
             assert_eq!(p.check().unwrap_err().invariant, "config");
         }
     }

@@ -188,6 +188,9 @@ pub struct Oracle {
     /// Scratch for conservation: packet → seq bitmask. Ordered, so the
     /// violation reported is the lowest broken packet on every run.
     resident: BTreeMap<u64, u128>,
+    /// Scratch for exclusivity: the input VC that owns each output VC
+    /// of the router under test, indexed `out_port * vcs + out_vc`.
+    owners: Vec<Option<(usize, usize)>>,
     /// The run's hard-fault history, for cross-checking the snapshot's
     /// published fault table against what the configuration implies
     /// (`None` when constructed via [`Oracle::with_arming`] — the
@@ -212,6 +215,7 @@ pub struct Oracle {
 
 /// One cycle of per-node probe-relevant state: `(in_recovery,
 /// wait-edge rows)` per node, plus the snapshot cycle.
+#[derive(Default)]
 struct WaitFrame {
     now: u64,
     nodes: Vec<(bool, Vec<BlockedVcSummary>)>,
@@ -253,6 +257,7 @@ impl Oracle {
             cthres: 1,
             hist: VecDeque::new(),
             resident: BTreeMap::new(),
+            owners: Vec::new(),
             timeline: None,
             expected_configured: Vec::new(),
             wear_folded: 0,
@@ -746,12 +751,14 @@ impl Oracle {
     /// in-range, and reservations match their owners. Routers in
     /// deadlock recovery are skipped — recovery takeovers legitimately
     /// leave stale reservations while held flits drain.
-    fn check_exclusivity(&self, snap: &NetSnapshot) -> Result<(), Violation> {
+    fn check_exclusivity(&mut self, snap: &NetSnapshot) -> Result<(), Violation> {
         let vcs = self.router.vcs_per_port();
         for (n, r) in snap.routers.iter().enumerate() {
             if r.in_recovery {
                 continue;
             }
+            self.owners.clear();
+            self.owners.resize(r.outputs.len() * vcs, None);
             let held = |op: usize, ov: usize| {
                 r.outputs[op].vcs[ov]
                     .sender
@@ -759,8 +766,6 @@ impl Oracle {
                     .iter()
                     .any(|(_, held)| *held)
             };
-            #[allow(clippy::disallowed_types, reason = "lookup-only: duplicate-key test")]
-            let mut owners = std::collections::HashMap::<(usize, usize), (usize, usize)>::new();
             for (p, port) in r.inputs.iter().enumerate() {
                 for (v, ivc) in port.iter().enumerate() {
                     let VcStateView::Active { out_port, out_vc } = ivc.state else {
@@ -777,7 +782,7 @@ impl Oracle {
                     if held(out_port, out_vc) {
                         continue;
                     }
-                    if let Some((q, w)) = owners.insert((out_port, out_vc), (p, v)) {
+                    if let Some((q, w)) = self.owners[out_port * vcs + out_vc].replace((p, v)) {
                         return Err(Violation::new(
                             snap.now,
                             n,
@@ -1151,17 +1156,22 @@ impl Oracle {
         if self.hist.back().is_some_and(|f| f.now + 1 != snap.now) {
             self.hist.clear();
         }
-        self.hist.push_back(WaitFrame {
-            now: snap.now,
-            nodes: snap
-                .routers
-                .iter()
-                .map(|r| (r.in_recovery, r.wait_edges.clone()))
-                .collect(),
-        });
-        while self.hist.len() > window {
-            self.hist.pop_front();
+        // A full window hands its oldest frame back to be refilled.
+        let mut frame = if self.hist.len() >= window {
+            self.hist.pop_front().unwrap_or_default()
+        } else {
+            WaitFrame::default()
+        };
+        frame.now = snap.now;
+        frame
+            .nodes
+            .resize_with(snap.routers.len(), Default::default);
+        for (node, r) in frame.nodes.iter_mut().zip(&snap.routers) {
+            node.0 = r.in_recovery;
+            node.1.clear();
+            node.1.extend_from_slice(&r.wait_edges);
         }
+        self.hist.push_back(frame);
         let mut first = None;
         for (n, r) in snap.routers.iter().enumerate() {
             let confirmed = r.deadlocks_confirmed;

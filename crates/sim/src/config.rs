@@ -399,6 +399,11 @@ impl SimConfigBuilder {
         if !(c.injection_rate > 0.0 && c.injection_rate <= 1.0) {
             return Err(ConfigError::InvalidInjectionRate(c.injection_rate));
         }
+        // Every router builds its probe state machine, recovery enabled
+        // or not, and `ProbeProtocol::new` asserts on a zero threshold.
+        if c.deadlock.cthres == 0 {
+            return Err(ConfigError::ZeroBlockingThreshold);
+        }
         c.faults.validate()?;
         c.fault_plan.check(c.topology)?;
         if c.can_lose_flits() && c.flits_per_packet() > LOSS_MASK_FLITS {
@@ -458,6 +463,17 @@ mod tests {
     fn invalid_injection_rate_rejected() {
         assert!(SimConfig::builder().injection_rate(0.0).build().is_err());
         assert!(SimConfig::builder().injection_rate(1.2).build().is_err());
+    }
+
+    #[test]
+    fn a_zero_blocking_threshold_is_a_typed_error() {
+        for enabled in [false, true] {
+            let deadlock = DeadlockConfig { enabled, cthres: 0 };
+            assert_eq!(
+                SimConfig::builder().deadlock(deadlock).build().unwrap_err(),
+                ConfigError::ZeroBlockingThreshold
+            );
+        }
     }
 
     #[test]

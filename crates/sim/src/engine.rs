@@ -120,11 +120,20 @@ impl<S: TraceSink> Stepper<'_, S> {
         self.core.progress(self.env)
     }
 
-    /// A full [`crate::snapshot::NetSnapshot`] of the commit-boundary
-    /// state, for per-cycle invariant checking between steps. Pure read
-    /// — taking snapshots does not perturb the simulation.
+    /// A fresh [`crate::snapshot::NetSnapshot`] of the commit-boundary
+    /// state. Pure read — taking snapshots does not perturb the
+    /// simulation.
     pub fn snapshot(&self) -> crate::snapshot::NetSnapshot {
-        crate::network::build_snapshot(self.env, self.cells.iter(), self.core)
+        let mut out = crate::snapshot::NetSnapshot::default();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// Refills `out` with the commit-boundary state, for per-cycle
+    /// invariant checking between steps: whatever it held, it comes out
+    /// equal to a fresh [`Stepper::snapshot`], reusing its allocations.
+    pub fn snapshot_into(&self, out: &mut crate::snapshot::NetSnapshot) {
+        crate::network::build_snapshot_into(self.env, self.cells.iter(), self.core, out);
     }
 
     /// Marks the beginning of the measurement window.

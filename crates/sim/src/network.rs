@@ -914,56 +914,70 @@ impl<S: TraceSink> Network<S> {
         self.cells.iter().all(|c| c.router.is_drained())
     }
 
-    /// A full [`crate::snapshot::NetSnapshot`] of the commit-boundary
-    /// state (the invariant oracle's inspection surface). Pure read.
+    /// A fresh [`crate::snapshot::NetSnapshot`] of the commit-boundary
+    /// state (the invariant oracle's inspection surface). Pure read. A
+    /// per-cycle caller should hold one snapshot and refill it with
+    /// [`Network::snapshot_into`].
     pub fn snapshot(&self) -> crate::snapshot::NetSnapshot {
-        build_snapshot(&self.env, self.cells.iter(), &self.core)
+        let mut out = crate::snapshot::NetSnapshot::default();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// Refills `out` with the commit-boundary state: whatever it held
+    /// (an earlier cycle, another network), it comes out equal to a
+    /// fresh [`Network::snapshot`], reusing its allocations. Pure read.
+    pub fn snapshot_into(&self, out: &mut crate::snapshot::NetSnapshot) {
+        build_snapshot_into(&self.env, self.cells.iter(), &self.core, out);
     }
 }
 
-/// Builds a [`crate::snapshot::NetSnapshot`] from the engine's parts
-/// (shared by [`Network::snapshot`] and [`crate::Stepper::snapshot`]).
-pub(crate) fn build_snapshot<'c, S: TraceSink>(
+/// Refills `out` from the engine's parts (shared by
+/// [`Network::snapshot_into`] and [`crate::Stepper::snapshot_into`]).
+/// Every field is overwritten and every nested `Vec` cleared and
+/// re-extended (`resize_with` on the per-router levels), so nothing a
+/// reused `out` held before survives and its allocations do.
+pub(crate) fn build_snapshot_into<'c, S: TraceSink>(
     env: &RunEnv,
     cells: impl Iterator<Item = &'c RouterCell>,
     core: &NetCore<S>,
-) -> crate::snapshot::NetSnapshot {
-    use crate::snapshot::{NetSnapshot, PeSnapshot, WireSnapshot};
+    out: &mut crate::snapshot::NetSnapshot,
+) {
     let n_routers = env.topo.node_count();
-    let mut routers = Vec::with_capacity(n_routers);
-    let mut wires = Vec::with_capacity(n_routers);
-    for cell in cells {
-        routers.push(cell.router.snapshot());
-        let mut wire = WireSnapshot::default();
+    out.now = core.now;
+    out.flits_lost = core.flits_lost;
+    out.routers.resize_with(n_routers, Default::default);
+    out.wires.resize_with(n_routers, Default::default);
+    for ((cell, router), wire) in cells.zip(&mut out.routers).zip(&mut out.wires) {
+        cell.router.snapshot_into(router);
         for d in Direction::CARDINAL {
-            if let Some(fw) = cell.io.flit_in[d.index()].as_ref() {
-                wire.flit_in[d.index()] = fw.peek();
-            }
-            if let Some(rw) = cell.io.rev_in[d.index()].as_ref() {
-                wire.credits_in[d.index()] = rw.pending_credits().collect();
-                wire.nacks_in[d.index()] = rw.pending_nacks().collect();
+            let d = d.index();
+            wire.flit_in[d] = cell.io.flit_in[d].as_ref().and_then(|fw| fw.peek());
+            wire.credits_in[d].clear();
+            wire.nacks_in[d].clear();
+            if let Some(rw) = cell.io.rev_in[d].as_ref() {
+                wire.credits_in[d].extend(rw.pending_credits());
+                wire.nacks_in[d].extend(rw.pending_nacks());
             }
         }
-        wires.push(wire);
     }
-    let pes = core
-        .pes
-        .iter()
-        .map(|pe| PeSnapshot {
-            queued: pe.source_queue.iter().map(|p| (p.id(), p.len())).collect(),
-            injecting: pe
-                .injecting
-                .as_ref()
-                .map(|(_, flits)| flits.iter().copied().collect())
-                .unwrap_or_default(),
-        })
-        .collect();
+    out.pes.resize_with(core.pes.len(), Default::default);
+    for (pe, view) in core.pes.iter().zip(&mut out.pes) {
+        view.queued.clear();
+        view.queued
+            .extend(pe.source_queue.iter().map(|p| (p.id(), p.len())));
+        view.injecting.clear();
+        if let Some((_, flits)) = pe.injecting.as_ref() {
+            view.injecting.extend(flits.iter().copied());
+        }
+    }
     // After a full step the active set still holds cycle `now - 1`'s
     // membership (the refresh for `now` happens in the next pre phase),
     // which is exactly the cycle this snapshot reflects.
-    let mut computed = vec![false; n_routers];
+    out.computed.clear();
+    out.computed.resize(n_routers, false);
     for n in env.active.awake() {
-        computed[n] = true;
+        out.computed[n] = true;
     }
     // The network's fault table as of the snapshot cycle: every
     // directed dead link endpoint with the cycle its death became
@@ -972,34 +986,31 @@ pub(crate) fn build_snapshot<'c, S: TraceSink>(
         .faults
         .read()
         .expect("the fault state's only writer is the commit phase");
-    let dead_ports = faults
-        .timeline()
-        .dead_ports_at(core.now.saturating_sub(1))
-        .into_iter()
-        .map(|(n, d, since)| (n.index(), d.index(), since))
-        .collect();
+    out.dead_ports.clear();
+    out.dead_ports.extend(
+        faults
+            .timeline()
+            .dead_ports_at(core.now.saturating_sub(1))
+            .into_iter()
+            .map(|(n, d, since)| (n.index(), d.index(), since)),
+    );
     // Router deaths use `now`, not `now - 1`: the kill purge runs in
     // the commit of cycle `at - 1` so that cycle `at` opens with the
     // victim dead — a snapshot taken at `now` (the start of cycle
     // `now`) therefore already shows a router dying at `now` as dead.
-    let dead_routers = faults
-        .timeline()
-        .dead_routers_at(core.now)
-        .into_iter()
-        .map(|(n, since)| (n.index(), since))
-        .collect();
-    NetSnapshot {
-        now: core.now,
-        dead_ports,
-        flits_lost: core.flits_lost,
-        lost: core.lost.iter().map(|(&id, &mask)| (id, mask)).collect(),
-        dead_routers,
-        fault_events: core.fault_log.events().to_vec(),
-        routers,
-        wires,
-        pes,
-        computed,
-    }
+    out.dead_routers.clear();
+    out.dead_routers.extend(
+        faults
+            .timeline()
+            .dead_routers_at(core.now)
+            .into_iter()
+            .map(|(n, since)| (n.index(), since)),
+    );
+    out.lost.clear();
+    out.lost
+        .extend(core.lost.iter().map(|(&id, &mask)| (id, mask)));
+    out.fault_events.clear();
+    out.fault_events.extend_from_slice(core.fault_log.events());
 }
 
 impl<S: TraceSink> NetCore<S> {

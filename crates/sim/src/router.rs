@@ -1659,11 +1659,11 @@ impl Router {
         }
     }
 
-    /// Diagnostic view of every input VC: its reference, blocked-cycle
-    /// count and onward dependency edge (as the probe chase sees it).
-    pub fn blocked_summary(&self) -> Vec<BlockedVcSummary> {
+    /// Diagnostic view of every input VC, appended to `out`: its
+    /// reference, blocked-cycle count and onward dependency edge (as the
+    /// probe chase sees it).
+    pub fn blocked_summary(&self, out: &mut Vec<BlockedVcSummary>) {
         let vcs = self.cfg.vcs_per_port();
-        let mut out = Vec::new();
         for p in 0..self.cfg.ports() {
             for v in 0..vcs {
                 let named = VcRef::new(Direction::for_port(p), v as u8);
@@ -1671,7 +1671,6 @@ impl Router {
                 out.push((named, self.inputs[p].vcs[v].blocked_cycles, blocked, fwd));
             }
         }
-        out
     }
 
     /// The onward dependency edge of a head waiting for VC allocation: a
@@ -1797,77 +1796,58 @@ impl Router {
         port.vcs[v].state == VcState::Idle && port.buffer.is_empty(v)
     }
 
-    /// A plain-data copy of every architecturally observable piece of
-    /// router state (the invariant oracle's inspection surface). Pure
-    /// read — no RNG draws, no mutation.
-    pub fn snapshot(&self) -> crate::snapshot::RouterSnapshot {
-        use crate::snapshot::{
-            InputVcView, OutputPortView, OutputVcView, RouterSnapshot, SenderView, StEntryView,
-            VcStateView,
-        };
-        let inputs = self
-            .inputs
-            .iter()
-            .map(|port| {
-                port.vcs
-                    .iter()
-                    .enumerate()
-                    .map(|(v, vc)| {
-                        let mut flits = Vec::with_capacity(port.buffer.len(v));
-                        port.buffer.extend_flits(v, &mut flits);
-                        InputVcView {
-                            flits,
-                            capacity: port.buffer.vc_capacity(v),
-                            state: match vc.state {
-                                VcState::Idle => VcStateView::Idle,
-                                VcState::VaWait { .. } => VcStateView::VaWait,
-                                VcState::Active {
-                                    out_port, out_vc, ..
-                                } => VcStateView::Active { out_port, out_vc },
-                            },
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let outputs = self
-            .outputs
-            .iter()
-            .map(|port| OutputPortView {
-                exists: port.exists,
-                vcs: (0..port.senders.len())
-                    .map(|v| OutputVcView {
-                        credits: port.credits.count(v),
-                        allocated: port.allocated[v],
-                        allocated_at: port.allocated[v].map(|_| port.allocated_at[v]),
-                        sender: SenderView {
-                            slots: port.senders[v]
-                                .buffer()
-                                .iter_slots()
-                                .map(|(f, held)| (*f, held))
-                                .collect(),
-                            depth: port.senders[v].buffer().depth(),
-                            replaying: port.senders[v].is_replaying(),
-                        },
-                    })
-                    .collect(),
-                st_queue: port
-                    .st_queue
-                    .iter()
-                    .map(|e| StEntryView {
-                        flit: e.flit,
-                        out_vc: e.out_vc,
-                    })
-                    .collect(),
-            })
-            .collect();
-        RouterSnapshot {
-            dead: self.dead,
-            in_recovery: self.probe.in_recovery(),
-            deadlocks_confirmed: self.errors.deadlocks_confirmed,
-            inputs,
-            outputs,
-            wait_edges: self.blocked_summary(),
+    /// Refills `out` with a plain-data copy of every architecturally
+    /// observable piece of router state (the invariant oracle's
+    /// inspection surface). Whatever `out` held — another router, another
+    /// radix, an earlier cycle — it comes out equal to a refilled
+    /// `RouterSnapshot::default()`, keeping its allocations (see
+    /// [`crate::snapshot`]). Pure read — no RNG draws, no mutation.
+    pub fn snapshot_into(&self, out: &mut crate::snapshot::RouterSnapshot) {
+        use crate::snapshot::{StEntryView, VcStateView};
+        out.dead = self.dead;
+        out.in_recovery = self.probe.in_recovery();
+        out.deadlocks_confirmed = self.errors.deadlocks_confirmed;
+        out.inputs.resize_with(self.inputs.len(), Vec::new);
+        for (port, views) in self.inputs.iter().zip(&mut out.inputs) {
+            views.resize_with(port.vcs.len(), Default::default);
+            for (v, (vc, view)) in port.vcs.iter().zip(views).enumerate() {
+                view.flits.clear();
+                port.buffer.extend_flits(v, &mut view.flits);
+                view.capacity = port.buffer.vc_capacity(v);
+                view.state = match vc.state {
+                    VcState::Idle => VcStateView::Idle,
+                    VcState::VaWait { .. } => VcStateView::VaWait,
+                    VcState::Active {
+                        out_port, out_vc, ..
+                    } => VcStateView::Active { out_port, out_vc },
+                };
+            }
         }
+        out.outputs
+            .resize_with(self.outputs.len(), Default::default);
+        for (port, view) in self.outputs.iter().zip(&mut out.outputs) {
+            view.exists = port.exists;
+            view.vcs.resize_with(port.senders.len(), Default::default);
+            for (v, ovc) in view.vcs.iter_mut().enumerate() {
+                ovc.credits = port.credits.count(v);
+                ovc.allocated = port.allocated[v];
+                ovc.allocated_at = port.allocated[v].map(|_| port.allocated_at[v]);
+                let buffer = port.senders[v].buffer();
+                ovc.sender.slots.clear();
+                ovc.sender
+                    .slots
+                    .extend(buffer.iter_slots().map(|(f, held)| (*f, held)));
+                ovc.sender.depth = buffer.depth();
+                ovc.sender.replaying = port.senders[v].is_replaying();
+            }
+            view.st_queue.clear();
+            view.st_queue
+                .extend(port.st_queue.iter().map(|e| StEntryView {
+                    flit: e.flit,
+                    out_vc: e.out_vc,
+                }));
+        }
+        out.wait_edges.clear();
+        self.blocked_summary(&mut out.wait_edges);
     }
 }

@@ -13,12 +13,18 @@
 //! buffer depth and organisation, the neighbour table) the oracle takes
 //! from the configuration it is built from.
 //!
-//! Snapshots are built **only on demand** ([`crate::Network::snapshot`] /
-//! [`crate::Stepper::snapshot`]): a run that never asks for one pays
-//! nothing, which is what makes the oracle zero-cost when disabled. The
-//! builders only read — no RNG draws, no mutation — so taking snapshots
-//! cannot perturb the simulation (oracle-on runs stay byte-identical to
-//! oracle-off runs).
+//! Snapshots are built **only on demand**: a run that never asks for one
+//! pays nothing, which is what makes the oracle zero-cost when disabled.
+//! There is one builder and it refills: [`crate::Network::snapshot_into`]
+//! / [`crate::Stepper::snapshot_into`] overwrite every field of the
+//! caller's snapshot and clear and re-extend every nested `Vec`, so `out`
+//! comes back equal to a fresh [`crate::Network::snapshot`] whatever it
+//! held before — an earlier cycle, a larger, smaller or faulted network —
+//! and a per-cycle checker that holds one snapshot for a whole run stops
+//! allocating once its buffers have reached their high-water marks.
+//! `snapshot()` is `default()` plus one refill. Both only read — no RNG
+//! draws, no mutation — so taking snapshots cannot perturb the simulation
+//! (oracle-on runs stay byte-identical to oracle-off runs).
 
 use ftnoc_fault::FaultEvent;
 use ftnoc_types::flit::Flit;
@@ -27,9 +33,10 @@ use ftnoc_types::packet::PacketId;
 use crate::router::BlockedVcSummary;
 
 /// Mirror of the private wormhole VC state machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum VcStateView {
     /// No packet in flight on this VC.
+    #[default]
     Idle,
     /// Head waiting for VC allocation.
     VaWait,
@@ -44,7 +51,7 @@ pub enum VcStateView {
 }
 
 /// One input virtual channel: buffer contents plus control state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InputVcView {
     /// Buffered flits, front (oldest) first.
     pub flits: Vec<Flit>,
@@ -55,7 +62,7 @@ pub struct InputVcView {
 }
 
 /// One per-VC retransmission sender on an output port.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SenderView {
     /// Buffered flit copies, front (oldest) first, with the held flag
     /// (`true` = recovery-absorbed slot that never expires).
@@ -67,7 +74,7 @@ pub struct SenderView {
 }
 
 /// One output VC of an output port.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OutputVcView {
     /// Sender-side credit counter for the downstream buffer. Semantics
     /// depend on the run's buffer organisation: under
@@ -87,7 +94,7 @@ pub struct OutputVcView {
 }
 
 /// A switch-granted flit waiting in the switch-traversal queue.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StEntryView {
     /// The flit.
     pub flit: Flit,
@@ -96,7 +103,7 @@ pub struct StEntryView {
 }
 
 /// One output port.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OutputPortView {
     /// Whether the link exists (mesh edges lack some).
     pub exists: bool,
@@ -107,7 +114,7 @@ pub struct OutputPortView {
 }
 
 /// One router at a commit boundary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RouterSnapshot {
     /// Whether the router has been killed by a whole-router fault. A
     /// dead router is structurally empty (the death purge drained it)
@@ -127,7 +134,7 @@ pub struct RouterSnapshot {
 }
 
 /// Link wires owned by one router (receiver side).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WireSnapshot {
     /// `flit_in[p]`: the flit in flight toward arrival port `p`, as
     /// `(flit, vc, deliver_at)`.
@@ -141,7 +148,7 @@ pub struct WireSnapshot {
 }
 
 /// One processing element (traffic endpoint).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PeSnapshot {
     /// Packets queued at the source: `(id, flit count)`. Their flits
     /// have not entered the network yet.
@@ -152,7 +159,7 @@ pub struct PeSnapshot {
 }
 
 /// The whole network at a commit boundary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetSnapshot {
     /// The cycle that just committed (snapshots are taken after
     /// `step()`, so state reflects the end of cycle `now - 1`).

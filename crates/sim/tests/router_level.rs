@@ -5,7 +5,7 @@ use ftnoc_ecc::protect_flit;
 use ftnoc_fault::FaultRates;
 use ftnoc_sim::router::{Ctx, LinkDrive, Router};
 use ftnoc_sim::routing::FaultState;
-use ftnoc_sim::snapshot::VcStateView;
+use ftnoc_sim::snapshot::{RouterSnapshot, VcStateView};
 use ftnoc_sim::SimConfig;
 use ftnoc_types::flit::FlitKind;
 use ftnoc_types::geom::{Direction, NodeId, Topology};
@@ -261,6 +261,7 @@ fn sa_upsets_without_the_ac_keep_vc_indices_in_range() {
     let (ports, vcs) = (h.config.router.ports(), h.config.router.vcs_per_port());
     let mut packet = 0;
     let mut granted = 0;
+    let mut snap = RouterSnapshot::default();
     for _ in 0..200 {
         for v in 0..vcs {
             if h.router.local_vc_idle(4, v) {
@@ -273,7 +274,7 @@ fn sa_upsets_without_the_ac_keep_vc_indices_in_range() {
         for d in h.step() {
             h.router.handle_credit(d.dir, d.vc);
         }
-        let snap = h.router.snapshot();
+        h.router.snapshot_into(&mut snap);
         for ivc in snap.inputs.iter().flatten() {
             if let VcStateView::Active { out_port, out_vc } = ivc.state {
                 assert!(out_port < ports && out_vc < vcs, "{:?}", ivc.state);

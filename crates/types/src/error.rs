@@ -36,6 +36,9 @@ pub enum ConfigError {
     },
     /// Injection rate outside `(0, 1]` flits/node/cycle.
     InvalidInjectionRate(f64),
+    /// The deadlock probe's blocking threshold (`Cthres`) was zero:
+    /// every momentarily blocked flit would launch a probe.
+    ZeroBlockingThreshold,
     /// A soft-fault rate that is not a probability (outside `[0, 1]`,
     /// or NaN).
     InvalidFaultRate {
@@ -113,6 +116,12 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidInjectionRate(r) => {
                 write!(f, "injection rate {r} outside (0, 1] flits/node/cycle")
             }
+            ConfigError::ZeroBlockingThreshold => {
+                write!(
+                    f,
+                    "the deadlock blocking threshold (cthres) must be non-zero"
+                )
+            }
             ConfigError::InvalidFaultRate { site, rate } => {
                 write!(f, "fault rate `{site}` = {rate} is not a probability")
             }
@@ -168,6 +177,7 @@ mod tests {
             }
             .to_string(),
             ConfigError::InvalidInjectionRate(1.5).to_string(),
+            ConfigError::ZeroBlockingThreshold.to_string(),
             ConfigError::InvalidFaultRate {
                 site: "link",
                 rate: f64::NAN,

@@ -4,10 +4,23 @@
 //! reconfiguration transition with every history-tracking invariant —
 //! including the §3.2.2 wait-for/probe window — armed.
 
-use ftnoc::check::{ArmedInvariants, Oracle};
+use ftnoc::check::{ArmedInvariants, Oracle, Violation};
 use ftnoc::fault::FaultEventKind;
 use ftnoc::prelude::*;
-use ftnoc::sim::Network;
+use ftnoc::sim::{NetSnapshot, Network};
+
+/// Steps `net` for `cycles`, checking every commit boundary through one
+/// refilled snapshot (the history-tracking invariants — arrival order,
+/// probe soundness — need one per cycle); stops at the first violation.
+fn step_checked(net: &mut Network, oracle: &mut Oracle, cycles: u64) -> Result<(), Violation> {
+    let mut snap = NetSnapshot::default();
+    for _ in 0..cycles {
+        net.step();
+        net.snapshot_into(&mut snap);
+        oracle.check(&snap)?;
+    }
+    Ok(())
+}
 
 /// A 4×4 fault-aware run with one mid-run kill: link 5→east dies at
 /// cycle 300, publication lags 6 cycles, recovery armed as the
@@ -57,12 +70,8 @@ fn oracle_stays_quiet_across_an_online_reconfiguration() {
         "fault-free logic arms the probe window"
     );
     let mut net = Network::new(config);
-    for _ in 0..4_000 {
-        net.step();
-        if let Err(v) = oracle.check(&net.snapshot()) {
-            panic!("oracle violation across the reconfiguration: {v}");
-        }
-    }
+    step_checked(&mut net, &mut oracle, 4_000)
+        .unwrap_or_else(|v| panic!("oracle violation across the reconfiguration: {v}"));
     assert_eq!(
         net.packets_ejected(),
         net.packets_injected(),
@@ -86,10 +95,7 @@ fn oracle_flags_a_fault_table_mismatch() {
     // The history-tracking invariants (arrival order, probe soundness)
     // need one snapshot per cycle, so check all the way to the boundary
     // this test doctors.
-    for _ in 0..400 {
-        net.step();
-        oracle.check(&net.snapshot()).expect("honest run must pass");
-    }
+    step_checked(&mut net, &mut oracle, 400).expect("honest run must pass");
     let snap = net.snapshot();
 
     let mut hidden = snap.clone();
@@ -179,12 +185,8 @@ fn oracle_stays_quiet_across_a_router_death() {
         "router kills step credit accounting down from equality to a bound"
     );
     let mut net = Network::new(config);
-    for _ in 0..4_000 {
-        net.step();
-        if let Err(v) = oracle.check(&net.snapshot()) {
-            panic!("oracle violation across the router death: {v}");
-        }
-    }
+    step_checked(&mut net, &mut oracle, 4_000)
+        .unwrap_or_else(|v| panic!("oracle violation across the router death: {v}"));
     let snap = net.snapshot();
     assert!(
         snap.dead_routers.contains(&(5, 300)),
@@ -205,12 +207,8 @@ fn oracle_follows_online_wearout_deaths() {
     let config = wearout_config();
     let mut oracle = Oracle::new(&config);
     let mut net = Network::new(config);
-    for _ in 0..6_000 {
-        net.step();
-        if let Err(v) = oracle.check(&net.snapshot()) {
-            panic!("oracle violation across online wear-out: {v}");
-        }
-    }
+    step_checked(&mut net, &mut oracle, 6_000)
+        .unwrap_or_else(|v| panic!("oracle violation across online wear-out: {v}"));
     let snap = net.snapshot();
     assert!(
         snap.fault_events
@@ -232,10 +230,7 @@ fn oracle_flags_doctored_loss_accounting() {
     let config = router_death_config();
     let mut oracle = Oracle::new(&config);
     let mut net = Network::new(config);
-    for _ in 0..400 {
-        net.step();
-        oracle.check(&net.snapshot()).expect("honest run must pass");
-    }
+    step_checked(&mut net, &mut oracle, 400).expect("honest run must pass");
     let snap = net.snapshot();
     assert!(
         !snap.lost.is_empty(),
@@ -308,10 +303,7 @@ fn conservation_names_the_lowest_broken_packet() {
         let mut oracle = Oracle::new(&config);
         assert!(oracle.arming().conservation);
         let mut net = Network::new(config);
-        for _ in 0..200 {
-            net.step();
-            oracle.check(&net.snapshot()).expect("honest run must pass");
-        }
+        step_checked(&mut net, &mut oracle, 200).expect("honest run must pass");
         let mut snap = net.snapshot();
         let template = *snap
             .routers
@@ -352,10 +344,7 @@ fn oracle_flags_an_invented_wearout_event() {
     let config = router_death_config();
     let mut oracle = Oracle::new(&config);
     let mut net = Network::new(config);
-    for _ in 0..100 {
-        net.step();
-        oracle.check(&net.snapshot()).expect("honest run must pass");
-    }
+    step_checked(&mut net, &mut oracle, 100).expect("honest run must pass");
     let mut snap = net.snapshot();
     snap.fault_events.push(FaultEvent {
         at: 50,

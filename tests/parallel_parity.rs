@@ -10,7 +10,8 @@
 use ftnoc_check::Oracle;
 use ftnoc_fault::{FaultPlan, FaultRates};
 use ftnoc_sim::{
-    DeadlockConfig, ErrorScheme, Network, RoutingAlgorithm, SimConfig, SimConfigBuilder, Simulator,
+    DeadlockConfig, ErrorScheme, NetSnapshot, Network, RoutingAlgorithm, SimConfig,
+    SimConfigBuilder, Simulator,
 };
 use ftnoc_trace::{MemorySink, Tracer};
 use ftnoc_traffic::InjectionProcess;
@@ -187,12 +188,14 @@ fn run_stepped(mut builder: SimConfigBuilder, threads: usize, cycles: u64, oracl
     let mut checker = oracle.then(|| Oracle::new(&config));
     let nodes = config.topology.node_count();
     let mut net = Network::with_tracer(config, Tracer::new(MemorySink::new(), nodes, 0));
+    let mut snap = NetSnapshot::default();
     net.with_stepper(threads, |st| {
         for _ in 0..cycles {
             st.step();
             if let Some(oracle) = checker.as_mut() {
+                st.snapshot_into(&mut snap);
                 oracle
-                    .check(&st.snapshot())
+                    .check(&snap)
                     .unwrap_or_else(|v| panic!("oracle violation during parity run: {v}"));
             }
         }
