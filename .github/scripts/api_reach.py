@@ -4,11 +4,13 @@
 Every `pub fn|struct|enum|const|trait|type|static` name declared under
 `crates/*/src` and `src` is word-matched against those same sources plus
 `examples/` and `benchmark/src`, each file cut at its first
-`#[cfg(test)]` and stripped of `//` comments and `pub use` re-exports.
+`#[cfg(test)]` and stripped of `pub use` re-exports, of the contents of
+string literals that open and close on one line (a word in a chart title
+or a message is no caller) and of `//` comments.
 A name whose only occurrences are its own declarations has no caller: it
 must either go or be listed, with its reason, in
 `.github/api-reach-allow.txt` (`name: reason`, one per line). A flagged
-name has zero textual references, so the check has no false positives;
+name has zero references in code, so the check has no false positives;
 it can miss an item that shares its name with a live one.
 """
 import collections
@@ -22,12 +24,20 @@ ALLOW = ROOT / ".github" / "api-reach-allow.txt"
 DECL = re.compile(
     r"\bpub\s+(?:const\s+|unsafe\s+)*(?:fn|struct|enum|const|trait|type|static)\s+([A-Za-z_]\w*)"
 )
+STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def live_line(line):
+    # The `'"'` char literal would open a string; blanking strings before
+    # cutting comments keeps a "//" inside one from truncating the line.
+    line = STRING.sub('""', line.replace("'\"'", ""))
+    return line.split("//")[0]
 
 
 def live_text(path):
     text = path.read_text().split("#[cfg(test)]")[0]
     text = re.sub(r"\bpub use [^;]*;", "", text)
-    return "\n".join(line.split("//")[0] for line in text.splitlines())
+    return "\n".join(live_line(line) for line in text.splitlines())
 
 
 def sources(*patterns):

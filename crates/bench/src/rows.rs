@@ -580,21 +580,15 @@ fn topology_sweep(_: Scale, out: &mut dyn Write) -> io::Result<()> {
             ));
         }
         let mut net = Network::new(b.build().expect("valid sweep config"));
-        // Step in chunks so the drain point (network empty after
-        // injection stopped) is observable between stepper sessions.
-        let mut first = true;
+        net.start_measurement();
+        // The drain point (network empty after injection stopped) is
+        // looked for every 500 cycles.
         while net.now() < MAX_CYCLES {
-            net.with_stepper(1, |st| {
-                if first {
-                    st.start_measurement();
-                }
-                let target = (st.now() + 500).min(MAX_CYCLES);
-                while st.now() < target {
-                    st.step();
-                }
-            });
-            first = false;
-            if net.now() > INJECT_FOR && net.packets_injected() == net.packets_ejected() {
+            net.step();
+            if net.now().is_multiple_of(500)
+                && net.now() > INJECT_FOR
+                && net.packets_injected() == net.packets_ejected()
+            {
                 break;
             }
         }

@@ -87,7 +87,8 @@ pub struct CampaignParams {
     pub seed: u64,
     /// Cycles to simulate.
     pub cycles: u64,
-    /// Compute-phase worker threads.
+    /// An echo the engine does not read (once the compute-phase worker
+    /// count); drawn and spelled still so no sampled or pinned byte moves.
     pub threads: usize,
     /// DAMQ shared-pool size in flits per input port (`0` = static
     /// per-VC partition, the paper's platform).
@@ -242,6 +243,7 @@ impl CampaignParams {
             stop_after: if r.gen_bool(0.3) { cycles / 2 } else { 0 },
             seed: r.next_u64(),
             cycles,
+            // An echo the engine does not read; the draw feeds the stream.
             threads: [1, 1, 1, 2, 4][r.gen_range(0..5usize)],
             damq_pool: 0,
             gating: true,
@@ -443,7 +445,8 @@ impl CampaignParams {
         b.build()
     }
 
-    /// Serialises to the `k=v,...` reproducer spec.
+    /// Serialises to the `k=v,...` reproducer spec (`threads=` is an
+    /// echo the engine does not read; pinned digests hash these bytes).
     pub fn to_spec(&self) -> String {
         let mut s = String::new();
         let _ = write!(
@@ -568,6 +571,7 @@ impl CampaignParams {
                 "stop" => p.stop_after = v.parse().map_err(bad!())?,
                 "seed" => p.seed = v.parse().map_err(bad!())?,
                 "cycles" => p.cycles = v.parse().map_err(bad!())?,
+                // An echo the engine does not read; old reproducers carry it.
                 "threads" => p.threads = v.parse().map_err(bad!())?,
                 "pool" => p.damq_pool = v.parse().map_err(bad!())?,
                 "gate" => p.gating = flag(k, v)?,
@@ -707,14 +711,13 @@ pub(crate) fn run_campaign(params: &CampaignParams) -> Result<(), Violation> {
         let mut oracle = Oracle::new(&config);
         // One snapshot per campaign, refilled every cycle.
         let mut snap = NetSnapshot::default();
-        Network::new(config).with_stepper(params.threads, |st| {
-            for _ in 0..params.cycles {
-                st.step();
-                st.snapshot_into(&mut snap);
-                oracle.check(&snap)?;
-            }
-            Ok(())
-        })
+        let mut net = Network::new(config);
+        for _ in 0..params.cycles {
+            net.step();
+            net.snapshot_into(&mut snap);
+            oracle.check(&snap)?;
+        }
+        Ok(())
     }));
     match outcome {
         Ok(result) => result,
@@ -800,6 +803,7 @@ fn transforms(p: &CampaignParams, v: &Violation) -> Vec<CampaignParams> {
             out.push(c);
         }
     };
+    // An echo the engine does not read: the step always holds.
     push(&|c| c.threads = 1);
     // Reduce toward the plain mesh: if the failure survives there, it
     // is not a wrap-link or concentration bug. Concentration steps down
@@ -987,6 +991,10 @@ mod tests {
             );
             assert_eq!(p.check().unwrap_err().invariant, "config");
         }
+        // A lone terminal used to panic in the first injection draw.
+        let p = CampaignParams::from_spec("w=1,h=1").unwrap();
+        assert_eq!(p.to_config().unwrap_err(), ConfigError::TooFewTerminals(1));
+        assert_eq!(p.check().unwrap_err().invariant, "config");
     }
 
     /// Router-kill campaigns are always well-formed: fault-aware

@@ -1,7 +1,7 @@
 //! The cycle-level invariant oracle.
 //!
 //! An [`Oracle`] is fed one [`NetSnapshot`] per cycle (taken at the
-//! commit boundary, i.e. right after [`ftnoc_sim::Stepper::step`]) and
+//! commit boundary, i.e. right after [`ftnoc_sim::Network::step`]) and
 //! validates architectural invariants of the fault-tolerant router of
 //! Park et al. (DSN 2006). Which invariants are *armed* depends on the
 //! run configuration — a link-fault campaign legitimately loses flits

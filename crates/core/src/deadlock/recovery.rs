@@ -164,9 +164,6 @@ impl RecoveryRing {
                 }
             }
         }
-        for node in self.nodes.iter_mut() {
-            node.tx.sample_occupancy();
-        }
         self.now += 1;
     }
 

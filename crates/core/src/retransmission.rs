@@ -318,9 +318,6 @@ impl fmt::Display for RetransmissionBuffer {
 pub struct TransmissionFifo {
     capacity: usize,
     flits: VecDeque<Flit>,
-    /// Cumulative occupancy integral (for utilization statistics).
-    occupancy_sum: u64,
-    samples: u64,
 }
 
 impl TransmissionFifo {
@@ -337,8 +334,6 @@ impl TransmissionFifo {
         TransmissionFifo {
             capacity,
             flits: VecDeque::with_capacity(capacity),
-            occupancy_sum: 0,
-            samples: 0,
         }
     }
 
@@ -387,21 +382,6 @@ impl TransmissionFifo {
     /// Pops the head flit.
     pub fn pop(&mut self) -> Option<Flit> {
         self.flits.pop_front()
-    }
-
-    /// Records an occupancy sample (call once per cycle for Figure 8
-    /// utilization statistics).
-    pub fn sample_occupancy(&mut self) {
-        self.occupancy_sum += self.flits.len() as u64;
-        self.samples += 1;
-    }
-
-    /// Mean utilization in `[0, 1]` over the sampled cycles.
-    pub fn utilization(&self) -> f64 {
-        if self.samples == 0 {
-            return 0.0;
-        }
-        self.occupancy_sum as f64 / (self.samples as f64 * self.capacity as f64)
     }
 
     /// Iterates front (oldest) to back.
@@ -617,19 +597,6 @@ mod tests {
         assert_eq!(fifo.pop().unwrap().seq, 0);
         assert_eq!(fifo.front().unwrap().seq, 1);
         assert_eq!(fifo.free_slots(), 1);
-    }
-
-    #[test]
-    fn fifo_utilization_tracks_occupancy() {
-        let mut fifo = TransmissionFifo::new(4);
-        fifo.push(flit(0));
-        fifo.push(flit(1));
-        for _ in 0..10 {
-            fifo.sample_occupancy();
-        }
-        assert!((fifo.utilization() - 0.5).abs() < 1e-12);
-        let empty = TransmissionFifo::new(4);
-        assert_eq!(empty.utilization(), 0.0);
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //! The timeline built from configuration is a pure function of that
 //! configuration. Wear-out kills are the one extension point: the sim
 //! realizes them at runtime through [`FaultTimeline::push_link_kill`],
-//! but only from the serial commit phase and only as a deterministic
-//! function of traffic, so runs still stay byte-identical at any thread
-//! count and under activity gating.
+//! but only from the commit phase and only as a deterministic function
+//! of traffic, so runs still stay byte-identical under activity gating.
 
 use ftnoc_types::geom::{Direction, NodeId, Topology};
 
@@ -171,7 +170,7 @@ impl FaultTimeline {
     /// is already dead by `at` (base fault, earlier kill, router death).
     /// A *later* scheduled kill of the same link is pre-empted: the
     /// wear-out death happens first, so the moot schedule entry is
-    /// dropped. Only the serial commit phase may call this.
+    /// dropped. Only the commit phase may call this.
     pub fn push_link_kill(&mut self, at: u64, node: NodeId, dir: Direction) -> bool {
         if !dir.is_cardinal() || self.topo.neighbor_id(node, dir).is_none() {
             return false;

@@ -27,7 +27,7 @@ pub struct MetaLine {
     /// Topology drawing style (stamped as e.g. `"torus"`, `"cmesh:4"`;
     /// readers treat an absent field as a plain mesh).
     pub topology: LayoutKind,
-    /// Configured worker thread count.
+    /// Echo of `SimConfig::threads`; the engine does not read it.
     pub threads: usize,
     /// `std::thread::available_parallelism()` on the host (0 if
     /// unknown).

@@ -5,15 +5,12 @@
 //! crate is a pure *reader* of simulator state (or of wall-clock time,
 //! which lives strictly outside the simulated machine), so traces,
 //! reports and fuzz outcomes are byte-identical metrics-on vs
-//! metrics-off, at any thread count. The parity suite pins this.
+//! metrics-off. `tests/metrics.rs` pins this.
 //!
 //! The pieces:
 //!
-//! - [`profile`] — the [`profile::EngineProfile`] wall-clock phase
-//!   profiler for the two-phase cycle engine: per-worker compute and
-//!   barrier-wait lanes plus the serial pre/commit spans, all plain
-//!   atomics so workers can report without synchronising with the
-//!   simulation.
+//! - [`profile`] — [`profile::ProfileSnapshot`], the wall-clock time
+//!   the cycle engine spent in its pre, compute and commit phases.
 //! - [`telemetry`] — [`telemetry::MeshTelemetry`] per-router hotspot
 //!   counters (flits routed, buffer stalls, retransmissions, NACKs,
 //!   probes, faults, recoveries) harvested from the routers' own
@@ -49,5 +46,5 @@ pub mod telemetry;
 
 pub use emit::{IntervalLine, MetaLine};
 pub use heatmap::{LayoutKind, TopoLayout};
-pub use profile::{EngineProfile, ProfileSnapshot};
+pub use profile::ProfileSnapshot;
 pub use telemetry::{MeshTelemetry, RouterTelemetry};

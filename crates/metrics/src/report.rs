@@ -69,7 +69,7 @@ fn render_summary(out: &mut String, meta: &Value, intervals: usize) {
         "width",
         "height",
         "nodes",
-        "threads",
+        "threads", // an echo the engine does not read
         "available_parallelism",
         "metrics_every",
         "seed",

@@ -156,14 +156,13 @@ pub struct SimConfig {
     /// workloads, e.g. the deadlock-recovery experiments). `None` keeps
     /// the open-loop source running for the whole run.
     pub stop_injection_after: Option<u64>,
-    /// Worker threads for the per-cycle compute phase (`1` = serial).
-    /// Results are byte-identical for every value at the same seed —
-    /// this is purely a wall-clock knob.
+    /// An echo the engine does not read (once the compute-phase worker
+    /// count): `benchmark/src` spells it, `SimReport` and `MetaLine` copy it.
     pub threads: usize,
     /// Activity gating: skip the compute phase of routers with no
     /// scheduled wake-up (quiescent routers). Results are byte-identical
-    /// with gating on or off at the same seed — like `threads`, this is
-    /// purely a wall-clock knob; `false` forces the full-sweep engine,
+    /// with gating on or off at the same seed — this is purely a
+    /// wall-clock knob; `false` forces the full-sweep engine,
     /// the reference the parity suites and a quarter of the fuzz
     /// campaigns (`gate=0`) compare against.
     pub activity_gating: bool,
@@ -369,8 +368,7 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the compute-phase worker-thread count (`0` and `1` both
-    /// mean serial execution on the calling thread).
+    /// Sets [`SimConfig::threads`], an echo the engine does not read.
     pub fn threads(&mut self, threads: usize) -> &mut Self {
         self.config.threads = threads.max(1);
         self
@@ -388,16 +386,20 @@ impl SimConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] for invalid injection rates, for a
-    /// fault rate that is not a probability ([`FaultRates::validate`]),
-    /// for a fault plan that names a node or link the topology lacks or
-    /// kills a target twice ([`FaultPlan::check`]), and for router kills
-    /// with packets the loss ledger cannot track; router knobs are
-    /// validated by their own type.
+    /// Returns a [`ConfigError`] for invalid injection rates, for fewer
+    /// than two terminals, for a fault rate that is not a probability
+    /// ([`FaultRates::validate`]), for a fault plan that names a node or
+    /// link the topology lacks or kills a target twice
+    /// ([`FaultPlan::check`]), and for router kills with packets the loss
+    /// ledger cannot track; router knobs are validated by their own type.
     pub fn build(&self) -> Result<SimConfig, ConfigError> {
         let c = &self.config;
         if !(c.injection_rate > 0.0 && c.injection_rate <= 1.0) {
             return Err(ConfigError::InvalidInjectionRate(c.injection_rate));
+        }
+        // `TrafficPattern::destination` asserts on a lone terminal.
+        if c.topology.terminal_count() < 2 {
+            return Err(ConfigError::TooFewTerminals(c.topology.terminal_count()));
         }
         // Every router builds its probe state machine, recovery enabled
         // or not, and `ProbeProtocol::new` asserts on a zero threshold.
@@ -463,6 +465,22 @@ mod tests {
     fn invalid_injection_rate_rejected() {
         assert!(SimConfig::builder().injection_rate(0.0).build().is_err());
         assert!(SimConfig::builder().injection_rate(1.2).build().is_err());
+    }
+
+    #[test]
+    fn a_lone_terminal_is_a_typed_error() {
+        for (topology, terminals) in [
+            (Topology::mesh(1, 1), 1),
+            (Topology::torus(1, 1), 1),
+            (Topology::cmesh(1, 1, 1), 1),
+            (Topology::cmesh(1, 1, 4), 4),
+            (Topology::mesh(1, 2), 2),
+            (Topology::torus(1, 2), 2),
+        ] {
+            let built = SimConfig::builder().topology(topology).build();
+            let expected = (terminals < 2).then_some(ConfigError::TooFewTerminals(terminals));
+            assert_eq!(built.err(), expected, "{topology:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! by the **upstream** router `n` (indexed by its outgoing direction
 //! `d`). The commit phase is the only writer of another router's wires;
 //! the compute phase only ever pops its own — that split is what makes
-//! per-router parallel compute race-free by construction.
+//! a router's cycle independent of which other routers were computed.
 
 use std::collections::VecDeque;
 
@@ -34,8 +34,6 @@ use ftnoc_types::flit::Flit;
 pub struct FlitWire {
     /// The flit in flight, with its VC tag and delivery cycle.
     in_flight: Option<(Flit, u8, u64)>,
-    /// Flits carried over the lifetime of the wire (statistics).
-    pub flits_carried: u64,
 }
 
 impl FlitWire {
@@ -62,7 +60,6 @@ impl FlitWire {
             "link driven twice in one cycle at {now}"
         );
         self.in_flight = Some((flit, vc, now + 1));
-        self.flits_carried += 1;
     }
 
     /// Read-only view of the flit in flight: `(flit, vc, deliver_at)`.
@@ -254,7 +251,6 @@ mod tests {
         assert_eq!(f.seq, 0);
         assert_eq!(vc, 2);
         assert!(w.deliver_flit(12).is_none());
-        assert_eq!(w.flits_carried, 1);
     }
 
     #[test]

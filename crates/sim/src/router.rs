@@ -62,8 +62,8 @@ pub struct Ctx<'a> {
     /// Current cycle.
     pub now: u64,
     /// The run's fault state: the hard-fault timeline plus the
-    /// per-epoch fault-aware routing plans. Immutable and shared across
-    /// worker threads; every query is a pure function of `now`.
+    /// per-epoch fault-aware routing plans. Immutable for the whole
+    /// compute phase; every query is a pure function of `now`.
     pub faults: &'a FaultState,
 }
 
@@ -191,9 +191,10 @@ pub enum ArrivalAction {
 pub type BlockedVcSummary = (VcRef, u64, bool, Option<(Direction, VcRef)>);
 
 /// Per-router buffer of trace events produced during the compute phase
-/// and drained (in node order) by the network's commit phase. Buffering
-/// keeps the shared `Tracer` out of the parallel section while
-/// preserving a deterministic, thread-count-independent event order.
+/// and drained (in node order) by the network's commit phase. The
+/// drain is the trace's byte order: a router's events land after those
+/// of every lower-numbered router of the cycle, however many of them
+/// the active set skipped.
 #[derive(Debug, Default)]
 pub(crate) struct TraceBuf {
     /// Mirror of `Tracer::enabled()`; `false` makes `emit` a no-op.
@@ -455,9 +456,9 @@ impl Router {
     ///
     /// Returns the removed **originals** as `(flit, port)` — protective
     /// sender copies vanish silently, their originals are accounted
-    /// where they physically live. Serial-commit only: structural
-    /// mutation, no RNG draws, so gated/ungated and any thread count
-    /// stay byte-identical.
+    /// where they physically live. Commit-phase only: structural
+    /// mutation, no RNG draws, so gated and ungated runs stay
+    /// byte-identical.
     pub(crate) fn purge_packets(
         &mut self,
         members: &std::collections::BTreeSet<u64>,

@@ -67,7 +67,7 @@ impl FaultRect {
 /// The up*/down* routing relation for one fault-publication epoch.
 ///
 /// Built once per epoch from the published fault set; all queries are
-/// pure reads, so a plan can be shared freely across worker threads.
+/// pure reads.
 #[derive(Debug, Clone)]
 pub struct FaultAwarePlan {
     topo: Topology,
@@ -347,9 +347,8 @@ fn fault_regions(topo: Topology, hard: &HardFaults) -> Vec<FaultRect> {
 /// scheduled (which is what keeps legacy runs byte-identical). All
 /// queries are pure reads; the single mutation seam is
 /// [`FaultState::push_wearout_kill`], which the network calls only from
-/// its serial commit phase (behind a lock) when the wear-out model
-/// exhausts a link budget — worker threads never observe a mutation in
-/// flight.
+/// its commit phase when the wear-out model exhausts a link budget — no
+/// compute sweep observes a mutation in flight.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     timeline: FaultTimeline,
@@ -410,8 +409,7 @@ impl FaultState {
     /// Realizes a wear-out link kill at cycle `at` and rebuilds the
     /// per-epoch plans against the extended timeline. Returns `false`
     /// (and changes nothing) when the link is already dead by `at` or
-    /// does not exist. Serial-commit-phase only: callers hold the
-    /// network's fault lock exclusively while the plans rebuild.
+    /// does not exist. Commit-phase only.
     pub fn push_wearout_kill(&mut self, at: u64, node: NodeId, dir: Direction) -> bool {
         if !self.timeline.push_link_kill(at, node, dir) {
             return false;

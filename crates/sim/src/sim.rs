@@ -50,8 +50,7 @@ pub struct SimReport {
     /// `retrans_depth` flits per VC instead — the §3 buffer-cost
     /// comparison.
     pub e2e_peak_source_buffer_flits: u64,
-    /// Configured worker thread count (a config echo — the simulation
-    /// result is byte-identical at any value).
+    /// Echo of [`SimConfig::threads`]; the engine does not read it.
     pub threads: usize,
     /// `std::thread::available_parallelism()` on the reporting host
     /// (0 when the platform cannot say) — provenance for wall-clock
@@ -160,6 +159,7 @@ impl SimReport {
              \"va\":{},\"sa\":{},\"crossbar\":{},\"retrans_buffer\":0,\"handshake\":{}}}",
             fc.link, fc.link_multi_bit, fc.rt, fc.va, fc.sa, fc.crossbar, fc.handshake,
         );
+        // `threads` is an echo the engine does not read (digests blank it).
         let _ = write!(
             s,
             ",\"threads\":{},\"available_parallelism\":{}",
@@ -226,45 +226,37 @@ impl<S: TraceSink> Simulator<S> {
     /// own cadence (the CLI's `--metrics-out` emitter). Read-only
     /// access: observation cannot perturb the run.
     pub fn run_instrumented<F: FnMut(&Stepper<'_, S>)>(&mut self, mut each_cycle: F) -> SimReport {
-        let warmup_target = self.config.warmup_packets;
-        let measure_packets = self.config.measure_packets;
-        let max_cycles = self.config.max_cycles;
-        let threads = self.config.threads;
-        let completed = self.network.with_stepper(threads, |st| {
-            let mut total_target = warmup_target + measure_packets;
-            let mut measuring = warmup_target == 0;
-            if measuring {
-                st.start_measurement();
+        let (config, net) = (&self.config, &mut self.network);
+        let mut total_target = config.warmup_packets + config.measure_packets;
+        let mut measuring = config.warmup_packets == 0;
+        if measuring {
+            net.start_measurement();
+        }
+        while net.now() < config.max_cycles {
+            net.step();
+            each_cycle(&Stepper { net });
+            if !measuring && net.packets_ejected() >= config.warmup_packets {
+                net.start_measurement();
+                // Anchor the window at the actual crossing point so
+                // the measured packet count is exact.
+                total_target = net.packets_ejected() + config.measure_packets;
+                measuring = true;
             }
-            while st.now() < max_cycles {
-                st.step();
-                each_cycle(st);
-                if !measuring && st.packets_ejected() >= warmup_target {
-                    st.start_measurement();
-                    // Anchor the window at the actual crossing point so
-                    // the measured packet count is exact.
-                    total_target = st.packets_ejected() + measure_packets;
-                    measuring = true;
-                }
-                if measuring && st.packets_ejected() >= total_target {
-                    break;
-                }
+            if measuring && net.packets_ejected() >= total_target {
+                break;
             }
-            st.packets_ejected() >= total_target
-        });
+        }
+        let completed = net.packets_ejected() >= total_target;
         self.report(completed)
     }
 
     /// Runs exactly `cycles` cycles with measurement from cycle 0
     /// (used by utilization sweeps and tests).
     pub fn run_cycles(&mut self, cycles: u64) -> SimReport {
-        let threads = self.config.threads;
-        self.network.with_stepper(threads, |st| {
-            st.start_measurement();
-            for _ in 0..cycles {
-                st.step();
-            }
-        });
+        self.network.start_measurement();
+        for _ in 0..cycles {
+            self.network.step();
+        }
         self.report(true)
     }
 

@@ -16,12 +16,12 @@
 //! Snapshots are built **only on demand**: a run that never asks for one
 //! pays nothing, which is what makes the oracle zero-cost when disabled.
 //! There is one builder and it refills: [`crate::Network::snapshot_into`]
-//! / [`crate::Stepper::snapshot_into`] overwrite every field of the
-//! caller's snapshot and clear and re-extend every nested `Vec`, so `out`
-//! comes back equal to a fresh [`crate::Network::snapshot`] whatever it
-//! held before — an earlier cycle, a larger, smaller or faulted network —
-//! and a per-cycle checker that holds one snapshot for a whole run stops
-//! allocating once its buffers have reached their high-water marks.
+//! overwrites every field of the caller's snapshot and clears and
+//! re-extends every nested `Vec`, so `out` comes back equal to a fresh
+//! [`crate::Network::snapshot`] whatever it held before — an earlier
+//! cycle, a larger, smaller or faulted network — and a per-cycle checker
+//! that holds one snapshot for a whole run stops allocating once its
+//! buffers have reached their high-water marks.
 //! `snapshot()` is `default()` plus one refill. Both only read — no RNG
 //! draws, no mutation — so taking snapshots cannot perturb the simulation
 //! (oracle-on runs stay byte-identical to oracle-off runs).

@@ -130,17 +130,16 @@ fn a_refilled_snapshot_equals_a_fresh_one_whatever_it_held() {
     ];
     let mut dirty = NetSnapshot::default();
     for (i, shape) in shapes.iter().enumerate() {
-        Network::new(config(shape, 7 + i as u64)).with_stepper(1, |st| {
-            for _ in 0..CYCLES {
-                st.step();
-                st.snapshot_into(&mut dirty);
-                assert!(
-                    dirty == st.snapshot(),
-                    "shape {i}: the refilled snapshot differs at cycle {}",
-                    dirty.now
-                );
-            }
-        });
+        let mut net = Network::new(config(shape, 7 + i as u64));
+        for _ in 0..CYCLES {
+            net.step();
+            net.snapshot_into(&mut dirty);
+            assert!(
+                dirty == net.snapshot(),
+                "shape {i}: the refilled snapshot differs at cycle {}",
+                dirty.now
+            );
+        }
         // The shape did what its row says, so the fields it dirties
         // were non-empty going into the next one.
         assert_eq!(dirty.fault_events.is_empty(), shape.faults.is_empty());

@@ -10,6 +10,9 @@ use crate::geom::{Direction, NodeId};
 pub enum ConfigError {
     /// A grid dimension was zero.
     ZeroDimension,
+    /// Fewer than two terminals: a traffic source has no destination
+    /// to draw (a 1×1 mesh or torus, a 1×1 cmesh at concentration 1).
+    TooFewTerminals(usize),
     /// The number of virtual channels per port was zero or above 64.
     InvalidVcCount(usize),
     /// The per-VC buffer depth was zero.
@@ -93,6 +96,9 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroDimension => write!(f, "grid dimensions must be non-zero"),
+            ConfigError::TooFewTerminals(n) => {
+                write!(f, "topology has {n} terminal(s), traffic needs at least 2")
+            }
             ConfigError::InvalidVcCount(n) => {
                 write!(f, "virtual channel count {n} outside 1..=64")
             }
@@ -162,6 +168,7 @@ mod tests {
     fn display_messages_are_lowercase_and_informative() {
         let msgs = [
             ConfigError::ZeroDimension.to_string(),
+            ConfigError::TooFewTerminals(1).to_string(),
             ConfigError::InvalidVcCount(0).to_string(),
             ConfigError::ZeroBufferDepth.to_string(),
             ConfigError::RetransmissionDepthTooSmall {

@@ -74,8 +74,6 @@ OPTIONS (run):
                           notify:L      fault-table publication lags
                                         local detection by L cycles
                                         (default 4)
-    --threads N         compute-phase worker threads (default 1; any N
-                        gives byte-identical results at the same seed)
     --profile           print the per-event energy breakdown
 
 OBSERVABILITY (run):
@@ -239,7 +237,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut warmup = 1_000u64;
     let mut seed = 0xF7_0Cu64;
     let mut deadlock = false;
-    let mut threads = 1usize;
     let mut profile = false;
     let mut trace: Option<std::path::PathBuf> = None;
     let mut flight_recorder = 256usize;
@@ -350,7 +347,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "--warmup" => warmup = num(value(&mut it, flag)?, flag)?,
             "--seed" => seed = num(value(&mut it, flag)?, flag)?,
             "--deadlock-recovery" => deadlock = true,
-            "--threads" => threads = num(value(&mut it, flag)?, flag)?,
             "--profile" => profile = true,
             "--trace" => trace = Some(std::path::PathBuf::from(value(&mut it, flag)?)),
             "--flight-recorder" => flight_recorder = num(value(&mut it, flag)?, flag)?,
@@ -426,8 +422,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             enabled: deadlock,
             cthres: 32,
         })
-        .fault_plan(&fplan)
-        .threads(threads);
+        .fault_plan(&fplan);
     let config = Box::new(b.build().map_err(|e| err(format!("config: {e}")))?);
     Ok(Command::Run {
         config,
@@ -641,6 +636,9 @@ mod tests {
                 "{e}"
             );
         }
+        // A lone terminal used to panic in the first injection draw.
+        let e = parse(&args("run --topology 1x1")).unwrap_err();
+        assert!(e.0.starts_with("config: topology has 1 terminal"), "{e}");
     }
 
     #[test]
@@ -649,16 +647,6 @@ mod tests {
         assert!(e.0.contains("needs a value"), "{e}");
         let e = parse(&args("run --trace")).unwrap_err();
         assert!(e.0.contains("needs a value"), "{e}");
-    }
-
-    #[test]
-    fn threads_flag_parses_and_defaults_to_serial() {
-        let config = run_config("run");
-        assert_eq!(config.threads, 1);
-        let config = run_config("run --threads 4");
-        assert_eq!(config.threads, 4);
-        let e = parse(&args("run --threads banana")).unwrap_err();
-        assert!(e.0.contains("--threads"), "{e}");
     }
 
     #[test]
@@ -895,6 +883,9 @@ mod tests {
         // Removed from `fuzz` only: `run --metrics-out` stays.
         assert!(unknown("fuzz", "--metrics-out"), "removed from fuzz");
         assert!(flags(fuzz).all(|f| f != "--metrics-out"));
+        // Removed from `run` only: `fuzz --threads` batches campaigns.
+        assert!(unknown("run", "--threads"), "removed from run");
+        assert!(flags(run).all(|f| f != "--threads"));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Activity-gating parity: skipping quiescent routers must be **byte
 //! identical** to the full-sweep engine at the same seed — same JSONL
 //! event trace, same final report — across fault-free, dead-link,
-//! transient-error and deadlock-recovery scenarios, at any thread
-//! count.
+//! transient-error and deadlock-recovery scenarios.
 //!
 //! This is the soundness contract of the active-set worklist (see
 //! `ftnoc-sim`'s `network` module docs): a skipped router's compute
@@ -168,13 +167,8 @@ fn recovery_overlapping_death(seed: u64) -> SimConfigBuilder {
 
 /// Runs `cycles` cycles and returns the full JSONL trace plus the JSON
 /// run report.
-fn run(
-    mut builder: SimConfigBuilder,
-    gating: bool,
-    threads: usize,
-    cycles: u64,
-) -> (String, String) {
-    builder.threads(threads).activity_gating(gating);
+fn run(mut builder: SimConfigBuilder, gating: bool, cycles: u64) -> (String, String) {
+    builder.activity_gating(gating);
     let config = builder.build().unwrap();
     let nodes = config.topology.node_count();
     let mut sim = Simulator::with_tracer(config, Tracer::new(MemorySink::new(), nodes, 0));
@@ -199,26 +193,21 @@ const fn dbg_capped(cycles: u64) -> u64 {
 fn assert_gating_parity(name: &str, make: fn(u64) -> SimConfigBuilder, cycles: u64) -> Vec<String> {
     let mut traces = Vec::new();
     for seed in [1u64, 42, 0xF70C] {
-        let (trace_ref, report_ref) = run(make(seed), false, 1, cycles);
+        let (trace_ref, report_ref) = run(make(seed), false, cycles);
         assert!(
             trace_ref.lines().count() > 50,
             "{name}/seed {seed}: trace suspiciously short"
         );
-        for threads in [1usize, 4] {
-            let (trace, report) = run(make(seed), true, threads, cycles);
-            assert_eq!(
-                trace, trace_ref,
-                "{name}/seed {seed}: gated @{threads}t trace diverged from full sweep"
-            );
-            // The report echoes the configured thread count (a config
-            // echo, not a simulation result) — normalize before
-            // comparing. Gating itself is deliberately *not* echoed.
-            let report = report.replace(&format!("\"threads\":{threads}"), "\"threads\":1");
-            assert_eq!(
-                report, report_ref,
-                "{name}/seed {seed}: gated @{threads}t report diverged from full sweep"
-            );
-        }
+        let (trace, report) = run(make(seed), true, cycles);
+        assert_eq!(
+            trace, trace_ref,
+            "{name}/seed {seed}: gated trace diverged from full sweep"
+        );
+        // Gating is deliberately *not* echoed in the report.
+        assert_eq!(
+            report, report_ref,
+            "{name}/seed {seed}: gated report diverged from full sweep"
+        );
         traces.push(trace_ref);
     }
     traces

@@ -7,8 +7,9 @@
 //! it. One table row per knob keeps that from happening again: a short
 //! 4×4 run with only that value moved must change
 //! `SimReport::to_json()`. `threads` and `activity_gating` are the two
-//! rows that must *not* (their byte-identity is what the parity suites
-//! pin in depth).
+//! rows that must *not*: `threads` is an echo the engine does not read
+//! (this row is its pin until the name is retired), and gating's
+//! byte-identity is what `tests/activity_parity.rs` pins in depth.
 
 use ftnoc_check::{CampaignParams, Oracle};
 use ftnoc_fault::{ErrorMix, FaultCounts, FaultPlan, FaultRates};
@@ -58,8 +59,8 @@ impl Setup {
     }
 }
 
-/// The run report, with the thread-count echo normalised (it repeats
-/// the configuration; it is not a simulation result).
+/// The run report, with the `threads` echo normalised (it repeats the
+/// configuration; it is not a simulation result).
 fn report_json(setup: &Setup) -> String {
     let mut report = Simulator::new(setup.config()).run();
     report.threads = 1;

@@ -1,8 +1,8 @@
 //! Metrics must be pure observation: a run with the interval emitter,
 //! phase profiler and telemetry snapshots attached produces **byte
-//! identical** traces and reports to a run without them, at any thread
-//! count. Plus end-to-end coverage of the `--metrics-out` file format
-//! and the `ftnoc report` renderer.
+//! identical** traces and reports to a run without them. Plus
+//! end-to-end coverage of the `--metrics-out` file format and the
+//! `ftnoc report` renderer.
 
 use ftnoc::metrics::json;
 use ftnoc::metrics::report;
@@ -30,8 +30,7 @@ fn config(seed: u64) -> SimConfigBuilder {
 /// Runs with every metrics hook attached (profiler on, snapshots every
 /// 50 cycles) when `metrics` is true, plain otherwise. Returns the
 /// JSONL trace and JSON report.
-fn run(mut builder: SimConfigBuilder, threads: usize, metrics: bool) -> (String, String) {
-    builder.threads(threads);
+fn run(builder: SimConfigBuilder, metrics: bool) -> (String, String) {
     let config = builder.build().unwrap();
     let nodes = config.topology.node_count();
     let mut sim = Simulator::with_tracer(config, Tracer::new(MemorySink::new(), nodes, 0));
@@ -69,24 +68,20 @@ fn run(mut builder: SimConfigBuilder, threads: usize, metrics: bool) -> (String,
 #[test]
 fn metrics_observation_is_byte_transparent() {
     for seed in [1u64, 0xF70C] {
-        let (plain_trace, plain_report) = run(config(seed), 1, false);
+        let (plain_trace, plain_report) = run(config(seed), false);
         assert!(
             plain_trace.lines().count() > 50,
             "seed {seed}: trace suspiciously short"
         );
-        for threads in [1usize, 4] {
-            let (trace, report) = run(config(seed), threads, true);
-            assert_eq!(
-                plain_trace, trace,
-                "seed {seed}: metrics-on @{threads}t trace diverged from metrics-off"
-            );
-            // The thread count is a config echo, not a simulation result.
-            let report = report.replace(&format!("\"threads\":{threads}"), "\"threads\":1");
-            assert_eq!(
-                plain_report, report,
-                "seed {seed}: metrics-on @{threads}t report diverged from metrics-off"
-            );
-        }
+        let (trace, report) = run(config(seed), true);
+        assert_eq!(
+            plain_trace, trace,
+            "seed {seed}: metrics-on trace diverged from metrics-off"
+        );
+        assert_eq!(
+            plain_report, report,
+            "seed {seed}: metrics-on report diverged from metrics-off"
+        );
     }
 }
 
@@ -132,6 +127,7 @@ fn emitted_metrics_file_is_valid_and_consistent() {
     let mut sum_d_injected = 0;
     let mut last_injected = 0;
     let mut last_flits_total = 0;
+    let mut last_spans = [0; 3];
     for line in &lines[1..] {
         let v = json::parse(line).unwrap();
         assert_eq!(v.get("kind").unwrap().as_str(), Some("interval"));
@@ -140,9 +136,28 @@ fn emitted_metrics_file_is_valid_and_consistent() {
         prev_cycle = cycle;
         sum_d_injected += v.get("delta").unwrap().u64_field("injected").unwrap();
         last_injected = v.u64_field("injected").unwrap();
-        // Profiling was on: the phase block is present and growing.
+        // Profiling was on: every cycle so far is booked, compute onto
+        // the engine's one lane with no barrier wait, and no span shrinks.
         let phase = v.get("phase").unwrap();
-        assert!(phase.u64_field("cycles").unwrap() > 0, "{line}");
+        assert_eq!(phase.u64_field("cycles"), Some(cycle), "{line}");
+        let lane = |key| match phase.get(key).unwrap().as_arr().unwrap() {
+            [only] => only.as_u64().unwrap(),
+            lanes => panic!("{key}: {} lanes in {line}", lanes.len()),
+        };
+        assert_eq!(lane("barrier_ns_by_lane"), 0, "{line}");
+        let spans = [
+            phase.u64_field("pre_ns").unwrap(),
+            lane("compute_ns_by_lane"),
+            phase.u64_field("commit_ns").unwrap(),
+        ];
+        assert!(
+            spans
+                .iter()
+                .zip(last_spans)
+                .all(|(now, before)| *now >= before),
+            "a phase span went backwards: {line}"
+        );
+        last_spans = spans;
         // One slot per router, cumulative (monotone) totals.
         let flits = v.get("routers").unwrap().get("flits_routed").unwrap();
         let arr = flits.as_arr().unwrap();
@@ -157,6 +172,7 @@ fn emitted_metrics_file_is_valid_and_consistent() {
     // Window deltas sum back to the cumulative total.
     assert_eq!(sum_d_injected, last_injected);
     assert!(last_flits_total > 0, "no flits routed?");
+    assert!(last_spans.iter().all(|&ns| ns > 0), "{last_spans:?}");
 }
 
 #[test]

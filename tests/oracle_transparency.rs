@@ -1,17 +1,15 @@
-//! Serial/parallel parity: the worker-pool engine must be **byte
-//! identical** to the serial engine at the same seed — same JSONL event
-//! trace, same final report — across fault-free, link-fault and
-//! deadlock-recovery scenarios.
+//! Oracle transparency: a run checked by the invariant oracle at every
+//! commit boundary must be **byte identical** to the same run unchecked
+//! — same JSONL event trace — across fault-free, link-fault,
+//! deadlock-recovery and online-reconfiguration scenarios.
 //!
-//! This is the determinism contract of the two-phase cycle engine (see
-//! `ftnoc-sim`'s `network` module docs): the compute phase is
-//! cross-router-pure, so the thread count is purely a wall-clock knob.
+//! This is a contract of the check layer: `Network::snapshot_into` only
+//! reads, so fuzz findings transfer 1:1 to unchecked production runs.
 
 use ftnoc_check::Oracle;
 use ftnoc_fault::{FaultPlan, FaultRates};
 use ftnoc_sim::{
-    DeadlockConfig, ErrorScheme, NetSnapshot, Network, RoutingAlgorithm, SimConfig,
-    SimConfigBuilder, Simulator,
+    DeadlockConfig, NetSnapshot, Network, RoutingAlgorithm, SimConfig, SimConfigBuilder,
 };
 use ftnoc_trace::{MemorySink, Tracer};
 use ftnoc_traffic::InjectionProcess;
@@ -34,16 +32,6 @@ fn fault_free(seed: u64) -> SimConfigBuilder {
 fn link_fault(seed: u64) -> SimConfigBuilder {
     let mut b = fault_free(seed);
     b.faults(FaultRates::link_only(0.01));
-    b
-}
-
-/// End-to-end retransmission under link soft errors, with a timeout
-/// short enough that packets whose NACK went astray expire mid-run:
-/// one source's timeout scan retransmits several packets at once, so
-/// their order is part of the trace.
-fn e2e_link_fault(seed: u64) -> SimConfigBuilder {
-    let mut b = link_fault(seed);
-    b.scheme(ErrorScheme::E2e).e2e_timeout(200);
     b
 }
 
@@ -117,110 +105,40 @@ fn torus_midrun(seed: u64) -> SimConfigBuilder {
     b
 }
 
-/// Runs `cycles` cycles on `threads` workers and returns the full JSONL
-/// trace plus the JSON run report.
-fn run(mut builder: SimConfigBuilder, threads: usize, cycles: u64) -> (String, String) {
-    builder.threads(threads);
-    let config = builder.build().unwrap();
-    let nodes = config.topology.node_count();
-    let mut sim = Simulator::with_tracer(config, Tracer::new(MemorySink::new(), nodes, 0));
-    let report = sim.run_cycles(cycles);
-    (sim.into_tracer().into_sink().to_jsonl(), report.to_json())
-}
-
-fn assert_parity(name: &str, make: fn(u64) -> SimConfigBuilder, cycles: u64) {
-    for seed in [1u64, 42, 0xF70C] {
-        let (trace_1, report_1) = run(make(seed), 1, cycles);
-        let (trace_4, report_4) = run(make(seed), 4, cycles);
-        assert!(
-            trace_1.lines().count() > 50,
-            "{name}/seed {seed}: trace suspiciously short"
-        );
-        assert_eq!(
-            trace_1, trace_4,
-            "{name}/seed {seed}: 4-thread trace diverged from serial"
-        );
-        // The report echoes the configured thread count (a config echo,
-        // not a simulation result) — normalize it before comparing.
-        let report_4 = report_4.replace("\"threads\":4", "\"threads\":1");
-        assert_eq!(
-            report_1, report_4,
-            "{name}/seed {seed}: 4-thread report diverged from serial"
-        );
-    }
-}
-
-#[test]
-fn fault_free_runs_are_thread_count_invariant() {
-    assert_parity("fault-free", fault_free, 10_000);
-}
-
-#[test]
-fn link_fault_runs_are_thread_count_invariant() {
-    assert_parity("link-fault", link_fault, 10_000);
-}
-
-#[test]
-fn e2e_link_fault_runs_are_thread_count_invariant() {
-    assert_parity("e2e-link-fault", e2e_link_fault, 10_000);
-}
-
-#[test]
-fn deadlock_recovery_runs_are_thread_count_invariant() {
-    assert_parity("deadlock-recovery", deadlock_recovery, 12_000);
-}
-
-#[test]
-fn fault_aware_midrun_kill_runs_are_thread_count_invariant() {
-    assert_parity("fault-aware-midrun", fault_aware_midrun, 10_000);
-}
-
-#[test]
-fn torus_wrap_link_kill_runs_are_thread_count_invariant() {
-    assert_parity("torus-midrun", torus_midrun, 10_000);
-}
-
 /// Steps the network cycle by cycle, optionally validating every commit
 /// boundary with the invariant oracle, and returns the full JSONL trace.
-fn run_stepped(mut builder: SimConfigBuilder, threads: usize, cycles: u64, oracle: bool) -> String {
-    builder.threads(threads);
+fn run_stepped(builder: SimConfigBuilder, cycles: u64, oracle: bool) -> String {
     let config = builder.build().unwrap();
     let mut checker = oracle.then(|| Oracle::new(&config));
     let nodes = config.topology.node_count();
     let mut net = Network::with_tracer(config, Tracer::new(MemorySink::new(), nodes, 0));
     let mut snap = NetSnapshot::default();
-    net.with_stepper(threads, |st| {
-        for _ in 0..cycles {
-            st.step();
-            if let Some(oracle) = checker.as_mut() {
-                st.snapshot_into(&mut snap);
-                oracle
-                    .check(&snap)
-                    .unwrap_or_else(|v| panic!("oracle violation during parity run: {v}"));
-            }
+    for _ in 0..cycles {
+        net.step();
+        if let Some(oracle) = checker.as_mut() {
+            net.snapshot_into(&mut snap);
+            oracle
+                .check(&snap)
+                .unwrap_or_else(|v| panic!("oracle violation during parity run: {v}"));
         }
-    });
+    }
     net.into_tracer().into_sink().to_jsonl()
 }
 
 /// The oracle is an observer, not a participant: enabling it must leave
-/// the simulation byte-identical — same trace, any thread count. This is
-/// the "zero perturbation" contract that lets fuzz findings transfer
-/// 1:1 to unchecked production runs.
+/// the simulation byte-identical — same trace.
 fn assert_oracle_transparent(name: &str, make: fn(u64) -> SimConfigBuilder, cycles: u64) {
     for seed in [1u64, 0xF70C] {
-        let plain_1 = run_stepped(make(seed), 1, cycles, false);
+        let plain = run_stepped(make(seed), cycles, false);
         assert!(
-            plain_1.lines().count() > 50,
+            plain.lines().count() > 50,
             "{name}/seed {seed}: trace suspiciously short"
         );
-        for threads in [1usize, 4] {
-            let checked = run_stepped(make(seed), threads, cycles, true);
-            assert_eq!(
-                plain_1, checked,
-                "{name}/seed {seed}: oracle-on @{threads}t trace diverged from oracle-off"
-            );
-        }
+        assert_eq!(
+            plain,
+            run_stepped(make(seed), cycles, true),
+            "{name}/seed {seed}: oracle-on trace diverged from oracle-off"
+        );
     }
 }
 

@@ -1,6 +1,6 @@
 //! Whole-router deaths and wear-out kills: drain semantics, loss-ledger
 //! closure, the delivery acceptance bar, and the byte-identity contract
-//! across thread counts and activity gating.
+//! across activity gating.
 //!
 //! The headline invariant is **conservation with losses**: every flit
 //! that physically enters the network either ejects at a terminal or is
@@ -225,15 +225,10 @@ fn wearout_kills_links_online() {
     );
 }
 
-/// Runs `cycles` cycles on `threads` workers with gating on or off and
-/// returns the full JSONL trace plus the JSON run report.
-fn run(
-    mut builder: SimConfigBuilder,
-    threads: usize,
-    gating: bool,
-    cycles: u64,
-) -> (String, String) {
-    builder.threads(threads).activity_gating(gating);
+/// Runs `cycles` cycles with gating on or off and returns the full
+/// JSONL trace plus the JSON run report.
+fn run(mut builder: SimConfigBuilder, gating: bool, cycles: u64) -> (String, String) {
+    builder.activity_gating(gating);
     let config = builder.build().unwrap();
     let nodes = config.topology.node_count();
     let mut sim = Simulator::with_tracer(config, Tracer::new(MemorySink::new(), nodes, 0));
@@ -253,32 +248,27 @@ const fn dbg_capped(cycles: u64) -> u64 {
 }
 
 /// The determinism contract extended to deaths: a whole-router kill and
-/// its network-wide drain purge must be byte-identical across thread
-/// counts AND across activity gating — the kill cycle and both fault
-/// boundaries are wake-all events, so a gated run observes the same
-/// state sequence as an ungated one.
+/// its network-wide drain purge must be byte-identical across activity
+/// gating — the kill cycle and both fault boundaries are wake-all
+/// events, so a gated run observes the same state sequence as an
+/// ungated one.
 fn assert_death_parity(name: &str, make: fn(u64) -> SimConfigBuilder, cycles: u64) {
     let cycles = dbg_capped(cycles);
     for seed in [1u64, 0xF70C] {
-        let (trace_base, report_base) = run(make(seed), 1, false, cycles);
+        let (trace_base, report_base) = run(make(seed), false, cycles);
         assert!(
             trace_base.lines().count() > 50,
             "{name}/seed {seed}: trace suspiciously short"
         );
-        for (threads, gating) in [(1, true), (4, false), (4, true)] {
-            let (trace, report) = run(make(seed), threads, gating, cycles);
-            assert_eq!(
-                trace_base, trace,
-                "{name}/seed {seed}: trace diverged at {threads}t gating={gating}"
-            );
-            // The report echoes the configured thread count (a config
-            // echo, not a simulation result) — normalize it.
-            let report = report.replace(&format!("\"threads\":{threads}"), "\"threads\":1");
-            assert_eq!(
-                report_base, report,
-                "{name}/seed {seed}: report diverged at {threads}t gating={gating}"
-            );
-        }
+        let (trace, report) = run(make(seed), true, cycles);
+        assert_eq!(
+            trace_base, trace,
+            "{name}/seed {seed}: gated trace diverged"
+        );
+        assert_eq!(
+            report_base, report,
+            "{name}/seed {seed}: gated report diverged"
+        );
     }
 }
 
