@@ -991,6 +991,19 @@ mod tests {
             );
             assert_eq!(p.check().unwrap_err().invariant, "config");
         }
+        // An unbounded depth used to die in the allocator (`capacity
+        // overflow`, or an abort no `catch_unwind` sees).
+        let p = CampaignParams::from_spec("w=3,h=3,buf=18446744073709551615").unwrap();
+        assert_eq!(
+            p.to_config().unwrap_err(),
+            ConfigError::InvalidBufferDepth(usize::MAX)
+        );
+        assert_eq!(p.check().unwrap_err().invariant, "config");
+        let p = CampaignParams::from_spec("w=3,h=3,rtx=100000000000").unwrap();
+        assert!(matches!(
+            p.to_config().unwrap_err(),
+            ConfigError::InvalidRetransmissionDepth { .. }
+        ));
         // A lone terminal used to panic in the first injection draw.
         let p = CampaignParams::from_spec("w=1,h=1").unwrap();
         assert_eq!(p.to_config().unwrap_err(), ConfigError::TooFewTerminals(1));

@@ -298,7 +298,7 @@ mod tests {
                 .node(1)
                 .tx
                 .iter()
-                .chain(ring.node(1).retx.iter())
+                .chain(ring.node(1).retx.iter_slots().map(|(f, _)| f))
                 .filter(|f| f.packet.raw() == 0)
                 .map(|f| f.seq)
                 .collect();

@@ -8,11 +8,11 @@
 //!   barrel-shifter retransmission buffer of Figure 3;
 //! - [`buffers`]: pluggable input-buffer organisations (static per-VC
 //!   partition vs. DAMQ shared pool) with matching credit ledgers;
-//! - [`hbh`]: the flit-based hop-by-hop retransmission protocol of §3.1
-//!   (sender replay + receiver drop-window, Figure 4);
+//! - [`hbh`]: the receiver half of the flit-based hop-by-hop
+//!   retransmission protocol of §3.1 (drop window + verdict) and its
+//!   Figure 4 timing; the sender half is the barrel shifter itself;
 //! - [`e2e`]: the end-to-end retransmission baseline (source-side packet
 //!   buffer, destination checker, ACK/NACK bookkeeping);
-//! - [`fec`]: the forward-error-correction-only baseline;
 //! - [`deadlock`]: the probing protocol (Rules 1–4), the
 //!   retransmission-buffer recovery procedure of Figure 10, and the
 //!   buffer-sizing theorem of Eq. (1);
@@ -42,13 +42,12 @@ pub mod ac;
 pub mod buffers;
 pub mod deadlock;
 pub mod e2e;
-pub mod fec;
 pub mod hbh;
 pub mod recovery;
 pub mod retransmission;
 
 pub use ac::{AcFinding, AllocationComparator, SaEntry, VaEntry, VcRef};
 pub use buffers::{CreditLedger, PortBuffer};
-pub use hbh::{HbhReceiver, HbhSender, ReceiverVerdict};
+pub use hbh::{HbhReceiver, ReceiverVerdict};
 pub use recovery::{recovery_latency, LogicFaultKind};
 pub use retransmission::{RetransmissionBuffer, TransmissionFifo};

@@ -16,7 +16,6 @@
 //! "direct input").
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use ftnoc_types::flit::Flit;
 
@@ -248,18 +247,13 @@ impl RetransmissionBuffer {
 
     /// Sends the front held flit during deadlock recovery: the slot
     /// rotates to the back as a sent copy (Figure 10's thick-square
-    /// flits), expiring `depth` cycles later as usual.
+    /// flits), expiring [`NACK_ROUND_TRIP`] cycles later as usual.
     pub fn send_held(&mut self, now: u64) -> Option<Flit> {
         self.front_held()?;
         let mut slot = self.slots.pop_front().expect("front exists");
         slot.state = SlotState::Sent { sent_at: now };
         self.slots.push_back(slot);
         Some(slot.flit)
-    }
-
-    /// Iterates over buffered flits, front (oldest) first.
-    pub fn iter(&self) -> impl Iterator<Item = &Flit> {
-        self.slots.iter().map(|s| &s.flit)
     }
 
     /// Removes every slot whose flit matches `pred`, returning the
@@ -294,22 +288,6 @@ impl RetransmissionBuffer {
     }
 }
 
-impl fmt::Display for RetransmissionBuffer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "retrans[{}/{}{}]",
-            self.slots.len(),
-            self.depth,
-            if self.is_replaying() {
-                " replaying"
-            } else {
-                ""
-            }
-        )
-    }
-}
-
 /// The simple FIFO transmission buffer of Figure 3.
 ///
 /// One input port, one output port, simple control logic — deliberately
@@ -335,11 +313,6 @@ impl TransmissionFifo {
             capacity,
             flits: VecDeque::with_capacity(capacity),
         }
-    }
-
-    /// Buffer capacity in flits.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current occupancy in flits.
@@ -415,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn copies_expire_after_depth_cycles() {
+    fn copies_expire_after_the_nack_round_trip() {
         let mut buf = RetransmissionBuffer::new(3);
         buf.record_transmission(flit(0), 100);
         buf.expire(101);
@@ -597,14 +570,5 @@ mod tests {
         assert_eq!(fifo.pop().unwrap().seq, 0);
         assert_eq!(fifo.front().unwrap().seq, 1);
         assert_eq!(fifo.free_slots(), 1);
-    }
-
-    #[test]
-    fn display_summarises_state() {
-        let mut buf = RetransmissionBuffer::new(3);
-        buf.record_transmission(flit(0), 0);
-        assert_eq!(buf.to_string(), "retrans[1/3]");
-        buf.on_nack(3);
-        assert_eq!(buf.to_string(), "retrans[1/3 replaying]");
     }
 }

@@ -4,7 +4,7 @@
 //! gap vectors are drawn from a fixed-seed [`ftnoc_rng::Rng`], so every
 //! case replays bit-for-bit.
 
-use ftnoc_core::hbh::{HbhReceiver, HbhSender, ReceiverVerdict};
+use ftnoc_core::hbh::{HbhReceiver, ReceiverVerdict};
 use ftnoc_core::retransmission::RetransmissionBuffer;
 use ftnoc_ecc::protect_flit;
 use ftnoc_rng::Rng;
@@ -39,7 +39,7 @@ fn hbh_link_delivers_exact_stream() {
             .map(|_| rng.gen_range(0..3u8))
             .collect();
 
-        let mut sender = HbhSender::new(3);
+        let mut sender = RetransmissionBuffer::new(3);
         let mut receiver = HbhReceiver::new();
         let mut to_send: Vec<Flit> = (0..stream_len).map(|s| flit(s as u8)).collect();
         to_send.reverse();
@@ -57,7 +57,7 @@ fn hbh_link_delivers_exact_stream() {
                 sender.on_nack(now);
                 nack_at = None;
             }
-            sender.tick(now);
+            sender.expire(now);
             if let Some(mut f) = wire.take() {
                 match receiver.check_arrival(&mut f, now) {
                     ReceiverVerdict::Accept | ReceiverVerdict::AcceptCorrected => {
@@ -72,8 +72,10 @@ fn hbh_link_delivers_exact_stream() {
             }
             let outgoing = if sender.is_replaying() {
                 sender.next_replay(now)
-            } else if sender.can_send_new() {
-                to_send.pop().map(|f| sender.send_new(f, now))
+            } else if !sender.is_full() {
+                to_send
+                    .pop()
+                    .inspect(|f| sender.record_transmission(*f, now))
             } else {
                 None
             };

@@ -106,14 +106,25 @@ mod tests {
         assert_eq!(check_flit(&mut f), FlitCheck::Corrected);
         assert_eq!(f.header.dest, NodeId::new(61));
         assert!(f.is_consistent());
+        // A fresh single-bit upset per hop is repaired at every hop — what
+        // per-hop correction has over end-to-end detection, where they
+        // accumulate.
+        for hop in 0..6u32 {
+            f.payload.flip_bit(hop * 7 % 72);
+            assert_eq!(check_flit(&mut f), FlitCheck::Corrected, "hop {hop}");
+        }
+        assert!(f.is_consistent());
     }
 
     #[test]
     fn double_flip_is_detected() {
         let mut f = flit();
+        let clean = f.payload;
         f.payload.flip_bit(3);
         f.payload.flip_bit(40);
         assert_eq!(check_flit(&mut f), FlitCheck::Uncorrectable);
+        // The word is left as it came, for the destination to see.
+        assert_eq!(clean.hamming_distance(f.payload), 2);
     }
 
     #[test]

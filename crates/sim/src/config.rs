@@ -59,8 +59,13 @@ pub enum ErrorScheme {
     /// End-to-end retransmission: detection only, at the destination;
     /// NACK/ACK control packets; source-side packet buffer with timeout.
     E2e,
-    /// Forward error correction only: per-hop single-bit correction,
-    /// end-to-end recovery for uncorrectable upsets.
+    /// Forward error correction only. Single-bit upsets are corrected at
+    /// every hop for free (no buffers, no NACK wires), but there is no
+    /// answer to a detected-uncorrectable one: the flit flows on corrupted
+    /// and the destination rejects the packet end-to-end exactly like
+    /// E2E. The scheme therefore sits between HBH (everything recovered
+    /// locally) and E2E (everything recovered end-to-end): only the
+    /// multi-bit tail of the error mixture pays the round-trip price.
     Fec,
     /// No protection at all (baseline for tests; packets may be lost or
     /// misdelivered silently).

@@ -53,6 +53,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use ftnoc_core::ac::VcRef;
 use ftnoc_core::deadlock::probe::{ActivationAction, ActivationSignal, ProbeAction, ProbeSignal};
 use ftnoc_core::e2e::{E2eDestination, E2eSource, E2eVerdict};
+use ftnoc_core::hbh::ReceiverVerdict;
 use ftnoc_ecc::protect_flit;
 use ftnoc_fault::{FaultCounts, FaultLog, ScheduledRouterKill};
 use ftnoc_metrics::{MeshTelemetry, ProfileSnapshot, RouterTelemetry};
@@ -66,7 +67,7 @@ use ftnoc_types::Header;
 
 use crate::config::{ErrorScheme, SimConfig, LOSS_MASK_FLITS};
 use crate::link::PortIo;
-use crate::router::{ArrivalAction, Ctx, Router};
+use crate::router::{Ctx, Router};
 use crate::routing::FaultState;
 use crate::stats::{ErrorStats, EventCounts, LatencyHistogram, NetworkStats};
 
@@ -505,26 +506,25 @@ fn compute_cell(env: &RunEnv, ctx: &Ctx<'_>, cell: &mut RouterCell) {
         let Some((flit, vc)) = fw.deliver_flit(now) else {
             continue;
         };
-        let action = router.accept_flit(ctx, d, vc, flit);
+        let verdict = router.accept_flit(ctx, d, vc, flit);
         let port = d.index() as u8;
-        match action {
-            ArrivalAction::Accepted => router.trace.emit(|| TraceEvent::FlitReceived {
+        if verdict.is_accept() {
+            router.trace.emit(|| TraceEvent::FlitReceived {
                 packet: flit.packet.raw(),
                 seq: flit.seq,
                 port,
                 vc,
-            }),
-            ArrivalAction::NackUpstream | ArrivalAction::Dropped => {
-                router.trace.emit(|| TraceEvent::FlitDropped {
-                    packet: flit.packet.raw(),
-                    seq: flit.seq,
-                    port,
-                    reason: DropReason::Corrupt,
-                });
-                if action == ArrivalAction::NackUpstream {
-                    router.trace.emit(|| TraceEvent::NackSent { port, vc });
-                    arrival_nacks.push((d, vc));
-                }
+            });
+        } else {
+            router.trace.emit(|| TraceEvent::FlitDropped {
+                packet: flit.packet.raw(),
+                seq: flit.seq,
+                port,
+                reason: DropReason::Corrupt,
+            });
+            if verdict == ReceiverVerdict::NackAndDrop {
+                router.trace.emit(|| TraceEvent::NackSent { port, vc });
+                arrival_nacks.push((d, vc));
             }
         }
     }

@@ -27,9 +27,10 @@ use std::collections::VecDeque;
 use ftnoc_core::ac::{AllocationComparator, RtEntry, SaEntry, VaEntry, VcRef};
 use ftnoc_core::buffers::{CreditLedger, PortBuffer};
 use ftnoc_core::deadlock::probe::ProbeProtocol;
-use ftnoc_core::fec::{FecHop, FecOutcome};
-use ftnoc_core::hbh::{HbhReceiver, HbhSender, ReceiverVerdict};
+use ftnoc_core::hbh::{HbhReceiver, ReceiverVerdict};
 use ftnoc_core::recovery::{recovery_latency, LogicFaultKind};
+use ftnoc_core::retransmission::RetransmissionBuffer;
+use ftnoc_ecc::{check_flit, FlitCheck};
 use ftnoc_fault::{FaultCounts, FaultInjector};
 use ftnoc_trace::{AcStage, DropReason, TraceEvent};
 use ftnoc_types::config::{PipelineDepth, RouterConfig};
@@ -98,7 +99,6 @@ enum VcState {
 struct InputVc {
     state: VcState,
     receiver: HbhReceiver,
-    fec: FecHop,
     blocked_cycles: u64,
     progressed: bool,
     /// No new probe for this VC before this cycle (re-suspicion cooldown).
@@ -110,7 +110,6 @@ impl InputVc {
         InputVc {
             state: VcState::Idle,
             receiver: HbhReceiver::new(),
-            fec: FecHop::new(),
             blocked_cycles: 0,
             progressed: false,
             probe_cooldown_until: 0,
@@ -134,13 +133,13 @@ struct StEntry {
     execute_at: u64,
 }
 
-/// One output port: per-VC retransmission senders, the credit ledger
+/// One output port: per-VC retransmission buffers, the credit ledger
 /// mirroring the downstream buffer organisation, wormhole reservations
 /// and the switch-traversal queue.
 #[derive(Debug)]
 struct OutputPort {
     exists: bool,
-    senders: Vec<HbhSender>,
+    retrans: Vec<RetransmissionBuffer>,
     credits: CreditLedger,
     /// `allocated[v]` = the input VC currently owning output VC `v`.
     allocated: Vec<Option<(usize, usize)>>,
@@ -157,7 +156,9 @@ impl OutputPort {
     fn new(exists: bool, vcs: usize, retrans_depth: usize, credits: CreditLedger) -> Self {
         OutputPort {
             exists,
-            senders: (0..vcs).map(|_| HbhSender::new(retrans_depth)).collect(),
+            retrans: (0..vcs)
+                .map(|_| RetransmissionBuffer::new(retrans_depth))
+                .collect(),
             credits,
             allocated: vec![None; vcs],
             allocated_at: vec![0; vcs],
@@ -166,23 +167,12 @@ impl OutputPort {
     }
 
     fn any_replaying(&self) -> bool {
-        self.senders.iter().any(|s| s.is_replaying())
+        self.retrans.iter().any(|s| s.is_replaying())
     }
 
     fn any_held(&self) -> bool {
-        self.senders.iter().any(|s| s.buffer().held_count() > 0)
+        self.retrans.iter().any(|s| s.held_count() > 0)
     }
-}
-
-/// What arrival processing decided (the network acts on NACKs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrivalAction {
-    /// The flit entered the input buffer.
-    Accepted,
-    /// The flit was dropped; a NACK must be sent upstream on this VC.
-    NackUpstream,
-    /// The flit was dropped silently (inside a drop window).
-    Dropped,
 }
 
 /// One row of [`Router::blocked_summary`]: the VC, how long its head
@@ -414,8 +404,8 @@ impl Router {
             for entry in &output.st_queue {
                 f(&entry.flit, true);
             }
-            for sender in &output.senders {
-                for (flit, held) in sender.buffer().iter_slots() {
+            for buffer in &output.retrans {
+                for (flit, held) in buffer.iter_slots() {
                     f(flit, held);
                 }
             }
@@ -440,10 +430,10 @@ impl Router {
     }
 
     /// Visits `(flit, held)` for every slot of the retransmission
-    /// senders on output port `op` (the port facing a dying neighbour).
+    /// buffers on output port `op` (the port facing a dying neighbour).
     pub(crate) fn sender_slots_on(&self, op: usize, mut f: impl FnMut(&Flit, bool)) {
-        for sender in &self.outputs[op].senders {
-            for (flit, held) in sender.buffer().iter_slots() {
+        for buffer in &self.outputs[op].retrans {
+            for (flit, held) in buffer.iter_slots() {
                 f(flit, held);
             }
         }
@@ -451,7 +441,7 @@ impl Router {
 
     /// Removes every flit whose packet is in `members` (raw packet ids)
     /// from this router's input buffers, switch-traversal queues and
-    /// retransmission senders, and resets the control state of every
+    /// retransmission buffers, and resets the control state of every
     /// amputated wormhole so surviving traffic re-routes cleanly.
     ///
     /// Returns the removed **originals** as `(flit, port)` — protective
@@ -494,8 +484,8 @@ impl Router {
                     true
                 }
             });
-            for sender in &mut output.senders {
-                for (flit, held) in sender.purge(|f| members.contains(&f.packet.raw())) {
+            for buffer in &mut output.retrans {
+                for (flit, held) in buffer.purge(|f| members.contains(&f.packet.raw())) {
                     if held {
                         lost.push((flit, op as u8));
                     }
@@ -544,7 +534,7 @@ impl Router {
                     self.inputs[p].vcs[v].state,
                     VcState::Active { out_port, out_vc, .. } if out_port == op && out_vc == ov
                 );
-                let held = self.outputs[op].senders[ov].buffer().held_count() > 0;
+                let held = self.outputs[op].retrans[ov].held_count() > 0;
                 if !active && !held {
                     self.outputs[op].allocated[ov] = None;
                 }
@@ -575,8 +565,8 @@ impl Router {
             while let Some(entry) = output.st_queue.pop_front() {
                 lost.push((entry.flit, op as u8));
             }
-            for sender in &mut output.senders {
-                for (flit, held) in sender.purge(|_| true) {
+            for buffer in &mut output.retrans {
+                for (flit, held) in buffer.purge(|_| true) {
                     if held {
                         lost.push((flit, op as u8));
                     }
@@ -594,7 +584,7 @@ impl Router {
     /// router on `(dir, vc)`.
     /// Must run before [`Router::begin_cycle`] of the same cycle.
     pub fn handle_nack(&mut self, dir: Direction, vc: u8, now: u64) {
-        self.outputs[dir.index()].senders[vc as usize].on_nack(now);
+        self.outputs[dir.index()].retrans[vc as usize].on_nack(now);
         self.errors.link_recovered_by_replay += 1;
     }
 
@@ -610,8 +600,8 @@ impl Router {
         self.freed_credits.clear();
         self.drives.clear();
         for port in &mut self.outputs {
-            for sender in &mut port.senders {
-                sender.tick(now);
+            for buffer in &mut port.retrans {
+                buffer.expire(now);
             }
         }
         for port in &mut self.inputs {
@@ -622,50 +612,50 @@ impl Router {
     }
 
     /// Arrival processing for a flit delivered on input `(dir, vc)`:
-    /// per-scheme error checking, then buffering.
+    /// per-scheme error checking, then buffering unless the verdict is
+    /// a drop. On [`ReceiverVerdict::NackAndDrop`] the network sends
+    /// the NACK upstream on this VC.
     pub fn accept_flit(
         &mut self,
         ctx: &Ctx<'_>,
         dir: Direction,
         vc: u8,
         mut flit: Flit,
-    ) -> ArrivalAction {
+    ) -> ReceiverVerdict {
         let input = &mut self.inputs[dir.index()].vcs[vc as usize];
-        match ctx.config.scheme {
+        let verdict = match ctx.config.scheme {
             ErrorScheme::Hbh => {
                 self.events.ecc_check += 1;
-                match input.receiver.check_arrival(&mut flit, ctx.now) {
-                    ReceiverVerdict::Accept => {}
-                    ReceiverVerdict::AcceptCorrected => {
-                        self.errors.link_corrected_inline += 1;
-                    }
-                    ReceiverVerdict::NackAndDrop => {
-                        self.errors.flits_dropped += 1;
-                        self.events.nack += 1;
-                        return ArrivalAction::NackUpstream;
-                    }
-                    ReceiverVerdict::DropInWindow => {
-                        self.errors.flits_dropped += 1;
-                        return ArrivalAction::Dropped;
-                    }
-                }
+                input.receiver.check_arrival(&mut flit, ctx.now)
             }
+            // No retransmission path: an uncorrectable word is buffered
+            // as it came and the destination rejects the packet.
             ErrorScheme::Fec => {
                 self.events.ecc_check += 1;
-                match input.fec.process(&mut flit) {
-                    FecOutcome::Clean => {}
-                    FecOutcome::Corrected => {
-                        self.errors.link_corrected_inline += 1;
-                    }
-                    FecOutcome::PassedCorrupted => {}
+                match check_flit(&mut flit) {
+                    FlitCheck::Corrected => ReceiverVerdict::AcceptCorrected,
+                    FlitCheck::Clean | FlitCheck::Uncorrectable => ReceiverVerdict::Accept,
                 }
             }
-            ErrorScheme::E2e | ErrorScheme::Unprotected => {}
+            ErrorScheme::E2e | ErrorScheme::Unprotected => ReceiverVerdict::Accept,
+        };
+        match verdict {
+            ReceiverVerdict::Accept => {}
+            ReceiverVerdict::AcceptCorrected => self.errors.link_corrected_inline += 1,
+            ReceiverVerdict::NackAndDrop => {
+                self.errors.flits_dropped += 1;
+                self.events.nack += 1;
+                return verdict;
+            }
+            ReceiverVerdict::DropInWindow => {
+                self.errors.flits_dropped += 1;
+                return verdict;
+            }
         }
         let pushed = self.inputs[dir.index()].buffer.push(vc as usize, flit);
         debug_assert!(pushed, "credit flow control violated at {}", self.id);
         self.events.buffer_write += 1;
-        ArrivalAction::Accepted
+        verdict
     }
 
     /// The destination field a router actually routes on (and ejection
@@ -950,14 +940,14 @@ impl Router {
                     continue;
                 }
                 loop {
-                    if self.outputs[op].senders[ov].buffer().is_full() {
+                    if self.outputs[op].retrans[ov].is_full() {
                         break;
                     }
                     let Some(front) = self.inputs[p].buffer.front(v).copied() else {
                         break;
                     };
                     let flit = self.inputs[p].buffer.pop(v).expect("front exists");
-                    let absorbed = self.outputs[op].senders[ov].buffer_mut().absorb(flit);
+                    let absorbed = self.outputs[op].retrans[ov].absorb(flit);
                     debug_assert!(absorbed);
                     self.inputs[p].vcs[v].progressed = true;
                     self.events.retrans_shift += 1;
@@ -1043,7 +1033,7 @@ impl Router {
                         // would have.
                         let ov = (dv + (ctx.now as usize % vcs)) % vcs;
                         if self.outputs[op].allocated[ov].is_none()
-                            && self.outputs[op].senders[ov].buffer().is_empty()
+                            && self.outputs[op].retrans[ov].is_empty()
                         {
                             requests.push((p * vcs + v, op, ov, cand));
                             break 'cand;
@@ -1243,9 +1233,11 @@ impl Router {
                 {
                     continue;
                 }
+                // The protective copy needs a free slot (no VC of the port
+                // is replaying: ruled out above).
                 if scheme == ErrorScheme::Hbh
                     && out_port < 4
-                    && !self.outputs[out_port].senders[out_vc].can_send_new()
+                    && self.outputs[out_port].retrans[out_vc].is_full()
                 {
                     continue;
                 }
@@ -1404,12 +1396,12 @@ impl Router {
                 // Priority 1: NACK-triggered replay.
                 sc.lines.clear();
                 sc.lines
-                    .extend((0..vcs).map(|v| self.outputs[port].senders[v].is_replaying()));
+                    .extend((0..vcs).map(|v| self.outputs[port].retrans[v].is_replaying()));
                 if sc.lines.iter().any(|&b| b) {
                     let v = self.replay_rr[port]
                         .grant(&sc.lines)
                         .expect("a replaying VC exists");
-                    if let Some(flit) = self.outputs[port].senders[v].next_replay(ctx.now) {
+                    if let Some(flit) = self.outputs[port].retrans[v].next_replay(ctx.now) {
                         self.events.retransmission += 1;
                         self.events.link += 1;
                         self.emit_drive(LinkDrive {
@@ -1424,18 +1416,12 @@ impl Router {
                 // Priority 2: deadlock-recovery held flits.
                 sc.lines.clear();
                 sc.lines.extend((0..vcs).map(|v| {
-                    self.outputs[port].senders[v]
-                        .buffer()
-                        .front_held()
-                        .is_some()
+                    self.outputs[port].retrans[v].front_held().is_some()
                         && self.outputs[port].credits.available(v)
                 }));
                 if sc.lines.iter().any(|&b| b) {
                     let v = self.replay_rr[port].grant(&sc.lines).expect("held VC");
-                    if let Some(flit) = self.outputs[port].senders[v]
-                        .buffer_mut()
-                        .send_held(ctx.now)
-                    {
+                    if let Some(flit) = self.outputs[port].retrans[v].send_held(ctx.now) {
                         self.outputs[port].credits.consume(v);
                         if flit.kind.is_tail() {
                             // Release the reservation — unless a recovery
@@ -1475,9 +1461,7 @@ impl Router {
                 e.execute_at <= ctx.now
                     && (dir == Direction::Local
                         || ctx.config.scheme != ErrorScheme::Hbh
-                        || !self.outputs[port].senders[e.out_vc as usize]
-                            .buffer()
-                            .is_full())
+                        || !self.outputs[port].retrans[e.out_vc as usize].is_full())
             });
             if due {
                 let entry = self.outputs[port].st_queue.pop_front().expect("due entry");
@@ -1486,8 +1470,7 @@ impl Router {
                     self.ejected.push((entry.flit, port as u8));
                 } else {
                     if ctx.config.scheme == ErrorScheme::Hbh {
-                        self.outputs[port].senders[entry.out_vc as usize]
-                            .buffer_mut()
+                        self.outputs[port].retrans[entry.out_vc as usize]
                             .record_transmission(entry.flit, ctx.now);
                         self.events.retrans_shift += 1;
                     }
@@ -1692,7 +1675,7 @@ impl Router {
             }
             for ov in 0..vcs {
                 let busy = self.outputs[op].allocated[ov].is_some()
-                    || self.outputs[op].senders[ov].buffer().occupancy() > 0;
+                    || self.outputs[op].retrans[ov].occupancy() > 0;
                 if busy {
                     return Some((*cand, VcRef::new(cand.opposite(), ov as u8)));
                 }
@@ -1720,8 +1703,8 @@ impl Router {
             tx_cap += self.inputs[p].buffer.total_capacity() as u64;
             if self.outputs[p].exists {
                 for v in 0..vcs {
-                    rx_occ += self.outputs[p].senders[v].buffer().occupancy() as u64;
-                    rx_cap += self.outputs[p].senders[v].buffer().depth() as u64;
+                    rx_occ += self.outputs[p].retrans[v].occupancy() as u64;
+                    rx_cap += self.outputs[p].retrans[v].depth() as u64;
                 }
             }
         }
@@ -1755,18 +1738,19 @@ impl Router {
             && self.outputs.iter().all(|o| {
                 o.st_queue.is_empty()
                     && o.allocated.iter().all(|a| a.is_none())
-                    && o.senders
+                    && o.retrans
                         .iter()
-                        .all(|s| s.buffer().occupancy() == 0 && !s.is_replaying())
+                        .all(|s| s.occupancy() == 0 && !s.is_replaying())
             })
     }
 
     /// Whether any flit is resident in this router (drain checks).
     pub fn is_drained(&self) -> bool {
         self.inputs.iter().all(|p| p.buffer.occupied() == 0)
-            && self.outputs.iter().all(|o| {
-                o.st_queue.is_empty() && o.senders.iter().all(|s| s.buffer().held_count() == 0)
-            })
+            && self
+                .outputs
+                .iter()
+                .all(|o| o.st_queue.is_empty() && o.retrans.iter().all(|s| s.held_count() == 0))
     }
 
     /// Free slots in VC `v` of local input `port`'s buffer (injection
@@ -1828,18 +1812,18 @@ impl Router {
             .resize_with(self.outputs.len(), Default::default);
         for (port, view) in self.outputs.iter().zip(&mut out.outputs) {
             view.exists = port.exists;
-            view.vcs.resize_with(port.senders.len(), Default::default);
+            view.vcs.resize_with(port.retrans.len(), Default::default);
             for (v, ovc) in view.vcs.iter_mut().enumerate() {
                 ovc.credits = port.credits.count(v);
                 ovc.allocated = port.allocated[v];
                 ovc.allocated_at = port.allocated[v].map(|_| port.allocated_at[v]);
-                let buffer = port.senders[v].buffer();
+                let buffer = &port.retrans[v];
                 ovc.sender.slots.clear();
                 ovc.sender
                     .slots
                     .extend(buffer.iter_slots().map(|(f, held)| (*f, held)));
                 ovc.sender.depth = buffer.depth();
-                ovc.sender.replaying = port.senders[v].is_replaying();
+                ovc.sender.replaying = buffer.is_replaying();
             }
             view.st_queue.clear();
             view.st_queue

@@ -1,12 +1,13 @@
 //! Single-router micro-tests: drive one router's phases by hand and pin
 //! pipeline timing, credit flow and wormhole exclusivity.
 
+use ftnoc_core::hbh::ReceiverVerdict;
 use ftnoc_ecc::protect_flit;
 use ftnoc_fault::FaultRates;
 use ftnoc_sim::router::{Ctx, LinkDrive, Router};
 use ftnoc_sim::routing::FaultState;
 use ftnoc_sim::snapshot::{RouterSnapshot, VcStateView};
-use ftnoc_sim::SimConfig;
+use ftnoc_sim::{ErrorScheme, SimConfig};
 use ftnoc_types::flit::FlitKind;
 use ftnoc_types::geom::{Direction, NodeId, Topology};
 use ftnoc_types::packet::PacketId;
@@ -227,6 +228,43 @@ fn nack_replay_preempts_new_traffic() {
     assert!(drives[0].is_replay, "replay must win the link");
     assert_eq!(drives[0].flit.seq, 0, "oldest window flit first");
     assert_eq!(drives[0].flit.retransmissions, 1);
+}
+
+/// FEC arrival (§3 / Figure 5): a single-bit upset is corrected at the
+/// hop and counted; an uncorrectable word is buffered as it came — no
+/// drop, no NACK — for the destination to reject.
+#[test]
+fn fec_arrival_corrects_single_flips_and_passes_double_flips() {
+    let mut b = SimConfig::builder();
+    b.scheme(ErrorScheme::Fec);
+    let mut h = Harness::with_config(b.build().expect("valid config"));
+    let ctx = Ctx {
+        config: &h.config,
+        topo: Topology::mesh(8, 8),
+        now: 0,
+        faults: &h.faults,
+    };
+    let (head, body) = (flit(1, 0, 4, 14), flit(1, 1, 4, 14));
+    let (mut one_flip, mut two_flips) = (head, body);
+    one_flip.payload.flip_bit(9);
+    two_flips.payload.flip_bit(2);
+    two_flips.payload.flip_bit(9);
+
+    let verdict = h.router.accept_flit(&ctx, Direction::West, 0, one_flip);
+    assert_eq!(verdict, ReceiverVerdict::AcceptCorrected);
+    assert_eq!(h.router.errors.link_corrected_inline, 1);
+    let verdict = h.router.accept_flit(&ctx, Direction::West, 0, two_flips);
+    assert_eq!(verdict, ReceiverVerdict::Accept);
+    assert_eq!(h.router.errors.link_corrected_inline, 1);
+    assert_eq!(h.router.errors.flits_dropped, 0);
+    assert_eq!((h.router.events.ecc_check, h.router.events.nack), (2, 0));
+
+    let mut snap = RouterSnapshot::default();
+    h.router.snapshot_into(&mut snap);
+    let buffered = &snap.inputs[Direction::West.index()][0].flits;
+    assert_eq!(buffered.len(), 2);
+    assert_eq!(buffered[0].payload, head.payload, "corrected in place");
+    assert_eq!(buffered[1].payload.hamming_distance(body.payload), 2);
 }
 
 /// The ejection port delivers to the PE queue instead of a link.

@@ -15,6 +15,11 @@ pub const MESH_PORTS: usize = 5;
 /// (1) + NACK propagation (1), per §3.1.
 pub const MIN_RETRANS_DEPTH: usize = 3;
 
+/// Ceiling on every per-VC or per-port storage depth (`buffer_depth`,
+/// `retrans_depth`, the DAMQ pool): each router allocates them up front,
+/// so an unchecked text input aborts the process in the allocator.
+const MAX_DEPTH: usize = 1024;
+
 /// Router pipeline organisations analysed in §4 of the paper.
 ///
 /// The number of stages determines both baseline per-hop latency and the
@@ -232,8 +237,9 @@ impl RouterConfigBuilder {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when any knob is outside its valid range
-    /// (zero buffers, VC count outside `1..=64`, retransmission depth below
-    /// the 3-cycle NACK round trip, packet length outside `1..=256`).
+    /// (buffer depth outside `1..=1024`, VC count outside `1..=64`,
+    /// retransmission depth below the 3-cycle NACK round trip or above
+    /// 1024, packet length outside `1..=256`).
     pub fn build(&self) -> Result<RouterConfig, ConfigError> {
         if self.vcs_per_port == 0 || self.vcs_per_port > 64 {
             return Err(ConfigError::InvalidVcCount(self.vcs_per_port));
@@ -243,11 +249,11 @@ impl RouterConfigBuilder {
                 (self.ports.max(4) - 4) as u8,
             ));
         }
-        if self.buffer_depth == 0 {
-            return Err(ConfigError::ZeroBufferDepth);
+        if self.buffer_depth == 0 || self.buffer_depth > MAX_DEPTH {
+            return Err(ConfigError::InvalidBufferDepth(self.buffer_depth));
         }
-        if self.retrans_depth < MIN_RETRANS_DEPTH {
-            return Err(ConfigError::RetransmissionDepthTooSmall {
+        if self.retrans_depth < MIN_RETRANS_DEPTH || self.retrans_depth > MAX_DEPTH {
+            return Err(ConfigError::InvalidRetransmissionDepth {
                 requested: self.retrans_depth,
                 minimum: MIN_RETRANS_DEPTH,
             });
@@ -260,7 +266,7 @@ impl RouterConfigBuilder {
             // a pool without sharing is strictly worse than a static
             // partition and defeats the organisation's purpose.
             let minimum = self.vcs_per_port + 1;
-            if pool_size < minimum || pool_size > 1024 {
+            if pool_size < minimum || pool_size > MAX_DEPTH {
                 return Err(ConfigError::InvalidDamqPool {
                     requested: pool_size,
                     minimum,
@@ -318,24 +324,32 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_buffer() {
-        let err = RouterConfig::builder().buffer_depth(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroBufferDepth);
+    fn builder_rejects_out_of_range_buffer_depth() {
+        for depth in [0, 1025, usize::MAX] {
+            let err = RouterConfig::builder()
+                .buffer_depth(depth)
+                .build()
+                .unwrap_err();
+            assert_eq!(err, ConfigError::InvalidBufferDepth(depth));
+        }
+        assert!(RouterConfig::builder().buffer_depth(1024).build().is_ok());
     }
 
     #[test]
-    fn builder_rejects_shallow_retransmission_buffer() {
-        let err = RouterConfig::builder()
-            .retrans_depth(2)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::RetransmissionDepthTooSmall {
-                requested: 2,
-                minimum: 3
-            }
-        );
+    fn builder_rejects_out_of_range_retransmission_depth() {
+        for requested in [2, 1025, usize::MAX] {
+            let err = RouterConfig::builder()
+                .retrans_depth(requested)
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::InvalidRetransmissionDepth {
+                    requested,
+                    minimum: 3
+                }
+            );
+        }
     }
 
     #[test]

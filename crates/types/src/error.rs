@@ -15,10 +15,12 @@ pub enum ConfigError {
     TooFewTerminals(usize),
     /// The number of virtual channels per port was zero or above 64.
     InvalidVcCount(usize),
-    /// The per-VC buffer depth was zero.
-    ZeroBufferDepth,
-    /// The retransmission buffer depth does not cover the NACK round trip.
-    RetransmissionDepthTooSmall {
+    /// Per-VC buffer depth outside `1..=1024` (the ceiling bounds what a
+    /// text input can make every port allocate).
+    InvalidBufferDepth(usize),
+    /// The retransmission buffer depth does not cover the NACK round
+    /// trip, or is above the 1024-slot ceiling.
+    InvalidRetransmissionDepth {
         /// Requested depth.
         requested: usize,
         /// Minimum required depth (link + check + NACK = 3).
@@ -102,10 +104,13 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidVcCount(n) => {
                 write!(f, "virtual channel count {n} outside 1..=64")
             }
-            ConfigError::ZeroBufferDepth => write!(f, "per-VC buffer depth must be non-zero"),
-            ConfigError::RetransmissionDepthTooSmall { requested, minimum } => write!(
+            ConfigError::InvalidBufferDepth(n) => {
+                write!(f, "per-VC buffer depth {n} outside 1..=1024")
+            }
+            ConfigError::InvalidRetransmissionDepth { requested, minimum } => write!(
                 f,
-                "retransmission depth {requested} below the NACK round-trip minimum {minimum}"
+                "retransmission depth {requested} outside {minimum}..=1024 \
+                 (the NACK round trip is the floor)"
             ),
             ConfigError::InvalidPacketLength(n) => {
                 write!(f, "packet length {n} outside 1..=256")
@@ -170,8 +175,8 @@ mod tests {
             ConfigError::ZeroDimension.to_string(),
             ConfigError::TooFewTerminals(1).to_string(),
             ConfigError::InvalidVcCount(0).to_string(),
-            ConfigError::ZeroBufferDepth.to_string(),
-            ConfigError::RetransmissionDepthTooSmall {
+            ConfigError::InvalidBufferDepth(0).to_string(),
+            ConfigError::InvalidRetransmissionDepth {
                 requested: 2,
                 minimum: 3,
             }

@@ -42,7 +42,7 @@ fn name(f: &Flit) -> &'static str {
 }
 
 fn main() {
-    let mut sender = HbhSender::new(3);
+    let mut sender = RetransmissionBuffer::new(3);
     let mut receiver = HbhReceiver::new();
     let mut queue: Vec<Flit> = vec![flit(3), flit(2), flit(1), flit(0)]; // pop from back
 
@@ -63,7 +63,7 @@ fn main() {
             nack_at = None;
             s_act = "NACK received".into();
         }
-        sender.tick(now);
+        sender.expire(now);
 
         if let Some((mut f, _)) = wire.take() {
             let label = name(&f);
@@ -89,9 +89,9 @@ fn main() {
                 s_act = format!("retransmit {}", name(&f));
                 wire = Some((f, now));
             }
-        } else if sender.can_send_new() {
-            if let Some(f) = queue.pop() {
-                let mut out = sender.send_new(f, now);
+        } else if !sender.is_full() {
+            if let Some(mut out) = queue.pop() {
+                sender.record_transmission(out, now);
                 let mut tag = "";
                 if out.seq == 0 && !corrupted {
                     // Double-bit upset on the wire: uncorrectable.

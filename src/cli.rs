@@ -400,7 +400,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         .pipeline(pipeline);
     if damq {
         router_b.buffer_org(BufferOrg::Damq {
-            pool_size: damq_pool.unwrap_or(vcs * buffer),
+            pool_size: damq_pool.unwrap_or(vcs.saturating_mul(buffer)),
         });
     }
     let router = router_b
@@ -622,8 +622,18 @@ mod tests {
     fn invalid_config_is_rejected_with_context() {
         let e = parse(&args("run --inj 2.0")).unwrap_err();
         assert!(e.0.contains("config"), "{e}");
-        let e = parse(&args("run --retrans 1")).unwrap_err();
-        assert!(e.0.contains("router config"), "{e}");
+        // Depths have a floor and a ceiling: an unbounded one used to
+        // abort in the allocator (`memory allocation of … bytes failed`).
+        for flags in [
+            "run --retrans 1",
+            "run --retrans 100000000000",
+            "run --buffer 0",
+            "run --buffer 100000000000",
+            "run --buffer 18446744073709551615 --vcs 64 --buffer-org damq",
+        ] {
+            let e = parse(&args(flags)).unwrap_err();
+            assert!(e.0.starts_with("router config: "), "{flags}: {e}");
+        }
         // A rate that is no probability used to panic in `build()`.
         for (flags, site) in [
             ("run --error-rate 2", "link"),

@@ -17,7 +17,7 @@
 //! | [`traffic`] | `ftnoc-traffic` | NR/BC/TN destination patterns, injectors |
 //! | [`fault`] | `ftnoc-fault` | seeded soft/hard fault injection |
 //! | [`power`] | `ftnoc-power` | 90 nm energy/area models, Table 1 |
-//! | [`core`] | `ftnoc-core` | HBH/E2E/FEC schemes, deadlock recovery, AC |
+//! | [`core`] | `ftnoc-core` | retransmission buffer, HBH/E2E endpoints, deadlock recovery, AC |
 //! | [`sim`] | `ftnoc-sim` | the cycle-accurate network simulator |
 //! | [`check`] | `ftnoc-check` | cycle-level invariant oracle, fault-campaign fuzzer |
 //! | [`metrics`] | `ftnoc-metrics` | phase profiler, hotspot telemetry, metrics JSONL |
@@ -69,7 +69,7 @@ pub use ftnoc_types as types;
 /// The most common imports, bundled.
 pub mod prelude {
     pub use ftnoc_core::deadlock::{DeadlockCycleSpec, RecoveryRing};
-    pub use ftnoc_core::{AllocationComparator, HbhReceiver, HbhSender};
+    pub use ftnoc_core::{AllocationComparator, HbhReceiver, RetransmissionBuffer};
     pub use ftnoc_fault::{
         FaultCause, FaultEvent, FaultPlan, FaultRates, FaultTimeline, HardFaults, ScheduledKill,
         ScheduledRouterKill, WearoutSpec,

@@ -29,7 +29,7 @@ fn flit(seq: u8) -> Flit {
 /// recovery costs exactly 3 cycles.
 #[test]
 fn figure4_schedule_is_exact() {
-    let mut sender = HbhSender::new(3);
+    let mut sender = RetransmissionBuffer::new(3);
     let mut receiver = HbhReceiver::new();
     let mut events: Vec<(u64, String)> = Vec::new();
 
@@ -42,7 +42,7 @@ fn figure4_schedule_is_exact() {
         if nack_at == Some(now) {
             sender.on_nack(now);
         }
-        sender.tick(now);
+        sender.expire(now);
         if let Some((mut f, _)) = wire.take() {
             let seq = f.seq;
             match receiver.check_arrival(&mut f, now) {
@@ -60,9 +60,9 @@ fn figure4_schedule_is_exact() {
             if let Some(f) = sender.next_replay(now) {
                 wire = Some((f, now));
             }
-        } else if sender.can_send_new() {
-            if let Some(f) = queue.pop() {
-                let mut out = sender.send_new(f, now);
+        } else if !sender.is_full() {
+            if let Some(mut out) = queue.pop() {
+                sender.record_transmission(out, now);
                 if out.seq == 0 && !corrupted {
                     out.payload.flip_bit(3);
                     out.payload.flip_bit(59);
