@@ -14,6 +14,12 @@
 //! retransmission slots ([`RetransmissionBuffer::absorb`]), and the
 //! probing machinery injects probe flits directly ([`Figure 3`]'s
 //! "direct input").
+//!
+//! The shifter's control state is two counts — slots pending replay and
+//! slots held for recovery — kept beside the slot deque, so "is a replay
+//! pending" and "how many are held" are reads, not scans. Every copy
+//! enters at the back stamped with the current cycle, so sent copies sit
+//! in `sent_at` order and expiry usually stops at the oldest live one.
 
 use std::collections::VecDeque;
 
@@ -50,7 +56,20 @@ struct Slot {
     state: SlotState,
 }
 
+impl Slot {
+    /// Whether this is a sent copy whose NACK window has closed by `now`.
+    fn expired(&self, now: u64) -> bool {
+        matches!(self.state, SlotState::Sent { sent_at } if now >= sent_at + NACK_ROUND_TRIP)
+    }
+}
+
 /// The barrel-shifter retransmission buffer (Figure 3, §3.1).
+///
+/// State: the slots front (oldest) to back, with sent copies in
+/// `sent_at` order, plus the number of slots pending replay and held for
+/// recovery. Every method that changes a slot's state updates the two
+/// counts, so [`RetransmissionBuffer::is_replaying`] and
+/// [`RetransmissionBuffer::held_count`] never iterate.
 ///
 /// # Examples
 ///
@@ -74,8 +93,10 @@ struct Slot {
 pub struct RetransmissionBuffer {
     depth: usize,
     slots: VecDeque<Slot>,
-    /// Total flits ever recorded (statistics).
-    recorded: u64,
+    /// Slots in [`SlotState::PendingReplay`].
+    pending: usize,
+    /// Slots in [`SlotState::Held`].
+    held: usize,
     /// Total replay transmissions performed (statistics).
     replayed: u64,
 }
@@ -91,7 +112,8 @@ impl RetransmissionBuffer {
         RetransmissionBuffer {
             depth,
             slots: VecDeque::with_capacity(depth),
-            recorded: 0,
+            pending: 0,
+            held: 0,
             replayed: 0,
         }
     }
@@ -118,14 +140,7 @@ impl RetransmissionBuffer {
 
     /// Whether a NACK-triggered replay is in progress.
     pub fn is_replaying(&self) -> bool {
-        self.slots
-            .iter()
-            .any(|s| s.state == SlotState::PendingReplay)
-    }
-
-    /// Flits recorded over the buffer's lifetime.
-    pub fn recorded_count(&self) -> u64 {
-        self.recorded
+        self.pending > 0
     }
 
     /// Replay transmissions over the buffer's lifetime.
@@ -154,21 +169,32 @@ impl RetransmissionBuffer {
             flit,
             state: SlotState::Sent { sent_at: now },
         });
-        self.recorded += 1;
+        debug_assert_eq!((self.pending, self.held), self.scan_counts());
     }
 
     /// Drops copies whose NACK window has closed. Pending-replay and
     /// held slots never expire: their contents are still needed.
     ///
-    /// Expired copies are reclaimed wherever they sit: during deadlock
-    /// recovery a held (unsent) flit can rotate in front of still-ticking
-    /// copies of its successors, and those copies must not waste slots
-    /// once their windows close (the Eq. 1 bound counts every slot).
+    /// O(1) on the common paths. With nothing pending or held, every
+    /// slot is a sent copy in `sent_at` order (callers never pass an
+    /// earlier cycle than the last), so the expired ones are a prefix:
+    /// pop them and stop at the first live copy. With nothing
+    /// but pending and held slots, nothing can expire. Only a mixed
+    /// buffer is scanned, because expired copies are reclaimed wherever
+    /// they sit: during deadlock recovery a held (unsent) flit can rotate
+    /// in front of still-ticking copies of its successors, and those
+    /// copies must not waste slots once their windows close (the Eq. 1
+    /// bound counts every slot).
     pub fn expire(&mut self, now: u64) {
-        self.slots.retain(|slot| match slot.state {
-            SlotState::Sent { sent_at } => now < sent_at + NACK_ROUND_TRIP,
-            SlotState::PendingReplay | SlotState::Held => true,
-        });
+        if self.pending == 0 && self.held == 0 {
+            while self.slots.front().is_some_and(|s| s.expired(now)) {
+                self.slots.pop_front();
+            }
+        } else if self.pending + self.held < self.slots.len() {
+            self.slots.retain(|s| !s.expired(now));
+        }
+        debug_assert!(!self.slots.iter().any(|s| s.expired(now)));
+        debug_assert_eq!((self.pending, self.held), self.scan_counts());
     }
 
     /// Handles a NACK arriving at cycle `now`: every copy still inside
@@ -186,9 +212,11 @@ impl RetransmissionBuffer {
             if let SlotState::Sent { sent_at } = slot.state {
                 if now <= sent_at + NACK_ROUND_TRIP {
                     slot.state = SlotState::PendingReplay;
+                    self.pending += 1;
                 }
             }
         }
+        debug_assert_eq!((self.pending, self.held), self.scan_counts());
     }
 
     /// Produces the next replayed flit (the oldest pending slot). The
@@ -197,6 +225,9 @@ impl RetransmissionBuffer {
     ///
     /// Returns `None` when no replay is pending.
     pub fn next_replay(&mut self, now: u64) -> Option<Flit> {
+        if self.pending == 0 {
+            return None;
+        }
         let idx = self
             .slots
             .iter()
@@ -207,7 +238,9 @@ impl RetransmissionBuffer {
         slot.flit = flit;
         slot.state = SlotState::Sent { sent_at: now };
         self.slots.push_back(slot);
+        self.pending -= 1;
         self.replayed += 1;
+        debug_assert_eq!((self.pending, self.held), self.scan_counts());
         Some(flit)
     }
 
@@ -224,15 +257,14 @@ impl RetransmissionBuffer {
             flit,
             state: SlotState::Held,
         });
+        self.held += 1;
+        debug_assert_eq!((self.pending, self.held), self.scan_counts());
         true
     }
 
     /// Number of held (absorbed, unsent) flits.
     pub fn held_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.state == SlotState::Held)
-            .count()
+        self.held
     }
 
     /// The flit a recovery transmission would send next, if any: the
@@ -253,6 +285,8 @@ impl RetransmissionBuffer {
         let mut slot = self.slots.pop_front().expect("front exists");
         slot.state = SlotState::Sent { sent_at: now };
         self.slots.push_back(slot);
+        self.held -= 1;
+        debug_assert_eq!((self.pending, self.held), self.scan_counts());
         Some(slot.flit)
     }
 
@@ -264,18 +298,31 @@ impl RetransmissionBuffer {
     /// copies (and any recovery-absorbed originals) must leave the
     /// barrel shifter so they can neither replay nor leak slots. Any
     /// replay burst in progress simply continues over the surviving
-    /// slots; counters are lifetime statistics and are not rewound.
+    /// slots; the pending and held counts lose what was removed, the
+    /// lifetime replay statistic is not rewound.
     pub fn purge(&mut self, mut pred: impl FnMut(&Flit) -> bool) -> Vec<(Flit, bool)> {
         let mut removed = Vec::new();
         self.slots.retain(|s| {
-            if pred(&s.flit) {
-                removed.push((s.flit, s.state == SlotState::Held));
-                false
-            } else {
-                true
+            if !pred(&s.flit) {
+                return true;
             }
+            match s.state {
+                SlotState::PendingReplay => self.pending -= 1,
+                SlotState::Held => self.held -= 1,
+                SlotState::Sent { .. } => {}
+            }
+            removed.push((s.flit, s.state == SlotState::Held));
+            false
         });
+        debug_assert_eq!((self.pending, self.held), self.scan_counts());
         removed
+    }
+
+    /// `(pending, held)` counted slot by slot: what the two counts must
+    /// equal after every mutation (checked in debug builds).
+    fn scan_counts(&self) -> (usize, usize) {
+        let count = |state| self.slots.iter().filter(|s| s.state == state).count();
+        (count(SlotState::PendingReplay), count(SlotState::Held))
     }
 
     /// Iterates over buffered flits with their held flag (`true` for
@@ -408,7 +455,6 @@ mod tests {
             assert!(buf.occupancy() <= 3);
         }
         assert_eq!(buf.occupancy(), 3);
-        assert_eq!(buf.recorded_count(), 10);
     }
 
     #[test]

@@ -167,3 +167,64 @@ fn held_flits_drain_in_order() {
         assert_eq!(sent.as_slice(), &absorbed[..sent.len()], "case {case}");
     }
 }
+
+/// Every mutator interleaved at random, at the paper's depth and a
+/// recovery-sized one: the buffer's replay and held counts agree with
+/// its slots after every step (the debug build also checks them against
+/// a full scan inside each mutator), including the mixed states that
+/// leave `expire` on its scanning path.
+#[test]
+fn counts_track_slots_under_any_interleaving() {
+    let mut rng = Rng::seed_from_u64(0xC02E_0004);
+    let (mut held_behind_sent, mut nack_mid_burst, mut purge_mid_replay) = (0, 0, 0);
+    for case in 0..300 {
+        let depth = if case % 2 == 0 { 3 } else { 6 };
+        let mut buf = RetransmissionBuffer::new(depth);
+        let mut now = 0u64;
+        let mut seq = 0u8;
+        for step in 0..80 {
+            now += rng.gen_range(0..2u64);
+            match rng.gen_range(0..7u8) {
+                0 if !buf.is_full() => {
+                    buf.record_transmission(flit(seq), now);
+                    seq = seq.wrapping_add(1);
+                }
+                0 | 1 => buf.expire(now),
+                2 => {
+                    nack_mid_burst += usize::from(buf.is_replaying());
+                    buf.on_nack(now);
+                }
+                3 => {
+                    buf.next_replay(now);
+                }
+                4 => {
+                    if buf.absorb(flit(seq)) {
+                        seq = seq.wrapping_add(1);
+                    }
+                }
+                5 => {
+                    buf.send_held(now);
+                }
+                _ => {
+                    purge_mid_replay += usize::from(buf.is_replaying());
+                    let k = rng.gen_range(0..3u8);
+                    buf.purge(|f| f.seq % 3 == k);
+                }
+            }
+            let held: Vec<bool> = buf.iter_slots().map(|(_, h)| h).collect();
+            held_behind_sent += usize::from(held.windows(2).any(|w| !w[0] && w[1]));
+            assert!(buf.occupancy() <= buf.depth(), "case {case} step {step}");
+            assert_eq!(
+                buf.held_count(),
+                held.iter().filter(|h| **h).count(),
+                "case {case} step {step}"
+            );
+            assert_eq!(
+                buf.is_replaying(),
+                buf.clone().next_replay(now).is_some(),
+                "case {case} step {step}"
+            );
+        }
+    }
+    assert!(held_behind_sent > 0 && nack_mid_burst > 0 && purge_mid_replay > 0);
+}

@@ -1675,7 +1675,7 @@ impl Router {
             }
             for ov in 0..vcs {
                 let busy = self.outputs[op].allocated[ov].is_some()
-                    || self.outputs[op].retrans[ov].occupancy() > 0;
+                    || !self.outputs[op].retrans[ov].is_empty();
                 if busy {
                     return Some((*cand, VcRef::new(cand.opposite(), ov as u8)));
                 }
@@ -1738,9 +1738,7 @@ impl Router {
             && self.outputs.iter().all(|o| {
                 o.st_queue.is_empty()
                     && o.allocated.iter().all(|a| a.is_none())
-                    && o.retrans
-                        .iter()
-                        .all(|s| s.occupancy() == 0 && !s.is_replaying())
+                    && o.retrans.iter().all(|s| s.is_empty())
             })
     }
 

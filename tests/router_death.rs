@@ -273,11 +273,11 @@ fn assert_death_parity(name: &str, make: fn(u64) -> SimConfigBuilder, cycles: u6
 }
 
 #[test]
-fn router_death_runs_are_thread_and_gating_invariant() {
+fn router_death_runs_are_gating_invariant() {
     assert_death_parity("router-death", router_death, 20_000);
 }
 
 #[test]
-fn wearout_runs_are_thread_and_gating_invariant() {
+fn wearout_runs_are_gating_invariant() {
     assert_death_parity("wearout", wearout, 12_000);
 }
