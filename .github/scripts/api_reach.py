@@ -5,8 +5,9 @@ Every `pub fn|struct|enum|const|trait|type|static` name declared under
 `crates/*/src` and `src` is word-matched against those same sources plus
 `examples/` and `benchmark/src`, each file cut at its first
 `#[cfg(test)]` and stripped of `pub use` re-exports, of the contents of
-string literals that open and close on one line (a word in a chart title
-or a message is no caller) and of `//` comments.
+string literals, including those that span lines through a backslash
+continuation (a word in a chart title or a message is no caller), and of
+`//` comments.
 A name whose only occurrences are its own declarations has no caller: it
 must either go or be listed, with its reason, in
 `.github/api-reach-allow.txt` (`name: reason`, one per line). A flagged
@@ -24,20 +25,26 @@ ALLOW = ROOT / ".github" / "api-reach-allow.txt"
 DECL = re.compile(
     r"\bpub\s+(?:const\s+|unsafe\s+)*(?:fn|struct|enum|const|trait|type|static)\s+([A-Za-z_]\w*)"
 )
-STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+# Scanned left to right over the whole file, so a "//" inside a string is
+# no comment, a quote inside a comment opens no string, and a string may
+# span lines.
+TOKEN = re.compile(
+    r"""'\\?"'"""  # the quote char literal
+    r"|//[^\n]*"  # a comment
+    r'|\bb?r(#*)"[\s\S]*?"\1'  # a raw string
+    r'|"(?:[^"\\]|\\[\s\S])*"'  # a string
+)
 
 
-def live_line(line):
-    # The `'"'` char literal would open a string; blanking strings before
-    # cutting comments keeps a "//" inside one from truncating the line.
-    line = STRING.sub('""', line.replace("'\"'", ""))
-    return line.split("//")[0]
+def blank(token):
+    # A string keeps its quotes; a comment or a quote char literal goes.
+    return '""' if token.group(0)[0] in 'br"' else ""
 
 
 def live_text(path):
     text = path.read_text().split("#[cfg(test)]")[0]
     text = re.sub(r"\bpub use [^;]*;", "", text)
-    return "\n".join(live_line(line) for line in text.splitlines())
+    return TOKEN.sub(blank, text)
 
 
 def sources(*patterns):

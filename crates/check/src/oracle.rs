@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use ftnoc_core::ac::VcRef;
-use ftnoc_fault::{FaultCause, FaultEvent, FaultEventKind, FaultLog, FaultTimeline};
+use ftnoc_fault::{FaultCause, FaultEvent, FaultEventKind, FaultTimeline};
 use ftnoc_sim::config::ErrorScheme;
 use ftnoc_sim::router::BlockedVcSummary;
 use ftnoc_sim::snapshot::{NetSnapshot, VcStateView};
@@ -227,7 +227,7 @@ impl Oracle {
         let mut oracle = Oracle::with_arming(config, ArmedInvariants::from_config(config));
         oracle.cthres = config.deadlock.cthres;
         let tl = config.fault_timeline();
-        oracle.expected_configured = FaultLog::from_timeline(&tl).events().to_vec();
+        oracle.expected_configured = tl.events().to_vec();
         oracle.notify = tl.notify_latency();
         oracle.timeline = Some(tl);
         oracle.wearout_armed = config.fault_plan.wearout_spec().is_some();

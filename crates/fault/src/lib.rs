@@ -30,7 +30,7 @@ pub mod plan;
 pub mod rates;
 pub mod schedule;
 
-pub use events::{FaultCause, FaultEvent, FaultEventKind, FaultLog};
+pub use events::{FaultCause, FaultEvent, FaultEventKind};
 pub use hard::HardFaults;
 pub use injector::{FaultCounts, FaultInjector, LinkErrorKind};
 pub use plan::{FaultPlan, WearoutSpec};

@@ -42,8 +42,9 @@
 use ftnoc_types::error::ConfigError;
 use ftnoc_types::geom::{Direction, NodeId, Topology};
 
+use crate::events::{configured_events, FaultEventKind};
 use crate::hard::HardFaults;
-use crate::schedule::{FaultTimeline, KillEvent, ScheduledKill, ScheduledRouterKill};
+use crate::schedule::{FaultTimeline, ScheduledKill, ScheduledRouterKill};
 
 /// The wear-out (aging) model: every inter-router link draws a seeded
 /// lifetime budget around `mean_budget`; once the cumulative flit
@@ -319,29 +320,30 @@ impl FaultPlan {
             node_ok(node)?;
         }
         let mut folded = self.base_faults(topo);
-        for ev in KillEvent::merged(&self.link_kills, &self.router_kills) {
-            match ev {
-                KillEvent::Link(k) => {
-                    link_ok(k.node, k.dir)?;
-                    if folded.link_is_dead(k.node, k.dir) {
+        // Publication plays no part in the fold.
+        for ev in configured_events(&self.link_kills, &self.router_kills, 0) {
+            match ev.kind {
+                FaultEventKind::LinkDown { node, dir } => {
+                    link_ok(node, dir)?;
+                    if folded.link_is_dead(node, dir) {
                         return Err(ConfigError::FaultTargetAlreadyDead {
-                            at: k.at,
-                            node: k.node,
-                            dir: Some(k.dir),
+                            at: ev.at,
+                            node,
+                            dir: Some(dir),
                         });
                     }
-                    folded.kill_link(topo, k.node, k.dir);
+                    folded.kill_link(topo, node, dir);
                 }
-                KillEvent::Router(k) => {
-                    node_ok(k.node)?;
-                    if folded.router_is_dead(k.node) {
+                FaultEventKind::RouterDown { node } => {
+                    node_ok(node)?;
+                    if folded.router_is_dead(node) {
                         return Err(ConfigError::FaultTargetAlreadyDead {
-                            at: k.at,
-                            node: k.node,
+                            at: ev.at,
+                            node,
                             dir: None,
                         });
                     }
-                    folded.kill_router(topo, k.node);
+                    folded.kill_router(topo, node);
                 }
             }
         }

@@ -23,9 +23,12 @@
 //! realizes them at runtime through [`FaultTimeline::push_link_kill`],
 //! but only from the commit phase and only as a deterministic function
 //! of traffic, so runs still stay byte-identical under activity gating.
+//! Configured and realized kills share one append-only event list
+//! ([`FaultTimeline::events`]), the run's only fault history.
 
 use ftnoc_types::geom::{Direction, NodeId, Topology};
 
+use crate::events::{configured_events, FaultCause, FaultEvent, FaultEventKind};
 use crate::hard::HardFaults;
 
 /// A hard link fault that lands at a specific cycle.
@@ -53,59 +56,20 @@ pub struct ScheduledRouterKill {
     pub node: NodeId,
 }
 
-/// One entry of the merged kill schedule, in time order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KillEvent {
-    Link(ScheduledKill),
-    Router(ScheduledRouterKill),
-}
-
-impl KillEvent {
-    /// Merges both schedules into the one order kills land in — the
-    /// order [`crate::FaultPlan::check`] folds and the timeline replays.
-    pub(crate) fn merged(
-        kills: &[ScheduledKill],
-        router_kills: &[ScheduledRouterKill],
-    ) -> Vec<KillEvent> {
-        let mut events: Vec<KillEvent> = kills
-            .iter()
-            .map(|&k| KillEvent::Link(k))
-            .chain(router_kills.iter().map(|&k| KillEvent::Router(k)))
-            .collect();
-        events.sort_by_key(KillEvent::sort_key);
-        events
-    }
-
-    fn at(&self) -> u64 {
-        match self {
-            KillEvent::Link(k) => k.at,
-            KillEvent::Router(k) => k.at,
-        }
-    }
-
-    /// Deterministic total order: time, then routers before links (a
-    /// router death subsumes link deaths), then node/dir.
-    fn sort_key(&self) -> (u64, u8, u16, u8) {
-        match self {
-            KillEvent::Router(k) => (k.at, 0, k.node.index() as u16, 0),
-            KillEvent::Link(k) => (k.at, 1, k.node.index() as u16, k.dir.index() as u8),
-        }
-    }
-}
-
 /// The complete hard-fault history of a run: the static base set plus
-/// every scheduled mid-run kill, pre-expanded into per-epoch effective
-/// fault registries.
+/// one append-only list of every mid-run fault event, configured or
+/// realized online, pre-expanded into per-epoch effective fault
+/// registries.
 #[derive(Debug, Clone)]
 pub struct FaultTimeline {
     topo: Topology,
     notify_latency: u64,
-    /// Merged link/router kill events sorted by [`KillEvent::sort_key`].
-    events: Vec<KillEvent>,
-    /// Link kills sorted by `(at, node, dir)` (projection of `events`).
-    kills: Vec<ScheduledKill>,
-    /// Router kills sorted by `(at, node)` (projection of `events`).
-    router_kills: Vec<ScheduledRouterKill>,
+    /// Every mid-run fault event sorted by `FaultEvent::sort_key`. A
+    /// scheduled link kill pre-empted by an earlier wear-out death of
+    /// the same link stays listed and folds as a no-op.
+    events: Vec<FaultEvent>,
+    /// Every event's `at` and `published_at`, sorted and deduplicated.
+    boundaries: Vec<u64>,
     /// `(published_since, effective set)` — `epochs[0]` is `(0, base)`;
     /// each later entry folds in every kill published by that cycle.
     epochs: Vec<(u64, HardFaults)>,
@@ -127,50 +91,49 @@ impl FaultTimeline {
         let mut tl = FaultTimeline {
             topo,
             notify_latency,
-            events: KillEvent::merged(kills, router_kills),
-            kills: Vec::new(),
-            router_kills: Vec::new(),
+            events: configured_events(kills, router_kills, notify_latency),
+            boundaries: Vec::new(),
             epochs: vec![(0, base)],
         };
         tl.rebuild();
         tl
     }
 
-    /// Recomputes the projections and per-epoch effective sets from
-    /// `self.events` and the base set in `epochs[0]`.
+    /// Recomputes the boundaries and the per-epoch effective sets from
+    /// `self.events` and the base set in `epochs[0]`. A link kill whose
+    /// link the fold already holds dead is skipped: it opens no epoch.
     fn rebuild(&mut self) {
         let topo = self.topo;
-        self.kills.clear();
-        self.router_kills.clear();
         self.epochs.truncate(1);
-        self.epochs[0].0 = 0;
         for ev in &self.events {
-            let mut next = self.epochs.last().unwrap().1.clone();
-            match ev {
-                KillEvent::Link(k) => {
-                    next.kill_link(topo, k.node, k.dir);
-                    self.kills.push(*k);
-                }
-                KillEvent::Router(k) => {
-                    next.kill_router(topo, k.node);
-                    self.router_kills.push(*k);
-                }
+            let last = &self.epochs.last().unwrap().1;
+            let mut next = match ev.kind {
+                FaultEventKind::LinkDown { node, dir } if last.link_is_dead(node, dir) => continue,
+                _ => last.clone(),
+            };
+            match ev.kind {
+                FaultEventKind::LinkDown { node, dir } => next.kill_link(topo, node, dir),
+                FaultEventKind::RouterDown { node } => next.kill_router(topo, node),
             }
-            let published = ev.at().saturating_add(self.notify_latency);
-            if self.epochs.last().unwrap().0 == published {
+            if self.epochs.last().unwrap().0 == ev.published_at {
                 self.epochs.last_mut().unwrap().1 = next;
             } else {
-                self.epochs.push((published, next));
+                self.epochs.push((ev.published_at, next));
             }
         }
+        self.boundaries.clear();
+        self.boundaries
+            .extend(self.events.iter().flat_map(|ev| [ev.at, ev.published_at]));
+        self.boundaries.sort_unstable();
+        self.boundaries.dedup();
     }
 
-    /// Realizes a runtime (wear-out) link kill at cycle `at`. Returns
-    /// `false` without changing anything when the link does not exist or
-    /// is already dead by `at` (base fault, earlier kill, router death).
-    /// A *later* scheduled kill of the same link is pre-empted: the
-    /// wear-out death happens first, so the moot schedule entry is
-    /// dropped. Only the commit phase may call this.
+    /// Realizes a runtime (wear-out) link kill at cycle `at`, appending a
+    /// [`FaultCause::Wearout`] event. Returns `false` without changing
+    /// anything when the link does not exist or is already dead by `at`
+    /// (base fault, earlier kill, router death). A *later* scheduled kill
+    /// of the same link stays listed and folds as a no-op. Only the
+    /// commit phase may call this.
     pub fn push_link_kill(&mut self, at: u64, node: NodeId, dir: Direction) -> bool {
         if !dir.is_cardinal() || self.topo.neighbor_id(node, dir).is_none() {
             return false;
@@ -178,17 +141,16 @@ impl FaultTimeline {
         if self.link_dead_now(at, node, dir) {
             return false;
         }
-        // Drop any later link kill of the same physical link.
-        let topo = self.topo;
-        let covers = move |k: &ScheduledKill| {
-            (k.node == node && k.dir == dir)
-                || (topo.neighbor_id(k.node, k.dir) == Some(node) && k.dir.opposite() == dir)
+        let ev = FaultEvent {
+            at,
+            published_at: at.saturating_add(self.notify_latency),
+            cause: FaultCause::Wearout,
+            kind: FaultEventKind::LinkDown { node, dir },
         };
-        self.events
-            .retain(|ev| !matches!(ev, KillEvent::Link(k) if k.at > at && covers(k)));
-        self.events
-            .push(KillEvent::Link(ScheduledKill { at, node, dir }));
-        self.events.sort_by_key(KillEvent::sort_key);
+        let i = self
+            .events
+            .partition_point(|e| e.sort_key() <= ev.sort_key());
+        self.events.insert(i, ev);
         self.rebuild();
         true
     }
@@ -203,15 +165,10 @@ impl FaultTimeline {
         self.notify_latency
     }
 
-    /// The scheduled link kills, sorted by cycle (wear-out kills appear
-    /// here too once realized).
-    pub fn kills(&self) -> &[ScheduledKill] {
-        &self.kills
-    }
-
-    /// The scheduled router kills, sorted by cycle.
-    pub fn router_kills(&self) -> &[ScheduledRouterKill] {
-        &self.router_kills
+    /// Every mid-run fault event, configured and realized, in time
+    /// order: the run's one fault history.
+    pub fn events(&self) -> &[FaultEvent] {
+        &self.events
     }
 
     /// Number of publication epochs (`1` when static).
@@ -253,13 +210,12 @@ impl FaultTimeline {
         let other = self.topo.neighbor_id(node, dir);
         self.events
             .iter()
-            .take_while(|ev| ev.at() <= now)
-            .any(|ev| match ev {
-                KillEvent::Link(k) => {
-                    (k.node == node && k.dir == dir)
-                        || (Some(k.node) == other && k.dir == dir.opposite())
+            .take_while(|ev| ev.at <= now)
+            .any(|ev| match ev.kind {
+                FaultEventKind::LinkDown { node: k, dir: d } => {
+                    (k == node && d == dir) || (Some(k) == other && d == dir.opposite())
                 }
-                KillEvent::Router(k) => k.node == node || Some(k.node) == other,
+                FaultEventKind::RouterDown { node: k } => k == node || Some(k) == other,
             })
     }
 
@@ -271,23 +227,16 @@ impl FaultTimeline {
         }
         self.events
             .iter()
-            .take_while(|ev| ev.at() <= now)
-            .any(|ev| matches!(ev, KillEvent::Router(k) if k.node == node))
+            .take_while(|ev| ev.at <= now)
+            .any(|ev| ev.kind == FaultEventKind::RouterDown { node })
     }
 
-    /// Every cycle at which fault state changes somewhere: each kill's
+    /// Every cycle at which fault state changes somewhere: each event's
     /// detection cycle and its publication cycle, sorted and deduped.
     /// The engine wakes the whole network at these boundaries so
     /// activity gating cannot sleep through a reconfiguration.
-    pub fn boundaries(&self) -> Vec<u64> {
-        let mut b: Vec<u64> = self
-            .events
-            .iter()
-            .flat_map(|ev| [ev.at(), ev.at().saturating_add(self.notify_latency)])
-            .collect();
-        b.sort_unstable();
-        b.dedup();
-        b
+    pub fn boundaries(&self) -> &[u64] {
+        &self.boundaries
     }
 
     /// Every directed dead link endpoint as of cycle `now`, with the
@@ -312,21 +261,21 @@ impl FaultTimeline {
                 }
             }
         }
-        for ev in self.events.iter().take_while(|ev| ev.at() <= now) {
-            match ev {
-                KillEvent::Link(k) => {
-                    push(&mut out, k.node, k.dir, k.at);
-                    if let Some(m) = self.topo.neighbor_id(k.node, k.dir) {
-                        push(&mut out, m, k.dir.opposite(), k.at);
+        for ev in self.events.iter().take_while(|ev| ev.at <= now) {
+            match ev.kind {
+                FaultEventKind::LinkDown { node, dir } => {
+                    push(&mut out, node, dir, ev.at);
+                    if let Some(m) = self.topo.neighbor_id(node, dir) {
+                        push(&mut out, m, dir.opposite(), ev.at);
                     }
                 }
-                KillEvent::Router(k) => {
+                FaultEventKind::RouterDown { node } => {
                     for dir in Direction::CARDINAL {
-                        let Some(m) = self.topo.neighbor_id(k.node, dir) else {
+                        let Some(m) = self.topo.neighbor_id(node, dir) else {
                             continue;
                         };
-                        push(&mut out, k.node, dir, k.at);
-                        push(&mut out, m, dir.opposite(), k.at);
+                        push(&mut out, node, dir, ev.at);
+                        push(&mut out, m, dir.opposite(), ev.at);
                     }
                 }
             }
@@ -345,10 +294,10 @@ impl FaultTimeline {
             .filter(|&n| self.epochs[0].1.router_is_dead(n))
             .map(|n| (n, 0))
             .collect();
-        for ev in self.events.iter().take_while(|ev| ev.at() <= now) {
-            if let KillEvent::Router(k) = ev {
-                if !out.iter().any(|&(n, _)| n == k.node) {
-                    out.push((k.node, k.at));
+        for ev in self.events.iter().take_while(|ev| ev.at <= now) {
+            if let FaultEventKind::RouterDown { node } = ev.kind {
+                if !out.iter().any(|&(n, _)| n == node) {
+                    out.push((node, ev.at));
                 }
             }
         }
@@ -414,7 +363,7 @@ mod tests {
         assert!(tl
             .published_at(108)
             .link_is_dead(NodeId::new(5), Direction::East));
-        assert_eq!(tl.boundaries(), vec![100, 108]);
+        assert_eq!(tl.boundaries(), [100, 108]);
     }
 
     #[test]
@@ -475,7 +424,7 @@ mod tests {
         assert_eq!(tl.epoch_at(107), 0);
         assert_eq!(tl.epoch_at(108), 1);
         assert!(tl.published_at(108).router_is_dead(NodeId::new(5)));
-        assert_eq!(tl.boundaries(), vec![100, 108]);
+        assert_eq!(tl.boundaries(), [100, 108]);
         // The fault table lists all eight directed endpoints with since.
         let ports = tl.dead_ports_at(100);
         assert_eq!(ports.len(), 8);
@@ -514,16 +463,28 @@ mod tests {
             4,
         );
         // Realize a wear-out death of the same link at cycle 200: the
-        // later scheduled kill is moot and gets dropped.
+        // later scheduled kill is moot — it stays listed, opens no epoch
+        // and folds as a no-op.
         assert!(tl.push_link_kill(200, NodeId::new(6), Direction::West));
         assert!(tl.link_dead_now(200, NodeId::new(5), Direction::East));
         assert!(!tl.link_dead_now(199, NodeId::new(5), Direction::East));
-        assert_eq!(tl.kills().len(), 1);
-        assert_eq!(tl.kills()[0].at, 200);
+        let history: Vec<(u64, FaultCause)> = tl.events().iter().map(|e| (e.at, e.cause)).collect();
+        assert_eq!(
+            history,
+            [(200, FaultCause::Wearout), (1000, FaultCause::Configured)]
+        );
+        assert_eq!(tl.epoch_count(), 2);
+        assert_eq!(
+            tl.dead_ports_at(u64::MAX),
+            [
+                (NodeId::new(5), Direction::East, 200),
+                (NodeId::new(6), Direction::West, 200),
+            ]
+        );
         // A second realization of the same (already dead) link is a no-op.
         assert!(!tl.push_link_kill(300, NodeId::new(5), Direction::East));
         // Nonexistent link: no-op.
         assert!(!tl.push_link_kill(300, NodeId::new(0), Direction::North));
-        assert_eq!(tl.boundaries(), vec![200, 204]);
+        assert_eq!(tl.boundaries(), [200, 204, 1000, 1004]);
     }
 }

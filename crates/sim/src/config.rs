@@ -580,8 +580,8 @@ mod tests {
         assert!(c.can_lose_flits());
         let tl = c.fault_timeline();
         assert!(tl.link_dead_now(0, NodeId::new(0), Direction::East));
-        assert_eq!(tl.router_kills().len(), 1);
-        assert_eq!(tl.kills().len(), 1);
+        let landed: Vec<u64> = tl.events().iter().map(|e| e.at).collect();
+        assert_eq!(landed, [100, 250]);
         assert_eq!(tl.notify_latency(), 8);
     }
 

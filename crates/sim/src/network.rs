@@ -55,7 +55,7 @@ use ftnoc_core::deadlock::probe::{ActivationAction, ActivationSignal, ProbeActio
 use ftnoc_core::e2e::{E2eDestination, E2eSource, E2eVerdict};
 use ftnoc_core::hbh::ReceiverVerdict;
 use ftnoc_ecc::protect_flit;
-use ftnoc_fault::{FaultCounts, FaultLog, ScheduledRouterKill};
+use ftnoc_fault::{FaultCounts, FaultEventKind};
 use ftnoc_metrics::{MeshTelemetry, ProfileSnapshot, RouterTelemetry};
 use ftnoc_rng::Rng;
 use ftnoc_trace::{DropReason, NullSink, TraceEvent, TraceSink, Tracer};
@@ -313,6 +313,9 @@ pub(crate) struct RunEnv {
     /// Commit is its only writer, on transition edges, so a compute
     /// sweep reads a frozen snapshot.
     pub recovering: NodeBits,
+    /// The dead routers: set at reset and by commit's death purge. A
+    /// dead router never computes again.
+    pub dead: NodeBits,
     /// The run's fault state: the hard-fault timeline (static base set
     /// plus scheduled mid-run kills) with one pre-built fault-aware
     /// routing plan per publication epoch. Its only writer is commit,
@@ -364,13 +367,6 @@ pub(crate) struct NetCore<S: TraceSink> {
     recovery_edges: Vec<usize>,
     /// Pending router wake-ups, indexed by cycle (activity gating).
     wheel: ActivityWheel,
-    /// Cycles at which fault state changes somewhere (kill detection
-    /// and publication instants, sorted). Fault notification is a
-    /// wake-up source: the commit phase wakes the whole mesh at each
-    /// boundary so activity gating cannot sleep through a
-    /// reconfiguration. Empty on static-fault runs. Wear-out deaths
-    /// insert their detection/publication instants as they realize.
-    fault_boundaries: Vec<u64>,
     /// Flits that physically entered the network (router injections).
     flits_injected: u64,
     /// Flits lost to whole-router deaths (buffered in, en route to, or
@@ -381,19 +377,8 @@ pub(crate) struct NetCore<S: TraceSink> {
     /// [`LOSS_MASK_FLITS`]), keyed by raw packet id — the loss ledger
     /// the oracle audits.
     lost: BTreeMap<u64, u128>,
-    /// Time-ordered fault event log: configured kills up front, wear-out
-    /// deaths appended as they realize. The single observer feed the
-    /// snapshot, metrics emitter and trace sink all consume.
-    fault_log: FaultLog,
     /// Wear-out accumulator, when the model is armed.
     wearout: Option<WearState>,
-    /// Scheduled router kills sorted by cycle, with a cursor over the
-    /// ones already executed.
-    router_kills: Vec<ScheduledRouterKill>,
-    kills_done: usize,
-    /// Whether each router is dead right now (commit-phase mirror of
-    /// the timeline's ground truth, kept for O(1) drain checks).
-    dead_now: Vec<bool>,
 }
 
 /// A periodic progress sample handed to run observers (the CLI's
@@ -437,6 +422,15 @@ pub(crate) fn compute_cells(env: &RunEnv, cells: &mut [RouterCell], now: u64) {
         faults: &env.faults,
     };
     for n in env.active.awake() {
+        // A dead router computes nothing, draws nothing, counts nothing —
+        // before the fault stream is positioned and before the computed
+        // cycle is booked, so gated and full-sweep runs stay
+        // byte-identical through a death (a boundary wake-all may still
+        // schedule it).
+        if env.dead.contains(n) {
+            cells[n].wants_wake = false;
+            continue;
+        }
         compute_cell(env, &ctx, &mut cells[n]);
     }
 }
@@ -446,14 +440,6 @@ pub(crate) fn compute_cells(env: &RunEnv, cells: &mut [RouterCell], now: u64) {
 /// outside `cell`, which is what makes a gated run equal to a full
 /// sweep (a router's cycle cannot depend on whether another ran).
 fn compute_cell(env: &RunEnv, ctx: &Ctx<'_>, cell: &mut RouterCell) {
-    // A dead router computes nothing, draws nothing, counts nothing —
-    // before the fault stream is positioned and before the computed
-    // cycle is booked, so gated and full-sweep runs stay byte-identical
-    // through a death (a boundary wake-all may still schedule it).
-    if cell.router.is_dead() {
-        cell.wants_wake = false;
-        return;
-    }
     let now = ctx.now;
     let RouterCell {
         router,
@@ -563,7 +549,7 @@ impl<S: TraceSink> Network<S> {
         let topo = config.topology;
         let n = topo.node_count();
         let neighbors = topo.neighbor_table();
-        let mut cells: Vec<RouterCell> = topo
+        let cells: Vec<RouterCell> = topo
             .nodes()
             .zip(&neighbors)
             .map(|(id, links)| {
@@ -596,21 +582,11 @@ impl<S: TraceSink> Network<S> {
         let rng = Rng::seed_from_u64(config.seed);
         let gating = config.activity_gating;
         let faults = FaultState::new(config.fault_timeline());
-        let fault_boundaries = faults.timeline().boundaries();
-        let fault_log = FaultLog::from_timeline(faults.timeline());
-        let router_kills = faults.timeline().router_kills().to_vec();
         // Routers dead from reset (base faults or kills at cycle 0)
         // never compute at all; they are empty, so nothing is lost.
-        let mut dead_now = vec![false; n];
-        let mut kills_done = 0;
+        let mut dead = NodeBits::new(n);
         for node in topo.nodes() {
-            if faults.timeline().router_dead_now(0, node) {
-                dead_now[node.index()] = true;
-                cells[node.index()].router.dead = true;
-            }
-        }
-        while kills_done < router_kills.len() && router_kills[kills_done].at == 0 {
-            kills_done += 1;
+            dead.set(node.index(), faults.timeline().router_dead_now(0, node));
         }
         let wearout = config.fault_plan.wearout_spec().map(|spec| {
             let seed = config.wearout_seed();
@@ -639,6 +615,7 @@ impl<S: TraceSink> Network<S> {
                 active: ActiveSet::new(n, gating),
                 neighbors,
                 recovering: NodeBits::new(n),
+                dead,
                 faults,
             },
             cells,
@@ -666,15 +643,10 @@ impl<S: TraceSink> Network<S> {
                 tracer,
                 recovery_edges: Vec::new(),
                 wheel: ActivityWheel::new(n, gating),
-                fault_boundaries,
                 flits_injected: 0,
                 flits_lost: 0,
                 lost: BTreeMap::new(),
-                fault_log,
                 wearout,
-                router_kills,
-                kills_done,
-                dead_now,
             },
         }
     }
@@ -808,7 +780,8 @@ impl<S: TraceSink> Network<S> {
             routers: self
                 .cells
                 .iter()
-                .map(|cell| {
+                .enumerate()
+                .map(|(n, cell)| {
                     let r = &cell.router;
                     RouterTelemetry {
                         flits_routed: r.events.crossbar,
@@ -820,7 +793,7 @@ impl<S: TraceSink> Network<S> {
                         faults_injected: r.fault_counts().total(),
                         recoveries: r.recoveries,
                         computed_cycles: r.computed_cycles,
-                        dead: r.is_dead(),
+                        dead: self.env.dead.contains(n),
                     }
                 })
                 .collect(),
@@ -861,11 +834,11 @@ impl<S: TraceSink> Network<S> {
         self.core.lost.keys().copied().collect()
     }
 
-    /// The run's fault event log: configured kills up front, wear-out
-    /// deaths appended as they realize — the single observer feed that
-    /// the oracle, metrics emitter and trace sink all consume.
+    /// The run's fault history: every configured kill, landed or still
+    /// scheduled, and every wear-out death realized so far, in time
+    /// order ([`ftnoc_fault::FaultTimeline::events`]).
     pub fn fault_events(&self) -> &[ftnoc_fault::FaultEvent] {
-        self.core.fault_log.events()
+        self.env.faults.timeline().events()
     }
 
     /// Whether every flit has left the network (buffers, ST queues and
@@ -902,8 +875,10 @@ impl<S: TraceSink> Network<S> {
         out.flits_lost = core.flits_lost;
         out.routers.resize_with(n_routers, Default::default);
         out.wires.resize_with(n_routers, Default::default);
-        for ((cell, router), wire) in cells.iter().zip(&mut out.routers).zip(&mut out.wires) {
+        let views = cells.iter().zip(&mut out.routers).zip(&mut out.wires);
+        for (n, ((cell, router), wire)) in views.enumerate() {
             cell.router.snapshot_into(router);
+            router.dead = env.dead.contains(n);
             for d in Direction::CARDINAL {
                 let d = d.index();
                 wire.flit_in[d] = cell.io.flit_in[d].as_ref().and_then(|fw| fw.peek());
@@ -959,7 +934,7 @@ impl<S: TraceSink> Network<S> {
         out.lost
             .extend(core.lost.iter().map(|(&id, &mask)| (id, mask)));
         out.fault_events.clear();
-        out.fault_events.extend_from_slice(core.fault_log.events());
+        out.fault_events.extend_from_slice(timeline.events());
     }
 }
 
@@ -992,7 +967,7 @@ impl<S: TraceSink> NetCore<S> {
             // A dead router takes its terminals with it: the PE stops
             // generating (its pending traffic was purged at death) and
             // draws nothing — the node is gone, not merely idle.
-            if self.dead_now[node] {
+            if env.dead.contains(node) {
                 continue;
             }
             // New traffic.
@@ -1007,7 +982,7 @@ impl<S: TraceSink> NetCore<S> {
                 // Traffic addressed to a dead router is stillborn: the
                 // destination draw is consumed (the RNG stream stays a
                 // pure function of the cycle) but no packet exists.
-                if self.dead_now[dest.index() % n_routers] {
+                if env.dead.contains(dest.index() % n_routers) {
                     continue;
                 }
                 let id = PacketId::new(self.next_packet);
@@ -1058,7 +1033,7 @@ impl<S: TraceSink> NetCore<S> {
                     // forever: the destination died, so the copy is
                     // abandoned rather than requeued.
                     let dest = packet.flits()[0].header.dest;
-                    if self.dead_now[dest.index() % n_routers] {
+                    if env.dead.contains(dest.index() % n_routers) {
                         continue;
                     }
                     cell.router.errors.e2e_retransmissions += 1;
@@ -1123,7 +1098,7 @@ impl<S: TraceSink> NetCore<S> {
                 let m = env
                     .neighbor(n, drive.dir)
                     .expect("drive targets an existing link");
-                if self.dead_now[m.index()] {
+                if env.dead.contains(m.index()) {
                     self.record_lost_flit(
                         m.index() as u16,
                         drive.flit,
@@ -1158,7 +1133,7 @@ impl<S: TraceSink> NetCore<S> {
                 let up = env
                     .neighbor(n, dir_in)
                     .expect("credit for an existing link");
-                if self.dead_now[up.index()] {
+                if env.dead.contains(up.index()) {
                     continue;
                 }
                 cells[up.index()].io.rev_in[dir_in.opposite().index()]
@@ -1173,7 +1148,7 @@ impl<S: TraceSink> NetCore<S> {
             for i in 0..cells[n].arrival_nacks.len() {
                 let (p, vc) = cells[n].arrival_nacks[i];
                 let up = env.neighbor(n, p).expect("nack for an existing link");
-                if self.dead_now[up.index()] {
+                if env.dead.contains(up.index()) {
                     continue;
                 }
                 cells[up.index()].io.rev_in[p.opposite().index()]
@@ -1189,7 +1164,7 @@ impl<S: TraceSink> NetCore<S> {
                 match env.neighbor(n, via) {
                     // A probe aimed at a dead router is driven into dead
                     // pins — same silent loss as an unconnected port.
-                    Some(to) if !self.dead_now[to.index()] => {
+                    Some(to) if !env.dead.contains(to.index()) => {
                         self.probes.push(ProbeFlight {
                             signal: ProbeSignal {
                                 origin: node,
@@ -1237,27 +1212,18 @@ impl<S: TraceSink> NetCore<S> {
             let mut pending = std::mem::take(&mut w.pending);
             pending.sort_unstable();
             let at = now + 1;
-            // A realized death publishes with the same lag as a
-            // scheduled kill.
-            let notify = env.faults.timeline().notify_latency();
             for (node, d) in pending {
                 let nid = NodeId::new(node as u16);
-                let dir = Direction::CARDINAL[d];
                 // False when the link is already dead by `at` (both
                 // directions of a link wear independently; the second
                 // crossing of a dead link is a no-op).
-                if !env.faults.push_wearout_kill(at, nid, dir) {
-                    continue;
+                if env
+                    .faults
+                    .push_wearout_kill(at, nid, Direction::CARDINAL[d])
+                {
+                    let event = TraceEvent::LinkWoreOut { port: d as u8 };
+                    self.tracer.emit(now, node as u16, event);
                 }
-                let published = at.saturating_add(notify);
-                self.fault_log.record_wearout(at, published, nid, dir);
-                for b in [at, published] {
-                    if let Err(i) = self.fault_boundaries.binary_search(&b) {
-                        self.fault_boundaries.insert(i, b);
-                    }
-                }
-                self.tracer
-                    .emit(now, node as u16, TraceEvent::LinkWoreOut { port: d as u8 });
             }
         }
 
@@ -1265,16 +1231,18 @@ impl<S: TraceSink> NetCore<S> {
         // runs in this commit so cycle `now + 1` opens with the victim
         // dead, its flits in the loss ledger, and every neighbour's
         // control state normalized.
-        while self.kills_done < self.router_kills.len()
-            && self.router_kills[self.kills_done].at <= now + 1
-        {
-            let victim = self.router_kills[self.kills_done].node;
-            self.kills_done += 1;
-            self.kill_router(env, cells, victim, now);
+        let events = env.faults.timeline().events();
+        let landing = events.partition_point(|ev| ev.at <= now)
+            ..events.partition_point(|ev| ev.at <= now + 1);
+        for i in landing {
+            if let FaultEventKind::RouterDown { node } = env.faults.timeline().events()[i].kind {
+                self.kill_router(env, cells, node, now);
+                env.dead.set(node.index(), true);
+            }
         }
 
         self.deliver_probes(env, cells, now);
-        self.deliver_activations(cells, now);
+        self.deliver_activations(env, cells, now);
 
         // Recovery-mode transition edges (entry via activation signals,
         // exit in end_cycle or by death), settled in node order: each
@@ -1329,7 +1297,8 @@ impl<S: TraceSink> NetCore<S> {
         // gated run observes the reconfiguration on exactly the cycle a
         // full sweep would. (A no-op for static-fault runs and when
         // gating is off.)
-        if self.fault_boundaries.binary_search(&(now + 1)).is_ok() {
+        let boundaries = env.faults.timeline().boundaries();
+        if boundaries.binary_search(&(now + 1)).is_ok() {
             for n in 0..env.topo.node_count() {
                 self.wheel.schedule(n, now + 1);
             }
@@ -1363,9 +1332,9 @@ impl<S: TraceSink> NetCore<S> {
     /// Executes a whole-router death scheduled for cycle `now + 1`:
     /// builds the truncated-packet set (pass A), then sweeps it out of
     /// every structure in the network (pass B), crediting each drained
-    /// original to the loss ledger. Structural mutation with no RNG
-    /// draws, so gated and ungated runs stay byte-identical through a
-    /// death.
+    /// original to the loss ledger; the caller then marks the victim
+    /// dead. Structural mutation with no RNG draws, so gated and ungated
+    /// runs stay byte-identical through a death.
     fn kill_router(&mut self, env: &RunEnv, cells: &mut [RouterCell], victim: NodeId, now: u64) {
         let v = victim.index();
         let n_routers = env.topo.node_count();
@@ -1396,7 +1365,7 @@ impl<S: TraceSink> NetCore<S> {
         let live_neighbors: Vec<(Direction, usize)> = Direction::CARDINAL
             .into_iter()
             .filter_map(|d| Some((d, env.neighbor(v, d)?.index())))
-            .filter(|&(_, m)| !self.dead_now[m])
+            .filter(|&(_, m)| !env.dead.contains(m))
             .collect();
         for &(d, m) in &live_neighbors {
             let c = &cells[m];
@@ -1413,7 +1382,7 @@ impl<S: TraceSink> NetCore<S> {
             });
         }
         for (i, c) in cells.iter().enumerate() {
-            if i == v || self.dead_now[i] {
+            if i == v || env.dead.contains(i) {
                 continue;
             }
             c.router.scan_flits(|flit, _| {
@@ -1455,7 +1424,7 @@ impl<S: TraceSink> NetCore<S> {
         vcell.probe_req = None;
         vcell.arrival_nacks.clear();
         for (i, c) in cells.iter_mut().enumerate() {
-            if i == v || self.dead_now[i] {
+            if i == v || env.dead.contains(i) {
                 continue;
             }
             for (flit, port) in c.router.purge_packets(&members) {
@@ -1507,7 +1476,6 @@ impl<S: TraceSink> NetCore<S> {
         for (at_node, flit, port) in lost {
             self.record_lost_flit(at_node, flit, port, now);
         }
-        self.dead_now[v] = true;
         self.tracer
             .emit(now, v as u16, TraceEvent::RouterKilled { lost: count });
     }
@@ -1659,7 +1627,7 @@ impl<S: TraceSink> NetCore<S> {
             let origin = flight.signal.origin;
             // Delivered into dead pins: the corpse absorbs the probe
             // and the origin gives up on it, like any mid-path discard.
-            if self.dead_now[at.index()] {
+            if env.dead.contains(at.index()) {
                 self.discard_probe(cells, origin, at, now);
                 continue;
             }
@@ -1713,7 +1681,7 @@ impl<S: TraceSink> NetCore<S> {
 
     /// Activation delivery along the recorded probe path (in-place
     /// `swap_remove` loop, same discipline as the probe transport).
-    fn deliver_activations(&mut self, cells: &mut [RouterCell], now: u64) {
+    fn deliver_activations(&mut self, env: &RunEnv, cells: &mut [RouterCell], now: u64) {
         let mut i = 0;
         while i < self.activations.len() {
             if self.activations[i].deliver_at > now {
@@ -1726,7 +1694,7 @@ impl<S: TraceSink> NetCore<S> {
             };
             // The recorded path runs through a corpse: the activation
             // dies there (downstream nodes recover via their own probes).
-            if self.dead_now[at.index()] {
+            if env.dead.contains(at.index()) {
                 continue;
             }
             let router = &mut cells[at.index()].router;

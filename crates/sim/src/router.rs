@@ -295,10 +295,6 @@ pub struct Router {
     pub(crate) fi: FaultInjector,
     /// Buffered trace events of the current cycle.
     pub(crate) trace: TraceBuf,
-    /// Whether this router has been killed mid-run (whole-router hard
-    /// fault). A dead router's compute phase is a no-op; its structures
-    /// were emptied by the death purge and stay empty.
-    pub(crate) dead: bool,
     scratch: Scratch,
 }
 
@@ -356,7 +352,6 @@ impl Router {
             computed_cycles: 0,
             fi: FaultInjector::new(config.faults, Self::fault_seed(config.seed, id)),
             trace: TraceBuf::default(),
-            dead: false,
             scratch: Scratch::default(),
         }
     }
@@ -376,11 +371,6 @@ impl Router {
     /// The node id.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// Whether this router has been killed by a whole-router fault.
-    pub fn is_dead(&self) -> bool {
-        self.dead
     }
 
     /// Visits every packet flit physically inside this router. The
@@ -545,10 +535,10 @@ impl Router {
 
     /// Kills this router: every resident original is drained into the
     /// returned loss list, protective copies vanish, all wormhole state
-    /// and reservations clear, and the router is marked dead. Its
-    /// compute phase never runs again; neighbours stop granting toward
-    /// it through the fault timeline (a dead router presents all-dead
-    /// links from its death cycle on).
+    /// and reservations clear. The network marks it dead: its compute
+    /// phase never runs again; neighbours stop granting toward it
+    /// through the fault timeline (a dead router presents all-dead links
+    /// from its death cycle on).
     pub(crate) fn die(&mut self) -> Vec<(Flit, u8)> {
         let mut lost = Vec::new();
         let vcs = self.cfg.vcs_per_port();
@@ -576,7 +566,6 @@ impl Router {
                 *slot = None;
             }
         }
-        self.dead = true;
         lost
     }
 
@@ -1784,10 +1773,10 @@ impl Router {
     /// inspection surface). Whatever `out` held — another router, another
     /// radix, an earlier cycle — it comes out equal to a refilled
     /// `RouterSnapshot::default()`, keeping its allocations (see
-    /// [`crate::snapshot`]). Pure read — no RNG draws, no mutation.
+    /// [`crate::snapshot`]), except `dead`: the network fills that from
+    /// its dead-router set. Pure read — no RNG draws, no mutation.
     pub fn snapshot_into(&self, out: &mut crate::snapshot::RouterSnapshot) {
         use crate::snapshot::{StEntryView, VcStateView};
-        out.dead = self.dead;
         out.in_recovery = self.probe.in_recovery();
         out.deadlocks_confirmed = self.errors.deadlocks_confirmed;
         out.inputs.resize_with(self.inputs.len(), Vec::new);

@@ -401,11 +401,6 @@ impl FaultState {
         self.timeline.link_dead_now(now, node, dir)
     }
 
-    /// Ground truth at `now`: whether router `node` is dead.
-    pub fn router_dead_now(&self, now: u64, node: NodeId) -> bool {
-        self.timeline.router_dead_now(now, node)
-    }
-
     /// Realizes a wear-out link kill at cycle `at` and rebuilds the
     /// per-epoch plans against the extended timeline. Returns `false`
     /// (and changes nothing) when the link is already dead by `at` or

@@ -182,10 +182,10 @@ pub struct NetSnapshot {
     /// sorted by node (0 for routers dead from reset).
     pub dead_routers: Vec<(usize, u64)>,
     /// Every mid-run fault event of the run, realized or still
-    /// scheduled, in time order — the network's [`ftnoc_fault::FaultLog`]
-    /// as it stands (the oracle validates wear-out entries against the
-    /// configuration and folds realized ones into its fault-table
-    /// mirror).
+    /// scheduled, in time order — the timeline's
+    /// [`ftnoc_fault::FaultTimeline::events`] as it stands (the oracle
+    /// validates wear-out entries against the configuration and folds
+    /// realized ones into its fault-table mirror).
     pub fault_events: Vec<FaultEvent>,
     /// Per-router state.
     pub routers: Vec<RouterSnapshot>,

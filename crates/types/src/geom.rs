@@ -279,18 +279,6 @@ impl Topology {
         Topology::try_cmesh(width, height, concentration).expect("invalid cmesh configuration")
     }
 
-    /// Creates a chiplet topology: a `width × height` router grid divided
-    /// into `chip_w × chip_h` tiles, with a single gateway link per facing
-    /// tile edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid dimensions; use [`Topology::try_chiplet`] for a
-    /// fallible constructor.
-    pub fn chiplet(width: u8, height: u8, chip_w: u8, chip_h: u8) -> Self {
-        Topology::try_chiplet(width, height, chip_w, chip_h).expect("invalid chiplet configuration")
-    }
-
     /// Fallible constructor validating the dimensions. `CMesh` gets
     /// concentration 1 (use [`Topology::try_cmesh`] for more) and
     /// `Chiplet` a single whole-grid tile (use [`Topology::try_chiplet`]).
@@ -341,7 +329,9 @@ impl Topology {
         })
     }
 
-    /// Fallible chiplet constructor.
+    /// Creates a chiplet topology: a `width × height` router grid divided
+    /// into `chip_w × chip_h` tiles, with a single gateway link per facing
+    /// tile edge.
     ///
     /// # Errors
     ///
@@ -416,16 +406,12 @@ impl Topology {
         4 + self.local_ports()
     }
 
-    /// Total processing elements (terminals) in the network.
+    /// Total processing elements (terminals) in the network. Terminal
+    /// ids are `t = k * node_count + r` for local-port offset `k` and
+    /// router `r`, so terminals `0..node_count` are each router's first
+    /// PE.
     pub const fn terminal_count(self) -> usize {
         self.node_count() * self.local_ports()
-    }
-
-    /// Iterates over every terminal id: `t = k * node_count + r` for
-    /// local-port offset `k` and router `r`, so terminals `0..node_count`
-    /// are each router's first PE.
-    pub fn terminals(self) -> impl Iterator<Item = NodeId> {
-        (0..self.terminal_count() as u16).map(NodeId::new)
     }
 
     /// The router a terminal attaches to (`t % node_count`). For
@@ -866,7 +852,7 @@ mod tests {
         assert_eq!(topo.local_ports(), 4);
         assert_eq!(topo.radix(), 8);
         assert_eq!(topo.terminal_count(), 64);
-        for t in topo.terminals() {
+        for t in (0..topo.terminal_count() as u16).map(NodeId::new) {
             let r = topo.router_of_terminal(t);
             let k = topo.local_port_of_terminal(t) - 4;
             assert_eq!(k * topo.node_count() + r.index(), t.index());
@@ -885,7 +871,7 @@ mod tests {
         assert_eq!(topo.local_ports(), 1);
         assert_eq!(topo.radix(), 5);
         assert_eq!(topo.terminal_count(), topo.node_count());
-        for t in topo.terminals() {
+        for t in (0..topo.terminal_count() as u16).map(NodeId::new) {
             assert_eq!(topo.router_of_terminal(t), t);
             assert_eq!(topo.local_port_of_terminal(t), 4);
         }
@@ -894,7 +880,7 @@ mod tests {
     #[test]
     fn chiplet_suppresses_non_gateway_boundary_links() {
         // 8x8 grid of 4x4 tiles: boundary between x=3 and x=4.
-        let topo = Topology::chiplet(8, 8, 4, 4);
+        let topo = Topology::try_chiplet(8, 8, 4, 4).unwrap();
         // Gateway row within a tile: y % 4 == 1.
         assert_eq!(
             topo.neighbor(Coord::new(3, 1), Direction::East),
@@ -939,7 +925,7 @@ mod tests {
         // cmesh router graph == mesh graph.
         assert_eq!(Topology::cmesh(4, 4, 4).links().len(), 24);
         // 8x8 chiplet of 4x4 tiles: 4 tiles * 24 internal + 4 gateways.
-        let chiplet = Topology::chiplet(8, 8, 4, 4);
+        let chiplet = Topology::try_chiplet(8, 8, 4, 4).unwrap();
         assert_eq!(chiplet.links().len(), 4 * 24 + 4);
         // Every enumerated link exists and is distinct.
         for (n, d) in chiplet.links() {
@@ -953,7 +939,7 @@ mod tests {
             Topology::mesh(5, 3),
             Topology::torus(4, 4),
             Topology::cmesh(4, 4, 4),
-            Topology::chiplet(8, 8, 4, 4),
+            Topology::try_chiplet(8, 8, 4, 4).unwrap(),
         ] {
             for n in topo.nodes() {
                 for d in Direction::ALL {
@@ -970,7 +956,7 @@ mod tests {
             Topology::mesh(9, 8),
             Topology::torus(4, 4), // wrap links
             Topology::cmesh(4, 4, 4),
-            Topology::chiplet(8, 8, 4, 4), // gateway links
+            Topology::try_chiplet(8, 8, 4, 4).unwrap(), // gateway links
         ] {
             let table = topo.neighbor_table();
             assert_eq!(table.len(), topo.node_count());

@@ -11,14 +11,14 @@
 //! observation-equivalent to the full sweep.
 
 use ftnoc_check::{ArmedInvariants, Oracle};
-use ftnoc_fault::{FaultPlan, FaultRates};
+use ftnoc_fault::{FaultPlan, FaultRates, WearoutSpec};
 use ftnoc_sim::{
     DeadlockConfig, ErrorScheme, Network, RoutingAlgorithm, SimConfig, SimConfigBuilder, Simulator,
 };
 use ftnoc_trace::{MemorySink, Tracer};
 use ftnoc_traffic::InjectionProcess;
 use ftnoc_types::config::RouterConfig;
-use ftnoc_types::geom::{Coord, Direction, Topology};
+use ftnoc_types::geom::{Coord, Direction, NodeId, Topology};
 
 /// A clean 4×4 mesh, no faults, light load (lots of quiescent cycles).
 fn fault_free(seed: u64) -> SimConfigBuilder {
@@ -123,6 +123,27 @@ fn torus_midrun(seed: u64) -> SimConfigBuilder {
         FaultPlan::new()
             .kill_link_at(1_000, topo.id_of(Coord::new(3, 1)), Direction::East)
             .notify_latency(6),
+    );
+    b
+}
+
+/// Wear-out pre-empting scheduled kills (the shape of `ftnoc run
+/// --topology 4x4 --routing fta --fault wearout:60 --fault link:5:e@3000
+/// --fault link:6:s@2500 --fault router:15@4000 --inj 0.1`): at seed
+/// 0xF70C both links wear out before cycle 450, so their scheduled kills
+/// land on dead links and fold as no-ops, yet still wake the whole
+/// network at their boundaries.
+fn wearout_preempts_kills(seed: u64) -> SimConfigBuilder {
+    let mut b = fault_free(seed);
+    b.routing(RoutingAlgorithm::FaultAware).fault_plan(
+        FaultPlan::new()
+            .wearout(WearoutSpec {
+                mean_budget: 60,
+                seed: 0,
+            })
+            .kill_link_at(3_000, NodeId::new(5), Direction::East)
+            .kill_link_at(2_500, NodeId::new(6), Direction::South)
+            .kill_router_at(4_000, NodeId::new(15)),
     );
     b
 }
@@ -250,6 +271,15 @@ fn fault_aware_midrun_kill_runs_are_gating_invariant() {
 #[test]
 fn torus_wrap_link_kill_runs_are_gating_invariant() {
     assert_gating_parity("torus-midrun", torus_midrun, dbg_capped(10_000));
+}
+
+#[test]
+fn wearout_preempting_kill_runs_are_gating_invariant() {
+    assert_gating_parity(
+        "wearout-preempts-kills",
+        wearout_preempts_kills,
+        dbg_capped(10_000),
+    );
 }
 
 #[test]

@@ -222,6 +222,74 @@ fn oracle_follows_online_wearout_deaths() {
     );
 }
 
+/// The pre-emption shape, `ftnoc run --topology 4x4 --routing fta
+/// --fault wearout:60 --fault link:5:e@3000 --fault link:6:s@2500
+/// --fault router:15@4000 --inj 0.1` at the default seed: wear-out
+/// kills both links long before their scheduled kills land.
+fn preemption_config() -> SimConfig {
+    let mut b = SimConfig::builder();
+    b.topology(Topology::mesh(4, 4))
+        .routing(RoutingAlgorithm::FaultAware)
+        .fault_plan(
+            FaultPlan::new()
+                .wearout(WearoutSpec {
+                    mean_budget: 60,
+                    seed: 0,
+                })
+                .kill_link_at(3_000, NodeId::new(5), Direction::East)
+                .kill_link_at(2_500, NodeId::new(6), Direction::South)
+                .kill_router_at(4_000, NodeId::new(15)),
+        )
+        .injection_rate(0.1);
+    b.build().expect("valid config")
+}
+
+/// A wear-out death pre-empts a scheduled kill of the same link: the
+/// oracle stays quiet through both landings and the router death, and
+/// the run's fault history lists every configured kill beside the
+/// earlier wear-out death of the same physical link.
+#[test]
+fn oracle_follows_wearout_deaths_that_preempt_scheduled_kills() {
+    let config = preemption_config();
+    let mut oracle = Oracle::new(&config);
+    let mut net = Network::new(config);
+    step_checked(&mut net, &mut oracle, 4_100)
+        .unwrap_or_else(|v| panic!("oracle violation across a pre-empted kill: {v}"));
+    let events = net.fault_events();
+    let configured: Vec<(u64, FaultEventKind)> = events
+        .iter()
+        .filter(|e| e.cause == FaultCause::Configured)
+        .map(|e| (e.at, e.kind))
+        .collect();
+    let link = |node: u16, dir| FaultEventKind::LinkDown {
+        node: NodeId::new(node),
+        dir,
+    };
+    assert_eq!(
+        configured,
+        [
+            (2_500, link(6, Direction::South)),
+            (3_000, link(5, Direction::East)),
+            (
+                4_000,
+                FaultEventKind::RouterDown {
+                    node: NodeId::new(15)
+                }
+            ),
+        ]
+    );
+    // Wear-out took both links long before: 5:E at cycle 412, 6:S at 438.
+    for (at, node, dir) in [(412, 5, Direction::East), (438, 6, Direction::South)] {
+        let death = FaultEvent {
+            at,
+            published_at: at + 4,
+            cause: FaultCause::Wearout,
+            kind: link(node, dir),
+        };
+        assert!(events.contains(&death), "{death:?} missing from {events:?}");
+    }
+}
+
 /// Doctored snapshots against the loss seam: a flits_lost counter that
 /// disagrees with the ledger masks, a ledger entry overlapping a
 /// resident flit, and a hidden dead router must each be flagged.
