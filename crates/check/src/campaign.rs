@@ -689,88 +689,70 @@ impl CampaignParams {
     /// The first [`Violation`] the oracle observed (or the converted
     /// panic payload).
     pub fn check(&self) -> Result<(), Violation> {
-        run_campaign(self)
-    }
-}
-
-/// Runs one campaign under the oracle (the body of
-/// [`CampaignParams::check`]).
-pub(crate) fn run_campaign(params: &CampaignParams) -> Result<(), Violation> {
-    let config = match params.to_config() {
-        Ok(c) => c,
-        Err(e) => {
-            return Err(Violation {
-                cycle: 0,
-                node: None,
-                invariant: "config",
-                detail: e.to_string(),
-            })
-        }
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut oracle = Oracle::new(&config);
-        // One snapshot per campaign, refilled every cycle.
-        let mut snap = NetSnapshot::default();
-        let mut net = Network::new(config);
-        for _ in 0..params.cycles {
-            net.step();
-            net.snapshot_into(&mut snap);
-            oracle.check(&snap)?;
-        }
-        Ok(())
-    }));
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into());
-            Err(Violation {
-                cycle: 0,
-                node: None,
-                invariant: "panic",
-                detail: msg,
-            })
+        let config = match self.to_config() {
+            Ok(c) => c,
+            Err(e) => {
+                return Err(Violation {
+                    cycle: 0,
+                    node: None,
+                    invariant: "config",
+                    detail: e.to_string(),
+                })
+            }
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut oracle = Oracle::new(&config);
+            // One snapshot per campaign, refilled every cycle.
+            let mut snap = NetSnapshot::default();
+            let mut net = Network::new(config);
+            for _ in 0..self.cycles {
+                net.step();
+                net.snapshot_into(&mut snap);
+                oracle.check(&snap)?;
+            }
+            Ok(())
+        }));
+        match outcome {
+            Ok(result) => result,
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "opaque panic payload".into());
+                Err(Violation {
+                    cycle: 0,
+                    node: None,
+                    invariant: "panic",
+                    detail: msg,
+                })
+            }
         }
     }
 }
 
-/// One kept shrink reduction (for [`crate::FuzzEvent::ShrinkStep`]).
-#[derive(Debug, Clone)]
-pub(crate) struct ShrinkStepRec {
-    /// Campaign reruns consumed when the reduction was accepted.
-    pub reruns: usize,
-    /// Violation observed on the reduced parameters.
-    pub violation: Violation,
-    /// Reduced reproducer spec.
-    pub spec: String,
-}
+/// Campaign reruns [`shrink`] may spend on one failure.
+const SHRINK_BUDGET: usize = 80;
 
 /// Greedily shrinks failing campaign parameters: each transform is kept
 /// only if the failure still reproduces, and passes repeat until a
-/// fixpoint (or the rerun budget runs out). Returns the smallest
-/// failing parameters, their violation, and the trace of kept
-/// reductions. Pure: depends only on `params` and `budget`, so every
-/// thread of the batched runner shrinks a given failure identically.
-pub(crate) fn shrink(
-    params: &CampaignParams,
-    budget: usize,
-) -> (CampaignParams, Violation, Vec<ShrinkStepRec>) {
+/// fixpoint (or [`SHRINK_BUDGET`] reruns are spent). Returns the
+/// smallest failing parameters and their violation. Pure: depends only
+/// on `params`, so every worker shrinks a given failure identically.
+pub(crate) fn shrink(params: &CampaignParams) -> (CampaignParams, Violation) {
     let mut best = params.clone();
-    let mut violation = run_campaign(&best).expect_err("shrink requires a failing campaign");
-    let mut steps = Vec::new();
+    let mut violation = best
+        .check()
+        .expect_err("shrink requires a failing campaign");
     let mut runs = 0usize;
     loop {
         let mut improved = false;
-        let candidates: Vec<CampaignParams> = transforms(&best, &violation);
-        for cand in candidates {
-            if runs >= budget {
-                return (best, violation, steps);
+        for cand in transforms(&best, &violation) {
+            if runs >= SHRINK_BUDGET {
+                return (best, violation);
             }
             runs += 1;
-            if let Err(v) = run_campaign(&cand) {
+            if let Err(v) = cand.check() {
                 // A reduction that no longer builds (a kill left off
                 // the shrunk grid) reproduces nothing.
                 if v.invariant == "config" {
@@ -778,17 +760,12 @@ pub(crate) fn shrink(
                 }
                 best = cand;
                 violation = v;
-                steps.push(ShrinkStepRec {
-                    reruns: runs,
-                    violation: violation.clone(),
-                    spec: best.to_spec(),
-                });
                 improved = true;
                 break;
             }
         }
-        if !improved || runs >= budget {
-            return (best, violation, steps);
+        if !improved || runs >= SHRINK_BUDGET {
+            return (best, violation);
         }
     }
 }

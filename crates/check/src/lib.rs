@@ -9,10 +9,9 @@
 //! the §3.2.2 deadlock probes. A [`CampaignPlan`] describes a fuzz run
 //! — thousands of short randomized simulations across the configuration
 //! space, checking the oracle every cycle — and [`CampaignPlan::run`]
-//! executes it serially or batched across a worker pool, shrinking any
-//! failure to a minimal, replayable reproducer spec. The report (and
-//! the [`FuzzEvent`] stream the caller's closure receives) is identical
-//! at any thread count.
+//! executes it on a worker pool, stops at the first failing campaign
+//! and shrinks it to a minimal, replayable reproducer spec. The report
+//! is identical at any thread count.
 //!
 //! The seam to the simulator is state in, closure out: the oracle reads
 //! run state from one [`ftnoc_sim::NetSnapshot`] per cycle and takes
@@ -39,20 +38,18 @@
 //! let report = CampaignPlan::new()
 //!     .campaigns(4)
 //!     .threads(2)
-//!     .run(&mut |_| {});
+//!     .run();
 //! assert_eq!(report.campaigns_run, 4);
-//! assert!(report.failures.is_empty());
+//! assert!(report.failure.is_none());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod observer;
 pub mod oracle;
 pub mod runner;
 
 pub use campaign::{CampaignParams, FuzzTopology, OrgFilter, ScenarioFilter};
-pub use observer::FuzzEvent;
 pub use oracle::{ArmedInvariants, Oracle, Violation};
 pub use runner::{CampaignPlan, Failure, FuzzReport};

@@ -75,11 +75,11 @@ impl Value {
 /// # Errors
 ///
 /// Returns a human-readable message with a byte offset on malformed
-/// input or trailing garbage.
+/// input, nesting deeper than 64 levels, or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -103,11 +103,20 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Deepest `[` / `{` nesting [`parse`] accepts. The emitter nests three
+/// deep; each level is one stack frame of this recursive descent, so a
+/// hostile line could otherwise overflow the stack.
+const MAX_DEPTH: usize = 64;
+
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -167,7 +176,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".into())
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -179,7 +188,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         expect(b, pos, b':')?;
-        members.push((key, parse_value(b, pos)?));
+        members.push((key, parse_value(b, pos, depth)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -192,7 +201,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -201,7 +210,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -262,5 +271,15 @@ mod tests {
             let e = parse(bad).unwrap_err();
             assert!(!e.is_empty(), "{bad}");
         }
+    }
+
+    /// A 200 000-deep line is refused at the cap instead of overflowing
+    /// the stack, and the cap itself still parses. (The deepest line the
+    /// emitter writes round-trips in `emit`'s `interval_line_round_trips`.)
+    #[test]
+    fn nesting_past_the_cap_is_an_error() {
+        let e = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(e, "nesting deeper than 64 at byte 64");
+        assert!(parse(&format!("{}{}", "[".repeat(64), "]".repeat(64))).is_ok());
     }
 }

@@ -15,8 +15,8 @@ use crate::telemetry::RouterTelemetry;
 /// # Errors
 ///
 /// Returns a message naming the offending line for malformed JSON, a
-/// missing meta line, or interval lines whose shapes disagree with the
-/// meta line.
+/// missing meta line, a meta line naming a zero chiplet tile, or
+/// interval lines whose shapes disagree with the meta line.
 pub fn render(content: &str) -> Result<String, String> {
     let mut meta: Option<Value> = None;
     let mut intervals: Vec<Value> = Vec::new();
@@ -36,14 +36,20 @@ pub fn render(content: &str) -> Result<String, String> {
     let width = meta.u64_field("width").ok_or("meta line missing width")? as usize;
     let height = meta.u64_field("height").ok_or("meta line missing height")? as usize;
     // Absent in pre-topology metrics files: those were all meshes.
+    let topology = meta
+        .get("topology")
+        .and_then(Value::as_str)
+        .unwrap_or("mesh");
+    let kind = LayoutKind::parse(topology);
+    if matches!(kind, LayoutKind::Chiplet { chip_w, chip_h } if chip_w == 0 || chip_h == 0) {
+        return Err(format!(
+            "meta line: topology `{topology}` has a zero chiplet tile"
+        ));
+    }
     let layout = TopoLayout {
         width,
         height,
-        kind: LayoutKind::parse(
-            meta.get("topology")
-                .and_then(Value::as_str)
-                .unwrap_or("mesh"),
-        ),
+        kind,
     };
 
     let mut out = String::new();
@@ -366,6 +372,18 @@ mod tests {
     fn malformed_lines_are_located() {
         let err = render("{\"kind\":\"meta\"\n").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+    }
+
+    #[test]
+    fn zero_chiplet_tile_is_an_error() {
+        for topology in ["chiplet:0x1", "chiplet:2x0"] {
+            let file = sample_file().replace(
+                "\"topology\":\"mesh\"",
+                &format!("\"topology\":\"{topology}\""),
+            );
+            let err = render(&file).unwrap_err();
+            assert!(err.contains("meta line") && err.contains(topology), "{err}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The phases stay apart because gated == full-sweep byte-identity
 //! rests on their separation (see [`crate::network`]), not because
 //! anything runs beside anything else. A compute-phase panic unwinds
-//! out of `step` as it was raised; `ftnoc-check`'s `run_campaign`
+//! out of `step` as it was raised; `ftnoc-check`'s `CampaignParams::check`
 //! catches it there and reports the payload.
 
 use std::time::Instant;

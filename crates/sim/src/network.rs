@@ -1406,7 +1406,7 @@ impl<S: TraceSink> NetCore<S> {
         // packets; reverse side-bands crossing the corpse go quiet.
         let mut lost: Vec<(u16, Flit, u8)> = Vec::new();
         let vcell = &mut cells[v];
-        for (flit, port) in vcell.router.die() {
+        for (flit, port) in vcell.router.purge_packets(|_| true) {
             lost.push((v as u16, flit, port));
         }
         vcell.router.probe.exit_recovery();
@@ -1427,7 +1427,7 @@ impl<S: TraceSink> NetCore<S> {
             if i == v || env.dead.contains(i) {
                 continue;
             }
-            for (flit, port) in c.router.purge_packets(&members) {
+            for (flit, port) in c.router.purge_packets(|id| members.contains(&id)) {
                 lost.push((i as u16, flit, port));
             }
             for d in Direction::CARDINAL {

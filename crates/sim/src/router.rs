@@ -429,20 +429,21 @@ impl Router {
         }
     }
 
-    /// Removes every flit whose packet is in `members` (raw packet ids)
-    /// from this router's input buffers, switch-traversal queues and
+    /// Removes every flit whose packet `is_member` names (by raw packet
+    /// id) from this router's input buffers, switch-traversal queues and
     /// retransmission buffers, and resets the control state of every
-    /// amputated wormhole so surviving traffic re-routes cleanly.
+    /// amputated wormhole so surviving traffic re-routes cleanly. A
+    /// dying router passes `|_| true`: it drains everything it holds and
+    /// every reservation clears; the network then marks it dead (its
+    /// compute phase never runs again, and the fault timeline shows its
+    /// neighbours all-dead links toward it).
     ///
     /// Returns the removed **originals** as `(flit, port)` — protective
     /// sender copies vanish silently, their originals are accounted
     /// where they physically live. Commit-phase only: structural
     /// mutation, no RNG draws, so gated and ungated runs stay
     /// byte-identical.
-    pub(crate) fn purge_packets(
-        &mut self,
-        members: &std::collections::BTreeSet<u64>,
-    ) -> Vec<(Flit, u8)> {
+    pub(crate) fn purge_packets(&mut self, is_member: impl Fn(u64) -> bool) -> Vec<(Flit, u8)> {
         let mut lost = Vec::new();
         let ports = self.cfg.ports();
         let vcs = self.cfg.vcs_per_port();
@@ -455,7 +456,7 @@ impl Router {
                 let n = input.buffer.len(v);
                 for _ in 0..n {
                     let flit = input.buffer.pop(v).expect("counted flit");
-                    if members.contains(&flit.packet.raw()) {
+                    if is_member(flit.packet.raw()) {
                         touched[p * vcs + v] = true;
                         lost.push((flit, p as u8));
                     } else {
@@ -467,7 +468,7 @@ impl Router {
         }
         for (op, output) in self.outputs.iter_mut().enumerate() {
             output.st_queue.retain(|entry| {
-                if members.contains(&entry.flit.packet.raw()) {
+                if is_member(entry.flit.packet.raw()) {
                     lost.push((entry.flit, op as u8));
                     false
                 } else {
@@ -475,7 +476,7 @@ impl Router {
                 }
             });
             for buffer in &mut output.retrans {
-                for (flit, held) in buffer.purge(|f| members.contains(&f.packet.raw())) {
+                for (flit, held) in buffer.purge(|f| is_member(f.packet.raw())) {
                     if held {
                         lost.push((flit, op as u8));
                     }
@@ -492,7 +493,7 @@ impl Router {
                         out_vc,
                         packet,
                         ..
-                    } if members.contains(&packet.raw()) => {
+                    } if is_member(packet.raw()) => {
                         if out_vc < vcs && self.outputs[out_port].allocated[out_vc] == Some((p, v))
                         {
                             self.outputs[out_port].allocated[out_vc] = None;
@@ -528,42 +529,6 @@ impl Router {
                 if !active && !held {
                     self.outputs[op].allocated[ov] = None;
                 }
-            }
-        }
-        lost
-    }
-
-    /// Kills this router: every resident original is drained into the
-    /// returned loss list, protective copies vanish, all wormhole state
-    /// and reservations clear. The network marks it dead: its compute
-    /// phase never runs again; neighbours stop granting toward it
-    /// through the fault timeline (a dead router presents all-dead links
-    /// from its death cycle on).
-    pub(crate) fn die(&mut self) -> Vec<(Flit, u8)> {
-        let mut lost = Vec::new();
-        let vcs = self.cfg.vcs_per_port();
-        for (p, input) in self.inputs.iter_mut().enumerate() {
-            for v in 0..vcs {
-                while let Some(flit) = input.buffer.pop(v) {
-                    lost.push((flit, p as u8));
-                }
-                input.vcs[v].state = VcState::Idle;
-                input.vcs[v].blocked_cycles = 0;
-            }
-        }
-        for (op, output) in self.outputs.iter_mut().enumerate() {
-            while let Some(entry) = output.st_queue.pop_front() {
-                lost.push((entry.flit, op as u8));
-            }
-            for buffer in &mut output.retrans {
-                for (flit, held) in buffer.purge(|_| true) {
-                    if held {
-                        lost.push((flit, op as u8));
-                    }
-                }
-            }
-            for slot in &mut output.allocated {
-                *slot = None;
             }
         }
         lost

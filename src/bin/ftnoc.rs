@@ -137,12 +137,11 @@ fn run_traced(
 }
 
 /// The `ftnoc fuzz` subcommand: replay a single reproducer spec, or run
-/// a sampled campaign sweep with shrinking (batched across worker
-/// threads when `--threads` asks for it). Exits non-zero when any
-/// invariant was violated.
+/// a sampled campaign sweep that stops at its first failing campaign
+/// and shrinks it (batched across worker threads when `--threads` asks
+/// for it). Exits non-zero when any invariant was violated.
 ///
-/// Everything printed here is derived from the plan's in-order
-/// [`ftnoc_check::FuzzEvent`] stream and the aggregated report, so the
+/// Everything printed here is derived from the returned report, so the
 /// terminal output and the `--failures-out` bytes are identical at any
 /// thread count.
 fn run_fuzz_command(
@@ -172,28 +171,23 @@ fn run_fuzz_command(
         "fuzz: {} campaigns, master seed {:#x}",
         plan.campaigns, plan.seed
     );
-    let report = plan.run(&mut |event| {
-        for line in event.terminal_lines(plan.campaigns) {
-            println!("{line}");
-        }
-    });
-    if report.failures.is_empty() {
+    let report = plan.run();
+    let Some(failure) = report.failure else {
         println!(
             "fuzz: {} campaigns passed, no invariant violations",
             report.campaigns_run
         );
         return;
+    };
+    for line in failure.terminal_lines(plan.campaigns) {
+        println!("{line}");
     }
     if let Some(path) = failures_out {
-        if let Err(e) = std::fs::write(&path, report.failures_artifact()) {
+        if let Err(e) = std::fs::write(&path, failure.artifact()) {
             eprintln!("error: cannot write {}: {e}", path.display());
         }
     }
-    eprintln!(
-        "fuzz: {} failure(s) in {} campaigns",
-        report.failures.len(),
-        report.campaigns_run
-    );
+    eprintln!("fuzz: 1 failure(s) in {} campaigns", report.campaigns_run);
     std::process::exit(1);
 }
 

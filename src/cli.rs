@@ -96,10 +96,8 @@ OPTIONS (fuzz):
     --threads N         campaign worker threads (default 1; the report,
                         terminal output and --failures-out bytes are
                         identical at any thread count)
-    --max-failures N    stop after collecting N shrunk failures (default 1)
-    --shrink-budget N   rerun budget for shrinking each failure (default 80)
     --repro SPEC        replay one campaign from a `k=v,...` reproducer spec
-    --failures-out FILE append shrunk reproducer specs to FILE (CI artifact)
+    --failures-out FILE write the shrunk reproducer spec to FILE (CI artifact)
     --org O             static | damq — coerce every campaign onto one
                         buffer organisation (CI shards its budget across
                         both; default: the sampler's natural mix)
@@ -112,8 +110,9 @@ OPTIONS (fuzz):
 
 Every campaign is a short simulation whose every cycle is validated by
 the invariant oracle (flit conservation, credit accounting, wormhole
-ordering, allocation exclusivity, deadlock-probe soundness). Failures
-are shrunk to a minimal spec and printed as a replayable command.
+ordering, allocation exclusivity, deadlock-probe soundness). The sweep
+stops at its first failing campaign, which is shrunk to a minimal spec
+and printed as a replayable command.
 ";
 
 /// A parsed CLI invocation.
@@ -145,7 +144,7 @@ pub enum Command {
         plan: ftnoc_check::CampaignPlan,
         /// Replay this reproducer spec instead of sampling campaigns.
         repro: Option<String>,
-        /// Append shrunk reproducer specs to this file.
+        /// Write the shrunk reproducer spec to this file.
         failures_out: Option<std::path::PathBuf>,
     },
     /// Render a `--metrics-out` file (`ftnoc report FILE`).
@@ -448,8 +447,6 @@ fn parse_fuzz(
             "--campaigns" => plan = plan.campaigns(num(value(it, flag)?, flag)?),
             "--seed" => plan = plan.master_seed(num(value(it, flag)?, flag)?),
             "--threads" => plan = plan.threads(num(value(it, flag)?, flag)?),
-            "--max-failures" => plan = plan.max_failures(num(value(it, flag)?, flag)?),
-            "--shrink-budget" => plan = plan.shrink_budget(num(value(it, flag)?, flag)?),
             "--repro" => repro = Some(value(it, flag)?.to_string()),
             "--failures-out" => {
                 failures_out = Some(std::path::PathBuf::from(value(it, flag)?));
@@ -712,18 +709,14 @@ mod tests {
         };
         assert_eq!(plan.campaigns, 500);
         assert_eq!(plan.threads, 1);
-        assert_eq!(plan.max_failures, 1);
-        let Command::Fuzz { plan, .. } = parse(&args(
-            "fuzz --campaigns 2000 --threads 4 --seed 99 --max-failures 0 --shrink-budget 40",
-        ))
-        .unwrap() else {
+        let Command::Fuzz { plan, .. } =
+            parse(&args("fuzz --campaigns 2000 --threads 4 --seed 99")).unwrap()
+        else {
             panic!("expected fuzz");
         };
         assert_eq!(plan.campaigns, 2000);
         assert_eq!(plan.threads, 4);
         assert_eq!(plan.seed, 99);
-        assert_eq!(plan.max_failures, 1, "clamped to >= 1");
-        assert_eq!(plan.shrink_budget, 40);
         let e = parse(&args("fuzz --threads banana")).unwrap_err();
         assert!(e.0.contains("--threads"), "{e}");
     }
@@ -893,6 +886,12 @@ mod tests {
         // Removed from `fuzz` only: `run --metrics-out` stays.
         assert!(unknown("fuzz", "--metrics-out"), "removed from fuzz");
         assert!(flags(fuzz).all(|f| f != "--metrics-out"));
+        // A sweep stops at its first failure and shrinks it on a fixed
+        // rerun budget.
+        for flag in ["--max-failures", "--shrink-budget"] {
+            assert!(unknown("fuzz", flag), "`{flag}` was removed");
+            assert!(!HELP.contains(flag), "HELP still mentions `{flag}`");
+        }
         // Removed from `run` only: `fuzz --threads` batches campaigns.
         assert!(unknown("run", "--threads"), "removed from run");
         assert!(flags(run).all(|f| f != "--threads"));
