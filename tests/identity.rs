@@ -153,6 +153,35 @@ fn shapes() -> Vec<Shape> {
             ]],
         ),
         shape("table1", &[&["table1"]]),
+        // Logic upsets beyond the 8×8 mesh with 3 VCs: a cmesh's several
+        // local ports, wider and multi-word VA request sets, and DAMQ.
+        run(
+            "run-cmesh-va",
+            &["--topology", "cmesh:4x4:4", "--va-rate", "0.01"],
+        ),
+        run(
+            "run-cmesh-sa",
+            &["--topology", "cmesh:4x4:4", "--sa-rate", "0.01"],
+        ),
+        run(
+            "run-vcs8-upsets",
+            &["--vcs", "8", "--va-rate", "0.01", "--sa-rate", "0.01"],
+        ),
+        run(
+            "run-vcs64-va",
+            &["--vcs", "64", "--va-rate", "0.01", "--packets", "2000"],
+        ),
+        run(
+            "run-damq-upsets",
+            &[
+                "--buffer-org",
+                "damq",
+                "--va-rate",
+                "0.01",
+                "--sa-rate",
+                "0.01",
+            ],
+        ),
     ]
 }
 
