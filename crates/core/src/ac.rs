@@ -155,9 +155,10 @@ impl AllocationComparator {
 
     /// One combinational evaluation over the three state tables.
     ///
-    /// `vcs_per_port` bounds valid VC ids. Findings are returned in
-    /// check order (agreement, VA validity, SA validity); an empty vector
-    /// means the error flag stays low.
+    /// `vcs_per_port` bounds valid VC ids. As in Fig. 12's hardware, each
+    /// table is held as bit sets and each row read once. Findings come in
+    /// row order, VA rows before SA rows; a double booking names its first
+    /// claimant. An empty vector means the error flag stays low.
     pub fn check(
         &mut self,
         rt: &[RtEntry],
@@ -168,10 +169,19 @@ impl AllocationComparator {
         self.checks += 1;
         let mut findings = Vec::new();
 
-        // (1) VA vs RT agreement.
-        for v in va {
-            if let Some(r) = rt.iter().find(|r| r.input_vc == v.input_vc) {
-                if r.valid_out_port != v.out_port {
+        // One pass over the VA rows checks (1) agreement with the RT row
+        // of the same input VC, looked up only when `routed` has one, and
+        // (2) VA validity: invalid ids and output VCs held twice.
+        let (mut routed, mut held) = ([[0; 4]; 5], [[0; 4]; 5]);
+        for r in rt {
+            let (word, bit) = vc_bit(&mut routed, r.input_vc);
+            *word |= bit;
+        }
+        for (i, v) in va.iter().enumerate() {
+            let (word, bit) = vc_bit(&mut routed, v.input_vc);
+            if *word & bit != 0 {
+                let r = rt.iter().find(|r| r.input_vc == v.input_vc);
+                if let Some(r) = r.filter(|r| r.valid_out_port != v.out_port) {
                     findings.push(AcFinding::VaDisagreesWithRt {
                         input_vc: v.input_vc,
                         va_port: v.out_port,
@@ -179,54 +189,54 @@ impl AllocationComparator {
                     });
                 }
             }
-        }
-
-        // (2) VA validity: invalid ids and duplicates.
-        for v in va {
             if v.out_vc as usize >= vcs_per_port {
                 findings.push(AcFinding::InvalidOutputVc {
                     input_vc: v.input_vc,
                     out_vc: v.out_vc,
                 });
             }
-        }
-        for (i, a) in va.iter().enumerate() {
-            for b in va.iter().skip(i + 1) {
-                if a.out_port == b.out_port && a.out_vc == b.out_vc {
-                    findings.push(AcFinding::DuplicateOutputVc {
-                        first: a.input_vc,
-                        second: b.input_vc,
-                        out: VcRef::new(a.out_port, a.out_vc),
-                    });
-                }
+            let out = VcRef::new(v.out_port, v.out_vc);
+            let (word, bit) = vc_bit(&mut held, out);
+            if *word & bit != 0 {
+                let first = va[..i]
+                    .iter()
+                    .find(|a| a.out_port == out.port && a.out_vc == out.vc);
+                findings.push(AcFinding::DuplicateOutputVc {
+                    first: first.expect("an earlier claimant").input_vc,
+                    second: v.input_vc,
+                    out,
+                });
             }
+            *word |= bit;
         }
 
         // (3) SA validity: invalid winners, duplicate outputs, multicast.
-        for s in sa {
+        let (mut outs, mut ins) = (0u8, 0u8);
+        for (i, s) in sa.iter().enumerate() {
             if s.winning_vc as usize >= vcs_per_port {
                 findings.push(AcFinding::InvalidWinningVc {
                     input_port: s.input_port,
                     vc: s.winning_vc,
                 });
             }
-        }
-        for (i, a) in sa.iter().enumerate() {
-            for b in sa.iter().skip(i + 1) {
-                if a.out_port == b.out_port {
-                    findings.push(AcFinding::DuplicateOutputPort {
-                        first: a.input_port,
-                        second: b.input_port,
-                        out_port: a.out_port,
-                    });
-                }
-                if a.input_port == b.input_port {
-                    // One input connected to two outputs in the same cycle.
-                    findings.push(AcFinding::Multicast {
-                        input_port: a.input_port,
-                    });
-                }
+            let out = 1u8 << s.out_port.index();
+            if outs & out != 0 {
+                let first = sa[..i].iter().find(|a| a.out_port == s.out_port);
+                findings.push(AcFinding::DuplicateOutputPort {
+                    first: first.expect("an earlier claimant").input_port,
+                    second: s.input_port,
+                    out_port: s.out_port,
+                });
             }
+            outs |= out;
+            let input = 1u8 << s.input_port.index();
+            if ins & input != 0 {
+                // One input connected to two outputs in the same cycle.
+                findings.push(AcFinding::Multicast {
+                    input_port: s.input_port,
+                });
+            }
+            ins |= input;
         }
 
         if !findings.is_empty() {
@@ -234,6 +244,16 @@ impl AllocationComparator {
         }
         findings
     }
+}
+
+/// The word and bit of `r` in a set of (port, VC id) pairs: four words
+/// per port give every id a `u8` can carry its own bit, so caller-built
+/// tables with ids of 64 and up stay exact.
+fn vc_bit(set: &mut [[u64; 4]; 5], r: VcRef) -> (&mut u64, u64) {
+    (
+        &mut set[r.port.index()][usize::from(r.vc >> 6)],
+        1 << (r.vc & 63),
+    )
 }
 
 #[cfg(test)]
@@ -444,5 +464,145 @@ mod tests {
     fn vcref_display() {
         assert_eq!(vc(North, 1).to_string(), "N_1");
         assert_eq!(vc(South, 2).to_string(), "S_2");
+    }
+
+    /// The comparator as it was before its tables became bit sets:
+    /// pairwise scans over the rows. The property test below holds
+    /// [`AllocationComparator::check`] to it.
+    fn pairwise(rt: &[RtEntry], va: &[VaEntry], sa: &[SaEntry], vcs: usize) -> Vec<AcFinding> {
+        let mut findings = Vec::new();
+        for v in va {
+            if let Some(r) = rt.iter().find(|r| r.input_vc == v.input_vc) {
+                if r.valid_out_port != v.out_port {
+                    findings.push(AcFinding::VaDisagreesWithRt {
+                        input_vc: v.input_vc,
+                        va_port: v.out_port,
+                        rt_port: r.valid_out_port,
+                    });
+                }
+            }
+        }
+        for v in va.iter().filter(|v| v.out_vc as usize >= vcs) {
+            findings.push(AcFinding::InvalidOutputVc {
+                input_vc: v.input_vc,
+                out_vc: v.out_vc,
+            });
+        }
+        for (i, a) in va.iter().enumerate() {
+            for b in &va[i + 1..] {
+                if a.out_port == b.out_port && a.out_vc == b.out_vc {
+                    findings.push(AcFinding::DuplicateOutputVc {
+                        first: a.input_vc,
+                        second: b.input_vc,
+                        out: VcRef::new(a.out_port, a.out_vc),
+                    });
+                }
+            }
+        }
+        for s in sa.iter().filter(|s| s.winning_vc as usize >= vcs) {
+            findings.push(AcFinding::InvalidWinningVc {
+                input_port: s.input_port,
+                vc: s.winning_vc,
+            });
+        }
+        for (i, a) in sa.iter().enumerate() {
+            for b in &sa[i + 1..] {
+                if a.out_port == b.out_port {
+                    findings.push(AcFinding::DuplicateOutputPort {
+                        first: a.input_port,
+                        second: b.input_port,
+                        out_port: a.out_port,
+                    });
+                }
+                if a.input_port == b.input_port {
+                    findings.push(AcFinding::Multicast {
+                        input_port: a.input_port,
+                    });
+                }
+            }
+        }
+        findings
+    }
+
+    /// No key occurs more than twice.
+    fn at_most_two<K: PartialEq>(keys: &[K]) -> bool {
+        keys.iter()
+            .all(|k| keys.iter().filter(|other| *other == k).count() <= 2)
+    }
+
+    /// The bit-set evaluation raises the flag exactly when the pairwise
+    /// scans do, and finds the same set when no output or input has more
+    /// than two claimants. The random tables hold invalid ids, repeated
+    /// claimants, duplicated RT rows, ids of 64 and up, and the local
+    /// ports of a concentrated router collapsed onto `Local`.
+    #[test]
+    fn check_matches_the_pairwise_scans() {
+        use ftnoc_rng::Rng;
+        let mut rng = Rng::seed_from_u64(0xAC12);
+        // Ports 4 and 5 are a concentrated router's local ports: both
+        // map to Local.
+        let port = |rng: &mut Rng| Direction::for_port(rng.gen_range(0..6usize));
+        let id = |rng: &mut Rng| {
+            if rng.gen_bool(0.1) {
+                rng.next_u64() as u8
+            } else {
+                rng.gen_range(0..8u8)
+            }
+        };
+        let (mut flagged, mut compared) = (0, 0);
+        for case in 0..20_000 {
+            let vcs = [1, 3, 4, 8, 64, 100][case % 6];
+            let mut rt: Vec<RtEntry> = (0..rng.gen_range(0..6usize))
+                .map(|_| RtEntry {
+                    input_vc: vc(port(&mut rng), id(&mut rng)),
+                    valid_out_port: port(&mut rng),
+                })
+                .collect();
+            if !rt.is_empty() && rng.gen_bool(0.3) {
+                let input_vc = rt[rng.gen_range(0..rt.len())].input_vc;
+                rt.push(RtEntry {
+                    input_vc,
+                    valid_out_port: port(&mut rng),
+                });
+            }
+            let va: Vec<VaEntry> = (0..rng.gen_range(0..7usize))
+                .map(|_| VaEntry {
+                    input_vc: if !rt.is_empty() && rng.gen_bool(0.5) {
+                        rt[rng.gen_range(0..rt.len())].input_vc
+                    } else {
+                        vc(port(&mut rng), id(&mut rng))
+                    },
+                    out_port: port(&mut rng),
+                    out_vc: id(&mut rng),
+                })
+                .collect();
+            let sa: Vec<SaEntry> = (0..rng.gen_range(0..4usize))
+                .map(|_| SaEntry {
+                    input_port: port(&mut rng),
+                    winning_vc: id(&mut rng),
+                    out_port: port(&mut rng),
+                })
+                .collect();
+
+            let got = AllocationComparator::new().check(&rt, &va, &sa, vcs);
+            let want = pairwise(&rt, &va, &sa, vcs);
+            assert_eq!(got.is_empty(), want.is_empty(), "case {case}");
+            flagged += usize::from(!got.is_empty());
+            let outs: Vec<VcRef> = va.iter().map(|v| vc(v.out_port, v.out_vc)).collect();
+            let sa_outs: Vec<Direction> = sa.iter().map(|s| s.out_port).collect();
+            let sa_ins: Vec<Direction> = sa.iter().map(|s| s.input_port).collect();
+            if at_most_two(&outs) && at_most_two(&sa_outs) && at_most_two(&sa_ins) {
+                compared += 1;
+                assert_eq!(got.len(), want.len(), "case {case}");
+                for f in &want {
+                    let count = |list: &[AcFinding]| list.iter().filter(|g| *g == f).count();
+                    assert_eq!(count(&got), count(&want), "case {case}: {f:?}");
+                }
+            }
+        }
+        // Both outcomes are well represented, and most tables compare
+        // their findings in full.
+        assert!((1_000..19_000).contains(&flagged), "{flagged} flagged");
+        assert!(compared > 10_000, "{compared} compared in full");
     }
 }

@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use ftnoc_core::ac::{AllocationComparator, RtEntry, SaEntry, VaEntry, VcRef};
+use ftnoc_core::ac::{AllocationComparator, RtEntry, VaEntry, VcRef};
 use ftnoc_core::buffers::{CreditLedger, PortBuffer};
 use ftnoc_core::deadlock::probe::ProbeProtocol;
 use ftnoc_core::hbh::{HbhReceiver, ReceiverVerdict};
@@ -208,26 +208,27 @@ impl TraceBuf {
 /// pipeline performs no heap allocation.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// VA stage 1 nominations: (input index, out port, out vc, rt port).
-    requests: Vec<(usize, usize, usize, Direction)>,
-    /// VA stage 2 winners (same layout as `requests`).
-    winners: Vec<(usize, usize, usize, Direction)>,
+    /// VA request masks, one run of words per output VC `op * vcs + ov`,
+    /// a bit per nominating input VC `ip * vcs + iv`; left clear.
+    va_req: Vec<u64>,
+    /// A bit per output VC with at least one nomination; left clear.
+    va_requested: Vec<u64>,
+    /// The routing port each nominating input VC asked for (its RT row).
+    va_rt: Vec<Direction>,
+    /// VA winners: (input port, input vc, out port, out vc, rt port).
+    winners: Vec<(usize, usize, usize, usize, Direction)>,
     /// Which winners were corrupted by an injected VA upset.
     corrupted: Vec<bool>,
-    /// Request lines fed to whichever arbiter is being consulted.
-    lines: Vec<bool>,
-    /// `any_req[op * vcs + ov]`: at least one VA request targets this
-    /// output VC (lets stage 2 skip idle arbiters without touching
-    /// their round-robin state — `grant` on all-false lines is a no-op).
-    any_req: Vec<bool>,
     /// AC inputs rebuilt per check.
     rt_entries: Vec<RtEntry>,
     va_entries: Vec<VaEntry>,
-    sa_entries: Vec<SaEntry>,
     /// Indices of winners flagged by the AC.
     flagged: Vec<usize>,
-    /// SA stage 1 result per input port: (vc, out port, out vc).
-    port_winner: Vec<Option<(usize, usize, usize)>>,
+    /// SA stage 1 winner per input port: (vc, out vc).
+    port_winner: Vec<(usize, usize)>,
+    /// SA stage 2 requests: bit `p` of `sa_req[op]` when input port `p`'s
+    /// winner wants output `op`.
+    sa_req: Vec<u64>,
     /// SA grants: (input port, input vc, out port, out vc, collided in
     /// the crossbar — §4.3(c) without the AC).
     grants: Vec<(usize, usize, usize, usize, bool)>,
@@ -935,10 +936,17 @@ impl Router {
         // router's own state is borrowed.
         let mut sc = std::mem::take(&mut self.scratch);
 
-        // Stage 1: each waiting input VC nominates one free output VC.
-        // (input index, output port, output vc, rt port for the AC table)
-        sc.requests.clear();
-        let requests = &mut sc.requests;
+        // Stage 1: each waiting input VC nominates one free output VC by
+        // setting its bit in that output VC's request mask.
+        let words = total.div_ceil(64);
+        sc.va_req.resize(total * words, 0);
+        sc.va_requested.resize(words, 0);
+        sc.va_rt.resize(total, Direction::Local);
+        // Rotate the preferred output VC by the cycle count rather than a
+        // stateful per-phase counter: the same fairness rotation, but
+        // derived from `now`, so a router skipped by activity gating
+        // resumes at exactly the offset a full-sweep run would have.
+        let rotation = ctx.now as usize % vcs;
         for p in 0..ports {
             for v in 0..vcs {
                 let VcState::VaWait {
@@ -978,18 +986,14 @@ impl Router {
                     {
                         continue;
                     }
-                    for dv in 0..vcs {
-                        // Rotate the preferred output VC by the cycle
-                        // count rather than a stateful per-phase counter:
-                        // the same fairness rotation, but derived from
-                        // `now`, so a router skipped by activity gating
-                        // resumes at exactly the offset a full-sweep run
-                        // would have.
-                        let ov = (dv + (ctx.now as usize % vcs)) % vcs;
+                    for ov in (rotation..vcs).chain(0..rotation) {
                         if self.outputs[op].allocated[ov].is_none()
                             && self.outputs[op].retrans[ov].is_empty()
                         {
-                            requests.push((p * vcs + v, op, ov, cand));
+                            let (input, out) = (p * vcs + v, op * vcs + ov);
+                            sc.va_req[out * words + input / 64] |= 1 << (input % 64);
+                            sc.va_requested[out / 64] |= 1 << (out % 64);
+                            sc.va_rt[input] = cand;
                             break 'cand;
                         }
                     }
@@ -997,39 +1001,25 @@ impl Router {
             }
         }
 
-        // Stage 2: arbitrate per output VC. Only output VCs with at
-        // least one request consult their arbiter: `grant` leaves the
-        // round-robin pointer untouched on all-false lines, so skipping
-        // idle VCs is behavior-identical and saves the line scan.
-        sc.any_req.clear();
-        sc.any_req.resize(total, false);
-        for &(_, op, ov, _) in requests.iter() {
-            sc.any_req[op * vcs + ov] = true;
-        }
+        // Stage 2: arbitrate per requested output VC, in ascending
+        // `op * vcs + ov` order; idle output VCs never touch their
+        // arbiter's round-robin pointer.
         sc.winners.clear();
-        let winners = &mut sc.winners;
-        for op in 0..ports {
-            for ov in 0..vcs {
-                if !sc.any_req[op * vcs + ov] {
-                    continue;
-                }
-                sc.lines.clear();
-                sc.lines.resize(total, false);
-                for &(input, rop, rov, _) in requests.iter() {
-                    if rop == op && rov == ov {
-                        sc.lines[input] = true;
-                    }
-                }
-                if let Some(winner) = self.va_arbiters[op * vcs + ov].grant(&sc.lines) {
-                    let rt_port = requests
-                        .iter()
-                        .find(|r| r.0 == winner && r.1 == op && r.2 == ov)
-                        .map(|r| r.3)
-                        .expect("winner requested this VC");
-                    winners.push((winner, op, ov, rt_port));
-                }
+        for w in 0..words {
+            let mut requested = std::mem::take(&mut sc.va_requested[w]);
+            while requested != 0 {
+                let out = w * 64 + requested.trailing_zeros() as usize;
+                requested &= requested - 1;
+                let req = &mut sc.va_req[out * words..(out + 1) * words];
+                let winner = self.va_arbiters[out]
+                    .grant(req)
+                    .expect("a requested output VC has a requester");
+                req.fill(0);
+                let (ip, iv, rt_port) = (winner / vcs, winner % vcs, sc.va_rt[winner]);
+                sc.winners.push((ip, iv, out / vcs, out % vcs, rt_port));
             }
         }
+        let winners = &mut sc.winners;
 
         // §4.1: VC-allocator soft errors corrupt committed pairings.
         sc.corrupted.clear();
@@ -1043,22 +1033,22 @@ impl Router {
             // wrong PC (4b). Drawn uniformly via the corrupted field.
             let kind = self.fi.corrupt_choice(0, 3);
             match kind {
-                1 => w.2 = vcs, // invalid output VC id
+                1 => w.3 = vcs, // invalid output VC id
                 2 => {
                     // Wrong physical channel.
-                    let wrong = self.fi.corrupt_choice(w.1, ports);
-                    w.1 = wrong;
-                    w.2 = w.2.min(vcs - 1);
+                    let wrong = self.fi.corrupt_choice(w.2, ports);
+                    w.2 = wrong;
+                    w.3 = w.3.min(vcs - 1);
                 }
                 _ => {
                     // Duplicate: point at a VC that is already reserved,
                     // if one exists.
                     if let Some(res) =
-                        (0..vcs).find(|&ov| self.outputs[w.1].allocated[ov].is_some())
+                        (0..vcs).find(|&ov| self.outputs[w.2].allocated[ov].is_some())
                     {
-                        w.2 = res;
+                        w.3 = res;
                     } else {
-                        w.2 = vcs; // fall back to an invalid id
+                        w.3 = vcs; // fall back to an invalid id
                     }
                 }
             }
@@ -1067,9 +1057,9 @@ impl Router {
         // Allocation Comparator: evaluate the RT/VA/SA state (Figure 12).
         if ctx.config.ac_enabled {
             sc.rt_entries.clear();
-            for &(input, _, _, rt_port) in winners.iter() {
+            for &(ip, iv, _, _, rt_port) in winners.iter() {
                 sc.rt_entries.push(RtEntry {
-                    input_vc: self.input_vcref(input),
+                    input_vc: VcRef::new(Direction::for_port(ip), iv as u8),
                     valid_out_port: rt_port,
                 });
             }
@@ -1078,16 +1068,16 @@ impl Router {
                 for ov in 0..vcs {
                     if let Some((ip, iv)) = self.outputs[op].allocated[ov] {
                         sc.va_entries.push(VaEntry {
-                            input_vc: self.input_vcref(ip * vcs + iv),
+                            input_vc: VcRef::new(Direction::for_port(ip), iv as u8),
                             out_port: Direction::for_port(op),
                             out_vc: ov as u8,
                         });
                     }
                 }
             }
-            for &(input, op, ov, _) in winners.iter() {
+            for &(ip, iv, op, ov, _) in winners.iter() {
                 sc.va_entries.push(VaEntry {
-                    input_vc: self.input_vcref(input),
+                    input_vc: VcRef::new(Direction::for_port(ip), iv as u8),
                     out_port: Direction::for_port(op),
                     out_vc: ov as u8,
                 });
@@ -1122,8 +1112,7 @@ impl Router {
         }
 
         // Commit.
-        for &(input, op, ov, _) in winners.iter() {
-            let (p, v) = (input / vcs, input % vcs);
+        for &(p, v, op, ov, _) in winners.iter() {
             if ov < vcs {
                 self.outputs[op].allocated[ov] = Some((p, v));
                 self.outputs[op].allocated_at[ov] = ctx.now;
@@ -1148,11 +1137,6 @@ impl Router {
         self.scratch = sc;
     }
 
-    fn input_vcref(&self, input: usize) -> VcRef {
-        let vcs = self.cfg.vcs_per_port();
-        VcRef::new(Direction::for_port(input / vcs), (input % vcs) as u8)
-    }
-
     /// Switch allocation (§4.3 faults + AC protection).
     pub fn sa_phase(&mut self, ctx: &Ctx<'_>) {
         let ports = self.cfg.ports();
@@ -1160,12 +1144,13 @@ impl Router {
         let scheme = ctx.config.scheme;
         let mut sc = std::mem::take(&mut self.scratch);
 
-        // Stage 1: per input port, pick one eligible VC.
-        sc.port_winner.clear();
-        sc.port_winner.resize(ports, None);
+        // Stage 1: per input port, pick one eligible VC; the winner's
+        // output port gains this port's request bit.
+        sc.port_winner.resize(ports, (0, 0));
+        sc.sa_req.clear();
+        sc.sa_req.resize(ports, 0);
         for p in 0..ports {
-            sc.lines.clear();
-            sc.lines.resize(vcs, false);
+            let mut eligible = 0u64;
             for v in 0..vcs {
                 let VcState::Active {
                     out_port,
@@ -1195,37 +1180,25 @@ impl Router {
                 {
                     continue;
                 }
-                sc.lines[v] = true;
+                eligible |= 1 << v;
             }
-            if let Some(v) = self.sa_in_arbiters[p].grant(&sc.lines) {
+            if let Some(v) = self.sa_in_arbiters[p].grant(&[eligible]) {
                 if let VcState::Active {
                     out_port, out_vc, ..
                 } = self.inputs[p].vcs[v].state
                 {
-                    sc.port_winner[p] = Some((v, out_port, out_vc));
+                    sc.port_winner[p] = (v, out_vc);
+                    sc.sa_req[out_port] |= 1 << p;
                 }
             }
         }
 
-        // Stage 2: per output port, pick one input port. Skipped when no
-        // input port won anything (the idle-router common case; `grant`
-        // on all-false lines would be a no-op anyway).
+        // Stage 2: per output port, pick one requesting input port.
         sc.grants.clear();
-        if sc.port_winner.iter().any(|w| w.is_some()) {
-            for op in 0..ports {
-                sc.lines.clear();
-                sc.lines.resize(ports, false);
-                for (p, w) in sc.port_winner.iter().enumerate() {
-                    if let Some((_, wop, _)) = w {
-                        if *wop == op {
-                            sc.lines[p] = true;
-                        }
-                    }
-                }
-                if let Some(p) = self.sa_out_arbiters[op].grant(&sc.lines) {
-                    let (v, _, ov) = sc.port_winner[p].expect("winner recorded");
-                    sc.grants.push((p, v, op, ov, false));
-                }
+        for op in 0..ports {
+            if let Some(p) = self.sa_out_arbiters[op].grant(&[sc.sa_req[op]]) {
+                let (v, ov) = sc.port_winner[p];
+                sc.grants.push((p, v, op, ov, false));
             }
         }
         let grants = &mut sc.grants;
@@ -1251,15 +1224,6 @@ impl Router {
                     // the flit departs the wrong way and strands.
                     if ctx.config.ac_enabled {
                         self.events.ac_check += 1;
-                        sc.sa_entries.clear();
-                        for &(p, v, op, ..) in grants.iter() {
-                            sc.sa_entries.push(SaEntry {
-                                input_port: Direction::for_port(p),
-                                winning_vc: v as u8,
-                                out_port: Direction::for_port(op),
-                            });
-                        }
-                        let _ = self.ac.check(&[], &[], &sc.sa_entries, vcs);
                         grants.remove(i);
                         self.errors.sa_corrected += 1;
                     } else {
@@ -1340,7 +1304,6 @@ impl Router {
     /// injection applied here, from this router's own fault stream).
     pub fn st_phase(&mut self, ctx: &Ctx<'_>) {
         let vcs = self.cfg.vcs_per_port();
-        let mut sc = std::mem::take(&mut self.scratch);
         for port in 0..self.cfg.ports() {
             let dir = Direction::for_port(port);
             if !self.outputs[port].exists {
@@ -1348,13 +1311,11 @@ impl Router {
             }
             if dir != Direction::Local {
                 // Priority 1: NACK-triggered replay.
-                sc.lines.clear();
-                sc.lines
-                    .extend((0..vcs).map(|v| self.outputs[port].retrans[v].is_replaying()));
-                if sc.lines.iter().any(|&b| b) {
-                    let v = self.replay_rr[port]
-                        .grant(&sc.lines)
-                        .expect("a replaying VC exists");
+                let out = &self.outputs[port];
+                let replaying = (0..vcs).fold(0u64, |m, v| {
+                    m | u64::from(out.retrans[v].is_replaying()) << v
+                });
+                if let Some(v) = self.replay_rr[port].grant(&[replaying]) {
                     if let Some(flit) = self.outputs[port].retrans[v].next_replay(ctx.now) {
                         self.events.retransmission += 1;
                         self.events.link += 1;
@@ -1368,13 +1329,12 @@ impl Router {
                     continue;
                 }
                 // Priority 2: deadlock-recovery held flits.
-                sc.lines.clear();
-                sc.lines.extend((0..vcs).map(|v| {
-                    self.outputs[port].retrans[v].front_held().is_some()
-                        && self.outputs[port].credits.available(v)
-                }));
-                if sc.lines.iter().any(|&b| b) {
-                    let v = self.replay_rr[port].grant(&sc.lines).expect("held VC");
+                let out = &self.outputs[port];
+                let held = (0..vcs).fold(0u64, |m, v| {
+                    let ready = out.retrans[v].front_held().is_some() && out.credits.available(v);
+                    m | u64::from(ready) << v
+                });
+                if let Some(v) = self.replay_rr[port].grant(&[held]) {
                     if let Some(flit) = self.outputs[port].retrans[v].send_held(ctx.now) {
                         self.outputs[port].credits.consume(v);
                         if flit.kind.is_tail() {
@@ -1438,7 +1398,6 @@ impl Router {
                 }
             }
         }
-        self.scratch = sc;
     }
 
     /// Finalizes one outgoing flit: trace it, apply §4.4 crossbar upsets
