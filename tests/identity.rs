@@ -182,6 +182,27 @@ fn shapes() -> Vec<Shape> {
                 "0.01",
             ],
         ),
+        // Every named value the run flags parse, beyond the ones above.
+        run("run-pat-bc", &["--pattern", "bc"]),
+        run("run-pat-tn", &["--pattern", "tn"]),
+        run("run-pat-tp", &["--pattern", "tp"]),
+        run("run-pat-br", &["--pattern", "br"]),
+        run("run-pat-sh", &["--pattern", "sh"]),
+        run("run-pat-nn", &["--pattern", "nn"]),
+        run("run-pat-hs", &["--pattern", "hs"]),
+        run("run-route-ad", &["--routing", "ad"]),
+        run("run-route-oe", &["--routing", "oe"]),
+        run("run-pipe1", &["--pipeline", "1"]),
+        run("run-pipe4", &["--pipeline", "4"]),
+        run("run-pktlen8", &["--packet-len", "8", "--buffer", "8"]),
+        run(
+            "run-damq-pool16",
+            &["--buffer-org", "damq", "--damq-pool", "16"],
+        ),
+        run(
+            "run-warmup0",
+            &["--warmup", "0", "--seed", "9", "--inj", "0.1"],
+        ),
     ]
 }
 
