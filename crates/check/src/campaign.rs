@@ -19,7 +19,7 @@ use ftnoc_sim::{NetSnapshot, Network, SimConfig};
 use ftnoc_traffic::{InjectionProcess, TrafficPattern};
 use ftnoc_types::config::{BufferOrg, PipelineDepth, RouterConfig};
 use ftnoc_types::geom::{Direction, NodeId, Topology, TopologyKind};
-use ftnoc_types::ConfigError;
+use ftnoc_types::{lookup, name, ConfigError};
 
 use crate::oracle::{Oracle, Violation};
 
@@ -120,58 +120,6 @@ pub struct CampaignParams {
     pub wear_budget: u64,
 }
 
-/// Reproducer-spec names of the four enumerated keys, one table per
-/// key, read in both directions by [`CampaignParams::to_spec`] and
-/// [`CampaignParams::from_spec`]. What is not in a table can be neither
-/// sampled nor parsed.
-const ROUTES: [(&str, RoutingAlgorithm); 5] = [
-    ("xy", RoutingAlgorithm::XyDeterministic),
-    ("wf", RoutingAlgorithm::WestFirstAdaptive),
-    ("fa", RoutingAlgorithm::FullyAdaptive),
-    ("oe", RoutingAlgorithm::OddEven),
-    ("fta", RoutingAlgorithm::FaultAware),
-];
-const SCHEMES: [(&str, ErrorScheme); 4] = [
-    ("hbh", ErrorScheme::Hbh),
-    ("e2e", ErrorScheme::E2e),
-    ("fec", ErrorScheme::Fec),
-    ("none", ErrorScheme::Unprotected),
-];
-const PATTERNS: [(&str, TrafficPattern); 6] = [
-    ("uniform", TrafficPattern::Uniform),
-    ("bitcomp", TrafficPattern::BitComplement),
-    ("tornado", TrafficPattern::Tornado),
-    ("transpose", TrafficPattern::Transpose),
-    ("bitrev", TrafficPattern::BitReverse),
-    ("shuffle", TrafficPattern::Shuffle),
-];
-const PROCESSES: [(&str, InjectionProcess); 2] = [
-    ("reg", InjectionProcess::Regular),
-    ("bern", InjectionProcess::Bernoulli),
-];
-
-/// The table's name for `value`.
-fn spec_name<T: PartialEq + std::fmt::Debug>(
-    table: &[(&'static str, T)],
-    value: &T,
-) -> &'static str {
-    let name = table
-        .iter()
-        .find(|(_, t)| t == value)
-        .map(|(name, _)| *name);
-    debug_assert!(name.is_some(), "{value:?} has no reproducer-spec name");
-    name.unwrap_or("?")
-}
-
-/// The table's value for `name`; `what` says which key in the error.
-fn spec_value<T: Clone>(table: &[(&str, T)], what: &str, name: &str) -> Result<T, String> {
-    table
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, t)| t.clone())
-        .ok_or_else(|| format!("unknown {what} {name:?}"))
-}
-
 impl CampaignParams {
     /// Deterministically samples campaign `index` of a fuzz run keyed
     /// by `master` (an independent RNG stream per campaign).
@@ -224,7 +172,7 @@ impl CampaignParams {
             vcs: r.gen_range(1..4u64) as usize,
             buffer: r.gen_range(2..6u64) as usize,
             retrans: r.gen_range(3..7u64) as usize,
-            pipeline: pipeline_from(r.gen_range(1..5u64)),
+            pipeline: PipelineDepth::from_stages(r.gen_range(1..5u64)).expect("drawn from 1..=4"),
             routing,
             scheme,
             ac: r.gen_bool(0.7),
@@ -460,11 +408,11 @@ impl CampaignParams {
             self.buffer,
             self.retrans,
             self.pipeline as u8,
-            spec_name(&ROUTES, &self.routing),
-            spec_name(&SCHEMES, &self.scheme),
+            name(RoutingAlgorithm::NAMES, &self.routing),
+            name(ErrorScheme::NAMES, &self.scheme),
             u8::from(self.ac),
-            spec_name(&PATTERNS, &self.pattern),
-            spec_name(&PROCESSES, &self.injection),
+            name(TrafficPattern::NAMES, &self.pattern),
+            name(InjectionProcess::NAMES, &self.injection),
             self.rate,
             self.link,
             self.handshake,
@@ -542,6 +490,11 @@ impl CampaignParams {
                     |_| bad_value(k, v)
                 };
             }
+            macro_rules! named {
+                ($table:expr, $what:literal) => {
+                    lookup($table, v).ok_or_else(|| format!("unknown {} {v:?}", $what))?
+                };
+            }
             match k {
                 "w" => p.width = v.parse().map_err(bad!())?,
                 "h" => p.height = v.parse().map_err(bad!())?,
@@ -549,16 +502,15 @@ impl CampaignParams {
                 "buf" => p.buffer = v.parse().map_err(bad!())?,
                 "rtx" => p.retrans = v.parse().map_err(bad!())?,
                 "pipe" => {
-                    p.pipeline = match v.parse().map_err(bad!())? {
-                        depth @ 1..=4 => pipeline_from(depth),
-                        _ => return Err(bad_value(k, v)),
-                    }
+                    let stages = v.parse().map_err(bad!())?;
+                    p.pipeline =
+                        PipelineDepth::from_stages(stages).ok_or_else(|| bad_value(k, v))?;
                 }
-                "route" => p.routing = spec_value(&ROUTES, "routing", v)?,
-                "scheme" => p.scheme = spec_value(&SCHEMES, "scheme", v)?,
+                "route" => p.routing = named!(RoutingAlgorithm::NAMES, "routing"),
+                "scheme" => p.scheme = named!(ErrorScheme::NAMES, "scheme"),
                 "ac" => p.ac = flag(k, v)?,
-                "pat" => p.pattern = spec_value(&PATTERNS, "pattern", v)?,
-                "proc" => p.injection = spec_value(&PROCESSES, "injection process", v)?,
+                "pat" => p.pattern = named!(TrafficPattern::NAMES, "pattern"),
+                "proc" => p.injection = named!(InjectionProcess::NAMES, "injection process"),
                 "inj" => p.rate = v.parse().map_err(bad!())?,
                 "link" => p.link = v.parse().map_err(bad!())?,
                 "hs" => p.handshake = v.parse().map_err(bad!())?,
@@ -666,15 +618,6 @@ fn flag(k: &str, v: &str) -> Result<bool, String> {
         "0" => Ok(false),
         "1" => Ok(true),
         _ => Err(bad_value(k, v)),
-    }
-}
-
-fn pipeline_from(depth: u64) -> PipelineDepth {
-    match depth {
-        1 => PipelineDepth::One,
-        2 => PipelineDepth::Two,
-        3 => PipelineDepth::Three,
-        _ => PipelineDepth::Four,
     }
 }
 
@@ -828,6 +771,7 @@ fn transforms(p: &CampaignParams, v: &Violation) -> Vec<CampaignParams> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
 
     /// Every sampled campaign's reproducer spec round-trips exactly —
     /// including the router-kill and wear-out dimensions appended in
@@ -846,6 +790,30 @@ mod tests {
         }
         assert!(rkills > 5, "router-kill dimension never sampled");
         assert!(wears > 10, "wear-out dimension never sampled");
+    }
+
+    /// Every row of `table` parses to its value, and the values print
+    /// as `printed`, in table order (a value's aliases follow its name).
+    fn round_trip<T: Clone + PartialEq + Debug>(table: &[(&'static str, T)], printed: &str) {
+        for (text, value) in table {
+            assert_eq!(lookup(table, text).as_ref(), Some(value), "{text}");
+        }
+        let mut names: Vec<&str> = table.iter().map(|(_, value)| name(table, value)).collect();
+        names.dedup();
+        assert_eq!(names.join(" "), printed);
+    }
+
+    /// The printed names are the reproducer spec's names of old, so no
+    /// pinned spec moves.
+    #[test]
+    fn name_tables_round_trip() {
+        round_trip(RoutingAlgorithm::NAMES, "xy wf fa oe fta");
+        round_trip(ErrorScheme::NAMES, "hbh e2e fec none");
+        let patterns = "uniform bitcomp tornado transpose bitrev shuffle nn hs";
+        round_trip(TrafficPattern::NAMES, patterns);
+        round_trip(InjectionProcess::NAMES, "reg bern");
+        round_trip(OrgFilter::NAMES, "static damq");
+        round_trip(ScenarioFilter::NAMES, "midrun-fault topology wearout");
     }
 
     /// The new dimensions are drawn after every pre-existing one, so a
@@ -1025,8 +993,14 @@ pub enum OrgFilter {
     Damq,
 }
 
-/// Applies an [`OrgFilter`] to freshly sampled parameters (shared by
-/// the serial and batched execution paths, so both coerce identically).
+impl OrgFilter {
+    /// Text names for [`lookup`] / [`name`]; `run --buffer-org` reads
+    /// them too.
+    pub const NAMES: &'static [(&'static str, OrgFilter)] =
+        &[("static", OrgFilter::Static), ("damq", OrgFilter::Damq)];
+}
+
+/// Applies an [`OrgFilter`] to freshly sampled parameters.
 pub(crate) fn apply_org_filter(params: &mut CampaignParams, org: Option<OrgFilter>) {
     match org {
         Some(OrgFilter::Static) => params.damq_pool = 0,
@@ -1057,11 +1031,18 @@ pub enum ScenarioFilter {
     Wearout,
 }
 
-/// Applies a [`ScenarioFilter`] to freshly sampled parameters (shared
-/// by the serial and batched execution paths, so both coerce
-/// identically). Coercions the sampler did not already make are derived
-/// deterministically from already-sampled parameters — a pure function
-/// of the campaign, no extra RNG draws.
+impl ScenarioFilter {
+    /// Text names for [`lookup`] / [`name`].
+    pub const NAMES: &'static [(&'static str, ScenarioFilter)] = &[
+        ("midrun-fault", ScenarioFilter::MidRunFault),
+        ("topology", ScenarioFilter::Topology),
+        ("wearout", ScenarioFilter::Wearout),
+    ];
+}
+
+/// Applies a [`ScenarioFilter`] to freshly sampled parameters. Coercions
+/// the sampler did not already make are derived deterministically from
+/// already-sampled parameters — a pure function of the campaign, no RNG.
 pub(crate) fn apply_scenario_filter(params: &mut CampaignParams, scenario: Option<ScenarioFilter>) {
     match scenario {
         None => return,

@@ -353,7 +353,7 @@ impl FaultPlan {
     /// The front-end policy on top of [`FaultPlan::check`]: the same
     /// structural errors as strings, plus the requirement that the end
     /// state leaves the live network connected. The CLI and the
-    /// benchmark call this before building a configuration; the
+    /// benchmark call this around building a configuration; the
     /// configuration builder itself only runs the structural check.
     pub fn validate(&self, topo: Topology) -> Result<(), String> {
         let end = self.check(topo).map_err(|e| e.to_string())?;

@@ -31,6 +31,19 @@ pub enum RoutingAlgorithm {
 }
 
 impl RoutingAlgorithm {
+    /// Text names for [`ftnoc_types::lookup`] / [`ftnoc_types::name`]:
+    /// the first row of a value is its printed name, later rows aliases.
+    pub const NAMES: &'static [(&'static str, RoutingAlgorithm)] = &[
+        ("xy", RoutingAlgorithm::XyDeterministic),
+        ("dt", RoutingAlgorithm::XyDeterministic),
+        ("wf", RoutingAlgorithm::WestFirstAdaptive),
+        ("ad", RoutingAlgorithm::WestFirstAdaptive),
+        ("fa", RoutingAlgorithm::FullyAdaptive),
+        ("oe", RoutingAlgorithm::OddEven),
+        ("fta", RoutingAlgorithm::FaultAware),
+        ("fault-aware", RoutingAlgorithm::FaultAware),
+    ];
+
     /// Whether the algorithm can reach cyclic channel dependency
     /// (and therefore needs deadlock recovery).
     pub fn can_deadlock(self) -> bool {
@@ -73,6 +86,14 @@ pub enum ErrorScheme {
 }
 
 impl ErrorScheme {
+    /// Text names, as [`RoutingAlgorithm::NAMES`].
+    pub const NAMES: &'static [(&'static str, ErrorScheme)] = &[
+        ("hbh", ErrorScheme::Hbh),
+        ("e2e", ErrorScheme::E2e),
+        ("fec", ErrorScheme::Fec),
+        ("none", ErrorScheme::Unprotected),
+    ];
+
     /// Short label used in tables.
     pub fn short_name(self) -> &'static str {
         match self {

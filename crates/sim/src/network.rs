@@ -358,7 +358,7 @@ pub(crate) struct NetCore<S: TraceSink> {
     e2e_peak_source_flits: u64,
     stats: NetworkStats,
     warmup_snapshot: (EventCounts, ErrorStats),
-    warmup_counts: (u64, u64, u64, u64, u64), // injected, ejected, flits, lat_sum, lat_max
+    warmup_counts: (u64, u64, u64, u64), // injected, ejected, flits, lat_sum
     /// Structured-event instrumentation (free with [`NullSink`]).
     tracer: Tracer<S>,
     /// Routers whose recovery mode may have flipped this cycle, noted
@@ -639,7 +639,7 @@ impl<S: TraceSink> Network<S> {
                 e2e_peak_source_flits: 0,
                 stats: NetworkStats::default(),
                 warmup_snapshot: Default::default(),
-                warmup_counts: (0, 0, 0, 0, 0),
+                warmup_counts: (0, 0, 0, 0),
                 tracer,
                 recovery_edges: Vec::new(),
                 wheel: ActivityWheel::new(n, gating),
@@ -709,7 +709,6 @@ impl<S: TraceSink> Network<S> {
             core.packets_ejected,
             core.flits_ejected,
             core.latency_sum,
-            core.latency_max,
         );
         core.stats = stats;
         core.latency_hist = LatencyHistogram::new();
@@ -721,7 +720,7 @@ impl<S: TraceSink> Network<S> {
         let (events, errors) = sum_censuses(self.cells.iter());
         let core = &self.core;
         let (snap_ev, snap_err) = core.warmup_snapshot;
-        let (wi, we, wf, wl, _wm) = core.warmup_counts;
+        let (wi, we, wf, wl) = core.warmup_counts;
         NetworkStats {
             events: events.delta_since(&snap_ev),
             errors: errors.delta_since(&snap_err),

@@ -15,6 +15,14 @@ pub enum InjectionProcess {
     Bernoulli,
 }
 
+impl InjectionProcess {
+    /// Text names for [`ftnoc_types::lookup`] / [`ftnoc_types::name`].
+    pub const NAMES: &'static [(&'static str, InjectionProcess)] = &[
+        ("reg", InjectionProcess::Regular),
+        ("bern", InjectionProcess::Bernoulli),
+    ];
+}
+
 /// Per-node open-loop packet injector.
 ///
 /// Rates are expressed in **flits/node/cycle** as in the paper; the

@@ -124,6 +124,32 @@ impl TrafficPattern {
         TrafficPattern::Tornado,
     ];
 
+    /// Text names for [`ftnoc_types::lookup`] / [`ftnoc_types::name`]:
+    /// the first row of a value is its printed name, later rows aliases.
+    /// `hs` is a fifth of the traffic aimed at node 0.
+    pub const NAMES: &'static [(&'static str, TrafficPattern)] = &[
+        ("uniform", TrafficPattern::Uniform),
+        ("nr", TrafficPattern::Uniform),
+        ("bitcomp", TrafficPattern::BitComplement),
+        ("bc", TrafficPattern::BitComplement),
+        ("tornado", TrafficPattern::Tornado),
+        ("tn", TrafficPattern::Tornado),
+        ("transpose", TrafficPattern::Transpose),
+        ("tp", TrafficPattern::Transpose),
+        ("bitrev", TrafficPattern::BitReverse),
+        ("br", TrafficPattern::BitReverse),
+        ("shuffle", TrafficPattern::Shuffle),
+        ("sh", TrafficPattern::Shuffle),
+        ("nn", TrafficPattern::Neighbor),
+        (
+            "hs",
+            TrafficPattern::Hotspot {
+                hotspot: NodeId::new(0),
+                fraction: 0.2,
+            },
+        ),
+    ];
+
     /// Short name used in tables and plots (`NR`, `BC`, `TN`, …).
     pub fn short_name(&self) -> &'static str {
         match self {

@@ -45,6 +45,11 @@ impl PipelineDepth {
         self as u32
     }
 
+    /// The organisation with `n` stages, if `1 <= n <= 4`.
+    pub fn from_stages(n: u64) -> Option<Self> {
+        Self::ALL.into_iter().find(|p| u64::from(p.stages()) == n)
+    }
+
     /// All four organisations.
     pub const ALL: [PipelineDepth; 4] = [
         PipelineDepth::One,

@@ -22,6 +22,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::Debug;
+
 pub mod config;
 pub mod error;
 pub mod flit;
@@ -35,3 +37,21 @@ pub use flit::{Flit, FlitKind, FlitPayload, Header};
 pub use geom::{Coord, Direction, NodeId, Topology, TopologyKind};
 pub use packet::{Packet, PacketId};
 pub use units::{Cycles, Millimeters2, Milliwatts, Nanojoules, Picojoules};
+
+/// The value a name table gives `text`. A table lists each value's
+/// printed name first and its aliases after it; the CLI flags and the
+/// `--repro` spec both parse through these tables.
+pub fn lookup<T: Clone>(table: &[(&'static str, T)], text: &str) -> Option<T> {
+    table
+        .iter()
+        .find(|(n, _)| *n == text)
+        .map(|(_, v)| v.clone())
+}
+
+/// The printed name of `value`: its first row in `table` (`"?"` for a
+/// value the table lacks).
+pub fn name<T: PartialEq + Debug>(table: &[(&'static str, T)], value: &T) -> &'static str {
+    let name = table.iter().find(|(_, t)| t == value).map(|(n, _)| *n);
+    debug_assert!(name.is_some(), "{value:?} has no name");
+    name.unwrap_or("?")
+}

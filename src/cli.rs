@@ -3,11 +3,12 @@
 //! Hand-rolled (no external dependencies): `--key value` flags mapped
 //! onto [`SimConfig`]. See `ftnoc --help` or [`HELP`].
 
+use ftnoc_check::{OrgFilter, ScenarioFilter};
 use ftnoc_fault::FaultRates;
 use ftnoc_sim::{DeadlockConfig, ErrorScheme, RoutingAlgorithm, SimConfig};
 use ftnoc_traffic::TrafficPattern;
 use ftnoc_types::config::{BufferOrg, PipelineDepth, RouterConfig};
-use ftnoc_types::geom::{NodeId, Topology, TopologyKind};
+use ftnoc_types::geom::{Topology, TopologyKind};
 
 /// The `--help` text.
 pub const HELP: &str = "\
@@ -29,8 +30,10 @@ OPTIONS (run):
     --scheme S          hbh | e2e | fec | none        (default hbh)
     --routing R         dt | ad | fa | oe | fta       (default dt; fta =
                         fault-aware up*/down* — deadlock-free around any
-                        connected set of dead links, static or mid-run)
-    --pattern P         nr | bc | tn | tp | br | sh | nn | hs (default nr)
+                        connected set of dead links, static or mid-run;
+                        also xy = dt, wf = ad, fault-aware = fta)
+    --pattern P         nr | bc | tn | tp | br | sh | nn | hs (default nr;
+                        or uniform bitcomp tornado transpose bitrev shuffle)
     --inj F             injection rate, flits/node/cycle (default 0.25)
     --error-rate F      link soft-error rate per flit traversal (default 0)
     --rt-rate F         routing-logic soft-error rate (default 0)
@@ -175,10 +178,7 @@ fn err(msg: impl Into<String>) -> CliError {
 }
 
 /// The value following `flag`.
-fn value<'a>(
-    it: &mut std::iter::Peekable<std::slice::Iter<'a, String>>,
-    flag: &str,
-) -> Result<&'a str, CliError> {
+fn value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, CliError> {
     it.next()
         .map(String::as_str)
         .ok_or_else(|| err(format!("{flag} needs a value")))
@@ -196,7 +196,7 @@ fn num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, CliError> {
 ///
 /// Returns a [`CliError`] describing the first malformed flag or value.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     match it.next().map(String::as_str) {
         None | Some("--help") | Some("-h") | Some("help") => return Ok(Command::Help),
         Some("table1") => return Ok(Command::Table1),
@@ -216,26 +216,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         Some(other) => return Err(err(format!("unknown command `{other}`; try --help"))),
     }
 
-    let mut topo = (8u8, 8u8, TopologyKind::Mesh);
-    let mut concentration = 1u8;
-    let mut chip: Option<(u8, u8)> = None;
-    let mut scheme = ErrorScheme::Hbh;
-    let mut routing = RoutingAlgorithm::XyDeterministic;
-    let mut pattern = TrafficPattern::Uniform;
-    let mut inj = 0.25f64;
+    // The CLI's run differs from the builders' defaults in three values.
+    let mut b = SimConfig::builder();
+    b.warmup_packets(1_000)
+        .measure_packets(5_000)
+        .deadlock(recovery(false));
+    let mut router_b = RouterConfig::builder();
     let mut faults = FaultRates::none();
-    let mut ac = true;
-    let mut vcs = 3usize;
-    let mut buffer = 4usize;
+    let mut fplan = ftnoc_fault::FaultPlan::new();
     let mut damq = false;
     let mut damq_pool: Option<usize> = None;
-    let mut retrans = 3usize;
-    let mut pipeline = PipelineDepth::Three;
-    let mut packet_len = 4usize;
-    let mut packets = 5_000u64;
-    let mut warmup = 1_000u64;
-    let mut seed = 0xF7_0Cu64;
-    let mut deadlock = false;
     let mut profile = false;
     let mut trace: Option<std::path::PathBuf> = None;
     let mut flight_recorder = 256usize;
@@ -243,188 +233,84 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut report_json = false;
     let mut metrics_out: Option<std::path::PathBuf> = None;
     let mut metrics_every = 1_000u64;
-    let mut fplan = ftnoc_fault::FaultPlan::new();
 
+    // Each flag calls its builder's setter; `_ =` drops the `&mut Self`.
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--topology" => {
-                let v = value(&mut it, flag)?;
-                fn grid(v: &str, flag: &str) -> Result<(u8, u8), CliError> {
-                    let (w, h) = v
-                        .split_once(['x', 'X'])
-                        .ok_or_else(|| err(format!("{flag} expects WxH, got `{v}`")))?;
-                    Ok((num(w, flag)?, num(h, flag)?))
-                }
-                if let Some(rest) = v.strip_prefix("torus:") {
-                    (topo.0, topo.1) = grid(rest, flag)?;
-                    topo.2 = TopologyKind::Torus;
-                } else if let Some(rest) = v.strip_prefix("cmesh:") {
-                    let (wh, c) = rest.split_once(':').ok_or_else(|| {
-                        err(format!("--topology cmesh expects cmesh:WxH:C, got `{v}`"))
-                    })?;
-                    (topo.0, topo.1) = grid(wh, flag)?;
-                    concentration = num(c, flag)?;
-                    topo.2 = TopologyKind::CMesh;
-                } else if let Some(rest) = v.strip_prefix("chiplet:") {
-                    let (wh, tile) = rest.split_once(':').ok_or_else(|| {
-                        err(format!(
-                            "--topology chiplet expects chiplet:WxH:CWxCH, got `{v}`"
-                        ))
-                    })?;
-                    (topo.0, topo.1) = grid(wh, flag)?;
-                    chip = Some(grid(tile, flag)?);
-                    topo.2 = TopologyKind::Chiplet;
-                } else {
-                    // `mesh:WxH`, or a bare WxH grid.
-                    (topo.0, topo.1) = grid(v.strip_prefix("mesh:").unwrap_or(v), flag)?;
-                    topo.2 = TopologyKind::Mesh;
-                }
-            }
-            "--scheme" => {
-                scheme = match value(&mut it, flag)? {
-                    "hbh" => ErrorScheme::Hbh,
-                    "e2e" => ErrorScheme::E2e,
-                    "fec" => ErrorScheme::Fec,
-                    "none" => ErrorScheme::Unprotected,
-                    v => return Err(err(format!("unknown scheme `{v}`"))),
-                }
-            }
-            "--routing" => {
-                routing = match value(&mut it, flag)? {
-                    "dt" | "xy" => RoutingAlgorithm::XyDeterministic,
-                    "ad" | "wf" => RoutingAlgorithm::WestFirstAdaptive,
-                    "fa" => RoutingAlgorithm::FullyAdaptive,
-                    "oe" => RoutingAlgorithm::OddEven,
-                    "fta" | "fault-aware" => RoutingAlgorithm::FaultAware,
-                    v => return Err(err(format!("unknown routing `{v}`"))),
-                }
-            }
-            "--pattern" => {
-                pattern = match value(&mut it, flag)? {
-                    "nr" | "uniform" => TrafficPattern::Uniform,
-                    "bc" => TrafficPattern::BitComplement,
-                    "tn" => TrafficPattern::Tornado,
-                    "tp" => TrafficPattern::Transpose,
-                    "br" => TrafficPattern::BitReverse,
-                    "sh" => TrafficPattern::Shuffle,
-                    "nn" => TrafficPattern::Neighbor,
-                    "hs" => TrafficPattern::Hotspot {
-                        hotspot: NodeId::new(0),
-                        fraction: 0.2,
-                    },
-                    v => return Err(err(format!("unknown pattern `{v}`"))),
-                }
-            }
-            "--inj" => inj = num(value(&mut it, flag)?, flag)?,
+            "--topology" => _ = b.topology(topology(value(&mut it, flag)?)?),
+            "--scheme" => _ = b.scheme(named(ErrorScheme::NAMES, &mut it, flag)?),
+            "--routing" => _ = b.routing(named(RoutingAlgorithm::NAMES, &mut it, flag)?),
+            "--pattern" => _ = b.pattern(named(TrafficPattern::NAMES, &mut it, flag)?),
+            "--inj" => _ = b.injection_rate(num(value(&mut it, flag)?, flag)?),
             "--error-rate" => faults.link = num(value(&mut it, flag)?, flag)?,
             "--rt-rate" => faults.rt = num(value(&mut it, flag)?, flag)?,
             "--va-rate" => faults.va = num(value(&mut it, flag)?, flag)?,
             "--sa-rate" => faults.sa = num(value(&mut it, flag)?, flag)?,
-            "--no-ac" => ac = false,
-            "--vcs" => vcs = num(value(&mut it, flag)?, flag)?,
-            "--buffer" => buffer = num(value(&mut it, flag)?, flag)?,
-            "--buffer-org" => {
-                damq = match value(&mut it, flag)? {
-                    "static" => false,
-                    "damq" => true,
-                    v => return Err(err(format!("--buffer-org expects static|damq, got `{v}`"))),
-                }
-            }
+            "--no-ac" => _ = b.ac_enabled(false),
+            "--vcs" => _ = router_b.vcs_per_port(num(value(&mut it, flag)?, flag)?),
+            "--buffer" => _ = router_b.buffer_depth(num(value(&mut it, flag)?, flag)?),
+            "--buffer-org" => damq = named(OrgFilter::NAMES, &mut it, flag)? == OrgFilter::Damq,
             "--damq-pool" => damq_pool = Some(num(value(&mut it, flag)?, flag)?),
-            "--retrans" => retrans = num(value(&mut it, flag)?, flag)?,
+            "--retrans" => _ = router_b.retrans_depth(num(value(&mut it, flag)?, flag)?),
             "--pipeline" => {
-                pipeline = match value(&mut it, flag)? {
-                    "1" => PipelineDepth::One,
-                    "2" => PipelineDepth::Two,
-                    "3" => PipelineDepth::Three,
-                    "4" => PipelineDepth::Four,
-                    v => return Err(err(format!("--pipeline expects 1-4, got `{v}`"))),
-                }
+                let v = value(&mut it, flag)?;
+                let depth = v.parse().ok().and_then(PipelineDepth::from_stages);
+                let depth =
+                    depth.ok_or_else(|| err(format!("--pipeline expects 1-4, got `{v}`")))?;
+                router_b.pipeline(depth);
             }
-            "--packet-len" => packet_len = num(value(&mut it, flag)?, flag)?,
-            "--packets" => packets = num(value(&mut it, flag)?, flag)?,
-            "--warmup" => warmup = num(value(&mut it, flag)?, flag)?,
-            "--seed" => seed = num(value(&mut it, flag)?, flag)?,
-            "--deadlock-recovery" => deadlock = true,
+            "--packet-len" => _ = router_b.flits_per_packet(num(value(&mut it, flag)?, flag)?),
+            "--packets" => _ = b.measure_packets(num(value(&mut it, flag)?, flag)?),
+            "--warmup" => _ = b.warmup_packets(num(value(&mut it, flag)?, flag)?),
+            "--seed" => _ = b.seed(num(value(&mut it, flag)?, flag)?),
+            "--deadlock-recovery" => _ = b.deadlock(recovery(true)),
             "--profile" => profile = true,
-            "--trace" => trace = Some(std::path::PathBuf::from(value(&mut it, flag)?)),
+            "--trace" => trace = Some(value(&mut it, flag)?.into()),
             "--flight-recorder" => flight_recorder = num(value(&mut it, flag)?, flag)?,
             "--stats-every" => stats_every = num(value(&mut it, flag)?, flag)?,
             "--report-json" => report_json = true,
-            "--metrics-out" => {
-                metrics_out = Some(std::path::PathBuf::from(value(&mut it, flag)?));
-            }
+            "--metrics-out" => metrics_out = Some(value(&mut it, flag)?.into()),
             "--metrics-every" => metrics_every = num(value(&mut it, flag)?, flag)?,
-            "--fault" => {
-                fplan.add_spec(value(&mut it, flag)?).map_err(err)?;
-            }
+            "--fault" => fplan.add_spec(value(&mut it, flag)?).map_err(err)?,
             other => return Err(err(format!("unknown flag `{other}`; try --help"))),
         }
     }
 
-    let topology = match topo.2 {
-        TopologyKind::Mesh | TopologyKind::Torus => Topology::try_new(topo.0, topo.1, topo.2),
-        TopologyKind::CMesh => Topology::try_cmesh(topo.0, topo.1, concentration),
-        TopologyKind::Chiplet => {
-            let (cw, ch) = chip.expect("chiplet form parsed tile dims");
-            Topology::try_chiplet(topo.0, topo.1, cw, ch)
-        }
-    }
-    .map_err(|e| err(format!("--topology: {e}")))?;
-    if topology.kind() == TopologyKind::Chiplet && routing != RoutingAlgorithm::FaultAware {
-        return Err(err(
-            "--topology chiplet requires --routing fta: only the fault-aware \
-             up*/down* plan understands the sparse inter-chiplet gateways \
-             (the legacy mesh algorithms would route into missing links)",
-        ));
-    }
     if damq_pool.is_some() && !damq {
         return Err(err("--damq-pool requires --buffer-org damq"));
     }
     if metrics_every == 0 {
         return Err(err("--metrics-every must be at least 1"));
     }
-    // The CLI's policy on top of the structural check `build()` runs
-    // anyway: the end state, once every scheduled kill has landed, must
-    // leave the network connected.
-    fplan
-        .validate(topology)
-        .map_err(|e| err(format!("--fault: {e}")))?;
-    let mut router_b = RouterConfig::builder();
-    router_b
-        .vcs_per_port(vcs)
-        .buffer_depth(buffer)
-        .retrans_depth(retrans)
-        .flits_per_packet(packet_len)
-        .pipeline(pipeline);
+    let router_err = |e| err(format!("router config: {e}"));
     if damq {
-        router_b.buffer_org(BufferOrg::Damq {
-            pool_size: damq_pool.unwrap_or(vcs.saturating_mul(buffer)),
-        });
+        // The default pool is the equal-budget one: vcs × buffer.
+        let r = router_b.build().map_err(router_err)?;
+        let pool_size = damq_pool.unwrap_or(r.vcs_per_port() * r.buffer_depth());
+        router_b.buffer_org(BufferOrg::Damq { pool_size });
     }
-    let router = router_b
-        .build()
-        .map_err(|e| err(format!("router config: {e}")))?;
-    let mut b = SimConfig::builder();
-    b.topology(topology)
-        .router(router)
-        .scheme(scheme)
-        .routing(routing)
-        .pattern(pattern)
-        .injection_rate(inj)
+    let config = b
+        .router(router_b.build().map_err(router_err)?)
         .faults(faults)
-        .ac_enabled(ac)
-        .seed(seed)
-        .warmup_packets(warmup)
-        .measure_packets(packets)
-        .deadlock(DeadlockConfig {
-            enabled: deadlock,
-            cthres: 32,
-        })
-        .fault_plan(&fplan);
-    let config = Box::new(b.build().map_err(|e| err(format!("config: {e}")))?);
+        .fault_plan(&fplan)
+        .build()
+        .map_err(|e| err(format!("config: {e}")))?;
+    if config.topology.kind() == TopologyKind::Chiplet
+        && config.routing != RoutingAlgorithm::FaultAware
+    {
+        return Err(err(
+            "--topology chiplet requires --routing fta: only the fault-aware \
+             up*/down* plan understands the sparse inter-chiplet gateways \
+             (the legacy mesh algorithms would route into missing links)",
+        ));
+    }
+    // The CLI's policy beyond `build()`'s structural check: once every
+    // scheduled kill has landed, the network must still be connected.
+    fplan
+        .validate(config.topology)
+        .map_err(|e| err(format!("--fault: {e}")))?;
     Ok(Command::Run {
-        config,
+        config: Box::new(config),
         profile,
         trace,
         flight_recorder,
@@ -435,10 +321,61 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     })
 }
 
+/// The value `table` gives the text following `flag`.
+fn named<T: Clone>(
+    table: &[(&'static str, T)],
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, CliError> {
+    let v = value(it, flag)?;
+    let names = || table.iter().map(|(n, _)| *n).collect::<Vec<_>>().join("|");
+    ftnoc_types::lookup(table, v)
+        .ok_or_else(|| err(format!("{flag} expects {}, got `{v}`", names())))
+}
+
+/// The CLI's deadlock knobs: probing at `Cthres` 32, recovery on or off.
+fn recovery(enabled: bool) -> DeadlockConfig {
+    DeadlockConfig {
+        enabled,
+        cthres: 32,
+    }
+}
+
+/// Parses a `--topology` value.
+fn topology(v: &str) -> Result<Topology, CliError> {
+    let grid = |g: &str| -> Result<(u8, u8), CliError> {
+        let (w, h) = g
+            .split_once(['x', 'X'])
+            .ok_or_else(|| err(format!("--topology expects WxH, got `{g}`")))?;
+        Ok((num(w, "--topology")?, num(h, "--topology")?))
+    };
+    let topology = if let Some(rest) = v.strip_prefix("torus:") {
+        let (w, h) = grid(rest)?;
+        Topology::try_new(w, h, TopologyKind::Torus)
+    } else if let Some(rest) = v.strip_prefix("cmesh:") {
+        let (wh, c) = rest
+            .split_once(':')
+            .ok_or_else(|| err(format!("--topology cmesh expects cmesh:WxH:C, got `{v}`")))?;
+        let (w, h) = grid(wh)?;
+        Topology::try_cmesh(w, h, num(c, "--topology")?)
+    } else if let Some(rest) = v.strip_prefix("chiplet:") {
+        let (wh, tile) = rest.split_once(':').ok_or_else(|| {
+            err(format!(
+                "--topology chiplet expects chiplet:WxH:CWxCH, got `{v}`"
+            ))
+        })?;
+        let ((w, h), (cw, ch)) = (grid(wh)?, grid(tile)?);
+        Topology::try_chiplet(w, h, cw, ch)
+    } else {
+        // `mesh:WxH`, or a bare WxH grid.
+        let (w, h) = grid(v.strip_prefix("mesh:").unwrap_or(v))?;
+        Topology::try_new(w, h, TopologyKind::Mesh)
+    };
+    topology.map_err(|e| err(format!("--topology: {e}")))
+}
+
 /// Parses the `fuzz` subcommand's flags.
-fn parse_fuzz(
-    it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>,
-) -> Result<Command, CliError> {
+fn parse_fuzz(it: &mut std::slice::Iter<'_, String>) -> Result<Command, CliError> {
     let mut plan = ftnoc_check::CampaignPlan::new();
     let mut repro = None;
     let mut failures_out = None;
@@ -448,28 +385,9 @@ fn parse_fuzz(
             "--seed" => plan = plan.master_seed(num(value(it, flag)?, flag)?),
             "--threads" => plan = plan.threads(num(value(it, flag)?, flag)?),
             "--repro" => repro = Some(value(it, flag)?.to_string()),
-            "--failures-out" => {
-                failures_out = Some(std::path::PathBuf::from(value(it, flag)?));
-            }
-            "--org" => {
-                plan = plan.org(match value(it, flag)? {
-                    "static" => Some(ftnoc_check::OrgFilter::Static),
-                    "damq" => Some(ftnoc_check::OrgFilter::Damq),
-                    v => return Err(err(format!("--org expects static|damq, got `{v}`"))),
-                })
-            }
-            "--scenario" => {
-                plan = plan.scenario(match value(it, flag)? {
-                    "midrun-fault" => Some(ftnoc_check::ScenarioFilter::MidRunFault),
-                    "topology" => Some(ftnoc_check::ScenarioFilter::Topology),
-                    "wearout" => Some(ftnoc_check::ScenarioFilter::Wearout),
-                    v => {
-                        return Err(err(format!(
-                            "--scenario expects midrun-fault|topology|wearout, got `{v}`"
-                        )))
-                    }
-                })
-            }
+            "--failures-out" => failures_out = Some(value(it, flag)?.into()),
+            "--org" => plan = plan.org(Some(named(OrgFilter::NAMES, it, flag)?)),
+            "--scenario" => plan = plan.scenario(Some(named(ScenarioFilter::NAMES, it, flag)?)),
             other => return Err(err(format!("unknown fuzz flag `{other}`; try --help"))),
         }
     }
@@ -483,6 +401,7 @@ fn parse_fuzz(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftnoc_types::geom::NodeId;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -895,6 +814,26 @@ mod tests {
         // Removed from `run` only: `fuzz --threads` batches campaigns.
         assert!(unknown("run", "--threads"), "removed from run");
         assert!(flags(run).all(|f| f != "--threads"));
+    }
+
+    /// `run` and `--repro` read one name table per value, so each
+    /// accepts the other's names.
+    #[test]
+    fn run_flags_and_repro_specs_agree_on_names() {
+        use ftnoc_check::CampaignParams as Spec;
+        let run = |flag: &str, name: &str| run_config(&format!("run --{flag} {name}"));
+        let spec = |key: &str, name: &str| Spec::from_spec(&format!("{key}={name}")).unwrap();
+        for (name, _) in RoutingAlgorithm::NAMES {
+            assert_eq!(run("routing", name).routing, spec("route", name).routing);
+        }
+        for (name, _) in ErrorScheme::NAMES {
+            assert_eq!(run("scheme", name).scheme, spec("scheme", name).scheme);
+        }
+        for (name, _) in TrafficPattern::NAMES {
+            assert_eq!(run("pattern", name).pattern, spec("pat", name).pattern);
+        }
+        let e = Spec::from_spec("route=warp-drive").unwrap_err();
+        assert_eq!(e, r#"unknown routing "warp-drive""#);
     }
 
     #[test]
