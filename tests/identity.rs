@@ -24,6 +24,8 @@ struct Shape {
     args: Vec<&'static str>,
     /// Run with `FTNOC_DEMO_SKIP_CREDIT=1`.
     planted_bug: bool,
+    /// Also render the metrics file with `ftnoc report`.
+    report: bool,
 }
 
 fn shape(name: &'static str, parts: &[&[&'static str]]) -> Shape {
@@ -31,6 +33,7 @@ fn shape(name: &'static str, parts: &[&[&'static str]]) -> Shape {
         name,
         args: parts.concat(),
         planted_bug: false,
+        report: false,
     }
 }
 
@@ -41,14 +44,15 @@ fn run(name: &'static str, args: &[&'static str]) -> Shape {
     shape(name, &[SHORT, &["--report-json", "--trace", TRACE], args])
 }
 
-fn shapes() -> Vec<Shape> {
-    let faulted = &[
+/// The faulted argument set, with router 36 killed at `router_kill`.
+fn faulted(router_kill: &'static str) -> [&'static str; 14] {
+    [
         "--routing",
         "fta",
         "--fault",
         "link:27:e@300",
         "--fault",
-        "router:36@900",
+        router_kill,
         "--fault",
         "wearout:900:4",
         "--fault",
@@ -57,7 +61,10 @@ fn shapes() -> Vec<Shape> {
         "0.1",
         "--error-rate",
         "0.01",
-    ];
+    ]
+}
+
+fn shapes() -> Vec<Shape> {
     // Wear-out kills 5:E at cycle 412 and 6:S at 438, before their
     // scheduled kills at 3 000 and 2 500. The worn-out network strands
     // packets, so the run ends at the cycle cap and dumps its flight
@@ -95,6 +102,11 @@ fn shapes() -> Vec<Shape> {
         "--seed",
         "2",
     ];
+    let report_faulted = [
+        &faulted("router:36@400")[..],
+        &["--metrics-out", METRICS, "--metrics-every", "200"],
+    ]
+    .concat();
     let mut planted = shape("fuzz-planted-bug", &[&["fuzz", "--campaigns", "50"]]);
     planted.planted_bug = true;
     vec![
@@ -116,7 +128,7 @@ fn shapes() -> Vec<Shape> {
         run("run-hbh", &["--scheme", "hbh", "--error-rate", "0.01"]),
         run("run-e2e", &["--scheme", "e2e", "--error-rate", "0.01"]),
         run("run-fec", &["--scheme", "fec", "--error-rate", "0.01"]),
-        run("run-fta-faults", faulted),
+        run("run-fta-faults", &faulted("router:36@900")),
         shape("run-preempt", &[preempt]),
         run("run-fa-recovery", recovery),
         run(
@@ -203,6 +215,31 @@ fn shapes() -> Vec<Shape> {
             "run-warmup0",
             &["--warmup", "0", "--seed", "9", "--inj", "0.1"],
         ),
+        // The energy-breakdown table of the human report.
+        shape(
+            "run-profile-text",
+            &[&["run", "--packets", "1000", "--profile"]],
+        ),
+        // The router dies at cycle 400, before the run ends near 800, so
+        // the report's heatmaps carry a dead cell.
+        Shape {
+            report: true,
+            ..run("report-faulted", &report_faulted)
+        },
+        // Every census of the JSON report non-zero at once.
+        run(
+            "run-all-upsets",
+            &[
+                "--error-rate",
+                "0.01",
+                "--rt-rate",
+                "0.01",
+                "--va-rate",
+                "0.01",
+                "--sa-rate",
+                "0.01",
+            ],
+        ),
     ]
 }
 
@@ -265,10 +302,46 @@ fn measure(shape: &Shape, dir: &Path) -> Vec<(String, Vec<u8>)> {
     for what in files {
         artefacts.push((what, std::fs::read(file(what)).expect("artefact written")));
     }
-    artefacts
+    let mut artefacts: Vec<(String, Vec<u8>)> = artefacts
         .into_iter()
         .map(|(what, bytes)| (format!("{}.{what}", shape.name), blank_host(bytes)))
-        .collect()
+        .collect();
+    if shape.report {
+        artefacts.push((format!("{}.report", shape.name), report(shape, dir)));
+    }
+    artefacts
+}
+
+/// Renders the shape's metrics file with `ftnoc report`, over a copy in
+/// which the host-dependent values read `"phase":null` and
+/// `"available_parallelism":0`, and returns the report's stdout.
+fn report(shape: &Shape, dir: &Path) -> Vec<u8> {
+    let metrics = dir.join(format!("{}.metrics.jsonl", shape.name));
+    let bytes = std::fs::read(&metrics).expect("metrics written");
+    let text = String::from_utf8(blank_host(bytes)).expect("ftnoc writes UTF-8");
+    let text = text.replace("\"phase\":{}", "\"phase\":null").replace(
+        "\"available_parallelism\":,",
+        "\"available_parallelism\":0,",
+    );
+    let copy = dir.join(format!("{}.metrics-host0.jsonl", shape.name));
+    std::fs::write(&copy, text).expect("write the host-blanked copy");
+    let out = Command::new(env!("CARGO_BIN_EXE_ftnoc"))
+        .arg("report")
+        .arg(&copy)
+        .output()
+        .expect("spawn ftnoc report");
+    assert!(
+        out.status.success(),
+        "ftnoc report failed on {}",
+        shape.name
+    );
+    let text = String::from_utf8(out.stdout).expect("ftnoc writes UTF-8");
+    assert!(
+        text.contains('✖'),
+        "{}: no dead router in the report",
+        shape.name
+    );
+    text.into_bytes()
 }
 
 #[test]
