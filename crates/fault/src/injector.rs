@@ -14,39 +14,29 @@ pub enum LinkErrorKind {
     MultiBit,
 }
 
-/// Census of injected faults, per site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultCounts {
-    /// Link error events (single- plus multi-bit).
-    pub link: u64,
-    /// of which multi-bit.
-    pub link_multi_bit: u64,
-    /// Routing-logic upsets.
-    pub rt: u64,
-    /// VC-allocator upsets.
-    pub va: u64,
-    /// Switch-allocator upsets.
-    pub sa: u64,
-    /// Crossbar upsets.
-    pub crossbar: u64,
-    /// Handshake-wire upsets.
-    pub handshake: u64,
+ftnoc_metrics::census! {
+    /// Census of injected faults, per site.
+    pub struct FaultCounts {
+        /// Link error events (single- plus multi-bit).
+        link,
+        /// of which multi-bit.
+        link_multi_bit,
+        /// Routing-logic upsets.
+        rt,
+        /// VC-allocator upsets.
+        va,
+        /// Switch-allocator upsets.
+        sa,
+        /// Crossbar upsets.
+        crossbar,
+        /// Handshake-wire upsets.
+        handshake,
+    }
 }
 
 impl FaultCounts {
-    /// Adds another census into this one (aggregating the independent
-    /// per-router fault streams into a run total).
-    pub fn absorb(&mut self, other: &FaultCounts) {
-        self.link += other.link;
-        self.link_multi_bit += other.link_multi_bit;
-        self.rt += other.rt;
-        self.va += other.va;
-        self.sa += other.sa;
-        self.crossbar += other.crossbar;
-        self.handshake += other.handshake;
-    }
-
-    /// Total injected faults across all sites.
+    /// Total injected faults across all sites (`link_multi_bit` is a
+    /// subset of `link`, so it is not added again).
     pub fn total(&self) -> u64 {
         self.link + self.rt + self.va + self.sa + self.crossbar + self.handshake
     }

@@ -9,6 +9,7 @@
 //! printed with Rust's shortest-round-trip formatting.
 
 use crate::heatmap::LayoutKind;
+use crate::json::{fnum, push_u64_list};
 use crate::profile::ProfileSnapshot;
 use crate::telemetry::{MeshTelemetry, RouterTelemetry};
 
@@ -120,32 +121,20 @@ impl IntervalLine {
             }
         }
         out.push_str(",\"routers\":{");
-        for (i, metric) in RouterTelemetry::METRICS.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        for metric in RouterTelemetry::NAMES {
             out.push_str(&format!("\"{metric}\":["));
-            push_u64_list(
-                &mut out,
-                self.routers
-                    .routers
-                    .iter()
-                    .map(|r| r.get(metric).expect("METRICS names resolve")),
-            );
-            out.push(']');
+            let values = self.routers.metric_values(metric).expect("NAMES resolve");
+            push_u64_list(&mut out, values);
+            out.push_str("],");
         }
         // Dead flags ride beside the counters as 0/1 (state, not a
-        // counter, hence not in `METRICS`): readers render a dead
+        // counter, hence not in `NAMES`): readers render a dead
         // router's heatmap cell as ✖ instead of an intensity. Absent in
         // files written before router deaths existed — readers treat a
         // missing array as all-alive.
-        out.push_str(",\"dead\":[");
-        push_u64_list(
-            &mut out,
-            self.routers.routers.iter().map(|r| u64::from(r.dead)),
-        );
-        out.push(']');
-        out.push('}');
+        out.push_str("\"dead\":[");
+        push_u64_list(&mut out, self.routers.dead.iter().map(|&d| u64::from(d)));
+        out.push_str("]}");
         // Network-wide activity totals, derived from the per-router
         // `computed_cycles` telemetry: how many router-cycles the gated
         // engine actually computed vs. skipped as quiescent. With
@@ -163,24 +152,6 @@ impl IntervalLine {
     }
 }
 
-fn push_u64_list(out: &mut String, values: impl Iterator<Item = u64>) {
-    for (i, v) in values.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-}
-
-/// A finite float as JSON, everything else (including `None`) as
-/// `null` — JSON has no NaN/Infinity literals.
-fn fnum(v: Option<f64>) -> String {
-    match v {
-        Some(v) if v.is_finite() => format!("{v}"),
-        _ => "null".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,11 +161,11 @@ mod tests {
         let mut routers = vec![RouterTelemetry::default(); 4];
         routers[1].flits_routed = 7;
         routers[3].nacks = 2;
-        routers[2].dead = true;
         MeshTelemetry {
             width: 2,
             height: 2,
             routers,
+            dead: vec![false, false, true, false],
         }
     }
 
@@ -248,22 +219,26 @@ mod tests {
             phase.get("compute_ns_by_lane").unwrap().as_arr().unwrap(),
             [json::Value::Num(5.0), json::Value::Num(6.0)]
         );
-        let flits = v.get("routers").unwrap().get("flits_routed").unwrap();
-        assert_eq!(flits.as_arr().unwrap()[1].as_u64(), Some(7));
-        // Every telemetry metric is present with one slot per router.
-        for metric in RouterTelemetry::METRICS {
-            let arr = v.get("routers").unwrap().get(metric).unwrap();
-            assert_eq!(arr.as_arr().unwrap().len(), 4, "{metric}");
+        // Every telemetry metric comes back in declaration order with one
+        // slot per router, then the dead flags as a parallel 0/1 array.
+        let Some(json::Value::Obj(routers)) = v.get("routers") else {
+            panic!("no routers object");
+        };
+        let keys: Vec<&str> = routers.iter().map(|m| m.0.as_str()).collect();
+        assert_eq!(keys, [RouterTelemetry::NAMES, &["dead"]].concat());
+        for (metric, values) in routers {
+            let values: Vec<u64> = values
+                .as_arr()
+                .unwrap()
+                .iter()
+                .filter_map(json::Value::as_u64)
+                .collect();
+            let want = match metric.as_str() {
+                "dead" => vec![0, 0, 1, 0],
+                metric => line.routers.metric_values(metric).unwrap(),
+            };
+            assert_eq!(values, want, "{metric}");
         }
-        // Dead flags serialize as a parallel 0/1 array.
-        let dead = v.get("routers").unwrap().get("dead").unwrap();
-        let dead: Vec<u64> = dead
-            .as_arr()
-            .unwrap()
-            .iter()
-            .filter_map(|d| d.as_u64())
-            .collect();
-        assert_eq!(dead, [0, 0, 1, 0]);
     }
 
     #[test]

@@ -1,10 +1,37 @@
-//! A minimal JSON reader for the metrics files this crate itself
-//! writes.
+//! Minimal JSON for the files this workspace writes: the few value
+//! writers every hand-rolled line builder shares, and a reader.
 //!
-//! Zero-dependency recursive-descent parser over the subset the
-//! emitter produces (objects, arrays, strings without exotic escapes,
-//! numbers, booleans, null) — enough for `ftnoc report` to re-read a
-//! `--metrics-out` file, not a general-purpose JSON library.
+//! The reader is a zero-dependency recursive-descent parser over the
+//! subset the writers produce (objects, arrays, strings without exotic
+//! escapes, numbers, booleans, null) — enough for `ftnoc report` to
+//! re-read a `--metrics-out` file, not a general-purpose JSON library.
+
+use std::fmt::Write as _;
+
+/// A finite float in Rust's shortest round-trip form; anything else,
+/// including `None`, as `null` — JSON has no NaN/Infinity literals.
+pub fn fnum(v: impl Into<Option<f64>>) -> String {
+    match v.into() {
+        Some(v) if v.is_finite() => format!("{v}"),
+        _ => "null".to_string(),
+    }
+}
+
+/// Appends `values` comma-separated: the inside of a JSON array.
+pub fn push_u64_list(out: &mut String, values: impl IntoIterator<Item = u64>) {
+    for (i, v) in values.into_iter().enumerate() {
+        let _ = write!(out, "{}{v}", if i > 0 { "," } else { "" });
+    }
+}
+
+/// Appends `{"name":value,...}`, pairing `names` with `values` in order.
+pub fn push_u64_object(out: &mut String, names: &[&str], values: &[u64]) {
+    out.push('{');
+    for (i, (name, v)) in names.iter().zip(values).enumerate() {
+        let _ = write!(out, "{}\"{name}\":{v}", if i > 0 { "," } else { "" });
+    }
+    out.push('}');
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

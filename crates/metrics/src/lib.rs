@@ -20,7 +20,10 @@
 //!   cmesh concentration notes, chiplet tile separators).
 //! - [`emit`] — hand-rolled JSONL serialization of the periodic
 //!   interval snapshots (`--metrics-out`).
-//! - [`json`] — a minimal JSON reader for those files.
+//! - [`json`] — the shared JSON value writers and a minimal reader.
+//! - [`census!`] — declares a struct of `u64` counters once and derives
+//!   its sum, difference, names and JSON; the simulator's event, error
+//!   and fault censuses and [`RouterTelemetry`] are declared through it.
 //! - [`report`] — the `ftnoc report` renderer: summary tables, phase
 //!   timing totals, interval deltas and router heatmaps from a metrics
 //!   JSONL file.
@@ -37,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod census;
 pub mod emit;
 pub mod heatmap;
 pub mod json;

@@ -15,8 +15,9 @@ use crate::telemetry::RouterTelemetry;
 /// # Errors
 ///
 /// Returns a message naming the offending line for malformed JSON, a
-/// missing meta line, a meta line naming a zero chiplet tile, or
-/// interval lines whose shapes disagree with the meta line.
+/// missing meta line, a meta line whose grid has no area, overflows or
+/// disagrees with its `nodes`, a meta line naming a zero chiplet tile,
+/// or interval lines whose shapes disagree with the meta line.
 pub fn render(content: &str) -> Result<String, String> {
     let mut meta: Option<Value> = None;
     let mut intervals: Vec<Value> = Vec::new();
@@ -33,8 +34,19 @@ pub fn render(content: &str) -> Result<String, String> {
         }
     }
     let meta = meta.ok_or("no meta line found — is this a --metrics-out file?")?;
-    let width = meta.u64_field("width").ok_or("meta line missing width")? as usize;
-    let height = meta.u64_field("height").ok_or("meta line missing height")? as usize;
+    let width = meta.u64_field("width").ok_or("meta line missing width")?;
+    let height = meta.u64_field("height").ok_or("meta line missing height")?;
+    // Every heatmap loops over the grid, so a wrapped or zero area would
+    // let empty metric arrays through and then spin.
+    let area = width
+        .checked_mul(height)
+        .filter(|&a| a > 0 && usize::try_from(a).is_ok())
+        .ok_or_else(|| format!("meta line: a {width}x{height} grid has no area or overflows"))?;
+    if let Some(nodes) = meta.u64_field("nodes").filter(|&n| n != area) {
+        return Err(format!(
+            "meta line: {nodes} nodes for a {width}x{height} grid"
+        ));
+    }
     // Absent in pre-topology metrics files: those were all meshes.
     let topology = meta
         .get("topology")
@@ -46,9 +58,10 @@ pub fn render(content: &str) -> Result<String, String> {
             "meta line: topology `{topology}` has a zero chiplet tile"
         ));
     }
+    // Both sides fit in `usize`, since their product does.
     let layout = TopoLayout {
-        width,
-        height,
+        width: width as usize,
+        height: height as usize,
         kind,
     };
 
@@ -183,6 +196,8 @@ fn render_activity(out: &mut String, last: &Value) {
 
 fn render_heatmaps(out: &mut String, last: &Value, layout: &TopoLayout) -> Result<(), String> {
     let routers = last.get("routers").ok_or("interval missing routers")?;
+    let (w, h) = (layout.width, layout.height);
+    let misshapen = |what: String, n: usize| format!("{what}: {n} values for a {w}x{h} grid");
     // Dead flags (0/1 array beside the counters) mark routers killed by
     // schedule or wear-out; their cells draw as ✖ instead of an
     // intensity. Files from before router deaths existed have no array
@@ -191,24 +206,14 @@ fn render_heatmaps(out: &mut String, last: &Value, layout: &TopoLayout) -> Resul
         .iter()
         .map(|&d| d != 0)
         .collect();
-    if !dead.is_empty() && dead.len() != layout.width * layout.height {
-        return Err(format!(
-            "dead flags: {} values for a {}x{} grid",
-            dead.len(),
-            layout.width,
-            layout.height
-        ));
+    if !dead.is_empty() && dead.len() != w * h {
+        return Err(misshapen("dead flags".into(), dead.len()));
     }
     out.push_str("\nrouter heatmaps (cumulative, final interval)\n");
-    for metric in RouterTelemetry::METRICS {
+    for &metric in RouterTelemetry::NAMES {
         let values = u64_list(routers.get(metric));
-        if values.len() != layout.width * layout.height {
-            return Err(format!(
-                "metric {metric}: {} values for a {}x{} grid",
-                values.len(),
-                layout.width,
-                layout.height
-            ));
+        if values.len() != w * h {
+            return Err(misshapen(format!("metric {metric}"), values.len()));
         }
         // flits_routed is always shown (the baseline traffic picture);
         // the fault/stall metrics only when they actually fired.
@@ -290,6 +295,7 @@ mod tests {
                 width: 2,
                 height: 2,
                 routers,
+                dead: vec![false; 4],
             },
         };
         format!("{}\n{}\n", meta.to_json(), interval.to_json())
@@ -386,6 +392,28 @@ mod tests {
         }
     }
 
+    /// A grid whose area wraps to 0 or is 0 used to hang the heatmap
+    /// loop (and overflow in debug builds).
+    #[test]
+    fn grids_without_area_or_disagreeing_with_nodes_are_errors() {
+        let interval = r#"{"kind":"interval","cycle":1,"delta":{},"routers":{}}"#;
+        for (grid, want) in [
+            (r#""width":4294967296,"height":4294967296"#, "has no area"),
+            (r#""width":1000000000,"height":0"#, "has no area"),
+            (
+                r#""width":2,"height":2,"nodes":5"#,
+                "5 nodes for a 2x2 grid",
+            ),
+        ] {
+            let file = format!("{{\"kind\":\"meta\",{grid}}}\n{interval}\n");
+            let err = render(&file).unwrap_err();
+            assert!(
+                err.starts_with("meta line: ") && err.contains(want),
+                "{err}"
+            );
+        }
+    }
+
     #[test]
     fn empty_interval_list_is_reported() {
         let meta_only = sample_file().lines().next().unwrap().to_string();
@@ -411,6 +439,7 @@ mod tests {
                     width: 2,
                     height: 2,
                     routers: vec![RouterTelemetry::default(); 4],
+                    dead: vec![false; 4],
                 },
             };
             file.push_str(&line.to_json());

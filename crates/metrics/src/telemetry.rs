@@ -5,83 +5,31 @@
 //! network-wide averages are not enough. [`MeshTelemetry`] is a
 //! harvested copy of every router's own counters, one
 //! [`RouterTelemetry`] per node in node-id order, cheap enough to take
-//! at interval boundaries and diffable for per-window heat.
+//! at interval boundaries.
 
-/// One router's hotspot counters (cumulative since construction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterTelemetry {
-    /// Flits that traversed this router's crossbar.
-    pub flits_routed: u64,
-    /// Port-VC cycles spent blocked with buffered flits and no progress.
-    pub buffer_stalls: u64,
-    /// Flits replayed from this router's retransmission buffers.
-    pub retransmissions: u64,
-    /// NACKs this router signalled upstream.
-    pub nacks: u64,
-    /// Deadlock probes this router launched.
-    pub probes_sent: u64,
-    /// Deadlocks confirmed by probes returning to this router.
-    pub deadlocks_confirmed: u64,
-    /// Faults injected into this router (all classes).
-    pub faults_injected: u64,
-    /// Times this router entered deadlock recovery.
-    pub recoveries: u64,
-    /// Cycles this router's compute phase actually ran (equal to the
-    /// run's cycle count when activity gating is off; lower under
-    /// gating — the gap is the skip rate).
-    pub computed_cycles: u64,
-    /// Whether the router has been killed by a whole-router fault.
-    /// Heatmaps render a dead router as `✖`, distinct from a merely
-    /// idle `0` cell.
-    pub dead: bool,
-}
-
-impl RouterTelemetry {
-    /// Metric names, in the order [`RouterTelemetry::get`] understands.
-    pub const METRICS: [&'static str; 9] = [
-        "flits_routed",
-        "buffer_stalls",
-        "retransmissions",
-        "nacks",
-        "probes_sent",
-        "deadlocks_confirmed",
-        "faults_injected",
-        "recoveries",
-        "computed_cycles",
-    ];
-
-    /// Reads one metric by name (`None` for an unknown name).
-    pub fn get(&self, metric: &str) -> Option<u64> {
-        Some(match metric {
-            "flits_routed" => self.flits_routed,
-            "buffer_stalls" => self.buffer_stalls,
-            "retransmissions" => self.retransmissions,
-            "nacks" => self.nacks,
-            "probes_sent" => self.probes_sent,
-            "deadlocks_confirmed" => self.deadlocks_confirmed,
-            "faults_injected" => self.faults_injected,
-            "recoveries" => self.recoveries,
-            "computed_cycles" => self.computed_cycles,
-            _ => return None,
-        })
-    }
-
-    /// Element-wise difference (for per-interval heat).
-    pub fn delta_since(&self, s: &RouterTelemetry) -> RouterTelemetry {
-        RouterTelemetry {
-            flits_routed: self.flits_routed - s.flits_routed,
-            buffer_stalls: self.buffer_stalls - s.buffer_stalls,
-            retransmissions: self.retransmissions - s.retransmissions,
-            nacks: self.nacks - s.nacks,
-            probes_sent: self.probes_sent - s.probes_sent,
-            deadlocks_confirmed: self.deadlocks_confirmed - s.deadlocks_confirmed,
-            faults_injected: self.faults_injected - s.faults_injected,
-            recoveries: self.recoveries - s.recoveries,
-            computed_cycles: self.computed_cycles - s.computed_cycles,
-            // Death is a state, not a counter: an interval delta of a
-            // dead router is still a dead router.
-            dead: self.dead,
-        }
+crate::census! {
+    /// One router's hotspot counters (cumulative since construction).
+    pub struct RouterTelemetry {
+        /// Flits that traversed this router's crossbar.
+        flits_routed,
+        /// Port-VC cycles spent blocked with buffered flits and no progress.
+        buffer_stalls,
+        /// Flits replayed from this router's retransmission buffers.
+        retransmissions,
+        /// NACKs this router signalled upstream.
+        nacks,
+        /// Deadlock probes this router launched.
+        probes_sent,
+        /// Deadlocks confirmed by probes returning to this router.
+        deadlocks_confirmed,
+        /// Faults injected into this router (all classes).
+        faults_injected,
+        /// Times this router entered deadlock recovery.
+        recoveries,
+        /// Cycles this router's compute phase actually ran (equal to the
+        /// run's cycle count when activity gating is off; lower under
+        /// gating — the gap is the skip rate).
+        computed_cycles,
     }
 }
 
@@ -95,44 +43,22 @@ pub struct MeshTelemetry {
     pub height: usize,
     /// One entry per router, node-id order.
     pub routers: Vec<RouterTelemetry>,
+    /// Whether each router, node-id order, has been killed by a
+    /// whole-router fault. Death is state, not a counter: heatmaps
+    /// render a dead router as `✖`, distinct from a merely idle `0` cell.
+    pub dead: Vec<bool>,
 }
 
 impl MeshTelemetry {
     /// One metric's per-router values, node-id order (`None` for an
-    /// unknown metric name).
+    /// unknown metric name on a mesh with routers).
     pub fn metric_values(&self, metric: &str) -> Option<Vec<u64>> {
-        self.routers.first()?.get(metric)?;
-        Some(
-            self.routers
-                .iter()
-                .map(|r| r.get(metric).expect("validated above"))
-                .collect(),
-        )
+        self.routers.iter().map(|r| r.get(metric)).collect()
     }
 
     /// Network-wide sum of one metric.
     pub fn total(&self, metric: &str) -> Option<u64> {
         self.metric_values(metric).map(|v| v.iter().sum())
-    }
-
-    /// Element-wise difference (for per-interval heat). Panics if the
-    /// meshes disagree in shape — they must come from the same run.
-    pub fn delta_since(&self, s: &MeshTelemetry) -> MeshTelemetry {
-        assert_eq!(
-            (self.width, self.height, self.routers.len()),
-            (s.width, s.height, s.routers.len()),
-            "telemetry snapshots from different meshes"
-        );
-        MeshTelemetry {
-            width: self.width,
-            height: self.height,
-            routers: self
-                .routers
-                .iter()
-                .zip(s.routers.iter())
-                .map(|(a, b)| a.delta_since(b))
-                .collect(),
-        }
     }
 }
 
@@ -156,6 +82,7 @@ mod tests {
                     ..Default::default()
                 },
             ],
+            dead: vec![false; 2],
         }
     }
 
@@ -165,20 +92,5 @@ mod tests {
         assert_eq!(m.metric_values("flits_routed"), Some(vec![10, 5]));
         assert_eq!(m.total("nacks"), Some(2));
         assert_eq!(m.metric_values("bogus"), None);
-        for name in RouterTelemetry::METRICS {
-            assert!(m.routers[0].get(name).is_some(), "{name} must resolve");
-        }
-    }
-
-    #[test]
-    fn delta_subtracts_per_router() {
-        let a = mesh();
-        let mut b = a.clone();
-        b.routers[0].flits_routed = 25;
-        b.routers[1].recoveries = 3;
-        let d = b.delta_since(&a);
-        assert_eq!(d.routers[0].flits_routed, 15);
-        assert_eq!(d.routers[1].recoveries, 2);
-        assert_eq!(d.routers[1].flits_routed, 0);
     }
 }

@@ -779,8 +779,7 @@ impl<S: TraceSink> Network<S> {
             routers: self
                 .cells
                 .iter()
-                .enumerate()
-                .map(|(n, cell)| {
+                .map(|cell| {
                     let r = &cell.router;
                     RouterTelemetry {
                         flits_routed: r.events.crossbar,
@@ -792,9 +791,11 @@ impl<S: TraceSink> Network<S> {
                         faults_injected: r.fault_counts().total(),
                         recoveries: r.recoveries,
                         computed_cycles: r.computed_cycles,
-                        dead: self.env.dead.contains(n),
                     }
                 })
+                .collect(),
+            dead: (0..self.cells.len())
+                .map(|n| self.env.dead.contains(n))
                 .collect(),
         }
     }

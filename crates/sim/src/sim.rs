@@ -65,18 +65,12 @@ impl SimReport {
     /// Serializes the full report as one JSON object (the CLI's
     /// `--report-json`).
     ///
-    /// Hand-rolled, dependency-free: integers, booleans and finite
-    /// floats only. A non-finite float (e.g. the average latency of an
+    /// Hand-rolled through `ftnoc_metrics::json`'s writers: integers,
+    /// booleans and finite floats only. A non-finite float (e.g. the average latency of an
     /// empty measurement window) becomes `null`.
     pub fn to_json(&self) -> String {
+        use ftnoc_metrics::json::{fnum, push_u64_list};
         use std::fmt::Write as _;
-        fn fnum(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
         let mut s = String::with_capacity(1536);
         let (p50, p95, p99) = self.latency_percentiles;
         let _ = write!(
@@ -96,60 +90,13 @@ impl SimReport {
             fnum(self.tx_utilization),
             fnum(self.retx_utilization),
         );
-        let h = &self.port_occupancy;
-        let deciles = h
-            .buckets()
-            .iter()
-            .map(|b| b.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let _ = write!(
-            s,
-            ",\"port_occupancy\":{{\"deciles\":[{deciles}],\"samples\":{}}}",
-            h.len(),
-        );
-        let ev = &self.events;
-        let _ = write!(
-            s,
-            ",\"events\":{{\"buffer_write\":{},\"buffer_read\":{},\"crossbar\":{},\
-             \"link\":{},\"route\":{},\"va\":{},\"sa\":{},\"retrans_shift\":{},\
-             \"retransmission\":{},\"ecc_check\":{},\"nack\":{},\"ac_check\":{}}}",
-            ev.buffer_write,
-            ev.buffer_read,
-            ev.crossbar,
-            ev.link,
-            ev.route,
-            ev.va,
-            ev.sa,
-            ev.retrans_shift,
-            ev.retransmission,
-            ev.ecc_check,
-            ev.nack,
-            ev.ac_check,
-        );
-        let er = &self.errors;
-        let _ = write!(
-            s,
-            ",\"errors\":{{\"link_corrected_inline\":{},\"link_recovered_by_replay\":{},\
-             \"flits_dropped\":{},\"rt_corrected\":{},\"va_corrected\":{},\
-             \"sa_corrected\":{},\"crossbar_corrected\":{},\"handshake_masked\":{},\
-             \"e2e_retransmissions\":{},\"misdelivered\":{},\"stranded_flits\":{},\
-             \"probes_sent\":{},\"deadlocks_confirmed\":{},\"probes_discarded\":{}}}",
-            er.link_corrected_inline,
-            er.link_recovered_by_replay,
-            er.flits_dropped,
-            er.rt_corrected,
-            er.va_corrected,
-            er.sa_corrected,
-            er.crossbar_corrected,
-            er.handshake_masked,
-            er.e2e_retransmissions,
-            er.misdelivered,
-            er.stranded_flits,
-            er.probes_sent,
-            er.deadlocks_confirmed,
-            er.probes_discarded,
-        );
+        s.push_str(",\"port_occupancy\":{\"deciles\":[");
+        push_u64_list(&mut s, self.port_occupancy.buckets().iter().copied());
+        let _ = write!(s, "],\"samples\":{}}}", self.port_occupancy.len());
+        s.push_str(",\"events\":");
+        self.events.write_json(&mut s);
+        s.push_str(",\"errors\":");
+        self.errors.write_json(&mut s);
         // `retrans_buffer` is a literal: no such fault was ever drawn, but
         // the benchmark digests and CI's `sparse8` gate hash these bytes.
         let fc = &self.faults_injected;
@@ -294,7 +241,7 @@ impl<S: TraceSink> Simulator<S> {
 mod tests {
     use super::*;
     use crate::config::{ErrorScheme, RoutingAlgorithm};
-    use ftnoc_fault::FaultRates;
+    use ftnoc_fault::{FaultCounts, FaultRates};
     use ftnoc_traffic::TrafficPattern;
 
     fn small_config() -> crate::config::SimConfigBuilder {
@@ -490,5 +437,37 @@ mod tests {
         assert!(json.contains("\"avg_latency\":null"), "{json}");
         assert!(json.contains("\"throughput\":null"), "{json}");
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
+    }
+
+    /// Each census block of the JSON report carries every `NAMES` entry
+    /// as a key, in declaration order, with the field's value.
+    #[test]
+    fn report_json_round_trips_every_census() {
+        use ftnoc_metrics::json::{self, Value};
+        let mut b = small_config();
+        b.faults(FaultRates::link_only(0.01)).measure_packets(300);
+        let report = Simulator::new(b.build().unwrap()).run();
+        let doc = json::parse(&report.to_json()).unwrap();
+        let pairs = |names: &[&'static str], get: &dyn Fn(&str) -> Option<u64>| {
+            names.iter().map(|&n| (n, get(n))).collect::<Vec<_>>()
+        };
+        let (ev, er, fc) = (&report.events, &report.errors, &report.faults_injected);
+        for (block, want) in [
+            ("events", pairs(EventCounts::NAMES, &|n| ev.get(n))),
+            ("errors", pairs(ErrorStats::NAMES, &|n| er.get(n))),
+            ("faults_injected", pairs(FaultCounts::NAMES, &|n| fc.get(n))),
+        ] {
+            let Some(Value::Obj(members)) = doc.get(block) else {
+                panic!("no {block} object");
+            };
+            // `retrans_buffer` is the one literal key (see `to_json`).
+            let read: Vec<_> = members
+                .iter()
+                .filter(|m| m.0 != "retrans_buffer")
+                .map(|(k, v)| (k.as_str(), v.as_u64()))
+                .collect();
+            assert_eq!(read, want, "{block}");
+        }
+        assert!(report.events.link > 0 && report.faults_injected.link > 0);
     }
 }

@@ -4,161 +4,115 @@
 use ftnoc_power::{EnergyEvent, EnergyModel};
 use ftnoc_types::units::{Nanojoules, Picojoules};
 
-/// Micro-architectural event counts, multiplied by the energy model at
-/// reporting time (cheaper and more auditable than accumulating floats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// Input-buffer writes.
-    pub buffer_write: u64,
-    /// Input-buffer reads.
-    pub buffer_read: u64,
-    /// Crossbar traversals.
-    pub crossbar: u64,
-    /// Inter-router link traversals.
-    pub link: u64,
-    /// Route computations.
-    pub route: u64,
-    /// Successful VC allocations.
-    pub va: u64,
-    /// Successful switch allocations.
-    pub sa: u64,
-    /// Retransmission-buffer shifts (copies recorded).
-    pub retrans_shift: u64,
-    /// Replayed (retransmitted) flits.
-    pub retransmission: u64,
-    /// SEC/DED decodes at error-check units.
-    pub ecc_check: u64,
-    /// NACK side-band transfers.
-    pub nack: u64,
-    /// Allocation Comparator evaluation cycles.
-    pub ac_check: u64,
+ftnoc_metrics::census! {
+    /// Micro-architectural event counts, multiplied by the energy model at
+    /// reporting time (cheaper and more auditable than accumulating floats).
+    pub struct EventCounts {
+        /// Input-buffer writes.
+        buffer_write,
+        /// Input-buffer reads.
+        buffer_read,
+        /// Crossbar traversals.
+        crossbar,
+        /// Inter-router link traversals.
+        link,
+        /// Route computations.
+        route,
+        /// Successful VC allocations.
+        va,
+        /// Successful switch allocations.
+        sa,
+        /// Retransmission-buffer shifts (copies recorded).
+        retrans_shift,
+        /// Replayed (retransmitted) flits.
+        retransmission,
+        /// SEC/DED decodes at error-check units.
+        ecc_check,
+        /// NACK side-band transfers.
+        nack,
+        /// Allocation Comparator evaluation cycles.
+        ac_check,
+    }
 }
 
+/// The energy row of each [`EventCounts`] field, in field order: its
+/// label in the power profile and the event the model prices.
+const ENERGY_ROWS: [(&str, EnergyEvent); 12] = [
+    ("buffer writes", EnergyEvent::BufferWrite),
+    ("buffer reads", EnergyEvent::BufferRead),
+    ("crossbar traversals", EnergyEvent::CrossbarTraversal),
+    ("link traversals", EnergyEvent::LinkTraversal),
+    ("route computations", EnergyEvent::RouteCompute),
+    ("VC allocations", EnergyEvent::VcAllocation),
+    ("switch allocations", EnergyEvent::SwitchAllocation),
+    ("retrans. buffer shifts", EnergyEvent::RetransBufferShift),
+    ("retransmissions", EnergyEvent::Retransmission),
+    ("ECC checks", EnergyEvent::EccCheck),
+    ("NACK signals", EnergyEvent::NackSignal),
+    ("AC checks", EnergyEvent::AcCheck),
+];
+const _: () = assert!(ENERGY_ROWS.len() == EventCounts::NAMES.len());
+
 impl EventCounts {
-    /// Total energy of the counted events under `model`.
+    /// Total energy of the counted events under `model`: the
+    /// breakdown's rows summed in field order.
     pub fn energy(&self, model: &EnergyModel) -> Picojoules {
-        let pairs: [(EnergyEvent, u64); 12] = [
-            (EnergyEvent::BufferWrite, self.buffer_write),
-            (EnergyEvent::BufferRead, self.buffer_read),
-            (EnergyEvent::CrossbarTraversal, self.crossbar),
-            (EnergyEvent::LinkTraversal, self.link),
-            (EnergyEvent::RouteCompute, self.route),
-            (EnergyEvent::VcAllocation, self.va),
-            (EnergyEvent::SwitchAllocation, self.sa),
-            (EnergyEvent::RetransBufferShift, self.retrans_shift),
-            (EnergyEvent::Retransmission, self.retransmission),
-            (EnergyEvent::EccCheck, self.ecc_check),
-            (EnergyEvent::NackSignal, self.nack),
-            (EnergyEvent::AcCheck, self.ac_check),
-        ];
-        pairs
-            .iter()
-            .map(|(ev, n)| model.cost(*ev) * (*n as f64))
-            .sum()
+        self.energy_breakdown(model).iter().map(|r| r.2).sum()
     }
 
     /// Per-event energy breakdown under `model` — the §2.2 "power profile
     /// of the entire on-chip network", itemized by micro-architectural
-    /// event class.
+    /// event class, in field order.
     pub fn energy_breakdown(&self, model: &EnergyModel) -> Vec<(&'static str, u64, Picojoules)> {
-        let rows: [(&'static str, EnergyEvent, u64); 12] = [
-            ("buffer writes", EnergyEvent::BufferWrite, self.buffer_write),
-            ("buffer reads", EnergyEvent::BufferRead, self.buffer_read),
-            (
-                "crossbar traversals",
-                EnergyEvent::CrossbarTraversal,
-                self.crossbar,
-            ),
-            ("link traversals", EnergyEvent::LinkTraversal, self.link),
-            ("route computations", EnergyEvent::RouteCompute, self.route),
-            ("VC allocations", EnergyEvent::VcAllocation, self.va),
-            ("switch allocations", EnergyEvent::SwitchAllocation, self.sa),
-            (
-                "retrans. buffer shifts",
-                EnergyEvent::RetransBufferShift,
-                self.retrans_shift,
-            ),
-            (
-                "retransmissions",
-                EnergyEvent::Retransmission,
-                self.retransmission,
-            ),
-            ("ECC checks", EnergyEvent::EccCheck, self.ecc_check),
-            ("NACK signals", EnergyEvent::NackSignal, self.nack),
-            ("AC checks", EnergyEvent::AcCheck, self.ac_check),
-        ];
-        rows.iter()
-            .map(|(name, ev, n)| (*name, *n, model.cost(*ev) * (*n as f64)))
+        ENERGY_ROWS
+            .iter()
+            .zip(Self::NAMES)
+            .map(|(&(label, event), name)| {
+                let n = self.get(name).expect("NAMES resolve");
+                (label, n, model.cost(event) * (n as f64))
+            })
             .collect()
-    }
-
-    /// Element-wise accumulation (summing the per-router censuses).
-    pub fn absorb(&mut self, other: &EventCounts) {
-        self.buffer_write += other.buffer_write;
-        self.buffer_read += other.buffer_read;
-        self.crossbar += other.crossbar;
-        self.link += other.link;
-        self.route += other.route;
-        self.va += other.va;
-        self.sa += other.sa;
-        self.retrans_shift += other.retrans_shift;
-        self.retransmission += other.retransmission;
-        self.ecc_check += other.ecc_check;
-        self.nack += other.nack;
-        self.ac_check += other.ac_check;
-    }
-
-    /// Element-wise difference (for warm-up snapshots).
-    pub fn delta_since(&self, snapshot: &EventCounts) -> EventCounts {
-        EventCounts {
-            buffer_write: self.buffer_write - snapshot.buffer_write,
-            buffer_read: self.buffer_read - snapshot.buffer_read,
-            crossbar: self.crossbar - snapshot.crossbar,
-            link: self.link - snapshot.link,
-            route: self.route - snapshot.route,
-            va: self.va - snapshot.va,
-            sa: self.sa - snapshot.sa,
-            retrans_shift: self.retrans_shift - snapshot.retrans_shift,
-            retransmission: self.retransmission - snapshot.retransmission,
-            ecc_check: self.ecc_check - snapshot.ecc_check,
-            nack: self.nack - snapshot.nack,
-            ac_check: self.ac_check - snapshot.ac_check,
-        }
     }
 }
 
-/// Error-handling census (Figure 13a's "number of corrected errors" plus
-/// the bookkeeping behind the reliability claims).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ErrorStats {
-    /// Link errors corrected in place by SEC (single-bit).
-    pub link_corrected_inline: u64,
-    /// Link errors recovered by HBH replay (uncorrectable upsets).
-    pub link_recovered_by_replay: u64,
-    /// Flits dropped by receivers (corrupted + drop-window).
-    pub flits_dropped: u64,
-    /// RT logic errors neutralized (re-route or detected misdirection).
-    pub rt_corrected: u64,
-    /// VA logic errors caught by the Allocation Comparator.
-    pub va_corrected: u64,
-    /// SA logic errors neutralized (AC or downstream ECC).
-    pub sa_corrected: u64,
-    /// Crossbar upsets corrected by downstream ECC.
-    pub crossbar_corrected: u64,
-    /// Handshake upsets masked by TMR.
-    pub handshake_masked: u64,
-    /// E2E/FEC end-to-end packet retransmissions.
-    pub e2e_retransmissions: u64,
-    /// Packets that arrived at the wrong node (misrouted by corruption).
-    pub misdelivered: u64,
-    /// Stranded flits discarded (no wormhole; only without protection).
-    pub stranded_flits: u64,
-    /// Deadlock probes launched.
-    pub probes_sent: u64,
-    /// Deadlocks confirmed by returning probes.
-    pub deadlocks_confirmed: u64,
-    /// Probes that died en route (false suspicions filtered out).
-    pub probes_discarded: u64,
+ftnoc_metrics::census! {
+    /// Error-handling census (Figure 13a's "number of corrected errors" plus
+    /// the bookkeeping behind the reliability claims).
+    pub struct ErrorStats {
+        /// Link errors corrected in place by SEC (single-bit).
+        link_corrected_inline,
+        /// Link errors recovered by HBH replay (uncorrectable upsets).
+        link_recovered_by_replay,
+        /// Flits dropped by receivers (corrupted + drop-window).
+        flits_dropped,
+        /// RT logic errors neutralized (re-route or detected misdirection).
+        rt_corrected,
+        /// VA winners removed because the Allocation Comparator returned
+        /// *any* finding that cycle: the winners whose ground-truth
+        /// corrupted bit is set, not the rows the AC named (ROADMAP
+        /// item 2).
+        va_corrected,
+        /// SA grants removed: every suppressed grant, and with the AC on
+        /// also every wrong-output, multicast or collision upset, counted
+        /// without an AC call (ROADMAP item 2).
+        sa_corrected,
+        /// Crossbar upsets corrected by downstream ECC.
+        crossbar_corrected,
+        /// Handshake upsets masked by TMR.
+        handshake_masked,
+        /// E2E/FEC end-to-end packet retransmissions.
+        e2e_retransmissions,
+        /// Packets that arrived at the wrong node (misrouted by corruption).
+        misdelivered,
+        /// Stranded flits discarded (no wormhole; only without protection).
+        stranded_flits,
+        /// Deadlock probes launched.
+        probes_sent,
+        /// Deadlocks confirmed by returning probes.
+        deadlocks_confirmed,
+        /// Probes that died en route (false suspicions filtered out).
+        probes_discarded,
+    }
 }
 
 impl ErrorStats {
@@ -166,44 +120,6 @@ impl ErrorStats {
     /// Figure 13a.
     pub fn link_total_corrected(&self) -> u64 {
         self.link_corrected_inline + self.link_recovered_by_replay
-    }
-
-    /// Element-wise accumulation (summing the per-router censuses).
-    pub fn absorb(&mut self, other: &ErrorStats) {
-        self.link_corrected_inline += other.link_corrected_inline;
-        self.link_recovered_by_replay += other.link_recovered_by_replay;
-        self.flits_dropped += other.flits_dropped;
-        self.rt_corrected += other.rt_corrected;
-        self.va_corrected += other.va_corrected;
-        self.sa_corrected += other.sa_corrected;
-        self.crossbar_corrected += other.crossbar_corrected;
-        self.handshake_masked += other.handshake_masked;
-        self.e2e_retransmissions += other.e2e_retransmissions;
-        self.misdelivered += other.misdelivered;
-        self.stranded_flits += other.stranded_flits;
-        self.probes_sent += other.probes_sent;
-        self.deadlocks_confirmed += other.deadlocks_confirmed;
-        self.probes_discarded += other.probes_discarded;
-    }
-
-    /// Element-wise difference.
-    pub fn delta_since(&self, s: &ErrorStats) -> ErrorStats {
-        ErrorStats {
-            link_corrected_inline: self.link_corrected_inline - s.link_corrected_inline,
-            link_recovered_by_replay: self.link_recovered_by_replay - s.link_recovered_by_replay,
-            flits_dropped: self.flits_dropped - s.flits_dropped,
-            rt_corrected: self.rt_corrected - s.rt_corrected,
-            va_corrected: self.va_corrected - s.va_corrected,
-            sa_corrected: self.sa_corrected - s.sa_corrected,
-            crossbar_corrected: self.crossbar_corrected - s.crossbar_corrected,
-            handshake_masked: self.handshake_masked - s.handshake_masked,
-            e2e_retransmissions: self.e2e_retransmissions - s.e2e_retransmissions,
-            misdelivered: self.misdelivered - s.misdelivered,
-            stranded_flits: self.stranded_flits - s.stranded_flits,
-            probes_sent: self.probes_sent - s.probes_sent,
-            deadlocks_confirmed: self.deadlocks_confirmed - s.deadlocks_confirmed,
-            probes_discarded: self.probes_discarded - s.probes_discarded,
-        }
     }
 }
 
@@ -423,22 +339,6 @@ mod tests {
             ..Default::default()
         };
         assert!((b.energy(&model).raw() - 2.0 * a.energy(&model).raw()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delta_subtracts_snapshots() {
-        let before = EventCounts {
-            link: 5,
-            va: 2,
-            ..Default::default()
-        };
-        let mut after = before;
-        after.link = 9;
-        after.va = 3;
-        let d = after.delta_since(&before);
-        assert_eq!(d.link, 4);
-        assert_eq!(d.va, 1);
-        assert_eq!(d.buffer_read, 0);
     }
 
     #[test]

@@ -170,6 +170,7 @@ mod tests {
             width: 8,
             height: 8,
             routers: vec![Default::default(); 64],
+            dead: vec![false; 64],
         }
     }
 

@@ -108,7 +108,7 @@ fn router_death_loses_exactly_the_ledgered_packets() {
 
         let net = sim.network();
         assert!(
-            net.telemetry().routers[VICTIM as usize].dead,
+            net.telemetry().dead[VICTIM as usize],
             "seed {seed}: victim router must be dead after the kill cycle"
         );
         assert!(
