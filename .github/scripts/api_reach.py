@@ -2,17 +2,18 @@
 """Fail on public items that nothing outside a test reaches.
 
 Every `pub fn|struct|enum|const|trait|type|static` name declared under
-`crates/*/src` and `src` is word-matched against those same sources plus
+`crates/*/src` and `src` is looked up in those same sources plus
 `examples/` and `benchmark/src`, each file cut at its first
 `#[cfg(test)]` and stripped of `pub use` re-exports, of the contents of
 string literals, including those that span lines through a backslash
 continuation (a word in a chart title or a message is no caller), and of
-`//` comments.
-A name whose only occurrences are its own declarations has no caller: it
-must either go or be listed, with its reason, in
+`//` comments. A `pub fn` is reached only where it is called or named by
+path (`name(`, `name::<`, `::name`); any other item by any occurrence
+of its name beyond its own declarations.
+An unreached name must either go or be listed, with its reason, in
 `.github/api-reach-allow.txt` (`name: reason`, one per line). A flagged
-name has zero references in code, so the check has no false positives;
-it can miss an item that shares its name with a live one.
+name has no such reference in code, so the check has no false
+positives; it can miss an item that shares its name with a live one.
 """
 import collections
 import glob
@@ -23,8 +24,13 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 ALLOW = ROOT / ".github" / "api-reach-allow.txt"
 DECL = re.compile(
-    r"\bpub\s+(?:const\s+|unsafe\s+)*(?:fn|struct|enum|const|trait|type|static)\s+([A-Za-z_]\w*)"
+    r"\bpub\s+(?:const\s+|unsafe\s+)*(fn|struct|enum|const|trait|type|static)\s+([A-Za-z_]\w*)"
 )
+# A function is reached where it is called or named by path: `name(`,
+# `name::<` or `::name`. A same-named field or word is no caller, and a
+# declaration (`fn name`) is cut before the scan.
+FN_DECL = re.compile(r"\bfn\s+[A-Za-z_]\w*")
+FN_REACH = re.compile(r"\b([A-Za-z_]\w*)\s*(?:\(|::<)|::\s*([A-Za-z_]\w*)")
 # Scanned left to right over the whole file, so a "//" inside a string is
 # no comment, a quote inside a comment opens no string, and a string may
 # span lines.
@@ -59,13 +65,18 @@ def main():
     declaring = sources("crates/*/src/**/*.rs", "src/**/*.rs")
     callers = sources("examples/**/*.rs", "benchmark/src/**/*.rs")
     declared = collections.defaultdict(list)
+    functions = set()
     words = collections.Counter()
+    calls = collections.Counter()
     for path in declaring + callers:
         text = live_text(path)
         words.update(re.findall(r"[A-Za-z_]\w*", text))
+        calls.update(a or b for a, b in FN_REACH.findall(FN_DECL.sub("fn", text)))
         if path in declaring:
-            for name in DECL.findall(text):
+            for kind, name in DECL.findall(text):
                 declared[name].append(str(path.relative_to(ROOT)))
+                if kind == "fn":
+                    functions.add(name)
 
     allowed = {}
     for n, line in enumerate(ALLOW.read_text().splitlines(), 1):
@@ -76,7 +87,11 @@ def main():
             sys.exit(f"{ALLOW.name}:{n}: `{name}` has no reason")
         allowed[name.strip()] = reason.strip()
 
-    unreached = {n: f for n, f in declared.items() if words[n] == len(f)}
+    unreached = {
+        n: f
+        for n, f in declared.items()
+        if (calls[n] == 0 if n in functions else words[n] == len(f))
+    }
     failed = False
     for name in sorted(unreached.keys() - allowed.keys()):
         print(f"unreached: {name} ({', '.join(unreached[name])})")

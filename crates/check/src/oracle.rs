@@ -494,12 +494,12 @@ impl Oracle {
         if let Some(tl) = &self.timeline {
             // Snapshots are taken after `step()`, so the table reflects
             // deaths detectable by the end of cycle `now - 1`.
-            let expect: Vec<(usize, usize, u64)> = tl
-                .dead_ports_at(snap.now.saturating_sub(1))
-                .into_iter()
-                .map(|(n, d, since)| (n.index(), d.index(), since))
-                .collect();
-            if snap.dead_ports != expect {
+            let expect = || {
+                tl.dead_ports_at(snap.now.saturating_sub(1))
+                    .map(|(n, d, since)| (n.index(), d.index(), since))
+            };
+            if !snap.dead_ports.iter().copied().eq(expect()) {
+                let expect: Vec<_> = expect().collect();
                 return Err(Violation {
                     cycle: snap.now,
                     node: None,
@@ -644,12 +644,12 @@ impl Oracle {
             // `now`, not `now - 1`: the kill purge runs in the commit of
             // cycle `at - 1`, so a router dying at `now` is already dead
             // in a snapshot taken at `now` (see the snapshot builder).
-            let expect: Vec<(usize, u64)> = tl
-                .dead_routers_at(snap.now)
-                .into_iter()
-                .map(|(n, since)| (n.index(), since))
-                .collect();
-            if snap.dead_routers != expect {
+            let expect = || {
+                tl.dead_routers_at(snap.now)
+                    .map(|(n, since)| (n.index(), since))
+            };
+            if !snap.dead_routers.iter().copied().eq(expect()) {
+                let expect: Vec<_> = expect().collect();
                 return Err(Violation {
                     cycle: snap.now,
                     node: None,

@@ -104,11 +104,6 @@ impl RecoveryRing {
         self.advancements
     }
 
-    /// Whether recovery mode is active.
-    pub fn recovery_active(&self) -> bool {
-        self.recovery_active
-    }
-
     /// Fills node `i`'s transmission buffer with the given flits (front
     /// first), as the deadlocked initial condition.
     ///

@@ -58,8 +58,9 @@ pub struct ScheduledRouterKill {
 
 /// The complete hard-fault history of a run: the static base set plus
 /// one append-only list of every mid-run fault event, configured or
-/// realized online, pre-expanded into per-epoch effective fault
-/// registries.
+/// realized online, folded once into per-epoch effective fault
+/// registries and one dead-since table that answers every query at a
+/// cycle.
 #[derive(Debug, Clone)]
 pub struct FaultTimeline {
     topo: Topology,
@@ -73,6 +74,19 @@ pub struct FaultTimeline {
     /// `(published_since, effective set)` — `epochs[0]` is `(0, base)`;
     /// each later entry folds in every kill published by that cycle.
     epochs: Vec<(u64, HardFaults)>,
+    /// Per router, by [`Direction::CARDINAL`] index: the cycle the link
+    /// leaving it died (`0` for a base fault, else the earliest
+    /// detection cycle). `None` is alive, so a kill at `u64::MAX` still
+    /// reads as one.
+    port_since: Vec<[Option<u64>; 4]>,
+    /// Per router: the cycle it died, as for `port_since`.
+    router_since: Vec<Option<u64>>,
+}
+
+/// The death cycle a dead-since entry records, when it is no later than
+/// `now`.
+fn died_by(since: Option<u64>, now: u64) -> Option<u64> {
+    since.filter(|&at| at <= now)
 }
 
 impl FaultTimeline {
@@ -94,17 +108,39 @@ impl FaultTimeline {
             events: configured_events(kills, router_kills, notify_latency),
             boundaries: Vec::new(),
             epochs: vec![(0, base)],
+            port_since: Vec::new(),
+            router_since: Vec::new(),
         };
         tl.rebuild();
         tl
     }
 
-    /// Recomputes the boundaries and the per-epoch effective sets from
-    /// `self.events` and the base set in `epochs[0]`. A link kill whose
-    /// link the fold already holds dead is skipped: it opens no epoch.
+    /// Recomputes the boundaries, the per-epoch effective sets and the
+    /// dead-since table from `self.events` and the base set in
+    /// `epochs[0]`. A link kill whose link the fold already holds dead
+    /// is skipped: it opens no epoch and keeps the earlier death cycle.
     fn rebuild(&mut self) {
         let topo = self.topo;
+        let base = &self.epochs[0].1;
+        self.port_since.clear();
+        self.port_since.extend(
+            topo.nodes().map(|node| {
+                Direction::CARDINAL.map(|dir| base.link_is_dead(node, dir).then_some(0))
+            }),
+        );
+        self.router_since.clear();
+        self.router_since.extend(
+            topo.nodes()
+                .map(|node| base.router_is_dead(node).then_some(0)),
+        );
         self.epochs.truncate(1);
+        let ports = &mut self.port_since;
+        let mut kill_link = |node: NodeId, dir: Direction, at: u64| {
+            ports[node.index()][dir.index()].get_or_insert(at);
+            if let Some(m) = topo.neighbor_id(node, dir) {
+                ports[m.index()][dir.opposite().index()].get_or_insert(at);
+            }
+        };
         for ev in &self.events {
             let last = &self.epochs.last().unwrap().1;
             let mut next = match ev.kind {
@@ -112,8 +148,19 @@ impl FaultTimeline {
                 _ => last.clone(),
             };
             match ev.kind {
-                FaultEventKind::LinkDown { node, dir } => next.kill_link(topo, node, dir),
-                FaultEventKind::RouterDown { node } => next.kill_router(topo, node),
+                FaultEventKind::LinkDown { node, dir } => {
+                    next.kill_link(topo, node, dir);
+                    kill_link(node, dir, ev.at);
+                }
+                FaultEventKind::RouterDown { node } => {
+                    next.kill_router(topo, node);
+                    self.router_since[node.index()].get_or_insert(ev.at);
+                    for dir in Direction::CARDINAL {
+                        if topo.neighbor_id(node, dir).is_some() {
+                            kill_link(node, dir, ev.at);
+                        }
+                    }
+                }
             }
             if self.epochs.last().unwrap().0 == ev.published_at {
                 self.epochs.last_mut().unwrap().1 = next;
@@ -192,43 +239,22 @@ impl FaultTimeline {
         &self.epochs[epoch].1
     }
 
-    /// The fault set every router agrees on at cycle `now`.
-    pub fn published_at(&self, now: u64) -> &HardFaults {
-        self.effective(self.epoch_at(now))
-    }
-
     /// Ground truth at cycle `now`: whether the link leaving `node` in
     /// `dir` is dead — base faults plus every kill with `at <= now`,
     /// published or not. This is what the routers *adjacent* to the
     /// link know (detection is local and immediate), and therefore what
     /// route-candidate filtering and VC allocation at `node` consult
-    /// for `node`'s own ports.
+    /// for `node`'s own ports. A `Local` port is no link and never reads
+    /// dead.
     pub fn link_dead_now(&self, now: u64, node: NodeId, dir: Direction) -> bool {
-        if self.epochs[0].1.link_is_dead(node, dir) {
-            return true;
-        }
-        let other = self.topo.neighbor_id(node, dir);
-        self.events
-            .iter()
-            .take_while(|ev| ev.at <= now)
-            .any(|ev| match ev.kind {
-                FaultEventKind::LinkDown { node: k, dir: d } => {
-                    (k == node && d == dir) || (Some(k) == other && d == dir.opposite())
-                }
-                FaultEventKind::RouterDown { node: k } => k == node || Some(k) == other,
-            })
+        let since = self.port_since[node.index()].get(dir.index());
+        died_by(since.copied().flatten(), now).is_some()
     }
 
     /// Ground truth at cycle `now`: whether router `node` is dead —
     /// base dead routers plus every router kill with `at <= now`.
     pub fn router_dead_now(&self, now: u64, node: NodeId) -> bool {
-        if self.epochs[0].1.router_is_dead(node) {
-            return true;
-        }
-        self.events
-            .iter()
-            .take_while(|ev| ev.at <= now)
-            .any(|ev| ev.kind == FaultEventKind::RouterDown { node })
+        died_by(self.router_since[node.index()], now).is_some()
     }
 
     /// Every cycle at which fault state changes somewhere: each event's
@@ -239,70 +265,32 @@ impl FaultTimeline {
         &self.boundaries
     }
 
-    /// Every directed dead link endpoint as of cycle `now`, with the
-    /// cycle its death became locally known: `(node, dir, since)`.
-    /// Base faults carry `since == 0`; an endpoint killed twice (a link
-    /// kill later subsumed by a router death) keeps its earliest
-    /// `since`. This is the network's fault table as the snapshot
-    /// exposes it to the invariant oracle.
-    pub fn dead_ports_at(&self, now: u64) -> Vec<(NodeId, Direction, u64)> {
-        #[allow(clippy::disallowed_types, reason = "lookup-only: first-insert test")]
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        let mut push = |out: &mut Vec<_>, node: NodeId, dir: Direction, since: u64| {
-            if seen.insert((node, dir)) {
-                out.push((node, dir, since));
-            }
-        };
-        for node in self.topo.nodes() {
-            for dir in Direction::CARDINAL {
-                if self.epochs[0].1.link_is_dead(node, dir) {
-                    push(&mut out, node, dir, 0);
-                }
-            }
-        }
-        for ev in self.events.iter().take_while(|ev| ev.at <= now) {
-            match ev.kind {
-                FaultEventKind::LinkDown { node, dir } => {
-                    push(&mut out, node, dir, ev.at);
-                    if let Some(m) = self.topo.neighbor_id(node, dir) {
-                        push(&mut out, m, dir.opposite(), ev.at);
-                    }
-                }
-                FaultEventKind::RouterDown { node } => {
-                    for dir in Direction::CARDINAL {
-                        let Some(m) = self.topo.neighbor_id(node, dir) else {
-                            continue;
-                        };
-                        push(&mut out, node, dir, ev.at);
-                        push(&mut out, m, dir.opposite(), ev.at);
-                    }
-                }
-            }
-        }
-        out.sort_by_key(|&(n, d, s)| (n, d, s));
-        out
+    /// Every directed dead link endpoint as of cycle `now`, in
+    /// `(node, dir)` order, with the cycle its death became locally
+    /// known: `(node, dir, since)`. Base faults carry `since == 0`; an
+    /// endpoint killed twice (a link kill later subsumed by a router
+    /// death) keeps its earliest `since`. This is the network's fault
+    /// table as the snapshot exposes it to the invariant oracle.
+    pub fn dead_ports_at(&self, now: u64) -> impl Iterator<Item = (NodeId, Direction, u64)> + '_ {
+        self.topo
+            .nodes()
+            .zip(&self.port_since)
+            .flat_map(move |(node, ports)| {
+                Direction::CARDINAL
+                    .into_iter()
+                    .zip(ports)
+                    .filter_map(move |(dir, &since)| Some((node, dir, died_by(since, now)?)))
+            })
     }
 
     /// Every dead router as of cycle `now` with the cycle it died:
-    /// `(node, since)`, sorted by node. Base dead routers carry
+    /// `(node, since)`, in node order. Base dead routers carry
     /// `since == 0`.
-    pub fn dead_routers_at(&self, now: u64) -> Vec<(NodeId, u64)> {
-        let mut out: Vec<(NodeId, u64)> = self
-            .topo
+    pub fn dead_routers_at(&self, now: u64) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        self.topo
             .nodes()
-            .filter(|&n| self.epochs[0].1.router_is_dead(n))
-            .map(|n| (n, 0))
-            .collect();
-        for ev in self.events.iter().take_while(|ev| ev.at <= now) {
-            if let FaultEventKind::RouterDown { node } = ev.kind {
-                if !out.iter().any(|&(n, _)| n == node) {
-                    out.push((node, ev.at));
-                }
-            }
-        }
-        out.sort_by_key(|&(n, _)| n);
-        out
+            .zip(&self.router_since)
+            .filter_map(move |(node, &since)| Some((node, died_by(since, now)?)))
     }
 }
 
@@ -336,8 +324,8 @@ mod tests {
         assert_eq!(tl.epoch_at(0), 0);
         assert_eq!(tl.epoch_at(u64::MAX), 0);
         assert!(tl.boundaries().is_empty());
-        assert!(tl.dead_ports_at(u64::MAX).is_empty());
-        assert!(tl.dead_routers_at(u64::MAX).is_empty());
+        assert_eq!(tl.dead_ports_at(u64::MAX).count(), 0);
+        assert_eq!(tl.dead_routers_at(u64::MAX).count(), 0);
     }
 
     #[test]
@@ -356,12 +344,12 @@ mod tests {
         assert!(tl.link_dead_now(100, NodeId::new(6), Direction::West));
         assert_eq!(tl.epoch_at(100), 0);
         assert!(!tl
-            .published_at(100)
+            .effective(tl.epoch_at(100))
             .link_is_dead(NodeId::new(5), Direction::East));
         // After the latency: the whole network agrees.
         assert_eq!(tl.epoch_at(108), 1);
         assert!(tl
-            .published_at(108)
+            .effective(tl.epoch_at(108))
             .link_is_dead(NodeId::new(5), Direction::East));
         assert_eq!(tl.boundaries(), [100, 108]);
     }
@@ -371,10 +359,10 @@ mod tests {
         let mut base = HardFaults::new();
         base.kill_link(topo(), NodeId::new(0), Direction::East);
         let tl = FaultTimeline::with_events(topo(), base, &[kill(50, 9, Direction::South)], &[], 4);
-        let before = tl.dead_ports_at(49);
+        let before: Vec<_> = tl.dead_ports_at(49).collect();
         assert_eq!(before.len(), 2); // base endpoints only
         assert!(before.iter().all(|&(_, _, s)| s == 0));
-        let after = tl.dead_ports_at(50);
+        let after: Vec<_> = tl.dead_ports_at(50).collect();
         assert_eq!(after.len(), 4);
         assert!(after.contains(&(NodeId::new(9), Direction::South, 50)));
         assert!(after.contains(&(NodeId::new(13), Direction::North, 50)));
@@ -423,14 +411,16 @@ mod tests {
         // Publication lags by the notify latency.
         assert_eq!(tl.epoch_at(107), 0);
         assert_eq!(tl.epoch_at(108), 1);
-        assert!(tl.published_at(108).router_is_dead(NodeId::new(5)));
+        assert!(tl
+            .effective(tl.epoch_at(108))
+            .router_is_dead(NodeId::new(5)));
         assert_eq!(tl.boundaries(), [100, 108]);
         // The fault table lists all eight directed endpoints with since.
-        let ports = tl.dead_ports_at(100);
+        let ports: Vec<_> = tl.dead_ports_at(100).collect();
         assert_eq!(ports.len(), 8);
         assert!(ports.iter().all(|&(_, _, s)| s == 100));
-        assert_eq!(tl.dead_routers_at(100), vec![(NodeId::new(5), 100)]);
-        assert!(tl.dead_routers_at(99).is_empty());
+        assert!(tl.dead_routers_at(100).eq([(NodeId::new(5), 100)]));
+        assert_eq!(tl.dead_routers_at(99).count(), 0);
     }
 
     #[test]
@@ -445,7 +435,7 @@ mod tests {
             0,
         );
         assert_eq!(tl.epoch_count(), 3);
-        let ports = tl.dead_ports_at(100);
+        let ports: Vec<_> = tl.dead_ports_at(100).collect();
         // 2 endpoints since 50, 6 more since 100 (no duplicates).
         assert_eq!(ports.len(), 8);
         assert!(ports.contains(&(NodeId::new(5), Direction::East, 50)));
@@ -474,13 +464,10 @@ mod tests {
             [(200, FaultCause::Wearout), (1000, FaultCause::Configured)]
         );
         assert_eq!(tl.epoch_count(), 2);
-        assert_eq!(
-            tl.dead_ports_at(u64::MAX),
-            [
-                (NodeId::new(5), Direction::East, 200),
-                (NodeId::new(6), Direction::West, 200),
-            ]
-        );
+        assert!(tl.dead_ports_at(u64::MAX).eq([
+            (NodeId::new(5), Direction::East, 200),
+            (NodeId::new(6), Direction::West, 200),
+        ]));
         // A second realization of the same (already dead) link is a no-op.
         assert!(!tl.push_link_kill(300, NodeId::new(5), Direction::East));
         // Nonexistent link: no-op.

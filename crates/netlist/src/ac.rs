@@ -34,8 +34,6 @@ const VC_BITS: usize = 3;
 #[derive(Debug, Clone)]
 pub struct AcNetlist {
     circuit: Circuit,
-    entries: usize,
-    sa_grants: usize,
     vcs_per_port: usize,
 }
 
@@ -168,8 +166,6 @@ impl AcNetlist {
 
         AcNetlist {
             circuit: c,
-            entries,
-            sa_grants,
             vcs_per_port,
         }
     }
@@ -247,8 +243,6 @@ impl AcNetlist {
         c.output("error", error);
         AcNetlist {
             circuit: c,
-            entries: total,
-            sa_grants,
             vcs_per_port,
         }
     }
@@ -256,16 +250,6 @@ impl AcNetlist {
     /// The underlying circuit.
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
-    }
-
-    /// Number of VA entry slots.
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
-    /// Number of SA grant slots.
-    pub fn sa_grants(&self) -> usize {
-        self.sa_grants
     }
 
     /// Configured VCs per port.

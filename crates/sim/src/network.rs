@@ -651,11 +651,6 @@ impl<S: TraceSink> Network<S> {
         }
     }
 
-    /// Read access to the tracing front-end (flight recorders).
-    pub fn tracer(&self) -> &Tracer<S> {
-        &self.core.tracer
-    }
-
     /// Flushes and surrenders the tracer (post-run sink recovery).
     pub fn into_tracer(mut self) -> Tracer<S> {
         self.core.tracer.flush();
@@ -916,7 +911,6 @@ impl<S: TraceSink> Network<S> {
         out.dead_ports.extend(
             timeline
                 .dead_ports_at(core.now.saturating_sub(1))
-                .into_iter()
                 .map(|(n, d, since)| (n.index(), d.index(), since)),
         );
         // Router deaths use `now`, not `now - 1`: the kill purge runs in
@@ -927,7 +921,6 @@ impl<S: TraceSink> Network<S> {
         out.dead_routers.extend(
             timeline
                 .dead_routers_at(core.now)
-                .into_iter()
                 .map(|(n, since)| (n.index(), since)),
         );
         out.lost.clear();

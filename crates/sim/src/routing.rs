@@ -31,7 +31,7 @@
 //!    up*/down* relation alone carries the safety argument.
 
 use ftnoc_fault::{FaultTimeline, HardFaults};
-use ftnoc_types::geom::{Coord, Direction, NodeId, Topology};
+use ftnoc_types::geom::{Coord, DirSet, Direction, NodeId, Topology};
 
 use crate::config::RoutingAlgorithm;
 
@@ -71,9 +71,6 @@ impl FaultRect {
 #[derive(Debug, Clone)]
 pub struct FaultAwarePlan {
     topo: Topology,
-    /// BFS level from the root over live links (`u32::MAX` =
-    /// unreachable or dead).
-    level: Vec<u32>,
     /// Per-node, per-cardinal-direction link classification.
     class: Vec<[LinkClass; 4]>,
     /// `down_reach[n]`: bitset of destinations reachable from `n`
@@ -183,7 +180,6 @@ impl FaultAwarePlan {
 
         FaultAwarePlan {
             topo,
-            level,
             class,
             down_reach,
             full_reach,
@@ -198,12 +194,6 @@ impl FaultAwarePlan {
         } else {
             LinkClass::None
         }
-    }
-
-    /// The BFS level of `node` (`None` when dead or unreachable).
-    pub fn level(&self, node: NodeId) -> Option<u32> {
-        let l = self.level[node.index()];
-        (l != u32::MAX).then_some(l)
     }
 
     /// Whether the relation can carry a packet from `from` to `dest`
@@ -358,9 +348,7 @@ pub struct FaultState {
 impl FaultState {
     /// Builds the per-epoch plans from a timeline.
     pub fn new(timeline: FaultTimeline) -> Self {
-        let plans = (0..timeline.epoch_count())
-            .map(|e| FaultAwarePlan::build(timeline.topology(), timeline.effective(e)))
-            .collect();
+        let plans = epoch_plans(&timeline);
         FaultState { timeline, plans }
     }
 
@@ -409,11 +397,16 @@ impl FaultState {
         if !self.timeline.push_link_kill(at, node, dir) {
             return false;
         }
-        self.plans = (0..self.timeline.epoch_count())
-            .map(|e| FaultAwarePlan::build(self.timeline.topology(), self.timeline.effective(e)))
-            .collect();
+        self.plans = epoch_plans(&self.timeline);
         true
     }
+}
+
+/// One up*/down* plan per publication epoch of `timeline`.
+fn epoch_plans(timeline: &FaultTimeline) -> Vec<FaultAwarePlan> {
+    (0..timeline.epoch_count())
+        .map(|e| FaultAwarePlan::build(timeline.topology(), timeline.effective(e)))
+        .collect()
 }
 
 /// The candidate output ports for a packet at `here` heading to `dest`,
@@ -480,7 +473,7 @@ pub fn route_candidates(
                 minimal.iter().collect()
             }
         }
-        RoutingAlgorithm::OddEven => odd_even_candidates(topo, here_c, dest_c, minimal.as_slice()),
+        RoutingAlgorithm::OddEven => odd_even_candidates(here_c, dest_c, minimal),
         RoutingAlgorithm::FullyAdaptive => minimal.iter().collect(),
         RoutingAlgorithm::FaultAware => unreachable!("handled above"),
     };
@@ -495,42 +488,16 @@ pub fn route_candidates(
     candidates
 }
 
-/// Odd-even turn model (Chiu 2000): east-north and east-south turns are
-/// forbidden in even columns; north-west and south-west turns in odd
-/// columns. Expressed here as a restriction on the minimal set.
-fn odd_even_candidates(
-    _topo: Topology,
-    here: Coord,
-    dest: Coord,
-    minimal: &[Direction],
-) -> Vec<Direction> {
-    let even_col = here.x().is_multiple_of(2);
-    let mut out = Vec::with_capacity(2);
-    for &d in minimal {
-        let keep = match d {
-            Direction::West => true,
-            Direction::East => {
-                // EN/ES turns happen in the column where we stop going
-                // east; forbid turning off East in even columns by
-                // preferring to continue East when dest is further east.
-                true
-            }
-            Direction::North | Direction::South => {
-                // May only turn N/S from E in odd columns, or when X is
-                // already resolved.
-                here.x() == dest.x() || !even_col
-            }
-            Direction::Local => true,
-        };
-        if keep {
-            out.push(d);
-        }
-    }
-    if out.is_empty() {
-        minimal.to_vec()
-    } else {
-        out
-    }
+/// Odd-even turn model (Chiu 2000), as far as this filter goes: every
+/// minimal East/West hop is offered, a minimal North/South hop only in
+/// an odd column or once X is resolved. A non-empty minimal set
+/// therefore never empties.
+fn odd_even_candidates(here: Coord, dest: Coord, minimal: DirSet) -> Vec<Direction> {
+    let vertical_ok = here.x() == dest.x() || !here.x().is_multiple_of(2);
+    minimal
+        .iter()
+        .filter(|d| vertical_ok || !matches!(d, Direction::North | Direction::South))
+        .collect()
 }
 
 /// The XY overshoot check, split out for testability: a flit arriving

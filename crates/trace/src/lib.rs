@@ -113,11 +113,6 @@ impl<S: TraceSink> Tracer<S> {
         }
     }
 
-    /// The flight recorder for `node`, when recorders are on.
-    pub fn recorder(&self, node: u16) -> Option<&FlightRecorder> {
-        self.recorders.get(node as usize)
-    }
-
     /// All flight recorders (empty when disabled).
     pub fn recorders(&self) -> &[FlightRecorder] {
         &self.recorders
@@ -141,9 +136,9 @@ mod tests {
         for c in 0..10u64 {
             tracer.emit(c, (c % 2) as u16, TraceEvent::RecoveryStarted);
         }
-        assert_eq!(tracer.recorder(0).unwrap().len(), 4);
-        assert_eq!(tracer.recorder(0).unwrap().total_seen(), 5);
-        assert!(tracer.recorder(2).is_none());
+        assert_eq!(tracer.recorders()[0].len(), 4);
+        assert_eq!(tracer.recorders()[0].total_seen(), 5);
+        assert!(tracer.recorders().get(2).is_none());
         let sink = tracer.into_sink();
         assert_eq!(sink.records.len(), 10);
     }

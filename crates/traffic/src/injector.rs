@@ -60,11 +60,6 @@ impl Injector {
         })
     }
 
-    /// The mean packet rate in packets/node/cycle.
-    pub fn packets_per_cycle(&self) -> f64 {
-        self.packets_per_cycle
-    }
-
     /// Advances one cycle and returns how many packets to inject now
     /// (0 or 1 for all rates ≤ 1 flit/cycle).
     pub fn packets_this_cycle(&mut self, rng: &mut Rng) -> u32 {

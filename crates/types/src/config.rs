@@ -109,7 +109,6 @@ pub struct RouterConfig {
     retrans_depth: usize,
     flits_per_packet: usize,
     pipeline: PipelineDepth,
-    link_width_bits: u32,
     buffer_org: BufferOrg,
 }
 
@@ -147,11 +146,6 @@ impl RouterConfig {
     /// Pipeline organisation.
     pub const fn pipeline(&self) -> PipelineDepth {
         self.pipeline
-    }
-
-    /// Physical link width in bits (data + check).
-    pub const fn link_width_bits(&self) -> u32 {
-        self.link_width_bits
     }
 
     /// Input-buffer organisation of the receive side.
@@ -285,7 +279,6 @@ impl RouterConfigBuilder {
             retrans_depth: self.retrans_depth,
             flits_per_packet: self.flits_per_packet,
             pipeline: self.pipeline,
-            link_width_bits: crate::flit::FLIT_TOTAL_BITS,
             buffer_org: self.buffer_org,
         })
     }
@@ -310,7 +303,7 @@ mod tests {
         assert_eq!(cfg.retrans_depth(), 3);
         assert_eq!(cfg.flits_per_packet(), 4);
         assert_eq!(cfg.pipeline(), PipelineDepth::Three);
-        assert_eq!(cfg.link_width_bits(), 72);
+        assert_eq!(crate::flit::FLIT_TOTAL_BITS, 72);
     }
 
     #[test]

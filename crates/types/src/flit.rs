@@ -280,11 +280,6 @@ impl Flit {
         self.header = Header::with_class(fields.src, fields.dest, fields.class);
     }
 
-    /// The application tag currently encoded in the word.
-    pub fn tag(&self) -> u16 {
-        PackedFields::unpack(self.payload.data()).tag
-    }
-
     /// Whether the logical and physical views agree (no pending corruption).
     pub fn is_consistent(&self) -> bool {
         let fields = PackedFields::unpack(self.payload.data());
@@ -351,7 +346,7 @@ mod tests {
     fn new_flit_is_consistent() {
         let flit = sample_flit();
         assert!(flit.is_consistent());
-        assert_eq!(flit.tag(), 0xBEEF);
+        assert_eq!(PackedFields::unpack(flit.payload.data()).tag, 0xBEEF);
     }
 
     #[test]

@@ -389,12 +389,6 @@ impl Topology {
         (0..self.node_count() as u16).map(NodeId::new)
     }
 
-    /// Processing elements per router (`1` except for a concentrated
-    /// mesh).
-    pub const fn concentration(self) -> u8 {
-        self.concentration
-    }
-
     /// Number of local (PE) ports per router.
     pub const fn local_ports(self) -> usize {
         self.concentration as usize

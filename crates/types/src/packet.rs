@@ -3,7 +3,6 @@
 use std::fmt;
 
 use crate::flit::{Flit, FlitKind, Header};
-use crate::geom::NodeId;
 
 /// Globally unique packet identifier (simulation metadata).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -53,7 +52,6 @@ pub struct Packet {
     id: PacketId,
     header: Header,
     flits: Vec<Flit>,
-    inject_cycle: u64,
 }
 
 impl Packet {
@@ -81,37 +79,12 @@ impl Packet {
                 Flit::new(id, seq as u8, kind, header, seq as u16, inject_cycle)
             })
             .collect();
-        Packet {
-            id,
-            header,
-            flits,
-            inject_cycle,
-        }
+        Packet { id, header, flits }
     }
 
     /// The packet id.
     pub const fn id(&self) -> PacketId {
         self.id
-    }
-
-    /// The routing header.
-    pub const fn header(&self) -> Header {
-        self.header
-    }
-
-    /// The source node.
-    pub const fn src(&self) -> NodeId {
-        self.header.src
-    }
-
-    /// The destination node.
-    pub const fn dest(&self) -> NodeId {
-        self.header.dest
-    }
-
-    /// Cycle at which the packet was created.
-    pub const fn inject_cycle(&self) -> u64 {
-        self.inject_cycle
     }
 
     /// Number of flits.
@@ -157,6 +130,7 @@ impl fmt::Display for Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geom::NodeId;
 
     fn header() -> Header {
         Header::new(NodeId::new(5), NodeId::new(58))
@@ -186,7 +160,7 @@ mod tests {
     fn single_flit_packet_is_head_and_tail() {
         let pkt = Packet::new(PacketId::new(1), header(), 1, 9);
         assert_eq!(pkt.flits()[0].kind, FlitKind::Single);
-        assert_eq!(pkt.inject_cycle(), 9);
+        assert_eq!(pkt.flits()[0].inject_cycle, 9);
     }
 
     #[test]

@@ -50,14 +50,38 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-/// A fault-free 4×4 below saturation: after 1 000 cycles of warm-up
-/// (200 are not enough: buffers still reach new high-water marks), 500
-/// refills together allocate less than one fresh snapshot does.
+/// A 4×4 below saturation, fault-free at two rates and as a faulted
+/// `fta` run (a link kill, a router death and wear-out, so the
+/// snapshot's fault tables change while it is refilled): after 1 000
+/// cycles of warm-up (200 are not enough: buffers still reach new
+/// high-water marks), 500 refills together allocate less than one fresh
+/// snapshot does.
 #[test]
 fn a_warm_refill_does_not_allocate() {
-    for rate in [0.10, 0.30] {
+    let mut faults = FaultPlan::new();
+    for spec in ["link:5:e@200", "router:10@400", "wearout:300:4", "notify:4"] {
+        faults.add_spec(spec).expect("valid fault spec");
+    }
+    let rows = [
+        (
+            "inj 0.1",
+            0.10,
+            RoutingAlgorithm::XyDeterministic,
+            FaultPlan::new(),
+        ),
+        (
+            "inj 0.3",
+            0.30,
+            RoutingAlgorithm::XyDeterministic,
+            FaultPlan::new(),
+        ),
+        ("faulted", 0.10, RoutingAlgorithm::FaultAware, faults),
+    ];
+    for (row, rate, routing, plan) in rows {
         let mut b = SimConfig::builder();
         b.topology(Topology::mesh(4, 4))
+            .routing(routing)
+            .fault_plan(&plan)
             .injection(InjectionProcess::Bernoulli)
             .injection_rate(rate)
             .warmup_packets(0)
@@ -77,18 +101,18 @@ fn a_warm_refill_does_not_allocate() {
             cheapest_fresh = cheapest_fresh.min(fresh);
         }
         println!(
-            "inj {rate}: 500 refills allocate {refills} times, a fresh snapshot >= {cheapest_fresh} \
+            "{row}: 500 refills allocate {refills} times, a fresh snapshot >= {cheapest_fresh} \
              ({} per router)",
             cheapest_fresh / routers
         );
         // The row with teeth: the counter sees what `snapshot()` costs.
         assert!(
             cheapest_fresh >= 10 * routers,
-            "inj {rate}: a fresh snapshot allocated only {cheapest_fresh} times"
+            "{row}: a fresh snapshot allocated only {cheapest_fresh} times"
         );
         assert!(
             refills < cheapest_fresh,
-            "inj {rate}: 500 warm refills allocated {refills} times, one fresh snapshot {cheapest_fresh}"
+            "{row}: 500 warm refills allocated {refills} times, one fresh snapshot {cheapest_fresh}"
         );
     }
 }

@@ -1,7 +1,12 @@
 //! Hard-fault integration: dead links and dead routers with adaptive
 //! re-routing, and the probe protocol's hard-fault discipline (§3.2.2).
 
+use std::collections::BTreeMap;
+
+use ftnoc::check::CampaignParams;
+use ftnoc::fault::FaultEventKind;
 use ftnoc::prelude::*;
+use ftnoc_rng::Rng;
 
 fn topo() -> Topology {
     Topology::mesh(6, 6)
@@ -118,4 +123,121 @@ fn deadlock_free_routing_never_confirms_deadlocks_under_load() {
         "{} probes neither discarded nor in flight",
         in_flight
     );
+}
+
+/// The fault tables a timeline implies at `now`, folded by brute force
+/// from its base set and its event list: every dead directed link
+/// endpoint and every dead router with the cycle it died, the earliest
+/// cycle kept.
+fn fold_history(
+    tl: &FaultTimeline,
+    now: u64,
+) -> (BTreeMap<(NodeId, Direction), u64>, BTreeMap<NodeId, u64>) {
+    let topo = tl.topology();
+    let base = tl.effective(0);
+    let (mut ports, mut routers) = (BTreeMap::new(), BTreeMap::new());
+    for node in topo.nodes() {
+        if base.router_is_dead(node) {
+            routers.insert(node, 0);
+        }
+        for dir in Direction::CARDINAL {
+            if base.link_is_dead(node, dir) {
+                ports.insert((node, dir), 0);
+            }
+        }
+    }
+    for ev in tl.events().iter().filter(|ev| ev.at <= now) {
+        let mut kill = |node: NodeId, dir: Direction| {
+            ports.entry((node, dir)).or_insert(ev.at);
+            if let Some(m) = topo.neighbor_id(node, dir) {
+                ports.entry((m, dir.opposite())).or_insert(ev.at);
+            }
+        };
+        match ev.kind {
+            FaultEventKind::LinkDown { node, dir } => kill(node, dir),
+            FaultEventKind::RouterDown { node } => {
+                routers.entry(node).or_insert(ev.at);
+                for dir in Direction::CARDINAL {
+                    if topo.neighbor_id(node, dir).is_some() {
+                        kill(node, dir);
+                    }
+                }
+            }
+        }
+    }
+    (ports, routers)
+}
+
+/// Whether the link leaving live router `node` in `dir` is dead at
+/// `now`, asked of the history directly: a base fault, a kill of the
+/// link from either end, or the death of the router across it.
+fn link_dead_in_history(tl: &FaultTimeline, now: u64, node: NodeId, dir: Direction) -> bool {
+    let across = tl.topology().neighbor_id(node, dir);
+    tl.effective(0).link_is_dead(node, dir)
+        || tl
+            .events()
+            .iter()
+            .filter(|ev| ev.at <= now)
+            .any(|ev| match ev.kind {
+                FaultEventKind::LinkDown { node: k, dir: d } => {
+                    (k == node && d == dir) || (Some(k) == across && d == dir.opposite())
+                }
+                FaultEventKind::RouterDown { node: k } => Some(k) == across,
+            })
+}
+
+/// Every fault query the timeline answers equals a brute-force fold of
+/// its history, over the timelines of 200 sampled fuzz campaigns, each
+/// extended with a few wear-out realizations, at cycle 0, at every
+/// boundary and the cycle before it, and at `u64::MAX`.
+#[test]
+fn fault_queries_match_a_fold_of_the_history() {
+    for i in 0..200 {
+        let params = CampaignParams::sample(1, i);
+        let mut tl = params
+            .to_config()
+            .expect("sampled campaigns build")
+            .fault_timeline();
+        let topo = tl.topology();
+        let mut r = Rng::seed_from_u64_stream(0xdead, i);
+        for _ in 0..r.gen_range(1..5u64) {
+            let node = NodeId::new(r.gen_range(0..topo.node_count() as u64) as u16);
+            let dir = Direction::CARDINAL[r.gen_range(0..4usize)];
+            tl.push_link_kill(r.gen_range(0..params.cycles), node, dir);
+        }
+        let mut cycles = vec![0, u64::MAX];
+        for &b in tl.boundaries() {
+            cycles.extend([b, b.saturating_sub(1)]);
+        }
+        for now in cycles {
+            let (ports, routers) = fold_history(&tl, now);
+            let ctx = format!("campaign {i} ({}) at cycle {now}", params.to_spec());
+            assert!(
+                tl.dead_ports_at(now)
+                    .eq(ports.iter().map(|(&(n, d), &since)| (n, d, since))),
+                "{ctx}: dead ports {:?}, history {ports:?}",
+                tl.dead_ports_at(now).collect::<Vec<_>>()
+            );
+            assert!(
+                tl.dead_routers_at(now)
+                    .eq(routers.iter().map(|(&n, &since)| (n, since))),
+                "{ctx}: dead routers {:?}, history {routers:?}",
+                tl.dead_routers_at(now).collect::<Vec<_>>()
+            );
+            for node in topo.nodes() {
+                let dead = routers.contains_key(&node);
+                assert_eq!(tl.router_dead_now(now, node), dead, "{ctx}: router {node}");
+                if dead {
+                    continue;
+                }
+                for dir in Direction::ALL {
+                    assert_eq!(
+                        tl.link_dead_now(now, node, dir),
+                        link_dead_in_history(&tl, now, node, dir),
+                        "{ctx}: link {node}:{dir}"
+                    );
+                }
+            }
+        }
+    }
 }
