@@ -22,7 +22,7 @@ use ftnoc_sim::config::ErrorScheme;
 use ftnoc_sim::router::BlockedVcSummary;
 use ftnoc_sim::snapshot::{NetSnapshot, VcStateView};
 use ftnoc_sim::{RoutingAlgorithm, SimConfig};
-use ftnoc_types::config::{BufferOrg, RouterConfig};
+use ftnoc_types::config::RouterConfig;
 use ftnoc_types::flit::Flit;
 use ftnoc_types::geom::{Direction, NodeId};
 
@@ -315,10 +315,12 @@ impl Oracle {
 
     /// Capacity bounds that hold in every configuration.
     fn check_structural(&self, snap: &NetSnapshot) -> Result<(), Violation> {
+        let cap = self.router.port_capacity();
+        let depth = self.router.retrans_depth();
         for (n, r) in snap.routers.iter().enumerate() {
             for (p, port) in r.inputs.iter().enumerate() {
                 for (v, ivc) in port.iter().enumerate() {
-                    if ivc.flits.len() > ivc.capacity {
+                    if ivc.flits.len() > cap.per_vc {
                         return Err(Violation::new(
                             snap.now,
                             n,
@@ -326,29 +328,29 @@ impl Oracle {
                             format!(
                                 "input {p}.{v} holds {} flits, capacity {}",
                                 ivc.flits.len(),
-                                ivc.capacity
+                                cap.per_vc
                             ),
                         ));
                     }
                 }
-                // DAMQ reserved-slot floor: counting every empty VC's
-                // reserved slot, the pool can never be oversubscribed —
-                // Σ_v max(len(v), 1) ≤ pool. This is the structural form
-                // of the liveness guarantee that an empty VC can always
-                // accept one flit (wormhole atomicity / §3.2 recovery).
-                if let BufferOrg::Damq { pool_size } = self.router.buffer_org() {
-                    let floor: usize = port.iter().map(|ivc| ivc.flits.len().max(1)).sum();
-                    if floor > pool_size {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "structural",
-                            format!(
-                                "input port {p} breaks the damq reserved-slot floor: \
-                                 Σ max(len, 1) = {floor} > pool {pool_size}"
-                            ),
-                        ));
-                    }
+                // Reserved-slot floor: counting every empty VC's
+                // reserved slot, the port can never be oversubscribed —
+                // Σ_v max(len(v), 1) ≤ vcs + shared. This is the
+                // structural form of the liveness guarantee that an
+                // empty VC can always accept one flit (wormhole
+                // atomicity / §3.2 recovery).
+                let floor: usize = port.iter().map(|ivc| ivc.flits.len().max(1)).sum();
+                let slots = port.len() + cap.shared;
+                if floor > slots {
+                    return Err(Violation::new(
+                        snap.now,
+                        n,
+                        "structural",
+                        format!(
+                            "input port {p} breaks the reserved-slot floor: \
+                             Σ max(len, 1) = {floor} > {slots} slots"
+                        ),
+                    ));
                 }
             }
             for (p, out) in r.outputs.iter().enumerate() {
@@ -361,15 +363,14 @@ impl Oracle {
                     ));
                 }
                 for (v, ovc) in out.vcs.iter().enumerate() {
-                    if ovc.sender.slots.len() > ovc.sender.depth {
+                    if ovc.sender.slots.len() > depth {
                         return Err(Violation::new(
                             snap.now,
                             n,
                             "structural",
                             format!(
-                                "sender {p}.{v} holds {} slots, depth {}",
-                                ovc.sender.slots.len(),
-                                ovc.sender.depth
+                                "sender {p}.{v} holds {} slots, depth {depth}",
+                                ovc.sender.slots.len()
                             ),
                         ));
                     }
@@ -869,29 +870,19 @@ impl Oracle {
         Ok(())
     }
 
-    /// Credit accounting per (node, direction, VC), interpreted per the
-    /// run's buffer organisation.
+    /// Credit accounting per (node, direction, VC): credits left plus
+    /// every distinct flit holding one (ST queue, on the wire, in the
+    /// downstream buffer) plus credits in flight back can never exceed
+    /// the downstream VC's cap (`per_vc` of the port capacity) — and
+    /// equal it exactly in fault-free runs. A lost credit decrement or
+    /// a doubled increment shows up as the left side exceeding it.
     ///
-    /// **Static partition** — available credits plus every distinct
-    /// flit holding one (ST queue, on the wire, in the downstream
-    /// buffer) plus credits in flight back can never exceed the
-    /// downstream buffer depth — and equal it exactly in fault-free
-    /// runs.
-    ///
-    /// **DAMQ** — the snapshot's credit counter is the sender's
-    /// *outstanding* count (flits sent, not yet credited). Every flit
-    /// it covers is either still travelling/resident or has its credit
-    /// in flight back, so `resident + returning ≤ outstanding` — with
-    /// equality in fault-free runs. An under-counted `outstanding`
-    /// (a lost credit decrement or skipped increment) shows up as the
-    /// left side exceeding it.
-    ///
-    /// Replay duplicates are deduplicated by flit identity in both
-    /// organisations: a retransmitted copy shares its original's credit.
+    /// Replay duplicates are deduplicated by flit identity: a
+    /// retransmitted copy shares its original's credit.
     fn check_credits(&self, snap: &NetSnapshot) -> Result<(), Violation> {
         let vcs = self.router.vcs_per_port();
-        let depth = self.router.buffer_depth();
-        let mut seen: Vec<(u64, u8)> = Vec::with_capacity(depth + 2);
+        let per_vc = self.router.port_capacity().per_vc;
+        let mut seen: Vec<(u64, u8)> = Vec::with_capacity(per_vc + 2);
         for (n, r) in snap.routers.iter().enumerate() {
             for d in Direction::CARDINAL {
                 let op = d.index();
@@ -931,40 +922,18 @@ impl Oracle {
                         .filter(|(cv, _)| usize::from(*cv) == v)
                         .count();
                     let credits = r.outputs[op].vcs[v].credits as usize;
-                    match self.router.buffer_org() {
-                        BufferOrg::StaticPartition => {
-                            let lhs = credits + seen.len() + pending;
-                            if lhs > depth || (self.arm.credit_exact && lhs != depth) {
-                                return Err(Violation::new(
-                                    snap.now,
-                                    n,
-                                    "credit-accounting",
-                                    format!(
-                                        "link {d:?} vc {v}: {credits} credits + {} resident + \
-                                         {pending} returning = {lhs}, buffer depth {depth}",
-                                        seen.len()
-                                    ),
-                                ));
-                            }
-                        }
-                        BufferOrg::Damq { .. } => {
-                            let accounted = seen.len() + pending;
-                            if accounted > credits
-                                || (self.arm.credit_exact && accounted != credits)
-                            {
-                                return Err(Violation::new(
-                                    snap.now,
-                                    n,
-                                    "credit-accounting",
-                                    format!(
-                                        "link {d:?} vc {v}: {} resident + {pending} \
-                                         returning = {accounted}, but the sender tracks \
-                                         only {credits} outstanding",
-                                        seen.len()
-                                    ),
-                                ));
-                            }
-                        }
+                    let lhs = credits + seen.len() + pending;
+                    if lhs > per_vc || (self.arm.credit_exact && lhs != per_vc) {
+                        return Err(Violation::new(
+                            snap.now,
+                            n,
+                            "credit-accounting",
+                            format!(
+                                "link {d:?} vc {v}: {credits} credits + {} resident + \
+                                 {pending} returning = {lhs}, buffer depth {per_vc}",
+                                seen.len()
+                            ),
+                        ));
                     }
                 }
             }

@@ -1,17 +1,12 @@
-//! Pluggable input-buffer organisations and their credit-flow ledgers.
+//! Input-buffer storage and its sender-side credit ledger, both run by
+//! one slot-sharing rule.
 //!
-//! The paper's platform statically partitions each input port into
-//! per-VC transmission FIFOs with per-VC credit counters. This module
-//! makes that choice explicit: [`PortBuffer`] is the one buffer type the
-//! router holds, an enum over two organisations private to this module:
-//!
-//! - the static partition — bit-for-bit the original behaviour: one
-//!   [`TransmissionFifo`](crate::TransmissionFifo) of `buffer_depth`
-//!   flits per VC.
-//! - the DAMQ — a dynamically-allocated multi-queue (Jamali &
-//!   Khademzadeh): one shared flit pool per input port with per-VC
-//!   logical queues threaded through a linked free-list, and **one
-//!   reserved slot per VC** so an empty VC can always accept a header.
+//! The paper's platform gives each VC a private transmission FIFO
+//! (Figure 3); the DAMQ (Jamali & Khademzadeh) shares one pool per
+//! input port between its VCs. Both are the same rule with different
+//! numbers — a [`PortCapacity`]: a per-VC cap plus a shared region that
+//! every flit beyond a VC's first occupies, so each VC keeps **one
+//! reserved slot** ([`RouterConfig::port_capacity`] picks the values).
 //!
 //! The reserved slot is what preserves the §3.2 deadlock-recovery
 //! liveness argument under sharing: recovery absorbs a blocked packet
@@ -21,212 +16,123 @@
 //! no VC is starved out of the one-slot progress the recovery schedule
 //! (Figure 10) relies on.
 //!
-//! The sender side mirrors the receiver with a [`CreditLedger`]:
-//! per-VC counters for the static partition, a per-port
-//! outstanding-flit pool for DAMQ. Both sides round-trip through the
-//! same credit wires, so the split keeps the flow control exact for
-//! static partitions and *conservative* (never oversending) for DAMQ
-//! while credits are in flight.
+//! [`PortBuffer`] applies the rule to the flits it holds;
+//! [`CreditLedger`] applies it to the sender's count of credits left,
+//! treating every flit not yet credited back as resident — exact for a
+//! static partition, conservative (never oversending) for a DAMQ while
+//! credits are in flight.
+//!
+//! [`RouterConfig::port_capacity`]: ftnoc_types::RouterConfig::port_capacity
 
 mod credit;
-mod damq;
-mod static_partition;
 
 pub use credit::CreditLedger;
-use damq::DamqBuffer;
-use static_partition::StaticPartitionBuffer;
 
-use ftnoc_types::config::BufferOrg;
+use std::collections::VecDeque;
+
+use ftnoc_types::config::PortCapacity;
 use ftnoc_types::flit::Flit;
 
-macro_rules! dispatch {
-    ($self:ident, $b:ident => $e:expr) => {
-        match $self {
-            PortBuffer::Static($b) => $e,
-            PortBuffer::Damq($b) => $e,
-        }
-    };
-}
-
-/// All flit storage of **one input port**, with per-VC FIFO semantics
-/// on top of it, under either organisation.
+/// All flit storage of **one input port**: per-VC FIFOs under one
+/// [`PortCapacity`].
 ///
-/// Both organisations keep per-VC FIFO order (wormhole ordering depends
-/// on it) and only report a free slot when a subsequent `push` to that
-/// VC is guaranteed to succeed. Enum-dispatched, so the hot path stays
-/// monomorphic and `Debug`/snapshot code stays deterministic; the
-/// methods are `#[inline]` because the router calls them per flit from
-/// another crate (without it `sat8` measures 2 % slower).
+/// Per-VC FIFO order is kept (wormhole ordering depends on it), and
+/// `free_slots` reports a free slot only when a subsequent `push` to
+/// that VC succeeds. `shared_used` and `occupied` are kept as counters,
+/// so every operation is O(1); the methods are `#[inline]` because the
+/// router calls them per flit from another crate.
 #[derive(Debug, Clone)]
-pub enum PortBuffer {
-    /// Statically-partitioned per-VC FIFOs.
-    Static(StaticPartitionBuffer),
-    /// Shared-pool DAMQ.
-    Damq(DamqBuffer),
+pub struct PortBuffer {
+    queues: Vec<VecDeque<Flit>>,
+    cap: PortCapacity,
+    /// Flits held beyond each VC's first: `Σ_v max(len(v) − 1, 0)`.
+    shared_used: usize,
+    occupied: usize,
 }
 
 impl PortBuffer {
-    /// Builds the buffer for one input port under `org`.
-    pub fn for_org(org: BufferOrg, vcs: usize, buffer_depth: usize) -> Self {
-        match org {
-            BufferOrg::StaticPartition => {
-                PortBuffer::Static(StaticPartitionBuffer::new(vcs, buffer_depth))
-            }
-            BufferOrg::Damq { pool_size } => PortBuffer::Damq(DamqBuffer::new(vcs, pool_size)),
+    /// An empty port of `vcs` VCs sharing slots by `cap`.
+    pub fn new(vcs: usize, cap: PortCapacity) -> Self {
+        // Pre-size each queue to its even share of the port, not to its
+        // cap: a DAMQ VC's cap is nearly the whole pool.
+        let share = cap.per_vc.min(cap.shared / vcs + 1);
+        PortBuffer {
+            queues: (0..vcs).map(|_| VecDeque::with_capacity(share)).collect(),
+            cap,
+            shared_used: 0,
+            occupied: 0,
         }
     }
 
     /// Number of virtual channels multiplexed over this port.
     #[inline]
     pub fn vcs(&self) -> usize {
-        dispatch!(self, b => b.vcs())
+        self.queues.len()
     }
 
-    /// Total flit slots owned by the port (all VCs).
+    /// Total flit slots owned by the port: one reserved per VC plus the
+    /// shared region.
     #[inline]
     pub fn total_capacity(&self) -> usize {
-        dispatch!(self, b => b.total_capacity())
-    }
-
-    /// Most flits `vc` could ever hold.
-    #[inline]
-    pub fn vc_capacity(&self, vc: usize) -> usize {
-        dispatch!(self, b => b.vc_capacity(vc))
+        self.queues.len() + self.cap.shared
     }
 
     /// Slots `vc` could accept right now.
     #[inline]
     pub fn free_slots(&self, vc: usize) -> usize {
-        dispatch!(self, b => b.free_slots(vc))
+        self.cap.free_slots(self.queues[vc].len(), self.shared_used)
     }
 
-    /// Appends a flit to `vc`'s logical queue; `false` when full.
+    /// Appends a flit to `vc`'s queue; `false` when full.
     #[inline]
     pub fn push(&mut self, vc: usize, flit: Flit) -> bool {
-        dispatch!(self, b => b.push(vc, flit))
+        if self.free_slots(vc) == 0 {
+            return false;
+        }
+        let queue = &mut self.queues[vc];
+        self.shared_used += usize::from(!queue.is_empty());
+        queue.push_back(flit);
+        self.occupied += 1;
+        true
     }
 
     /// The flit at the front of `vc`'s queue.
     #[inline]
     pub fn front(&self, vc: usize) -> Option<&Flit> {
-        dispatch!(self, b => b.front(vc))
+        self.queues[vc].front()
     }
 
     /// Removes and returns the front flit of `vc`'s queue.
     #[inline]
     pub fn pop(&mut self, vc: usize) -> Option<Flit> {
-        dispatch!(self, b => b.pop(vc))
+        let queue = &mut self.queues[vc];
+        let flit = queue.pop_front()?;
+        self.shared_used -= usize::from(!queue.is_empty());
+        self.occupied -= 1;
+        Some(flit)
     }
 
     /// Flits currently queued on `vc`.
     #[inline]
     pub fn len(&self, vc: usize) -> usize {
-        dispatch!(self, b => b.len(vc))
+        self.queues[vc].len()
     }
 
     /// Whether `vc`'s queue is empty.
     #[inline]
     pub fn is_empty(&self, vc: usize) -> bool {
-        self.len(vc) == 0
+        self.queues[vc].is_empty()
     }
 
     /// Flits currently resident across all VCs.
     #[inline]
     pub fn occupied(&self) -> usize {
-        dispatch!(self, b => b.occupied())
+        self.occupied
     }
 
-    /// Appends `vc`'s queued flits, front to back, to `out` (snapshot
-    /// support — the organisations store flits in different layouts, so
-    /// iteration is by copy-out rather than by slice).
+    /// `vc`'s queued flits, front (oldest) first.
     #[inline]
-    pub fn extend_flits(&self, vc: usize, out: &mut Vec<Flit>) {
-        dispatch!(self, b => b.extend_flits(vc, out))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ftnoc_types::flit::{Flit, FlitKind, Header};
-    use ftnoc_types::geom::NodeId;
-    use ftnoc_types::packet::PacketId;
-
-    fn flit(seq: u8) -> Flit {
-        let header = Header::new(NodeId::new(0), NodeId::new(1));
-        let mut f = Flit::new(PacketId::new(1), 0, FlitKind::Body, header, 0, 0);
-        // The pool tests key on `sequence`; keep the logical view simple.
-        f.seq = seq;
-        f
-    }
-
-    fn orgs() -> [PortBuffer; 2] {
-        [
-            PortBuffer::for_org(BufferOrg::StaticPartition, 3, 4),
-            PortBuffer::for_org(BufferOrg::Damq { pool_size: 12 }, 3, 4),
-        ]
-    }
-
-    #[test]
-    fn fifo_order_is_preserved_per_vc() {
-        for mut b in orgs() {
-            for vc in 0..3 {
-                for seq in 0..4u8 {
-                    assert!(b.push(vc, flit(seq * 3 + vc as u8)));
-                }
-            }
-            for vc in 0..3 {
-                for seq in 0..4u8 {
-                    assert_eq!(b.front(vc).unwrap().seq, seq * 3 + vc as u8);
-                    assert_eq!(b.pop(vc).unwrap().seq, seq * 3 + vc as u8);
-                }
-                assert!(b.is_empty(vc));
-                assert!(b.pop(vc).is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn free_slots_never_lies() {
-        // Whenever free_slots > 0 a push must succeed; whenever it is 0
-        // a push must fail. Exercised over an adversarial interleaving.
-        for mut b in orgs() {
-            let mut lens = [0usize; 3];
-            let mut n = 0u8;
-            for round in 0..200 {
-                let vc = round % 3;
-                if round % 7 < 4 {
-                    let free = b.free_slots(vc);
-                    let ok = b.push(vc, flit(n));
-                    n = n.wrapping_add(1);
-                    assert_eq!(ok, free > 0, "push/free_slots disagree on vc {vc}");
-                    if ok {
-                        lens[vc] += 1;
-                    }
-                } else if b.pop(vc).is_some() {
-                    lens[vc] -= 1;
-                }
-                for (vc, &len) in lens.iter().enumerate() {
-                    assert_eq!(b.len(vc), len);
-                }
-                assert_eq!(b.occupied(), lens.iter().sum::<usize>());
-                assert!(b.occupied() <= b.total_capacity());
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_extraction_matches_queue_order() {
-        for mut b in orgs() {
-            for seq in 0..3u8 {
-                b.push(1, flit(seq));
-            }
-            b.pop(1);
-            b.push(1, flit(9));
-            let mut out = Vec::new();
-            b.extend_flits(1, &mut out);
-            let seqs: Vec<u8> = out.iter().map(|f| f.seq).collect();
-            assert_eq!(seqs, [1, 2, 9]);
-        }
+    pub fn iter(&self, vc: usize) -> impl Iterator<Item = &Flit> {
+        self.queues[vc].iter()
     }
 }

@@ -17,16 +17,18 @@
 //! No new packets enter recovering buffers, and all transmissions drain
 //! through the retransmission buffer so stream order is preserved.
 
+use ftnoc_types::config::PortCapacity;
 use ftnoc_types::flit::Flit;
 
-use crate::retransmission::{RetransmissionBuffer, TransmissionFifo};
+use crate::buffers::PortBuffer;
+use crate::retransmission::RetransmissionBuffer;
 
 /// One node of the recovery ring: its transmission FIFO and
 /// retransmission barrel shifter.
 #[derive(Debug, Clone)]
 pub struct RingNode {
-    /// The normal transmission buffer.
-    pub tx: TransmissionFifo,
+    /// The normal transmission buffer: a one-VC port.
+    pub tx: PortBuffer,
     /// The retransmission buffer shared with the HBH scheme.
     pub retx: RetransmissionBuffer,
 }
@@ -34,14 +36,14 @@ pub struct RingNode {
 impl RingNode {
     fn new(tx_capacity: usize, retx_depth: usize) -> Self {
         RingNode {
-            tx: TransmissionFifo::new(tx_capacity),
+            tx: PortBuffer::new(1, PortCapacity::partitioned(1, tx_capacity)),
             retx: RetransmissionBuffer::new(retx_depth),
         }
     }
 
     /// Flits currently at this node (transmission + held retransmission).
     pub fn resident_flits(&self) -> usize {
-        self.tx.len() + self.retx.held_count()
+        self.tx.len(0) + self.retx.held_count()
     }
 }
 
@@ -113,7 +115,7 @@ impl RecoveryRing {
     pub fn preload(&mut self, i: usize, flits: impl IntoIterator<Item = Flit>) {
         for flit in flits {
             assert!(
-                self.nodes[i].tx.push(flit),
+                self.nodes[i].tx.push(0, flit),
                 "preload overflows node {i}'s transmission buffer"
             );
         }
@@ -139,7 +141,7 @@ impl RecoveryRing {
             for node in self.nodes.iter_mut() {
                 node.retx.expire(self.now);
                 while !node.retx.is_full() {
-                    let Some(flit) = node.tx.pop() else { break };
+                    let Some(flit) = node.tx.pop(0) else { break };
                     let accepted = node.retx.absorb(flit);
                     debug_assert!(accepted);
                 }
@@ -149,11 +151,11 @@ impl RecoveryRing {
             // buffer when a slot is free; the sent copy rotates back.
             for i in 0..n {
                 let next = (i + 1) % n;
-                if self.nodes[next].tx.is_full() {
+                if self.nodes[next].tx.free_slots(0) == 0 {
                     continue;
                 }
                 if let Some(flit) = self.nodes[i].retx.send_held(self.now) {
-                    let pushed = self.nodes[next].tx.push(flit);
+                    let pushed = self.nodes[next].tx.push(0, flit);
                     debug_assert!(pushed);
                     self.advancements += 1;
                 }
@@ -217,7 +219,7 @@ mod tests {
         ring.run(100);
         assert_eq!(ring.advancements(), 0);
         for i in 0..3 {
-            assert!(ring.node(i).tx.is_full());
+            assert_eq!(ring.node(i).tx.free_slots(0), 0);
             assert!(ring.node(i).retx.is_empty());
         }
     }
@@ -266,7 +268,7 @@ mod tests {
             let tx: Vec<(u64, u8)> = ring
                 .node(i)
                 .tx
-                .iter()
+                .iter(0)
                 .map(|f| (f.packet.raw(), f.seq))
                 .collect();
             let own = i as u64;
@@ -292,7 +294,7 @@ mod tests {
             let stream0: Vec<u8> = ring
                 .node(1)
                 .tx
-                .iter()
+                .iter(0)
                 .chain(ring.node(1).retx.iter_slots().map(|(f, _)| f))
                 .filter(|f| f.packet.raw() == 0)
                 .map(|f| f.seq)

@@ -4,10 +4,11 @@
 //! This crate is the paper's primary contribution as a library of
 //! cycle-level, individually testable components:
 //!
-//! - [`retransmission`]: the transmission FIFO and the 3-deep
-//!   barrel-shifter retransmission buffer of Figure 3;
-//! - [`buffers`]: pluggable input-buffer organisations (static per-VC
-//!   partition vs. DAMQ shared pool) with matching credit ledgers;
+//! - [`retransmission`]: the 3-deep barrel-shifter retransmission
+//!   buffer of Figure 3;
+//! - [`buffers`]: the input port's per-VC transmission FIFOs and the
+//!   sender's credit ledger, both under one slot-sharing rule whose two
+//!   values are the static per-VC partition and the DAMQ shared pool;
 //! - [`hbh`]: the receiver half of the flit-based hop-by-hop
 //!   retransmission protocol of §3.1 (drop window + verdict) and its
 //!   Figure 4 timing; the sender half is the barrel shifter itself;
@@ -50,4 +51,4 @@ pub use ac::{AcFinding, AllocationComparator, SaEntry, VaEntry, VcRef};
 pub use buffers::{CreditLedger, PortBuffer};
 pub use hbh::{HbhReceiver, ReceiverVerdict};
 pub use recovery::{recovery_latency, LogicFaultKind};
-pub use retransmission::{RetransmissionBuffer, TransmissionFifo};
+pub use retransmission::RetransmissionBuffer;

@@ -1,7 +1,8 @@
 //! The transmission/retransmission buffer architecture of Figure 3.
 //!
-//! Each virtual channel owns a simple FIFO **transmission buffer** and a
-//! barrel-shifter **retransmission buffer**. On every link transmission a
+//! Each virtual channel owns a simple FIFO **transmission buffer** (its
+//! queue in a [`PortBuffer`](crate::PortBuffer)) and a barrel-shifter
+//! **retransmission buffer**. On every link transmission a
 //! copy of the flit enters the back of the barrel shifter; it reaches the
 //! front exactly when a NACK for it could arrive (3 cycles later: link +
 //! error check + NACK propagation) and silently expires if none does. A
@@ -335,81 +336,6 @@ impl RetransmissionBuffer {
     }
 }
 
-/// The simple FIFO transmission buffer of Figure 3.
-///
-/// One input port, one output port, simple control logic — deliberately
-/// unlike the pointer-tracked shared buffers of prior work (§3.1).
-#[derive(Debug, Clone)]
-pub struct TransmissionFifo {
-    capacity: usize,
-    flits: VecDeque<Flit>,
-}
-
-impl TransmissionFifo {
-    /// Creates a FIFO of `capacity` flits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(
-            capacity > 0,
-            "transmission buffer capacity must be non-zero"
-        );
-        TransmissionFifo {
-            capacity,
-            flits: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Current occupancy in flits.
-    pub fn len(&self) -> usize {
-        self.flits.len()
-    }
-
-    /// Whether the FIFO is empty.
-    pub fn is_empty(&self) -> bool {
-        self.flits.is_empty()
-    }
-
-    /// Whether the FIFO is full.
-    pub fn is_full(&self) -> bool {
-        self.flits.len() >= self.capacity
-    }
-
-    /// Free slots.
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.flits.len()
-    }
-
-    /// Pushes a flit at the back.
-    ///
-    /// Returns `false` (and drops nothing) when full; credit-based flow
-    /// control should prevent that from ever happening.
-    pub fn push(&mut self, flit: Flit) -> bool {
-        if self.is_full() {
-            return false;
-        }
-        self.flits.push_back(flit);
-        true
-    }
-
-    /// The flit at the head, if any.
-    pub fn front(&self) -> Option<&Flit> {
-        self.flits.front()
-    }
-
-    /// Pops the head flit.
-    pub fn pop(&mut self) -> Option<Flit> {
-        self.flits.pop_front()
-    }
-
-    /// Iterates front (oldest) to back.
-    pub fn iter(&self) -> impl Iterator<Item = &Flit> {
-        self.flits.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,18 +529,5 @@ mod tests {
         for t in 0..4u64 {
             buf.record_transmission(flit(0), t); // no expire() calls
         }
-    }
-
-    #[test]
-    fn fifo_push_pop_order() {
-        let mut fifo = TransmissionFifo::new(4);
-        for s in 0..4 {
-            assert!(fifo.push(flit(s)));
-        }
-        assert!(fifo.is_full());
-        assert!(!fifo.push(flit(0)));
-        assert_eq!(fifo.pop().unwrap().seq, 0);
-        assert_eq!(fifo.front().unwrap().seq, 1);
-        assert_eq!(fifo.free_slots(), 1);
     }
 }

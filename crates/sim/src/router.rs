@@ -310,7 +310,7 @@ impl Router {
         let p = cfg.ports();
         let inputs = (0..p)
             .map(|_| InputPort {
-                buffer: PortBuffer::for_org(cfg.buffer_org(), v, cfg.buffer_depth()),
+                buffer: PortBuffer::new(v, cfg.port_capacity()),
                 vcs: (0..v).map(|_| InputVc::new()).collect(),
             })
             .collect();
@@ -324,7 +324,7 @@ impl Router {
                 let credits = if is_local {
                     CreditLedger::unbounded(v)
                 } else {
-                    CreditLedger::for_org(cfg.buffer_org(), v, cfg.buffer_depth())
+                    CreditLedger::new(v, cfg.port_capacity())
                 };
                 OutputPort::new(exists, v, cfg.retrans_depth(), credits)
             })
@@ -381,12 +381,9 @@ impl Router {
     /// lives downstream. Read-only; the death purge uses it to build
     /// the truncated-packet set.
     pub(crate) fn scan_flits(&self, mut f: impl FnMut(&Flit, bool)) {
-        let mut tmp = Vec::new();
         for input in &self.inputs {
             for v in 0..input.buffer.vcs() {
-                tmp.clear();
-                input.buffer.extend_flits(v, &mut tmp);
-                for flit in &tmp {
+                for flit in input.buffer.iter(v) {
                     f(flit, true);
                 }
             }
@@ -448,9 +445,8 @@ impl Router {
         let mut lost = Vec::new();
         let ports = self.cfg.ports();
         let vcs = self.cfg.vcs_per_port();
-        // Input buffers: pop/re-push through the organisation so pool
-        // accounting (DAMQ free lists) stays exact and FIFO order is
-        // preserved for survivors.
+        // Input buffers: pop/re-push so the shared-slot count stays
+        // exact and FIFO order is preserved for survivors.
         let mut touched = vec![false; ports * vcs];
         for (p, input) in self.inputs.iter_mut().enumerate() {
             for v in 0..vcs {
@@ -1708,8 +1704,7 @@ impl Router {
             views.resize_with(port.vcs.len(), Default::default);
             for (v, (vc, view)) in port.vcs.iter().zip(views).enumerate() {
                 view.flits.clear();
-                port.buffer.extend_flits(v, &mut view.flits);
-                view.capacity = port.buffer.vc_capacity(v);
+                view.flits.extend(port.buffer.iter(v));
                 view.state = match vc.state {
                     VcState::Idle => VcStateView::Idle,
                     VcState::VaWait { .. } => VcStateView::VaWait,
@@ -1733,7 +1728,6 @@ impl Router {
                 ovc.sender
                     .slots
                     .extend(buffer.iter_slots().map(|(f, held)| (*f, held)));
-                ovc.sender.depth = buffer.depth();
                 ovc.sender.replaying = buffer.is_replaying();
             }
             view.st_queue.clear();

@@ -55,8 +55,6 @@ pub enum VcStateView {
 pub struct InputVcView {
     /// Buffered flits, front (oldest) first.
     pub flits: Vec<Flit>,
-    /// Buffer capacity in flits.
-    pub capacity: usize,
     /// Wormhole state.
     pub state: VcStateView,
 }
@@ -67,8 +65,6 @@ pub struct SenderView {
     /// Buffered flit copies, front (oldest) first, with the held flag
     /// (`true` = recovery-absorbed slot that never expires).
     pub slots: Vec<(Flit, bool)>,
-    /// Barrel-shifter depth.
-    pub depth: usize,
     /// Whether a NACK-triggered replay burst is in progress.
     pub replaying: bool,
 }
@@ -76,11 +72,8 @@ pub struct SenderView {
 /// One output VC of an output port.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OutputVcView {
-    /// Sender-side credit counter for the downstream buffer. Semantics
-    /// depend on the run's buffer organisation: under
-    /// `StaticPartition` this is the *remaining credits* for the VC
-    /// (initially `buffer_depth`), under `Damq` it is the *outstanding
-    /// flit count* (sent but not yet credited back, initially 0).
+    /// Sender-side credits left for the downstream VC (initially the
+    /// port capacity's `per_vc`).
     pub credits: u32,
     /// The input VC holding this output VC's wormhole reservation.
     pub allocated: Option<(usize, usize)>,

@@ -82,6 +82,43 @@ pub enum BufferOrg {
     },
 }
 
+/// The one slot-sharing rule of an input port, whatever its
+/// [`BufferOrg`]: each VC owns one reserved slot and may hold at most
+/// `per_vc` flits; every flit a VC holds beyond its first occupies one
+/// of `shared` slots common to the port. The static partition is the
+/// value whose shared region never binds, the DAMQ the value whose
+/// per-VC cap never binds (see [`RouterConfig::port_capacity`]).
+/// Either way an empty VC can always take one flit — the premise of
+/// the §3.2 recovery schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PortCapacity {
+    /// Most flits one VC may hold.
+    pub per_vc: usize,
+    /// Slots the port's VCs share beyond their reserved one.
+    pub shared: usize,
+}
+
+impl PortCapacity {
+    /// `vcs` private FIFOs of `depth` flits each: the shared region
+    /// holds exactly every VC's slots beyond its first.
+    pub const fn partitioned(vcs: usize, depth: usize) -> Self {
+        PortCapacity {
+            per_vc: depth,
+            shared: vcs * (depth - 1),
+        }
+    }
+
+    /// Slots a VC holding `len` flits may still take while the port's
+    /// VCs hold `shared_used` flits beyond their first: its own cap or
+    /// the shared slots left (plus its reserved slot when empty),
+    /// whichever is smaller.
+    #[inline]
+    pub fn free_slots(&self, len: usize, shared_used: usize) -> usize {
+        let pooled = self.shared.saturating_sub(shared_used) + usize::from(len == 0);
+        (self.per_vc - len).min(pooled)
+    }
+}
+
 /// Static configuration of one router (and, by replication, the network).
 ///
 /// Construct via [`RouterConfig::builder`]; [`RouterConfig::default`]
@@ -151,6 +188,25 @@ impl RouterConfig {
     /// Input-buffer organisation of the receive side.
     pub const fn buffer_org(&self) -> BufferOrg {
         self.buffer_org
+    }
+
+    /// The slot-sharing rule of every input port (and of the credit
+    /// ledger that mirrors one): a static partition caps each VC at
+    /// `buffer_depth`, a DAMQ shares `pool − vcs` slots and caps a VC
+    /// only by its reservation plus that whole region.
+    pub const fn port_capacity(&self) -> PortCapacity {
+        match self.buffer_org {
+            BufferOrg::StaticPartition => {
+                PortCapacity::partitioned(self.vcs_per_port, self.buffer_depth)
+            }
+            BufferOrg::Damq { pool_size } => {
+                let shared = pool_size - self.vcs_per_port;
+                PortCapacity {
+                    per_vc: shared + 1,
+                    shared,
+                }
+            }
+        }
     }
 }
 
@@ -375,6 +431,7 @@ mod tests {
     fn default_buffer_org_is_static() {
         let cfg = RouterConfig::default();
         assert_eq!(cfg.buffer_org(), BufferOrg::StaticPartition);
+        assert_eq!(cfg.port_capacity(), PortCapacity::partitioned(3, 4));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod geom;
 pub mod packet;
 pub mod units;
 
-pub use config::{BufferOrg, RouterConfig, RouterConfigBuilder};
+pub use config::{BufferOrg, PortCapacity, RouterConfig, RouterConfigBuilder};
 pub use error::ConfigError;
 pub use flit::{Flit, FlitKind, FlitPayload, Header};
 pub use geom::{Coord, Direction, NodeId, Topology, TopologyKind};

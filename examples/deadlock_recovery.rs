@@ -56,7 +56,7 @@ fn figure10_walkthrough() {
         let node0 = ring.node(0);
         println!(
             "step {step}: node0 tx {:>2} flits, barrel {} ({} held) | {} link crossings so far",
-            node0.tx.len(),
+            node0.tx.len(0),
             node0.retx.occupancy(),
             node0.retx.held_count(),
             ring.advancements()

@@ -83,6 +83,20 @@ fn planted_credit_bug_is_caught_and_shrunk() {
     );
 }
 
+/// The planted bug is caught under the DAMQ too, where the sender's
+/// credits run by the shared-pool rule: the first campaign fails on
+/// the first flit the sender forgot to count.
+#[test]
+fn planted_credit_bug_is_caught_under_damq() {
+    let out = ftnoc(&["fuzz", "--campaigns", "50", "--org", "damq"], true);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "planted bug escaped:\n{stdout}");
+    assert!(
+        stdout.contains("campaign 0/50: FAILED — [credit-accounting] cycle 14 node 0:"),
+        "unexpected first failure:\n{stdout}"
+    );
+}
+
 /// Regression: a router kill landing while a neighbour is draining
 /// deadlock-recovery held flits used to leave a dangling output-VC
 /// reservation (the purge removed the held sender flits that anchored

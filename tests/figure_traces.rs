@@ -116,7 +116,7 @@ fn figure10_one_epoch_advances_three_slots() {
         let contents: Vec<(u64, u8)> = ring
             .node(i)
             .tx
-            .iter()
+            .iter(0)
             .map(|f| (f.packet.raw(), f.seq))
             .collect();
         let own = i as u64;
