@@ -1,7 +1,8 @@
-//! The property the check path's speed rests on, pinned: once its
+//! The properties the hot paths' speed rests on, pinned: once its
 //! buffers have reached their high-water marks, a refilled
 //! `NetSnapshot` copies the network without touching the allocator,
-//! where every fresh `snapshot()` pays it ten-odd times per router.
+//! where every fresh `snapshot()` pays it ten-odd times per router; and
+//! a routing answer is an inline value, never a heap list.
 //!
 //! A test binary of its own because it installs a counting
 //! `#[global_allocator]` (the crates themselves forbid `unsafe`).
@@ -13,6 +14,7 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use ftnoc::prelude::*;
+use ftnoc::sim::routing::{route_candidates, FaultState};
 use ftnoc::sim::{NetSnapshot, Network};
 
 thread_local! {
@@ -115,4 +117,48 @@ fn a_warm_refill_does_not_allocate() {
             "{row}: 500 warm refills allocated {refills} times, one fresh snapshot {cheapest_fresh}"
         );
     }
+}
+
+/// Every algorithm, every (here, dest) pair of a faulted 8×8 (a link dead
+/// at reset, a link killed at cycle 100, a router killed at cycle 50),
+/// every arrival port, before and after the mid-run faults publish:
+/// 204 800 routing answers, none of them on the heap.
+#[test]
+fn routing_does_not_allocate() {
+    let topo = Topology::mesh(8, 8);
+    let mut plan = FaultPlan::new();
+    for spec in ["link:27:e", "link:36:s@100", "router:10@50"] {
+        plan.add_spec(spec).expect("valid fault spec");
+    }
+    let mut b = SimConfig::builder();
+    b.topology(topo).fault_plan(&plan);
+    let faults = FaultState::new(b.build().expect("valid config").fault_timeline());
+    let algorithms = [
+        RoutingAlgorithm::XyDeterministic,
+        RoutingAlgorithm::WestFirstAdaptive,
+        RoutingAlgorithm::OddEven,
+        RoutingAlgorithm::FullyAdaptive,
+        RoutingAlgorithm::FaultAware,
+    ];
+    let (mut calls, mut offered) = (0u64, 0usize);
+    let allocs = allocs_during(|| {
+        for algorithm in algorithms {
+            for here in topo.nodes() {
+                for dest in topo.nodes() {
+                    for came_from in Direction::ALL {
+                        for now in [0, 120] {
+                            let c = route_candidates(
+                                algorithm, topo, here, came_from, dest, &faults, now,
+                            );
+                            offered += black_box(c).len();
+                            calls += 1;
+                        }
+                    }
+                }
+            }
+        }
+    });
+    println!("{calls} routing calls offered {offered} directions and allocated {allocs} times");
+    assert_eq!(calls, 204_800);
+    assert_eq!(allocs, 0, "{calls} routing calls allocated {allocs} times");
 }
