@@ -35,7 +35,7 @@ use ftnoc_fault::{FaultCounts, FaultInjector};
 use ftnoc_trace::{AcStage, DropReason, TraceEvent};
 use ftnoc_types::config::{PipelineDepth, RouterConfig};
 use ftnoc_types::flit::{Flit, PackedFields};
-use ftnoc_types::geom::{Direction, NodeId, Topology};
+use ftnoc_types::geom::{DirSet, Direction, NodeId, Topology};
 use ftnoc_types::packet::PacketId;
 
 use crate::arbiter::RoundRobinArbiter;
@@ -69,17 +69,14 @@ pub struct Ctx<'a> {
 }
 
 /// Wormhole progress of one input VC.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum VcState {
     /// No packet in flight on this VC.
     Idle,
     /// Head at the buffer front, awaiting VC allocation from `ready_at`;
-    /// `candidates` is the routing function's output (all VCs of these
+    /// `candidates` is the routing function's answer (all VCs of these
     /// PCs are acceptable, preference-ordered).
-    VaWait {
-        candidates: Vec<Direction>,
-        ready_at: u64,
-    },
+    VaWait { candidates: DirSet, ready_at: u64 },
     /// Wormhole open: flits stream toward `(out_port, out_vc)`.
     /// `packet` names the wormhole's owner so a whole-router fault
     /// purge can identify amputated wormholes even when the buffer has
@@ -213,8 +210,6 @@ struct Scratch {
     va_req: Vec<u64>,
     /// A bit per output VC with at least one nomination; left clear.
     va_requested: Vec<u64>,
-    /// The routing port each nominating input VC asked for (its RT row).
-    va_rt: Vec<Direction>,
     /// VA winners: (input port, input vc, out port, out vc, rt port).
     winners: Vec<(usize, usize, usize, usize, Direction)>,
     /// Which winners were corrupted by an injected VA upset.
@@ -659,17 +654,7 @@ impl Router {
                 // Route computation (look-ahead folded into this stage for
                 // depths < 4; an extra cycle for the canonical 4-stage).
                 let dest = Self::routed_dest(ctx.config.scheme, &front);
-                let came_from = Direction::for_port(p);
-                let mut candidates = route_candidates(
-                    ctx.config.routing,
-                    ctx.topo,
-                    self.id,
-                    came_from,
-                    dest,
-                    ctx.faults,
-                    ctx.now,
-                );
-                self.events.route += 1;
+                let mut candidates = self.route(ctx, p, dest);
                 let rc_extra = u64::from(ctx.config.router.pipeline() == PipelineDepth::Four);
                 let mut ready_at = ctx.now + rc_extra + 1;
 
@@ -703,7 +688,7 @@ impl Router {
                         // Adaptive routing absorbs the detour (§4.2): the
                         // packet really goes the wrong way and re-routes
                         // minimally from there. Undetected by design.
-                        candidates = vec![wrong];
+                        candidates = DirSet::from_iter([wrong]);
                     } else if wrong != Direction::Local {
                         // Deterministic (or turn-model) routing: the next
                         // router detects the illegal move and NACKs; the
@@ -754,6 +739,21 @@ impl Router {
         }
     }
 
+    /// Route computation for a head that arrived through input port `p`
+    /// and routes on `dest`: the routing function's answer, counted.
+    fn route(&mut self, ctx: &Ctx<'_>, p: usize, dest: NodeId) -> DirSet {
+        self.events.route += 1;
+        route_candidates(
+            ctx.config.routing,
+            ctx.topo,
+            self.id,
+            Direction::for_port(p),
+            dest,
+            ctx.faults,
+            ctx.now,
+        )
+    }
+
     /// Online reconfiguration: a new fault epoch was published, so every
     /// head still waiting for VC allocation recomputes its candidates
     /// against the new routing plan (its old list may steer into the
@@ -772,17 +772,7 @@ impl Router {
                     continue;
                 };
                 let dest = Self::routed_dest(ctx.config.scheme, &front);
-                let came_from = Direction::for_port(p);
-                let candidates = route_candidates(
-                    ctx.config.routing,
-                    ctx.topo,
-                    self.id,
-                    came_from,
-                    dest,
-                    ctx.faults,
-                    ctx.now,
-                );
-                self.events.route += 1;
+                let candidates = self.route(ctx, p, dest);
                 self.inputs[p].vcs[v].state = VcState::VaWait {
                     candidates,
                     ready_at,
@@ -817,41 +807,34 @@ impl Router {
                 if self.inputs[p].vcs[v].blocked_cycles < stuck {
                     continue;
                 }
-                // The candidate walk only reads router state, so the
-                // borrow of the waiting VC's candidate list ends before
-                // the takeover commit below — no clone needed.
-                let takeover = {
-                    let VcState::VaWait { ref candidates, .. } = self.inputs[p].vcs[v].state else {
+                let VcState::VaWait { candidates, .. } = self.inputs[p].vcs[v].state else {
+                    continue;
+                };
+                let mut takeover = None;
+                'search: for cand in candidates {
+                    if cand == Direction::Local {
                         continue;
-                    };
-                    let mut takeover = None;
-                    'search: for cand in candidates {
-                        if *cand == Direction::Local {
-                            continue;
-                        }
-                        let op = cand.index();
-                        if !self.outputs[op].exists
-                            || ctx.faults.link_dead_now(ctx.now, self.id, *cand)
-                        {
-                            continue;
-                        }
-                        for ov in 0..vcs {
-                            let stale = match self.outputs[op].allocated[ov] {
-                                Some((ip, iv)) => !matches!(
-                                    self.inputs[ip].vcs[iv].state,
-                                    VcState::Active { out_port, out_vc, .. }
-                                        if out_port == op && out_vc == ov
-                                ),
-                                None => true,
-                            };
-                            if stale {
-                                takeover = Some((op, ov));
-                                break 'search;
-                            }
+                    }
+                    let op = cand.index();
+                    if !self.outputs[op].exists || ctx.faults.link_dead_now(ctx.now, self.id, cand)
+                    {
+                        continue;
+                    }
+                    for ov in 0..vcs {
+                        let stale = match self.outputs[op].allocated[ov] {
+                            Some((ip, iv)) => !matches!(
+                                self.inputs[ip].vcs[iv].state,
+                                VcState::Active { out_port, out_vc, .. }
+                                    if out_port == op && out_vc == ov
+                            ),
+                            None => true,
+                        };
+                        if stale {
+                            takeover = Some((op, ov));
+                            break 'search;
                         }
                     }
-                    takeover
-                };
+                }
                 if let Some((op, ov)) = takeover {
                     self.outputs[op].allocated[ov] = Some((p, v));
                     self.outputs[op].allocated_at[ov] = ctx.now;
@@ -937,7 +920,6 @@ impl Router {
         let words = total.div_ceil(64);
         sc.va_req.resize(total * words, 0);
         sc.va_requested.resize(words, 0);
-        sc.va_rt.resize(total, Direction::Local);
         // Rotate the preferred output VC by the cycle count rather than a
         // stateful per-phase counter: the same fairness rotation, but
         // derived from `now`, so a router skipped by activity gating
@@ -946,7 +928,7 @@ impl Router {
         for p in 0..ports {
             for v in 0..vcs {
                 let VcState::VaWait {
-                    ref candidates,
+                    candidates,
                     ready_at,
                 } = self.inputs[p].vcs[v].state
                 else {
@@ -955,7 +937,7 @@ impl Router {
                 if ready_at > ctx.now {
                     continue;
                 }
-                'cand: for &cand in candidates {
+                'cand: for cand in candidates {
                     let op = if cand == Direction::Local {
                         // Deliver through the local port the destination
                         // terminal hangs off (`4 + dest / node_count`);
@@ -989,7 +971,6 @@ impl Router {
                             let (input, out) = (p * vcs + v, op * vcs + ov);
                             sc.va_req[out * words + input / 64] |= 1 << (input % 64);
                             sc.va_requested[out / 64] |= 1 << (out % 64);
-                            sc.va_rt[input] = cand;
                             break 'cand;
                         }
                     }
@@ -1011,8 +992,11 @@ impl Router {
                     .grant(req)
                     .expect("a requested output VC has a requester");
                 req.fill(0);
-                let (ip, iv, rt_port) = (winner / vcs, winner % vcs, sc.va_rt[winner]);
-                sc.winners.push((ip, iv, out / vcs, out % vcs, rt_port));
+                // The routing port the winner asked for (its RT row): the
+                // uncorrupted output port, every local port reading `Local`.
+                let rt_port = Direction::for_port(out / vcs);
+                sc.winners
+                    .push((winner / vcs, winner % vcs, out / vcs, out % vcs, rt_port));
             }
         }
         let winners = &mut sc.winners;
@@ -1536,15 +1520,15 @@ impl Router {
     /// streams toward (`Active`), or the busy output VC a waiting head
     /// needs (`VaWait`).
     fn forward_edge(&self, p: usize, v: usize) -> Option<(Direction, VcRef)> {
-        match &self.inputs[p].vcs[v].state {
+        match self.inputs[p].vcs[v].state {
             VcState::Active {
                 out_port, out_vc, ..
             } => {
-                let dir = Direction::for_port(*out_port);
-                if dir == Direction::Local || *out_vc >= self.cfg.vcs_per_port() {
+                let dir = Direction::for_port(out_port);
+                if dir == Direction::Local || out_vc >= self.cfg.vcs_per_port() {
                     None
                 } else {
-                    Some((dir, VcRef::new(dir.opposite(), *out_vc as u8)))
+                    Some((dir, VcRef::new(dir.opposite(), out_vc as u8)))
                 }
             }
             VcState::VaWait { candidates, .. } => self.va_wait_edge(candidates),
@@ -1572,10 +1556,10 @@ impl Router {
     /// whether the reservation's owner is still streaming (Active), has
     /// been fully absorbed by deadlock recovery (stale reservation with
     /// held flits), or anything in between.
-    fn va_wait_edge(&self, candidates: &[Direction]) -> Option<(Direction, VcRef)> {
+    fn va_wait_edge(&self, candidates: DirSet) -> Option<(Direction, VcRef)> {
         let vcs = self.cfg.vcs_per_port();
         for cand in candidates {
-            if *cand == Direction::Local {
+            if cand == Direction::Local {
                 continue;
             }
             let op = cand.index();
@@ -1586,7 +1570,7 @@ impl Router {
                 let busy = self.outputs[op].allocated[ov].is_some()
                     || !self.outputs[op].retrans[ov].is_empty();
                 if busy {
-                    return Some((*cand, VcRef::new(cand.opposite(), ov as u8)));
+                    return Some((cand, VcRef::new(cand.opposite(), ov as u8)));
                 }
             }
         }
