@@ -458,7 +458,8 @@ impl CampaignParams {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed `k=v` entry.
+    /// Returns a description of the first malformed `k=v` entry, or of
+    /// the first field the spec names twice.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         // Start from a fixed baseline so a spec may omit fields.
         let mut p = CampaignParams::sample(0, 0);
@@ -477,6 +478,10 @@ impl CampaignParams {
         // and resolved after the loop.
         let mut topo_key: Option<String> = None;
         let mut conc_key: Option<u8> = None;
+        // The fields named so far: a second value for one would silently
+        // replace the first. Every `kill@C` fills the one link kill;
+        // `fault=router:` and `fault=wearout:` are two fields.
+        let mut seen: Vec<(&str, &str)> = Vec::new();
         for item in spec.split(',') {
             let item = item.trim();
             if item.is_empty() {
@@ -485,6 +490,15 @@ impl CampaignParams {
             let (k, v) = item
                 .split_once('=')
                 .ok_or_else(|| format!("malformed entry {item:?} (expected k=v)"))?;
+            let field = match k {
+                "fault" => (k, v.split(':').next().unwrap_or_default()),
+                _ if k.starts_with("kill@") => ("kill@", ""),
+                _ => (k, ""),
+            };
+            if seen.contains(&field) {
+                return Err(format!("repeated key {k:?} in {item:?}"));
+            }
+            seen.push(field);
             macro_rules! bad {
                 () => {
                     |_| bad_value(k, v)
@@ -582,6 +596,11 @@ impl CampaignParams {
         };
         if conc_key.is_some() && !matches!(p.topo, FuzzTopology::CMesh { .. }) {
             return Err("conc only applies to topo=cmesh".into());
+        }
+        // `to_spec` prints `nfy` only beside a fault, so a lone one
+        // would not survive the round trip.
+        if seen.contains(&("nfy", "")) && p.fault_plan().is_empty() {
+            return Err("nfy only applies beside a fault (kill@ or fault=)".into());
         }
         Ok(p)
     }
@@ -902,7 +921,9 @@ mod tests {
     /// grid dimension or blocking threshold is a typed configuration
     /// error — `pipe=0` used to run a 4-stage pipeline, `ac=banana` used
     /// to mean `1`, `w=0` used to panic inside `Topology::mesh` and
-    /// `cth=0` inside `Network::new`, outside the `catch_unwind`.
+    /// `cth=0` inside `Network::new`, outside the `catch_unwind`. A field
+    /// named twice is refused too: the second value used to replace the
+    /// first silently, so the spec ran something other than it named.
     #[test]
     fn out_of_range_spec_values_are_rejected() {
         for spec in [
@@ -918,6 +939,25 @@ mod tests {
                 format!("bad value for {k}: {v:?}")
             );
         }
+        for (spec, k) in [
+            ("w=3,h=3,cycles=100,kill@50=1:e,kill@60=4:s", "kill@60"),
+            ("w=3,h=3,fault=router:1@5,fault=router:2@9", "fault"),
+            ("w=3,h=3,fault=wearout:50,fault=wearout:60", "fault"),
+            ("w=3,h=3,w=4", "w"),
+            ("w=3,h=3,topo=torus,conc=2,topo=mesh", "topo"),
+        ] {
+            let item = spec.rsplit_once(',').unwrap().1;
+            assert_eq!(
+                CampaignParams::from_spec(spec).unwrap_err(),
+                format!("repeated key {k:?} in {item:?}")
+            );
+        }
+        let e = CampaignParams::from_spec("w=3,h=3,nfy=2").unwrap_err();
+        assert_eq!(e, "nfy only applies beside a fault (kill@ or fault=)");
+        // Each fault kind is a field of its own, as `to_spec` prints them.
+        let p = CampaignParams::from_spec("w=3,h=3,kill@5=0:e,fault=router:4@9,fault=wearout:50")
+            .unwrap();
+        assert_eq!((p.kill_at, p.rkill_at, p.wear_budget), (5, 9, 50));
         let p = CampaignParams::from_spec("w=3,h=3,pipe=1,ac=0,dl=1,gate=0").unwrap();
         assert_eq!(
             (p.pipeline, p.ac, p.deadlock, p.gating),

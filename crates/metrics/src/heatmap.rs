@@ -145,7 +145,7 @@ fn render_chiplet(
     );
     assert!(chip_w > 0 && chip_h > 0, "zero chiplet tile");
     let max = values.iter().copied().max().unwrap_or(0);
-    let total: u64 = values.iter().sum();
+    let total = saturating_sum(values);
     let mut out = String::new();
     out.push_str(&format!("{label} (total {total}, max {max})\n"));
     out.push_str("    ");
@@ -212,7 +212,7 @@ pub fn render(label: &str, width: usize, height: usize, values: &[u64], dead: &[
         values.len()
     );
     let max = values.iter().copied().max().unwrap_or(0);
-    let total: u64 = values.iter().sum();
+    let total = saturating_sum(values);
     let mut out = String::new();
     out.push_str(&format!("{label} (total {total}, max {max})\n"));
     out.push_str("    ");
@@ -286,6 +286,12 @@ fn hottest(width: usize, values: &[u64]) -> (usize, usize) {
         .max_by_key(|(i, &v)| (v, std::cmp::Reverse(*i)))
         .expect("non-empty values");
     (i % width, i / width)
+}
+
+/// The sum of `values`, pinned at `u64::MAX`: a metrics file is text
+/// from outside, and no count in it may overflow a total.
+pub(crate) fn saturating_sum(values: &[u64]) -> u64 {
+    values.iter().fold(0, |sum, &v| sum.saturating_add(v))
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! run profiled), and ASCII heatmaps of the per-router telemetry from
 //! the final interval.
 
-use crate::heatmap::{self, LayoutKind, TopoLayout};
+use crate::heatmap::{self, saturating_sum, LayoutKind, TopoLayout};
 use crate::json::{self, Value};
 use crate::telemetry::RouterTelemetry;
 
@@ -145,10 +145,10 @@ fn render_phases(out: &mut String, last: &Value) {
     let commit = phase.u64_field("commit_ns").unwrap_or(0);
     let compute: Vec<u64> = u64_list(phase.get("compute_ns_by_lane"));
     let barrier: Vec<u64> = u64_list(phase.get("barrier_ns_by_lane"));
-    let compute_total: u64 = compute.iter().sum();
-    let barrier_total: u64 = barrier.iter().sum();
+    let compute_total = saturating_sum(&compute);
+    let barrier_total = saturating_sum(&barrier);
     let cycles = phase.u64_field("cycles").unwrap_or(0);
-    let grand = pre + commit + compute_total + barrier_total;
+    let grand = saturating_sum(&[pre, commit, compute_total, barrier_total]);
 
     out.push_str(&format!("\nengine phases ({cycles} cycles profiled)\n"));
     for (name, ns) in [
@@ -190,7 +190,7 @@ fn render_activity(out: &mut String, last: &Value) {
     out.push_str(&format!(
         "  {:<16} {:>12}\n",
         "skip rate",
-        pct(skipped, computed + skipped)
+        pct(skipped, computed.saturating_add(skipped))
     ));
 }
 
