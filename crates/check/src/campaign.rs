@@ -292,18 +292,10 @@ impl CampaignParams {
             // A link kill landing on one of the victim's own links is
             // moot once the router dies (and the plan check rejects
             // kills of already-dead links), so drop it.
-            if p.kill_at > 0 {
-                let n = u64::from(p.kill_node);
-                let other = match p.kill_dir {
-                    Direction::East => n + 1,
-                    _ => n + u64::from(p.width),
-                };
-                let victim = u64::from(rnode);
-                if n == victim || other == victim {
-                    p.kill_at = 0;
-                    p.kill_node = 0;
-                    p.kill_dir = Direction::East;
-                }
+            if p.kill_at > 0 && link_touches(p.width, p.kill_node, p.kill_dir, rnode) {
+                p.kill_at = 0;
+                p.kill_node = 0;
+                p.kill_dir = Direction::East;
             }
         }
         if wear {
@@ -609,6 +601,16 @@ impl CampaignParams {
 /// Links of a `width`×`height` mesh: east links first, then south.
 fn mesh_link_count(width: u8, height: u8) -> u64 {
     (u64::from(width) - 1) * u64::from(height) + u64::from(width) * (u64::from(height) - 1)
+}
+
+/// Whether mesh link `(node, dir)` (`dir` east or south) ends at router
+/// `victim`.
+fn link_touches(width: u8, node: u16, dir: Direction, victim: u16) -> bool {
+    let other = match dir {
+        Direction::East => node + 1,
+        _ => node + u16::from(width),
+    };
+    node == victim || other == victim
 }
 
 /// Link number `pick` of that enumeration as `(node, direction)` — how
@@ -1018,6 +1020,32 @@ mod tests {
         }
         assert!(seen > 10, "router-kill dimension never sampled");
     }
+
+    /// The mid-run-fault filter keeps the sampler's rule: a link kill it
+    /// plants never lands on a link of the campaign's router-kill victim,
+    /// so the fault plan always builds.
+    #[test]
+    fn midrun_filter_never_kills_a_victim_link() {
+        let mut seen = 0;
+        for i in 0..1000 {
+            let mut p = CampaignParams::sample(0xF70C, i);
+            if p.rkill_at == 0 || p.kill_at > 0 {
+                continue;
+            }
+            apply_scenario_filter(&mut p, Some(ScenarioFilter::MidRunFault));
+            seen += 1;
+            assert!(
+                !link_touches(p.width, p.kill_node, p.kill_dir, p.rkill_node),
+                "campaign {i}: kill n{}:{:?} touches victim {}",
+                p.kill_node,
+                p.kill_dir,
+                p.rkill_node
+            );
+            p.to_config()
+                .unwrap_or_else(|e| panic!("campaign {i} config rejected: {e}"));
+        }
+        assert!(seen > 10, "no router-kill campaign left for the filter");
+    }
 }
 
 /// Coerces every sampled campaign onto one buffer organisation —
@@ -1118,8 +1146,16 @@ pub(crate) fn apply_scenario_filter(params: &mut CampaignParams, scenario: Optio
     params.routing = RoutingAlgorithm::FaultAware;
     params.deadlock = true;
     if params.kill_at == 0 {
-        let pick = params.seed % mesh_link_count(params.width, params.height);
-        (params.kill_node, params.kill_dir) = mesh_link(params.width, params.height, pick);
+        let (w, h) = (params.width, params.height);
+        let links = mesh_link_count(w, h);
+        // The sampler's rule: a router-kill campaign never plants its
+        // link kill on one of the victim's links, so step from the
+        // chosen link to the next one that avoids it.
+        let start = params.seed % links;
+        (params.kill_node, params.kill_dir) = (start..start + links)
+            .map(|k| mesh_link(w, h, k % links))
+            .find(|&(n, d)| params.rkill_at == 0 || !link_touches(w, n, d, params.rkill_node))
+            .expect("a ≥2×2 mesh has a link clear of any one router");
         params.kill_at = 1 + (params.seed >> 32) % params.cycles.max(2).div_euclid(2);
         params.notify = (params.seed >> 56) % 9;
     }

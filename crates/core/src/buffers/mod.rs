@@ -48,11 +48,18 @@ pub struct PortBuffer {
     /// Flits held beyond each VC's first: `Σ_v max(len(v) − 1, 0)`.
     shared_used: usize,
     occupied: usize,
+    /// Bit `v` set while VC `v`'s queue holds a flit.
+    nonempty: u64,
 }
 
 impl PortBuffer {
     /// An empty port of `vcs` VCs sharing slots by `cap`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcs > 64`: [`PortBuffer::nonempty`] is one word.
     pub fn new(vcs: usize, cap: PortCapacity) -> Self {
+        assert!(vcs <= 64, "a port holds at most 64 VCs");
         // Pre-size each queue to its even share of the port, not to its
         // cap: a DAMQ VC's cap is nearly the whole pool.
         let share = cap.per_vc.min(cap.shared / vcs + 1);
@@ -61,6 +68,7 @@ impl PortBuffer {
             cap,
             shared_used: 0,
             occupied: 0,
+            nonempty: 0,
         }
     }
 
@@ -93,6 +101,7 @@ impl PortBuffer {
         self.shared_used += usize::from(!queue.is_empty());
         queue.push_back(flit);
         self.occupied += 1;
+        self.nonempty |= 1 << vc;
         true
     }
 
@@ -109,6 +118,9 @@ impl PortBuffer {
         let flit = queue.pop_front()?;
         self.shared_used -= usize::from(!queue.is_empty());
         self.occupied -= 1;
+        if queue.is_empty() {
+            self.nonempty &= !(1 << vc);
+        }
         Some(flit)
     }
 
@@ -121,7 +133,13 @@ impl PortBuffer {
     /// Whether `vc`'s queue is empty.
     #[inline]
     pub fn is_empty(&self, vc: usize) -> bool {
-        self.queues[vc].is_empty()
+        self.nonempty & (1 << vc) == 0
+    }
+
+    /// A bit per VC whose queue holds a flit (bit `v` for VC `v`).
+    #[inline]
+    pub fn nonempty(&self) -> u64 {
+        self.nonempty
     }
 
     /// Flits currently resident across all VCs.

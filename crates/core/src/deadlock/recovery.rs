@@ -154,7 +154,7 @@ impl RecoveryRing {
                 if self.nodes[next].tx.free_slots(0) == 0 {
                     continue;
                 }
-                if let Some(flit) = self.nodes[i].retx.send_held(self.now) {
+                if let Some(flit) = self.nodes[i].retx.send_held(self.now, true) {
                     let pushed = self.nodes[next].tx.push(0, flit);
                     debug_assert!(pushed);
                     self.advancements += 1;

@@ -278,14 +278,19 @@ impl RetransmissionBuffer {
             .map(|s| &s.flit)
     }
 
-    /// Sends the front held flit during deadlock recovery: the slot
-    /// rotates to the back as a sent copy (Figure 10's thick-square
-    /// flits), expiring [`NACK_ROUND_TRIP`] cycles later as usual.
-    pub fn send_held(&mut self, now: u64) -> Option<Flit> {
+    /// Sends the front held flit during deadlock recovery. With
+    /// `keep_copy` the slot rotates to the back as a sent copy (Figure
+    /// 10's thick-square flits), expiring [`NACK_ROUND_TRIP`] cycles
+    /// later as usual; without it the slot frees at once — a link with
+    /// no per-hop NACK could never replay the copy, which would outlive
+    /// its packet.
+    pub fn send_held(&mut self, now: u64, keep_copy: bool) -> Option<Flit> {
         self.front_held()?;
         let mut slot = self.slots.pop_front().expect("front exists");
-        slot.state = SlotState::Sent { sent_at: now };
-        self.slots.push_back(slot);
+        if keep_copy {
+            slot.state = SlotState::Sent { sent_at: now };
+            self.slots.push_back(slot);
+        }
         self.held -= 1;
         debug_assert_eq!((self.pending, self.held), self.scan_counts());
         Some(slot.flit)
@@ -485,16 +490,16 @@ mod tests {
         assert_eq!(buf.held_count(), 3);
 
         // Space opens downstream: send held flits one per cycle.
-        let s1 = buf.send_held(10).unwrap();
+        let s1 = buf.send_held(10, true).unwrap();
         assert_eq!(s1.seq, 1);
         assert_eq!(buf.held_count(), 2);
         assert_eq!(buf.occupancy(), 3, "sent copy rotates to the back");
-        let s2 = buf.send_held(11).unwrap();
+        let s2 = buf.send_held(11, true).unwrap();
         assert_eq!(s2.seq, 2);
-        let s3 = buf.send_held(12).unwrap();
+        let s3 = buf.send_held(12, true).unwrap();
         assert_eq!(s3.seq, 3);
         assert_eq!(buf.held_count(), 0);
-        assert_eq!(buf.send_held(13), None);
+        assert_eq!(buf.send_held(13, true), None);
 
         // Three cycles later the buffer is empty again (Figure 10 step 7).
         buf.expire(15);
@@ -516,10 +521,23 @@ mod tests {
         buf.absorb(flit(1));
         // Held flit is not at the front yet.
         assert!(buf.front_held().is_none());
-        assert_eq!(buf.send_held(6), None);
+        assert_eq!(buf.send_held(6, true), None);
         buf.expire(8); // sent copy expires
         assert_eq!(buf.front_held().map(|f| f.seq), Some(1));
-        assert!(buf.send_held(8).is_some());
+        assert!(buf.send_held(8, true).is_some());
+    }
+
+    #[test]
+    fn held_send_without_a_copy_frees_its_slot() {
+        let mut buf = RetransmissionBuffer::new(3);
+        buf.absorb(flit(1));
+        buf.absorb(flit(2));
+        assert_eq!(buf.send_held(10, false).map(|f| f.seq), Some(1));
+        assert_eq!(buf.occupancy(), 1, "no sent copy stays behind");
+        assert_eq!(buf.held_count(), 1);
+        assert_eq!(buf.send_held(11, false).map(|f| f.seq), Some(2));
+        assert!(buf.is_empty());
+        assert!(buf.absorb(flit(3)), "the freed slots take new flits");
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn held_flits_drain_in_order() {
             }
             now += gap;
             buf.expire(now);
-            if let Some(f) = buf.send_held(now) {
+            if let Some(f) = buf.send_held(now, true) {
                 sent.push(f.seq);
             }
         }
@@ -203,7 +203,7 @@ fn counts_track_slots_under_any_interleaving() {
                     }
                 }
                 5 => {
-                    buf.send_held(now);
+                    buf.send_held(now, true);
                 }
                 _ => {
                     purge_mid_replay += usize::from(buf.is_replaying());

@@ -1,4 +1,17 @@
-//! Round-robin arbitration, the grant fabric of the VA and SA units.
+//! Round-robin arbitration, the grant fabric of the VA and SA units,
+//! and `ones`, the one walk over a bit mask.
+
+/// The set bits of `mask`, lowest first: how every stage walks a mask
+/// of VCs, ports or routers that have work.
+pub(crate) fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
 
 /// A rotating-priority arbiter over `n` requesters.
 ///

@@ -65,6 +65,7 @@ use ftnoc_types::geom::{Direction, NodeId, Topology};
 use ftnoc_types::packet::{Packet, PacketId};
 use ftnoc_types::Header;
 
+use crate::arbiter::ones;
 use crate::config::{ErrorScheme, SimConfig, LOSS_MASK_FLITS};
 use crate::link::PortIo;
 use crate::router::{Ctx, Router};
@@ -180,13 +181,7 @@ impl ActiveSet {
             if self.nodes - base < 64 {
                 bits &= (1 << (self.nodes - base)) - 1;
             }
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    base + bit
-                })
-            })
+            ones(bits).map(move |bit| base + bit)
         })
     }
 
@@ -481,6 +476,9 @@ fn compute_cell(env: &RunEnv, ctx: &Ctx<'_>, cell: &mut RouterCell) {
         }
     }
 
+    // The NACKs re-armed replays before expiry runs: the masks say so.
+    router.debug_check_masks();
+
     // 2. Window expiry and per-cycle reset.
     router.begin_cycle(now);
 
@@ -534,6 +532,7 @@ fn compute_cell(env: &RunEnv, ctx: &Ctx<'_>, cell: &mut RouterCell) {
     *wants_wake = !router.is_quiescent()
         || io.rev_in.iter().flatten().any(|rw| !rw.reverse_idle())
         || io.flit_in.iter().flatten().any(|fw| !fw.forward_free());
+    router.debug_check_masks();
 }
 
 impl Network<NullSink> {

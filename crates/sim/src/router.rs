@@ -21,6 +21,17 @@
 //! 7. `st_phase`: crossbar/link traversal — replays first, then
 //!    deadlock-recovery held flits, then granted flits;
 //! 8. `end_cycle`: blocked tracking, probe launching, statistics.
+//!
+//! Work state is bit masks: each input and output port keeps a `u64`
+//! per kind of work, one bit per VC (`nonempty`, `wait`, `active`,
+//! `progressed`, `blocked`; `reserved`, `sending`, `replaying`,
+//! `held`), and every stage walks the set bits (`ones`, ascending, as
+//! the full scans did, so draws and grants keep their order) instead
+//! of scanning ports × VCs. Each mask has one writer —
+//! `InputPort::set`, `InputPort::set_blocked`,
+//! `OutputPort::reserve`, `OutputPort::sync` — and debug builds
+//! recompute them all after the reverse channels, after every compute
+//! and after every purge (`Router::debug_check_masks`).
 
 use std::collections::VecDeque;
 
@@ -38,7 +49,7 @@ use ftnoc_types::flit::{Flit, PackedFields};
 use ftnoc_types::geom::{DirSet, Direction, NodeId, Topology};
 use ftnoc_types::packet::PacketId;
 
-use crate::arbiter::RoundRobinArbiter;
+use crate::arbiter::{ones, RoundRobinArbiter};
 use crate::config::{ErrorScheme, RoutingAlgorithm, SimConfig};
 use crate::routing::{route_candidates, xy_minimal_progress, FaultState};
 use crate::stats::{ErrorStats, EventCounts, OccupancyHistogram};
@@ -94,10 +105,11 @@ enum VcState {
 /// organisation (static partition vs. DAMQ) is a per-port concern.
 #[derive(Debug)]
 struct InputVc {
+    /// Written only by [`InputPort::set`].
     state: VcState,
     receiver: HbhReceiver,
+    /// Written only by [`InputPort::set_blocked`].
     blocked_cycles: u64,
-    progressed: bool,
     /// No new probe for this VC before this cycle (re-suspicion cooldown).
     probe_cooldown_until: u64,
 }
@@ -108,18 +120,50 @@ impl InputVc {
             state: VcState::Idle,
             receiver: HbhReceiver::new(),
             blocked_cycles: 0,
-            progressed: false,
             probe_cooldown_until: 0,
         }
     }
 }
 
+/// Sets or clears bit `v` of `mask`.
+#[inline]
+fn put(mask: &mut u64, v: usize, on: bool) {
+    *mask = (*mask & !(1 << v)) | (u64::from(on) << v);
+}
+
 /// One input port: the organisation-owned flit storage plus per-VC
-/// control state.
+/// control state, and a bit per VC summarising that state so every
+/// stage walks only the VCs with work (the buffer keeps its own
+/// `nonempty` mask).
 #[derive(Debug)]
 struct InputPort {
     buffer: PortBuffer,
     vcs: Vec<InputVc>,
+    /// VCs in [`VcState::VaWait`].
+    wait: u64,
+    /// VCs in [`VcState::Active`].
+    active: u64,
+    /// VCs that moved a flit this cycle (cleared by `begin_cycle`).
+    progressed: u64,
+    /// VCs whose `blocked_cycles > 0`.
+    blocked: u64,
+}
+
+impl InputPort {
+    /// The one writer of `VcState`, keeping `wait` and `active` in step.
+    #[inline]
+    fn set(&mut self, v: usize, state: VcState) {
+        put(&mut self.wait, v, matches!(state, VcState::VaWait { .. }));
+        put(&mut self.active, v, matches!(state, VcState::Active { .. }));
+        self.vcs[v].state = state;
+    }
+
+    /// The one writer of `blocked_cycles`, keeping `blocked` in step.
+    #[inline]
+    fn set_blocked(&mut self, v: usize, cycles: u64) {
+        put(&mut self.blocked, v, cycles > 0);
+        self.vcs[v].blocked_cycles = cycles;
+    }
 }
 
 /// A granted flit waiting for its crossbar/link cycle.
@@ -132,13 +176,16 @@ struct StEntry {
 
 /// One output port: per-VC retransmission buffers, the credit ledger
 /// mirroring the downstream buffer organisation, wormhole reservations
-/// and the switch-traversal queue.
+/// and the switch-traversal queue, plus a bit per VC summarising the
+/// reservations and the retransmission buffers.
 #[derive(Debug)]
 struct OutputPort {
     exists: bool,
+    /// After any mutation of `retrans[v]`, [`OutputPort::sync`] runs.
     retrans: Vec<RetransmissionBuffer>,
     credits: CreditLedger,
     /// `allocated[v]` = the input VC currently owning output VC `v`.
+    /// Written only by [`OutputPort::reserve`].
     allocated: Vec<Option<(usize, usize)>>,
     /// The cycle `allocated[v]` was last granted (meaningful only while
     /// `allocated[v]` is `Some`). The oracle's dead-port invariant
@@ -147,6 +194,14 @@ struct OutputPort {
     /// the death was detectable.
     allocated_at: Vec<u64>,
     st_queue: VecDeque<StEntry>,
+    /// VCs whose `allocated[v]` is `Some`.
+    reserved: u64,
+    /// VCs whose retransmission buffer holds a slot.
+    sending: u64,
+    /// VCs whose retransmission buffer has a replay pending.
+    replaying: u64,
+    /// VCs whose retransmission buffer holds recovery-absorbed flits.
+    held: u64,
 }
 
 impl OutputPort {
@@ -160,15 +215,35 @@ impl OutputPort {
             allocated: vec![None; vcs],
             allocated_at: vec![0; vcs],
             st_queue: VecDeque::new(),
+            reserved: 0,
+            sending: 0,
+            replaying: 0,
+            held: 0,
         }
     }
 
-    fn any_replaying(&self) -> bool {
-        self.retrans.iter().any(|s| s.is_replaying())
+    /// The one writer of `allocated`, keeping `reserved` in step.
+    #[inline]
+    fn reserve(&mut self, v: usize, owner: Option<(usize, usize)>) {
+        put(&mut self.reserved, v, owner.is_some());
+        self.allocated[v] = owner;
     }
 
-    fn any_held(&self) -> bool {
-        self.retrans.iter().any(|s| s.held_count() > 0)
+    /// Refreshes `sending`, `replaying` and `held` from `retrans[v]`.
+    #[inline]
+    fn sync(&mut self, v: usize) {
+        let buffer = &self.retrans[v];
+        put(&mut self.sending, v, !buffer.is_empty());
+        put(&mut self.replaying, v, buffer.is_replaying());
+        put(&mut self.held, v, buffer.held_count() > 0);
+    }
+
+    /// Releases output VC `v` if input VC `owner` still holds it.
+    #[inline]
+    fn release_if_owner(&mut self, v: usize, owner: (usize, usize)) {
+        if self.allocated[v] == Some(owner) {
+            self.reserve(v, None);
+        }
     }
 }
 
@@ -307,6 +382,10 @@ impl Router {
             .map(|_| InputPort {
                 buffer: PortBuffer::new(v, cfg.port_capacity()),
                 vcs: (0..v).map(|_| InputVc::new()).collect(),
+                wait: 0,
+                active: 0,
+                progressed: 0,
+                blocked: 0,
             })
             .collect();
         let outputs = (0..p)
@@ -401,10 +480,10 @@ impl Router {
     /// drained but whose packet is still streaming.
     pub(crate) fn open_wormholes(&self, mut f: impl FnMut(usize, usize, usize, PacketId)) {
         for (p, input) in self.inputs.iter().enumerate() {
-            for (v, vc) in input.vcs.iter().enumerate() {
+            for v in ones(input.active) {
                 if let VcState::Active {
                     out_port, packet, ..
-                } = vc.state
+                } = input.vcs[v].state
                 {
                     f(p, v, out_port, packet);
                 }
@@ -467,12 +546,13 @@ impl Router {
                     true
                 }
             });
-            for buffer in &mut output.retrans {
-                for (flit, held) in buffer.purge(|f| is_member(f.packet.raw())) {
+            for v in 0..vcs {
+                for (flit, held) in output.retrans[v].purge(|f| is_member(f.packet.raw())) {
                     if held {
                         lost.push((flit, op as u8));
                     }
                 }
+                output.sync(v);
             }
         }
         // Normalize control state: amputated wormholes close, VA-waiting
@@ -486,16 +566,15 @@ impl Router {
                         packet,
                         ..
                     } if is_member(packet.raw()) => {
-                        if out_vc < vcs && self.outputs[out_port].allocated[out_vc] == Some((p, v))
-                        {
-                            self.outputs[out_port].allocated[out_vc] = None;
+                        if out_vc < vcs {
+                            self.outputs[out_port].release_if_owner(out_vc, (p, v));
                         }
-                        self.inputs[p].vcs[v].state = VcState::Idle;
-                        self.inputs[p].vcs[v].blocked_cycles = 0;
+                        self.inputs[p].set(v, VcState::Idle);
+                        self.inputs[p].set_blocked(v, 0);
                     }
                     VcState::VaWait { .. } if touched[p * vcs + v] => {
-                        self.inputs[p].vcs[v].state = VcState::Idle;
-                        self.inputs[p].vcs[v].blocked_cycles = 0;
+                        self.inputs[p].set(v, VcState::Idle);
+                        self.inputs[p].set_blocked(v, 0);
                     }
                     _ => {}
                 }
@@ -509,28 +588,35 @@ impl Router {
         // Active owner nor held sender flits is released here, else the
         // output VC leaks and survivors block on it forever.
         for op in 0..ports {
-            for ov in 0..vcs {
+            let output = &self.outputs[op];
+            for ov in ones(output.reserved & !output.held) {
                 let Some((p, v)) = self.outputs[op].allocated[ov] else {
                     continue;
                 };
-                let active = matches!(
-                    self.inputs[p].vcs[v].state,
-                    VcState::Active { out_port, out_vc, .. } if out_port == op && out_vc == ov
-                );
-                let held = self.outputs[op].retrans[ov].held_count() > 0;
-                if !active && !held {
-                    self.outputs[op].allocated[ov] = None;
+                if !self.owns(p, v, op, ov) {
+                    self.outputs[op].reserve(ov, None);
                 }
             }
         }
+        self.debug_check_masks();
         lost
+    }
+
+    /// Whether input VC `(p, v)` is `Active` toward output VC `(op, ov)`.
+    fn owns(&self, p: usize, v: usize, op: usize, ov: usize) -> bool {
+        matches!(
+            self.inputs[p].vcs[v].state,
+            VcState::Active { out_port, out_vc, .. } if out_port == op && out_vc == ov
+        )
     }
 
     /// Handles a NACK arriving at cycle `now` from the downstream
     /// router on `(dir, vc)`.
     /// Must run before [`Router::begin_cycle`] of the same cycle.
     pub fn handle_nack(&mut self, dir: Direction, vc: u8, now: u64) {
-        self.outputs[dir.index()].retrans[vc as usize].on_nack(now);
+        let port = &mut self.outputs[dir.index()];
+        port.retrans[vc as usize].on_nack(now);
+        port.sync(vc as usize);
         self.errors.link_recovered_by_replay += 1;
     }
 
@@ -546,14 +632,13 @@ impl Router {
         self.freed_credits.clear();
         self.drives.clear();
         for port in &mut self.outputs {
-            for buffer in &mut port.retrans {
-                buffer.expire(now);
+            for v in ones(port.sending) {
+                port.retrans[v].expire(now);
+                port.sync(v);
             }
         }
         for port in &mut self.inputs {
-            for vc in port.vcs.iter_mut() {
-                vc.progressed = false;
-            }
+            port.progressed = 0;
         }
     }
 
@@ -619,22 +704,15 @@ impl Router {
     /// Packet bring-up and deadlock-recovery absorption.
     pub fn control_phase(&mut self, ctx: &Ctx<'_>) {
         let ports = self.cfg.ports();
-        let vcs = self.cfg.vcs_per_port();
         let epoch = ctx.faults.epoch_at(ctx.now);
         if epoch != self.seen_epoch {
             self.seen_epoch = epoch;
             self.reroute_waiting(ctx);
         }
         for p in 0..ports {
-            for v in 0..vcs {
-                let front_info = {
-                    let input = &self.inputs[p];
-                    if input.vcs[v].state != VcState::Idle {
-                        continue;
-                    }
-                    input.buffer.front(v).copied()
-                };
-                let Some(front) = front_info else { continue };
+            let input = &self.inputs[p];
+            for v in ones(input.buffer.nonempty() & !(input.wait | input.active)) {
+                let front = *self.inputs[p].buffer.front(v).expect("nonempty VC");
                 if !front.kind.is_head() {
                     // Stranded flit: no wormhole to follow (possible only
                     // under corruption without full protection). Discard.
@@ -727,10 +805,13 @@ impl Router {
                     });
                 }
 
-                self.inputs[p].vcs[v].state = VcState::VaWait {
-                    candidates,
-                    ready_at,
-                };
+                self.inputs[p].set(
+                    v,
+                    VcState::VaWait {
+                        candidates,
+                        ready_at,
+                    },
+                );
             }
         }
 
@@ -761,22 +842,23 @@ impl Router {
     /// continuations). RNG-free and a no-op when nothing is waiting, so
     /// static-fault runs are byte-identical with or without this pass.
     fn reroute_waiting(&mut self, ctx: &Ctx<'_>) {
-        let ports = self.cfg.ports();
-        let vcs = self.cfg.vcs_per_port();
-        for p in 0..ports {
-            for v in 0..vcs {
+        for p in 0..self.cfg.ports() {
+            for v in ones(self.inputs[p].wait) {
                 let VcState::VaWait { ready_at, .. } = self.inputs[p].vcs[v].state else {
-                    continue;
+                    unreachable!("`wait` names VaWait VCs");
                 };
                 let Some(front) = self.inputs[p].buffer.front(v).copied() else {
                     continue;
                 };
                 let dest = Self::routed_dest(ctx.config.scheme, &front);
                 let candidates = self.route(ctx, p, dest);
-                self.inputs[p].vcs[v].state = VcState::VaWait {
-                    candidates,
-                    ready_at,
-                };
+                self.inputs[p].set(
+                    v,
+                    VcState::VaWait {
+                        candidates,
+                        ready_at,
+                    },
+                );
             }
         }
     }
@@ -803,12 +885,12 @@ impl Router {
         // buffer to create space": without it, rings of stale
         // reservations and waiting heads stay wedged forever.
         for p in 0..ports {
-            for v in 0..vcs {
+            for v in ones(self.inputs[p].wait & self.inputs[p].blocked) {
                 if self.inputs[p].vcs[v].blocked_cycles < stuck {
                     continue;
                 }
                 let VcState::VaWait { candidates, .. } = self.inputs[p].vcs[v].state else {
-                    continue;
+                    unreachable!("`wait` names VaWait VCs");
                 };
                 let mut takeover = None;
                 'search: for cand in candidates {
@@ -822,11 +904,7 @@ impl Router {
                     }
                     for ov in 0..vcs {
                         let stale = match self.outputs[op].allocated[ov] {
-                            Some((ip, iv)) => !matches!(
-                                self.inputs[ip].vcs[iv].state,
-                                VcState::Active { out_port, out_vc, .. }
-                                    if out_port == op && out_vc == ov
-                            ),
+                            Some((ip, iv)) => !self.owns(ip, iv, op, ov),
                             None => true,
                         };
                         if stale {
@@ -836,22 +914,25 @@ impl Router {
                     }
                 }
                 if let Some((op, ov)) = takeover {
-                    self.outputs[op].allocated[ov] = Some((p, v));
+                    self.outputs[op].reserve(ov, Some((p, v)));
                     self.outputs[op].allocated_at[ov] = ctx.now;
                     let packet = self.inputs[p].buffer.front(v).expect("VaWait head").packet;
-                    self.inputs[p].vcs[v].state = VcState::Active {
-                        out_port: op,
-                        out_vc: ov,
-                        sa_ready_at: ctx.now + 1,
-                        packet,
-                    };
+                    self.inputs[p].set(
+                        v,
+                        VcState::Active {
+                            out_port: op,
+                            out_vc: ov,
+                            sa_ready_at: ctx.now + 1,
+                            packet,
+                        },
+                    );
                     self.events.va += 1;
                 }
             }
         }
 
         for p in 0..ports {
-            for v in 0..vcs {
+            for v in ones(self.inputs[p].active & self.inputs[p].blocked) {
                 let (op, ov) = match self.inputs[p].vcs[v].state {
                     VcState::Active {
                         out_port, out_vc, ..
@@ -883,7 +964,8 @@ impl Router {
                     let flit = self.inputs[p].buffer.pop(v).expect("front exists");
                     let absorbed = self.outputs[op].retrans[ov].absorb(flit);
                     debug_assert!(absorbed);
-                    self.inputs[p].vcs[v].progressed = true;
+                    self.outputs[op].sync(ov);
+                    self.inputs[p].progressed |= 1 << v;
                     self.events.retrans_shift += 1;
                     if p < 4 {
                         self.freed_credits.push((Direction::for_port(p), v as u8));
@@ -891,7 +973,7 @@ impl Router {
                     if front.kind.is_tail() {
                         // Whole packet absorbed; the input VC is free. The
                         // output VC stays reserved until the tail is sent.
-                        self.inputs[p].vcs[v].state = VcState::Idle;
+                        self.inputs[p].set(v, VcState::Idle);
                         break;
                     }
                 }
@@ -925,14 +1007,15 @@ impl Router {
         // derived from `now`, so a router skipped by activity gating
         // resumes at exactly the offset a full-sweep run would have.
         let rotation = ctx.now as usize % vcs;
+        let all_vcs = u64::MAX >> (64 - vcs);
         for p in 0..ports {
-            for v in 0..vcs {
+            for v in ones(self.inputs[p].wait) {
                 let VcState::VaWait {
                     candidates,
                     ready_at,
                 } = self.inputs[p].vcs[v].state
                 else {
-                    continue;
+                    unreachable!("`wait` names VaWait VCs");
                 };
                 if ready_at > ctx.now {
                     continue;
@@ -964,15 +1047,14 @@ impl Router {
                     {
                         continue;
                     }
-                    for ov in (rotation..vcs).chain(0..rotation) {
-                        if self.outputs[op].allocated[ov].is_none()
-                            && self.outputs[op].retrans[ov].is_empty()
-                        {
-                            let (input, out) = (p * vcs + v, op * vcs + ov);
-                            sc.va_req[out * words + input / 64] |= 1 << (input % 64);
-                            sc.va_requested[out / 64] |= 1 << (out % 64);
-                            break 'cand;
-                        }
+                    // The first free output VC at or after the rotation,
+                    // wrapping round.
+                    let free = all_vcs & !(self.outputs[op].reserved | self.outputs[op].sending);
+                    if let Some(ov) = ones(free & (u64::MAX << rotation)).chain(ones(free)).next() {
+                        let (input, out) = (p * vcs + v, op * vcs + ov);
+                        sc.va_req[out * words + input / 64] |= 1 << (input % 64);
+                        sc.va_requested[out / 64] |= 1 << (out % 64);
+                        break 'cand;
                     }
                 }
             }
@@ -983,10 +1065,8 @@ impl Router {
         // arbiter's round-robin pointer.
         sc.winners.clear();
         for w in 0..words {
-            let mut requested = std::mem::take(&mut sc.va_requested[w]);
-            while requested != 0 {
-                let out = w * 64 + requested.trailing_zeros() as usize;
-                requested &= requested - 1;
+            for bit in ones(std::mem::take(&mut sc.va_requested[w])) {
+                let out = w * 64 + bit;
                 let req = &mut sc.va_req[out * words..(out + 1) * words];
                 let winner = self.va_arbiters[out]
                     .grant(req)
@@ -1023,9 +1103,7 @@ impl Router {
                 _ => {
                     // Duplicate: point at a VC that is already reserved,
                     // if one exists.
-                    if let Some(res) =
-                        (0..vcs).find(|&ov| self.outputs[w.2].allocated[ov].is_some())
-                    {
+                    if let Some(res) = ones(self.outputs[w.2].reserved).next() {
                         w.3 = res;
                     } else {
                         w.3 = vcs; // fall back to an invalid id
@@ -1044,9 +1122,9 @@ impl Router {
                 });
             }
             sc.va_entries.clear();
-            for op in 0..ports {
-                for ov in 0..vcs {
-                    if let Some((ip, iv)) = self.outputs[op].allocated[ov] {
+            for (op, output) in self.outputs.iter().enumerate() {
+                for ov in ones(output.reserved) {
+                    if let Some((ip, iv)) = output.allocated[ov] {
                         sc.va_entries.push(VaEntry {
                             input_vc: VcRef::new(Direction::for_port(ip), iv as u8),
                             out_port: Direction::for_port(op),
@@ -1094,7 +1172,7 @@ impl Router {
         // Commit.
         for &(p, v, op, ov, _) in winners.iter() {
             if ov < vcs {
-                self.outputs[op].allocated[ov] = Some((p, v));
+                self.outputs[op].reserve(ov, Some((p, v)));
                 self.outputs[op].allocated_at[ov] = ctx.now;
             }
             let sa_gap = match ctx.config.router.pipeline() {
@@ -1106,12 +1184,15 @@ impl Router {
                 .front(v)
                 .expect("VA winner head")
                 .packet;
-            self.inputs[p].vcs[v].state = VcState::Active {
-                out_port: op,
-                out_vc: ov,
-                sa_ready_at: ctx.now + sa_gap,
-                packet,
-            };
+            self.inputs[p].set(
+                v,
+                VcState::Active {
+                    out_port: op,
+                    out_vc: ov,
+                    sa_ready_at: ctx.now + sa_gap,
+                    packet,
+                },
+            );
             self.events.va += 1;
         }
         self.scratch = sc;
@@ -1131,33 +1212,30 @@ impl Router {
         sc.sa_req.resize(ports, 0);
         for p in 0..ports {
             let mut eligible = 0u64;
-            for v in 0..vcs {
+            let input = &self.inputs[p];
+            for v in ones(input.active & input.buffer.nonempty()) {
                 let VcState::Active {
                     out_port,
                     out_vc,
                     sa_ready_at,
                     ..
-                } = self.inputs[p].vcs[v].state
+                } = input.vcs[v].state
                 else {
-                    continue;
+                    unreachable!("`active` names Active VCs");
                 };
+                let out = &self.outputs[out_port];
                 if sa_ready_at > ctx.now
                     || out_vc >= vcs
-                    || !self.outputs[out_port].exists
-                    || self.inputs[p].buffer.is_empty(v)
-                    || !self.outputs[out_port].credits.available(out_vc)
-                    || self.outputs[out_port].any_replaying()
-                    || self.outputs[out_port].any_held()
-                    || self.outputs[out_port].st_queue.len() >= 2
+                    || !out.exists
+                    || !out.credits.available(out_vc)
+                    || (out.replaying | out.held) != 0
+                    || out.st_queue.len() >= 2
                 {
                     continue;
                 }
                 // The protective copy needs a free slot (no VC of the port
                 // is replaying: ruled out above).
-                if scheme == ErrorScheme::Hbh
-                    && out_port < 4
-                    && self.outputs[out_port].retrans[out_vc].is_full()
-                {
+                if scheme == ErrorScheme::Hbh && out_port < 4 && out.retrans[out_vc].is_full() {
                     continue;
                 }
                 eligible |= 1 << v;
@@ -1246,7 +1324,7 @@ impl Router {
             let Some(mut flit) = self.inputs[p].buffer.pop(v) else {
                 continue;
             };
-            self.inputs[p].vcs[v].progressed = true;
+            self.inputs[p].progressed |= 1 << v;
             self.events.buffer_read += 1;
             self.events.sa += 1;
             if collide {
@@ -1269,10 +1347,8 @@ impl Router {
                 execute_at: ctx.now + st_gap,
             });
             if flit.kind.is_tail() {
-                if self.outputs[op].allocated[ov] == Some((p, v)) {
-                    self.outputs[op].allocated[ov] = None;
-                }
-                self.inputs[p].vcs[v].state = VcState::Idle;
+                self.outputs[op].release_if_owner(ov, (p, v));
+                self.inputs[p].set(v, VcState::Idle);
             }
         }
         self.scratch = sc;
@@ -1283,7 +1359,6 @@ impl Router {
     /// the network's commit phase to carry (crossbar and link fault
     /// injection applied here, from this router's own fault stream).
     pub fn st_phase(&mut self, ctx: &Ctx<'_>) {
-        let vcs = self.cfg.vcs_per_port();
         for port in 0..self.cfg.ports() {
             let dir = Direction::for_port(port);
             if !self.outputs[port].exists {
@@ -1291,12 +1366,11 @@ impl Router {
             }
             if dir != Direction::Local {
                 // Priority 1: NACK-triggered replay.
-                let out = &self.outputs[port];
-                let replaying = (0..vcs).fold(0u64, |m, v| {
-                    m | u64::from(out.retrans[v].is_replaying()) << v
-                });
-                if let Some(v) = self.replay_rr[port].grant(&[replaying]) {
-                    if let Some(flit) = self.outputs[port].retrans[v].next_replay(ctx.now) {
+                if let Some(v) = self.replay_rr[port].grant(&[self.outputs[port].replaying]) {
+                    let out = &mut self.outputs[port];
+                    let replayed = out.retrans[v].next_replay(ctx.now);
+                    out.sync(v);
+                    if let Some(flit) = replayed {
                         self.events.retransmission += 1;
                         self.events.link += 1;
                         self.emit_drive(LinkDrive {
@@ -1310,12 +1384,17 @@ impl Router {
                 }
                 // Priority 2: deadlock-recovery held flits.
                 let out = &self.outputs[port];
-                let held = (0..vcs).fold(0u64, |m, v| {
-                    let ready = out.retrans[v].front_held().is_some() && out.credits.available(v);
-                    m | u64::from(ready) << v
-                });
+                let held = ones(out.held)
+                    .filter(|&v| out.retrans[v].front_held().is_some() && out.credits.available(v))
+                    .fold(0u64, |m, v| m | 1 << v);
                 if let Some(v) = self.replay_rr[port].grant(&[held]) {
-                    if let Some(flit) = self.outputs[port].retrans[v].send_held(ctx.now) {
+                    // The sent flit keeps a protective copy exactly when a
+                    // switch-allocated send would (priority 3 below).
+                    let keep_copy = ctx.config.scheme == ErrorScheme::Hbh;
+                    let out = &mut self.outputs[port];
+                    let sent = out.retrans[v].send_held(ctx.now, keep_copy);
+                    out.sync(v);
+                    if let Some(flit) = sent {
                         self.outputs[port].credits.consume(v);
                         if flit.kind.is_tail() {
                             // Release the reservation — unless a recovery
@@ -1323,16 +1402,10 @@ impl Router {
                             // packet that queued behind the departing one
                             // (its owner is Active on this VC and must
                             // keep it).
-                            let reassigned =
-                                self.outputs[port].allocated[v].is_some_and(|(ip, iv)| {
-                                    matches!(
-                                        self.inputs[ip].vcs[iv].state,
-                                        VcState::Active { out_port, out_vc, .. }
-                                            if out_port == port && out_vc == v
-                                    )
-                                });
+                            let reassigned = self.outputs[port].allocated[v]
+                                .is_some_and(|(ip, iv)| self.owns(ip, iv, port, v));
                             if !reassigned {
-                                self.outputs[port].allocated[v] = None;
+                                self.outputs[port].reserve(v, None);
                             }
                         }
                         self.events.link += 1;
@@ -1364,8 +1437,9 @@ impl Router {
                     self.ejected.push((entry.flit, port as u8));
                 } else {
                     if ctx.config.scheme == ErrorScheme::Hbh {
-                        self.outputs[port].retrans[entry.out_vc as usize]
-                            .record_transmission(entry.flit, ctx.now);
+                        let out = &mut self.outputs[port];
+                        out.retrans[entry.out_vc as usize].record_transmission(entry.flit, ctx.now);
+                        out.sync(entry.out_vc as usize);
                         self.events.retrans_shift += 1;
                     }
                     self.events.link += 1;
@@ -1408,21 +1482,19 @@ impl Router {
     pub fn end_cycle(&mut self, ctx: &Ctx<'_>) -> Option<(Direction, VcRef)> {
         let vcs = self.cfg.vcs_per_port();
         let mut probe_request = None;
-        let mut stalled = 0u64;
-        for p in 0..self.cfg.ports() {
-            for v in 0..vcs {
-                let empty = self.inputs[p].buffer.is_empty(v);
-                let input = &mut self.inputs[p].vcs[v];
-                let waiting = !matches!(input.state, VcState::Idle) && !empty && !input.progressed;
-                if waiting {
-                    input.blocked_cycles += 1;
-                    stalled += 1;
+        for port in &mut self.inputs {
+            // A VC waits when it holds a packet's flits but moved none.
+            let waiting = (port.wait | port.active) & port.buffer.nonempty() & !port.progressed;
+            for v in ones(waiting | port.blocked) {
+                let cycles = if waiting & (1 << v) != 0 {
+                    port.vcs[v].blocked_cycles + 1
                 } else {
-                    input.blocked_cycles = 0;
-                }
+                    0
+                };
+                port.set_blocked(v, cycles);
             }
+            self.buffer_stalls += u64::from(waiting.count_ones());
         }
-        self.buffer_stalls += stalled;
         if ctx.config.deadlock.enabled && !self.probe.in_recovery() {
             // Rotate the scan start so successive suspicions probe
             // different blocked VCs (the deadlock cycle may not pass
@@ -1459,19 +1531,13 @@ impl Router {
         // back above it and keep the node recovering.
         if self.probe.in_recovery() {
             let stuck = self.stuck_threshold(ctx);
-            let drained = self.outputs.iter().all(|o| !o.any_held());
+            let drained = self.outputs.iter().all(|o| o.held == 0);
             let unblocked = self.inputs.iter().all(|port| {
-                port.vcs
-                    .iter()
-                    .enumerate()
-                    .all(|(v, i)| i.blocked_cycles < stuck || port.buffer.is_empty(v))
+                ones(port.blocked & port.buffer.nonempty())
+                    .all(|v| port.vcs[v].blocked_cycles < stuck)
             });
             // Track whether this recovery round is still making progress.
-            if self
-                .inputs
-                .iter()
-                .any(|p| p.vcs.iter().any(|i| i.progressed))
-            {
+            if self.inputs.iter().any(|p| p.progressed != 0) {
                 self.recovery_stall = 0;
             } else {
                 self.recovery_stall += 1;
@@ -1511,8 +1577,8 @@ impl Router {
         if p >= self.inputs.len() || v >= vcs {
             return (false, None);
         }
-        let blocked =
-            self.inputs[p].vcs[v].blocked_cycles > 0 && !self.inputs[p].buffer.is_empty(v);
+        let input = &self.inputs[p];
+        let blocked = (input.blocked & input.buffer.nonempty()) & (1 << v) != 0;
         (blocked, self.forward_edge(p, v))
     }
 
@@ -1557,21 +1623,16 @@ impl Router {
     /// been fully absorbed by deadlock recovery (stale reservation with
     /// held flits), or anything in between.
     fn va_wait_edge(&self, candidates: DirSet) -> Option<(Direction, VcRef)> {
-        let vcs = self.cfg.vcs_per_port();
         for cand in candidates {
             if cand == Direction::Local {
                 continue;
             }
-            let op = cand.index();
-            if !self.outputs[op].exists {
+            let out = &self.outputs[cand.index()];
+            if !out.exists {
                 continue;
             }
-            for ov in 0..vcs {
-                let busy = self.outputs[op].allocated[ov].is_some()
-                    || !self.outputs[op].retrans[ov].is_empty();
-                if busy {
-                    return Some((cand, VcRef::new(cand.opposite(), ov as u8)));
-                }
+            if let Some(ov) = ones(out.reserved | out.sending).next() {
+                return Some((cand, VcRef::new(cand.opposite(), ov as u8)));
             }
         }
         None
@@ -1627,21 +1688,59 @@ impl Router {
             && self
                 .inputs
                 .iter()
-                .all(|p| p.buffer.occupied() == 0 && p.vcs.iter().all(|v| v.state == VcState::Idle))
-            && self.outputs.iter().all(|o| {
-                o.st_queue.is_empty()
-                    && o.allocated.iter().all(|a| a.is_none())
-                    && o.retrans.iter().all(|s| s.is_empty())
-            })
+                .all(|p| (p.buffer.nonempty() | p.wait | p.active) == 0)
+            && self
+                .outputs
+                .iter()
+                .all(|o| o.st_queue.is_empty() && (o.reserved | o.sending) == 0)
     }
 
     /// Whether any flit is resident in this router (drain checks).
     pub fn is_drained(&self) -> bool {
-        self.inputs.iter().all(|p| p.buffer.occupied() == 0)
+        self.inputs.iter().all(|p| p.buffer.nonempty() == 0)
             && self
                 .outputs
                 .iter()
-                .all(|o| o.st_queue.is_empty() && o.retrans.iter().all(|s| s.held_count() == 0))
+                .all(|o| o.st_queue.is_empty() && o.held == 0)
+    }
+
+    /// Debug builds: recomputes every work mask from the state it
+    /// summarises and asserts it matches — the check that each mask's
+    /// one writer ran wherever that state changed.
+    pub(crate) fn debug_check_masks(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let bits = |n: usize, f: &dyn Fn(usize) -> bool| {
+            (0..n).fold(0u64, |m, v| m | (u64::from(f(v)) << v))
+        };
+        for (p, port) in self.inputs.iter().enumerate() {
+            let n = port.vcs.len();
+            let state = |v: usize| port.vcs[v].state;
+            let masks = (port.buffer.nonempty(), port.wait, port.active, port.blocked);
+            let model = (
+                bits(n, &|v| port.buffer.len(v) > 0),
+                bits(n, &|v| matches!(state(v), VcState::VaWait { .. })),
+                bits(n, &|v| matches!(state(v), VcState::Active { .. })),
+                bits(n, &|v| port.vcs[v].blocked_cycles > 0),
+            );
+            assert_eq!(masks, model, "{} input port {p}: stale work mask", self.id);
+        }
+        for (op, port) in self.outputs.iter().enumerate() {
+            let n = port.retrans.len();
+            let masks = (port.reserved, port.sending, port.replaying, port.held);
+            let model = (
+                bits(n, &|v| port.allocated[v].is_some()),
+                bits(n, &|v| !port.retrans[v].is_empty()),
+                bits(n, &|v| port.retrans[v].is_replaying()),
+                bits(n, &|v| port.retrans[v].held_count() > 0),
+            );
+            assert_eq!(
+                masks, model,
+                "{} output port {op}: stale work mask",
+                self.id
+            );
+        }
     }
 
     /// Free slots in VC `v` of local input `port`'s buffer (injection
@@ -1669,7 +1768,7 @@ impl Router {
     pub fn local_vc_idle(&self, port: usize, v: usize) -> bool {
         debug_assert!(port >= 4);
         let port = &self.inputs[port];
-        port.vcs[v].state == VcState::Idle && port.buffer.is_empty(v)
+        (port.buffer.nonempty() | port.wait | port.active) & (1 << v) == 0
     }
 
     /// Refills `out` with a plain-data copy of every architecturally

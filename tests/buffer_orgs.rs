@@ -199,7 +199,8 @@ fn small_ports() -> Vec<(String, usize, usize, BufferOrg, Rule)> {
 /// A seeded push/pop stream against every small port: `free_slots`
 /// follows the organisation's own rule, `push` succeeds exactly when a
 /// slot is free, each VC stays FIFO against a plain model, and the
-/// reserved-slot floor holds. A credit ledger fed one consume per push
+/// reserved-slot floor holds, and `nonempty()` names exactly the VCs
+/// the model holds a flit for. A credit ledger fed one consume per push
 /// and one release per pop grants exactly when the buffer has room and
 /// counts `per_vc − len` credits.
 #[test]
@@ -242,6 +243,8 @@ fn one_rule_matches_each_organisation() {
             }
             let occupied: usize = model.iter().map(VecDeque::len).sum();
             assert_eq!(buffer.occupied(), occupied, "{name} step {step}");
+            let nonempty = (0..vcs).fold(0u64, |m, v| m | u64::from(!model[v].is_empty()) << v);
+            assert_eq!(buffer.nonempty(), nonempty, "{name} step {step}: nonempty");
             assert!(
                 floor <= buffer.total_capacity(),
                 "{name} step {step}: floor"

@@ -118,6 +118,28 @@ fn router_kill_during_recovery_drain_releases_reservations() {
     );
 }
 
+/// Regression: under E2E (and FEC) a deadlock-recovery held send used
+/// to leave a protective copy in the retransmission buffer, which a
+/// switch-allocated send never does off HBH. Nothing can NACK that
+/// copy, so it outlived its delivered packet beside copies of that
+/// packet's other flits that had expired, and conservation saw a hole.
+/// Campaign 546 of a 600-campaign `topology` sweep; must stay green.
+#[test]
+fn e2e_held_send_leaves_no_copy() {
+    let spec = "w=4,h=4,vcs=2,buf=2,rtx=3,pipe=1,route=fa,scheme=e2e,ac=0,\
+                pat=bitcomp,proc=reg,inj=0.07415032079453317,link=0,hs=0,rt=0,\
+                va=0,sa=0,xbar=0,dl=1,cth=32,stop=0,\
+                seed=15619058423554319825,cycles=153,threads=1,pool=0,gate=0,\
+                topo=cmesh,conc=2";
+    let out = ftnoc(&["fuzz", "--repro", spec], false);
+    assert!(
+        out.status.success(),
+        "regression repro failed:\n{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 /// A malformed reproducer spec is rejected with exit code 2 (operator
 /// error, not an invariant violation).
 #[test]
