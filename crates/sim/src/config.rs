@@ -134,6 +134,11 @@ impl Default for DeadlockConfig {
 /// mask.
 pub(crate) const LOSS_MASK_FLITS: usize = u128::BITS as usize;
 
+/// Terminals that 16-bit terminal ids can name. [`SimConfigBuilder::build`]
+/// rejects larger topologies, since injection and destination draws cast
+/// terminal indices to `u16`.
+const MAX_TERMINALS: usize = 1 << u16::BITS;
+
 /// Cycles between a mid-run fault's local detection and its
 /// network-wide publication when the [`FaultPlan`] sets no `notify`.
 const DEFAULT_FAULT_NOTIFY: u64 = 4;
@@ -413,11 +418,12 @@ impl SimConfigBuilder {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for invalid injection rates, for fewer
-    /// than two terminals, for a fault rate that is not a probability
-    /// ([`FaultRates::validate`]), for a fault plan that names a node or
-    /// link the topology lacks or kills a target twice
-    /// ([`FaultPlan::check`]), and for router kills with packets the loss
-    /// ledger cannot track; router knobs are validated by their own type.
+    /// than two terminals or more than 16-bit ids can name, for a fault
+    /// rate that is not a probability ([`FaultRates::validate`]), for a
+    /// fault plan that names a node or link the topology lacks or kills a
+    /// target twice ([`FaultPlan::check`]), and for router kills with
+    /// packets the loss ledger cannot track; router knobs are validated
+    /// by their own type.
     pub fn build(&self) -> Result<SimConfig, ConfigError> {
         let c = &self.config;
         if !(c.injection_rate > 0.0 && c.injection_rate <= 1.0) {
@@ -426,6 +432,9 @@ impl SimConfigBuilder {
         // `TrafficPattern::destination` asserts on a lone terminal.
         if c.topology.terminal_count() < 2 {
             return Err(ConfigError::TooFewTerminals(c.topology.terminal_count()));
+        }
+        if c.topology.terminal_count() > MAX_TERMINALS {
+            return Err(ConfigError::TooManyTerminals(c.topology.terminal_count()));
         }
         // Every router builds its probe state machine, recovery enabled
         // or not, and `ProbeProtocol::new` asserts on a zero threshold.
@@ -507,6 +516,20 @@ mod tests {
             let expected = (terminals < 2).then_some(ConfigError::TooFewTerminals(terminals));
             assert_eq!(built.err(), expected, "{topology:?}");
         }
+    }
+
+    #[test]
+    fn more_terminals_than_16_bit_ids_is_a_typed_error() {
+        let built = |topology| SimConfig::builder().topology(topology).build();
+        let too_many = Topology::cmesh(91, 91, 8);
+        assert_eq!(too_many.terminal_count(), 66_248);
+        assert_eq!(
+            built(too_many).unwrap_err(),
+            ConfigError::TooManyTerminals(66_248)
+        );
+        let exactly = Topology::cmesh(128, 128, 4);
+        assert_eq!(exactly.terminal_count(), MAX_TERMINALS);
+        assert!(built(exactly).is_ok());
     }
 
     #[test]

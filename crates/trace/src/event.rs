@@ -1,7 +1,5 @@
 //! The structured event model and its hand-rolled JSONL serialization.
 
-use std::fmt::Write as _;
-
 /// Port index names, matching `Direction::index()` in `ftnoc-types`
 /// (this crate stays dependency-free, so the mapping is by convention:
 /// 0 north, 1 east, 2 south, 3 west, 4 local).
@@ -216,16 +214,202 @@ impl TraceRecord {
     /// Appends this record as one JSON object (no trailing newline).
     ///
     /// All values are integers, booleans or fixed identifier strings, so
-    /// the output is deterministic byte-for-byte for identical records.
-    pub fn write_json(&self, out: &mut String) {
+    /// the output is ASCII and deterministic byte-for-byte for identical
+    /// records. The record is encoded as bytes into a line buffer on the
+    /// stack — fixed key pieces copied in, integers as decimal digits —
+    /// and appended to `out` in one `extend_from_slice`.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        let mut line = Line::new();
+        line.num(b"{\"cycle\":", self.cycle);
+        line.num(b",\"node\":", self.node.into());
+        line.text(b",\"kind\":", self.event.kind());
+        match self.event {
+            TraceEvent::PacketInjected { packet, src, dest } => {
+                line.num(b",\"packet\":", packet);
+                line.num(b",\"src\":", src.into());
+                line.num(b",\"dest\":", dest.into());
+            }
+            TraceEvent::FlitSent {
+                packet,
+                seq,
+                port,
+                vc,
+                replay,
+            } => {
+                line.num(b",\"packet\":", packet);
+                line.num(b",\"seq\":", seq.into());
+                line.text(b",\"port\":", dir_name(port));
+                line.num(b",\"vc\":", vc.into());
+                line.put(if replay {
+                    b",\"replay\":true"
+                } else {
+                    b",\"replay\":false"
+                });
+            }
+            TraceEvent::FlitReceived {
+                packet,
+                seq,
+                port,
+                vc,
+            } => {
+                line.num(b",\"packet\":", packet);
+                line.num(b",\"seq\":", seq.into());
+                line.text(b",\"port\":", dir_name(port));
+                line.num(b",\"vc\":", vc.into());
+            }
+            TraceEvent::FlitDropped {
+                packet,
+                seq,
+                port,
+                reason,
+            } => {
+                line.num(b",\"packet\":", packet);
+                line.num(b",\"seq\":", seq.into());
+                line.text(b",\"port\":", dir_name(port));
+                line.text(b",\"reason\":", reason.as_str());
+            }
+            TraceEvent::NackSent { port, vc } | TraceEvent::ReplayTriggered { port, vc } => {
+                line.text(b",\"port\":", dir_name(port));
+                line.num(b",\"vc\":", vc.into());
+            }
+            TraceEvent::ProbeLaunched { origin, port, vc } => {
+                line.num(b",\"origin\":", origin.into());
+                line.text(b",\"port\":", dir_name(port));
+                line.num(b",\"vc\":", vc.into());
+            }
+            TraceEvent::ProbeDiscarded { origin } | TraceEvent::DeadlockConfirmed { origin } => {
+                line.num(b",\"origin\":", origin.into());
+            }
+            TraceEvent::RecoveryStarted | TraceEvent::RecoveryEnded => {}
+            TraceEvent::AcFlagged { stage, removed } => {
+                line.text(b",\"stage\":", stage.as_str());
+                line.num(b",\"removed\":", removed.into());
+            }
+            TraceEvent::PacketEjected { packet, latency } => {
+                line.num(b",\"packet\":", packet);
+                line.num(b",\"latency\":", latency);
+            }
+            TraceEvent::Misdelivered { packet } => line.num(b",\"packet\":", packet),
+            TraceEvent::RouterKilled { lost } => line.num(b",\"lost\":", lost),
+            TraceEvent::LinkWoreOut { port } => line.text(b",\"port\":", dir_name(port)),
+        }
+        line.put(b"}");
+        out.extend_from_slice(line.as_bytes());
+    }
+
+    /// This record as one JSON line (no trailing newline).
+    pub fn to_json(&self) -> String {
+        let mut bytes = Vec::with_capacity(128);
+        self.write_json(&mut bytes);
+        ascii_string(bytes)
+    }
+}
+
+/// One record's bytes, built on the stack. Copying each piece into a
+/// fixed array and appending the line to the output once is faster than
+/// appending every piece to the `Vec`, which re-checks its capacity and
+/// re-stores its length per piece. The per-piece methods are `#[inline]`
+/// so that each call folds into `write_json`; left to the compiler's
+/// judgement they stay calls, and the line costs as much as the `Vec`.
+struct Line {
+    bytes: [u8; Line::CAPACITY],
+    len: usize,
+}
+
+impl Line {
+    /// Room for the longest record: a `flit_dropped` with every integer
+    /// at its type's maximum, an `"invalid"` port and `"router_dead"` is
+    /// 145 bytes.
+    const CAPACITY: usize = 160;
+
+    fn new() -> Self {
+        Line {
+            bytes: [0; Line::CAPACITY],
+            len: 0,
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    #[inline]
+    fn put(&mut self, piece: &[u8]) {
+        let end = self.len + piece.len();
+        self.bytes[self.len..end].copy_from_slice(piece);
+        self.len = end;
+    }
+
+    /// `key` (which carries its leading comma or brace, the quoted name
+    /// and the colon), then `v` in decimal.
+    #[inline]
+    fn num(&mut self, key: &[u8], v: u64) {
+        self.put(key);
+        self.decimal(v);
+    }
+
+    /// `key`, then `value` as a JSON string. Every value this crate
+    /// writes is a fixed identifier, so nothing needs escaping.
+    #[inline]
+    fn text(&mut self, key: &[u8], value: &str) {
+        self.put(key);
+        self.put(b"\"");
+        self.put(value.as_bytes());
+        self.put(b"\"");
+    }
+
+    /// `v` as decimal digits, written right to left into their final
+    /// place. Most fields (sequence numbers, VCs) are one digit.
+    #[inline]
+    fn decimal(&mut self, mut v: u64) {
+        if v < 10 {
+            self.put(&[b'0' + v as u8]);
+            return;
+        }
+        let end = self.len + v.ilog10() as usize + 1;
+        for digit in self.bytes[self.len..end].iter_mut().rev() {
+            *digit = b'0' + (v % 10) as u8;
+            v /= 10;
+        }
+        self.len = end;
+    }
+}
+
+/// `records` as JSON Lines, one encoder pass and one conversion to
+/// `String` for the lot.
+pub(crate) fn jsonl<'a>(records: impl ExactSizeIterator<Item = &'a TraceRecord>) -> String {
+    let mut out = Vec::with_capacity(records.len() * 96);
+    for rec in records {
+        rec.write_json(&mut out);
+        out.push(b'\n');
+    }
+    ascii_string(out)
+}
+
+/// The encoder's output as a `String`. It writes only ASCII, so the
+/// conversion cannot fail.
+fn ascii_string(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the trace encoder writes only ASCII")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::fmt::Write as _;
+
+    /// The writer as it was before records became bytes: `write!` calls
+    /// into `core::fmt`. The property test below holds the byte encoder
+    /// to it.
+    fn reference_json(rec: &TraceRecord) -> String {
+        let mut out = String::new();
         let _ = write!(
             out,
             "{{\"cycle\":{},\"node\":{},\"kind\":\"{}\"",
-            self.cycle,
-            self.node,
-            self.event.kind()
+            rec.cycle,
+            rec.node,
+            rec.event.kind()
         );
-        match self.event {
+        match rec.event {
             TraceEvent::PacketInjected { packet, src, dest } => {
                 let _ = write!(out, ",\"packet\":{packet},\"src\":{src},\"dest\":{dest}");
             }
@@ -308,19 +492,185 @@ impl TraceRecord {
             }
         }
         out.push('}');
+        out
     }
 
-    /// This record as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        self.write_json(&mut s);
-        s
-    }
-}
+    /// splitmix64: a few lines of seeded randomness for a crate with no
+    /// dependencies.
+    struct SplitMix(u64);
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A value up to `max` drawn from the digit-count edges (0, 9,
+        /// 10, 99, 100, 10^k ± 1, `max`) or, one time in four, uniformly.
+        fn edge(&mut self, max: u64) -> u64 {
+            if self.below(4) == 0 {
+                return self.next() % max.saturating_add(1);
+            }
+            let v = match self.below(5) {
+                0 => 0,
+                1 => max,
+                k => {
+                    let pow = 10u64.pow(self.below(20) as u32);
+                    match k {
+                        2 => pow - 1,
+                        3 => pow,
+                        _ => pow + 1,
+                    }
+                }
+            };
+            v.min(max)
+        }
+
+        fn u8(&mut self) -> u8 {
+            self.edge(u8::MAX.into()) as u8
+        }
+
+        fn u16(&mut self) -> u16 {
+            self.edge(u16::MAX.into()) as u16
+        }
+
+        /// A port index over 0..=255: the five named ports and every
+        /// index that prints as `"invalid"`.
+        fn port(&mut self) -> u8 {
+            if self.below(2) == 0 {
+                self.below(6) as u8
+            } else {
+                self.below(256) as u8
+            }
+        }
+    }
+
+    const REASONS: [DropReason; 3] = [
+        DropReason::Corrupt,
+        DropReason::Stranded,
+        DropReason::RouterDead,
+    ];
+    const STAGES: [AcStage; 3] = [AcStage::Va, AcStage::Sa, AcStage::Rt];
+
+    fn random_event(rng: &mut SplitMix, variant: u64) -> TraceEvent {
+        match variant {
+            0 => TraceEvent::PacketInjected {
+                packet: rng.edge(u64::MAX),
+                src: rng.u16(),
+                dest: rng.u16(),
+            },
+            1 => TraceEvent::FlitSent {
+                packet: rng.edge(u64::MAX),
+                seq: rng.u8(),
+                port: rng.port(),
+                vc: rng.u8(),
+                replay: rng.below(2) == 1,
+            },
+            2 => TraceEvent::FlitReceived {
+                packet: rng.edge(u64::MAX),
+                seq: rng.u8(),
+                port: rng.port(),
+                vc: rng.u8(),
+            },
+            3 => TraceEvent::FlitDropped {
+                packet: rng.edge(u64::MAX),
+                seq: rng.u8(),
+                port: rng.port(),
+                reason: REASONS[rng.below(3) as usize],
+            },
+            4 => TraceEvent::NackSent {
+                port: rng.port(),
+                vc: rng.u8(),
+            },
+            5 => TraceEvent::ReplayTriggered {
+                port: rng.port(),
+                vc: rng.u8(),
+            },
+            6 => TraceEvent::ProbeLaunched {
+                origin: rng.u16(),
+                port: rng.port(),
+                vc: rng.u8(),
+            },
+            7 => TraceEvent::ProbeDiscarded { origin: rng.u16() },
+            8 => TraceEvent::DeadlockConfirmed { origin: rng.u16() },
+            9 => TraceEvent::RecoveryStarted,
+            10 => TraceEvent::RecoveryEnded,
+            11 => TraceEvent::AcFlagged {
+                stage: STAGES[rng.below(3) as usize],
+                removed: rng.edge(u32::MAX.into()) as u32,
+            },
+            12 => TraceEvent::PacketEjected {
+                packet: rng.edge(u64::MAX),
+                latency: rng.edge(u64::MAX),
+            },
+            13 => TraceEvent::Misdelivered {
+                packet: rng.edge(u64::MAX),
+            },
+            14 => TraceEvent::RouterKilled {
+                lost: rng.edge(u64::MAX),
+            },
+            _ => TraceEvent::LinkWoreOut { port: rng.port() },
+        }
+    }
+
+    /// The byte encoder writes exactly what the `core::fmt` reference
+    /// writes, over every variant, drop reason and AC stage, with each
+    /// integer drawn from the edges where its digit count changes.
+    #[test]
+    fn byte_encoder_matches_the_fmt_reference() {
+        let mut rng = SplitMix(0x7ACE);
+        let mut line = Vec::new();
+        let mut seen = std::collections::BTreeSet::new();
+        for i in 0..120_000u64 {
+            let rec = TraceRecord {
+                cycle: rng.edge(u64::MAX),
+                node: rng.u16(),
+                event: random_event(&mut rng, i % 16),
+            };
+            seen.insert(rec.event.kind());
+            match rec.event {
+                TraceEvent::FlitDropped { reason, .. } => seen.insert(reason.as_str()),
+                TraceEvent::AcFlagged { stage, .. } => seen.insert(stage.as_str()),
+                _ => false,
+            };
+            line.clear();
+            rec.write_json(&mut line);
+            assert_eq!(
+                std::str::from_utf8(&line).unwrap(),
+                reference_json(&rec),
+                "record {i}: {rec:?}"
+            );
+        }
+        assert_eq!(
+            seen.len(),
+            16 + 3 + 3,
+            "every variant, reason and stage was drawn"
+        );
+    }
+
+    #[test]
+    fn the_longest_record_fits_the_line() {
+        let rec = TraceRecord {
+            cycle: u64::MAX,
+            node: u16::MAX,
+            event: TraceEvent::FlitDropped {
+                packet: u64::MAX,
+                seq: u8::MAX,
+                port: u8::MAX,
+                reason: DropReason::RouterDead,
+            },
+        };
+        let len = rec.to_json().len();
+        assert_eq!(len, 145);
+        assert!(len <= Line::CAPACITY);
+    }
 
     #[test]
     fn kinds_are_stable_identifiers() {

@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use crate::event::TraceRecord;
+use crate::event::{jsonl, TraceRecord};
 
 /// A bounded ring buffer of the most recent [`TraceRecord`]s for one
 /// router. Pushing beyond `capacity` evicts the oldest record, so memory
@@ -66,12 +66,7 @@ impl FlightRecorder {
 
     /// The retained records as JSON Lines (oldest first).
     pub fn dump_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.ring.len() * 96);
-        for rec in &self.ring {
-            rec.write_json(&mut out);
-            out.push('\n');
-        }
-        out
+        jsonl(self.ring.iter())
     }
 }
 

@@ -4,7 +4,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use crate::event::TraceRecord;
+use crate::event::{jsonl, TraceRecord};
 
 /// A destination for trace records.
 ///
@@ -50,12 +50,7 @@ impl MemorySink {
 
     /// The collected records serialized as JSON Lines.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.records.len() * 96);
-        for rec in &self.records {
-            rec.write_json(&mut out);
-            out.push('\n');
-        }
-        out
+        jsonl(self.records.iter())
     }
 }
 
@@ -75,7 +70,7 @@ impl TraceSink for MemorySink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
-    line: String,
+    line: Vec<u8>,
     error: Option<io::Error>,
 }
 
@@ -91,7 +86,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer,
-            line: String::with_capacity(128),
+            line: Vec::with_capacity(128),
             error: None,
         }
     }
@@ -117,8 +112,8 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         }
         self.line.clear();
         rec.write_json(&mut self.line);
-        self.line.push('\n');
-        if let Err(e) = self.writer.write_all(self.line.as_bytes()) {
+        self.line.push(b'\n');
+        if let Err(e) = self.writer.write_all(&self.line) {
             self.error = Some(e);
         }
     }

@@ -13,6 +13,9 @@ pub enum ConfigError {
     /// Fewer than two terminals: a traffic source has no destination
     /// to draw (a 1×1 mesh or torus, a 1×1 cmesh at concentration 1).
     TooFewTerminals(usize),
+    /// More terminals than the 65 536 that 16-bit terminal ids can name
+    /// (a 91×91 cmesh at concentration 8 has 66 248).
+    TooManyTerminals(usize),
     /// The number of virtual channels per port was zero or above 64.
     InvalidVcCount(usize),
     /// Per-VC buffer depth outside `1..=1024` (the ceiling bounds what a
@@ -101,6 +104,12 @@ impl fmt::Display for ConfigError {
             ConfigError::TooFewTerminals(n) => {
                 write!(f, "topology has {n} terminal(s), traffic needs at least 2")
             }
+            ConfigError::TooManyTerminals(n) => {
+                write!(
+                    f,
+                    "topology has {n} terminals, 16-bit terminal ids name at most 65536"
+                )
+            }
             ConfigError::InvalidVcCount(n) => {
                 write!(f, "virtual channel count {n} outside 1..=64")
             }
@@ -174,6 +183,7 @@ mod tests {
         let msgs = [
             ConfigError::ZeroDimension.to_string(),
             ConfigError::TooFewTerminals(1).to_string(),
+            ConfigError::TooManyTerminals(66_248).to_string(),
             ConfigError::InvalidVcCount(0).to_string(),
             ConfigError::InvalidBufferDepth(0).to_string(),
             ConfigError::InvalidRetransmissionDepth {
