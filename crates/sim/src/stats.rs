@@ -93,8 +93,8 @@ ftnoc_metrics::census! {
         /// item 2).
         va_corrected,
         /// SA grants removed: every suppressed grant, and with the AC on
-        /// also every wrong-output, multicast or collision upset, counted
-        /// without an AC call (ROADMAP item 2).
+        /// also every wrong-output or multicast upset, counted without an
+        /// AC call (ROADMAP item 2).
         sa_corrected,
         /// Crossbar upsets corrected by downstream ECC.
         crossbar_corrected,
