@@ -58,7 +58,46 @@ pub enum DecodeOutcome {
     Detected,
 }
 
-/// Computes the expected check byte for a 64-bit data word.
+/// The check byte of every data word that is one byte `v` at byte index
+/// `b` and zero elsewhere: `ENCODE_TABLE[b][v]`. Eight entries XOR to
+/// any word's check byte, because the whole byte, overall parity
+/// included, is linear in the data over GF(2).
+static ENCODE_TABLE: [[u8; 256]; 8] = build_encode_table();
+
+const fn build_encode_table() -> [[u8; 256]; 8] {
+    let mut table = [[0u8; 256]; 8];
+    let mut b = 0;
+    while b < 8 {
+        let mut v = 0;
+        while v < 256 {
+            table[b][v] = encode_bits((v as u64) << (8 * b));
+            v += 1;
+        }
+        b += 1;
+    }
+    table
+}
+
+/// The code's definition, one data bit at a time: every set data bit
+/// flips each Hamming parity whose weight bit is set in its codeword
+/// position, and the overall parity covers the data and those seven.
+/// Only [`build_encode_table`] runs it.
+const fn encode_bits(data: u64) -> u8 {
+    let mut parities: u8 = 0;
+    let mut i = 0;
+    while i < 64 {
+        if (data >> i) & 1 == 1 {
+            parities ^= position_mask(DATA_POSITION[i] as u32);
+        }
+        i += 1;
+    }
+    // Overall parity over the 71-bit word (data bits + 7 Hamming parities).
+    let overall = (data.count_ones() + parities.count_ones()) & 1;
+    parities | ((overall as u8) << 7)
+}
+
+/// Computes the expected check byte for a 64-bit data word: eight
+/// table reads, one per data byte.
 ///
 /// # Examples
 ///
@@ -70,17 +109,12 @@ pub enum DecodeOutcome {
 /// assert_eq!(decode(0, check), DecodeOutcome::Clean { data: 0 });
 /// ```
 pub fn encode(data: u64) -> u8 {
-    let mut parities: u8 = 0;
-    for (i, &pos) in DATA_POSITION.iter().enumerate() {
-        if (data >> i) & 1 == 1 {
-            // The data bit participates in every parity whose weight bit
-            // is set in its position.
-            parities ^= position_mask(pos as u32);
-        }
+    let bytes = data.to_le_bytes();
+    let mut check = 0;
+    for (table, &byte) in ENCODE_TABLE.iter().zip(&bytes) {
+        check ^= table[byte as usize];
     }
-    // Overall parity over the 71-bit word (data bits + 7 Hamming parities).
-    let overall = (data.count_ones() + u32::from(parities).count_ones()) & 1;
-    parities | ((overall as u8) << 7)
+    check
 }
 
 /// Maps a codeword position to the set of parity-bit indices covering it,
@@ -97,15 +131,12 @@ const fn position_mask(pos: u32) -> u8 {
 /// [`DecodeOutcome::Detected`] for double-bit upsets. Triple and larger
 /// upsets may alias; SEC/DED guarantees cover only 1- and 2-bit errors.
 pub fn decode(data: u64, check: u8) -> DecodeOutcome {
-    let expected = encode(data);
-    let syndrome = (expected ^ check) & 0x7f;
-    // Overall parity of everything received (data, 7 parities, overall bit):
-    // even ⇔ consistent.
-    let received_overall =
-        (data.count_ones() + u32::from(check & 0x7f).count_ones() + u32::from(check >> 7)) & 1;
-    let expected_overall = 0; // even parity over the full 72-bit word
-
-    let parity_ok = received_overall == expected_overall;
+    let diff = encode(data) ^ check;
+    let syndrome = diff & 0x7f;
+    // Overall parity of everything received (data, 7 parities, overall
+    // bit) must be even. A valid check byte carries its data's parity,
+    // so the received word's parity is that of `diff`.
+    let parity_ok = diff.count_ones() & 1 == 0;
 
     if syndrome == 0 {
         if parity_ok {

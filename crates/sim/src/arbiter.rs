@@ -51,14 +51,27 @@ impl RoundRobinArbiter {
     /// Grants the first asserted requester at or after the priority
     /// pointer, wrapping, and rotates priority past it.
     ///
-    /// Returns `None` when no bit is set. Bits at or beyond `n` must be
-    /// clear.
+    /// Returns `None` when no bit is set, leaving the pointer where it
+    /// was, so a caller may skip an all-zero request. Bits at or beyond
+    /// `n` must be clear. A one-word request is one rotate and one
+    /// `trailing_zeros`; wider ones scan word by word.
     ///
     /// # Panics
     ///
     /// Panics if `words.len()` is not `n.div_ceil(64)`.
     pub fn grant(&mut self, words: &[u64]) -> Option<usize> {
         assert_eq!(words.len(), self.n.div_ceil(64), "request width mismatch");
+        if let [mask] = *words {
+            // Rotating `next` down to bit 0 puts the requesters at or
+            // after it first and the ones below it, wrapped, after them
+            // (bits at or beyond `n` are clear), so the lowest set bit
+            // is the winner.
+            if mask == 0 {
+                return None;
+            }
+            let offset = mask.rotate_right(self.next as u32).trailing_zeros() as usize;
+            return Some(self.rotate_past((self.next + offset) % 64));
+        }
         let (start, from_next) = (self.next / 64, u64::MAX << (self.next % 64));
         // The bits at or after `next`, then each following word, wrapping
         // round to the bits of `next`'s own word below it.
@@ -73,10 +86,14 @@ impl RoundRobinArbiter {
         if bits == 0 {
             return None;
         }
-        let winner = w * 64 + bits.trailing_zeros() as usize;
+        Some(self.rotate_past(w * 64 + bits.trailing_zeros() as usize))
+    }
+
+    /// Moves priority to the requester after `winner` and returns it.
+    fn rotate_past(&mut self, winner: usize) -> usize {
         debug_assert!(winner < self.n, "request bit beyond the arbiter width");
         self.next = if winner + 1 == self.n { 0 } else { winner + 1 };
-        Some(winner)
+        winner
     }
 }
 
@@ -161,6 +178,83 @@ mod tests {
     fn wrong_width_panics() {
         let mut arb = RoundRobinArbiter::new(65);
         let _ = arb.grant(&[u64::MAX]);
+    }
+
+    /// An `n`-bit mask as the `bool` requests the reference reads.
+    fn bools(mask: u64, n: usize) -> Vec<bool> {
+        (0..n).map(|i| mask >> i & 1 == 1).collect()
+    }
+
+    /// Every width 1–8, every pointer position, every request mask (the
+    /// empty one included): the one-word path grants what the `bool`
+    /// scan grants and leaves the pointer where the scan leaves it.
+    #[test]
+    fn one_word_path_is_exhaustively_the_bool_scan() {
+        for n in 1..=8usize {
+            for next in 0..n {
+                for mask in 0..1u64 << n {
+                    let mut arb = RoundRobinArbiter { n, next };
+                    let mut reference = BoolArbiter { n, next };
+                    let won = arb.grant(&[mask]);
+                    assert_eq!(
+                        won,
+                        reference.grant(&bools(mask, n)),
+                        "n {n} next {next} mask {mask:#b}"
+                    );
+                    assert_eq!(arb.next, reference.next, "n {n} next {next} mask {mask:#b}");
+                }
+            }
+        }
+    }
+
+    /// Widths 63 and 64 with the pointer driven to every position: the
+    /// rotate's wrap edge, where the winner sits below the pointer or at
+    /// bit 63.
+    #[test]
+    fn one_word_path_wraps_at_every_pointer() {
+        let mut rng = Rng::seed_from_u64(0xA4B2);
+        for n in [63usize, 64] {
+            let top = u64::MAX >> (64 - n);
+            let mut arb = RoundRobinArbiter::new(n);
+            let mut reference = BoolArbiter { n, next: 0 };
+            for next in 0..n {
+                // A lone request at `next` drives the pointer there.
+                let prev = (next + n - 1) % n;
+                assert_eq!(
+                    arb.grant(&[1 << prev]),
+                    reference.grant(&bools(1 << prev, n))
+                );
+                assert_eq!(arb.next, next);
+                // Every lone requester, then full, full-but-the-pointer
+                // and random masks.
+                let lone = (0..n).map(|b| 1u64 << b);
+                let many = [top, top & !(1 << next), rng.next_u64() & top];
+                for mask in lone.chain(many) {
+                    let (mut a, mut r) = (arb.clone(), BoolArbiter { n, next });
+                    assert_eq!(
+                        a.grant(&[mask]),
+                        r.grant(&bools(mask, n)),
+                        "n {n} next {next} mask {mask:#x}"
+                    );
+                    assert_eq!(a.next, r.next, "n {n} next {next} mask {mask:#x}");
+                }
+            }
+        }
+    }
+
+    /// An empty request grants nothing and leaves the pointer alone, so
+    /// skipping the call is the same as making it.
+    #[test]
+    fn empty_request_leaves_the_pointer() {
+        for n in [1usize, 5, 64, 65, 130] {
+            let mut arb = RoundRobinArbiter::new(n);
+            let (mut req, mid) = (vec![0u64; n.div_ceil(64)], n / 2);
+            req[mid / 64] = 1 << (mid % 64);
+            assert_eq!(arb.grant(&req), Some(mid));
+            req.fill(0);
+            assert_eq!(arb.grant(&req), None);
+            assert_eq!(arb.next, (mid + 1) % n, "width {n}");
+        }
     }
 
     /// The word arbiter grants exactly what the `bool` scan grants, over

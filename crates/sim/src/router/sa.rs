@@ -74,6 +74,10 @@ impl Router {
                 }
                 eligible |= 1 << v;
             }
+            // An empty request would leave the arbiter as it is.
+            if eligible == 0 {
+                continue;
+            }
             if let Some(v) = self.sa_in_arbiters[p].grant(&[eligible]) {
                 if let VcState::Active {
                     out_port, out_vc, ..
@@ -87,7 +91,7 @@ impl Router {
 
         // Stage 2: per output port, pick one requesting input port.
         sc.grants.clear();
-        for op in 0..ports {
+        for op in (0..ports).filter(|&op| sc.req[op] != 0) {
             if let Some(p) = self.sa_out_arbiters[op].grant(&[sc.req[op]]) {
                 let (v, ov) = sc.port_winner[p];
                 sc.grants.push((p, v, op, ov));

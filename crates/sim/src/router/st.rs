@@ -22,8 +22,13 @@ impl Router {
                 continue;
             }
             if dir != Direction::Local {
-                // Priority 1: NACK-triggered replay.
-                if let Some(v) = self.replay_rr[port].grant(&[self.outputs[port].replaying]) {
+                // Priority 1: NACK-triggered replay. An empty request
+                // would leave the arbiter as it is, so it is not made.
+                let replay = match self.outputs[port].replaying {
+                    0 => None,
+                    req => self.replay_rr[port].grant(&[req]),
+                };
+                if let Some(v) = replay {
                     let out = &mut self.outputs[port];
                     let replayed = out.retrans[v].next_replay(ctx.now);
                     out.sync(v);
@@ -39,7 +44,11 @@ impl Router {
                 let held = ones(out.held)
                     .filter(|&v| out.retrans[v].front_held().is_some() && out.credits.available(v))
                     .fold(0u64, |m, v| m | 1 << v);
-                if let Some(v) = self.replay_rr[port].grant(&[held]) {
+                let send = match held {
+                    0 => None,
+                    req => self.replay_rr[port].grant(&[req]),
+                };
+                if let Some(v) = send {
                     // The sent flit keeps a protective copy exactly when a
                     // switch-allocated send would (priority 3 below).
                     let keep_copy = ctx.config.scheme == ErrorScheme::Hbh;

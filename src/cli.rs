@@ -177,6 +177,11 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// Whether `arg` asks for the help text.
+fn is_help(arg: &str) -> bool {
+    arg == "--help" || arg == "-h"
+}
+
 /// The value following `flag`.
 fn value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, CliError> {
     it.next()
@@ -199,12 +204,21 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter();
     match it.next().map(String::as_str) {
         None | Some("--help") | Some("-h") | Some("help") => return Ok(Command::Help),
-        Some("table1") => return Ok(Command::Table1),
+        Some("table1") => {
+            return match it.next() {
+                None => Ok(Command::Table1),
+                Some(help) if is_help(help) => Ok(Command::Help),
+                Some(extra) => Err(err(format!("table1 takes no arguments, got `{extra}`"))),
+            }
+        }
         Some("fuzz") => return parse_fuzz(&mut it),
         Some("report") => {
             let file = it
                 .next()
                 .ok_or_else(|| err("report needs a metrics FILE argument"))?;
+            if is_help(file) && args.len() == 2 {
+                return Ok(Command::Help);
+            }
             if let Some(extra) = it.next() {
                 return Err(err(format!("report takes one FILE, got extra `{extra}`")));
             }
@@ -272,6 +286,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "--metrics-out" => metrics_out = Some(value(&mut it, flag)?.into()),
             "--metrics-every" => metrics_every = num(value(&mut it, flag)?, flag)?,
             "--fault" => fplan.add_spec(value(&mut it, flag)?).map_err(err)?,
+            help if is_help(help) => return Ok(Command::Help),
             other => return Err(err(format!("unknown flag `{other}`; try --help"))),
         }
     }
@@ -388,6 +403,7 @@ fn parse_fuzz(it: &mut std::slice::Iter<'_, String>) -> Result<Command, CliError
             "--failures-out" => failures_out = Some(value(it, flag)?.into()),
             "--org" => plan = plan.org(Some(named(OrgFilter::NAMES, it, flag)?)),
             "--scenario" => plan = plan.scenario(Some(named(ScenarioFilter::NAMES, it, flag)?)),
+            help if is_help(help) => return Ok(Command::Help),
             other => return Err(err(format!("unknown fuzz flag `{other}`; try --help"))),
         }
     }
@@ -421,9 +437,34 @@ mod tests {
         assert!(matches!(parse(&args("--help")).unwrap(), Command::Help));
     }
 
+    /// `--help` or `-h` where a subcommand expects a flag, or as
+    /// `report`'s only argument, is help, never an unknown flag or a
+    /// file name.
+    #[test]
+    fn subcommand_help_is_help() {
+        for line in [
+            "run --help",
+            "run -h",
+            "run --vcs 2 --help",
+            "fuzz --help",
+            "fuzz -h",
+            "table1 --help",
+            "report --help",
+            "report -h",
+        ] {
+            assert!(matches!(parse(&args(line)), Ok(Command::Help)), "{line}");
+        }
+        // As a flag's value, or beside a report file, it is no help.
+        assert!(parse(&args("run --trace --help")).is_ok_and(|c| !matches!(c, Command::Help)));
+        let e = parse(&args("report --help m.jsonl")).unwrap_err();
+        assert!(e.0.contains("extra"), "{e}");
+    }
+
     #[test]
     fn table1_command() {
         assert!(matches!(parse(&args("table1")).unwrap(), Command::Table1));
+        let e = parse(&args("table1 --bogus")).unwrap_err();
+        assert!(e.0.contains("no arguments"), "{e}");
     }
 
     #[test]
