@@ -13,7 +13,7 @@
 //! draws no randomness, so oracle-on runs are byte-identical to
 //! oracle-off runs.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use ftnoc_core::ac::VcRef;
@@ -185,12 +185,17 @@ pub struct Oracle {
     /// Recent wait-edge history, oldest first, for the temporal probe
     /// chase (see [`Oracle::check_probe`]).
     hist: VecDeque<WaitFrame>,
-    /// Scratch for conservation: packet → seq bitmask. Ordered, so the
-    /// violation reported is the lowest broken packet on every run.
-    resident: BTreeMap<u64, u128>,
+    /// Scratch for conservation: `(packet, seq bitmask)`, filled in
+    /// snapshot order (a run of one packet's flits shares an entry),
+    /// then sorted by packet with equal keys merged, so the violation
+    /// reported is the lowest broken packet on every run.
+    resident: Vec<(u64, u128)>,
     /// Scratch for exclusivity: the input VC that owns each output VC
     /// of the router under test, indexed `out_port * vcs + out_vc`.
     owners: Vec<Option<(usize, usize)>>,
+    /// Scratch for credit accounting: the distinct flits holding one
+    /// downstream VC's credits.
+    holders: Vec<(u64, u8)>,
     /// The run's hard-fault history, for cross-checking the snapshot's
     /// published fault table against what the configuration implies
     /// (`None` when constructed via [`Oracle::with_arming`] — the
@@ -256,8 +261,9 @@ impl Oracle {
             prev_confirmed: vec![0; nodes],
             cthres: 1,
             hist: VecDeque::new(),
-            resident: BTreeMap::new(),
+            resident: Vec::new(),
             owners: Vec::new(),
+            holders: Vec::new(),
             timeline: None,
             expected_configured: Vec::new(),
             wear_folded: 0,
@@ -879,10 +885,10 @@ impl Oracle {
     ///
     /// Replay duplicates are deduplicated by flit identity: a
     /// retransmitted copy shares its original's credit.
-    fn check_credits(&self, snap: &NetSnapshot) -> Result<(), Violation> {
+    fn check_credits(&mut self, snap: &NetSnapshot) -> Result<(), Violation> {
         let vcs = self.router.vcs_per_port();
         let per_vc = self.router.port_capacity().per_vc;
-        let mut seen: Vec<(u64, u8)> = Vec::with_capacity(per_vc + 2);
+        let holders = &mut self.holders;
         for (n, r) in snap.routers.iter().enumerate() {
             for d in Direction::CARDINAL {
                 let op = d.index();
@@ -891,11 +897,11 @@ impl Oracle {
                 };
                 let q = d.opposite().index();
                 for v in 0..vcs {
-                    seen.clear();
+                    holders.clear();
                     let mut add = |f: &Flit| {
                         let k = key(f);
-                        if !seen.contains(&k) {
-                            seen.push(k);
+                        if !holders.contains(&k) {
+                            holders.push(k);
                         }
                     };
                     for e in &r.outputs[op].st_queue {
@@ -922,7 +928,7 @@ impl Oracle {
                         .filter(|(cv, _)| usize::from(*cv) == v)
                         .count();
                     let credits = r.outputs[op].vcs[v].credits as usize;
-                    let lhs = credits + seen.len() + pending;
+                    let lhs = credits + holders.len() + pending;
                     if lhs > per_vc || (self.arm.credit_exact && lhs != per_vc) {
                         return Err(Violation::new(
                             snap.now,
@@ -931,7 +937,7 @@ impl Oracle {
                             format!(
                                 "link {d:?} vc {v}: {credits} credits + {} resident + \
                                  {pending} returning = {lhs}, buffer depth {per_vc}",
-                                seen.len()
+                                holders.len()
                             ),
                         ));
                     }
@@ -950,10 +956,15 @@ impl Oracle {
     /// `flits_lost` counter and never overlap a resident copy (a flit
     /// is delivered, in flight, or lost — never two at once).
     fn check_conservation(&mut self, snap: &NetSnapshot) -> Result<(), Violation> {
-        self.resident.clear();
+        let resident = &mut self.resident;
+        resident.clear();
         let mut mark = |f: &Flit| {
             if f.seq < 128 {
-                *self.resident.entry(f.packet.raw()).or_insert(0) |= 1u128 << f.seq;
+                let (pkt, bit) = (f.packet.raw(), 1u128 << f.seq);
+                match resident.last_mut() {
+                    Some((p, mask)) if *p == pkt => *mask |= bit,
+                    _ => resident.push((pkt, bit)),
+                }
             }
         };
         for pe in &snap.pes {
@@ -983,6 +994,15 @@ impl Oracle {
                 mark(&slot.0);
             }
         }
+        // A packet's flits may sit in several places (a wormhole spans
+        // routers, a replay copy trails its original): merge them.
+        resident.sort_unstable_by_key(|&(pkt, _)| pkt);
+        resident.dedup_by(|later, kept| {
+            later.0 == kept.0 && {
+                kept.1 |= later.1;
+                true
+            }
+        });
         let ledgered: u64 = snap
             .lost
             .iter()
@@ -1022,7 +1042,7 @@ impl Oracle {
                 })
             }
         };
-        for (&pkt, &mask) in &self.resident {
+        for &(pkt, mask) in &self.resident {
             let lost = lost_mask(pkt);
             if mask & lost != 0 {
                 return Err(Violation {
@@ -1047,7 +1067,11 @@ impl Oracle {
                     detail: format!("packet p{pkt} has an empty loss-ledger entry"),
                 });
             }
-            if !self.resident.contains_key(&pkt) {
+            if self
+                .resident
+                .binary_search_by_key(&pkt, |&(p, _)| p)
+                .is_err()
+            {
                 contiguous(pkt, mask)?;
             }
         }

@@ -134,17 +134,99 @@ impl Router {
         }
     }
 
-    /// Diagnostic view of every input VC, appended to `out`: its
-    /// reference, blocked-cycle count and onward dependency edge (as the
-    /// probe chase sees it).
+    /// The live wait-for rows, appended to `out` in (port, VC) order:
+    /// every input VC that is blocked or has an onward dependency edge,
+    /// with its reference, blocked-cycle count and that edge (as the
+    /// probe chase sees it). A VC with neither can neither launch nor
+    /// forward a probe, so it has no row; only a VC waiting for or
+    /// holding an output VC can have an edge.
     pub fn blocked_summary(&self, out: &mut Vec<BlockedVcSummary>) {
-        let vcs = self.cfg.vcs_per_port();
-        for p in 0..self.cfg.ports() {
-            for v in 0..vcs {
-                let named = VcRef::new(Direction::for_port(p), v as u8);
+        for (p, port) in self.inputs.iter().enumerate() {
+            for v in ones((port.blocked & port.buffer.nonempty()) | port.wait | port.active) {
                 let (blocked, fwd) = self.port_wait_info(p, v);
-                out.push((named, self.inputs[p].vcs[v].blocked_cycles, blocked, fwd));
+                if blocked || fwd.is_some() {
+                    let named = VcRef::new(Direction::for_port(p), v as u8);
+                    out.push((named, port.vcs[v].blocked_cycles, blocked, fwd));
+                }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ftnoc_types::config::RouterConfig;
+    use ftnoc_types::geom::{NodeId, Topology};
+
+    use super::*;
+    use crate::{DeadlockConfig, Network, RoutingAlgorithm, SimConfig};
+
+    /// The reference view: one row per input VC, whatever its state.
+    fn every_row(r: &Router) -> Vec<BlockedVcSummary> {
+        let vcs = r.cfg.vcs_per_port();
+        (0..r.cfg.ports())
+            .flat_map(|p| (0..vcs).map(move |v| (p, v)))
+            .map(|(p, v)| {
+                let (blocked, fwd) = r.port_wait_info(p, v);
+                let named = VcRef::new(Direction::for_port(p), v as u8);
+                (named, r.inputs[p].vcs[v].blocked_cycles, blocked, fwd)
+            })
+            .collect()
+    }
+
+    /// A saturated single-VC 4×4 under fully adaptive routing deadlocks
+    /// and recovers over and over: at every cycle and router, the live
+    /// rows are the full per-VC scan in order, minus rows that are
+    /// neither blocked nor have an onward edge (the rows the probe chase
+    /// can neither seed from nor forward through).
+    #[test]
+    fn live_rows_are_the_full_scan_less_inert_rows() {
+        let mut router = RouterConfig::builder();
+        router.vcs_per_port(1);
+        let mut b = SimConfig::builder();
+        b.topology(Topology::mesh(4, 4))
+            .router(router.build().expect("valid router"))
+            .routing(RoutingAlgorithm::FullyAdaptive)
+            .injection_rate(0.4)
+            .deadlock(DeadlockConfig {
+                enabled: true,
+                cthres: 32,
+            })
+            .seed(2)
+            .warmup_packets(0)
+            .measure_packets(u64::MAX);
+        let mut net = Network::new(b.build().expect("valid config"));
+        let (mut kept, mut dropped, mut blocked, mut recovering) = (0, 0, 0, 0);
+        let mut live = Vec::new();
+        for _ in 0..2_000 {
+            net.step();
+            for n in 0..16 {
+                let r = net.router(NodeId::new(n));
+                live.clear();
+                r.blocked_summary(&mut live);
+                let mut rest = live.iter();
+                let mut next = rest.next();
+                for row in every_row(r) {
+                    if next == Some(&row) {
+                        assert!(row.2 || row.3.is_some(), "node {n}: inert row {row:?}");
+                        next = rest.next();
+                        kept += 1;
+                        blocked += usize::from(row.2);
+                    } else {
+                        assert!(
+                            !row.2 && row.3.is_none(),
+                            "node {n}: live row {row:?} missing (next live {next:?})"
+                        );
+                        dropped += 1;
+                    }
+                }
+                assert_eq!(next, None, "node {n}: a live row out of scan order");
+                recovering += usize::from(r.probe.in_recovery());
+            }
+        }
+        assert!(
+            kept > 0 && dropped > 0 && blocked > 0 && recovering > 0,
+            "kept {kept}, dropped {dropped}, blocked {blocked}, recovering {recovering}"
+        );
     }
 }

@@ -66,7 +66,8 @@ pub(crate) struct Ctx<'a> {
 
 /// One row of [`Router::blocked_summary`]: the VC, how long its head
 /// has been blocked, whether the probe chase considers it blocked, and
-/// its onward dependency edge.
+/// its onward dependency edge. Only live rows exist (blocked, or with
+/// an edge): an idle, unblocked VC has nothing the chase could read.
 pub type BlockedVcSummary = (VcRef, u64, bool, Option<(Direction, VcRef)>);
 
 /// Per-router buffer of trace events produced during the compute phase

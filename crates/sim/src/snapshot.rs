@@ -121,8 +121,10 @@ pub struct RouterSnapshot {
     pub inputs: Vec<Vec<InputVcView>>,
     /// `outputs[port]` output port views.
     pub outputs: Vec<OutputPortView>,
-    /// Channel-wait edges as the probe chase sees them (one row per
-    /// input VC).
+    /// Channel-wait edges as the probe chase sees them: one row per
+    /// input VC that is blocked or has an onward edge, in (port, VC)
+    /// order. The other VCs are left out because a probe can neither
+    /// launch from nor pass through them.
     pub wait_edges: Vec<BlockedVcSummary>,
 }
 

@@ -1,7 +1,8 @@
 //! The properties the hot paths' speed rests on, pinned: once its
 //! buffers have reached their high-water marks, a refilled
 //! `NetSnapshot` copies the network without touching the allocator,
-//! where every fresh `snapshot()` pays it ten-odd times per router; and
+//! where every fresh `snapshot()` pays it ten-odd times per router; a
+//! warm `Oracle::check` keeps its bookkeeping in scratch it reuses; and
 //! a routing answer is an inline value, never a heap list.
 //!
 //! A test binary of its own because it installs a counting
@@ -13,6 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use ftnoc::check::Oracle;
 use ftnoc::prelude::*;
 use ftnoc::sim::routing::{route_candidates, FaultState};
 use ftnoc::sim::{NetSnapshot, Network};
@@ -115,6 +117,44 @@ fn a_warm_refill_does_not_allocate() {
         assert!(
             refills < cheapest_fresh,
             "{row}: 500 warm refills allocated {refills} times, one fresh snapshot {cheapest_fresh}"
+        );
+    }
+}
+
+/// A fault-free 4×4 below and near saturation, checked every cycle:
+/// once the probe window's history frames have neared their high-water
+/// marks (after 1 000 cycles the 0.30 row still allocates ≈ 160 times,
+/// after 3 000 ≈ 50), 500 checks allocate less than once each —
+/// conservation, credit accounting and the wait-edge history all refill
+/// scratch the oracle keeps.
+#[test]
+fn a_warm_check_does_not_allocate() {
+    for rate in [0.10, 0.30] {
+        let mut b = SimConfig::builder();
+        b.topology(Topology::mesh(4, 4))
+            .injection(InjectionProcess::Bernoulli)
+            .injection_rate(rate)
+            .warmup_packets(0)
+            .measure_packets(u64::MAX);
+        let config = b.build().expect("valid config");
+        let mut oracle = Oracle::new(&config);
+        let mut net = Network::new(config);
+        let mut snap = NetSnapshot::default();
+        for _ in 0..3_000 {
+            net.step();
+            net.snapshot_into(&mut snap);
+            oracle.check(&snap).expect("a healthy run passes");
+        }
+        let mut allocs = 0;
+        for _ in 0..500 {
+            net.step();
+            net.snapshot_into(&mut snap);
+            allocs += allocs_during(|| oracle.check(&snap).expect("a healthy run passes"));
+        }
+        println!("inj {rate}: 500 warm checks allocate {allocs} times");
+        assert!(
+            allocs < 500,
+            "inj {rate}: 500 warm checks allocated {allocs} times"
         );
     }
 }

@@ -363,7 +363,8 @@ fn oracle_flags_doctored_loss_accounting() {
 
 /// Doctored snapshot with two holed packets: the conservation violation
 /// names the lower packet id on every run, so `--failures-out` bytes
-/// repeat. Each run uses a fresh oracle, hence a fresh scratch map.
+/// repeat. Each run uses a fresh oracle, hence a fresh scratch. A lower,
+/// whole packet whose flits sit far apart must not be flagged.
 #[test]
 fn conservation_names_the_lowest_broken_packet() {
     let doctored_run = || {
@@ -382,14 +383,22 @@ fn conservation_names_the_lowest_broken_packet() {
             .expect("traffic in flight at cycle 200");
         // Flits 0 and 2 of two packets no source ever issued, at an
         // injection front (no buffer, credit or wormhole to upset); the
-        // higher id goes in first.
-        for (pkt, seq) in [
-            (u64::MAX, 0),
-            (u64::MAX, 2),
-            (u64::MAX - 1, 0),
-            (u64::MAX - 1, 2),
+        // higher id goes in first. Below them, a whole packet split
+        // between the first and the last front, each half holed on its
+        // own, with the others between: only merging its two halves
+        // shows it whole.
+        let last = snap.pes.len() - 1;
+        for (pe, pkt, seq) in [
+            (0, u64::MAX - 2, 0),
+            (0, u64::MAX - 2, 2),
+            (0, u64::MAX, 0),
+            (0, u64::MAX, 2),
+            (0, u64::MAX - 1, 0),
+            (0, u64::MAX - 1, 2),
+            (last, u64::MAX - 2, 1),
+            (last, u64::MAX - 2, 3),
         ] {
-            snap.pes[0].injecting.push(Flit {
+            snap.pes[pe].injecting.push(Flit {
                 packet: PacketId::new(pkt),
                 seq,
                 ..template
