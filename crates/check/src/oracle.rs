@@ -218,12 +218,24 @@ pub struct Oracle {
     notify: u64,
 }
 
-/// One cycle of per-node probe-relevant state: `(in_recovery,
-/// wait-edge rows)` per node, plus the snapshot cycle.
+/// One cycle of per-node probe-relevant state, plus the snapshot cycle.
+/// The rows of every node share one list, so a recycled frame refills
+/// one buffer rather than one per node.
 #[derive(Default)]
 struct WaitFrame {
     now: u64,
-    nodes: Vec<(bool, Vec<BlockedVcSummary>)>,
+    /// Per node: `(in_recovery, end of its rows in rows)`.
+    nodes: Vec<(bool, usize)>,
+    /// The wait-edge rows, node after node.
+    rows: Vec<BlockedVcSummary>,
+}
+
+impl WaitFrame {
+    /// The wait-edge rows of `node`.
+    fn rows_of(&self, node: usize) -> &[BlockedVcSummary] {
+        let start = node.checked_sub(1).map_or(0, |prev| self.nodes[prev].1);
+        &self.rows[start..self.nodes[node].1]
+    }
 }
 
 impl Oracle {
@@ -568,30 +580,34 @@ impl Oracle {
                 detail,
             })
         };
-        let (wear, configured): (Vec<FaultEvent>, Vec<FaultEvent>) = snap
-            .fault_events
-            .iter()
-            .partition(|e| e.cause == FaultCause::Wearout);
-        if configured != self.expected_configured {
+        // The log's two subsequences, compared where they lie: the
+        // messages alone collect them.
+        let events = |wearout: bool| {
+            snap.fault_events
+                .iter()
+                .filter(move |e| (e.cause == FaultCause::Wearout) == wearout)
+                .copied()
+        };
+        if !events(false).eq(self.expected_configured.iter().copied()) {
             return violation(format!(
-                "snapshot logs configured fault events {configured:?} but the \
+                "snapshot logs configured fault events {:?} but the \
                  run configuration implies {:?}",
+                events(false).collect::<Vec<_>>(),
                 self.expected_configured
             ));
         }
-        if wear.len() < self.wear_folded
-            || wear[..self.wear_folded]
-                .windows(2)
-                .any(|w| w[0].at > w[1].at)
+        let folded = events(true).take(self.wear_folded);
+        if folded.clone().count() < self.wear_folded
+            || folded.clone().zip(folded.skip(1)).any(|(a, b)| a.at > b.at)
         {
             return violation(format!(
                 "the realized wear-out subsequence rewrote history: {} events \
-                 were already validated, log now holds {wear:?}",
-                self.wear_folded
+                 were already validated, log now holds {:?}",
+                self.wear_folded,
+                events(true).collect::<Vec<_>>()
             ));
         }
-        while self.wear_folded < wear.len() {
-            let ev = wear[self.wear_folded];
+        for ev in events(true).skip(self.wear_folded) {
             if !self.wearout_armed {
                 return violation(format!(
                     "wear-out event {ev:?} in a run with no wear-out model"
@@ -1156,13 +1172,11 @@ impl Oracle {
             WaitFrame::default()
         };
         frame.now = snap.now;
-        frame
-            .nodes
-            .resize_with(snap.routers.len(), Default::default);
-        for (node, r) in frame.nodes.iter_mut().zip(&snap.routers) {
-            node.0 = r.in_recovery;
-            node.1.clear();
-            node.1.extend_from_slice(&r.wait_edges);
+        frame.nodes.clear();
+        frame.rows.clear();
+        for r in &snap.routers {
+            frame.rows.extend_from_slice(&r.wait_edges);
+            frame.nodes.push((r.in_recovery, frame.rows.len()));
         }
         self.hist.push_back(frame);
         let mut first = None;
@@ -1213,7 +1227,7 @@ impl Oracle {
                 .map(|i| &self.hist[i])
         };
         let row_of = |f: &WaitFrame, node: usize, named: VcRef| -> Option<BlockedVcSummary> {
-            f.nodes[node].1.iter().find(|r| r.0 == named).copied()
+            f.rows_of(node).iter().find(|r| r.0 == named).copied()
         };
         // Seed with every launch the history can support: a row at the
         // origin blocked for >= Cthres cycles with a known onward edge
@@ -1226,7 +1240,7 @@ impl Oracle {
                 let Some(f) = t0.checked_sub(off).and_then(&frame) else {
                     continue;
                 };
-                for row in &f.nodes[origin].1 {
+                for row in f.rows_of(origin) {
                     let (_, blocked_cycles, blocked, fwd) = *row;
                     if !blocked || blocked_cycles < self.cthres {
                         continue;

@@ -129,16 +129,28 @@ pub enum AcFinding {
 
 /// The Allocation Comparator.
 ///
-/// Stateless apart from its error census: each call to
-/// [`AllocationComparator::check`] is one combinational evaluation.
+/// It holds the VA table: one row per reservation it was told about
+/// ([`AllocationComparator::hold`], [`AllocationComparator::release`]),
+/// each in its slot, beside the output and input VCs those rows use.
+/// Each call to [`AllocationComparator::check`] is one combinational
+/// evaluation of the held rows, in slot order, followed by the given
+/// rows; a comparator holding nothing evaluates the given tables alone.
 #[derive(Debug, Clone, Default)]
 pub struct AllocationComparator {
     checks: u64,
     errors_flagged: u64,
+    /// The held VA table, indexed by slot.
+    rows: Vec<Option<VaEntry>>,
+    /// Rows held.
+    held: usize,
+    /// The output VCs of the held rows.
+    outs: VcCounts,
+    /// The input VCs of the held rows.
+    ins: VcCounts,
 }
 
 impl AllocationComparator {
-    /// Creates a comparator.
+    /// Creates a comparator holding nothing.
     pub fn new() -> Self {
         AllocationComparator::default()
     }
@@ -153,7 +165,46 @@ impl AllocationComparator {
         self.errors_flagged
     }
 
-    /// One combinational evaluation over the three state tables.
+    /// Puts `row` in slot `slot` of the held VA table, replacing what
+    /// the slot held. Held rows are evaluated in ascending slot order.
+    #[inline]
+    pub fn hold(&mut self, slot: usize, row: VaEntry) {
+        self.release(slot);
+        if self.rows.len() <= slot {
+            self.rows.resize(slot + 1, None);
+        }
+        self.rows[slot] = Some(row);
+        self.held += 1;
+        self.outs.insert(VcRef::new(row.out_port, row.out_vc));
+        self.ins.insert(row.input_vc);
+    }
+
+    /// Empties slot `slot` of the held VA table.
+    #[inline]
+    pub fn release(&mut self, slot: usize) {
+        if let Some(row) = self.rows.get_mut(slot).and_then(Option::take) {
+            self.held -= 1;
+            self.outs.remove(VcRef::new(row.out_port, row.out_vc));
+            self.ins.remove(row.input_vc);
+        }
+    }
+
+    /// The held rows with their slots, in slot order.
+    pub fn held(&self) -> impl Iterator<Item = (usize, VaEntry)> + '_ {
+        self.rows
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, row)| row.map(|row| (slot, row)))
+    }
+
+    /// Whether the held VA table has a row.
+    #[inline]
+    pub fn holds_any(&self) -> bool {
+        self.held > 0
+    }
+
+    /// One combinational evaluation over the three state tables, the
+    /// held VA rows ahead of `va`.
     ///
     /// `vcs_per_port` bounds valid VC ids. As in Fig. 12's hardware, each
     /// table is held as bit sets and each row read once. Findings come in
@@ -167,53 +218,44 @@ impl AllocationComparator {
         vcs_per_port: usize,
     ) -> Vec<AcFinding> {
         self.checks += 1;
-        let mut findings = Vec::new();
+        let (mut findings, vcs) = (Vec::new(), vcs_per_port);
 
-        // One pass over the VA rows checks (1) agreement with the RT row
-        // of the same input VC, looked up only when `routed` has one, and
-        // (2) VA validity: invalid ids and output VCs held twice.
-        let (mut routed, mut held) = ([[0; 4]; 5], [[0; 4]; 5]);
-        for r in rt {
-            let (word, bit) = vc_bit(&mut routed, r.input_vc);
-            *word |= bit;
+        // One pass over the VA rows, the held ones first, checks (1)
+        // agreement with the RT row of the same input VC and (2) VA
+        // validity. A held row can raise a finding only if it repeats an
+        // earlier row's output VC, carries an invalid id or shares its
+        // input VC with an RT row; otherwise the pass starts at the given
+        // rows, the held ones standing in as output VCs already seen.
+        let (mut walk_held, mut seen) = (false, VcSet::default());
+        if self.held > 0 {
+            walk_held = self.outs.repeats > 0
+                || self.outs.set.any_from(vcs)
+                || rt.iter().any(|r| self.ins.set.contains(r.input_vc));
+            if !walk_held {
+                seen = self.outs.set;
+            }
         }
-        for (i, v) in va.iter().enumerate() {
-            let (word, bit) = vc_bit(&mut routed, v.input_vc);
-            if *word & bit != 0 {
-                let r = rt.iter().find(|r| r.input_vc == v.input_vc);
-                if let Some(r) = r.filter(|r| r.valid_out_port != v.out_port) {
-                    findings.push(AcFinding::VaDisagreesWithRt {
-                        input_vc: v.input_vc,
-                        va_port: v.out_port,
-                        rt_port: r.valid_out_port,
-                    });
-                }
+        if !walk_held && va.is_empty() && sa.is_empty() {
+            return findings;
+        }
+        let mut routed = VcSet::default();
+        for r in rt {
+            routed.insert(r.input_vc);
+        }
+        let rows = || self.rows.iter().flatten().chain(va);
+        if walk_held {
+            for v in self.rows.iter().flatten() {
+                va_rules(v, rt, &routed, &mut seen, vcs, rows(), &mut findings);
             }
-            if v.out_vc as usize >= vcs_per_port {
-                findings.push(AcFinding::InvalidOutputVc {
-                    input_vc: v.input_vc,
-                    out_vc: v.out_vc,
-                });
-            }
-            let out = VcRef::new(v.out_port, v.out_vc);
-            let (word, bit) = vc_bit(&mut held, out);
-            if *word & bit != 0 {
-                let first = va[..i]
-                    .iter()
-                    .find(|a| a.out_port == out.port && a.out_vc == out.vc);
-                findings.push(AcFinding::DuplicateOutputVc {
-                    first: first.expect("an earlier claimant").input_vc,
-                    second: v.input_vc,
-                    out,
-                });
-            }
-            *word |= bit;
+        }
+        for v in va {
+            va_rules(v, rt, &routed, &mut seen, vcs, rows(), &mut findings);
         }
 
         // (3) SA validity: invalid winners, duplicate outputs, multicast.
         let (mut outs, mut ins) = (0u8, 0u8);
         for (i, s) in sa.iter().enumerate() {
-            if s.winning_vc as usize >= vcs_per_port {
+            if s.winning_vc as usize >= vcs {
                 findings.push(AcFinding::InvalidWinningVc {
                     input_port: s.input_port,
                     vc: s.winning_vc,
@@ -246,14 +288,127 @@ impl AllocationComparator {
     }
 }
 
-/// The word and bit of `r` in a set of (port, VC id) pairs: four words
-/// per port give every id a `u8` can carry its own bit, so caller-built
-/// tables with ids of 64 and up stay exact.
-fn vc_bit(set: &mut [[u64; 4]; 5], r: VcRef) -> (&mut u64, u64) {
-    (
-        &mut set[r.port.index()][usize::from(r.vc >> 6)],
-        1 << (r.vc & 63),
-    )
+/// The VA rules for row `v`: (1) agreement with the RT row of its
+/// input VC, looked up only when `routed` has it, and (2) validity — an
+/// invalid id, or an output VC already `seen`, whose first claimant is
+/// the first of `rows` to hold it.
+#[inline(always)]
+fn va_rules<'a>(
+    v: &VaEntry,
+    rt: &[RtEntry],
+    routed: &VcSet,
+    seen: &mut VcSet,
+    vcs_per_port: usize,
+    mut rows: impl Iterator<Item = &'a VaEntry>,
+    findings: &mut Vec<AcFinding>,
+) {
+    if routed.contains(v.input_vc) {
+        let r = rt.iter().find(|r| r.input_vc == v.input_vc);
+        if let Some(r) = r.filter(|r| r.valid_out_port != v.out_port) {
+            findings.push(AcFinding::VaDisagreesWithRt {
+                input_vc: v.input_vc,
+                va_port: v.out_port,
+                rt_port: r.valid_out_port,
+            });
+        }
+    }
+    if v.out_vc as usize >= vcs_per_port {
+        findings.push(AcFinding::InvalidOutputVc {
+            input_vc: v.input_vc,
+            out_vc: v.out_vc,
+        });
+    }
+    let out = VcRef::new(v.out_port, v.out_vc);
+    if !seen.insert(out) {
+        let first = rows.find(|a| a.out_port == out.port && a.out_vc == out.vc);
+        findings.push(AcFinding::DuplicateOutputVc {
+            first: first.expect("an earlier claimant").input_vc,
+            second: v.input_vc,
+            out,
+        });
+    }
+}
+
+/// A set of (port, VC id) pairs: four words per port give every id a
+/// `u8` can carry its own bit, so caller-built tables with ids of 64
+/// and up stay exact.
+#[derive(Debug, Clone, Copy, Default)]
+struct VcSet([[u64; 4]; 5]);
+
+impl VcSet {
+    fn word(&mut self, r: VcRef) -> (&mut u64, u64) {
+        (
+            &mut self.0[r.port.index()][usize::from(r.vc >> 6)],
+            1 << (r.vc & 63),
+        )
+    }
+
+    /// Adds `r`; `false` if it was already there.
+    fn insert(&mut self, r: VcRef) -> bool {
+        let (word, bit) = self.word(r);
+        let new = *word & bit == 0;
+        *word |= bit;
+        new
+    }
+
+    fn remove(&mut self, r: VcRef) {
+        let (word, bit) = self.word(r);
+        *word &= !bit;
+    }
+
+    fn contains(&self, r: VcRef) -> bool {
+        self.0[r.port.index()][usize::from(r.vc >> 6)] & 1 << (r.vc & 63) != 0
+    }
+
+    /// Whether an id of `from` or more is in the set.
+    fn any_from(&self, from: usize) -> bool {
+        let mut ids = [0u64; 4];
+        for port in &self.0 {
+            for (all, word) in ids.iter_mut().zip(port) {
+                *all |= word;
+            }
+        }
+        ids.iter().enumerate().any(|(w, &word)| {
+            let below = from.saturating_sub(64 * w);
+            below < 64 && word >> below != 0
+        })
+    }
+}
+
+/// A multiset of (port, VC id) pairs: the pairs present, and those
+/// present more than once with their extra count (rare, so a list).
+#[derive(Debug, Clone, Default)]
+struct VcCounts {
+    set: VcSet,
+    extra: Vec<(VcRef, usize)>,
+    /// The sum of the extra counts: rows whose pair an earlier row has.
+    repeats: usize,
+}
+
+impl VcCounts {
+    fn insert(&mut self, r: VcRef) {
+        if self.set.insert(r) {
+            return;
+        }
+        self.repeats += 1;
+        match self.extra.iter_mut().find(|(key, _)| *key == r) {
+            Some((_, n)) => *n += 1,
+            None => self.extra.push((r, 1)),
+        }
+    }
+
+    fn remove(&mut self, r: VcRef) {
+        match self.extra.iter().position(|(key, _)| *key == r) {
+            Some(i) => {
+                self.repeats -= 1;
+                self.extra[i].1 -= 1;
+                if self.extra[i].1 == 0 {
+                    self.extra.swap_remove(i);
+                }
+            }
+            None => self.set.remove(r),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -534,11 +689,13 @@ mod tests {
     /// scans do, and finds the same set when no output or input has more
     /// than two claimants. The random tables hold invalid ids, repeated
     /// claimants, duplicated RT rows, ids of 64 and up, and the local
-    /// ports of a concentrated router collapsed onto `Local`.
+    /// ports of a concentrated router collapsed onto `Local`. Splitting
+    /// the VA rows into held and given ones changes no finding.
     #[test]
     fn check_matches_the_pairwise_scans() {
         use ftnoc_rng::Rng;
         let mut rng = Rng::seed_from_u64(0xAC12);
+        let mut held_rng = Rng::seed_from_u64(0xAC13);
         // Ports 4 and 5 are a concentrated router's local ports: both
         // map to Local.
         let port = |rng: &mut Rng| Direction::for_port(rng.gen_range(0..6usize));
@@ -586,6 +743,33 @@ mod tests {
 
             let got = AllocationComparator::new().check(&rt, &va, &sa, vcs);
             let want = pairwise(&rt, &va, &sa, vcs);
+            // Held in ascending slots with gaps, a prefix of the VA rows
+            // finds exactly what the all-given evaluation does; so do the
+            // rows left after releasing some of them.
+            let split = held_rng.gen_range(0..va.len() + 1);
+            let mut held = AllocationComparator::new();
+            let mut slots = Vec::new();
+            for row in &va[..split] {
+                let slot = slots.last().map_or(0, |s| s + 1) + held_rng.gen_range(0..3usize);
+                held.hold(slot, *row);
+                slots.push(slot);
+            }
+            assert_eq!(held.check(&rt, &va[split..], &sa, vcs), got, "case {case}");
+            let mut kept = Vec::new();
+            for (slot, row) in slots.iter().zip(&va) {
+                if held_rng.gen_bool(0.5) {
+                    held.release(*slot);
+                } else {
+                    kept.push(*row);
+                }
+            }
+            kept.extend_from_slice(&va[split..]);
+            let fresh = AllocationComparator::new().check(&rt, &kept, &sa, vcs);
+            assert_eq!(
+                held.check(&rt, &va[split..], &sa, vcs),
+                fresh,
+                "case {case}"
+            );
             assert_eq!(got.is_empty(), want.is_empty(), "case {case}");
             flagged += usize::from(!got.is_empty());
             let outs: Vec<VcRef> = va.iter().map(|v| vc(v.out_port, v.out_vc)).collect();

@@ -39,16 +39,6 @@ pub enum ReceiverVerdict {
     DropInWindow,
 }
 
-impl ReceiverVerdict {
-    /// Whether the flit survives into the input buffer.
-    pub fn is_accept(self) -> bool {
-        matches!(
-            self,
-            ReceiverVerdict::Accept | ReceiverVerdict::AcceptCorrected
-        )
-    }
-}
-
 /// Receiver half of the HBH protocol for one virtual channel.
 #[derive(Debug, Clone, Default)]
 pub struct HbhReceiver {
@@ -148,7 +138,7 @@ mod tests {
         let mut receiver = HbhReceiver::new();
         for now in 1u64..=16 {
             let mut f = flit((now % 4) as u8);
-            assert!(receiver.check_arrival(&mut f, now).is_accept());
+            assert_eq!(receiver.check_arrival(&mut f, now), ReceiverVerdict::Accept);
         }
         assert_eq!(receiver.dropped_count(), 0);
         assert_eq!(receiver.nacks_sent(), 0);

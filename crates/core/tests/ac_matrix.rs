@@ -158,6 +158,46 @@ fn every_symptom_class_is_flagged_with_the_right_finding() {
     assert_eq!(ac.errors_flagged(), matrix().len() as u64);
 }
 
+/// The held VA table changes nothing the comparator finds: in the
+/// healthy state and every symptom, each split of the VA rows into a
+/// held prefix and a given suffix finds what a comparator holding
+/// nothing finds over all of them, in the same order — with every RT
+/// row, and with only the given rows' RT rows, as the router gives
+/// them. Releasing every held row restores that empty-table answer.
+#[test]
+fn held_rows_find_what_given_rows_find() {
+    let mut states = vec![healthy()];
+    for symptom in matrix() {
+        let (mut rt, mut va, mut sa) = healthy();
+        (symptom.corrupt)(&mut rt, &mut va, &mut sa);
+        states.push((rt, va, sa));
+    }
+    for (all_rt, va, sa) in states {
+        for split in 0..=va.len() {
+            let (held, given) = va.split_at(split);
+            let given_rt: Vec<RtEntry> = all_rt
+                .iter()
+                .filter(|r| given.iter().any(|v| v.input_vc == r.input_vc))
+                .copied()
+                .collect();
+            for rt in [&all_rt, &given_rt] {
+                let all_given = AllocationComparator::new().check(rt, &va, &sa, VCS);
+                let mut ac = AllocationComparator::new();
+                for (slot, row) in held.iter().enumerate() {
+                    ac.hold(slot, *row);
+                }
+                let findings = ac.check(rt, given, &sa, VCS);
+                assert_eq!(findings, all_given, "{held:?} held, RT {rt:?}");
+                for slot in 0..split {
+                    ac.release(slot);
+                }
+                assert!(!ac.holds_any());
+                assert_eq!(ac.check(rt, &va, &sa, VCS), all_given);
+            }
+        }
+    }
+}
+
 /// AC-caught symptoms cost one cycle to repair in *every* pipeline
 /// organisation: the comparator works in parallel with crossbar
 /// traversal and recovery merely repeats the previous allocation.

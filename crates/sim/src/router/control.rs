@@ -231,7 +231,7 @@ impl Router {
                     }
                 }
                 if let Some((op, ov)) = takeover {
-                    self.outputs[op].reserve(ov, Some((p, v)));
+                    self.reserve(op, ov, Some((p, v)));
                     self.outputs[op].allocated_at[ov] = ctx.now;
                     let packet = self.inputs[p].buffer.front(v).expect("VaWait head").packet;
                     self.inputs[p].set(

@@ -23,7 +23,7 @@
 //! the full scans did, so draws and grants keep their order) instead
 //! of scanning ports × VCs. Each mask has one writer —
 //! `InputPort::set`, `InputPort::set_blocked`,
-//! `OutputPort::reserve`, `OutputPort::sync` — and debug builds
+//! `Router::reserve`, `OutputPort::sync` — and debug builds
 //! recompute them all after the reverse channels, after every compute
 //! and after every purge (`Router::debug_check_masks`).
 //!
@@ -376,7 +376,7 @@ impl Router {
                         ..
                     } if is_member(packet.raw()) => {
                         if out_vc < vcs {
-                            self.outputs[out_port].release_if_owner(out_vc, (p, v));
+                            self.release_if_owner(out_port, out_vc, (p, v));
                         }
                         self.inputs[p].set(v, VcState::Idle);
                         self.inputs[p].set_blocked(v, 0);
@@ -403,7 +403,7 @@ impl Router {
                     continue;
                 };
                 if !self.owns(p, v, op, ov) {
-                    self.outputs[op].reserve(ov, None);
+                    self.reserve(op, ov, None);
                 }
             }
         }
@@ -437,9 +437,10 @@ impl Router {
                 .all(|o| o.st_queue.is_empty() && (o.reserved | o.sending) == 0)
     }
 
-    /// Debug builds: recomputes every work mask from the state it
-    /// summarises and asserts it matches — the check that each mask's
-    /// one writer ran wherever that state changed.
+    /// Debug builds: recomputes every work mask, and the comparator's
+    /// held VA table, from the state it summarises and asserts it
+    /// matches — the check that each one's writer ran wherever that
+    /// state changed.
     fn debug_check_masks(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -474,6 +475,18 @@ impl Router {
                 self.id
             );
         }
+        let vcs = self.cfg.vcs_per_port();
+        let table = self.outputs.iter().enumerate().flat_map(|(op, port)| {
+            (0..vcs).filter_map(move |ov| {
+                let (ip, iv) = port.allocated[ov]?;
+                Some((op * vcs + ov, va::va_row(ip, iv, op, ov)))
+            })
+        });
+        assert!(
+            self.ac.held().eq(table),
+            "{}: the comparator's held VA table is stale",
+            self.id
+        );
     }
 
     /// Refills `out` with a plain-data copy of every architecturally

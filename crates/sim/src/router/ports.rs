@@ -14,6 +14,7 @@ use ftnoc_types::flit::Flit;
 use ftnoc_types::geom::{DirSet, Direction};
 use ftnoc_types::packet::PacketId;
 
+use super::va::va_row;
 use super::{Ctx, Router};
 use crate::arbiter::ones;
 use crate::config::ErrorScheme;
@@ -127,7 +128,7 @@ pub(super) struct OutputPort {
     pub(super) retrans: Vec<RetransmissionBuffer>,
     pub(super) credits: CreditLedger,
     /// `allocated[v]` = the input VC currently owning output VC `v`.
-    /// Written only by [`OutputPort::reserve`].
+    /// Written only by [`Router::reserve`].
     pub(super) allocated: Vec<Option<(usize, usize)>>,
     /// The cycle `allocated[v]` was last granted (meaningful only while
     /// `allocated[v]` is `Some`). The oracle's dead-port invariant
@@ -162,13 +163,6 @@ impl OutputPort {
         }
     }
 
-    /// The one writer of `allocated`, keeping `reserved` in step.
-    #[inline]
-    pub(super) fn reserve(&mut self, v: usize, owner: Option<(usize, usize)>) {
-        put(&mut self.reserved, v, owner.is_some());
-        self.allocated[v] = owner;
-    }
-
     /// Refreshes `sending`, `replaying` and `held` from `retrans[v]`.
     #[inline]
     pub(super) fn sync(&mut self, v: usize) {
@@ -177,17 +171,31 @@ impl OutputPort {
         put(&mut self.replaying, v, buffer.is_replaying());
         put(&mut self.held, v, buffer.held_count() > 0);
     }
-
-    /// Releases output VC `v` if input VC `owner` still holds it.
-    #[inline]
-    pub(super) fn release_if_owner(&mut self, v: usize, owner: (usize, usize)) {
-        if self.allocated[v] == Some(owner) {
-            self.reserve(v, None);
-        }
-    }
 }
 
 impl Router {
+    /// The one writer of the reservations: hands output VC `(op, ov)`
+    /// to input VC `owner`, or frees it, keeping `reserved` and the
+    /// comparator's held VA table (slot `op * vcs + ov`) in step with
+    /// `allocated`.
+    pub(super) fn reserve(&mut self, op: usize, ov: usize, owner: Option<(usize, usize)>) {
+        let port = &mut self.outputs[op];
+        put(&mut port.reserved, ov, owner.is_some());
+        port.allocated[ov] = owner;
+        let slot = op * self.cfg.vcs_per_port() + ov;
+        match owner {
+            Some((ip, iv)) => self.ac.hold(slot, va_row(ip, iv, op, ov)),
+            None => self.ac.release(slot),
+        }
+    }
+
+    /// Releases output VC `(op, ov)` if input VC `owner` still holds it.
+    pub(super) fn release_if_owner(&mut self, op: usize, ov: usize, owner: (usize, usize)) {
+        if self.outputs[op].allocated[ov] == Some(owner) {
+            self.reserve(op, ov, None);
+        }
+    }
+
     /// Reverse channels: NACKs first (they must beat window expiry),
     /// then credits. One handshake-upset draw per direction per cycle,
     /// applied to the first strobe (mirroring one wire sample) — and
@@ -256,33 +264,19 @@ impl Router {
             let Some((flit, vc)) = fw.deliver_flit(ctx.now) else {
                 continue;
             };
-            let verdict = self.accept_flit(ctx, d, vc, flit);
-            let port = d.index() as u8;
-            if verdict.is_accept() {
-                self.trace.emit(|| TraceEvent::FlitReceived {
-                    packet: flit.packet.raw(),
-                    seq: flit.seq,
-                    port,
-                    vc,
-                });
-            } else {
-                self.trace.emit(|| TraceEvent::FlitDropped {
-                    packet: flit.packet.raw(),
-                    seq: flit.seq,
-                    port,
-                    reason: DropReason::Corrupt,
-                });
-                if verdict == ReceiverVerdict::NackAndDrop {
-                    self.trace.emit(|| TraceEvent::NackSent { port, vc });
-                    self.arrival_nacks.push((d, vc));
-                }
+            if self.accept_flit(ctx, d, vc, flit) == ReceiverVerdict::NackAndDrop {
+                let port = d.index() as u8;
+                self.trace.emit(|| TraceEvent::NackSent { port, vc });
+                self.arrival_nacks.push((d, vc));
             }
         }
     }
 
     /// Arrival processing for a flit delivered on input `(dir, vc)`:
     /// per-scheme error checking, then buffering unless the verdict is
-    /// a drop.
+    /// a drop. A flit with no free slot in its VC is dropped as an
+    /// overflow whatever the verdict: only a wrong-output switch grant
+    /// that no comparator caught (§4.3) sends one.
     pub(super) fn accept_flit(
         &mut self,
         ctx: &Ctx<'_>,
@@ -307,22 +301,41 @@ impl Router {
             }
             ErrorScheme::E2e | ErrorScheme::Unprotected => ReceiverVerdict::Accept,
         };
-        match verdict {
-            ReceiverVerdict::Accept => {}
-            ReceiverVerdict::AcceptCorrected => self.errors.link_corrected_inline += 1,
-            ReceiverVerdict::NackAndDrop => {
-                self.errors.flits_dropped += 1;
-                self.events.nack += 1;
-                return verdict;
+        let reason = match verdict {
+            ReceiverVerdict::Accept => None,
+            ReceiverVerdict::AcceptCorrected => {
+                self.errors.link_corrected_inline += 1;
+                None
             }
-            ReceiverVerdict::DropInWindow => {
+            ReceiverVerdict::NackAndDrop => {
+                self.events.nack += 1;
+                Some(DropReason::Corrupt)
+            }
+            ReceiverVerdict::DropInWindow => Some(DropReason::Corrupt),
+        };
+        let reason = reason.or_else(|| {
+            let pushed = self.inputs[dir.index()].buffer.push(vc as usize, flit);
+            self.events.buffer_write += u64::from(pushed);
+            (!pushed).then_some(DropReason::Overflow)
+        });
+        let (packet, seq, port) = (flit.packet.raw(), flit.seq, dir.index() as u8);
+        match reason {
+            None => self.trace.emit(|| TraceEvent::FlitReceived {
+                packet,
+                seq,
+                port,
+                vc,
+            }),
+            Some(reason) => {
                 self.errors.flits_dropped += 1;
-                return verdict;
+                self.trace.emit(|| TraceEvent::FlitDropped {
+                    packet,
+                    seq,
+                    port,
+                    reason,
+                });
             }
         }
-        let pushed = self.inputs[dir.index()].buffer.push(vc as usize, flit);
-        debug_assert!(pushed, "credit flow control violated at {}", self.id);
-        self.events.buffer_write += 1;
         verdict
     }
 

@@ -157,7 +157,7 @@ impl Router {
                 execute_at: ctx.now + st_gap,
             });
             if flit.kind.is_tail() {
-                self.outputs[op].release_if_owner(ov, (p, v));
+                self.release_if_owner(op, ov, (p, v));
                 self.inputs[p].set(v, VcState::Idle);
             }
         }

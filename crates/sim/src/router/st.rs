@@ -66,7 +66,7 @@ impl Router {
                             let reassigned = self.outputs[port].allocated[v]
                                 .is_some_and(|(ip, iv)| self.owns(ip, iv, port, v));
                             if !reassigned {
-                                self.outputs[port].reserve(v, None);
+                                self.reserve(port, v, None);
                             }
                         }
                         self.events.link += 1;

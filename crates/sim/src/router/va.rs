@@ -1,7 +1,7 @@
 //! VC allocation, with the §4.1 VC-allocator upsets and the Allocation
 //! Comparator's check of the RT and VA state (Figure 12).
 
-use ftnoc_core::ac::{RtEntry, VaEntry, VcRef};
+use ftnoc_core::ac::{AcFinding, AllocationComparator, RtEntry, VaEntry, VcRef};
 use ftnoc_trace::{AcStage, TraceEvent};
 use ftnoc_types::geom::Direction;
 
@@ -22,7 +22,7 @@ pub(super) struct VaScratch {
     winners: Vec<(usize, usize, usize, usize, Direction)>,
     /// Which winners were corrupted by an injected VA upset.
     corrupted: Vec<bool>,
-    /// AC inputs rebuilt per check.
+    /// This cycle's RT and VA rows for the AC.
     rt_entries: Vec<RtEntry>,
     va_entries: Vec<VaEntry>,
 }
@@ -149,40 +149,26 @@ impl Router {
         }
 
         // Allocation Comparator: evaluate the RT/VA/SA state (Figure 12).
+        // The comparator holds the reservations' VA rows; this cycle's
+        // winners are its new RT and VA rows.
         if ctx.config.ac_enabled {
             sc.rt_entries.clear();
-            for &(ip, iv, _, _, rt_port) in winners.iter() {
+            sc.va_entries.clear();
+            for &(ip, iv, op, ov, rt_port) in winners.iter() {
                 sc.rt_entries.push(RtEntry {
                     input_vc: VcRef::new(Direction::for_port(ip), iv as u8),
                     valid_out_port: rt_port,
                 });
-            }
-            sc.va_entries.clear();
-            for (op, output) in self.outputs.iter().enumerate() {
-                for ov in ones(output.reserved) {
-                    if let Some((ip, iv)) = output.allocated[ov] {
-                        sc.va_entries.push(VaEntry {
-                            input_vc: VcRef::new(Direction::for_port(ip), iv as u8),
-                            out_port: Direction::for_port(op),
-                            out_vc: ov as u8,
-                        });
-                    }
-                }
-            }
-            for &(ip, iv, op, ov, _) in winners.iter() {
-                sc.va_entries.push(VaEntry {
-                    input_vc: VcRef::new(Direction::for_port(ip), iv as u8),
-                    out_port: Direction::for_port(op),
-                    out_vc: ov as u8,
-                });
+                sc.va_entries.push(va_row(ip, iv, op, ov));
             }
             // An idle router presents the AC with an empty table; skip
             // the comparator (and its census tick) so a quiescent cycle
             // stays a complete no-op — the property activity gating
             // relies on to make skipped and computed cycles equivalent.
-            if !sc.rt_entries.is_empty() || !sc.va_entries.is_empty() {
+            if !winners.is_empty() || self.ac.holds_any() {
                 self.events.ac_check += 1;
                 let findings = self.ac.check(&sc.rt_entries, &sc.va_entries, &[], vcs);
+                self.debug_check_findings(&sc.rt_entries, &sc.va_entries, &findings);
                 if !findings.is_empty() {
                     // Invalidate this cycle's (corrupted) allocations: the
                     // affected inputs retry next cycle — 1-cycle penalty.
@@ -204,7 +190,7 @@ impl Router {
         let sa_gap = ctx.config.router.pipeline().timing().va_to_sa;
         for &(p, v, op, ov, _) in winners.iter() {
             if ov < vcs {
-                self.outputs[op].reserve(ov, Some((p, v)));
+                self.reserve(op, ov, Some((p, v)));
                 self.outputs[op].allocated_at[ov] = ctx.now;
             }
             let packet = self.inputs[p].buffer.front(v).expect("VA winner").packet;
@@ -220,5 +206,40 @@ impl Router {
             self.events.va += 1;
         }
         self.va_scratch = sc;
+    }
+
+    /// Debug builds: the evaluation over the held VA table equals the
+    /// one it replaced — every reservation rebuilt as a row, in (output
+    /// port, VC) order, ahead of this cycle's rows, on a comparator
+    /// holding nothing.
+    fn debug_check_findings(&self, rt: &[RtEntry], va: &[VaEntry], findings: &[AcFinding]) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut rows = Vec::new();
+        for (op, output) in self.outputs.iter().enumerate() {
+            for ov in ones(output.reserved) {
+                let (ip, iv) = output.allocated[ov].expect("`reserved` names owned VCs");
+                rows.push(va_row(ip, iv, op, ov));
+            }
+        }
+        rows.extend_from_slice(va);
+        let vcs = self.cfg.vcs_per_port();
+        let rebuilt = AllocationComparator::new().check(rt, &rows, &[], vcs);
+        assert_eq!(
+            findings, rebuilt,
+            "{}: the held VA table changed the comparator's findings",
+            self.id
+        );
+    }
+}
+
+/// The VA row of input VC `(ip, iv)` holding output VC `(op, ov)`,
+/// every local port reading `Local`.
+pub(super) fn va_row(ip: usize, iv: usize, op: usize, ov: usize) -> VaEntry {
+    VaEntry {
+        input_vc: VcRef::new(Direction::for_port(ip), iv as u8),
+        out_port: Direction::for_port(op),
+        out_vc: ov as u8,
     }
 }

@@ -20,6 +20,9 @@ pub enum DropReason {
     /// Lost to a whole-router death: the flit sat inside (or was
     /// wormholing toward) a router that was killed mid-run.
     RouterDead,
+    /// No free slot in its virtual channel: a switch-allocator upset
+    /// that no comparator caught sent it out of the wrong port (§4.3).
+    Overflow,
 }
 
 impl DropReason {
@@ -28,6 +31,7 @@ impl DropReason {
             DropReason::Corrupt => "corrupt",
             DropReason::Stranded => "stranded",
             DropReason::RouterDead => "router_dead",
+            DropReason::Overflow => "overflow",
         }
     }
 }
@@ -552,10 +556,11 @@ mod tests {
         }
     }
 
-    const REASONS: [DropReason; 3] = [
+    const REASONS: [DropReason; 4] = [
         DropReason::Corrupt,
         DropReason::Stranded,
         DropReason::RouterDead,
+        DropReason::Overflow,
     ];
     const STAGES: [AcStage; 3] = [AcStage::Va, AcStage::Sa, AcStage::Rt];
 
@@ -583,7 +588,7 @@ mod tests {
                 packet: rng.edge(u64::MAX),
                 seq: rng.u8(),
                 port: rng.port(),
-                reason: REASONS[rng.below(3) as usize],
+                reason: REASONS[rng.below(4) as usize],
             },
             4 => TraceEvent::NackSent {
                 port: rng.port(),
@@ -650,7 +655,7 @@ mod tests {
         }
         assert_eq!(
             seen.len(),
-            16 + 3 + 3,
+            16 + 4 + 3,
             "every variant, reason and stage was drawn"
         );
     }

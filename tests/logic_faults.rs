@@ -79,6 +79,37 @@ fn va_upsets_without_ac_cause_damage() {
     assert!(damage, "expected visible damage without the AC");
 }
 
+/// Regression: without the AC, an SA upset's wrong-output grant can
+/// send a flit into a neighbour VC with no free slot. The arrival used
+/// to lose it uncounted (and a debug build panicked on the credit
+/// assertion); it is now a counted drop in both builds. The shape of
+/// `ftnoc run --packets 1000 --warmup 200 --sa-rate 0.01 --no-ac`,
+/// which overflows three times.
+#[test]
+fn sa_upsets_without_ac_count_their_overflows() {
+    let mut b = SimConfig::builder();
+    b.faults(FaultRates::sa_only(1e-2))
+        .ac_enabled(false)
+        .warmup_packets(200)
+        .measure_packets(1_000);
+    let report = Simulator::new(b.build().expect("valid config")).run();
+    // No link upsets: every dropped flit is an overflow.
+    assert_eq!(report.errors.flits_dropped, 3);
+}
+
+/// Regression: the same overflow, shrunk from campaign 132 of a
+/// `fuzz --scenario midrun-fault` sweep, under the full oracle.
+#[test]
+fn sa_upset_overflow_passes_the_oracle() {
+    let spec = "w=3,h=4,vcs=1,buf=3,rtx=5,pipe=3,route=fta,scheme=hbh,ac=0,\
+                pat=uniform,proc=reg,inj=0.10576467134399761,link=0,hs=0,rt=0,\
+                va=0,sa=0.001,xbar=0,dl=1,cth=32,stop=0,\
+                seed=17515478082935692149,cycles=853,threads=1,pool=0,gate=0,\
+                topo=cmesh,conc=2,nfy=0,kill@288=0:s";
+    let params = ftnoc::check::CampaignParams::from_spec(spec).expect("valid spec");
+    assert_eq!(params.check(), Ok(()));
+}
+
 /// RT upsets under deterministic routing are detected and charged per
 /// §4.2; packets still arrive at the right place.
 #[test]
