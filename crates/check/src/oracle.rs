@@ -184,7 +184,7 @@ pub struct Oracle {
     cthres: u64,
     /// Recent wait-edge history, oldest first, for the temporal probe
     /// chase (see [`Oracle::check_probe`]).
-    hist: VecDeque<WaitFrame>,
+    hist: WaitHistory,
     /// Scratch for conservation: `(packet, seq bitmask)`, filled in
     /// snapshot order (a run of one packet's flits shares an entry),
     /// then sorted by packet with equal keys merged, so the violation
@@ -218,23 +218,79 @@ pub struct Oracle {
     notify: u64,
 }
 
+/// The probe window's wait-edge history: one frame per cycle, oldest
+/// first, over one shared ring of rows. Frames hold offsets into the
+/// ring, so a full window recycles the ring's slots instead of growing
+/// a row list per frame.
+#[derive(Default)]
+struct WaitHistory {
+    frames: VecDeque<WaitFrame>,
+    /// The rows of every frame, frame after frame, node after node.
+    rows: VecDeque<BlockedVcSummary>,
+    /// Rows that have left the front of `rows`: the offset of `rows[0]`.
+    dropped: usize,
+}
+
 /// One cycle of per-node probe-relevant state, plus the snapshot cycle.
-/// The rows of every node share one list, so a recycled frame refills
-/// one buffer rather than one per node.
 #[derive(Default)]
 struct WaitFrame {
     now: u64,
-    /// Per node: `(in_recovery, end of its rows in rows)`.
+    /// The offset of this frame's first row.
+    start: usize,
+    /// Per node: `(in_recovery, offset just past its rows)`.
     nodes: Vec<(bool, usize)>,
-    /// The wait-edge rows, node after node.
-    rows: Vec<BlockedVcSummary>,
 }
 
-impl WaitFrame {
-    /// The wait-edge rows of `node`.
-    fn rows_of(&self, node: usize) -> &[BlockedVcSummary] {
-        let start = node.checked_sub(1).map_or(0, |prev| self.nodes[prev].1);
-        &self.rows[start..self.nodes[node].1]
+impl WaitHistory {
+    /// Appends the frame of `snap`, handing the oldest frame's storage
+    /// back once `window` frames are held. History must be contiguous
+    /// (one frame per cycle) for hop timing to line up, so a gap
+    /// restarts it.
+    fn record(&mut self, snap: &NetSnapshot, window: usize) {
+        if self.frames.back().is_some_and(|f| f.now + 1 != snap.now) {
+            self.frames.clear();
+            self.dropped += self.rows.len();
+            self.rows.clear();
+        }
+        let mut frame = if self.frames.len() >= window {
+            let oldest = self.frames.pop_front().unwrap_or_default();
+            let end = oldest.nodes.last().map_or(oldest.start, |n| n.1);
+            self.rows.drain(..end - self.dropped);
+            self.dropped = end;
+            oldest
+        } else {
+            WaitFrame::default()
+        };
+        frame.now = snap.now;
+        frame.start = self.dropped + self.rows.len();
+        frame.nodes.clear();
+        for r in &snap.routers {
+            self.rows.extend(r.wait_edges.iter().copied());
+            frame
+                .nodes
+                .push((r.in_recovery, self.dropped + self.rows.len()));
+        }
+        self.frames.push_back(frame);
+    }
+
+    /// The frame of cycle `t`, if the history holds it.
+    fn frame(&self, t: u64) -> Option<&WaitFrame> {
+        let off = self.frames.back()?.now.checked_sub(t)?;
+        let i = self.frames.len().checked_sub(1 + off as usize)?;
+        Some(&self.frames[i])
+    }
+
+    /// The wait-edge rows of `node` in `frame`.
+    fn rows_of<'a>(
+        &'a self,
+        frame: &WaitFrame,
+        node: usize,
+    ) -> impl Iterator<Item = &'a BlockedVcSummary> {
+        let start = node
+            .checked_sub(1)
+            .map_or(frame.start, |prev| frame.nodes[prev].1);
+        self.rows
+            .range(start - self.dropped..frame.nodes[node].1 - self.dropped)
     }
 }
 
@@ -272,7 +328,7 @@ impl Oracle {
             last_arrival: vec![None; slots],
             prev_confirmed: vec![0; nodes],
             cthres: 1,
-            hist: VecDeque::new(),
+            hist: WaitHistory::default(),
             resident: Vec::new(),
             owners: Vec::new(),
             holders: Vec::new(),
@@ -1157,28 +1213,9 @@ impl Oracle {
     /// that never existed in any form.
     fn check_probe(&mut self, snap: &NetSnapshot) -> Option<Violation> {
         // Record this cycle first: the chase for a confirmation observed
-        // at cycle `T` needs the frame of `T` itself. History must be
-        // contiguous (one frame per cycle) for hop timing to line up; a
-        // gap restarts it and confirmations near the restart are
-        // accepted unverified.
-        let window = 4 * snap.routers.len() + 4;
-        if self.hist.back().is_some_and(|f| f.now + 1 != snap.now) {
-            self.hist.clear();
-        }
-        // A full window hands its oldest frame back to be refilled.
-        let mut frame = if self.hist.len() >= window {
-            self.hist.pop_front().unwrap_or_default()
-        } else {
-            WaitFrame::default()
-        };
-        frame.now = snap.now;
-        frame.nodes.clear();
-        frame.rows.clear();
-        for r in &snap.routers {
-            frame.rows.extend_from_slice(&r.wait_edges);
-            frame.nodes.push((r.in_recovery, frame.rows.len()));
-        }
-        self.hist.push_back(frame);
+        // at cycle `T` needs the frame of `T` itself. Confirmations near
+        // a restart of the history are accepted unverified.
+        self.hist.record(snap, 4 * snap.routers.len() + 4);
         let mut first = None;
         for (n, r) in snap.routers.iter().enumerate() {
             let confirmed = r.deadlocks_confirmed;
@@ -1213,21 +1250,14 @@ impl Oracle {
     fn confirmation_explained(&self, snap: &NetSnapshot, origin: usize) -> bool {
         let t_max = snap.now;
         let hop_cap = (4 * snap.routers.len()) as u64 + 1;
-        let Some(front) = self.hist.front() else {
+        let Some(front) = self.hist.frames.front() else {
             return true;
         };
         // Launches before recorded history cannot be ruled out.
         let unverifiable_horizon = front.now > t_max.saturating_sub(hop_cap);
-        let frame = |t: u64| -> Option<&WaitFrame> {
-            let back = self.hist.back()?.now;
-            let off = back.checked_sub(t)?;
-            self.hist
-                .len()
-                .checked_sub(1 + off as usize)
-                .map(|i| &self.hist[i])
-        };
+        let frame = |t: u64| self.hist.frame(t);
         let row_of = |f: &WaitFrame, node: usize, named: VcRef| -> Option<BlockedVcSummary> {
-            f.rows_of(node).iter().find(|r| r.0 == named).copied()
+            self.hist.rows_of(f, node).find(|r| r.0 == named).copied()
         };
         // Seed with every launch the history can support: a row at the
         // origin blocked for >= Cthres cycles with a known onward edge
@@ -1240,7 +1270,7 @@ impl Oracle {
                 let Some(f) = t0.checked_sub(off).and_then(&frame) else {
                     continue;
                 };
-                for row in f.rows_of(origin) {
+                for row in self.hist.rows_of(f, origin) {
                     let (_, blocked_cycles, blocked, fwd) = *row;
                     if !blocked || blocked_cycles < self.cthres {
                         continue;

@@ -331,6 +331,17 @@ impl RetransmissionBuffer {
         (count(SlotState::PendingReplay), count(SlotState::Held))
     }
 
+    /// The cycle each sent copy's NACK window closes (`sent_at +`
+    /// [`NACK_ROUND_TRIP`]), front first: the cycles at which
+    /// [`RetransmissionBuffer::expire`] will drop them. Pending-replay
+    /// and held slots have no deadline. Read-only.
+    pub fn deadlines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots.iter().filter_map(|s| match s.state {
+            SlotState::Sent { sent_at } => Some(sent_at + NACK_ROUND_TRIP),
+            SlotState::PendingReplay | SlotState::Held => None,
+        })
+    }
+
     /// Iterates over buffered flits with their held flag (`true` for
     /// recovery-absorbed slots that never expire), front first. Read-only
     /// inspection for the invariant oracle.
@@ -538,6 +549,28 @@ mod tests {
         assert_eq!(buf.send_held(11, false).map(|f| f.seq), Some(2));
         assert!(buf.is_empty());
         assert!(buf.absorb(flit(3)), "the freed slots take new flits");
+    }
+
+    #[test]
+    fn deadlines_follow_each_copy_through_nack_replay_and_recovery() {
+        let mut buf = RetransmissionBuffer::new(4);
+        buf.record_transmission(flit(0), 10);
+        assert!(
+            buf.deadlines().eq([13]),
+            "a sent copy is due a round trip later"
+        );
+        buf.on_nack(12);
+        assert_eq!(buf.deadlines().count(), 0, "a pending copy has no deadline");
+        assert!(buf.next_replay(14).is_some());
+        assert!(buf.deadlines().eq([17]), "a replay restarts the window");
+        assert!(buf.absorb(flit(1)));
+        assert!(buf.deadlines().eq([17]), "a held slot has no deadline");
+        buf.expire(17);
+        assert!(buf.send_held(18, true).is_some());
+        assert!(
+            buf.deadlines().eq([21]),
+            "a kept copy of a held send is due"
+        );
     }
 
     #[test]

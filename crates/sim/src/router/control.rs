@@ -203,7 +203,7 @@ impl Router {
         // reservations and waiting heads stay wedged forever.
         for p in 0..ports {
             for v in ones(self.inputs[p].wait & self.inputs[p].blocked) {
-                if self.inputs[p].vcs[v].blocked_cycles < stuck {
+                if self.blocked_cycles(p, v) < stuck {
                     continue;
                 }
                 let VcState::VaWait { candidates, .. } = self.inputs[p].vcs[v].state else {
@@ -253,9 +253,7 @@ impl Router {
                 let (op, ov) = match self.inputs[p].vcs[v].state {
                     VcState::Active {
                         out_port, out_vc, ..
-                    } if self.inputs[p].vcs[v].blocked_cycles >= stuck && out_vc < vcs => {
-                        (out_port, out_vc)
-                    }
+                    } if self.blocked_cycles(p, v) >= stuck && out_vc < vcs => (out_port, out_vc),
                     _ => continue,
                 };
                 if op >= 4 {

@@ -10,23 +10,30 @@ use super::{BlockedVcSummary, Ctx, Router};
 use crate::arbiter::ones;
 
 impl Router {
+    /// How many consecutive `end_cycle`s, up to the last, found input
+    /// VC `(p, v)` blocked; 0 when it is not blocked. A blocked VC waits
+    /// for or holds an output VC, so its router is never quiescent: it
+    /// runs `end_cycle` every cycle of the run, and the run's length in
+    /// cycles is the count.
+    pub(super) fn blocked_cycles(&self, p: usize, v: usize) -> u64 {
+        let port = &self.inputs[p];
+        if port.blocked & (1 << v) == 0 {
+            return 0;
+        }
+        self.last_end - port.vcs[v].blocked_since + 1
+    }
+
     /// End-of-cycle blocked tracking and statistics sampling. Returns a
     /// probe request `(origin, named VC at the downstream node, via
     /// direction)` when Rule 1 fires.
     pub(super) fn end_cycle(&mut self, ctx: &Ctx<'_>) -> Option<(Direction, VcRef)> {
         let vcs = self.cfg.vcs_per_port();
         let mut probe_request = None;
+        self.last_end = ctx.now;
         for port in &mut self.inputs {
             // A VC waits when it holds a packet's flits but moved none.
             let waiting = (port.wait | port.active) & port.buffer.nonempty() & !port.progressed;
-            for v in ones(waiting | port.blocked) {
-                let cycles = if waiting & (1 << v) != 0 {
-                    port.vcs[v].blocked_cycles + 1
-                } else {
-                    0
-                };
-                port.set_blocked(v, cycles);
-            }
+            port.track_blocked(waiting, ctx.now);
             self.buffer_stalls += u64::from(waiting.count_ones());
         }
         if ctx.config.deadlock.enabled && !self.probe.in_recovery() {
@@ -38,7 +45,7 @@ impl Router {
             for k in 0..total {
                 let idx = (start + k) % total;
                 let (p, v) = (idx / vcs, idx % vcs);
-                let blocked = self.inputs[p].vcs[v].blocked_cycles;
+                let blocked = self.blocked_cycles(p, v);
                 if blocked < self.probe.cthres()
                     || self.inputs[p].vcs[v].probe_cooldown_until > ctx.now
                 {
@@ -66,9 +73,9 @@ impl Router {
         if self.probe.in_recovery() {
             let stuck = self.stuck_threshold(ctx);
             let drained = self.outputs.iter().all(|o| o.held == 0);
-            let unblocked = self.inputs.iter().all(|port| {
+            let unblocked = self.inputs.iter().enumerate().all(|(p, port)| {
                 ones(port.blocked & port.buffer.nonempty())
-                    .all(|v| port.vcs[v].blocked_cycles < stuck)
+                    .all(|v| self.blocked_cycles(p, v) < stuck)
             });
             // Track whether this recovery round is still making progress.
             if self.inputs.iter().any(|p| p.progressed != 0) {
@@ -146,7 +153,7 @@ impl Router {
                 let (blocked, fwd) = self.port_wait_info(p, v);
                 if blocked || fwd.is_some() {
                     let named = VcRef::new(Direction::for_port(p), v as u8);
-                    out.push((named, port.vcs[v].blocked_cycles, blocked, fwd));
+                    out.push((named, self.blocked_cycles(p, v), blocked, fwd));
                 }
             }
         }
@@ -169,7 +176,7 @@ mod tests {
             .map(|(p, v)| {
                 let (blocked, fwd) = r.port_wait_info(p, v);
                 let named = VcRef::new(Direction::for_port(p), v as u8);
-                (named, r.inputs[p].vcs[v].blocked_cycles, blocked, fwd)
+                (named, r.blocked_cycles(p, v), blocked, fwd)
             })
             .collect()
     }

@@ -22,10 +22,18 @@
 //! `held`), and every stage walks the set bits (`ones`, ascending, as
 //! the full scans did, so draws and grants keep their order) instead
 //! of scanning ports × VCs. Each mask has one writer —
-//! `InputPort::set`, `InputPort::set_blocked`,
-//! `Router::reserve`, `OutputPort::sync` — and debug builds
+//! `InputPort::set`, `InputPort::track_blocked` (and `unblock` for a
+//! purge), `Router::reserve`, `OutputPort::sync` — and debug builds
 //! recompute them all after the reverse channels, after every compute
 //! and after every purge (`Router::debug_check_masks`).
+//!
+//! Time-driven bookkeeping is paid per event, not per cycle. Each
+//! cardinal output port's expiry wheel (`Router::due`, written by
+//! `Router::stamp`) books a sent copy at its NACK deadline, so
+//! `begin_cycle` expires only the VCs due this cycle; each blocked
+//! input VC keeps the cycle its run began (`blocked_since`), so
+//! `end_cycle` writes a VC only when its run starts and
+//! `Router::blocked_cycles` derives the count.
 //!
 //! [`PipelineDepth::timing`]: ftnoc_types::config::PipelineDepth::timing
 
@@ -127,6 +135,19 @@ pub struct Router {
     pub probe: ProbeProtocol,
     probe_scan_offset: usize,
     recovery_stall: u64,
+    /// The cycle of the last `end_cycle`: blocked runs are counted up to
+    /// it, and every retransmission deadline lies after it.
+    last_end: u64,
+    /// The expiry wheel of each cardinal output port (only links keep
+    /// sent copies): bit `v` of `due[port][t % WHEEL]` means output VC
+    /// `(port, v)` stamped a sent copy at cycle `t - NACK_ROUND_TRIP`.
+    /// Written only by `Router::stamp`; a bit a NACK, a replay or a
+    /// purge left stale costs one `expire` that drops nothing. Boxed,
+    /// because both other places measured worse on an 8×8: inline, the
+    /// 128 bytes pushed its 64 routers over glibc's 128 KiB mmap
+    /// threshold (+3 % peak RSS); in `OutputPort`, set-up read ≈ 6 %
+    /// slower.
+    due: Box<[[u64; ports::WHEEL]; 4]>,
     /// Flits ejected this cycle, tagged with the local out port they
     /// left through (drained by the network; the port picks the PE on
     /// concentrated topologies).
@@ -204,6 +225,8 @@ impl Router {
             probe: ProbeProtocol::new(id, config.deadlock.cthres),
             probe_scan_offset: 0,
             recovery_stall: 0,
+            last_end: 0,
+            due: Box::default(),
             ejected: Vec::new(),
             freed_credits: Vec::new(),
             drives: Vec::new(),
@@ -379,11 +402,11 @@ impl Router {
                             self.release_if_owner(out_port, out_vc, (p, v));
                         }
                         self.inputs[p].set(v, VcState::Idle);
-                        self.inputs[p].set_blocked(v, 0);
+                        self.inputs[p].unblock(v);
                     }
                     VcState::VaWait { .. } if touched[p * vcs + v] => {
                         self.inputs[p].set(v, VcState::Idle);
-                        self.inputs[p].set_blocked(v, 0);
+                        self.inputs[p].unblock(v);
                     }
                     _ => {}
                 }
@@ -440,7 +463,11 @@ impl Router {
     /// Debug builds: recomputes every work mask, and the comparator's
     /// held VA table, from the state it summarises and asserts it
     /// matches — the check that each one's writer ran wherever that
-    /// state changed.
+    /// state changed. Also asserts that every blocked run began by the
+    /// last `end_cycle`, on a VC waiting for or holding an output VC,
+    /// and that every sent copy is due after it and booked on the
+    /// expiry wheel (so at the end of a compute no deadline is `<= now`:
+    /// `begin_cycle` expired every one that was due).
     fn debug_check_masks(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -451,14 +478,19 @@ impl Router {
         for (p, port) in self.inputs.iter().enumerate() {
             let n = port.vcs.len();
             let state = |v: usize| port.vcs[v].state;
-            let masks = (port.buffer.nonempty(), port.wait, port.active, port.blocked);
+            let masks = (port.buffer.nonempty(), port.wait, port.active);
             let model = (
                 bits(n, &|v| port.buffer.len(v) > 0),
                 bits(n, &|v| matches!(state(v), VcState::VaWait { .. })),
                 bits(n, &|v| matches!(state(v), VcState::Active { .. })),
-                bits(n, &|v| port.vcs[v].blocked_cycles > 0),
             );
             assert_eq!(masks, model, "{} input port {p}: stale work mask", self.id);
+            assert!(
+                port.blocked & !(port.wait | port.active) == 0
+                    && ones(port.blocked).all(|v| port.vcs[v].blocked_since <= self.last_end),
+                "{} input port {p}: stale blocked run",
+                self.id
+            );
         }
         for (op, port) in self.outputs.iter().enumerate() {
             let n = port.retrans.len();
@@ -474,6 +506,22 @@ impl Router {
                 "{} output port {op}: stale work mask",
                 self.id
             );
+            for (v, buffer) in port.retrans.iter().enumerate() {
+                for due in buffer.deadlines() {
+                    let slot = due as usize % ports::WHEEL;
+                    assert!(
+                        due > self.last_end
+                            && self
+                                .due
+                                .get(op)
+                                .is_some_and(|wheel| wheel[slot] & 1 << v != 0),
+                        "{} output port {op} VC {v}: copy due at {due} is off the expiry \
+                         wheel (last end_cycle {})",
+                        self.id,
+                        self.last_end
+                    );
+                }
+            }
         }
         let vcs = self.cfg.vcs_per_port();
         let table = self.outputs.iter().enumerate().flat_map(|(op, port)| {
@@ -693,6 +741,47 @@ mod tests {
             more += h.step().len();
         }
         assert_eq!(more, 2);
+    }
+
+    /// A VC starved of credits counts its blocked run one per cycle in
+    /// its wait-edge row; a returned credit lets a flit move, which ends
+    /// the run, and the next stall counts from 1 again.
+    #[test]
+    fn credit_starved_vc_counts_its_blocked_run() {
+        let mut h = Harness::new();
+        let mut queued = 0u8;
+        let mut snap = RouterSnapshot::default();
+        let named = VcRef::new(Direction::Local, 0);
+        // Steps one cycle, feeding the 6-flit packet as local buffer
+        // space allows, and reads the local VC's blocked count.
+        let mut step = |h: &mut Harness| {
+            while queued < 6 && h.router.local_free_slots(4, 0) > 0 {
+                h.router.inject_local(4, 0, flit(1, queued, 6, 14));
+                queued += 1;
+            }
+            let vc = h.step().first().map(|d| d.vc);
+            h.router.snapshot_into(&mut snap);
+            let row = snap.wait_edges.iter().find(|row| row.0 == named);
+            (vc, row.map_or(0, |row| row.1))
+        };
+        let mut out_vc = None;
+        let mut counts = Vec::new();
+        for _ in 0..12 {
+            let (vc, blocked) = step(&mut h);
+            out_vc = out_vc.or(vc);
+            counts.push(blocked);
+        }
+        // The head waits out RC and VA (cycles 0 and 1), four flits win
+        // SA on cycles 2..=5, and the fifth finds no credit from cycle 6.
+        assert_eq!(counts, [1, 2, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6]);
+        h.router
+            .handle_credit(Direction::East, out_vc.expect("a flit was driven"));
+        let after: Vec<u64> = (0..4).map(|_| step(&mut h).1).collect();
+        assert_eq!(
+            after,
+            [0, 1, 2, 3],
+            "one credit moves one flit, then it stalls anew"
+        );
     }
 
     /// Two packets contending for one output port interleave across VCs on

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use ftnoc_core::buffers::{CreditLedger, PortBuffer};
 use ftnoc_core::hbh::{HbhReceiver, ReceiverVerdict};
-use ftnoc_core::retransmission::RetransmissionBuffer;
+use ftnoc_core::retransmission::{RetransmissionBuffer, NACK_ROUND_TRIP};
 use ftnoc_ecc::{check_flit, FlitCheck};
 use ftnoc_trace::{DropReason, TraceEvent};
 use ftnoc_types::config::PortCapacity;
@@ -51,8 +51,11 @@ pub(super) struct InputVc {
     /// Written only by [`InputPort::set`].
     pub(super) state: VcState,
     receiver: HbhReceiver,
-    /// Written only by [`InputPort::set_blocked`].
-    pub(super) blocked_cycles: u64,
+    /// The cycle the current blocked run began (meaningful only while
+    /// the VC's `blocked` bit is set; read through
+    /// `Router::blocked_cycles`). Written only by
+    /// [`InputPort::track_blocked`].
+    pub(super) blocked_since: u64,
     /// No new probe for this VC before this cycle (re-suspicion cooldown).
     pub(super) probe_cooldown_until: u64,
 }
@@ -77,7 +80,7 @@ pub(super) struct InputPort {
     pub(super) active: u64,
     /// VCs that moved a flit this cycle (cleared by `begin_cycle`).
     pub(super) progressed: u64,
-    /// VCs whose `blocked_cycles > 0`.
+    /// VCs that held flits and moved none at the last `end_cycle`.
     pub(super) blocked: u64,
 }
 
@@ -101,11 +104,21 @@ impl InputPort {
         self.vcs[v].state = state;
     }
 
-    /// The one writer of `blocked_cycles`, keeping `blocked` in step.
+    /// The one writer of `blocked` and `blocked_since`: the VCs in
+    /// `waiting` at cycle `now` are blocked, and a VC that was not
+    /// blocked before starts its run now.
     #[inline]
-    pub(super) fn set_blocked(&mut self, v: usize, cycles: u64) {
-        put(&mut self.blocked, v, cycles > 0);
-        self.vcs[v].blocked_cycles = cycles;
+    pub(super) fn track_blocked(&mut self, waiting: u64, now: u64) {
+        for v in ones(waiting & !self.blocked) {
+            self.vcs[v].blocked_since = now;
+        }
+        self.blocked = waiting;
+    }
+
+    /// Ends VC `v`'s blocked run (a purge reset its control state).
+    #[inline]
+    pub(super) fn unblock(&mut self, v: usize) {
+        put(&mut self.blocked, v, false);
     }
 }
 
@@ -116,6 +129,12 @@ pub(super) struct StEntry {
     pub(super) out_vc: u8,
     pub(super) execute_at: u64,
 }
+
+/// Slots of each output port's expiry wheel (`Router::due`): a copy
+/// stamped at `t` is due at `t + NACK_ROUND_TRIP`, and no slot taken
+/// between may alias it.
+pub(super) const WHEEL: usize = 4;
+const _: () = assert!(0 < NACK_ROUND_TRIP && NACK_ROUND_TRIP < WHEEL as u64);
 
 /// One output port: per-VC retransmission buffers, the credit ledger
 /// mirroring the downstream buffer organisation, wormhole reservations
@@ -196,6 +215,13 @@ impl Router {
         }
     }
 
+    /// Books the sent copy output VC `(port, v)` took at cycle `now` on
+    /// the port's expiry wheel, at its deadline.
+    #[inline]
+    pub(super) fn stamp(&mut self, port: usize, v: usize, now: u64) {
+        self.due[port][((now + NACK_ROUND_TRIP) % WHEEL as u64) as usize] |= 1 << v;
+    }
+
     /// Reverse channels: NACKs first (they must beat window expiry),
     /// then credits. One handshake-upset draw per direction per cycle,
     /// applied to the first strobe (mirroring one wire sample) — and
@@ -236,15 +262,19 @@ impl Router {
         self.outputs[dir.index()].credits.release(vc as usize);
     }
 
-    /// Expires retransmission windows and clears the per-cycle outputs;
-    /// runs after the reverse channels.
+    /// Expires the retransmission windows due now and clears the
+    /// per-cycle outputs; runs after the reverse channels. Only the VCs
+    /// whose copy was stamped `NACK_ROUND_TRIP` cycles ago are expired:
+    /// exact, because a router holding a copy is never quiescent, so it
+    /// computes every cycle from the stamp to the deadline.
     pub(super) fn begin_cycle(&mut self, now: u64) {
         self.ejected.clear();
         self.freed_credits.clear();
         self.drives.clear();
         self.arrival_nacks.clear();
-        for port in &mut self.outputs {
-            for v in ones(port.sending) {
+        let slot = (now % WHEEL as u64) as usize;
+        for (port, due) in self.outputs.iter_mut().zip(self.due.iter_mut()) {
+            for v in ones(std::mem::take(&mut due[slot]) & port.sending) {
                 port.retrans[v].expire(now);
                 port.sync(v);
             }

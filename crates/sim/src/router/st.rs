@@ -33,6 +33,7 @@ impl Router {
                     let replayed = out.retrans[v].next_replay(ctx.now);
                     out.sync(v);
                     if let Some(flit) = replayed {
+                        self.stamp(port, v, ctx.now);
                         self.events.retransmission += 1;
                         self.events.link += 1;
                         self.emit_drive(dir, flit, v as u8, true);
@@ -56,6 +57,9 @@ impl Router {
                     let sent = out.retrans[v].send_held(ctx.now, keep_copy);
                     out.sync(v);
                     if let Some(flit) = sent {
+                        if keep_copy {
+                            self.stamp(port, v, ctx.now);
+                        }
                         self.outputs[port].credits.consume(v);
                         if flit.kind.is_tail() {
                             // Release the reservation — unless a recovery
@@ -96,6 +100,7 @@ impl Router {
                         let out = &mut self.outputs[port];
                         out.retrans[entry.out_vc as usize].record_transmission(entry.flit, ctx.now);
                         out.sync(entry.out_vc as usize);
+                        self.stamp(port, entry.out_vc as usize, ctx.now);
                         self.events.retrans_shift += 1;
                     }
                     self.events.link += 1;
