@@ -17,6 +17,10 @@
 
 use ftnoc_types::config::PortCapacity;
 
+/// The credits each VC of an [`CreditLedger::unbounded`] ledger starts
+/// with: half of `u32::MAX`, so consuming never reaches zero.
+pub const UNBOUNDED_CREDITS: u32 = u32::MAX / 2;
+
 /// Sender-side mirror of one output port's downstream input buffer.
 #[derive(Debug, Clone)]
 pub struct CreditLedger {
@@ -40,9 +44,12 @@ impl CreditLedger {
     }
 
     /// Ledger for the local (ejection) port: effectively infinite
-    /// credits, never blocking.
+    /// credits ([`UNBOUNDED_CREDITS`] per VC), never blocking.
     pub fn unbounded(vcs: usize) -> Self {
-        Self::new(vcs, PortCapacity::partitioned(vcs, u32::MAX as usize / 2))
+        Self::new(
+            vcs,
+            PortCapacity::partitioned(vcs, UNBOUNDED_CREDITS as usize),
+        )
     }
 
     /// Flits sent on `vc` and not yet credited back.

@@ -26,7 +26,7 @@
 
 mod credit;
 
-pub use credit::CreditLedger;
+pub use credit::{CreditLedger, UNBOUNDED_CREDITS};
 
 use std::collections::VecDeque;
 

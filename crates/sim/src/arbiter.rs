@@ -2,8 +2,9 @@
 //! and `ones`, the one walk over a bit mask.
 
 /// The set bits of `mask`, lowest first: how every stage walks a mask
-/// of VCs, ports or routers that have work.
-pub(crate) fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
+/// of VCs, ports or routers that have work, and how the oracle walks a
+/// snapshot's live VCs.
+pub fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let bit = mask.trailing_zeros() as usize;

@@ -68,6 +68,7 @@ use crate::config::{ErrorScheme, SimConfig, LOSS_MASK_FLITS};
 use crate::link::PortIo;
 use crate::router::{Ctx, Router};
 use crate::routing::FaultState;
+use crate::snapshot::refill;
 use crate::stats::{ErrorStats, EventCounts, LatencyHistogram, NetworkStats};
 
 /// Message classes carried in the packed header.
@@ -758,8 +759,9 @@ impl<S: TraceSink> Network<S> {
     /// [`Network::snapshot`], reusing its allocations. Pure read.
     ///
     /// Every field is overwritten and every nested `Vec` cleared and
-    /// re-extended (`resize_with` on the per-router levels), so nothing
-    /// a reused `out` held before survives and its allocations do.
+    /// re-extended (`resize_with` on the per-router levels) unless it is
+    /// empty and so is its source, so nothing a reused `out` held before
+    /// survives and its allocations do.
     pub fn snapshot_into(&self, out: &mut crate::snapshot::NetSnapshot) {
         let Network {
             env, cells, core, ..
@@ -775,24 +777,29 @@ impl<S: TraceSink> Network<S> {
             router.dead = env.dead.contains(n);
             for d in Direction::CARDINAL {
                 let d = d.index();
-                wire.flit_in[d] = cell.io.flit_in[d].as_ref().and_then(|fw| fw.peek());
-                wire.credits_in[d].clear();
-                wire.nacks_in[d].clear();
+                let flit = cell.io.flit_in[d].as_ref().and_then(|fw| fw.peek());
+                if flit.is_some() || wire.flit_in[d].is_some() {
+                    wire.flit_in[d] = flit;
+                }
                 if let Some(rw) = cell.io.rev_in[d].as_ref() {
-                    wire.credits_in[d].extend(rw.pending_credits());
-                    wire.nacks_in[d].extend(rw.pending_nacks());
+                    let (credits, nacks) = (rw.pending_credits(), rw.pending_nacks());
+                    refill(&mut wire.credits_in[d], credits.size_hint().0, credits);
+                    refill(&mut wire.nacks_in[d], nacks.size_hint().0, nacks);
+                } else {
+                    wire.credits_in[d].clear();
+                    wire.nacks_in[d].clear();
                 }
             }
         }
         out.pes.resize_with(core.pes.len(), Default::default);
         for (pe, view) in core.pes.iter().zip(&mut out.pes) {
-            view.queued.clear();
-            view.queued
-                .extend(pe.source_queue.iter().map(|p| (p.id(), p.len())));
-            view.injecting.clear();
-            if let Some((_, flits)) = pe.injecting.as_ref() {
-                view.injecting.extend(flits.iter().copied());
-            }
+            view.queued = pe.source_queue.len();
+            let flits = pe.injecting.as_ref().map(|(_, flits)| flits);
+            refill(
+                &mut view.injecting,
+                flits.map_or(0, VecDeque::len),
+                flits.into_iter().flatten().copied(),
+            );
         }
         // After a full step the active set still holds cycle `now - 1`'s
         // membership (the refresh for `now` happens in the next pre phase),

@@ -544,16 +544,29 @@ impl Router {
     /// `RouterSnapshot::default()`, keeping its allocations (see
     /// [`crate::snapshot`]), except `dead`: the network fills that from
     /// its dead-router set. Pure read — no RNG draws, no mutation.
+    ///
+    /// The live masks are computed from the per-VC state itself, not
+    /// from the work masks. An idle VC whose view in `out` is already
+    /// idle is not written at all, and a list empty both here and in
+    /// `out` is left alone: both tests read `out` itself, never a mask
+    /// it carries.
     pub fn snapshot_into(&self, out: &mut crate::snapshot::RouterSnapshot) {
-        use crate::snapshot::{StEntryView, VcStateView};
+        use crate::snapshot::{fit, full_credits, refill, StEntryView, VcStateView};
         out.in_recovery = self.probe.in_recovery();
         out.deadlocks_confirmed = self.errors.deadlocks_confirmed;
-        out.inputs.resize_with(self.inputs.len(), Vec::new);
+        fit(&mut out.inputs, self.inputs.len());
+        out.live_in.clear();
         for (port, views) in self.inputs.iter().zip(&mut out.inputs) {
-            views.resize_with(port.vcs.len(), Default::default);
+            fit(views, port.vcs.len());
+            let mut live = 0;
             for (v, (vc, view)) in port.vcs.iter().zip(views).enumerate() {
-                view.flits.clear();
-                view.flits.extend(port.buffer.iter(v));
+                let len = port.buffer.len(v);
+                let idle = len == 0 && matches!(vc.state, VcState::Idle);
+                if idle && view.is_idle() {
+                    continue;
+                }
+                live |= u64::from(!idle) << v;
+                refill(&mut view.flits, len, port.buffer.iter(v).copied());
                 view.state = match vc.state {
                     VcState::Idle => VcStateView::Idle,
                     VcState::VaWait { .. } => VcStateView::VaWait,
@@ -562,34 +575,54 @@ impl Router {
                     } => VcStateView::Active { out_port, out_vc },
                 };
             }
+            out.live_in.push(live);
         }
-        out.outputs
-            .resize_with(self.outputs.len(), Default::default);
-        for (port, view) in self.outputs.iter().zip(&mut out.outputs) {
+        fit(&mut out.outputs, self.outputs.len());
+        out.live_out.clear();
+        for (op, (port, view)) in self.outputs.iter().zip(&mut out.outputs).enumerate() {
             view.exists = port.exists;
-            view.vcs.resize_with(port.retrans.len(), Default::default);
+            fit(&mut view.vcs, port.retrans.len());
+            let full = full_credits(&self.cfg, op);
+            let mut live = 0;
             for (v, ovc) in view.vcs.iter_mut().enumerate() {
-                ovc.credits = port.credits.count(v);
-                ovc.allocated = port.allocated[v];
-                ovc.allocated_at = port.allocated[v].map(|_| port.allocated_at[v]);
                 let buffer = &port.retrans[v];
-                ovc.sender.slots.clear();
-                ovc.sender
-                    .slots
-                    .extend(buffer.iter_slots().map(|(f, held)| (*f, held)));
+                let credits = port.credits.count(v);
+                let owner = port.allocated[v];
+                let idle = owner.is_none()
+                    && buffer.is_empty()
+                    && !buffer.is_replaying()
+                    && credits == full;
+                if idle && ovc.is_idle(full) {
+                    continue;
+                }
+                live |= u64::from(!idle) << v;
+                ovc.credits = credits;
+                ovc.allocated = owner;
+                ovc.allocated_at = owner.map(|_| port.allocated_at[v]);
+                refill(
+                    &mut ovc.sender.slots,
+                    buffer.occupancy(),
+                    buffer.iter_slots().map(|(f, held)| (*f, held)),
+                );
                 ovc.sender.replaying = buffer.is_replaying();
             }
-            view.st_queue.clear();
-            view.st_queue
-                .extend(port.st_queue.iter().map(|e| StEntryView {
+            out.live_out.push(live);
+            refill(
+                &mut view.st_queue,
+                port.st_queue.len(),
+                port.st_queue.iter().map(|e| StEntryView {
                     flit: e.flit,
                     out_vc: e.out_vc,
-                }));
+                }),
+            );
         }
         out.wait_edges.clear();
         self.blocked_summary(&mut out.wait_edges);
     }
 }
+
+#[cfg(test)]
+mod refill_reference;
 
 #[cfg(test)]
 mod tests {

@@ -148,7 +148,10 @@ impl Router {
             if p < 4 {
                 self.freed_credits.push((Direction::for_port(p), v as u8));
             }
-            if !demo_skip_credit() {
+            // Ejection bypasses credit flow, so only a link's ledger is
+            // charged: an ejection VC's credits stay at their start and
+            // its snapshot view reads idle once its packet has left.
+            if op < 4 && !demo_skip_credit() {
                 self.outputs[op].credits.consume(ov);
             }
             self.outputs[op].st_queue.push_back(StEntry {

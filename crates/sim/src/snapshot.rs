@@ -24,13 +24,63 @@
 //! buffers have reached their high-water marks.
 //! `snapshot()` is `default()` plus one refill. Both only read — no RNG
 //! draws, no mutation — so taking snapshots cannot perturb the simulation
-//! (oracle-on runs stay byte-identical to oracle-off runs).
+//! (oracle-on runs stay byte-identical to oracle-off runs). A refill
+//! skips each flit, slot and ST-queue list that is empty both in the
+//! router and in `out`, and each idle VC whose view in `out` is already
+//! idle: both tests read `out` itself, never a mask it carries, so the
+//! contract above holds whatever `out` held.
+//!
+//! **Live masks.** Most VCs of a router are idle at any cycle, so each
+//! [`RouterSnapshot`] carries one mask per input and per output port
+//! naming its live VCs, and the oracle walks those instead of every VC.
+//! The invariant: bit `v` of `live_in[p]` is set exactly when input view
+//! `inputs[p][v]` is not [`InputVcView::is_idle`], and bit `v` of
+//! `live_out[p]` exactly when `outputs[p].vcs[v]` is not
+//! [`OutputVcView::is_idle`] against [`full_credits`]. The router
+//! computes them from its own per-VC state (flits, wormhole state,
+//! owner, sender, credits), never from the work masks that activity
+//! gating reads, so the oracle's gating cross-check stays independent
+//! of what it checks; debug builds of the oracle assert the invariant
+//! on every check, so a doctored snapshot must keep its masks honest.
+//! An ejection port's ledger never moves (ejection bypasses credit
+//! flow), so its VCs are idle again once their packet has left.
 
+use ftnoc_core::buffers::UNBOUNDED_CREDITS;
 use ftnoc_fault::FaultEvent;
+use ftnoc_types::config::RouterConfig;
 use ftnoc_types::flit::Flit;
-use ftnoc_types::packet::PacketId;
 
 use crate::router::BlockedVcSummary;
+
+/// The credits each VC of output port `port` starts with on a router
+/// shaped `router`: the downstream VC's cap on a link port (`0..4`),
+/// unbounded on an ejection port.
+pub fn full_credits(router: &RouterConfig, port: usize) -> u32 {
+    if port < 4 {
+        router.port_capacity().per_vc as u32
+    } else {
+        UNBOUNDED_CREDITS
+    }
+}
+
+/// Refills `view` with the `len` items of `src`; when both are empty
+/// there is nothing to clear or copy, so it is left alone.
+#[inline]
+pub(crate) fn refill<T>(view: &mut Vec<T>, len: usize, src: impl Iterator<Item = T>) {
+    if len > 0 || !view.is_empty() {
+        view.clear();
+        view.extend(src);
+    }
+}
+
+/// Sets `views` to `len` entries, new ones default; the common case,
+/// an unchanged length, costs one compare.
+#[inline]
+pub(crate) fn fit<T: Default>(views: &mut Vec<T>, len: usize) {
+    if views.len() != len {
+        views.resize_with(len, T::default);
+    }
+}
 
 /// Mirror of the private wormhole VC state machine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -59,6 +109,14 @@ pub struct InputVcView {
     pub state: VcStateView,
 }
 
+impl InputVcView {
+    /// Whether the VC is idle: no flit and no packet in flight. Exactly
+    /// the views whose live bit is clear.
+    pub fn is_idle(&self) -> bool {
+        self.flits.is_empty() && self.state == VcStateView::Idle
+    }
+}
+
 /// One per-VC retransmission sender on an output port.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SenderView {
@@ -84,6 +142,19 @@ pub struct OutputVcView {
     pub allocated_at: Option<u64>,
     /// The HBH retransmission sender.
     pub sender: SenderView,
+}
+
+impl OutputVcView {
+    /// Whether the VC is idle: no owner, an empty sender with no replay
+    /// pending, and the `full` credits its port started with. Exactly
+    /// the views whose live bit is clear.
+    pub fn is_idle(&self, full: u32) -> bool {
+        self.allocated.is_none()
+            && self.allocated_at.is_none()
+            && self.sender.slots.is_empty()
+            && !self.sender.replaying
+            && self.credits == full
+    }
 }
 
 /// A switch-granted flit waiting in the switch-traversal queue.
@@ -121,6 +192,12 @@ pub struct RouterSnapshot {
     pub inputs: Vec<Vec<InputVcView>>,
     /// `outputs[port]` output port views.
     pub outputs: Vec<OutputPortView>,
+    /// `live_in[port]`: bit `v` set exactly when `inputs[port][v]` is
+    /// not idle (see the module doc).
+    pub live_in: Vec<u64>,
+    /// `live_out[port]`: bit `v` set exactly when `outputs[port].vcs[v]`
+    /// is not idle (see the module doc).
+    pub live_out: Vec<u64>,
     /// Channel-wait edges as the probe chase sees them: one row per
     /// input VC that is blocked or has an onward edge, in (port, VC)
     /// order. The other VCs are left out because a probe can neither
@@ -145,9 +222,9 @@ pub struct WireSnapshot {
 /// One processing element (traffic endpoint).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PeSnapshot {
-    /// Packets queued at the source: `(id, flit count)`. Their flits
-    /// have not entered the network yet.
-    pub queued: Vec<(PacketId, usize)>,
+    /// Packets queued at the source. Their flits have not entered the
+    /// network yet.
+    pub queued: usize,
     /// Remaining flits of the packet currently entering the network
     /// (front next).
     pub injecting: Vec<Flit>,

@@ -7,6 +7,7 @@
 use ftnoc::check::{ArmedInvariants, Oracle, Violation};
 use ftnoc::fault::FaultEventKind;
 use ftnoc::prelude::*;
+use ftnoc::sim::snapshot::VcStateView;
 use ftnoc::sim::{NetSnapshot, Network};
 
 /// Steps `net` for `cycles`, checking every commit boundary through one
@@ -351,9 +352,11 @@ fn oracle_flags_doctored_loss_accounting() {
     assert_eq!(v.invariant, "fault-table");
 
     // A corpse that still holds traffic: plant a buffered flit inside
-    // the dead router (table and flag left honest).
+    // the dead router (table and flag left honest), its live bit set to
+    // match.
     let mut haunted = snap;
     haunted.routers[5].inputs[0][0].flits.push(resident_flit);
+    haunted.routers[5].live_in[0] |= 1;
     let v = oracle
         .check(&haunted)
         .expect_err("a non-empty dead router must be flagged");
@@ -494,4 +497,209 @@ fn oracle_flags_an_allocation_onto_a_dead_port() {
         .expect_err("a post-death reservation must be flagged");
     assert_eq!(v.invariant, "dead-port");
     assert_eq!(v.node, Some(node));
+}
+
+/// A fault-free 4×4 below saturation, every family armed (credit
+/// accounting as an exact equality).
+fn quiet_config() -> SimConfig {
+    let mut b = SimConfig::builder();
+    b.topology(Topology::mesh(4, 4))
+        .injection(InjectionProcess::Bernoulli)
+        .injection_rate(0.10)
+        .seed(5)
+        .warmup_packets(0)
+        .measure_packets(u64::MAX)
+        .max_cycles(2_000);
+    b.build().expect("valid config")
+}
+
+/// Steps `net` checked until `pick` finds what a doctored test needs in
+/// the cycle's snapshot; returns that snapshot and the pick.
+fn checked_until<T>(
+    net: &mut Network,
+    oracle: &mut Oracle,
+    mut pick: impl FnMut(&NetSnapshot) -> Option<T>,
+) -> (NetSnapshot, T) {
+    let mut snap = NetSnapshot::default();
+    for _ in 0..1_000 {
+        net.step();
+        net.snapshot_into(&mut snap);
+        oracle.check(&snap).expect("honest run must pass");
+        if let Some(found) = pick(&snap) {
+            return (snap, found);
+        }
+    }
+    panic!("nothing to doctor in 1 000 cycles");
+}
+
+/// Doctored snapshot: a link VC that nothing holds — idle on both ends,
+/// nothing queued, on the wire or returning for it — is where credit
+/// accounting sees a lost or a doubled credit alone. One credit below
+/// the cap, one above, and a flit in the downstream buffer are each
+/// flagged.
+#[test]
+fn oracle_flags_an_idle_vc_off_its_credit_cap() {
+    let config = quiet_config();
+    let per_vc = config.router.port_capacity().per_vc as u32;
+    let topo = config.topology;
+    let mut oracle = Oracle::new(&config);
+    assert!(oracle.arming().credit_exact);
+    let mut net = Network::new(config);
+    let (snap, (n, d, v, m, flit)) = checked_until(&mut net, &mut oracle, |snap| {
+        // Some other VC must hold a flit, or the network is empty.
+        let flit = snap
+            .routers
+            .iter()
+            .flat_map(|r| r.inputs.iter().flatten())
+            .find_map(|ivc| ivc.flits.first().copied())?;
+        (0..snap.routers.len()).find_map(|n| {
+            Direction::CARDINAL.into_iter().find_map(|d| {
+                let m = topo.neighbor_id(NodeId::new(n as u16), d)?.index();
+                let (op, q) = (d.index(), d.opposite().index());
+                let out = &snap.routers[n].outputs[op];
+                // The downstream router computed, so a flit in it is no
+                // missed wake-up.
+                (0..out.vcs.len())
+                    .find(|&v| {
+                        let wire =
+                            snap.wires[m].flit_in[q].is_some_and(|(_, wv, _)| wv as usize == v);
+                        snap.computed[m]
+                            && out.vcs[v].is_idle(per_vc)
+                            && snap.routers[m].inputs[q][v].is_idle()
+                            && !out.st_queue.iter().any(|e| e.out_vc as usize == v)
+                            && !wire
+                            && !snap.wires[n].credits_in[op]
+                                .iter()
+                                .any(|&(cv, _)| cv as usize == v)
+                    })
+                    .map(|v| (n, d, v, m, flit))
+            })
+        })
+    });
+    let mut flag = |doctored: &NetSnapshot, detail: String| {
+        let violation = oracle
+            .check(doctored)
+            .expect_err("an idle VC off its credit cap must be flagged");
+        assert_eq!(violation.invariant, "credit-accounting", "{violation}");
+        assert_eq!(violation.node, Some(n));
+        assert!(violation.detail.contains(&detail), "{violation}");
+    };
+    for credits in [per_vc - 1, per_vc + 1] {
+        let mut doctored = snap.clone();
+        doctored.routers[n].outputs[d.index()].vcs[v].credits = credits;
+        doctored.routers[n].live_out[d.index()] |= 1 << v;
+        flag(
+            &doctored,
+            format!("link {d:?} vc {v}: {credits} credits + 0 resident"),
+        );
+    }
+    let mut doctored = snap;
+    let q = d.opposite().index();
+    doctored.routers[m].inputs[q][v].flits.push(flit);
+    doctored.routers[m].live_in[q] |= 1 << v;
+    flag(
+        &doctored,
+        format!("link {d:?} vc {v}: {per_vc} credits + 1 resident"),
+    );
+}
+
+/// Doctored snapshot: a router the gating skipped is idle everywhere, so
+/// a flit planted in one of its idle input VCs must fire `activity`.
+#[test]
+fn oracle_flags_a_flit_in_an_idle_vc_of_a_gated_router() {
+    let config = quiet_config();
+    let mut oracle = Oracle::new(&config);
+    let mut net = Network::new(config);
+    let (snap, (gated, flit)) = checked_until(&mut net, &mut oracle, |snap| {
+        let gated = snap.computed.iter().position(|&computed| !computed)?;
+        let flit = snap
+            .routers
+            .iter()
+            .flat_map(|r| r.inputs.iter().flatten())
+            .find_map(|ivc| ivc.flits.first().copied())?;
+        Some((gated, flit))
+    });
+    let mut doctored = snap;
+    let (p, v) = (Direction::North.index(), 0);
+    let ivc = &mut doctored.routers[gated].inputs[p][v];
+    assert!(ivc.flits.is_empty(), "a gated router's VCs are idle");
+    ivc.flits.push(flit);
+    doctored.routers[gated].live_in[p] |= 1 << v;
+    let violation = oracle
+        .check(&doctored)
+        .expect_err("a flit in a skipped router must be flagged");
+    assert_eq!(violation.invariant, "activity", "{violation}");
+    assert_eq!(violation.node, Some(gated));
+    assert!(violation
+        .detail
+        .contains(&format!("input {p}.{v} holds 1 flits")));
+}
+
+/// Doctored snapshot: an idle input VC turned `Active` toward an output
+/// VC that records no owner breaks §4 exclusivity.
+#[test]
+fn oracle_flags_an_active_vc_whose_output_records_no_owner() {
+    let config = quiet_config();
+    let mut oracle = Oracle::new(&config);
+    assert!(oracle.arming().exclusivity);
+    let mut net = Network::new(config);
+    let (snap, (n, p, v, op, ov)) = checked_until(&mut net, &mut oracle, |snap| {
+        snap.routers.iter().enumerate().find_map(|(n, r)| {
+            if !snap.computed[n] || r.in_recovery {
+                return None;
+            }
+            let (p, v) = r.inputs.iter().enumerate().find_map(|(p, port)| {
+                let v = port.iter().position(|ivc| ivc.state == VcStateView::Idle)?;
+                Some((p, v))
+            })?;
+            let (op, ov) = r.outputs.iter().enumerate().take(4).find_map(|(op, out)| {
+                if !out.exists {
+                    return None;
+                }
+                let ov = out.vcs.iter().position(|ovc| {
+                    ovc.allocated.is_none() && ovc.sender.slots.iter().all(|&(_, held)| !held)
+                })?;
+                Some((op, ov))
+            })?;
+            Some((n, p, v, op, ov))
+        })
+    });
+    let mut doctored = snap;
+    doctored.routers[n].inputs[p][v].state = VcStateView::Active {
+        out_port: op,
+        out_vc: ov,
+    };
+    doctored.routers[n].live_in[p] |= 1 << v;
+    let violation = oracle
+        .check(&doctored)
+        .expect_err("an owner the reservation does not record must be flagged");
+    assert_eq!(violation.invariant, "exclusivity", "{violation}");
+    assert_eq!(violation.node, Some(n));
+    assert!(
+        violation.detail.contains("the reservation records None"),
+        "{violation}"
+    );
+}
+
+/// Debug builds: a doctored snapshot whose live mask forgets the flit it
+/// planted fails loudly, where the oracle, walking only live VCs, would
+/// otherwise pass it without looking.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "disagrees")]
+fn a_live_mask_that_forgets_a_planted_flit_fails_loudly() {
+    let config = quiet_config();
+    let mut oracle = Oracle::new(&config);
+    let mut net = Network::new(config);
+    let (mut snap, (n, flit)) = checked_until(&mut net, &mut oracle, |snap| {
+        let n = snap.routers.iter().position(|r| r.inputs[0][0].is_idle())?;
+        let flit = snap
+            .routers
+            .iter()
+            .flat_map(|r| r.inputs.iter().flatten())
+            .find_map(|ivc| ivc.flits.first().copied())?;
+        Some((n, flit))
+    });
+    snap.routers[n].inputs[0][0].flits.push(flit);
+    let _ = oracle.check(&snap);
 }
