@@ -81,6 +81,11 @@ pub struct FaultTimeline {
     port_since: Vec<[Option<u64>; 4]>,
     /// Per router: the cycle it died, as for `port_since`.
     router_since: Vec<Option<u64>>,
+    /// Every dead link endpoint of `port_since`, in `(node, dir)` order:
+    /// the tables a cycle asks for cost its deaths, not the topology.
+    dead_ports: Vec<(NodeId, Direction, u64)>,
+    /// Every dead router of `router_since`, in node order.
+    dead_routers: Vec<(NodeId, u64)>,
 }
 
 /// The death cycle a dead-since entry records, when it is no later than
@@ -110,6 +115,8 @@ impl FaultTimeline {
             epochs: vec![(0, base)],
             port_since: Vec::new(),
             router_since: Vec::new(),
+            dead_ports: Vec::new(),
+            dead_routers: Vec::new(),
         };
         tl.rebuild();
         tl
@@ -168,6 +175,23 @@ impl FaultTimeline {
                 self.epochs.push((ev.published_at, next));
             }
         }
+        self.dead_ports.clear();
+        self.dead_ports.extend(
+            topo.nodes()
+                .zip(&self.port_since)
+                .flat_map(|(node, ports)| {
+                    Direction::CARDINAL
+                        .into_iter()
+                        .zip(ports)
+                        .filter_map(move |(dir, &since)| Some((node, dir, since?)))
+                }),
+        );
+        self.dead_routers.clear();
+        self.dead_routers.extend(
+            topo.nodes()
+                .zip(&self.router_since)
+                .filter_map(|(node, &since)| Some((node, since?))),
+        );
         self.boundaries.clear();
         self.boundaries
             .extend(self.events.iter().flat_map(|ev| [ev.at, ev.published_at]));
@@ -272,25 +296,20 @@ impl FaultTimeline {
     /// death) keeps its earliest `since`. This is the network's fault
     /// table as the snapshot exposes it to the invariant oracle.
     pub fn dead_ports_at(&self, now: u64) -> impl Iterator<Item = (NodeId, Direction, u64)> + '_ {
-        self.topo
-            .nodes()
-            .zip(&self.port_since)
-            .flat_map(move |(node, ports)| {
-                Direction::CARDINAL
-                    .into_iter()
-                    .zip(ports)
-                    .filter_map(move |(dir, &since)| Some((node, dir, died_by(since, now)?)))
-            })
+        self.dead_ports
+            .iter()
+            .copied()
+            .filter(move |&(_, _, since)| since <= now)
     }
 
     /// Every dead router as of cycle `now` with the cycle it died:
     /// `(node, since)`, in node order. Base dead routers carry
     /// `since == 0`.
     pub fn dead_routers_at(&self, now: u64) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.topo
-            .nodes()
-            .zip(&self.router_since)
-            .filter_map(move |(node, &since)| Some((node, died_by(since, now)?)))
+        self.dead_routers
+            .iter()
+            .copied()
+            .filter(move |&(_, since)| since <= now)
     }
 }
 
