@@ -122,6 +122,12 @@ impl ProbeProtocol {
         self.in_recovery
     }
 
+    /// Whether this node's own probe is outstanding: while it is,
+    /// [`ProbeProtocol::should_probe`] refuses every VC.
+    pub fn probe_outstanding(&self) -> bool {
+        self.probe_outstanding
+    }
+
     /// Probes originated by this node.
     pub fn probes_sent(&self) -> u64 {
         self.probes_sent

@@ -83,6 +83,7 @@ impl HbhReceiver {
     /// On [`ReceiverVerdict::NackAndDrop`] the caller must deliver a NACK
     /// to the sender so that it arrives at cycle `now + 1`; the receiver
     /// opens a 2-cycle drop window for the two in-flight successors.
+    #[inline]
     pub fn check_arrival(&mut self, flit: &mut Flit, now: u64) -> ReceiverVerdict {
         if self.in_drop_window(now) {
             self.dropped += 1;

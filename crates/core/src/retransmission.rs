@@ -159,6 +159,7 @@ impl RetransmissionBuffer {
     ///
     /// Panics if the buffer is full — with per-§3.1 timing this indicates
     /// the caller transmitted faster than copies can expire.
+    #[inline]
     pub fn record_transmission(&mut self, flit: Flit, now: u64) {
         assert!(
             !self.is_full(),
@@ -186,6 +187,7 @@ impl RetransmissionBuffer {
     /// in front of still-ticking copies of its successors, and those
     /// copies must not waste slots once their windows close (the Eq. 1
     /// bound counts every slot).
+    #[inline]
     pub fn expire(&mut self, now: u64) {
         if self.pending == 0 && self.held == 0 {
             while self.slots.front().is_some_and(|s| s.expired(now)) {

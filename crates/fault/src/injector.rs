@@ -93,11 +93,13 @@ impl FaultInjector {
         self.counts
     }
 
+    #[inline]
     fn fires(&mut self, rate: f64) -> bool {
         rate > 0.0 && self.rng.gen_bool(rate)
     }
 
     /// Samples a link error for one flit traversal.
+    #[inline]
     pub fn link_error(&mut self) -> Option<LinkErrorKind> {
         if !self.fires(self.rates.link) {
             return None;
@@ -127,6 +129,7 @@ impl FaultInjector {
 
     /// Samples and applies a link error in one step; returns what
     /// happened.
+    #[inline]
     pub fn corrupt_on_link(&mut self, payload: &mut FlitPayload) -> Option<LinkErrorKind> {
         let kind = self.link_error()?;
         self.corrupt_payload(payload, kind);
@@ -136,6 +139,7 @@ impl FaultInjector {
     /// Samples a routing-logic upset for one route computation. When it
     /// fires, the routing unit's output direction is replaced by
     /// `corrupt_choice` over the port count.
+    #[inline]
     pub fn rt_upset(&mut self) -> bool {
         let fired = self.fires(self.rates.rt);
         if fired {
@@ -145,6 +149,7 @@ impl FaultInjector {
     }
 
     /// Samples a VC-allocator upset for one allocation.
+    #[inline]
     pub fn va_upset(&mut self) -> bool {
         let fired = self.fires(self.rates.va);
         if fired {
@@ -154,6 +159,7 @@ impl FaultInjector {
     }
 
     /// Samples a switch-allocator upset for one grant.
+    #[inline]
     pub fn sa_upset(&mut self) -> bool {
         let fired = self.fires(self.rates.sa);
         if fired {
@@ -163,6 +169,7 @@ impl FaultInjector {
     }
 
     /// Samples a crossbar upset for one flit traversal.
+    #[inline]
     pub fn crossbar_upset(&mut self) -> bool {
         let fired = self.fires(self.rates.crossbar);
         if fired {
@@ -172,6 +179,7 @@ impl FaultInjector {
     }
 
     /// Samples a handshake-wire upset for one transfer.
+    #[inline]
     pub fn handshake_upset(&mut self) -> bool {
         let fired = self.fires(self.rates.handshake);
         if fired {

@@ -30,7 +30,7 @@ impl<S: TraceSink> Network<S> {
         let t_pre = clock();
         self.core.pre(&mut self.env, &mut self.cells, now);
         let t_compute = clock();
-        compute_cells(&self.env, &mut self.cells, now);
+        compute_cells(&self.env, &mut self.cells, &mut self.scratch, now);
         let t_commit = clock();
         self.core.commit(&mut self.env, &mut self.cells, now);
         if let (Some(p), Some(t0), Some(t1), Some(t2)) =

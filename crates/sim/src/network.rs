@@ -66,7 +66,7 @@ use ftnoc_types::Header;
 use crate::arbiter::ones;
 use crate::config::{ErrorScheme, SimConfig, LOSS_MASK_FLITS};
 use crate::link::PortIo;
-use crate::router::{Ctx, Router};
+use crate::router::{Ctx, Router, StageScratch};
 use crate::routing::FaultState;
 use crate::snapshot::refill;
 use crate::stats::{ErrorStats, EventCounts, LatencyHistogram, NetworkStats};
@@ -395,14 +395,22 @@ pub struct Network<S: TraceSink = NullSink> {
     pub(crate) env: RunEnv,
     pub(crate) cells: Vec<RouterCell>,
     pub(crate) core: NetCore<S>,
+    /// The stage scratch the compute phase lends each awake router in
+    /// turn; clear between routers.
+    pub(crate) scratch: StageScratch,
     /// Wall-clock phase profile, when enabled: [`Network::step`] adds
     /// to it and nothing reads it back into the simulation.
     pub(crate) profile: Option<ProfileSnapshot>,
 }
 
 /// The compute phase: every router the active set marks awake this
-/// cycle is computed, in node order.
-pub(crate) fn compute_cells(env: &RunEnv, cells: &mut [RouterCell], now: u64) {
+/// cycle is computed, in node order, on the one lent `scratch`.
+pub(crate) fn compute_cells(
+    env: &RunEnv,
+    cells: &mut [RouterCell],
+    scratch: &mut StageScratch,
+    now: u64,
+) {
     let ctx = Ctx {
         config: &env.config,
         now,
@@ -418,7 +426,7 @@ pub(crate) fn compute_cells(env: &RunEnv, cells: &mut [RouterCell], now: u64) {
             cells[n].wants_wake = false;
             continue;
         }
-        compute_cell(env, &ctx, &mut cells[n]);
+        compute_cell(env, &ctx, &mut cells[n], scratch);
     }
 }
 
@@ -426,7 +434,7 @@ pub(crate) fn compute_cells(env: &RunEnv, cells: &mut [RouterCell], now: u64) {
 /// inbound wires, then the wake bookkeeping. It can touch nothing
 /// outside `cell`, which is what makes a gated run equal to a full
 /// sweep (a router's cycle cannot depend on whether another ran).
-fn compute_cell(env: &RunEnv, ctx: &Ctx<'_>, cell: &mut RouterCell) {
+fn compute_cell(env: &RunEnv, ctx: &Ctx<'_>, cell: &mut RouterCell, scratch: &mut StageScratch) {
     let RouterCell {
         router,
         io,
@@ -434,7 +442,7 @@ fn compute_cell(env: &RunEnv, ctx: &Ctx<'_>, cell: &mut RouterCell) {
     } = cell;
     let recovering = env.neighbors[router.id().index()]
         .map(|m| m.is_some_and(|m| env.recovering.contains(m.index())));
-    router.compute(ctx, io, recovering);
+    router.compute(ctx, io, recovering, scratch);
 
     // Wake-up bookkeeping: stay in the active set while any local work
     // or undelivered inbound wire traffic remains. Commit-side
@@ -526,6 +534,7 @@ impl<S: TraceSink> Network<S> {
                 faults,
             },
             cells,
+            scratch: StageScratch::default(),
             profile: None,
             core: NetCore {
                 pes,
@@ -1691,6 +1700,19 @@ mod tests {
             active.refresh(&mut wheel, 1);
             assert!(active.awake().eq(0..n), "n={n}: after refreshes");
         }
+    }
+
+    /// glibc serves an allocation of 128 KiB or more (its default
+    /// `M_MMAP_THRESHOLD`) with a fresh `mmap`, which an 8×8's router
+    /// table would then pay for in set-up time and peak RSS. New
+    /// per-router state that crosses it must say so, not slip past.
+    #[test]
+    fn an_8x8_router_table_stays_under_the_mmap_threshold() {
+        let table = 64 * std::mem::size_of::<RouterCell>();
+        assert!(
+            table < 128 << 10,
+            "64 router cells take {table} B: at or above glibc's 128 KiB mmap threshold"
+        );
     }
 
     /// What `commit` books for a router it did not visit: no occupied

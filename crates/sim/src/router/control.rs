@@ -27,17 +27,27 @@ impl Router {
 
     /// Packet bring-up and deadlock-recovery absorption.
     pub(super) fn control_phase(&mut self, ctx: &Ctx<'_>) {
-        let ports = self.cfg.ports();
         let epoch = ctx.faults.epoch_at(ctx.now);
         if epoch != self.seen_epoch {
             self.seen_epoch = epoch;
             self.reroute_waiting(ctx);
         }
+        if self.inputs.iter().any(|input| input.fresh() != 0) {
+            self.bring_up(ctx);
+        }
+        if self.probe.in_recovery() {
+            self.recovery_absorb(ctx);
+        }
+    }
+
+    /// Route computation for every fresh head, with the §4.2 upsets;
+    /// a fresh body flit is stranded and discarded.
+    fn bring_up(&mut self, ctx: &Ctx<'_>) {
+        let ports = self.cfg.ports();
         let (topo, pipeline) = (ctx.config.topology, ctx.config.router.pipeline());
         let timing = pipeline.timing();
         for p in 0..ports {
-            let input = &self.inputs[p];
-            for v in ones(input.buffer.nonempty() & !(input.wait | input.active)) {
+            for v in ones(self.inputs[p].fresh()) {
                 let front = *self.inputs[p].buffer.front(v).expect("nonempty VC");
                 if !front.kind.is_head() {
                     // Stranded flit: no wormhole to follow (possible only
@@ -130,10 +140,6 @@ impl Router {
                     },
                 );
             }
-        }
-
-        if self.probe.in_recovery() {
-            self.recovery_absorb(ctx);
         }
     }
 

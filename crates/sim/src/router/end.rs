@@ -37,31 +37,15 @@ impl Router {
             self.buffer_stalls += u64::from(waiting.count_ones());
         }
         if ctx.config.deadlock.enabled && !self.probe.in_recovery() {
-            // Rotate the scan start so successive suspicions probe
-            // different blocked VCs (the deadlock cycle may not pass
-            // through the first one).
-            let total = self.cfg.ports() * vcs;
-            let start = self.probe_scan_offset;
-            for k in 0..total {
-                let idx = (start + k) % total;
+            if let Some((idx, dir, named)) = self.rule1_candidate(ctx.now) {
                 let (p, v) = (idx / vcs, idx % vcs);
-                let blocked = self.blocked_cycles(p, v);
-                if blocked < self.probe.cthres()
-                    || self.inputs[p].vcs[v].probe_cooldown_until > ctx.now
-                {
-                    continue;
-                }
-                let Some((dir, named)) = self.forward_edge(p, v) else {
-                    continue;
-                };
-                if self.probe.should_probe(blocked) {
+                if self.probe.should_probe(self.blocked_cycles(p, v)) {
                     self.errors.probes_sent += 1;
                     // Cool down: this VC is not re-suspected until another
                     // Cthres window has passed.
                     self.inputs[p].vcs[v].probe_cooldown_until = ctx.now + self.probe.cthres();
-                    self.probe_scan_offset = (idx + 1) % total;
+                    self.probe_scan_offset = (idx + 1) % (self.cfg.ports() * vcs);
                     probe_request = Some((dir, named));
-                    break;
                 }
             }
         }
@@ -95,6 +79,45 @@ impl Router {
             self.recovery_stall = 0;
         }
         probe_request
+    }
+
+    /// The VC Rule 1 suspects at cycle `now`, as `(p * vcs + v, via
+    /// direction, named VC downstream)`: the first input VC, in index
+    /// order from `probe_scan_offset` round (so successive suspicions
+    /// probe different blocked VCs — the deadlock cycle may not pass
+    /// through the first one), that has been blocked `cthres` cycles, is
+    /// past its cooldown and has an onward edge. Only `blocked` bits are
+    /// walked, since any other VC counts 0 blocked cycles, and nothing
+    /// while the router's own probe is outstanding, since `should_probe`
+    /// would refuse every VC.
+    fn rule1_candidate(&self, now: u64) -> Option<(usize, Direction, VcRef)> {
+        if self.probe.probe_outstanding() {
+            return None;
+        }
+        let (ports, vcs) = (self.inputs.len(), self.cfg.vcs_per_port());
+        let (first, from) = (self.probe_scan_offset / vcs, self.probe_scan_offset % vcs);
+        // The start port from VC `from` up, every other port, then the
+        // start port below `from`.
+        let upper = u64::MAX << from;
+        (0..=ports)
+            .flat_map(|k| {
+                let p = (first + k) % ports;
+                let part = match k {
+                    0 => upper,
+                    k if k == ports => !upper,
+                    _ => u64::MAX,
+                };
+                ones(self.inputs[p].blocked & part).map(move |v| (p, v))
+            })
+            .find_map(|(p, v)| {
+                if self.blocked_cycles(p, v) < self.probe.cthres()
+                    || self.inputs[p].vcs[v].probe_cooldown_until > now
+                {
+                    return None;
+                }
+                let (dir, named) = self.forward_edge(p, v)?;
+                Some((p * vcs + v, dir, named))
+            })
     }
 
     /// Probe Rule 2 support: whether input VC `(p, v)` is blocked here,
@@ -179,6 +202,75 @@ mod tests {
                 (named, r.blocked_cycles(p, v), blocked, fwd)
             })
             .collect()
+    }
+
+    /// The reference Rule 1 scan: every input VC in index order from
+    /// `probe_scan_offset` round, each put to a copy of the protocol.
+    fn rule1_reference(r: &Router, now: u64) -> Option<(usize, Direction, VcRef)> {
+        let vcs = r.cfg.vcs_per_port();
+        let total = r.cfg.ports() * vcs;
+        (0..total)
+            .map(|k| (r.probe_scan_offset + k) % total)
+            .find_map(|idx| {
+                let (p, v) = (idx / vcs, idx % vcs);
+                let blocked = r.blocked_cycles(p, v);
+                if blocked < r.probe.cthres() || r.inputs[p].vcs[v].probe_cooldown_until > now {
+                    return None;
+                }
+                let (dir, named) = r.forward_edge(p, v)?;
+                r.probe
+                    .clone()
+                    .should_probe(blocked)
+                    .then_some((idx, dir, named))
+            })
+    }
+
+    /// A saturated two-VC 4×4 with deadlock detection: at every cycle
+    /// and router outside recovery, the VC Rule 1 would suspect is the
+    /// one the full index scan picks, and probes do fire, from starts
+    /// inside a port as well as at its first VC.
+    #[test]
+    fn rule1_suspects_what_the_full_scan_suspects() {
+        let mut router = RouterConfig::builder();
+        router.vcs_per_port(2);
+        let mut b = SimConfig::builder();
+        b.topology(Topology::mesh(4, 4))
+            .router(router.build().expect("valid router"))
+            .routing(RoutingAlgorithm::FullyAdaptive)
+            .injection_rate(0.4)
+            .deadlock(DeadlockConfig {
+                enabled: true,
+                cthres: 8,
+            })
+            .seed(3)
+            .warmup_packets(0)
+            .measure_packets(u64::MAX);
+        let mut net = Network::new(b.build().expect("valid config"));
+        let (mut chosen, mut mid_port, mut outstanding) = (0, 0, 0);
+        for _ in 0..3_000 {
+            net.step();
+            let now = net.now();
+            for n in 0..16 {
+                let r = net.router(NodeId::new(n));
+                if r.probe.in_recovery() {
+                    continue;
+                }
+                let pick = r.rule1_candidate(now);
+                assert_eq!(pick, rule1_reference(r, now), "node {n} at cycle {now}");
+                chosen += usize::from(pick.is_some());
+                mid_port += usize::from(
+                    pick.is_some() && !r.probe_scan_offset.is_multiple_of(r.cfg.vcs_per_port()),
+                );
+                outstanding += usize::from(r.probe.probe_outstanding());
+            }
+        }
+        let sent: u64 = (0..16)
+            .map(|n| net.router(NodeId::new(n)).errors.probes_sent)
+            .sum();
+        assert!(
+            chosen > 0 && mid_port > 0 && outstanding > 0 && sent > 0,
+            "chosen {chosen}, from mid-port {mid_port}, outstanding {outstanding}, sent {sent}"
+        );
     }
 
     /// A saturated single-VC 4×4 under fully adaptive routing deadlocks

@@ -35,6 +35,15 @@
 //! `end_cycle` writes a VC only when its run starts and
 //! `Router::blocked_cycles` derives the count.
 //!
+//! A stage with no work returns at once: bring-up when no VC holds a
+//! fresh head, VA when none waits (the comparator still evaluates the
+//! rows it holds, every cycle), SA when no open wormhole has a buffered
+//! flit, ST when no output has a replay, a held flit or a granted
+//! entry, and Rule 1 while the router's own probe is outstanding. Each
+//! would have drawn, granted and counted nothing. The VA and SA storage
+//! is one `StageScratch` that the engine lends to each router's
+//! compute in turn and every stage leaves clear.
+//!
 //! [`PipelineDepth::timing`]: ftnoc_types::config::PipelineDepth::timing
 
 mod control;
@@ -180,8 +189,16 @@ pub struct Router {
     pub(crate) fi: FaultInjector,
     /// Buffered trace events of the current cycle.
     pub(crate) trace: TraceBuf,
-    va_scratch: va::VaScratch,
-    sa_scratch: sa::SaScratch,
+}
+
+/// The VA and SA stages' reusable storage. The network owns one and
+/// lends it to each `Router::compute` in turn; every stage leaves it
+/// clear, so no router keeps a copy, nothing is moved in or out, and
+/// the steady-state stages neither allocate nor clear it per cycle.
+#[derive(Debug, Default)]
+pub(crate) struct StageScratch {
+    va: va::VaScratch,
+    sa: sa::SaScratch,
 }
 
 impl Router {
@@ -245,8 +262,6 @@ impl Router {
                     ^ (id.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
             trace: TraceBuf::default(),
-            va_scratch: Default::default(),
-            sa_scratch: Default::default(),
         }
     }
 
@@ -262,9 +277,16 @@ impl Router {
 
     /// One cycle of this router, its stages in pipeline order: `io`
     /// holds the inbound wires it pops, `recovering[d]` closes VA
-    /// admission toward neighbour `d`, and every output waits in the
-    /// router for the commit phase.
-    pub(crate) fn compute(&mut self, ctx: &Ctx<'_>, io: &mut PortIo, recovering: [bool; 4]) {
+    /// admission toward neighbour `d`, `scratch` is the lent stage
+    /// storage, and every output waits in the router for the commit
+    /// phase.
+    pub(crate) fn compute(
+        &mut self,
+        ctx: &Ctx<'_>,
+        io: &mut PortIo,
+        recovering: [bool; 4],
+        scratch: &mut StageScratch,
+    ) {
         // Position the counter-based fault stream at this cycle: every
         // draw below is a pure function of (node seed, cycle, draw
         // index), so a skipped cycle consumes nothing and gated runs
@@ -277,8 +299,8 @@ impl Router {
         self.begin_cycle(ctx.now);
         self.arrival(ctx, io);
         self.control_phase(ctx);
-        self.va_phase(ctx, recovering);
-        self.sa_phase(ctx);
+        self.va_phase(ctx, &mut scratch.va, recovering);
+        self.sa_phase(ctx, &mut scratch.sa);
         self.st_phase(ctx);
         self.probe_req = self.end_cycle(ctx);
         self.debug_check_masks();
@@ -644,6 +666,7 @@ mod tests {
     struct Harness {
         router: Router,
         io: PortIo,
+        scratch: StageScratch,
         config: SimConfig,
         faults: FaultState,
         now: u64,
@@ -658,6 +681,7 @@ mod tests {
             Harness {
                 router: Router::new(NodeId::new(9), &config, [true; 4]),
                 io: PortIo::new([true; 4]),
+                scratch: StageScratch::default(),
                 faults: FaultState::fault_free(Topology::mesh(8, 8)),
                 config,
                 now: 0,
@@ -670,7 +694,8 @@ mod tests {
                 now: self.now,
                 faults: &self.faults,
             };
-            self.router.compute(&ctx, &mut self.io, [false; 4]);
+            self.router
+                .compute(&ctx, &mut self.io, [false; 4], &mut self.scratch);
             self.now += 1;
             self.router.drives.clone()
         }
@@ -941,6 +966,74 @@ mod tests {
             ejected += h.router.ejected.len();
         }
         assert_eq!(ejected, 4);
+    }
+
+    /// An empty router's computed cycle changes nothing but its count:
+    /// with every upset site armed and deadlock detection on, 200
+    /// cycles draw no fault, tick no event, error or stall, drive
+    /// nothing and never run the comparator.
+    #[test]
+    fn an_empty_router_computes_nothing_but_its_cycle_count() {
+        let mut b = SimConfig::builder();
+        b.faults(FaultRates {
+            link: 0.5,
+            rt: 0.5,
+            va: 0.5,
+            sa: 0.5,
+            crossbar: 0.5,
+            handshake: 0.5,
+            ..FaultRates::none()
+        })
+        .deadlock(crate::DeadlockConfig {
+            enabled: true,
+            cthres: 2,
+        });
+        let mut h = Harness::with_config(b.build().expect("valid config"));
+        let census = |r: &Router| {
+            (
+                r.events,
+                r.errors,
+                r.fault_counts(),
+                r.buffer_stalls,
+                r.ac.check_count(),
+            )
+        };
+        let built = census(&h.router);
+        for now in 0..200 {
+            assert!(h.step().is_empty(), "cycle {now}: an empty router drove");
+        }
+        assert_eq!(h.router.computed_cycles, 200);
+        assert_eq!(census(&h.router), built, "an empty router's cycle did work");
+    }
+
+    /// An open wormhole whose buffer has drained holds its output VC, so
+    /// the comparator evaluates that held row every cycle, with no head
+    /// waiting for VA and nothing to switch.
+    #[test]
+    fn a_held_reservation_runs_the_comparator_every_cycle() {
+        let mut h = Harness::new();
+        // A 4-flit packet's head and first body flit; the rest never come.
+        h.router.inject_local(4, 0, flit(1, 0, 4, 14));
+        h.router.inject_local(4, 0, flit(1, 1, 4, 14));
+        let sent: usize = (0..6).map(|_| h.step().len()).sum();
+        assert_eq!(sent, 2, "both flits left by cycle 5");
+        let (inputs, outputs) = (&h.router.inputs, &h.router.outputs);
+        assert!(inputs
+            .iter()
+            .all(|i| i.wait == 0 && i.buffer.nonempty() == 0));
+        assert_eq!(inputs[4].active, 1, "the wormhole stays open");
+        assert!(outputs.iter().all(|o| o.st_queue.is_empty()));
+        assert!(h.router.ac.holds_any(), "its output VC stays reserved");
+        let (checks, ticks) = (h.router.ac.check_count(), h.router.events.ac_check);
+        for k in 1..=50 {
+            assert!(h.step().is_empty());
+            assert_eq!(
+                (h.router.ac.check_count(), h.router.events.ac_check),
+                (checks + k, ticks + k),
+                "cycle {}: one comparator evaluation per cycle",
+                h.now - 1
+            );
+        }
     }
 
     /// §4.3 with the AC off: a switch-allocator upset on every grant

@@ -120,6 +120,13 @@ impl InputPort {
     pub(super) fn unblock(&mut self, v: usize) {
         put(&mut self.blocked, v, false);
     }
+
+    /// VCs whose front flit awaits bring-up: buffered, neither waiting
+    /// for nor holding an output VC.
+    #[inline]
+    pub(super) fn fresh(&self) -> u64 {
+        self.buffer.nonempty() & !(self.wait | self.active)
+    }
 }
 
 /// A granted flit waiting for its crossbar/link cycle.

@@ -19,13 +19,15 @@ fn demo_skip_credit() -> bool {
     *FLAG.get_or_init(|| std::env::var_os("FTNOC_DEMO_SKIP_CREDIT").is_some())
 }
 
-/// Reusable SA storage, cleared (not reallocated) every cycle.
+/// Reusable SA storage (part of the lent `StageScratch`),
+/// never reallocated in the steady state.
 #[derive(Debug, Default)]
 pub(super) struct SaScratch {
-    /// Stage 1 winner per input port: (vc, out vc).
+    /// Stage 1 winner per input port: (vc, out vc), read only for the
+    /// ports that requested this cycle.
     port_winner: Vec<(usize, usize)>,
     /// Stage 2 requests: bit `p` of `req[op]` when input port `p`'s
-    /// winner wants output `op`.
+    /// winner wants output `op`; left clear.
     req: Vec<u64>,
     /// Grants: (input port, input vc, out port, out vc).
     grants: Vec<(usize, usize, usize, usize)>,
@@ -33,17 +35,25 @@ pub(super) struct SaScratch {
 
 impl Router {
     /// Switch allocation (§4.3 faults + AC protection).
-    pub(super) fn sa_phase(&mut self, ctx: &Ctx<'_>) {
+    pub(super) fn sa_phase(&mut self, ctx: &Ctx<'_>, sc: &mut SaScratch) {
+        // No buffered flit of an open wormhole: no request, no grant, no
+        // upset draw.
+        if self
+            .inputs
+            .iter()
+            .all(|input| input.active & input.buffer.nonempty() == 0)
+        {
+            return;
+        }
         let ports = self.cfg.ports();
         let vcs = self.cfg.vcs_per_port();
         let scheme = ctx.config.scheme;
-        let mut sc = std::mem::take(&mut self.sa_scratch);
 
         // Stage 1: per input port, pick one eligible VC; the winner's
         // output port gains this port's request bit.
         sc.port_winner.resize(ports, (0, 0));
-        sc.req.clear();
         sc.req.resize(ports, 0);
+        let mut requested = 0u64;
         for p in 0..ports {
             let mut eligible = 0u64;
             let input = &self.inputs[p];
@@ -85,14 +95,17 @@ impl Router {
                 {
                     sc.port_winner[p] = (v, out_vc);
                     sc.req[out_port] |= 1 << p;
+                    requested |= 1 << out_port;
                 }
             }
         }
 
-        // Stage 2: per output port, pick one requesting input port.
+        // Stage 2: per requested output port, in ascending order, pick
+        // one requesting input port.
         sc.grants.clear();
-        for op in (0..ports).filter(|&op| sc.req[op] != 0) {
-            if let Some(p) = self.sa_out_arbiters[op].grant(&[sc.req[op]]) {
+        for op in ones(requested) {
+            let req = std::mem::take(&mut sc.req[op]);
+            if let Some(p) = self.sa_out_arbiters[op].grant(&[req]) {
                 let (v, ov) = sc.port_winner[p];
                 sc.grants.push((p, v, op, ov));
             }
@@ -164,6 +177,5 @@ impl Router {
                 self.inputs[p].set(v, VcState::Idle);
             }
         }
-        self.sa_scratch = sc;
     }
 }

@@ -16,6 +16,15 @@ impl Router {
     /// the network's commit phase to carry (crossbar and link fault
     /// injection applied here, from this router's own fault stream).
     pub(super) fn st_phase(&mut self, ctx: &Ctx<'_>) {
+        // No replay, held flit or granted flit on any output: nothing
+        // crosses, nothing is drawn.
+        if self
+            .outputs
+            .iter()
+            .all(|out| (out.replaying | out.held) == 0 && out.st_queue.is_empty())
+        {
+            return;
+        }
         for port in 0..self.cfg.ports() {
             let dir = Direction::for_port(port);
             if !self.outputs[port].exists {

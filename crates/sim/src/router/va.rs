@@ -9,8 +9,9 @@ use super::ports::VcState;
 use super::{Ctx, Router};
 use crate::arbiter::ones;
 
-/// Reusable VA storage, cleared (not reallocated) every cycle, so the
-/// steady-state stage performs no heap allocation.
+/// Reusable VA storage (part of the lent `StageScratch`),
+/// left clear after every use, so the steady-state stage performs no
+/// heap allocation.
 #[derive(Debug, Default)]
 pub(super) struct VaScratch {
     /// Request masks, one run of words per output VC `op * vcs + ov`,
@@ -35,14 +36,23 @@ impl Router {
     /// "no new packets are allowed to enter the transmission buffers that
     /// are involved in the deadlock recovery"). Flits of already-admitted
     /// packets keep flowing — they are the recovery's working set.
-    pub(super) fn va_phase(&mut self, ctx: &Ctx<'_>, neighbor_recovering: [bool; 4]) {
+    pub(super) fn va_phase(
+        &mut self,
+        ctx: &Ctx<'_>,
+        sc: &mut VaScratch,
+        neighbor_recovering: [bool; 4],
+    ) {
         let ports = self.cfg.ports();
         let vcs = self.cfg.vcs_per_port();
         let total = ports * vcs;
-        // Scratch moves out of `self` for the duration of the phase (a
-        // pointer move, not an allocation) so it can be filled while the
-        // router's own state is borrowed.
-        let mut sc = std::mem::take(&mut self.va_scratch);
+        // No head waits: nothing to nominate, grant, upset or commit.
+        // The comparator still evaluates the held rows, as below.
+        if self.inputs.iter().all(|input| input.wait == 0) {
+            if ctx.config.ac_enabled && self.ac.holds_any() {
+                self.ac_evaluate(&[], &[], vcs);
+            }
+            return;
+        }
 
         // Stage 1: each waiting input VC nominates one free output VC by
         // setting its bit in that output VC's request mask.
@@ -130,12 +140,12 @@ impl Router {
 
         // §4.1: VC-allocator soft errors corrupt committed pairings.
         sc.corrupted.clear();
-        sc.corrupted.resize(winners.len(), false);
-        for (i, w) in winners.iter_mut().enumerate() {
-            if !self.fi.va_upset() {
+        for w in winners.iter_mut() {
+            let upset = self.fi.va_upset();
+            sc.corrupted.push(upset);
+            if !upset {
                 continue;
             }
-            sc.corrupted[i] = true;
             // Scenario mix, drawn uniformly via the corrupted field
             // (`corrupt_choice(0, 3)` returns 1 or 2): an invalid output
             // VC id, or the wrong physical channel (4b).
@@ -166,9 +176,7 @@ impl Router {
             // stays a complete no-op — the property activity gating
             // relies on to make skipped and computed cycles equivalent.
             if !winners.is_empty() || self.ac.holds_any() {
-                self.events.ac_check += 1;
-                let findings = self.ac.check(&sc.rt_entries, &sc.va_entries, &[], vcs);
-                self.debug_check_findings(&sc.rt_entries, &sc.va_entries, &findings);
+                let findings = self.ac_evaluate(&sc.rt_entries, &sc.va_entries, vcs);
                 if !findings.is_empty() {
                     // Invalidate this cycle's (corrupted) allocations: the
                     // affected inputs retry next cycle — 1-cycle penalty.
@@ -205,7 +213,15 @@ impl Router {
             );
             self.events.va += 1;
         }
-        self.va_scratch = sc;
+    }
+
+    /// One census-counted Allocation Comparator evaluation of this
+    /// cycle's RT and VA rows behind the held ones.
+    fn ac_evaluate(&mut self, rt: &[RtEntry], va: &[VaEntry], vcs: usize) -> Vec<AcFinding> {
+        self.events.ac_check += 1;
+        let findings = self.ac.check(rt, va, &[], vcs);
+        self.debug_check_findings(rt, va, &findings);
+        findings
     }
 
     /// Debug builds: the evaluation over the held VA table equals the
