@@ -1,5 +1,5 @@
 //! Regenerates the paper's tables and figures and the follow-up
-//! studies — every row of [`ftnoc_bench::rows::ROWS`].
+//! studies — every row of `ftnoc_bench::rows`.
 //!
 //! ```sh
 //! cargo run -p ftnoc-bench --release --bin experiments                 # every row, paper order

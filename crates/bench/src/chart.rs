@@ -6,30 +6,30 @@
 
 /// One plotted series.
 #[derive(Debug, Clone)]
-pub struct Series {
+pub(crate) struct Series {
     /// Legend label.
-    pub label: String,
+    pub(crate) label: String,
     /// (x, y) points, any order.
-    pub points: Vec<(f64, f64)>,
+    pub(crate) points: Vec<(f64, f64)>,
 }
 
 /// Chart configuration.
 #[derive(Debug, Clone)]
-pub struct ChartSpec {
+pub(crate) struct ChartSpec {
     /// Title printed above the canvas.
-    pub title: String,
+    pub(crate) title: String,
     /// Y-axis label.
-    pub y_label: String,
+    pub(crate) y_label: String,
     /// X-axis label.
-    pub x_label: String,
+    pub(crate) x_label: String,
     /// Plot x on a log10 scale (error-rate sweeps).
-    pub log_x: bool,
+    pub(crate) log_x: bool,
     /// Plot y on a log10 scale (latency-collapse sweeps).
-    pub log_y: bool,
+    pub(crate) log_y: bool,
     /// Canvas width in characters (plot area).
-    pub width: usize,
+    pub(crate) width: usize,
     /// Canvas height in characters (plot area).
-    pub height: usize,
+    pub(crate) height: usize,
 }
 
 impl Default for ChartSpec {
@@ -58,7 +58,7 @@ const MARKERS: [char; 6] = ['*', 'o', '+', 'x', '#', '@'];
 /// # Panics
 ///
 /// Panics if `spec.width` or `spec.height` is zero.
-pub fn render(spec: &ChartSpec, series: &[Series]) -> String {
+pub(crate) fn render(spec: &ChartSpec, series: &[Series]) -> String {
     assert!(
         spec.width > 0 && spec.height > 0,
         "canvas must be non-empty"
@@ -171,7 +171,7 @@ pub fn render(spec: &ChartSpec, series: &[Series]) -> String {
 }
 
 /// Builds chart series from sweep [`crate::Point`]s.
-pub fn series_from_points(
+pub(crate) fn series_from_points(
     points: &[crate::Point],
     metric: impl Fn(&ftnoc_sim::SimReport) -> f64,
 ) -> Vec<Series> {

@@ -18,9 +18,9 @@
 //!   300 000 ejected messages per point (100 000 warm-up).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod chart;
+pub(crate) mod chart;
 pub mod rows;
 
 use ftnoc_fault::FaultRates;
@@ -65,23 +65,23 @@ impl Scale {
 }
 
 /// The error rates swept by Figures 5-7 (per flit-traversal).
-pub const ERROR_RATES: [f64; 5] = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1];
+pub(crate) const ERROR_RATES: [f64; 5] = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1];
 
 /// The error rates swept by Figure 13.
-pub const FIG13_RATES: [f64; 4] = [1e-5, 1e-4, 1e-3, 1e-2];
+pub(crate) const FIG13_RATES: [f64; 4] = [1e-5, 1e-4, 1e-3, 1e-2];
 
 /// The injection rates swept by Figures 8-9 (flits/node/cycle).
-pub const INJECTION_RATES: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
+pub(crate) const INJECTION_RATES: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
 /// One measured point of a sweep.
 #[derive(Debug, Clone)]
-pub struct Point {
+pub(crate) struct Point {
     /// Series label (scheme / pattern / algorithm name).
-    pub series: String,
+    pub(crate) series: String,
     /// X value (error rate or injection rate).
-    pub x: f64,
+    pub(crate) x: f64,
     /// The full run report.
-    pub report: SimReport,
+    pub(crate) report: SimReport,
 }
 
 /// The one sweep loop: every series at every x runs the base platform
@@ -119,7 +119,7 @@ fn latency_at_rate<S>(_: S, rate: f64, report: &SimReport) -> String {
 
 /// Figure 5: average latency vs link error rate for HBH, E2E and FEC
 /// (uniform traffic, 0.25 flits/node/cycle).
-pub fn figure5(scale: Scale) -> Vec<Point> {
+pub(crate) fn figure5(scale: Scale) -> Vec<Point> {
     let schemes = [ErrorScheme::Hbh, ErrorScheme::E2e, ErrorScheme::Fec];
     let series = schemes.map(|s| (s.short_name(), s));
     sweep(
@@ -136,7 +136,7 @@ pub fn figure5(scale: Scale) -> Vec<Point> {
 
 /// Figures 6 and 7: HBH latency and energy per message vs error rate
 /// for the NR, BC and TN patterns (one sweep, read two ways).
-pub fn figure6_7(scale: Scale) -> Vec<Point> {
+pub(crate) fn figure6_7(scale: Scale) -> Vec<Point> {
     let patterns = TrafficPattern::PAPER_PATTERNS;
     let series = patterns.each_ref().map(|p| (p.short_name(), p));
     sweep(
@@ -155,7 +155,7 @@ pub fn figure6_7(scale: Scale) -> Vec<Point> {
 /// Figures 8 and 9: transmission- and retransmission-buffer utilization
 /// vs injection rate for the adaptive (AD) and deterministic (DT)
 /// routing algorithms.
-pub fn figure8_9(scale: Scale) -> Vec<Point> {
+pub(crate) fn figure8_9(scale: Scale) -> Vec<Point> {
     let algorithms = [
         RoutingAlgorithm::WestFirstAdaptive,
         RoutingAlgorithm::XyDeterministic,
@@ -183,7 +183,7 @@ pub fn figure8_9(scale: Scale) -> Vec<Point> {
 
 /// Figure 13's three fault classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fig13Class {
+pub(crate) enum Fig13Class {
     /// Link soft errors handled by HBH (LINK-HBH).
     LinkHbh,
     /// Routing-unit logic errors (RT-Logic).
@@ -194,14 +194,14 @@ pub enum Fig13Class {
 
 impl Fig13Class {
     /// All three classes in the paper's legend order.
-    pub const ALL: [Fig13Class; 3] = [
+    pub(crate) const ALL: [Fig13Class; 3] = [
         Fig13Class::LinkHbh,
         Fig13Class::RtLogic,
         Fig13Class::SaLogic,
     ];
 
     /// The legend label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Fig13Class::LinkHbh => "LINK-HBH",
             Fig13Class::RtLogic => "RT-Logic",
@@ -218,7 +218,7 @@ impl Fig13Class {
     }
 
     /// Extracts "number of errors corrected" for this class from a run.
-    pub fn corrected(self, report: &SimReport) -> u64 {
+    pub(crate) fn corrected(self, report: &SimReport) -> u64 {
         match self {
             Fig13Class::LinkHbh => report.errors.link_total_corrected(),
             Fig13Class::RtLogic => report.errors.rt_corrected,
@@ -230,7 +230,7 @@ impl Fig13Class {
 /// Figure 13: each fault class simulated independently across error
 /// rates (series = [`Fig13Class::label`]); (a) reads corrected-error
 /// counts, (b) reads energy per packet.
-pub fn figure13(scale: Scale) -> Vec<Point> {
+pub(crate) fn figure13(scale: Scale) -> Vec<Point> {
     let series = Fig13Class::ALL.map(|c| (c.label(), c));
     let progress = |class: Fig13Class, rate, r: &SimReport| {
         format!("rate {rate:.0e}: corrected {}", class.corrected(r))
@@ -249,7 +249,7 @@ pub fn figure13(scale: Scale) -> Vec<Point> {
 
 /// Renders a latency (or other metric) sweep as an aligned text table,
 /// series as columns.
-pub fn render_series_table(
+pub(crate) fn render_series_table(
     title: &str,
     x_label: &str,
     points: &[Point],
@@ -293,7 +293,7 @@ pub fn render_series_table(
 
 /// Renders Table 1 (the calibrated area/power model) with the paper's
 /// reference values.
-pub fn render_table1() -> String {
+pub(crate) fn render_table1() -> String {
     table1_report(&Table1::compute())
 }
 

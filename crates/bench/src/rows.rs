@@ -40,7 +40,7 @@ pub struct Row {
 }
 
 /// Every experiment, in paper order.
-pub const ROWS: [Row; 10] = [
+pub(crate) const ROWS: [Row; 10] = [
     Row {
         name: "fig5",
         about: "latency of HBH / E2E / FEC vs link error rate",

@@ -82,7 +82,7 @@ pub struct CampaignParams {
     /// Deadlock criticality threshold.
     pub cthres: u64,
     /// Stop injecting after this cycle (0 = never; drains the net).
-    pub stop_after: u64,
+    pub(crate) stop_after: u64,
     /// RNG seed for traffic and faults.
     pub seed: u64,
     /// Cycles to simulate.
@@ -99,11 +99,11 @@ pub struct CampaignParams {
     pub gating: bool,
     /// Mid-run hard fault: the cycle one live link is killed (`0` = no
     /// scheduled kill — the kill fields below are then ignored).
-    pub kill_at: u64,
+    pub(crate) kill_at: u64,
     /// Victim endpoint of the scheduled kill (row-major node index).
-    pub kill_node: u16,
+    pub(crate) kill_node: u16,
     /// Direction of the killed link as seen from `kill_node`.
-    pub kill_dir: Direction,
+    pub(crate) kill_dir: Direction,
     /// Fault-notification latency: cycles between local detection at
     /// the kill's endpoints and network-wide publication of the new
     /// fault tables.
@@ -112,12 +112,12 @@ pub struct CampaignParams {
     pub topo: FuzzTopology,
     /// Mid-run whole-router death: the cycle one router is killed and
     /// its buffered flits purged into the loss ledger (`0` = none).
-    pub rkill_at: u64,
+    pub(crate) rkill_at: u64,
     /// Victim of the whole-router kill (row-major node index).
-    pub rkill_node: u16,
+    pub(crate) rkill_node: u16,
     /// Wear-out mean lifetime budget in flits per link (`0` = no
     /// wear-out model; budgets derive from the campaign seed).
-    pub wear_budget: u64,
+    pub(crate) wear_budget: u64,
 }
 
 impl CampaignParams {

@@ -44,11 +44,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod campaign;
 pub mod oracle;
-pub mod runner;
+pub(crate) mod runner;
 
 pub use campaign::{CampaignParams, FuzzTopology, OrgFilter, ScenarioFilter};
 pub use oracle::{ArmedInvariants, Oracle, Violation};

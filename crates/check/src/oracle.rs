@@ -7,7 +7,7 @@
 //! run configuration — a link-fault campaign legitimately loses flits
 //! until the HBH replay re-delivers them, so the strict conservation
 //! equality only holds for configurations where the paper's protection
-//! actually guarantees it (see [`ArmedInvariants::from_config`]).
+//! actually guarantees it (see `ArmedInvariants::from_config`).
 //!
 //! The oracle is a pure observer: it never mutates the simulation and
 //! draws no randomness, so oracle-on runs are byte-identical to
@@ -106,7 +106,7 @@ pub struct ArmedInvariants {
 
 impl ArmedInvariants {
     /// Derives the arming matrix from a run configuration.
-    pub fn from_config(config: &SimConfig) -> Self {
+    pub(crate) fn from_config(config: &SimConfig) -> Self {
         let f = &config.faults;
         let logic_free = f.rt == 0.0 && f.va == 0.0 && f.sa == 0.0 && f.crossbar == 0.0;
         let hbh = config.scheme == ErrorScheme::Hbh;

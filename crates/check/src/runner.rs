@@ -32,7 +32,7 @@ pub struct Failure {
     /// The violation as first observed, before shrinking.
     pub first: Violation,
     /// The unshrunk reproducer spec.
-    pub unshrunk_spec: String,
+    pub(crate) unshrunk_spec: String,
     /// Violation observed on the shrunk parameters.
     pub violation: Violation,
     /// Shrunk reproducer spec (feed to `ftnoc fuzz --repro`).

@@ -137,7 +137,6 @@ pub enum AcFinding {
 /// rows; a comparator holding nothing evaluates the given tables alone.
 #[derive(Debug, Clone, Default)]
 pub struct AllocationComparator {
-    checks: u64,
     errors_flagged: u64,
     /// The held VA table, indexed by slot.
     rows: Vec<Option<VaEntry>>,
@@ -153,11 +152,6 @@ impl AllocationComparator {
     /// Creates a comparator holding nothing.
     pub fn new() -> Self {
         AllocationComparator::default()
-    }
-
-    /// Evaluations performed.
-    pub fn check_count(&self) -> u64 {
-        self.checks
     }
 
     /// Evaluations that flagged at least one defect.
@@ -217,7 +211,6 @@ impl AllocationComparator {
         sa: &[SaEntry],
         vcs_per_port: usize,
     ) -> Vec<AcFinding> {
-        self.checks += 1;
         let (mut findings, vcs) = (Vec::new(), vcs_per_port);
 
         // One pass over the VA rows, the held ones first, checks (1)
@@ -464,7 +457,6 @@ mod tests {
         let (rt, va, sa) = figure12_tables();
         let mut ac = AllocationComparator::new();
         assert!(ac.check(&rt, &va, &sa, 4).is_empty());
-        assert_eq!(ac.check_count(), 1);
         assert_eq!(ac.errors_flagged(), 0);
     }
 

@@ -94,11 +94,6 @@ impl DeadlockCycleSpec {
         self.transmission.iter().sum::<usize>() + self.retransmission.iter().sum::<usize>()
     }
 
-    /// Normal-mode buffering: `B₁ = Σᵢ Tᵢ`.
-    pub fn normal_buffer_size(&self) -> usize {
-        self.transmission.iter().sum()
-    }
-
     /// `Σᵢ Nᵢ` with `Nᵢ = ⌈Tᵢ / M⌉`: the worst-case number of distinct
     /// packets wedged in the cycle.
     pub fn max_packets(&self) -> usize {
@@ -173,7 +168,6 @@ mod tests {
     fn figure10_example() {
         let spec = DeadlockCycleSpec::uniform(3, 4, 3, 4);
         assert_eq!(spec.nodes(), 3);
-        assert_eq!(spec.normal_buffer_size(), 12);
         assert_eq!(spec.total_buffer_size(), 21);
         assert_eq!(spec.max_packets(), 3);
         assert_eq!(spec.required_size(), 12);

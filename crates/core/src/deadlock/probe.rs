@@ -80,9 +80,6 @@ pub struct ProbeProtocol {
     /// Origins whose probes passed through us (Rule 3 evidence).
     #[allow(clippy::disallowed_types, reason = "lookup-only: membership tests")]
     seen_probes: std::collections::HashSet<NodeId>,
-    probes_sent: u64,
-    deadlocks_confirmed: u64,
-    false_suspicions: u64,
 }
 
 impl ProbeProtocol {
@@ -101,9 +98,6 @@ impl ProbeProtocol {
             in_recovery: false,
             probe_outstanding: false,
             seen_probes: Default::default(),
-            probes_sent: 0,
-            deadlocks_confirmed: 0,
-            false_suspicions: 0,
         }
     }
 
@@ -128,22 +122,6 @@ impl ProbeProtocol {
         self.probe_outstanding
     }
 
-    /// Probes originated by this node.
-    pub fn probes_sent(&self) -> u64 {
-        self.probes_sent
-    }
-
-    /// Deadlocks this node confirmed (own probe returned).
-    pub fn deadlocks_confirmed(&self) -> u64 {
-        self.deadlocks_confirmed
-    }
-
-    /// Own probes that died en route (blocking without deadlock — the
-    /// false positives a raw threshold scheme would have acted on).
-    pub fn false_suspicions(&self) -> u64 {
-        self.false_suspicions
-    }
-
     /// Rule 1: decides whether a probe should be launched for a flit that
     /// has been blocked `blocked_cycles` so far. Fires exactly once per
     /// suspicion (when the threshold is crossed and no probe of ours is
@@ -156,17 +134,13 @@ impl ProbeProtocol {
             return false;
         }
         self.probe_outstanding = true;
-        self.probes_sent += 1;
         true
     }
 
     /// Marks an outstanding own probe as lost (e.g. discarded at a node
     /// that was not blocked, observed via timeout). Re-arms Rule 1.
     pub fn probe_lost(&mut self) {
-        if self.probe_outstanding {
-            self.probe_outstanding = false;
-            self.false_suspicions += 1;
-        }
+        self.probe_outstanding = false;
     }
 
     /// Rule 2 (and the origin-return case): processes an incoming probe.
@@ -195,11 +169,9 @@ impl ProbeProtocol {
                 // flight the chain is broken here — a false suspicion,
                 // not a deadlock.
                 self.probe_outstanding = false;
-                self.false_suspicions += 1;
                 return ProbeAction::Discard;
             }
             self.probe_outstanding = false;
-            self.deadlocks_confirmed += 1;
             return ProbeAction::Confirmed;
         }
         if target_blocked || self.in_recovery {
@@ -265,7 +237,6 @@ mod tests {
         // Already outstanding: no second probe.
         assert!(!p.should_probe(17));
         assert!(!p.should_probe(1000));
-        assert_eq!(p.probes_sent(), 1);
     }
 
     #[test]
@@ -299,7 +270,6 @@ mod tests {
             vc: vc(Direction::North, 2),
         };
         assert_eq!(p.on_probe(own, true, None), ProbeAction::Confirmed);
-        assert_eq!(p.deadlocks_confirmed(), 1);
     }
 
     #[test]
@@ -356,7 +326,6 @@ mod tests {
             vc: vc(Direction::North, 0),
         };
         assert_eq!(p.on_probe(own, true, None), ProbeAction::Discard);
-        assert_eq!(p.deadlocks_confirmed(), 0);
     }
 
     #[test]
@@ -396,11 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn lost_probe_rearms_and_counts_false_suspicion() {
+    fn lost_probe_rearms() {
         let mut p = ProbeProtocol::new(node(0), 16);
         assert!(p.should_probe(16));
         p.probe_lost();
-        assert_eq!(p.false_suspicions(), 1);
+        assert!(!p.probe_outstanding());
         // Blocking persists: a new probe may be sent.
         assert!(p.should_probe(40));
     }
@@ -482,7 +451,7 @@ mod tests {
             ProbeAction::Discard
         );
         victim.probe_lost();
-        assert_eq!(victim.false_suspicions(), 1);
+        assert!(!victim.probe_outstanding());
         assert!(!victim.in_recovery());
     }
 }

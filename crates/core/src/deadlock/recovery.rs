@@ -42,7 +42,7 @@ impl RingNode {
     }
 
     /// Flits currently at this node (transmission + held retransmission).
-    pub fn resident_flits(&self) -> usize {
+    pub(crate) fn resident_flits(&self) -> usize {
         self.tx.len(0) + self.retx.held_count()
     }
 }

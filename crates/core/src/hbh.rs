@@ -73,7 +73,7 @@ impl HbhReceiver {
     }
 
     /// Whether the receiver is inside a drop window at `now`.
-    pub fn in_drop_window(&self, now: u64) -> bool {
+    pub(crate) fn in_drop_window(&self, now: u64) -> bool {
         self.drop_until.is_some_and(|t| now <= t)
     }
 

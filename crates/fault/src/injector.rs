@@ -7,7 +7,7 @@ use crate::rates::FaultRates;
 
 /// What a link error event did to the traversing flit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkErrorKind {
+pub(crate) enum LinkErrorKind {
     /// Exactly one bit flipped — correctable by SEC/DED.
     SingleBit,
     /// Two bits flipped — detectable but uncorrectable.
@@ -100,7 +100,7 @@ impl FaultInjector {
 
     /// Samples a link error for one flit traversal.
     #[inline]
-    pub fn link_error(&mut self) -> Option<LinkErrorKind> {
+    pub(crate) fn link_error(&mut self) -> Option<LinkErrorKind> {
         if !self.fires(self.rates.link) {
             return None;
         }
@@ -115,7 +115,7 @@ impl FaultInjector {
 
     /// Applies a sampled link error to a physical word: flips one random
     /// bit, or two distinct random bits for [`LinkErrorKind::MultiBit`].
-    pub fn corrupt_payload(&mut self, payload: &mut FlitPayload, kind: LinkErrorKind) {
+    pub(crate) fn corrupt_payload(&mut self, payload: &mut FlitPayload, kind: LinkErrorKind) {
         let first = self.rng.bounded(u64::from(FLIT_TOTAL_BITS)) as u32;
         payload.flip_bit(first);
         if kind == LinkErrorKind::MultiBit {
@@ -127,13 +127,12 @@ impl FaultInjector {
         }
     }
 
-    /// Samples and applies a link error in one step; returns what
-    /// happened.
+    /// Samples and applies a link error in one step.
     #[inline]
-    pub fn corrupt_on_link(&mut self, payload: &mut FlitPayload) -> Option<LinkErrorKind> {
-        let kind = self.link_error()?;
-        self.corrupt_payload(payload, kind);
-        Some(kind)
+    pub fn corrupt_on_link(&mut self, payload: &mut FlitPayload) {
+        if let Some(kind) = self.link_error() {
+            self.corrupt_payload(payload, kind);
+        }
     }
 
     /// Samples a routing-logic upset for one route computation. When it

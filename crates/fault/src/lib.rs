@@ -12,16 +12,19 @@
 //!
 //! ```
 //! use ftnoc_fault::{FaultInjector, FaultRates};
+//! use ftnoc_types::flit::FlitPayload;
 //!
 //! // A link-error-only scenario at rate 0.01 per flit traversal:
 //! let mut inj = FaultInjector::new(FaultRates::link_only(0.01), 42);
-//! let events = 100_000;
-//! let fired = (0..events).filter(|_| inj.link_error().is_some()).count();
-//! assert!((800..1200).contains(&fired)); // ~1 %
+//! let mut word = FlitPayload::default();
+//! for _ in 0..100_000 {
+//!     inj.corrupt_on_link(&mut word);
+//! }
+//! assert!((800..1200).contains(&inj.counts().link)); // ~1 %
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod events;
 pub mod hard;
@@ -32,7 +35,7 @@ pub mod schedule;
 
 pub use events::{FaultCause, FaultEvent, FaultEventKind};
 pub use hard::HardFaults;
-pub use injector::{FaultCounts, FaultInjector, LinkErrorKind};
+pub use injector::{FaultCounts, FaultInjector};
 pub use plan::{FaultPlan, WearoutSpec};
 pub use rates::{ErrorMix, FaultRates};
 pub use schedule::{FaultTimeline, ScheduledKill, ScheduledRouterKill};

@@ -112,7 +112,7 @@ impl FaultPlan {
     }
 
     /// Adds a router dead at reset.
-    pub fn router_at_reset(&mut self, node: NodeId) -> &mut Self {
+    pub(crate) fn router_at_reset(&mut self, node: NodeId) -> &mut Self {
         self.reset_routers.push(node);
         self
     }
@@ -380,7 +380,7 @@ impl FaultPlan {
 
 /// Parses a spec-grammar direction letter (`n`/`e`/`s`/`w`, either
 /// case).
-pub fn parse_dir(s: &str) -> Option<Direction> {
+pub(crate) fn parse_dir(s: &str) -> Option<Direction> {
     match s {
         "n" | "N" => Some(Direction::North),
         "e" | "E" => Some(Direction::East),
@@ -391,7 +391,7 @@ pub fn parse_dir(s: &str) -> Option<Direction> {
 }
 
 /// The spec-grammar letter of a direction (the inverse of
-/// [`parse_dir`]).
+/// `parse_dir`).
 pub fn dir_char(dir: Direction) -> char {
     match dir {
         Direction::North => 'n',

@@ -21,7 +21,7 @@ impl ErrorMix {
     }
 
     /// Probability that an error event flips exactly one bit.
-    pub fn single_bit(&self) -> f64 {
+    pub(crate) fn single_bit(&self) -> f64 {
         self.single_bit
     }
 }

@@ -14,7 +14,7 @@ use crate::profile::ProfileSnapshot;
 use crate::telemetry::{MeshTelemetry, RouterTelemetry};
 
 /// Schema version stamped into every meta line.
-pub const FORMAT_VERSION: u64 = 1;
+pub(crate) const FORMAT_VERSION: u64 = 1;
 
 /// The first line of a metrics file: run shape and provenance.
 #[derive(Debug, Clone, Copy)]
@@ -87,7 +87,7 @@ pub struct IntervalLine {
 impl IntervalLine {
     /// Average latency over this window's ejections (`None` when the
     /// window ejected nothing).
-    pub fn window_avg_latency(&self) -> Option<f64> {
+    pub(crate) fn window_avg_latency(&self) -> Option<f64> {
         (self.d_ejected > 0).then(|| self.d_latency_sum as f64 / self.d_ejected as f64)
     }
 

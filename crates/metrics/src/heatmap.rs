@@ -46,7 +46,7 @@ pub enum LayoutKind {
 impl LayoutKind {
     /// The compact string stamped into a metrics meta line
     /// (`mesh`, `torus`, `cmesh:C`, `chiplet:CWxCH`).
-    pub fn meta_str(&self) -> String {
+    pub(crate) fn meta_str(&self) -> String {
         match self {
             LayoutKind::Mesh => "mesh".to_string(),
             LayoutKind::Torus => "torus".to_string(),
@@ -80,13 +80,13 @@ impl LayoutKind {
 
 /// Grid shape plus topology annotations for [`render_layout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TopoLayout {
+pub(crate) struct TopoLayout {
     /// Grid width in routers.
-    pub width: usize,
+    pub(crate) width: usize,
     /// Grid height in routers.
-    pub height: usize,
+    pub(crate) height: usize,
     /// Drawing style.
-    pub kind: LayoutKind,
+    pub(crate) kind: LayoutKind,
 }
 
 /// Renders `values` (router-id order) under a topology-aware layout.
@@ -99,7 +99,12 @@ pub struct TopoLayout {
 ///
 /// Panics if `values.len() != layout.width * layout.height`, or if a
 /// chiplet layout's tile dimensions are zero.
-pub fn render_layout(label: &str, layout: &TopoLayout, values: &[u64], dead: &[bool]) -> String {
+pub(crate) fn render_layout(
+    label: &str,
+    layout: &TopoLayout,
+    values: &[u64],
+    dead: &[bool],
+) -> String {
     match layout.kind {
         LayoutKind::Mesh => render(label, layout.width, layout.height, values, dead),
         LayoutKind::Torus => {
@@ -204,7 +209,13 @@ fn render_chiplet(
 /// # Panics
 ///
 /// Panics if `values.len() != width * height`.
-pub fn render(label: &str, width: usize, height: usize, values: &[u64], dead: &[bool]) -> String {
+pub(crate) fn render(
+    label: &str,
+    width: usize,
+    height: usize,
+    values: &[u64],
+    dead: &[bool],
+) -> String {
     assert_eq!(
         values.len(),
         width * height,

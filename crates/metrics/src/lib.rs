@@ -15,7 +15,7 @@
 //!   counters (flits routed, buffer stalls, retransmissions, NACKs,
 //!   probes, faults, recoveries) harvested from the routers' own
 //!   censuses.
-//! - [`heatmap`] — ASCII router-grid heatmaps of any per-router
+//! - `heatmap` — ASCII router-grid heatmaps of any per-router
 //!   metric, with topology-aware layouts (torus wrap annotations,
 //!   cmesh concentration notes, chiplet tile separators).
 //! - [`emit`] — hand-rolled JSONL serialization of the periodic
@@ -38,17 +38,17 @@
 //! different nanosecond readings, and that is the intended contract.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod census;
 pub mod emit;
-pub mod heatmap;
+pub(crate) mod heatmap;
 pub mod json;
 pub mod profile;
 pub mod report;
 pub mod telemetry;
 
 pub use emit::{IntervalLine, MetaLine};
-pub use heatmap::{LayoutKind, TopoLayout};
+pub use heatmap::LayoutKind;
 pub use profile::ProfileSnapshot;
 pub use telemetry::{MeshTelemetry, RouterTelemetry};

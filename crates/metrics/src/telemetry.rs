@@ -52,7 +52,7 @@ pub struct MeshTelemetry {
 impl MeshTelemetry {
     /// One metric's per-router values, node-id order (`None` for an
     /// unknown metric name on a mesh with routers).
-    pub fn metric_values(&self, metric: &str) -> Option<Vec<u64>> {
+    pub(crate) fn metric_values(&self, metric: &str) -> Option<Vec<u64>> {
         self.routers.iter().map(|r| r.get(metric)).collect()
     }
 

@@ -1,7 +1,7 @@
 //! Component-composition area/power model of the generic NoC router and
 //! the Allocation Comparator, reproducing Table 1.
 //!
-//! Components are counted in primitives ([`crate::primitives`]) exactly as
+//! Components are counted in primitives (the `primitives` module) exactly as
 //! a structural-RTL implementation would instantiate them: synthesized
 //! (flip-flop based) buffers, a pass-gate crossbar, matrix arbiters, and
 //! the AC's comparator planes. A calibration pass then scales the raw
@@ -16,24 +16,20 @@ use ftnoc_types::units::{Millimeters2, Milliwatts};
 use crate::primitives::Primitives;
 
 /// Paper's synthesized router power (Table 1).
-pub const PAPER_ROUTER_POWER_MW: f64 = 119.55;
+pub(crate) const PAPER_ROUTER_POWER_MW: f64 = 119.55;
 /// Paper's synthesized router area (Table 1).
-pub const PAPER_ROUTER_AREA_MM2: f64 = 0.374862;
-/// Paper's synthesized AC-unit power (Table 1).
-pub const PAPER_AC_POWER_MW: f64 = 2.02;
-/// Paper's synthesized AC-unit area (Table 1).
-pub const PAPER_AC_AREA_MM2: f64 = 0.004474;
+pub(crate) const PAPER_ROUTER_AREA_MM2: f64 = 0.374862;
 
 /// Raw (uncalibrated) area/power of one router component.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ComponentBudget {
+pub(crate) struct ComponentBudget {
     /// Component name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Area in µm² (raw model units before calibration).
-    pub area_um2: f64,
+    pub(crate) area_um2: f64,
     /// Average switched energy per cycle in pJ (dynamic activity already
     /// folded in).
-    pub energy_pj_per_cycle: f64,
+    pub(crate) energy_pj_per_cycle: f64,
 }
 
 impl ComponentBudget {
@@ -52,7 +48,7 @@ pub struct RouterModel {
     config: RouterConfig,
     prims: Primitives,
     /// Wiring/clock-tree/control overhead multiplier on synthesized area.
-    pub overhead_factor: f64,
+    pub(crate) overhead_factor: f64,
 }
 
 impl RouterModel {
@@ -71,13 +67,8 @@ impl RouterModel {
         &self.config
     }
 
-    /// The primitive library in use.
-    pub fn primitives(&self) -> &Primitives {
-        &self.prims
-    }
-
     /// Per-component raw budgets (synthesized-RTL inventory).
-    pub fn components(&self) -> Vec<ComponentBudget> {
+    pub(crate) fn components(&self) -> Vec<ComponentBudget> {
         let p = self.config.ports() as f64;
         let v = self.config.vcs_per_port() as f64;
         let d = self.config.buffer_depth() as f64;
@@ -161,7 +152,7 @@ impl RouterModel {
     }
 
     /// Raw (uncalibrated) totals with the overhead factor applied.
-    pub fn raw_totals(&self) -> (f64, f64) {
+    pub(crate) fn raw_totals(&self) -> (f64, f64) {
         let comps = self.components();
         let area: f64 = comps.iter().map(|c| c.area_um2).sum::<f64>() * self.overhead_factor;
         let energy: f64 = comps.iter().map(|c| c.energy_pj_per_cycle).sum();
@@ -169,7 +160,7 @@ impl RouterModel {
     }
 
     /// Raw power in mW: dynamic (energy × f) + leakage (area-proportional).
-    pub fn raw_power_mw(&self) -> f64 {
+    pub(crate) fn raw_power_mw(&self) -> f64 {
         let (area_um2, energy) = self.raw_totals();
         self.prims.dynamic_power_mw(energy) + self.prims.leakage_per_mm2 * (area_um2 / 1e6)
     }
@@ -189,7 +180,8 @@ impl RouterModel {
     /// a multi-bit upset inside the buffer itself cannot poison a replay.
     /// Returns the calibrated cost of the duplication (the paper: "this
     /// will double the buffer area and power overhead").
-    pub fn duplicate_retrans_cost(&self) -> RouterBudget {
+    #[cfg(test)]
+    fn duplicate_retrans_cost(&self) -> RouterBudget {
         let retrans = self
             .components()
             .into_iter()
@@ -208,17 +200,17 @@ impl RouterModel {
 
 /// Scale factors anchoring the raw model to the paper's synthesis.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Calibration {
+pub(crate) struct Calibration {
     /// Multiplier on raw area.
-    pub area_scale: f64,
+    pub(crate) area_scale: f64,
     /// Multiplier on raw power.
-    pub power_scale: f64,
+    pub(crate) power_scale: f64,
 }
 
 impl Calibration {
     /// Computes the scales that map the reference router (5 PCs, 4 VCs per
     /// PC as in Table 1) onto the paper's synthesized totals.
-    pub fn to_paper() -> Calibration {
+    pub(crate) fn to_paper() -> Calibration {
         let reference = RouterModel::new(table1_router_config());
         let (raw_area_um2, _) = reference.raw_totals();
         let raw_power = reference.raw_power_mw();
@@ -230,7 +222,7 @@ impl Calibration {
 }
 
 /// The Table 1 router configuration: 5 PCs, **4** VCs per PC.
-pub fn table1_router_config() -> RouterConfig {
+pub(crate) fn table1_router_config() -> RouterConfig {
     RouterConfig::builder()
         .vcs_per_port(4)
         .buffer_depth(4)
@@ -259,14 +251,14 @@ pub struct RouterBudget {
 /// 3. invalid / duplicate / multicast switch-grant detection over the
 ///    `P×P` grant matrix.
 #[derive(Debug, Clone)]
-pub struct AcUnitModel {
+pub(crate) struct AcUnitModel {
     config: RouterConfig,
     prims: Primitives,
 }
 
 impl AcUnitModel {
     /// Builds the AC model for a router configuration.
-    pub fn new(config: RouterConfig) -> Self {
+    pub(crate) fn new(config: RouterConfig) -> Self {
         AcUnitModel {
             config,
             prims: Primitives::default(),
@@ -274,7 +266,7 @@ impl AcUnitModel {
     }
 
     /// NAND2-equivalent gate count of the comparator planes.
-    pub fn gate_count(&self) -> f64 {
+    pub(crate) fn gate_count(&self) -> f64 {
         let p = self.config.ports() as f64;
         let v = self.config.vcs_per_port() as f64;
         let pv = p * v;
@@ -295,30 +287,30 @@ impl AcUnitModel {
     }
 
     /// Pipeline/staging flip-flops (error flags latched per port).
-    pub fn flipflop_count(&self) -> f64 {
+    pub(crate) fn flipflop_count(&self) -> f64 {
         self.config.ports() as f64
     }
 
     /// Raw area in µm².
-    pub fn raw_area_um2(&self) -> f64 {
+    pub(crate) fn raw_area_um2(&self) -> f64 {
         self.gate_count() * self.prims.gate_area + self.flipflop_count() * self.prims.flipflop_area
     }
 
     /// Raw average switched energy per cycle (the AC checks every cycle;
     /// comparator activity is high by design).
-    pub fn raw_energy_pj_per_cycle(&self) -> f64 {
+    pub(crate) fn raw_energy_pj_per_cycle(&self) -> f64 {
         self.gate_count() * self.prims.gate_switch * 0.5
             + self.flipflop_count() * self.prims.flipflop_toggle
     }
 
     /// Raw power in mW.
-    pub fn raw_power_mw(&self) -> f64 {
+    pub(crate) fn raw_power_mw(&self) -> f64 {
         self.prims.dynamic_power_mw(self.raw_energy_pj_per_cycle())
             + self.prims.leakage_per_mm2 * (self.raw_area_um2() / 1e6)
     }
 
     /// Calibrated budget in paper units.
-    pub fn calibrated(&self) -> RouterBudget {
+    pub(crate) fn calibrated(&self) -> RouterBudget {
         let cal = Calibration::to_paper();
         RouterBudget {
             area: Millimeters2(self.raw_area_um2() / 1e6 * cal.area_scale),

@@ -15,20 +15,19 @@
 //! which is what Table 1 and Figures 7/13b actually claim — then follow
 //! from the model's structure rather than from the calibration.
 //!
-//! - [`primitives`]: the 90 nm primitive library.
+//! - `primitives`: the 90 nm primitive library.
 //! - [`area`]: component-by-component router area/power and Table 1.
 //! - [`energy`]: per-event energies consumed by the cycle-accurate
 //!   simulator's accounting.
 //! - [`report`]: the pretty-printed Table 1.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod area;
 pub mod energy;
-pub mod primitives;
+pub(crate) mod primitives;
 pub mod report;
 
-pub use area::{AcUnitModel, RouterBudget, RouterModel, Table1};
+pub use area::{RouterBudget, RouterModel, Table1};
 pub use energy::{EnergyEvent, EnergyModel};
-pub use primitives::Primitives;

@@ -10,38 +10,38 @@
 
 /// Areas in µm², energies in pJ per event, power in mW.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Primitives {
+pub(crate) struct Primitives {
     /// Area of one SRAM bit cell including amortised periphery (µm²).
-    pub sram_bit_area: f64,
+    pub(crate) sram_bit_area: f64,
     /// Area of one D flip-flop (register bit) (µm²).
-    pub flipflop_area: f64,
+    pub(crate) flipflop_area: f64,
     /// Area of one NAND2-equivalent gate (µm²).
-    pub gate_area: f64,
+    pub(crate) gate_area: f64,
     /// Area of one crossbar crosspoint per bit (pass-gate + wiring) (µm²).
-    pub crosspoint_area: f64,
+    pub(crate) crosspoint_area: f64,
 
     /// Energy to read one SRAM bit (pJ).
-    pub sram_bit_read: f64,
+    pub(crate) sram_bit_read: f64,
     /// Energy to write one SRAM bit (pJ).
-    pub sram_bit_write: f64,
+    pub(crate) sram_bit_write: f64,
     /// Energy of one flip-flop clock+data toggle (pJ).
-    pub flipflop_toggle: f64,
+    pub(crate) flipflop_toggle: f64,
     /// Switching energy of one NAND2-equivalent (pJ).
-    pub gate_switch: f64,
+    pub(crate) gate_switch: f64,
     /// Energy to move one bit across the crossbar (pJ).
-    pub crosspoint_bit: f64,
+    pub(crate) crosspoint_bit: f64,
     /// Energy to drive one bit over a 1 mm inter-router wire (pJ).
-    pub link_bit: f64,
+    pub(crate) link_bit: f64,
 
     /// Leakage power density (mW per mm²) at 90 nm, 1 V.
-    pub leakage_per_mm2: f64,
+    pub(crate) leakage_per_mm2: f64,
     /// Clock frequency (Hz) for energy→power conversions.
-    pub clock_hz: f64,
+    pub(crate) clock_hz: f64,
 }
 
 impl Primitives {
     /// The default 90 nm / 1 V / 500 MHz library used throughout.
-    pub const fn tsmc90_500mhz() -> Self {
+    pub(crate) const fn tsmc90_500mhz() -> Self {
         Primitives {
             sram_bit_area: 1.5,
             flipflop_area: 9.0,
@@ -62,7 +62,7 @@ impl Primitives {
 
     /// Converts a per-cycle switched energy (pJ) into average dynamic
     /// power (mW) at this clock: `P[mW] = E[pJ] × f[GHz]`.
-    pub fn dynamic_power_mw(&self, energy_pj_per_cycle: f64) -> f64 {
+    pub(crate) fn dynamic_power_mw(&self, energy_pj_per_cycle: f64) -> f64 {
         energy_pj_per_cycle * (self.clock_hz / 1e9)
     }
 }

@@ -20,20 +20,8 @@ pub fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
 /// `i % 64` of `words[i / 64]`. After a grant, priority rotates to the
 /// requester after the winner, so every persistent requester is served
 /// within `n` grants (strong fairness).
-///
-/// # Examples
-///
-/// ```
-/// use ftnoc_sim::arbiter::RoundRobinArbiter;
-///
-/// let mut arb = RoundRobinArbiter::new(3);
-/// assert_eq!(arb.grant(&[0b111]), Some(0));
-/// assert_eq!(arb.grant(&[0b111]), Some(1));
-/// assert_eq!(arb.grant(&[0b111]), Some(2));
-/// assert_eq!(arb.grant(&[0b111]), Some(0));
-/// ```
 #[derive(Debug, Clone)]
-pub struct RoundRobinArbiter {
+pub(crate) struct RoundRobinArbiter {
     n: usize,
     next: usize,
 }
@@ -44,7 +32,7 @@ impl RoundRobinArbiter {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0, "arbiter needs at least one requester");
         RoundRobinArbiter { n, next: 0 }
     }
@@ -60,7 +48,7 @@ impl RoundRobinArbiter {
     /// # Panics
     ///
     /// Panics if `words.len()` is not `n.div_ceil(64)`.
-    pub fn grant(&mut self, words: &[u64]) -> Option<usize> {
+    pub(crate) fn grant(&mut self, words: &[u64]) -> Option<usize> {
         assert_eq!(words.len(), self.n.div_ceil(64), "request width mismatch");
         if let [mask] = *words {
             // Rotating `next` down to bit 0 puts the requesters at or
@@ -130,6 +118,15 @@ mod tests {
             words[i / 64] |= 1 << (i % 64);
         }
         words
+    }
+
+    #[test]
+    fn grants_in_turn() {
+        let mut arb = RoundRobinArbiter::new(3);
+        assert_eq!(arb.grant(&[0b111]), Some(0));
+        assert_eq!(arb.grant(&[0b111]), Some(1));
+        assert_eq!(arb.grant(&[0b111]), Some(2));
+        assert_eq!(arb.grant(&[0b111]), Some(0));
     }
 
     #[test]

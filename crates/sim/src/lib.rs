@@ -35,12 +35,12 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod arbiter;
 pub mod config;
-pub mod engine;
-pub mod link;
+pub(crate) mod engine;
+pub(crate) mod link;
 pub mod network;
 pub mod router;
 pub mod routing;

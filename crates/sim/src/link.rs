@@ -31,19 +31,19 @@ use ftnoc_types::flit::Flit;
 
 /// The forward half of a directed link: at most one flit in flight.
 #[derive(Debug, Clone, Default)]
-pub struct FlitWire {
+pub(crate) struct FlitWire {
     /// The flit in flight, with its VC tag and delivery cycle.
     in_flight: Option<(Flit, u8, u64)>,
 }
 
 impl FlitWire {
     /// Creates an idle wire.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FlitWire::default()
     }
 
     /// Whether the wire is free (nothing queued for delivery).
-    pub fn forward_free(&self) -> bool {
+    pub(crate) fn forward_free(&self) -> bool {
         self.in_flight.is_none()
     }
 
@@ -54,7 +54,7 @@ impl FlitWire {
     ///
     /// Panics if the wire is already carrying a flit — the ST stage must
     /// arbitrate one flit per port per cycle.
-    pub fn send_flit(&mut self, flit: Flit, vc: u8, now: u64) {
+    pub(crate) fn send_flit(&mut self, flit: Flit, vc: u8, now: u64) {
         assert!(
             self.in_flight.is_none(),
             "link driven twice in one cycle at {now}"
@@ -64,7 +64,7 @@ impl FlitWire {
 
     /// Read-only view of the flit in flight: `(flit, vc, deliver_at)`.
     /// Inspection hook for the invariant oracle; never consumes.
-    pub fn peek(&self) -> Option<(Flit, u8, u64)> {
+    pub(crate) fn peek(&self) -> Option<(Flit, u8, u64)> {
         self.in_flight
     }
 
@@ -72,7 +72,7 @@ impl FlitWire {
     /// its delivery cycle. Whole-router fault purges use this: a flit
     /// en route toward (or belonging to a wormhole amputated by) a dead
     /// router is physically lost on the wire.
-    pub fn purge_if(&mut self, pred: impl FnOnce(&Flit) -> bool) -> Option<(Flit, u8)> {
+    pub(crate) fn purge_if(&mut self, pred: impl FnOnce(&Flit) -> bool) -> Option<(Flit, u8)> {
         match self.in_flight {
             Some((flit, vc, _)) if pred(&flit) => {
                 self.in_flight = None;
@@ -84,7 +84,7 @@ impl FlitWire {
 
     /// Takes the flit due for delivery at cycle `now`, if any.
     #[inline]
-    pub fn deliver_flit(&mut self, now: u64) -> Option<(Flit, u8)> {
+    pub(crate) fn deliver_flit(&mut self, now: u64) -> Option<(Flit, u8)> {
         match self.in_flight {
             Some((flit, vc, at)) if at <= now => {
                 self.in_flight = None;
@@ -98,7 +98,7 @@ impl FlitWire {
 /// The reverse side-band of a directed link (owned by the sender):
 /// credits and NACK strobes flowing back from the downstream router.
 #[derive(Debug, Clone, Default)]
-pub struct RevWire {
+pub(crate) struct RevWire {
     /// Credits in flight: (vc, visible_at).
     credits: VecDeque<(u8, u64)>,
     /// NACKs in flight: (vc, visible_at).
@@ -107,19 +107,19 @@ pub struct RevWire {
 
 impl RevWire {
     /// Creates an idle side-band.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RevWire::default()
     }
 
     /// Releases one credit for `vc` at cycle `now` (visible `now + 1`).
-    pub fn send_credit(&mut self, vc: u8, now: u64) {
+    pub(crate) fn send_credit(&mut self, vc: u8, now: u64) {
         self.credits.push_back((vc, now + 1));
     }
 
     /// Pops the next credit visible at cycle `now`, in arrival order.
     /// Allocation-free: callers drain with `while let`.
     #[inline]
-    pub fn pop_credit(&mut self, now: u64) -> Option<u8> {
+    pub(crate) fn pop_credit(&mut self, now: u64) -> Option<u8> {
         match self.credits.front() {
             Some(&(vc, at)) if at <= now => {
                 self.credits.pop_front();
@@ -131,7 +131,7 @@ impl RevWire {
 
     /// Raises a NACK for `vc` at check-cycle `now` (acted on at
     /// `now + 2`).
-    pub fn send_nack(&mut self, vc: u8, now: u64) {
+    pub(crate) fn send_nack(&mut self, vc: u8, now: u64) {
         self.nacks.push_back((vc, now + 2));
     }
 
@@ -140,7 +140,7 @@ impl RevWire {
     /// a strobe is actually asserted; an idle side-band consumes no
     /// fault draws, which keeps skipped cycles free of RNG traffic).
     #[inline]
-    pub fn nack_due(&self, now: u64) -> bool {
+    pub(crate) fn nack_due(&self, now: u64) -> bool {
         self.nacks.front().is_some_and(|&(_, at)| at <= now)
     }
 
@@ -152,7 +152,7 @@ impl RevWire {
     /// and outvoted. The voted strobe is always still asserted, so the
     /// NACK itself survives.
     #[inline]
-    pub fn pop_nack(&mut self, now: u64, upset: bool) -> Option<(u8, bool)> {
+    pub(crate) fn pop_nack(&mut self, now: u64, upset: bool) -> Option<(u8, bool)> {
         match self.nacks.front() {
             Some(&(vc, at)) if at <= now => {
                 self.nacks.pop_front();
@@ -170,18 +170,18 @@ impl RevWire {
 
     /// Read-only view of the credits in flight: `(vc, visible_at)` in
     /// arrival order. Inspection hook for the invariant oracle.
-    pub fn pending_credits(&self) -> impl Iterator<Item = (u8, u64)> + '_ {
+    pub(crate) fn pending_credits(&self) -> impl Iterator<Item = (u8, u64)> + '_ {
         self.credits.iter().copied()
     }
 
     /// Read-only view of the NACKs in flight: `(vc, visible_at)` in
     /// arrival order. Inspection hook for the invariant oracle.
-    pub fn pending_nacks(&self) -> impl Iterator<Item = (u8, u64)> + '_ {
+    pub(crate) fn pending_nacks(&self) -> impl Iterator<Item = (u8, u64)> + '_ {
         self.nacks.iter().copied()
     }
 
     /// Whether any reverse-channel activity is pending (for tests).
-    pub fn reverse_idle(&self) -> bool {
+    pub(crate) fn reverse_idle(&self) -> bool {
         self.credits.is_empty() && self.nacks.is_empty()
     }
 
@@ -189,7 +189,7 @@ impl RevWire {
     /// died with these signals mid-wire, so they never arrive. Credits
     /// lost this way are a deliberate ledger leak (the oracle's exact
     /// credit check disarms once a run can lose flits).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.credits.clear();
         self.nacks.clear();
     }
@@ -199,19 +199,19 @@ impl RevWire {
 /// arrival port and one [`RevWire`] per outgoing direction. Entries are
 /// `None` where the topology has no link (mesh edges).
 #[derive(Debug, Default)]
-pub struct PortIo {
+pub(crate) struct PortIo {
     /// `flit_in[p]`: the forward wire arriving on cardinal port `p`.
-    pub flit_in: [Option<FlitWire>; 4],
+    pub(crate) flit_in: [Option<FlitWire>; 4],
     /// `rev_in[d]`: credits/NACKs returning for the link leaving in
     /// cardinal direction `d`.
-    pub rev_in: [Option<RevWire>; 4],
+    pub(crate) rev_in: [Option<RevWire>; 4],
 }
 
 impl PortIo {
     /// Builds the wire set for a router whose cardinal links are
     /// `exists[d]` (links are bidirectional, so the arrival wire and the
     /// reverse side-band share the existence mask).
-    pub fn new(exists: [bool; 4]) -> Self {
+    pub(crate) fn new(exists: [bool; 4]) -> Self {
         let mut io = PortIo::default();
         for (d, &present) in exists.iter().enumerate() {
             if present {

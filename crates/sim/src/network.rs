@@ -274,41 +274,41 @@ struct ActivationFlight {
 /// phase drains.
 pub(crate) struct RouterCell {
     /// The router proper.
-    pub router: Router,
+    pub(crate) router: Router,
     /// Inbound wires owned by this router (popped during compute,
     /// pushed by the commit phase only).
-    pub io: PortIo,
+    pub(crate) io: PortIo,
     /// Set by the compute phase: this router wants to be computed again
     /// next cycle (it is non-quiescent, or its inbound wires still hold
     /// undelivered traffic). Read by the commit phase, which turns it
     /// into a `now + 1` wheel entry. Meaningless for skipped cells —
     /// commit never reads it for them.
-    pub wants_wake: bool,
+    pub(crate) wants_wake: bool,
 }
 
 /// What the compute phase reads and never writes: the run context
 /// every router's sweep shares. Pre and commit own it mutably.
 pub(crate) struct RunEnv {
     /// The run configuration.
-    pub config: SimConfig,
+    pub(crate) config: SimConfig,
     /// This cycle's active set (activity gating): refreshed and woken
     /// into by pre, walked by compute and commit.
-    pub active: ActiveSet,
+    pub(crate) active: ActiveSet,
     /// `neighbors[n][d]`: the router across the link leaving `n` in
     /// cardinal direction `d` ([`Topology::neighbor_table`]).
     neighbors: Vec<[Option<NodeId>; 4]>,
     /// The routers in deadlock-recovery mode as of the last commit.
     /// Commit is its only writer, on transition edges, so a compute
     /// sweep reads a frozen snapshot.
-    pub recovering: NodeBits,
+    pub(crate) recovering: NodeBits,
     /// The dead routers: set at reset and by commit's death purge. A
     /// dead router never computes again.
-    pub dead: NodeBits,
+    pub(crate) dead: NodeBits,
     /// The run's fault state: the hard-fault timeline (static base set
     /// plus scheduled mid-run kills) with one pre-built fault-aware
     /// routing plan per publication epoch. Its only writer is commit,
     /// when the wear-out model realizes a link death.
-    pub faults: FaultState,
+    pub(crate) faults: FaultState,
 }
 
 impl RunEnv {
@@ -589,7 +589,7 @@ impl<S: TraceSink> Network<S> {
     }
 
     /// Census of injected faults, summed over the per-router streams.
-    pub fn fault_counts(&self) -> FaultCounts {
+    pub(crate) fn fault_counts(&self) -> FaultCounts {
         let mut total = FaultCounts::default();
         for cell in &self.cells {
             total.absorb(&cell.router.fault_counts());
@@ -714,7 +714,7 @@ impl<S: TraceSink> Network<S> {
     /// Peak per-node source-side retransmission-buffer occupancy (flits)
     /// observed so far — the buffer-size cost of end-to-end schemes the
     /// paper contrasts with HBH's fixed 3 flits per VC.
-    pub fn e2e_peak_source_flits(&self) -> u64 {
+    pub(crate) fn e2e_peak_source_flits(&self) -> u64 {
         self.core.e2e_peak_source_flits
     }
 
@@ -862,117 +862,115 @@ impl<S: TraceSink> NetCore<S> {
         let scheme = env.config.scheme;
         let vcs = env.config.router.vcs_per_port();
         let topo = env.config.topology;
-        let n_routers = topo.node_count();
         let source_open = env
             .config
             .stop_injection_after
             .is_none_or(|stop| now < stop);
-        // Terminals in id order: with a concentration of 1 (`t == n`)
-        // this is exactly the node order, so the traffic RNG stream is
-        // untouched on plain meshes and tori.
-        for t in 0..self.pes.len() {
-            let node = t % n_routers;
-            let port = 4 + t / n_routers;
-            // A dead router takes its terminals with it: the PE stops
-            // generating (its pending traffic was purged at death) and
-            // draws nothing — the node is gone, not merely idle.
-            if env.dead.contains(node) {
-                continue;
-            }
-            // New traffic.
-            let count = if source_open && self.pes[t].source_queue.len() < SOURCE_QUEUE_CAP {
-                self.pes[t].injector.packets_this_cycle(&mut self.rng)
-            } else {
-                0
-            };
-            for _ in 0..count {
-                let src = NodeId::new(t as u16);
-                let dest = env.config.pattern.destination(src, topo, &mut self.rng);
-                // Traffic addressed to a dead router is stillborn: the
-                // destination draw is consumed (the RNG stream stays a
-                // pure function of the cycle) but no packet exists.
-                if env.dead.contains(dest.index() % n_routers) {
+        // Terminals in id order, `t = (port - 4) * node_count + node`:
+        // with a concentration of 1 this is exactly the node order, so
+        // the traffic RNG stream is untouched on plain meshes and tori.
+        for port in 4..topo.radix() {
+            for (node, cell) in cells.iter_mut().enumerate() {
+                let src = topo.terminal_at(NodeId::new(node as u16), port);
+                let t = src.index();
+                // A dead router takes its terminals with it: the PE stops
+                // generating (its pending traffic was purged at death) and
+                // draws nothing — the node is gone, not merely idle.
+                if env.dead.contains(node) {
                     continue;
                 }
-                let id = PacketId::new(self.next_packet);
-                self.next_packet += 1;
-                let mut packet = Packet::new(
-                    id,
-                    Header::with_class(src, dest, CLASS_DATA),
-                    env.config.flits_per_packet(),
-                    now,
-                );
-                for f in packet.flits_mut() {
-                    protect_flit(f);
-                }
-                if scheme.uses_end_to_end_control() {
-                    self.pes[t].e2e_source.on_send(packet.clone(), now);
-                }
-                self.pes[t].source_queue.push_back(packet);
-                self.packets_injected += 1;
-                self.tracer.emit(
-                    now,
-                    node as u16,
-                    TraceEvent::PacketInjected {
-                        packet: id.raw(),
-                        src: t as u16,
-                        dest: dest.index() as u16,
-                    },
-                );
-            }
-
-            // Nothing queued, nothing mid-injection, no timeout scan
-            // due: the rest of the loop body is a no-op. (The injector
-            // draw above always happens, so the traffic RNG stream is
-            // independent of this shortcut.)
-            if self.pes[t].source_queue.is_empty()
-                && self.pes[t].injecting.is_none()
-                && !(scheme.uses_end_to_end_control() && now.is_multiple_of(32))
-            {
-                continue;
-            }
-
-            let cell = &mut cells[node];
-
-            // E2E/FEC timeouts (scanned every 32 cycles to bound cost).
-            if scheme.uses_end_to_end_control() && now.is_multiple_of(32) {
-                let expired = self.pes[t].e2e_source.take_expired(now);
-                for packet in expired {
-                    // A retransmission to a dead router would bounce
-                    // forever: the destination died, so the copy is
-                    // abandoned rather than requeued.
-                    let dest = packet.flits()[0].header.dest;
-                    if env.dead.contains(dest.index() % n_routers) {
+                // New traffic.
+                let count = if source_open && self.pes[t].source_queue.len() < SOURCE_QUEUE_CAP {
+                    self.pes[t].injector.packets_this_cycle(&mut self.rng)
+                } else {
+                    0
+                };
+                for _ in 0..count {
+                    let dest = env.config.pattern.destination(src, topo, &mut self.rng);
+                    // Traffic addressed to a dead router is stillborn: the
+                    // destination draw is consumed (the RNG stream stays a
+                    // pure function of the cycle) but no packet exists.
+                    if env.dead.contains(topo.router_of_terminal(dest).index()) {
                         continue;
                     }
-                    cell.router.errors.e2e_retransmissions += 1;
+                    let id = PacketId::new(self.next_packet);
+                    self.next_packet += 1;
+                    let mut packet = Packet::new(
+                        id,
+                        Header::with_class(src, dest, CLASS_DATA),
+                        env.config.flits_per_packet(),
+                        now,
+                    );
+                    for f in packet.flits_mut() {
+                        protect_flit(f);
+                    }
+                    if scheme.uses_end_to_end_control() {
+                        self.pes[t].e2e_source.on_send(packet.clone(), now);
+                    }
                     self.pes[t].source_queue.push_back(packet);
+                    self.packets_injected += 1;
+                    self.tracer.emit(
+                        now,
+                        node as u16,
+                        TraceEvent::PacketInjected {
+                            packet: id.raw(),
+                            src: t as u16,
+                            dest: dest.index() as u16,
+                        },
+                    );
                 }
-            }
 
-            // Continue or start a wormhole into this terminal's local
-            // port. New packets are not admitted while the router is in
-            // deadlock recovery (§3.2.1).
-            if self.pes[t].injecting.is_none() && !cell.router.probe.in_recovery() {
-                if let Some(vc) = (0..vcs).find(|&v| cell.router.local_vc_idle(port, v)) {
-                    if let Some(packet) = self.pes[t].source_queue.pop_front() {
-                        let flits: VecDeque<Flit> = packet.into_flits().into();
+                // Nothing queued, nothing mid-injection, no timeout scan
+                // due: the rest of the loop body is a no-op. (The injector
+                // draw above always happens, so the traffic RNG stream is
+                // independent of this shortcut.)
+                if self.pes[t].source_queue.is_empty()
+                    && self.pes[t].injecting.is_none()
+                    && !(scheme.uses_end_to_end_control() && now.is_multiple_of(32))
+                {
+                    continue;
+                }
+
+                // E2E/FEC timeouts (scanned every 32 cycles to bound cost).
+                if scheme.uses_end_to_end_control() && now.is_multiple_of(32) {
+                    let expired = self.pes[t].e2e_source.take_expired(now);
+                    for packet in expired {
+                        // A retransmission to a dead router would bounce
+                        // forever: the destination died, so the copy is
+                        // abandoned rather than requeued.
+                        let dest = packet.flits()[0].header.dest;
+                        if env.dead.contains(topo.router_of_terminal(dest).index()) {
+                            continue;
+                        }
+                        cell.router.errors.e2e_retransmissions += 1;
+                        self.pes[t].source_queue.push_back(packet);
+                    }
+                }
+
+                // Continue or start a wormhole into this terminal's local
+                // port. New packets are not admitted while the router is in
+                // deadlock recovery (§3.2.1).
+                if self.pes[t].injecting.is_none() && !cell.router.probe.in_recovery() {
+                    if let Some(vc) = (0..vcs).find(|&v| cell.router.local_vc_idle(port, v)) {
+                        if let Some(packet) = self.pes[t].source_queue.pop_front() {
+                            let flits: VecDeque<Flit> = packet.into_flits().into();
+                            self.pes[t].injecting = Some((vc, flits));
+                        }
+                    }
+                }
+                if let Some((vc, mut flits)) = self.pes[t].injecting.take() {
+                    if cell.router.local_free_slots(port, vc) > 0 {
+                        if let Some(flit) = flits.pop_front() {
+                            self.flits_injected += 1;
+                            cell.router.inject_local(port, vc, flit);
+                            // The router just gained a flit: it must compute
+                            // this very cycle (pre runs before compute).
+                            env.active.wake_now(node);
+                        }
+                    }
+                    if !flits.is_empty() {
                         self.pes[t].injecting = Some((vc, flits));
                     }
-                }
-            }
-            if let Some((vc, mut flits)) = self.pes[t].injecting.take() {
-                if cell.router.local_free_slots(port, vc) > 0 {
-                    if let Some(flit) = flits.pop_front() {
-                        self.flits_injected += 1;
-                        cell.router.inject_local(port, vc, flit);
-                        // The router just gained a flit: it must compute
-                        // this very cycle (pre runs before compute).
-                        env.active.wake_now(node);
-                    }
-                }
-                if !flits.is_empty() {
-                    self.pes[t].injecting = Some((vc, flits));
                 }
             }
         }
@@ -1246,8 +1244,8 @@ impl<S: TraceSink> NetCore<S> {
     /// runs stay byte-identical through a death.
     fn kill_router(&mut self, env: &RunEnv, cells: &mut [RouterCell], victim: NodeId, now: u64) {
         let v = victim.index();
-        let n_routers = env.config.topology.node_count();
-        let dest_router = |f: &Flit| f.header.dest.index() % n_routers;
+        let topo = env.config.topology;
+        let dest_router = |f: &Flit| topo.router_of_terminal(f.header.dest).index();
 
         // Pass A: membership. A packet is truncated by this death when
         // it has an original flit inside the victim, an open wormhole
@@ -1361,15 +1359,12 @@ impl<S: TraceSink> NetCore<S> {
         // Terminals: the victim's PEs die with their router (queued
         // traffic was never injected, so it is dropped, not "lost");
         // live terminals abandon packets addressed to the corpse.
-        for t in 0..self.pes.len() {
-            let node = t % n_routers;
-            let pe = &mut self.pes[t];
-            if node == v {
+        for (t, pe) in self.pes.iter_mut().enumerate() {
+            if topo.router_of_terminal(NodeId::new(t as u16)) == victim {
                 pe.source_queue.clear();
                 pe.injecting = None;
             } else {
-                pe.source_queue
-                    .retain(|p| p.flits()[0].header.dest.index() % n_routers != v);
+                pe.source_queue.retain(|p| dest_router(&p.flits()[0]) != v);
                 if let Some((_, flits)) = &pe.injecting {
                     if flits
                         .front()
@@ -1404,9 +1399,7 @@ impl<S: TraceSink> NetCore<S> {
         let scheme = env.config.scheme;
         // The terminal this local port serves: `t == node` everywhere
         // except a concentrated mesh.
-        let term = NodeId::new(
-            ((port as usize - 4) * env.config.topology.node_count() + node.index()) as u16,
-        );
+        let term = env.config.topology.terminal_at(node, port as usize);
         let fields = ftnoc_types::flit::PackedFields::unpack(flit.payload.data());
         let class = match scheme {
             ErrorScheme::Hbh | ErrorScheme::Fec => flit.header.class,

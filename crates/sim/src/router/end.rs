@@ -170,7 +170,7 @@ impl Router {
     /// probe chase sees it). A VC with neither can neither launch nor
     /// forward a probe, so it has no row; only a VC waiting for or
     /// holding an output VC can have an edge.
-    pub fn blocked_summary(&self, out: &mut Vec<BlockedVcSummary>) {
+    pub(crate) fn blocked_summary(&self, out: &mut Vec<BlockedVcSummary>) {
         for (p, port) in self.inputs.iter().enumerate() {
             for v in ones((port.blocked & port.buffer.nonempty()) | port.wait | port.active) {
                 let (blocked, fwd) = self.port_wait_info(p, v);

@@ -73,15 +73,15 @@ use ports::{InputPort, OutputPort, VcState};
 /// Immutable per-cycle context shared by every router's stages.
 pub(crate) struct Ctx<'a> {
     /// The run configuration.
-    pub config: &'a SimConfig,
+    pub(crate) config: &'a SimConfig,
     /// Current cycle.
-    pub now: u64,
+    pub(crate) now: u64,
     /// The run's fault state (hard-fault timeline, per-epoch routing
     /// plans): immutable for the compute phase, a pure function of `now`.
-    pub faults: &'a FaultState,
+    pub(crate) faults: &'a FaultState,
 }
 
-/// One row of [`Router::blocked_summary`]: the VC, how long its head
+/// One row of `Router::blocked_summary`: the VC, how long its head
 /// has been blocked, whether the probe chase considers it blocked, and
 /// its onward dependency edge. Only live rows exist (blocked, or with
 /// an edge): an idle, unblocked VC has nothing the chase could read.
@@ -95,15 +95,15 @@ pub type BlockedVcSummary = (VcRef, u64, bool, Option<(Direction, VcRef)>);
 #[derive(Debug, Default)]
 pub(crate) struct TraceBuf {
     /// Mirror of `Tracer::enabled()`; `false` makes `emit` a no-op.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Events of the current cycle, in phase order.
-    pub events: Vec<TraceEvent>,
+    pub(crate) events: Vec<TraceEvent>,
 }
 
 impl TraceBuf {
     /// Records an event; the closure only runs when tracing is on.
     #[inline]
-    pub fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
+    pub(crate) fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
         if self.enabled {
             self.events.push(f());
         }
@@ -112,16 +112,13 @@ impl TraceBuf {
 
 /// A flit leaving the router this cycle.
 #[derive(Debug, Clone, Copy)]
-pub struct LinkDrive {
+pub(crate) struct LinkDrive {
     /// Output direction.
-    pub dir: Direction,
+    pub(crate) dir: Direction,
     /// The flit.
-    pub flit: Flit,
+    pub(crate) flit: Flit,
     /// VC tag on the wire.
-    pub vc: u8,
-    /// Whether this is a replayed (retransmitted) flit — replays do not
-    /// consume fresh credits.
-    pub is_replay: bool,
+    pub(crate) vc: u8,
 }
 
 /// The router.
@@ -151,20 +148,16 @@ pub struct Router {
     /// sent copies): bit `v` of `due[port][t % WHEEL]` means output VC
     /// `(port, v)` stamped a sent copy at cycle `t - NACK_ROUND_TRIP`.
     /// Written only by `Router::stamp`; a bit a NACK, a replay or a
-    /// purge left stale costs one `expire` that drops nothing. Boxed,
-    /// because both other places measured worse on an 8×8: inline, the
-    /// 128 bytes pushed its 64 routers over glibc's 128 KiB mmap
-    /// threshold (+3 % peak RSS); in `OutputPort`, set-up read ≈ 6 %
-    /// slower.
-    due: Box<[[u64; ports::WHEEL]; 4]>,
+    /// purge left stale costs one `expire` that drops nothing.
+    due: [[u64; ports::WHEEL]; 4],
     /// Flits ejected this cycle, tagged with the local out port they
     /// left through (drained by the network; the port picks the PE on
     /// concentrated topologies).
     pub ejected: Vec<(Flit, u8)>,
     /// Upstream credits freed this cycle: (input port, vc).
-    pub freed_credits: Vec<(Direction, u8)>,
+    pub(crate) freed_credits: Vec<(Direction, u8)>,
     /// Flits driven onto outgoing links this cycle (drained at commit).
-    pub drives: Vec<LinkDrive>,
+    pub(crate) drives: Vec<LinkDrive>,
     /// Arrival NACKs to send upstream this cycle: (arrival port, vc).
     pub(crate) arrival_nacks: Vec<(Direction, u8)>,
     /// Probe launch requested by `end_cycle` this cycle.
@@ -243,7 +236,7 @@ impl Router {
             probe_scan_offset: 0,
             recovery_stall: 0,
             last_end: 0,
-            due: Box::default(),
+            due: Default::default(),
             ejected: Vec::new(),
             freed_credits: Vec::new(),
             drives: Vec::new(),
@@ -266,7 +259,7 @@ impl Router {
     }
 
     /// This router's injected-fault census.
-    pub fn fault_counts(&self) -> FaultCounts {
+    pub(crate) fn fault_counts(&self) -> FaultCounts {
         self.fi.counts()
     }
 
@@ -470,7 +463,7 @@ impl Router {
     /// compute phase is a complete no-op — no state change, no RNG
     /// draws, no event counts — which is what lets the activity-gated
     /// engine skip it without perturbing the simulation.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         !self.probe.in_recovery()
             && self
                 .inputs
@@ -745,7 +738,7 @@ mod tests {
         assert_eq!(drives.len(), 1);
         assert_eq!(drives[0].dir, Direction::East);
         assert_eq!(drives[0].flit.seq, 0);
-        assert!(!drives[0].is_replay);
+        assert_eq!(drives[0].flit.retransmissions, 0);
     }
 
     /// Body flits stream one per cycle behind the head.
@@ -894,8 +887,8 @@ mod tests {
         assert_eq!(sent, 4, "second packet must flow after the first released");
     }
 
-    /// A NACK triggers replay with priority over new traffic, and replayed
-    /// drives are marked as such.
+    /// A NACK triggers replay with priority over new traffic, and the
+    /// replayed drive carries its retransmission count.
     #[test]
     fn nack_replay_preempts_new_traffic() {
         let mut h = Harness::new();
@@ -912,9 +905,11 @@ mod tests {
             .handle_nack(Direction::East, out_vc.expect("flits were driven"), h.now);
         let drives = h.step();
         assert_eq!(drives.len(), 1);
-        assert!(drives[0].is_replay, "replay must win the link");
+        assert_eq!(
+            drives[0].flit.retransmissions, 1,
+            "replay must win the link"
+        );
         assert_eq!(drives[0].flit.seq, 0, "oldest window flit first");
-        assert_eq!(drives[0].flit.retransmissions, 1);
     }
 
     /// FEC arrival (§3 / Figure 5): a single-bit upset is corrected at the
@@ -989,15 +984,7 @@ mod tests {
             cthres: 2,
         });
         let mut h = Harness::with_config(b.build().expect("valid config"));
-        let census = |r: &Router| {
-            (
-                r.events,
-                r.errors,
-                r.fault_counts(),
-                r.buffer_stalls,
-                r.ac.check_count(),
-            )
-        };
+        let census = |r: &Router| (r.events, r.errors, r.fault_counts(), r.buffer_stalls);
         let built = census(&h.router);
         for now in 0..200 {
             assert!(h.step().is_empty(), "cycle {now}: an empty router drove");
@@ -1024,12 +1011,12 @@ mod tests {
         assert_eq!(inputs[4].active, 1, "the wormhole stays open");
         assert!(outputs.iter().all(|o| o.st_queue.is_empty()));
         assert!(h.router.ac.holds_any(), "its output VC stays reserved");
-        let (checks, ticks) = (h.router.ac.check_count(), h.router.events.ac_check);
+        let ticks = h.router.events.ac_check;
         for k in 1..=50 {
             assert!(h.step().is_empty());
             assert_eq!(
-                (h.router.ac.check_count(), h.router.events.ac_check),
-                (checks + k, ticks + k),
+                h.router.events.ac_check,
+                ticks + k,
                 "cycle {}: one comparator evaluation per cycle",
                 h.now - 1
             );

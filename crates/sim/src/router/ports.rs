@@ -378,7 +378,7 @@ impl Router {
 
     /// Free slots in VC `v` of local input `port`'s buffer (injection
     /// gate). `port` is an absolute port index (`>= 4`).
-    pub fn local_free_slots(&self, port: usize, v: usize) -> usize {
+    pub(crate) fn local_free_slots(&self, port: usize, v: usize) -> usize {
         debug_assert!(port >= 4);
         self.inputs[port].buffer.free_slots(v)
     }
@@ -389,7 +389,7 @@ impl Router {
     ///
     /// Panics if the buffer is full — the network must check
     /// [`Router::local_free_slots`] first.
-    pub fn inject_local(&mut self, port: usize, v: usize, flit: Flit) {
+    pub(crate) fn inject_local(&mut self, port: usize, v: usize, flit: Flit) {
         debug_assert!(port >= 4);
         let pushed = self.inputs[port].buffer.push(v, flit);
         assert!(pushed, "local injection into a full VC buffer");
@@ -398,7 +398,7 @@ impl Router {
 
     /// The state of VC `v` on local input `port` for the injection
     /// policy: `true` when a new packet may start on it (idle and empty).
-    pub fn local_vc_idle(&self, port: usize, v: usize) -> bool {
+    pub(crate) fn local_vc_idle(&self, port: usize, v: usize) -> bool {
         debug_assert!(port >= 4);
         let port = &self.inputs[port];
         (port.buffer.nonempty() | port.wait | port.active) & (1 << v) == 0
@@ -407,7 +407,7 @@ impl Router {
     /// Occupancy sampling for Figures 8 and 9. Returns
     /// `(tx_occupied, tx_capacity, retx_occupied, retx_capacity)` over the
     /// inter-router (non-local) channels.
-    pub fn sample_occupancy(&self) -> (u64, u64, u64, u64) {
+    pub(crate) fn sample_occupancy(&self) -> (u64, u64, u64, u64) {
         let mut sums = (0, 0, 0, 0);
         for p in 0..self.cfg.ports().min(4) {
             // Whole-port accounting (identical sums for a static
@@ -426,7 +426,7 @@ impl Router {
 
     /// Records one fill-level sample per cardinal input port into
     /// `hist` (the per-port buffer-utilization distribution).
-    pub fn record_port_occupancy(&self, hist: &mut OccupancyHistogram) {
+    pub(crate) fn record_port_occupancy(&self, hist: &mut OccupancyHistogram) {
         for p in 0..self.cfg.ports().min(4) {
             let buffer = &self.inputs[p].buffer;
             hist.record(buffer.occupied(), buffer.total_capacity());

@@ -137,12 +137,7 @@ impl Router {
             self.errors.crossbar_corrected += 1;
         }
         // Link soft errors (injection counted by the fault injector).
-        let _ = self.fi.corrupt_on_link(&mut flit.payload);
-        self.drives.push(LinkDrive {
-            dir,
-            flit,
-            vc,
-            is_replay,
-        });
+        self.fi.corrupt_on_link(&mut flit.payload);
+        self.drives.push(LinkDrive { dir, flit, vc });
     }
 }

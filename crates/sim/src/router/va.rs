@@ -80,14 +80,11 @@ impl Router {
                 'cand: for cand in candidates {
                     let op = if cand == Direction::Local {
                         // Deliver through the local port the destination
-                        // terminal hangs off (`4 + dest / node_count`);
-                        // port 4 everywhere except a concentrated mesh.
-                        // Out-of-range (corrupted) destinations clamp like
-                        // the address decode in routing does.
+                        // terminal hangs off; port 4 everywhere except a
+                        // concentrated mesh.
                         let front = self.inputs[p].buffer.front(v).expect("VaWait head");
                         let dest = Self::routed_dest(ctx.config.scheme, front);
-                        let n = ctx.config.topology.node_count();
-                        4 + (dest.index() / n) % ctx.config.topology.local_ports()
+                        ctx.config.topology.local_port_of_terminal(dest)
                     } else {
                         cand.index()
                     };

@@ -37,7 +37,7 @@ use crate::config::RoutingAlgorithm;
 
 /// Classification of a directed link in a [`FaultAwarePlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkClass {
+pub(crate) enum LinkClass {
     /// The link is missing or dead in the plan's fault epoch.
     None,
     /// Hop toward the spanning-tree root: strictly decreasing
@@ -50,7 +50,7 @@ pub enum LinkClass {
 /// A rectangular fault region: the bounding box of one connected
 /// component of faulty elements (dead routers and dead-link endpoints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultRect {
+pub(crate) struct FaultRect {
     x0: u8,
     y0: u8,
     x1: u8,
@@ -59,7 +59,7 @@ pub struct FaultRect {
 
 impl FaultRect {
     /// Whether `c` lies inside the rectangle (inclusive bounds).
-    pub fn contains(&self, c: Coord) -> bool {
+    pub(crate) fn contains(&self, c: Coord) -> bool {
         (self.x0..=self.x1).contains(&c.x()) && (self.y0..=self.y1).contains(&c.y())
     }
 }
@@ -188,7 +188,7 @@ impl FaultAwarePlan {
     }
 
     /// The classification of the link leaving `node` in `dir`.
-    pub fn link_class(&self, node: NodeId, dir: Direction) -> LinkClass {
+    pub(crate) fn link_class(&self, node: NodeId, dir: Direction) -> LinkClass {
         if dir.is_cardinal() {
             self.class[node.index()][dir.index()]
         } else {
@@ -198,13 +198,9 @@ impl FaultAwarePlan {
 
     /// Whether the relation can carry a packet from `from` to `dest`
     /// (up phase open, as at injection).
-    pub fn reachable(&self, from: NodeId, dest: NodeId) -> bool {
+    #[cfg(test)]
+    fn reachable(&self, from: NodeId, dest: NodeId) -> bool {
         has_bit(&self.full_reach[from.index()], dest.index())
-    }
-
-    /// The rectangular fault regions of this epoch.
-    pub fn regions(&self) -> &[FaultRect] {
-        &self.regions
     }
 
     /// The legal next hops at `here` for a packet that arrived through
@@ -333,7 +329,7 @@ fn fault_regions(topo: Topology, hard: &HardFaults) -> Vec<FaultRect> {
 /// randomness and equals the static base faults when no kills are
 /// scheduled (which is what keeps legacy runs byte-identical). All
 /// queries are pure reads; the single mutation seam is
-/// [`FaultState::push_wearout_kill`], which the network calls only from
+/// `FaultState::push_wearout_kill`, which the network calls only from
 /// its commit phase when the wear-out model exhausts a link budget — no
 /// compute sweep observes a mutation in flight.
 #[derive(Debug, Clone)]
@@ -350,7 +346,7 @@ impl FaultState {
     }
 
     /// Static faults only (tests and direct construction).
-    pub fn from_hard(topo: Topology, hard: HardFaults) -> Self {
+    pub(crate) fn from_hard(topo: Topology, hard: HardFaults) -> Self {
         FaultState::new(FaultTimeline::with_events(topo, hard, &[], &[], 0))
     }
 
@@ -375,7 +371,7 @@ impl FaultState {
     }
 
     /// The up*/down* plan in force at cycle `now`.
-    pub fn plan_at(&self, now: u64) -> &FaultAwarePlan {
+    pub(crate) fn plan_at(&self, now: u64) -> &FaultAwarePlan {
         self.plan(self.epoch_at(now))
     }
 
@@ -390,7 +386,7 @@ impl FaultState {
     /// per-epoch plans against the extended timeline. Returns `false`
     /// (and changes nothing) when the link is already dead by `at` or
     /// does not exist. Commit-phase only.
-    pub fn push_wearout_kill(&mut self, at: u64, node: NodeId, dir: Direction) -> bool {
+    pub(crate) fn push_wearout_kill(&mut self, at: u64, node: NodeId, dir: Direction) -> bool {
         if !self.timeline.push_link_kill(at, node, dir) {
             return false;
         }
@@ -431,9 +427,9 @@ pub fn route_candidates(
     now: u64,
 ) -> DirSet {
     let here_c = topo.coord_of(here);
-    // A corrupted destination field can point outside the grid; clamp by
-    // modulo like address decoding hardware would.
-    let dest = NodeId::new(dest.raw() % topo.node_count() as u16);
+    // A corrupted destination field can point outside the grid; the
+    // terminal mapping clamps it like address decoding hardware would.
+    let dest = topo.router_of_terminal(dest);
     let dest_c = topo.coord_of(dest);
     if here_c == dest_c {
         return DirSet::from_iter([Direction::Local]);
@@ -490,14 +486,14 @@ fn odd_even_candidates(here: Coord, dest: Coord, minimal: DirSet) -> DirSet {
 /// The XY overshoot check, split out for testability: a flit arriving
 /// from the *west* neighbour was moving East; that is minimal only if the
 /// destination column is at or beyond this router's column.
-pub fn xy_minimal_progress(
+pub(crate) fn xy_minimal_progress(
     topo: Topology,
     here: NodeId,
     came_from: Direction,
     dest: NodeId,
 ) -> bool {
     let here_c = topo.coord_of(here);
-    let dest = NodeId::new(dest.raw() % topo.node_count() as u16);
+    let dest = topo.router_of_terminal(dest);
     let dest_c = topo.coord_of(dest);
     match came_from {
         // Came from the West neighbour ⇒ was moving East ⇒ need dest x ≥ here x.
@@ -721,9 +717,9 @@ mod tests {
         hard.kill_link(topo(), NodeId::new(27), Direction::East);
         let f = with_hard(hard);
         let plan = f.plan_at(0);
-        assert_eq!(plan.regions().len(), 1);
-        assert!(plan.regions()[0].contains(Coord::new(3, 3)));
-        assert!(plan.regions()[0].contains(Coord::new(4, 3)));
+        assert_eq!(plan.regions.len(), 1);
+        assert!(plan.regions[0].contains(Coord::new(3, 3)));
+        assert!(plan.regions[0].contains(Coord::new(4, 3)));
         for src in topo().nodes() {
             for dest in topo().nodes() {
                 walk(FaultAware, src, dest, &f);

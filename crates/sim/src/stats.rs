@@ -129,37 +129,27 @@ impl ErrorStats {
 /// Fixed memory, O(1) insert, and percentile queries accurate to the
 /// bucket resolution — all a long-running simulator needs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     buckets: [u64; 32],
     count: u64,
 }
 
 impl LatencyHistogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram::default()
     }
 
     /// Records one latency sample.
-    pub fn record(&mut self, latency: u64) {
+    pub(crate) fn record(&mut self, latency: u64) {
         let idx = (64 - latency.max(1).leading_zeros() - 1).min(31) as usize;
         self.buckets[idx] += 1;
         self.count += 1;
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// The upper bound of the bucket containing the `q`-quantile
     /// (`0 < q <= 1`), or 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -175,7 +165,7 @@ impl LatencyHistogram {
     }
 
     /// Convenience: (p50, p95, p99) upper bounds.
-    pub fn percentiles(&self) -> (u64, u64, u64) {
+    pub(crate) fn percentiles(&self) -> (u64, u64, u64) {
         (
             self.quantile(0.50),
             self.quantile(0.95),
@@ -213,13 +203,13 @@ impl OccupancyHistogram {
 
     /// Records `samples` samples of an empty port in one step (the
     /// routers an activity-gated cycle skipped hold no flit).
-    pub fn record_empty(&mut self, samples: u64) {
+    pub(crate) fn record_empty(&mut self, samples: u64) {
         self.buckets[0] += samples;
         self.count += samples;
     }
 
     /// The ten decile counts, lowest fill first.
-    pub fn buckets(&self) -> &[u64; 10] {
+    pub(crate) fn buckets(&self) -> &[u64; 10] {
         &self.buckets
     }
 
@@ -254,7 +244,7 @@ pub struct NetworkStats {
     /// Sum of per-packet latencies (cycles).
     pub latency_sum: u64,
     /// Maximum observed packet latency.
-    pub latency_max: u64,
+    pub(crate) latency_max: u64,
     /// Packets ejected in the window.
     pub packets_ejected: u64,
     /// Packets injected in the window.
@@ -264,13 +254,13 @@ pub struct NetworkStats {
     /// Cycles covered by the window.
     pub cycles: u64,
     /// Σ over sampled cycles of occupied transmission-buffer flits.
-    pub tx_occupancy_sum: u64,
+    pub(crate) tx_occupancy_sum: u64,
     /// Σ over sampled cycles of occupied retransmission-buffer slots.
-    pub retx_occupancy_sum: u64,
+    pub(crate) retx_occupancy_sum: u64,
     /// Transmission-buffer capacity sampled per cycle.
     pub tx_capacity: u64,
     /// Retransmission-buffer capacity sampled per cycle.
-    pub retx_capacity: u64,
+    pub(crate) retx_capacity: u64,
     /// Decile histogram of per-port input-buffer fill (one sample per
     /// cardinal input port per measured cycle).
     pub port_occupancy: OccupancyHistogram,
@@ -315,7 +305,7 @@ impl NetworkStats {
     }
 
     /// Mean energy per ejected packet (Figures 7 and 13b).
-    pub fn energy_per_packet(&self, model: &EnergyModel) -> Nanojoules {
+    pub(crate) fn energy_per_packet(&self, model: &EnergyModel) -> Nanojoules {
         if self.packets_ejected == 0 {
             return Nanojoules(0.0);
         }
@@ -371,7 +361,7 @@ mod tests {
         for v in [0u64, 1, 2, 3, 4, 7, 8, 1000] {
             h.record(v);
         }
-        assert_eq!(h.len(), 8);
+        assert_eq!(h.count, 8);
         // p50 of 8 samples: the 4th (value 3) → bucket [2,4) → bound 3.
         assert_eq!(h.quantile(0.5), 3);
         // The max sample (1000) lives in [512, 1024) → bound 1023.
@@ -392,7 +382,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_zero() {
         let h = LatencyHistogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count, 0);
         assert_eq!(h.quantile(0.5), 0);
         // An empty measurement window must report all-zero percentiles,
         // not garbage from a zero-count division.
@@ -404,7 +394,7 @@ mod tests {
     fn single_sample_histogram_pins_every_percentile() {
         let mut h = LatencyHistogram::new();
         h.record(37);
-        assert_eq!(h.len(), 1);
+        assert_eq!(h.count, 1);
         // One sample in [32, 64): every quantile reports that bucket's
         // upper bound.
         let (p50, p95, p99) = h.percentiles();
@@ -429,7 +419,7 @@ mod tests {
         h.record(11, 12); // 91 % → bucket 9
         h.record(12, 12); // full → bucket 9 (clamped)
         h.record(3, 0); // capacity 0: ignored
-        assert_eq!(h.len(), 4);
+        assert_eq!(h.count, 4);
         assert_eq!(h.buckets()[0], 1);
         assert_eq!(h.buckets()[4], 1);
         assert_eq!(h.buckets()[9], 2);

@@ -34,10 +34,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod event;
-pub mod recorder;
+pub(crate) mod recorder;
 pub mod sink;
 pub mod span;
 

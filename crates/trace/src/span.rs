@@ -18,11 +18,11 @@ pub struct LatencyBreakdown {
     /// Router pipeline + link traversal at every hop.
     pub pipeline: u64,
     /// Extra cycles for the body to follow the head (`flits − 1`).
-    pub serialization: u64,
+    pub(crate) serialization: u64,
     /// Barrel-shifter replay windows (3 cycles per replay, §3.1).
-    pub replay_stall: u64,
+    pub(crate) replay_stall: u64,
     /// Everything else: VC/switch arbitration, credit stalls, blocking.
-    pub queueing: u64,
+    pub(crate) queueing: u64,
 }
 
 impl LatencyBreakdown {
@@ -51,7 +51,7 @@ pub struct PacketSpan {
     /// Flits in the packet.
     pub flits: u32,
     /// Hop-by-hop replays that hit this packet's flits.
-    pub replays: u32,
+    pub(crate) replays: u32,
     /// Latency attribution.
     pub breakdown: LatencyBreakdown,
 }
@@ -172,11 +172,6 @@ impl SpanCollector {
                 queueing,
             },
         }
-    }
-
-    /// Packets injected but not (yet) ejected.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
     }
 
     /// The completed spans, in ejection order.
@@ -313,7 +308,7 @@ mod tests {
                 vc: 0,
             },
         ));
-        assert_eq!(sc.open_count(), 0);
+        assert_eq!(sc.open.len(), 0);
         assert!(sc.finish().is_empty());
     }
 }

@@ -49,7 +49,7 @@ impl FlowTable {
     }
 
     /// The flows originating at `src`.
-    pub fn from_node(&self, src: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+    pub(crate) fn flows_from(&self, src: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         self.flows
             .iter()
             .filter(move |(s, _, _)| *s == src)
@@ -59,18 +59,18 @@ impl FlowTable {
     /// Weighted destination draw for `src`, or `None` when the node
     /// originates no flow.
     fn pick(&self, src: NodeId, rng: &mut Rng) -> Option<NodeId> {
-        let total: f64 = self.from_node(src).map(|(_, w)| w).sum();
+        let total: f64 = self.flows_from(src).map(|(_, w)| w).sum();
         if total <= 0.0 {
             return None;
         }
         let mut roll = rng.gen_range(0.0..total);
-        for (dest, w) in self.from_node(src) {
+        for (dest, w) in self.flows_from(src) {
             if roll < w {
                 return Some(dest);
             }
             roll -= w;
         }
-        self.from_node(src).map(|(d, _)| d).next()
+        self.flows_from(src).map(|(d, _)| d).next()
     }
 }
 
@@ -184,10 +184,11 @@ impl TrafficPattern {
         let n = topo.node_count();
         let terms = topo.terminal_count();
         assert!(terms >= 2, "traffic requires at least two terminals");
-        // Factor the terminal id: router part `r`, concentration
-        // index `k` (always 0 when concentration is 1).
-        let k = src.index() / n;
-        let r = NodeId::new((src.index() % n) as u16);
+        // The pattern maps routers; the destination terminal sits on the
+        // same local port of its router as the source (port 4 when the
+        // concentration is 1).
+        let r = topo.router_of_terminal(src);
+        let port = topo.local_port_of_terminal(src);
         let raw = match self {
             TrafficPattern::Uniform => {
                 // Draw uniformly over the other terminals.
@@ -254,11 +255,11 @@ impl TrafficPattern {
                 }
             },
         };
-        let dest = raw as usize + k * n;
-        if dest == src.index() {
+        let dest = topo.terminal_at(NodeId::new(raw), port);
+        if dest == src {
             NodeId::new(((src.index() + 1) % terms) as u16)
         } else {
-            NodeId::new(dest as u16)
+            dest
         }
     }
 }

@@ -9,11 +9,11 @@
 use crate::error::ConfigError;
 
 /// Number of physical channels of a 2-D mesh router (N, E, S, W, PE).
-pub const MESH_PORTS: usize = 5;
+pub(crate) const MESH_PORTS: usize = 5;
 
 /// Minimum retransmission-buffer depth: link traversal (1) + error check
 /// (1) + NACK propagation (1), per §3.1.
-pub const MIN_RETRANS_DEPTH: usize = 3;
+pub(crate) const MIN_RETRANS_DEPTH: usize = 3;
 
 /// Ceiling on every per-VC or per-port storage depth (`buffer_depth`,
 /// `retrans_depth`, the DAMQ pool): each router allocates them up front,

@@ -14,9 +14,9 @@ use crate::geom::NodeId;
 use crate::packet::PacketId;
 
 /// Number of data bits in a flit (one link phit in the paper's router).
-pub const FLIT_DATA_BITS: u32 = 64;
+pub(crate) const FLIT_DATA_BITS: u32 = 64;
 /// Number of SEC/DED check bits accompanying the data bits.
-pub const FLIT_CHECK_BITS: u32 = 8;
+pub(crate) const FLIT_CHECK_BITS: u32 = 8;
 /// Total physical width of a flit on the link.
 pub const FLIT_TOTAL_BITS: u32 = FLIT_DATA_BITS + FLIT_CHECK_BITS;
 
@@ -48,7 +48,7 @@ impl FlitKind {
     }
 
     /// Builds a kind from its 2-bit encoding.
-    pub const fn from_bits(bits: u8) -> FlitKind {
+    pub(crate) const fn from_bits(bits: u8) -> FlitKind {
         match bits & 0b11 {
             0 => FlitKind::Head,
             1 => FlitKind::Body,
@@ -58,7 +58,7 @@ impl FlitKind {
     }
 
     /// The 2-bit encoding of the kind.
-    pub const fn to_bits(self) -> u8 {
+    pub(crate) const fn to_bits(self) -> u8 {
         self as u8
     }
 }
@@ -194,7 +194,7 @@ pub struct PackedFields {
 
 impl PackedFields {
     /// Packs the fields into a 64-bit data word.
-    pub fn pack(self) -> u64 {
+    pub(crate) fn pack(self) -> u64 {
         (self.dest.raw() as u64)
             | ((self.src.raw() as u64) << 16)
             | ((self.seq as u64) << 32)

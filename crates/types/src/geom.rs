@@ -408,18 +408,29 @@ impl Topology {
         self.node_count() * self.local_ports()
     }
 
-    /// The router a terminal attaches to (`t % node_count`). For
-    /// concentration 1 this is the identity, which is also why a
-    /// corrupted destination clamped modulo `node_count` lands on the
-    /// intended router of any valid terminal.
+    /// The router a terminal attaches to (`t % node_count`). Defined for
+    /// every 16-bit id: an out-of-range (corrupted) terminal clamps
+    /// modulo `node_count`, as address-decode hardware would. For
+    /// concentration 1 this is the identity on valid ids.
+    #[inline]
     pub fn router_of_terminal(self, terminal: NodeId) -> NodeId {
-        NodeId::new(terminal.raw() % self.node_count() as u16)
+        NodeId::new((terminal.index() % self.node_count()) as u16)
     }
 
     /// The router port a terminal injects/ejects through
-    /// (`4 + t / node_count`).
+    /// (`4 + t / node_count`). An out-of-range (corrupted) terminal
+    /// clamps to `4 + (t / node_count) % local_ports`, a port that exists.
+    #[inline]
     pub fn local_port_of_terminal(self, terminal: NodeId) -> usize {
-        4 + terminal.index() / self.node_count()
+        4 + (terminal.index() / self.node_count()) % self.local_ports()
+    }
+
+    /// The terminal behind local `port` of `router`: the inverse of
+    /// [`Topology::router_of_terminal`] and
+    /// [`Topology::local_port_of_terminal`] over valid terminals.
+    #[inline]
+    pub fn terminal_at(self, router: NodeId, port: usize) -> NodeId {
+        NodeId::new(((port - 4) * self.node_count() + router.index()) as u16)
     }
 
     /// Tile dimensions in routers for a chiplet topology, `None`
@@ -432,7 +443,7 @@ impl Topology {
     }
 
     /// The tile a coordinate belongs to (chiplet topologies only).
-    pub fn chip_of(self, coord: Coord) -> Option<(u8, u8)> {
+    pub(crate) fn chip_of(self, coord: Coord) -> Option<(u8, u8)> {
         self.chip_dims()
             .map(|(cw, ch)| (coord.x() / cw, coord.y() / ch))
     }
@@ -531,7 +542,7 @@ impl Topology {
     /// Whether the link leaving `coord` in `dir` is a chiplet gateway:
     /// it crosses a tile boundary at the designated mid-edge offset.
     /// Always `false` outside chiplet topologies.
-    pub fn is_gateway(self, coord: Coord, dir: Direction) -> bool {
+    pub(crate) fn is_gateway(self, coord: Coord, dir: Direction) -> bool {
         let TopologyKind::Chiplet = self.kind else {
             return false;
         };
@@ -868,17 +879,34 @@ mod tests {
         assert_eq!(topo.local_ports(), 4);
         assert_eq!(topo.radix(), 8);
         assert_eq!(topo.terminal_count(), 64);
-        for t in (0..topo.terminal_count() as u16).map(NodeId::new) {
-            let r = topo.router_of_terminal(t);
-            let k = topo.local_port_of_terminal(t) - 4;
-            assert_eq!(k * topo.node_count() + r.index(), t.index());
-        }
         // Terminal 0..16 are each router's first PE: identity mapping.
         assert_eq!(topo.router_of_terminal(NodeId::new(5)), NodeId::new(5));
         assert_eq!(topo.local_port_of_terminal(NodeId::new(5)), 4);
         // Terminal 21 = 1*16 + 5: router 5, second local port.
         assert_eq!(topo.router_of_terminal(NodeId::new(21)), NodeId::new(5));
         assert_eq!(topo.local_port_of_terminal(NodeId::new(21)), 5);
+        for topo in [
+            Topology::mesh(8, 8),
+            Topology::torus(5, 3),
+            topo,
+            Topology::try_chiplet(8, 8, 4, 4).unwrap(),
+        ] {
+            let n = topo.node_count();
+            for t in (0..=u16::MAX).map(NodeId::new) {
+                let (r, port) = (topo.router_of_terminal(t), topo.local_port_of_terminal(t));
+                if t.index() < topo.terminal_count() {
+                    assert_eq!(topo.terminal_at(r, port), t, "{topo:?}");
+                }
+                // Reference: the address decode of a destination field,
+                // corrupted or not, written out.
+                assert_eq!(r.raw(), t.raw() % n as u16, "{topo:?} {t}");
+                assert_eq!(
+                    port,
+                    4 + (t.index() / n) % topo.local_ports(),
+                    "{topo:?} {t}"
+                );
+            }
+        }
     }
 
     #[test]

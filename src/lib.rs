@@ -50,7 +50,7 @@
 //! regeneration harness.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod cli;
 pub mod metrics_io;
