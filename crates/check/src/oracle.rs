@@ -216,13 +216,6 @@ pub struct Oracle {
     /// Scratch for conservation: every resident packet with its seq
     /// bitmask, merged from wherever its flits sit.
     merged: PacketTable,
-    /// Scratch for exclusivity: the output VCs of the router under test
-    /// that an active input VC claims, one mask per output port.
-    claimed: Vec<u64>,
-    /// Scratch for exclusivity: the input VC that claims each output VC
-    /// of the router under test, indexed `out_port * vcs + out_vc`, read
-    /// only where its `claimed` bit is set.
-    owners: Vec<(usize, usize)>,
     /// Scratch for credit accounting: the distinct flits holding one
     /// downstream VC's credits.
     holders: Vec<(u64, u8)>,
@@ -303,13 +296,10 @@ impl PacketTable {
 
     /// ORs `mask` into the entry of `pkt`, doubling the table first if
     /// a new packet would fill it past two thirds.
+    #[inline]
     fn add(&mut self, pkt: u64, mask: u128) {
         if 3 * (self.used.len() + 1) > 2 * self.slots.len() {
-            let grown = vec![(0, 0, 0); 2 * self.slots.len()];
-            let old = std::mem::replace(&mut self.slots, grown);
-            for i in std::mem::take(&mut self.used) {
-                self.add(old[i].1, old[i].2);
-            }
+            self.grow();
         }
         let wrap = self.slots.len() - 1;
         let mut i = self.home(pkt);
@@ -325,6 +315,16 @@ impl PacketTable {
                 return;
             }
             i = (i + 1) & wrap;
+        }
+    }
+
+    /// Doubles the table, keeping this fill.
+    #[cold]
+    fn grow(&mut self) {
+        let grown = vec![(0, 0, 0); 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, grown);
+        for i in std::mem::take(&mut self.used) {
+            self.add(old[i].1, old[i].2);
         }
     }
 
@@ -442,8 +442,6 @@ impl Oracle {
             cthres: 1,
             hist: WaitHistory::default(),
             merged: PacketTable::default(),
-            claimed: Vec::new(),
-            owners: Vec::new(),
             holders: Vec::new(),
             timeline: None,
             expected_configured: Vec::new(),
@@ -503,43 +501,41 @@ impl Oracle {
         }
     }
 
-    /// Debug builds: the live masks name exactly the VCs whose views are
-    /// not idle — what every family below relies on to skip a VC — so a
-    /// doctored snapshot that forgets a bit fails here, loudly, rather
-    /// than passing a family that never looked at the VC.
+    /// Debug builds: every router has the run's shape and the live
+    /// masks name exactly the VCs whose rows are not idle — what every
+    /// family below relies on to skip a VC — so a doctored snapshot that
+    /// forgets a bit fails here, loudly, rather than passing a family
+    /// that never looked at the VC.
     fn assert_live_masks(&self, snap: &NetSnapshot) {
-        let stray = |live: u64, vcs: usize| vcs < 64 && live >> vcs != 0;
+        let (ports, vcs) = (self.router.ports(), self.router.vcs_per_port());
+        let stray = |live: u64| vcs < 64 && live >> vcs != 0;
         for (n, r) in snap.routers.iter().enumerate() {
+            let shape = [r.ports.len(), r.live_in.len(), r.live_out.len()];
             assert!(
-                r.live_in.len() == r.inputs.len() && r.live_out.len() == r.outputs.len(),
-                "node {n}: {} input and {} output live masks for {} input and {} output ports",
-                r.live_in.len(),
-                r.live_out.len(),
+                shape == [ports; 3]
+                    && r.inputs.len() == ports * vcs
+                    && r.outputs.len() == ports * vcs,
+                "node {n}: {shape:?} ports / input / output live masks and {} input and {} \
+                 output rows for {ports} ports of {vcs} VCs",
                 r.inputs.len(),
                 r.outputs.len()
             );
-            for (p, (port, &live)) in r.inputs.iter().zip(&r.live_in).enumerate() {
-                assert!(
-                    !stray(live, port.len()),
-                    "node {n} input {p}: live mask {live:#b}"
-                );
-                for (v, ivc) in port.iter().enumerate() {
+            for (p, (rows, &live)) in r.inputs.chunks(vcs).zip(&r.live_in).enumerate() {
+                assert!(!stray(live), "node {n} input {p}: live mask {live:#b}");
+                for (v, row) in rows.iter().enumerate() {
                     assert!(
-                        (live >> v & 1 == 1) != ivc.is_idle(),
-                        "node {n} input {p}.{v}: live mask {live:#b} disagrees with {ivc:?}"
+                        (live >> v & 1 == 1) != row.is_idle(),
+                        "node {n} input {p}.{v}: live mask {live:#b} disagrees with {row:?}"
                     );
                 }
             }
-            for (p, (out, &live)) in r.outputs.iter().zip(&r.live_out).enumerate() {
-                assert!(
-                    !stray(live, out.vcs.len()),
-                    "node {n} output {p}: live mask {live:#b}"
-                );
+            for (p, (rows, &live)) in r.outputs.chunks(vcs).zip(&r.live_out).enumerate() {
+                assert!(!stray(live), "node {n} output {p}: live mask {live:#b}");
                 let full = full_credits(&self.router, p);
-                for (v, ovc) in out.vcs.iter().enumerate() {
+                for (v, row) in rows.iter().enumerate() {
                     assert!(
-                        (live >> v & 1 == 1) != ovc.is_idle(full),
-                        "node {n} output {p}.{v}: live mask {live:#b} disagrees with {ovc:?}"
+                        (live >> v & 1 == 1) != row.is_idle(full),
+                        "node {n} output {p}.{v}: live mask {live:#b} disagrees with {row:?}"
                     );
                 }
             }
@@ -549,27 +545,23 @@ impl Oracle {
     /// Capacity bounds that hold in every configuration. Only live VCs
     /// hold flits or slots, so only they are visited.
     fn check_structural(&self, snap: &NetSnapshot) -> Result<(), Violation> {
+        let vcs = self.router.vcs_per_port();
         let cap = self.router.port_capacity();
         let depth = self.router.retrans_depth();
         for (n, r) in snap.routers.iter().enumerate() {
             // An idle port meets both bounds: no flit, and one slot per VC.
             for (p, &live) in r.live_in.iter().enumerate().filter(|(_, &live)| live != 0) {
-                let port = &r.inputs[p];
                 // Σ_v max(len(v), 1), an idle VC counting its one.
-                let mut floor = port.len();
+                let mut floor = vcs;
                 for v in ones(live) {
-                    let ivc = &port[v];
-                    floor += ivc.flits.len().saturating_sub(1);
-                    if ivc.flits.len() > cap.per_vc {
+                    let len = r.inputs[p * vcs + v].flits.len();
+                    floor += len.saturating_sub(1);
+                    if len > cap.per_vc {
                         return Err(Violation::new(
                             snap.now,
                             n,
                             "structural",
-                            format!(
-                                "input {p}.{v} holds {} flits, capacity {}",
-                                ivc.flits.len(),
-                                cap.per_vc
-                            ),
+                            format!("input {p}.{v} holds {len} flits, capacity {}", cap.per_vc),
                         ));
                     }
                 }
@@ -579,7 +571,7 @@ impl Oracle {
                 // structural form of the liveness guarantee that an
                 // empty VC can always accept one flit (wormhole
                 // atomicity / §3.2 recovery).
-                let slots = port.len() + cap.shared;
+                let slots = vcs + cap.shared;
                 if floor > slots {
                     return Err(Violation::new(
                         snap.now,
@@ -592,26 +584,23 @@ impl Oracle {
                     ));
                 }
             }
-            for (p, (out, &live)) in r.outputs.iter().zip(&r.live_out).enumerate() {
-                if out.st_queue.len() > 2 {
+            for (p, (port, &live)) in r.ports.iter().zip(&r.live_out).enumerate() {
+                if port.st_queue.len() > 2 {
                     return Err(Violation::new(
                         snap.now,
                         n,
                         "structural",
-                        format!("output {p} ST queue holds {}", out.st_queue.len()),
+                        format!("output {p} ST queue holds {}", port.st_queue.len()),
                     ));
                 }
                 for v in ones(live) {
-                    let ovc = &out.vcs[v];
-                    if ovc.sender.slots.len() > depth {
+                    let len = r.outputs[p * vcs + v].slots.len();
+                    if len > depth {
                         return Err(Violation::new(
                             snap.now,
                             n,
                             "structural",
-                            format!(
-                                "sender {p}.{v} holds {} slots, depth {depth}",
-                                ovc.sender.slots.len()
-                            ),
+                            format!("sender {p}.{v} holds {len} slots, depth {depth}"),
                         ));
                     }
                 }
@@ -640,27 +629,28 @@ impl Oracle {
     /// An idle input VC passes, so the first live one fails; an idle
     /// output VC passes too, so only the live ones are read.
     fn check_activity(&self, snap: &NetSnapshot) -> Result<(), Violation> {
+        let vcs = self.router.vcs_per_port();
         for (n, r) in snap.routers.iter().enumerate() {
             if snap.computed.get(n).copied().unwrap_or(true) {
                 continue;
             }
-            for (p, (port, &live)) in r.inputs.iter().zip(&r.live_in).enumerate() {
+            for (p, &live) in r.live_in.iter().enumerate() {
                 if let Some(v) = ones(live).next() {
-                    let ivc = &port[v];
+                    let row = &r.inputs[p * vcs + v];
                     return Err(Violation::new(
                         snap.now,
                         n,
                         "activity",
                         format!(
                             "compute skipped but input {p}.{v} holds {} flits in state {:?}",
-                            ivc.flits.len(),
-                            ivc.state
+                            row.flits.len(),
+                            row.state
                         ),
                     ));
                 }
             }
-            for (p, (out, &live)) in r.outputs.iter().zip(&r.live_out).enumerate() {
-                if !out.st_queue.is_empty() {
+            for (p, (port, &live)) in r.ports.iter().zip(&r.live_out).enumerate() {
+                if !port.st_queue.is_empty() {
                     return Err(Violation::new(
                         snap.now,
                         n,
@@ -669,11 +659,8 @@ impl Oracle {
                     ));
                 }
                 for v in ones(live) {
-                    let ovc = &out.vcs[v];
-                    if ovc.allocated.is_some()
-                        || !ovc.sender.slots.is_empty()
-                        || ovc.sender.replaying
-                    {
+                    let row = &r.outputs[p * vcs + v];
+                    if row.allocated.is_some() || !row.slots.is_empty() || row.replaying {
                         return Err(Violation::new(
                             snap.now,
                             n,
@@ -759,15 +746,16 @@ impl Oracle {
         if !self.arm.dead_port {
             return Ok(());
         }
+        let vcs = self.router.vcs_per_port();
         for &(n, d, since) in &snap.dead_ports {
             let Some(r) = snap.routers.get(n) else {
                 continue;
             };
-            let Some(out) = r.outputs.get(d) else {
+            let Some(rows) = r.outputs.get(d * vcs..(d + 1) * vcs) else {
                 continue;
             };
-            for (ov, ovc) in out.vcs.iter().enumerate() {
-                let (Some((p, v)), Some(at)) = (ovc.allocated, ovc.allocated_at) else {
+            for (ov, row) in rows.iter().enumerate() {
+                let (Some((p, v)), Some(at)) = (row.allocated, row.allocated_at) else {
                     continue;
                 };
                 if at >= since {
@@ -910,6 +898,7 @@ impl Oracle {
                 });
             }
         }
+        let vcs = self.router.vcs_per_port();
         let n_routers = snap.routers.len();
         for (n, r) in snap.routers.iter().enumerate() {
             let listed = snap.dead_routers.iter().any(|&(m, _)| m == n);
@@ -931,9 +920,9 @@ impl Oracle {
             }
             // As for a skipped router: the first live input VC fails,
             // and only a live output VC can.
-            for (p, (port, &live)) in r.inputs.iter().zip(&r.live_in).enumerate() {
+            for (p, &live) in r.live_in.iter().enumerate() {
                 if let Some(v) = ones(live).next() {
-                    let ivc = &port[v];
+                    let row = &r.inputs[p * vcs + v];
                     return Err(Violation::new(
                         snap.now,
                         n,
@@ -941,14 +930,14 @@ impl Oracle {
                         format!(
                             "dead router still holds {} flits in input \
                              {p}.{v} (state {:?})",
-                            ivc.flits.len(),
-                            ivc.state
+                            row.flits.len(),
+                            row.state
                         ),
                     ));
                 }
             }
-            for (p, (out, &live)) in r.outputs.iter().zip(&r.live_out).enumerate() {
-                if !out.st_queue.is_empty() {
+            for (p, (port, &live)) in r.ports.iter().zip(&r.live_out).enumerate() {
+                if !port.st_queue.is_empty() {
                     return Err(Violation::new(
                         snap.now,
                         n,
@@ -957,8 +946,8 @@ impl Oracle {
                     ));
                 }
                 for v in ones(live) {
-                    let ovc = &out.vcs[v];
-                    if ovc.allocated.is_some() || !ovc.sender.slots.is_empty() {
+                    let row = &r.outputs[p * vcs + v];
+                    if row.allocated.is_some() || !row.slots.is_empty() {
                         return Err(Violation::new(
                             snap.now,
                             n,
@@ -1001,30 +990,38 @@ impl Oracle {
     /// in-range, and reservations match their owners. Routers in
     /// deadlock recovery are skipped — recovery takeovers legitimately
     /// leave stale reservations while held flits drain.
-    fn check_exclusivity(&mut self, snap: &NetSnapshot) -> Result<(), Violation> {
+    ///
+    /// An output VC claimed by two active input VCs records at most one
+    /// of them, so the second claim, in (port, VC) order, is the one
+    /// whose reservation differs; it names both when the reservation
+    /// records the first.
+    fn check_exclusivity(&self, snap: &NetSnapshot) -> Result<(), Violation> {
         let vcs = self.router.vcs_per_port();
         for (n, r) in snap.routers.iter().enumerate() {
-            // An active input VC and an owned output VC are both live.
-            let idle = |masks: &[u64]| masks.iter().all(|&live| live == 0);
-            if r.in_recovery || idle(&r.live_in) && idle(&r.live_out) {
+            if r.in_recovery {
                 continue;
             }
-            self.claimed.clear();
-            self.claimed.resize(r.outputs.len(), 0);
-            self.owners.resize(r.outputs.len() * vcs, (0, 0));
+            let ports = r.ports.len();
             let held = |op: usize, ov: usize| {
-                r.outputs[op].vcs[ov]
-                    .sender
-                    .slots
-                    .iter()
-                    .any(|(_, held)| *held)
+                let slots = r.outputs[op * vcs + ov].slots.of(&r.slots);
+                slots.iter().any(|(_, held)| *held)
             };
-            for (p, (port, &live)) in r.inputs.iter().zip(&r.live_in).enumerate() {
+            // Whether input VC `(p, v)` exists and is active on `(op, ov)`.
+            let active_on = |(p, v): (usize, usize), op: usize, ov: usize| {
+                p < ports
+                    && v < vcs
+                    && matches!(
+                        r.inputs[p * vcs + v].state,
+                        VcStateView::Active { out_port, out_vc } if out_port == op && out_vc == ov
+                    )
+            };
+            for (p, &live) in r.live_in.iter().enumerate() {
                 for v in ones(live) {
-                    let VcStateView::Active { out_port, out_vc } = port[v].state else {
+                    let VcStateView::Active { out_port, out_vc } = r.inputs[p * vcs + v].state
+                    else {
                         continue;
                     };
-                    if out_port >= r.outputs.len() || !r.outputs[out_port].exists || out_vc >= vcs {
+                    if out_port >= ports || !r.ports[out_port].exists || out_vc >= vcs {
                         return Err(Violation::new(
                             snap.now,
                             n,
@@ -1032,55 +1029,33 @@ impl Oracle {
                             format!("input {p}.{v} active toward invalid {out_port}.{out_vc}"),
                         ));
                     }
-                    if held(out_port, out_vc) {
+                    let alloc = r.outputs[out_port * vcs + out_vc].allocated;
+                    if alloc == Some((p, v)) || held(out_port, out_vc) {
                         continue;
                     }
-                    let owner = &mut self.owners[out_port * vcs + out_vc];
-                    let claimed = &mut self.claimed[out_port];
-                    if *claimed >> out_vc & 1 == 1 {
-                        let (q, w) = *owner;
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "exclusivity",
-                            format!(
-                                "output VC {out_port}.{out_vc} allocated to both \
-                                 {q}.{w} and {p}.{v}"
-                            ),
-                        ));
-                    }
-                    *claimed |= 1 << out_vc;
-                    *owner = (p, v);
-                    let alloc = r.outputs[out_port].vcs[out_vc].allocated;
-                    if alloc != Some((p, v)) {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "exclusivity",
-                            format!(
-                                "input {p}.{v} active toward {out_port}.{out_vc} but the \
-                                 reservation records {alloc:?}"
-                            ),
-                        ));
-                    }
+                    let first = alloc.filter(|&(q, w)| {
+                        (q, w) < (p, v)
+                            && r.live_in[q] >> w & 1 == 1
+                            && active_on((q, w), out_port, out_vc)
+                    });
+                    let detail = match first {
+                        Some((q, w)) => format!(
+                            "output VC {out_port}.{out_vc} allocated to both {q}.{w} and {p}.{v}"
+                        ),
+                        None => format!(
+                            "input {p}.{v} active toward {out_port}.{out_vc} but the \
+                             reservation records {alloc:?}"
+                        ),
+                    };
+                    return Err(Violation::new(snap.now, n, "exclusivity", detail));
                 }
             }
-            for (op, (out, &live)) in r.outputs.iter().zip(&r.live_out).enumerate() {
+            for (op, &live) in r.live_out.iter().enumerate() {
                 for ov in ones(live) {
-                    let Some((p, v)) = out.vcs[ov].allocated else {
+                    let Some((p, v)) = r.outputs[op * vcs + ov].allocated else {
                         continue;
                     };
-                    if held(op, ov) {
-                        continue;
-                    }
-                    let owner_ok = p < r.inputs.len()
-                        && v < vcs
-                        && matches!(
-                            r.inputs[p][v].state,
-                            VcStateView::Active { out_port, out_vc }
-                                if out_port == op && out_vc == ov
-                        );
-                    if !owner_ok {
+                    if !held(op, ov) && !active_on((p, v), op, ov) {
                         return Err(Violation::new(
                             snap.now,
                             n,
@@ -1099,10 +1074,11 @@ impl Oracle {
     /// Wormhole ordering: adjacent flits in every input buffer are
     /// either consecutive flits of one packet or a tail→head boundary.
     fn check_ordering(&self, snap: &NetSnapshot) -> Result<(), Violation> {
+        let vcs = self.router.vcs_per_port();
         for (n, r) in snap.routers.iter().enumerate() {
-            for (p, (port, &live)) in r.inputs.iter().zip(&r.live_in).enumerate() {
+            for (p, &live) in r.live_in.iter().enumerate() {
                 for v in ones(live) {
-                    for pair in port[v].flits.windows(2) {
+                    for pair in r.inputs[p * vcs + v].flits.of(&r.flits).windows(2) {
                         let (a, b) = (&pair[0], &pair[1]);
                         let continues = !a.kind.is_tail()
                             && b.packet == a.packet
@@ -1153,9 +1129,10 @@ impl Oracle {
                     continue;
                 };
                 let q = d.opposite().index();
-                let mut suspects = r.live_out[op] | snap.routers[m].live_in[q];
-                for e in &r.outputs[op].st_queue {
-                    suspects |= vc_bit(e.out_vc, vcs);
+                let down = &snap.routers[m];
+                let mut suspects = r.live_out[op] | down.live_in[q];
+                for (_, tag) in r.st_queue(op) {
+                    suspects |= vc_bit(tag, vcs);
                 }
                 if let Some((_, wv, _)) = &snap.wires[m].flit_in[q] {
                     suspects |= vc_bit(*wv, vcs);
@@ -1171,9 +1148,9 @@ impl Oracle {
                             holders.push(k);
                         }
                     };
-                    for e in &r.outputs[op].st_queue {
-                        if usize::from(e.out_vc) == v {
-                            add(&e.flit);
+                    for (f, tag) in r.st_queue(op) {
+                        if usize::from(tag) == v {
+                            add(f);
                         }
                     }
                     // Replayed wire flits are skipped: the barrel shifter
@@ -1187,14 +1164,14 @@ impl Oracle {
                             add(f);
                         }
                     }
-                    for f in &snap.routers[m].inputs[q][v].flits {
+                    for f in down.inputs[q * vcs + v].flits.of(&down.flits) {
                         add(f);
                     }
                     let pending = snap.wires[n].credits_in[op]
                         .iter()
                         .filter(|(cv, _)| usize::from(*cv) == v)
                         .count();
-                    let credits = r.outputs[op].vcs[v].credits as usize;
+                    let credits = r.outputs[op * vcs + v].credits as usize;
                     let lhs = credits + holders.len() + pending;
                     if lhs > per_vc || (self.arm.credit_exact && lhs != per_vc) {
                         return Err(Violation::new(
@@ -1223,9 +1200,10 @@ impl Oracle {
     /// `flits_lost` counter and never overlap a resident copy (a flit
     /// is delivered, in flight, or lost — never two at once).
     ///
-    /// Only live VCs hold flits or slots. Flits are merged per packet
-    /// in a hash table as they are marked, and one unsorted pass over
-    /// it decides, naming the lowest broken packet.
+    /// Each router's two arenas hold every flit and slot it has, so each
+    /// is marked in one pass. Flits are merged per packet in a hash
+    /// table as they are marked, and one unsorted pass over it decides,
+    /// naming the lowest broken packet.
     fn check_conservation(&mut self, snap: &NetSnapshot) -> Result<(), Violation> {
         let table = &mut self.merged;
         table.reset();
@@ -1251,22 +1229,11 @@ impl Oracle {
             }
         }
         for (r, w) in snap.routers.iter().zip(&snap.wires) {
-            for (port, &live) in r.inputs.iter().zip(&r.live_in) {
-                for v in ones(live) {
-                    for f in &port[v].flits {
-                        mark(f);
-                    }
-                }
+            for f in &r.flits {
+                mark(f);
             }
-            for (out, &live) in r.outputs.iter().zip(&r.live_out) {
-                for e in &out.st_queue {
-                    mark(&e.flit);
-                }
-                for v in ones(live) {
-                    for (f, _) in &out.vcs[v].sender.slots {
-                        mark(f);
-                    }
-                }
+            for (f, _) in &r.slots {
+                mark(f);
             }
             for slot in w.flit_in.iter().flatten() {
                 mark(&slot.0);
@@ -1366,7 +1333,7 @@ impl Oracle {
                 *tracked = 0;
                 for v in ones(visit) {
                     let idx = (n * ports + p) * vcs + v;
-                    let back = r.inputs[p][v].flits.last();
+                    let back = r.inputs[p * vcs + v].flits.of(&r.flits).last();
                     let cur = back.map(key);
                     if cur.is_some() && cur != self.prev_back[idx] {
                         let f = back.expect("non-empty back");

@@ -180,7 +180,7 @@ impl RevWire {
         self.nacks.iter().copied()
     }
 
-    /// Whether any reverse-channel activity is pending (for tests).
+    /// Whether no credit and no NACK is in flight.
     pub(crate) fn reverse_idle(&self) -> bool {
         self.credits.is_empty() && self.nacks.is_empty()
     }

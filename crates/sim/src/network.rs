@@ -68,7 +68,6 @@ use crate::config::{ErrorScheme, SimConfig, LOSS_MASK_FLITS};
 use crate::link::PortIo;
 use crate::router::{Ctx, Router, StageScratch};
 use crate::routing::FaultState;
-use crate::snapshot::refill;
 use crate::stats::{ErrorStats, EventCounts, LatencyHistogram, NetworkStats};
 
 /// Message classes carried in the packed header.
@@ -762,15 +761,14 @@ impl<S: TraceSink> Network<S> {
         out
     }
 
-    /// Refills `out` with the commit-boundary state, for per-cycle
+    /// Rebuilds `out` from the commit-boundary state, for per-cycle
     /// invariant checking between steps: whatever it held (an earlier
     /// cycle, another network), it comes out equal to a fresh
     /// [`Network::snapshot`], reusing its allocations. Pure read.
     ///
-    /// Every field is overwritten and every nested `Vec` cleared and
-    /// re-extended (`resize_with` on the per-router levels) unless it is
-    /// empty and so is its source, so nothing a reused `out` held before
-    /// survives and its allocations do.
+    /// Every field is overwritten and every `Vec` cleared and
+    /// re-extended (`resize_with` on the per-router level), and nothing
+    /// `out` held is read, so nothing survives but its allocations.
     pub fn snapshot_into(&self, out: &mut crate::snapshot::NetSnapshot) {
         let Network {
             env, cells, core, ..
@@ -786,29 +784,26 @@ impl<S: TraceSink> Network<S> {
             router.dead = env.dead.contains(n);
             for d in Direction::CARDINAL {
                 let d = d.index();
-                let flit = cell.io.flit_in[d].as_ref().and_then(|fw| fw.peek());
-                if flit.is_some() || wire.flit_in[d].is_some() {
-                    wire.flit_in[d] = flit;
+                // Only a flit in flight is copied: `None` is one store.
+                wire.flit_in[d] = None;
+                if let Some(flit) = cell.io.flit_in[d].as_ref().and_then(|fw| fw.peek()) {
+                    wire.flit_in[d] = Some(flit);
                 }
-                if let Some(rw) = cell.io.rev_in[d].as_ref() {
-                    let (credits, nacks) = (rw.pending_credits(), rw.pending_nacks());
-                    refill(&mut wire.credits_in[d], credits.size_hint().0, credits);
-                    refill(&mut wire.nacks_in[d], nacks.size_hint().0, nacks);
-                } else {
-                    wire.credits_in[d].clear();
-                    wire.nacks_in[d].clear();
+                wire.credits_in[d].clear();
+                wire.nacks_in[d].clear();
+                if let Some(rw) = cell.io.rev_in[d].as_ref().filter(|rw| !rw.reverse_idle()) {
+                    wire.credits_in[d].extend(rw.pending_credits());
+                    wire.nacks_in[d].extend(rw.pending_nacks());
                 }
             }
         }
         out.pes.resize_with(core.pes.len(), Default::default);
         for (pe, view) in core.pes.iter().zip(&mut out.pes) {
             view.queued = pe.source_queue.len();
-            let flits = pe.injecting.as_ref().map(|(_, flits)| flits);
-            refill(
-                &mut view.injecting,
-                flits.map_or(0, VecDeque::len),
-                flits.into_iter().flatten().copied(),
-            );
+            view.injecting.clear();
+            if let Some((_, flits)) = &pe.injecting {
+                view.injecting.extend(flits);
+            }
         }
         // After a full step the active set still holds cycle `now - 1`'s
         // membership (the refresh for `now` happens in the next pre phase),

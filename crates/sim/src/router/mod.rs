@@ -552,92 +552,96 @@ impl Router {
         );
     }
 
-    /// Refills `out` with a plain-data copy of every architecturally
+    /// Rebuilds `out` as a plain-data copy of every architecturally
     /// observable piece of router state (the invariant oracle's
-    /// inspection surface). Whatever `out` held — another router, another
-    /// radix, an earlier cycle — it comes out equal to a refilled
+    /// inspection surface): every row, arena and mask is cleared and
+    /// refilled in layout order, and nothing `out` held is read, so
+    /// whatever it held — another router, another radix, an earlier
+    /// cycle — it comes out equal to a rebuilt
     /// `RouterSnapshot::default()`, keeping its allocations (see
     /// [`crate::snapshot`]), except `dead`: the network fills that from
     /// its dead-router set. Pure read — no RNG draws, no mutation.
     ///
     /// The live masks are computed from the per-VC state itself, not
-    /// from the work masks. An idle VC whose view in `out` is already
-    /// idle is not written at all, and a list empty both here and in
-    /// `out` is left alone: both tests read `out` itself, never a mask
-    /// it carries.
+    /// from the work masks.
     pub fn snapshot_into(&self, out: &mut crate::snapshot::RouterSnapshot) {
-        use crate::snapshot::{fit, full_credits, refill, StEntryView, VcStateView};
+        use crate::snapshot::{full_credits, InputRow, OutputRow, PortRow, Span, VcStateView};
         out.in_recovery = self.probe.in_recovery();
         out.deadlocks_confirmed = self.errors.deadlocks_confirmed;
-        fit(&mut out.inputs, self.inputs.len());
+        let flits = &mut out.flits;
+        flits.clear();
+        out.inputs.clear();
         out.live_in.clear();
-        for (port, views) in self.inputs.iter().zip(&mut out.inputs) {
-            fit(views, port.vcs.len());
+        for port in &self.inputs {
             let mut live = 0;
-            for (v, (vc, view)) in port.vcs.iter().zip(views).enumerate() {
+            for (v, vc) in port.vcs.iter().enumerate() {
+                let start = flits.len();
                 let len = port.buffer.len(v);
-                let idle = len == 0 && matches!(vc.state, VcState::Idle);
-                if idle && view.is_idle() {
-                    continue;
+                if len > 0 {
+                    flits.extend(port.buffer.iter(v));
                 }
-                live |= u64::from(!idle) << v;
-                refill(&mut view.flits, len, port.buffer.iter(v).copied());
-                view.state = match vc.state {
+                let state = match vc.state {
                     VcState::Idle => VcStateView::Idle,
                     VcState::VaWait { .. } => VcStateView::VaWait,
                     VcState::Active {
                         out_port, out_vc, ..
                     } => VcStateView::Active { out_port, out_vc },
                 };
+                live |= u64::from(len > 0 || state != VcStateView::Idle) << v;
+                out.inputs.push(InputRow {
+                    state,
+                    flits: Span::new(start, flits.len()),
+                });
             }
             out.live_in.push(live);
         }
-        fit(&mut out.outputs, self.outputs.len());
+        // The ST-queue entries follow every input flit.
+        out.st_vcs.clear();
+        out.ports.clear();
+        out.slots.clear();
+        out.outputs.clear();
         out.live_out.clear();
-        for (op, (port, view)) in self.outputs.iter().zip(&mut out.outputs).enumerate() {
-            view.exists = port.exists;
-            fit(&mut view.vcs, port.retrans.len());
+        for (op, port) in self.outputs.iter().enumerate() {
+            let start = flits.len();
+            if !port.st_queue.is_empty() {
+                flits.extend(port.st_queue.iter().map(|e| e.flit));
+                out.st_vcs.extend(port.st_queue.iter().map(|e| e.out_vc));
+            }
+            out.ports.push(PortRow {
+                exists: port.exists,
+                st_queue: Span::new(start, flits.len()),
+            });
             let full = full_credits(&self.cfg, op);
             let mut live = 0;
-            for (v, ovc) in view.vcs.iter_mut().enumerate() {
-                let buffer = &port.retrans[v];
+            for (v, buffer) in port.retrans.iter().enumerate() {
+                let start = out.slots.len();
+                if !buffer.is_empty() {
+                    (out.slots).extend(buffer.iter_slots().map(|(f, held)| (*f, held)));
+                }
                 let credits = port.credits.count(v);
                 let owner = port.allocated[v];
-                let idle = owner.is_none()
-                    && buffer.is_empty()
-                    && !buffer.is_replaying()
-                    && credits == full;
-                if idle && ovc.is_idle(full) {
-                    continue;
-                }
+                let replaying = buffer.is_replaying();
+                let idle = owner.is_none() && buffer.is_empty() && !replaying && credits == full;
                 live |= u64::from(!idle) << v;
-                ovc.credits = credits;
-                ovc.allocated = owner;
-                ovc.allocated_at = owner.map(|_| port.allocated_at[v]);
-                refill(
-                    &mut ovc.sender.slots,
-                    buffer.occupancy(),
-                    buffer.iter_slots().map(|(f, held)| (*f, held)),
-                );
-                ovc.sender.replaying = buffer.is_replaying();
+                out.outputs.push(OutputRow {
+                    credits,
+                    allocated: owner,
+                    allocated_at: owner.map(|_| port.allocated_at[v]),
+                    replaying,
+                    slots: Span::new(start, out.slots.len()),
+                });
             }
             out.live_out.push(live);
-            refill(
-                &mut view.st_queue,
-                port.st_queue.len(),
-                port.st_queue.iter().map(|e| StEntryView {
-                    flit: e.flit,
-                    out_vc: e.out_vc,
-                }),
-            );
         }
+        assert!(
+            Span::fits(flits) && Span::fits(&out.slots),
+            "{}: a snapshot arena outgrew its 32-bit spans",
+            self.id
+        );
         out.wait_edges.clear();
         self.blocked_summary(&mut out.wait_edges);
     }
 }
-
-#[cfg(test)]
-mod refill_reference;
 
 #[cfg(test)]
 mod tests {
@@ -942,7 +946,10 @@ mod tests {
 
         let mut snap = RouterSnapshot::default();
         h.router.snapshot_into(&mut snap);
-        let buffered = &snap.inputs[Direction::West.index()][0].flits;
+        let vcs = h.config.router.vcs_per_port();
+        let buffered = snap.inputs[Direction::West.index() * vcs]
+            .flits
+            .of(&snap.flits);
         assert_eq!(buffered.len(), 2);
         assert_eq!(buffered[0].payload, head.payload, "corrected in place");
         assert_eq!(buffered[1].payload.hamming_distance(body.payload), 2);
@@ -1050,19 +1057,17 @@ mod tests {
                 h.router.handle_credit(d.dir, d.vc);
             }
             h.router.snapshot_into(&mut snap);
-            for ivc in snap.inputs.iter().flatten() {
-                if let VcStateView::Active { out_port, out_vc } = ivc.state {
-                    assert!(out_port < ports && out_vc < vcs, "{:?}", ivc.state);
+            for row in &snap.inputs {
+                if let VcStateView::Active { out_port, out_vc } = row.state {
+                    assert!(out_port < ports && out_vc < vcs, "{:?}", row.state);
                 }
             }
-            for out in &snap.outputs {
-                for (p, v) in out.vcs.iter().filter_map(|ovc| ovc.allocated) {
-                    assert!(p < ports && v < vcs, "reservation names input {p}.{v}");
-                }
-                for e in &out.st_queue {
-                    assert!(usize::from(e.out_vc) < vcs, "ST entry on VC {}", e.out_vc);
-                    granted += 1;
-                }
+            for (p, v) in snap.outputs.iter().filter_map(|row| row.allocated) {
+                assert!(p < ports && v < vcs, "reservation names input {p}.{v}");
+            }
+            for &tag in &snap.st_vcs {
+                assert!(usize::from(tag) < vcs, "ST entry on VC {tag}");
+                granted += 1;
             }
         }
         assert!(granted > 0, "some grant must survive to the ST queue");

@@ -125,7 +125,14 @@ impl Router {
                 let winner = self.va_arbiters[out]
                     .grant(req)
                     .expect("a requested output VC has a requester");
-                req.fill(0);
+                // A one-word run (every port up to 64 input VCs) is one
+                // store; `fill` of a run whose length only the config
+                // knows compiles to a `memset` call.
+                if let [word] = req {
+                    *word = 0;
+                } else {
+                    req.fill(0);
+                }
                 // The routing port the winner asked for (its RT row): the
                 // uncorrupted output port, every local port reading `Local`.
                 let rt_port = Direction::for_port(out / vcs);

@@ -13,30 +13,35 @@
 //! buffer depth and organisation, the neighbour table) the oracle takes
 //! from the configuration it is built from.
 //!
+//! **Layout.** Each [`RouterSnapshot`] is flat: one fixed-size row per
+//! VC, port-major (`inputs[p * vcs + v]`, `outputs[p * vcs + v]`, with
+//! `vcs` the run's VCs per port), and two arenas the rows hold [`Span`]s
+//! of. `flits` holds every input-buffer flit in (port, VC) order,
+//! followed by every ST-queue entry in port order; `slots` holds every
+//! retransmission-sender slot in (port, VC) order. A router's rows thus
+//! partition its arenas with no gap or overlap, and a pass over an
+//! arena visits every flit the router holds there.
+//!
 //! Snapshots are built **only on demand**: a run that never asks for one
 //! pays nothing, which is what makes the oracle zero-cost when disabled.
-//! There is one builder and it refills: [`crate::Network::snapshot_into`]
-//! overwrites every field of the caller's snapshot and clears and
-//! re-extends every nested `Vec`, so `out` comes back equal to a fresh
-//! [`crate::Network::snapshot`] whatever it held before — an earlier
-//! cycle, a larger, smaller or faulted network — and a per-cycle checker
-//! that holds one snapshot for a whole run stops allocating once its
-//! buffers have reached their high-water marks.
-//! `snapshot()` is `default()` plus one refill. Both only read — no RNG
+//! There is one builder and one rule: [`crate::Network::snapshot_into`]
+//! clears and rebuilds every field of the caller's snapshot from the
+//! network, never reading what it held, so `out` comes back equal to a
+//! fresh [`crate::Network::snapshot`] whatever it held before — an
+//! earlier cycle, a larger, smaller or faulted network — and a
+//! per-cycle checker that holds one snapshot for a whole run stops
+//! allocating once its buffers have reached their high-water marks.
+//! `snapshot()` is `default()` plus one rebuild. Both only read — no RNG
 //! draws, no mutation — so taking snapshots cannot perturb the simulation
-//! (oracle-on runs stay byte-identical to oracle-off runs). A refill
-//! skips each flit, slot and ST-queue list that is empty both in the
-//! router and in `out`, and each idle VC whose view in `out` is already
-//! idle: both tests read `out` itself, never a mask it carries, so the
-//! contract above holds whatever `out` held.
+//! (oracle-on runs stay byte-identical to oracle-off runs).
 //!
 //! **Live masks.** Most VCs of a router are idle at any cycle, so each
 //! [`RouterSnapshot`] carries one mask per input and per output port
 //! naming its live VCs, and the oracle walks those instead of every VC.
-//! The invariant: bit `v` of `live_in[p]` is set exactly when input view
-//! `inputs[p][v]` is not [`InputVcView::is_idle`], and bit `v` of
-//! `live_out[p]` exactly when `outputs[p].vcs[v]` is not
-//! [`OutputVcView::is_idle`] against [`full_credits`]. The router
+//! The invariant: bit `v` of `live_in[p]` is set exactly when row
+//! `inputs[p * vcs + v]` is not [`InputRow::is_idle`], and bit `v` of
+//! `live_out[p]` exactly when `outputs[p * vcs + v]` is not
+//! [`OutputRow::is_idle`] against [`full_credits`]. The router
 //! computes them from its own per-VC state (flits, wormhole state,
 //! owner, sender, credits), never from the work masks that activity
 //! gating reads, so the oracle's gating cross-check stays independent
@@ -63,27 +68,54 @@ pub fn full_credits(router: &RouterConfig, port: usize) -> u32 {
     }
 }
 
-/// Refills `view` with the `len` items of `src`; when both are empty
-/// there is nothing to clear or copy, so it is left alone.
-#[inline]
-pub(crate) fn refill<T>(view: &mut Vec<T>, len: usize, src: impl Iterator<Item = T>) {
-    if len > 0 || !view.is_empty() {
-        view.clear();
-        view.extend(src);
-    }
+/// A run `start..end` of one router's arena (`flits` or `slots`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Span {
+    /// Index of the first item.
+    pub start: u32,
+    /// Index just past the last item.
+    pub end: u32,
 }
 
-/// Sets `views` to `len` entries, new ones default; the common case,
-/// an unchanged length, costs one compare.
-#[inline]
-pub(crate) fn fit<T: Default>(views: &mut Vec<T>, len: usize) {
-    if views.len() != len {
-        views.resize_with(len, T::default);
+impl Span {
+    /// The span `start..end` (`start <= end`); the builder checks the
+    /// arena with `Span::fits` once it is filled.
+    #[inline]
+    pub(crate) fn new(start: usize, end: usize) -> Span {
+        Span {
+            start: start as u32,
+            end: end as u32,
+        }
+    }
+
+    /// Whether every index of `arena` fits a span; checked once per
+    /// arena after it is filled, so a span cut short by `Span::new`
+    /// never leaves the builder.
+    pub(crate) fn fits<T>(arena: &[T]) -> bool {
+        u32::try_from(arena.len()).is_ok()
+    }
+
+    /// The span's items in `arena`.
+    #[inline]
+    pub fn of<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.start as usize..self.end as usize]
+    }
+
+    /// Number of items.
+    #[inline]
+    pub fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// Whether the span holds no item.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
     }
 }
 
 /// Mirror of the private wormhole VC state machine.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum VcStateView {
     /// No packet in flight on this VC.
     #[default]
@@ -100,36 +132,26 @@ pub enum VcStateView {
     },
 }
 
-/// One input virtual channel: buffer contents plus control state.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct InputVcView {
-    /// Buffered flits, front (oldest) first.
-    pub flits: Vec<Flit>,
+/// One input virtual channel: control state and buffer contents.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InputRow {
     /// Wormhole state.
     pub state: VcStateView,
+    /// Buffered flits, front (oldest) first, in the router's `flits`.
+    pub flits: Span,
 }
 
-impl InputVcView {
+impl InputRow {
     /// Whether the VC is idle: no flit and no packet in flight. Exactly
-    /// the views whose live bit is clear.
+    /// the rows whose live bit is clear.
     pub fn is_idle(&self) -> bool {
         self.flits.is_empty() && self.state == VcStateView::Idle
     }
 }
 
-/// One per-VC retransmission sender on an output port.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SenderView {
-    /// Buffered flit copies, front (oldest) first, with the held flag
-    /// (`true` = recovery-absorbed slot that never expires).
-    pub slots: Vec<(Flit, bool)>,
-    /// Whether a NACK-triggered replay burst is in progress.
-    pub replaying: bool,
-}
-
-/// One output VC of an output port.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OutputVcView {
+/// One output VC and its HBH retransmission sender.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OutputRow {
     /// Sender-side credits left for the downstream VC (initially the
     /// port capacity's `per_vc`).
     pub credits: u32,
@@ -140,44 +162,37 @@ pub struct OutputVcView {
     /// against the link's death cycle: reservations granted strictly
     /// before the death may drain, later ones are a routing bug.
     pub allocated_at: Option<u64>,
-    /// The HBH retransmission sender.
-    pub sender: SenderView,
+    /// Whether a NACK-triggered replay burst is in progress.
+    pub replaying: bool,
+    /// The sender's buffered flit copies, front (oldest) first, in the
+    /// router's `slots`.
+    pub slots: Span,
 }
 
-impl OutputVcView {
+impl OutputRow {
     /// Whether the VC is idle: no owner, an empty sender with no replay
     /// pending, and the `full` credits its port started with. Exactly
-    /// the views whose live bit is clear.
+    /// the rows whose live bit is clear.
     pub fn is_idle(&self, full: u32) -> bool {
         self.allocated.is_none()
             && self.allocated_at.is_none()
-            && self.sender.slots.is_empty()
-            && !self.sender.replaying
+            && self.slots.is_empty()
+            && !self.replaying
             && self.credits == full
     }
 }
 
-/// A switch-granted flit waiting in the switch-traversal queue.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StEntryView {
-    /// The flit.
-    pub flit: Flit,
-    /// Output VC it will be tagged with.
-    pub out_vc: u8,
-}
-
 /// One output port.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OutputPortView {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PortRow {
     /// Whether the link exists (mesh edges lack some).
     pub exists: bool,
-    /// Per-VC state.
-    pub vcs: Vec<OutputVcView>,
-    /// The switch-traversal queue, front first.
-    pub st_queue: Vec<StEntryView>,
+    /// The switch-traversal queue, front first, in the router's `flits`
+    /// (after every input flit; each entry's output VC is in `st_vcs`).
+    pub st_queue: Span,
 }
 
-/// One router at a commit boundary.
+/// One router at a commit boundary (see the module doc for the layout).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RouterSnapshot {
     /// Whether the router has been killed by a whole-router fault. A
@@ -188,14 +203,25 @@ pub struct RouterSnapshot {
     pub in_recovery: bool,
     /// Deadlocks confirmed by this node's own probes (cumulative).
     pub deadlocks_confirmed: u64,
-    /// `inputs[port][vc]` input VC views.
-    pub inputs: Vec<Vec<InputVcView>>,
-    /// `outputs[port]` output port views.
-    pub outputs: Vec<OutputPortView>,
-    /// `live_in[port]`: bit `v` set exactly when `inputs[port][v]` is
+    /// `ports[p]`: output port `p`.
+    pub ports: Vec<PortRow>,
+    /// `inputs[p * vcs + v]`: input VC `v` of port `p`.
+    pub inputs: Vec<InputRow>,
+    /// `outputs[p * vcs + v]`: output VC `v` of port `p`.
+    pub outputs: Vec<OutputRow>,
+    /// Every input-buffer flit in (port, VC) order, then every ST-queue
+    /// entry's flit in port order.
+    pub flits: Vec<Flit>,
+    /// The output VC each ST-queue entry will be tagged with: the last
+    /// `st_vcs.len()` flits of `flits` are the entries, in this order.
+    pub st_vcs: Vec<u8>,
+    /// Every retransmission-sender slot in (port, VC) order, with the
+    /// held flag (`true` = recovery-absorbed slot that never expires).
+    pub slots: Vec<(Flit, bool)>,
+    /// `live_in[p]`: bit `v` set exactly when `inputs[p * vcs + v]` is
     /// not idle (see the module doc).
     pub live_in: Vec<u64>,
-    /// `live_out[port]`: bit `v` set exactly when `outputs[port].vcs[v]`
+    /// `live_out[p]`: bit `v` set exactly when `outputs[p * vcs + v]`
     /// is not idle (see the module doc).
     pub live_out: Vec<u64>,
     /// Channel-wait edges as the probe chase sees them: one row per
@@ -203,6 +229,18 @@ pub struct RouterSnapshot {
     /// order. The other VCs are left out because a probe can neither
     /// launch from nor pass through them.
     pub wait_edges: Vec<BlockedVcSummary>,
+}
+
+impl RouterSnapshot {
+    /// Output port `port`'s switch-traversal queue, front first: each
+    /// entry's flit with the output VC it will be tagged with.
+    #[inline]
+    pub fn st_queue(&self, port: usize) -> impl Iterator<Item = (&Flit, u8)> {
+        let span = self.ports[port].st_queue;
+        let base = self.flits.len() - self.st_vcs.len();
+        let tags = &self.st_vcs[span.start as usize - base..];
+        span.of(&self.flits).iter().zip(tags.iter().copied())
+    }
 }
 
 /// Link wires owned by one router (receiver side).

@@ -1,6 +1,7 @@
-//! The refill contract of the snapshot builders: whatever the caller's
+//! The rebuild contract of the snapshot builders: whatever the caller's
 //! `NetSnapshot` held, `snapshot_into` leaves it equal to a fresh
-//! `snapshot()`.
+//! `snapshot()`, and every router's rows partition its arenas in layout
+//! order with live masks that agree with the rows.
 //!
 //! One scratch is carried, never reset, through seven networks shaped
 //! like campaigns 19, 1, 20, 55, 28, 8 and 0 of `ftnoc fuzz --seed 1`
@@ -11,6 +12,7 @@
 //! death and wear-out before a fault-free run.
 
 use ftnoc_fault::{FaultPlan, FaultRates};
+use ftnoc_sim::snapshot::{full_credits, Span};
 use ftnoc_sim::{DeadlockConfig, NetSnapshot, Network, RoutingAlgorithm, SimConfig};
 use ftnoc_traffic::InjectionProcess;
 use ftnoc_types::config::{BufferOrg, RouterConfig};
@@ -62,6 +64,54 @@ fn config(shape: &Shape, seed: u64) -> SimConfig {
         .measure_packets(u64::MAX)
         .max_cycles(CYCLES);
     b.build().expect("valid config")
+}
+
+/// Asserts that `spans` tile `0..len` in order, with no gap or overlap.
+fn assert_tiles(spans: impl Iterator<Item = Span>, len: usize, what: &str) {
+    let end = spans.fold(0, |next, span| {
+        assert!(
+            span.start == next && span.end >= span.start,
+            "{what}: span {span:?} does not start at {next}"
+        );
+        span.end
+    });
+    assert_eq!(end as usize, len, "{what}: the spans end before the arena");
+}
+
+/// Every router's rows partition its arenas in (port, VC) order — the
+/// input rows and then the ST queues over `flits`, one tag per ST
+/// entry, the output rows over `slots` — and `live_in` / `live_out` are
+/// the masks the rows give.
+fn assert_layout(snap: &NetSnapshot, config: &SimConfig, what: &str) {
+    let (ports, vcs) = (config.router.ports(), config.router.vcs_per_port());
+    let mask = |busy: &mut dyn Iterator<Item = bool>| {
+        busy.enumerate()
+            .fold(0, |live, (v, busy)| live | u64::from(busy) << v)
+    };
+    for (n, r) in snap.routers.iter().enumerate() {
+        let what = format!("{what} node {n}");
+        assert_eq!(r.ports.len(), ports, "{what}");
+        assert_eq!(r.inputs.len(), ports * vcs, "{what}");
+        assert_eq!(r.outputs.len(), ports * vcs, "{what}");
+        let rows = r.inputs.iter().map(|row| row.flits);
+        let st = r.ports.iter().map(|port| port.st_queue);
+        assert_tiles(rows.chain(st), r.flits.len(), &format!("{what} flits"));
+        let entries: usize = r.ports.iter().map(|port| port.st_queue.len()).sum();
+        assert_eq!(r.st_vcs.len(), entries, "{what}: one tag per ST entry");
+        let rows = r.outputs.iter().map(|row| row.slots);
+        assert_tiles(rows, r.slots.len(), &format!("{what} slots"));
+        let live_in: Vec<u64> = (r.inputs.chunks(vcs))
+            .map(|rows| mask(&mut rows.iter().map(|row| !row.is_idle())))
+            .collect();
+        assert_eq!(r.live_in, live_in, "{what}: input live masks");
+        let live_out: Vec<u64> = (r.outputs.chunks(vcs).enumerate())
+            .map(|(p, rows)| {
+                let full = full_credits(&config.router, p);
+                mask(&mut rows.iter().map(|row| !row.is_idle(full)))
+            })
+            .collect();
+        assert_eq!(r.live_out, live_out, "{what}: output live masks");
+    }
 }
 
 #[test]
@@ -130,7 +180,8 @@ fn a_refilled_snapshot_equals_a_fresh_one_whatever_it_held() {
     ];
     let mut dirty = NetSnapshot::default();
     for (i, shape) in shapes.iter().enumerate() {
-        let mut net = Network::new(config(shape, 7 + i as u64));
+        let config = config(shape, 7 + i as u64);
+        let mut net = Network::new(config.clone());
         for _ in 0..CYCLES {
             net.step();
             net.snapshot_into(&mut dirty);
@@ -139,6 +190,7 @@ fn a_refilled_snapshot_equals_a_fresh_one_whatever_it_held() {
                 "shape {i}: the refilled snapshot differs at cycle {}",
                 dirty.now
             );
+            assert_layout(&dirty, &config, &format!("shape {i} cycle {}", dirty.now));
         }
         // The shape did what its row says, so the fields it dirties
         // were non-empty going into the next one.

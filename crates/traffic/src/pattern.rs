@@ -186,9 +186,9 @@ impl TrafficPattern {
         assert!(terms >= 2, "traffic requires at least two terminals");
         // The pattern maps routers; the destination terminal sits on the
         // same local port of its router as the source (port 4 when the
-        // concentration is 1).
-        let r = topo.router_of_terminal(src);
-        let port = topo.local_port_of_terminal(src);
+        // concentration is 1). Both are divisions, so only the arms that
+        // map routers ask for them.
+        let r = || topo.router_of_terminal(src);
         let raw = match self {
             TrafficPattern::Uniform => {
                 // Draw uniformly over the other terminals.
@@ -200,13 +200,13 @@ impl TrafficPattern {
                 if n.is_power_of_two() {
                     let bits = n.trailing_zeros();
                     let mask = (n - 1) as u16;
-                    (!r.raw()) & mask & ((1u32 << bits) - 1) as u16
+                    (!r().raw()) & mask & ((1u32 << bits) - 1) as u16
                 } else {
-                    (n - 1 - r.index()) as u16
+                    (n - 1 - r().index()) as u16
                 }
             }
             TrafficPattern::Tornado => {
-                let c = topo.coord_of(r);
+                let c = topo.coord_of(r());
                 let w = topo.width() as u16;
                 let h = topo.height() as u16;
                 let dx = ((c.x() as u16) + w.div_ceil(2) - 1) % w;
@@ -214,7 +214,7 @@ impl TrafficPattern {
                 topo.id_of(Coord::new(dx as u8, dy as u8)).raw()
             }
             TrafficPattern::Transpose => {
-                let c = topo.coord_of(r);
+                let c = topo.coord_of(r());
                 let x = c.y().min(topo.width() - 1);
                 let y = c.x().min(topo.height() - 1);
                 topo.id_of(Coord::new(x, y)).raw()
@@ -222,19 +222,19 @@ impl TrafficPattern {
             TrafficPattern::BitReverse => {
                 if n.is_power_of_two() {
                     let bits = n.trailing_zeros();
-                    (r.raw().reverse_bits() >> (16 - bits)) & ((n - 1) as u16)
+                    (r().raw().reverse_bits() >> (16 - bits)) & ((n - 1) as u16)
                 } else {
-                    (n - 1 - r.index()) as u16
+                    (n - 1 - r().index()) as u16
                 }
             }
             TrafficPattern::Shuffle => {
                 if n.is_power_of_two() {
                     let bits = n.trailing_zeros();
                     let mask = (n - 1) as u16;
-                    let s = r.raw() & mask;
+                    let s = r().raw() & mask;
                     ((s << 1) | (s >> (bits - 1))) & mask
                 } else {
-                    ((r.index() + 1) % n) as u16
+                    ((r().index() + 1) % n) as u16
                 }
             }
             TrafficPattern::Hotspot { hotspot, fraction } => {
@@ -245,7 +245,7 @@ impl TrafficPattern {
                 let d = if d >= src.index() { d + 1 } else { d };
                 return NodeId::new(d as u16);
             }
-            TrafficPattern::Neighbor => ((r.index() + 1) % n) as u16,
+            TrafficPattern::Neighbor => ((r().index() + 1) % n) as u16,
             TrafficPattern::Flows(table) => match table.pick(src, rng) {
                 Some(d) if d != src && d.index() < terms => return d,
                 _ => {
@@ -255,7 +255,7 @@ impl TrafficPattern {
                 }
             },
         };
-        let dest = topo.terminal_at(NodeId::new(raw), port);
+        let dest = topo.terminal_at(NodeId::new(raw), topo.local_port_of_terminal(src));
         if dest == src {
             NodeId::new(((src.index() + 1) % terms) as u16)
         } else {

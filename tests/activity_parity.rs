@@ -380,7 +380,7 @@ fn oracle_flags_a_skipped_router_that_was_not_quiescent() {
     let busy = snap
         .routers
         .iter()
-        .position(|r| r.inputs.iter().flatten().any(|ivc| !ivc.flits.is_empty()))
+        .position(|r| r.inputs.iter().any(|row| !row.flits.is_empty()))
         .expect("saturating traffic must occupy some buffer");
     snap.computed[busy] = false;
     let violation = oracle

@@ -7,7 +7,7 @@
 use ftnoc::check::{ArmedInvariants, Oracle, Violation};
 use ftnoc::fault::FaultEventKind;
 use ftnoc::prelude::*;
-use ftnoc::sim::snapshot::VcStateView;
+use ftnoc::sim::snapshot::{RouterSnapshot, VcStateView};
 use ftnoc::sim::{NetSnapshot, Network};
 
 /// Steps `net` for `cycles`, checking every commit boundary through one
@@ -21,6 +21,25 @@ fn step_checked(net: &mut Network, oracle: &mut Oracle, cycles: u64) -> Result<(
         oracle.check(&snap)?;
     }
     Ok(())
+}
+
+/// Every input-buffer flit of `snap`, router by router in row order.
+fn buffered(snap: &NetSnapshot) -> impl Iterator<Item = &Flit> {
+    (snap.routers.iter()).flat_map(|r| r.inputs.iter().flat_map(|row| row.flits.of(&r.flits)))
+}
+
+/// Plants `flit` at the back of input row `row` of `r`: into the flit
+/// arena at the end of the row's span, every later span moved up one,
+/// so the rows still partition the arena. The caller sets the live bit.
+fn plant(r: &mut RouterSnapshot, row: usize, flit: Flit) {
+    let at = r.inputs[row].flits.end;
+    r.flits.insert(at as usize, flit);
+    r.inputs[row].flits.end += 1;
+    let later = r.inputs[row + 1..].iter_mut().map(|row| &mut row.flits);
+    for span in later.chain(r.ports.iter_mut().map(|port| &mut port.st_queue)) {
+        span.start += 1;
+        span.end += 1;
+    }
 }
 
 /// A 4×4 fault-aware run with one mid-run kill: link 5→east dies at
@@ -317,12 +336,7 @@ fn oracle_flags_doctored_loss_accounting() {
     // A ledger entry claiming a flit that is still resident: pick any
     // buffered flit and book its seq bit as lost (keeping the counter
     // consistent so the overlap check, not the sum check, fires).
-    let resident_flit = *snap
-        .routers
-        .iter()
-        .flat_map(|r| r.inputs.iter())
-        .flat_map(|port| port.iter())
-        .flat_map(|ivc| ivc.flits.iter())
+    let resident_flit = *buffered(&snap)
         .next()
         .expect("traffic in flight at cycle 400");
     let mut overlapping = snap.clone();
@@ -355,7 +369,7 @@ fn oracle_flags_doctored_loss_accounting() {
     // the dead router (table and flag left honest), its live bit set to
     // match.
     let mut haunted = snap;
-    haunted.routers[5].inputs[0][0].flits.push(resident_flit);
+    plant(&mut haunted.routers[5], 0, resident_flit);
     haunted.routers[5].live_in[0] |= 1;
     let v = oracle
         .check(&haunted)
@@ -377,11 +391,7 @@ fn conservation_names_the_lowest_broken_packet() {
         let mut net = Network::new(config);
         step_checked(&mut net, &mut oracle, 200).expect("honest run must pass");
         let mut snap = net.snapshot();
-        let template = *snap
-            .routers
-            .iter()
-            .flat_map(|r| r.inputs.iter().flatten())
-            .flat_map(|ivc| ivc.flits.iter())
+        let template = *buffered(&snap)
             .next()
             .expect("traffic in flight at cycle 200");
         // Flits 0 and 2 of two packets no source ever issued, at an
@@ -461,6 +471,7 @@ fn oracle_flags_an_allocation_onto_a_dead_port() {
     let mut arm = ArmedInvariants::none();
     arm.dead_port = true;
     let mut oracle = Oracle::with_arming(&config, arm);
+    let vcs = config.router.vcs_per_port();
     let mut net = Network::new(config);
     for _ in 0..200 {
         net.step();
@@ -473,11 +484,8 @@ fn oracle_flags_an_allocation_onto_a_dead_port() {
         .iter()
         .enumerate()
         .find_map(|(n, r)| {
-            r.outputs.iter().enumerate().take(4).find_map(|(p, out)| {
-                out.vcs
-                    .iter()
-                    .find_map(|ovc| ovc.allocated_at.map(|at| (n, p, at)))
-            })
+            let mut cardinal = r.outputs[..4 * vcs].iter().enumerate();
+            cardinal.find_map(|(i, row)| row.allocated_at.map(|at| (n, i / vcs, at)))
         })
         .expect("saturating traffic must hold some reservation");
 
@@ -541,32 +549,29 @@ fn checked_until<T>(
 fn oracle_flags_an_idle_vc_off_its_credit_cap() {
     let config = quiet_config();
     let per_vc = config.router.port_capacity().per_vc as u32;
+    let vcs = config.router.vcs_per_port();
     let topo = config.topology;
     let mut oracle = Oracle::new(&config);
     assert!(oracle.arming().credit_exact);
     let mut net = Network::new(config);
     let (snap, (n, d, v, m, flit)) = checked_until(&mut net, &mut oracle, |snap| {
         // Some other VC must hold a flit, or the network is empty.
-        let flit = snap
-            .routers
-            .iter()
-            .flat_map(|r| r.inputs.iter().flatten())
-            .find_map(|ivc| ivc.flits.first().copied())?;
+        let flit = *buffered(snap).next()?;
         (0..snap.routers.len()).find_map(|n| {
             Direction::CARDINAL.into_iter().find_map(|d| {
                 let m = topo.neighbor_id(NodeId::new(n as u16), d)?.index();
                 let (op, q) = (d.index(), d.opposite().index());
-                let out = &snap.routers[n].outputs[op];
+                let (r, down) = (&snap.routers[n], &snap.routers[m]);
                 // The downstream router computed, so a flit in it is no
                 // missed wake-up.
-                (0..out.vcs.len())
+                (0..vcs)
                     .find(|&v| {
                         let wire =
                             snap.wires[m].flit_in[q].is_some_and(|(_, wv, _)| wv as usize == v);
                         snap.computed[m]
-                            && out.vcs[v].is_idle(per_vc)
-                            && snap.routers[m].inputs[q][v].is_idle()
-                            && !out.st_queue.iter().any(|e| e.out_vc as usize == v)
+                            && r.outputs[op * vcs + v].is_idle(per_vc)
+                            && down.inputs[q * vcs + v].is_idle()
+                            && !r.st_queue(op).any(|(_, tag)| usize::from(tag) == v)
                             && !wire
                             && !snap.wires[n].credits_in[op]
                                 .iter()
@@ -586,7 +591,7 @@ fn oracle_flags_an_idle_vc_off_its_credit_cap() {
     };
     for credits in [per_vc - 1, per_vc + 1] {
         let mut doctored = snap.clone();
-        doctored.routers[n].outputs[d.index()].vcs[v].credits = credits;
+        doctored.routers[n].outputs[d.index() * vcs + v].credits = credits;
         doctored.routers[n].live_out[d.index()] |= 1 << v;
         flag(
             &doctored,
@@ -595,7 +600,7 @@ fn oracle_flags_an_idle_vc_off_its_credit_cap() {
     }
     let mut doctored = snap;
     let q = d.opposite().index();
-    doctored.routers[m].inputs[q][v].flits.push(flit);
+    plant(&mut doctored.routers[m], q * vcs + v, flit);
     doctored.routers[m].live_in[q] |= 1 << v;
     flag(
         &doctored,
@@ -608,23 +613,22 @@ fn oracle_flags_an_idle_vc_off_its_credit_cap() {
 #[test]
 fn oracle_flags_a_flit_in_an_idle_vc_of_a_gated_router() {
     let config = quiet_config();
+    let vcs = config.router.vcs_per_port();
     let mut oracle = Oracle::new(&config);
     let mut net = Network::new(config);
     let (snap, (gated, flit)) = checked_until(&mut net, &mut oracle, |snap| {
         let gated = snap.computed.iter().position(|&computed| !computed)?;
-        let flit = snap
-            .routers
-            .iter()
-            .flat_map(|r| r.inputs.iter().flatten())
-            .find_map(|ivc| ivc.flits.first().copied())?;
-        Some((gated, flit))
+        Some((gated, *buffered(snap).next()?))
     });
     let mut doctored = snap;
     let (p, v) = (Direction::North.index(), 0);
-    let ivc = &mut doctored.routers[gated].inputs[p][v];
-    assert!(ivc.flits.is_empty(), "a gated router's VCs are idle");
-    ivc.flits.push(flit);
-    doctored.routers[gated].live_in[p] |= 1 << v;
+    let r = &mut doctored.routers[gated];
+    assert!(
+        r.inputs[p * vcs + v].is_idle(),
+        "a gated router's VCs are idle"
+    );
+    plant(r, p * vcs + v, flit);
+    r.live_in[p] |= 1 << v;
     let violation = oracle
         .check(&doctored)
         .expect_err("a flit in a skipped router must be flagged");
@@ -640,6 +644,7 @@ fn oracle_flags_a_flit_in_an_idle_vc_of_a_gated_router() {
 #[test]
 fn oracle_flags_an_active_vc_whose_output_records_no_owner() {
     let config = quiet_config();
+    let vcs = config.router.vcs_per_port();
     let mut oracle = Oracle::new(&config);
     assert!(oracle.arming().exclusivity);
     let mut net = Network::new(config);
@@ -648,24 +653,23 @@ fn oracle_flags_an_active_vc_whose_output_records_no_owner() {
             if !snap.computed[n] || r.in_recovery {
                 return None;
             }
-            let (p, v) = r.inputs.iter().enumerate().find_map(|(p, port)| {
-                let v = port.iter().position(|ivc| ivc.state == VcStateView::Idle)?;
-                Some((p, v))
-            })?;
-            let (op, ov) = r.outputs.iter().enumerate().take(4).find_map(|(op, out)| {
-                if !out.exists {
+            let i = (r.inputs.iter()).position(|row| row.state == VcStateView::Idle)?;
+            let (op, ov) = (0..4).find_map(|op| {
+                if !r.ports[op].exists {
                     return None;
                 }
-                let ov = out.vcs.iter().position(|ovc| {
-                    ovc.allocated.is_none() && ovc.sender.slots.iter().all(|&(_, held)| !held)
+                let ov = (0..vcs).find(|&ov| {
+                    let row = &r.outputs[op * vcs + ov];
+                    let slots = row.slots.of(&r.slots);
+                    row.allocated.is_none() && slots.iter().all(|&(_, held)| !held)
                 })?;
                 Some((op, ov))
             })?;
-            Some((n, p, v, op, ov))
+            Some((n, i / vcs, i % vcs, op, ov))
         })
     });
     let mut doctored = snap;
-    doctored.routers[n].inputs[p][v].state = VcStateView::Active {
+    doctored.routers[n].inputs[p * vcs + v].state = VcStateView::Active {
         out_port: op,
         out_vc: ov,
     };
@@ -692,14 +696,9 @@ fn a_live_mask_that_forgets_a_planted_flit_fails_loudly() {
     let mut oracle = Oracle::new(&config);
     let mut net = Network::new(config);
     let (mut snap, (n, flit)) = checked_until(&mut net, &mut oracle, |snap| {
-        let n = snap.routers.iter().position(|r| r.inputs[0][0].is_idle())?;
-        let flit = snap
-            .routers
-            .iter()
-            .flat_map(|r| r.inputs.iter().flatten())
-            .find_map(|ivc| ivc.flits.first().copied())?;
-        Some((n, flit))
+        let n = snap.routers.iter().position(|r| r.inputs[0].is_idle())?;
+        Some((n, *buffered(snap).next()?))
     });
-    snap.routers[n].inputs[0][0].flits.push(flit);
+    plant(&mut snap.routers[n], 0, flit);
     let _ = oracle.check(&snap);
 }
