@@ -21,11 +21,11 @@ use ftnoc_fault::{FaultCause, FaultEvent, FaultEventKind, FaultTimeline};
 use ftnoc_sim::arbiter::ones;
 use ftnoc_sim::config::ErrorScheme;
 use ftnoc_sim::router::BlockedVcSummary;
-use ftnoc_sim::snapshot::{full_credits, NetSnapshot, VcStateView};
+use ftnoc_sim::snapshot::{full_credits, NetSnapshot, RouterSnapshot, VcStateView};
 use ftnoc_sim::{RoutingAlgorithm, SimConfig};
 use ftnoc_types::config::RouterConfig;
 use ftnoc_types::flit::Flit;
-use ftnoc_types::geom::{Direction, NodeId};
+use ftnoc_types::geom::{Direction, NodeId, Topology};
 
 /// A violated invariant, with enough context to debug the failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,17 +38,6 @@ pub struct Violation {
     pub invariant: &'static str,
     /// Human-readable description of what went wrong.
     pub detail: String,
-}
-
-impl Violation {
-    fn new(cycle: u64, node: usize, invariant: &'static str, detail: String) -> Self {
-        Violation {
-            cycle,
-            node: Some(node),
-            invariant,
-            detail,
-        }
-    }
 }
 
 impl fmt::Display for Violation {
@@ -186,6 +175,76 @@ fn key(f: &Flit) -> (u64, u8) {
     (f.packet.raw(), f.seq)
 }
 
+/// The invariant families, in the order [`Oracle::check`] reports them:
+/// of two violations in one snapshot, the earlier family's is returned,
+/// and within a family the first in (router, port, VC) order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Family {
+    Structural,
+    FaultEvents,
+    DeadPortTable,
+    DeadPort,
+    DeadRouterTable,
+    DeadRouter,
+    Activity,
+    Exclusivity,
+    Ordering,
+    Credits,
+    Conservation,
+    Arrival,
+    Probe,
+}
+
+impl Family {
+    /// The short stable name a [`Violation`] carries.
+    fn invariant(self) -> &'static str {
+        match self {
+            Family::Structural => "structural",
+            Family::FaultEvents => "fault-events",
+            Family::DeadPortTable | Family::DeadRouterTable => "fault-table",
+            Family::DeadPort => "dead-port",
+            Family::DeadRouter => "dead-router",
+            Family::Activity => "activity",
+            Family::Exclusivity => "exclusivity",
+            Family::Ordering => "wormhole-order",
+            Family::Credits => "credit-accounting",
+            Family::Conservation => "conservation",
+            Family::Arrival => "arrival-order",
+            Family::Probe => "probe-soundness",
+        }
+    }
+}
+
+/// The violation one check reports: each family keeps the first it
+/// notes, and an earlier family's replaces a later one's.
+struct Verdict {
+    now: u64,
+    first: Option<(Family, Violation)>,
+}
+
+impl Verdict {
+    /// Whether a violation of `family` would still be the one reported.
+    #[inline]
+    fn open(&self, family: Family) -> bool {
+        self.first.as_ref().is_none_or(|(f, _)| family < *f)
+    }
+
+    /// Notes a violation of `family` at `node` (`None`: the network),
+    /// building its detail only when it is the one reported.
+    #[cold]
+    fn note(&mut self, family: Family, node: Option<usize>, detail: impl FnOnce() -> String) {
+        if self.open(family) {
+            let violation = Violation {
+                cycle: self.now,
+                node,
+                invariant: family.invariant(),
+                detail: detail(),
+            };
+            self.first = Some((family, violation));
+        }
+    }
+}
+
 /// The invariant oracle. Feed it one snapshot per cycle via
 /// [`Oracle::check`]; the first violation is returned as an error.
 pub struct Oracle {
@@ -193,16 +252,15 @@ pub struct Oracle {
     /// The run's router shape: radix, VCs per port, buffer depth and
     /// organisation.
     router: RouterConfig,
+    /// The run's topology (a dead router's terminals).
+    topo: Topology,
     /// `neighbors[n][d]`: the node reached from node `n` in cardinal
     /// direction `d`, if the link exists.
     neighbors: Vec<[Option<usize>; 4]>,
-    /// Back-of-buffer identity per input VC last cycle (arrival
-    /// detection: a FIFO's back only changes on push).
-    prev_back: Vec<Option<(u64, u8)>>,
-    /// Last observed arrival per input VC: `(packet, seq, was_tail)`.
-    last_arrival: Vec<Option<(u64, u8, bool)>>,
-    /// Per cardinal input port (`n * 4 + p`): the VCs whose `prev_back`
-    /// is set, so arrival visits them beside the live ones and a VC
+    /// Arrival tracking per input VC (`(n * ports + p) * vcs + v`).
+    arrivals: Vec<Arrivals>,
+    /// Per cardinal input port (`n * 4 + p`): the VCs whose back is
+    /// set, so arrival visits them beside the live ones and a VC
     /// that drained still resets its tracking.
     tracked: Vec<u64>,
     /// `deadlocks_confirmed` per node last cycle.
@@ -211,14 +269,17 @@ pub struct Oracle {
     /// cannot explain a confirmation.
     cthres: u64,
     /// Recent wait-edge history, oldest first, for the temporal probe
-    /// chase (see [`Oracle::check_probe`]).
+    /// chase (see [`Oracle::confirmation_explained`]).
     hist: WaitHistory,
     /// Scratch for conservation: every resident packet with its seq
     /// bitmask, merged from wherever its flits sit.
     merged: PacketTable,
-    /// Scratch for credit accounting: the distinct flits holding one
-    /// downstream VC's credits.
-    holders: Vec<(u64, u8)>,
+    /// Scratch for credit accounting: one link's ST-queue and wire flits
+    /// with the VC each holds a credit of.
+    in_transit: Vec<(usize, (u64, u8))>,
+    /// Scratch for credit accounting: one link's returning credits per
+    /// VC, zeroed again as each VC is decided.
+    returning: Vec<usize>,
     /// The run's hard-fault history, for cross-checking the snapshot's
     /// published fault table against what the configuration implies
     /// (`None` when constructed via [`Oracle::with_arming`] — the
@@ -239,6 +300,16 @@ pub struct Oracle {
     wearout_armed: bool,
     /// The run's fault publication latency (validates `published_at`).
     notify: u64,
+}
+
+/// What arrival monotonicity remembers of one input VC.
+#[derive(Debug, Clone, Copy, Default)]
+struct Arrivals {
+    /// The identity of the buffer's back flit last cycle (a FIFO's back
+    /// only changes on push).
+    back: Option<(u64, u8)>,
+    /// The last arrival observed: `(packet, seq, was_tail)`.
+    last: Option<(u64, u8, bool)>,
 }
 
 /// The probe window's wait-edge history: one frame per cycle, oldest
@@ -353,12 +424,12 @@ impl PacketTable {
 }
 
 impl WaitHistory {
-    /// Appends the frame of `snap`, handing the oldest frame's storage
-    /// back once `window` frames are held. History must be contiguous
-    /// (one frame per cycle) for hop timing to line up, so a gap
-    /// restarts it.
-    fn record(&mut self, snap: &NetSnapshot, window: usize) {
-        if self.frames.back().is_some_and(|f| f.now + 1 != snap.now) {
+    /// Opens the frame of cycle `now`, handing the oldest frame's
+    /// storage back once `window` frames are held; [`WaitHistory::push`]
+    /// then adds its nodes in order. History must be contiguous (one
+    /// frame per cycle) for hop timing to line up, so a gap restarts it.
+    fn start(&mut self, now: u64, window: usize) {
+        if self.frames.back().is_some_and(|f| f.now + 1 != now) {
             self.frames.clear();
             self.dropped += self.rows.len();
             self.rows.clear();
@@ -372,16 +443,21 @@ impl WaitHistory {
         } else {
             WaitFrame::default()
         };
-        frame.now = snap.now;
+        frame.now = now;
         frame.start = self.dropped + self.rows.len();
         frame.nodes.clear();
-        for r in &snap.routers {
-            self.rows.extend(r.wait_edges.iter().copied());
-            frame
-                .nodes
-                .push((r.in_recovery, self.dropped + self.rows.len()));
-        }
         self.frames.push_back(frame);
+    }
+
+    /// Adds the next node of the open frame.
+    fn push(&mut self, r: &RouterSnapshot) {
+        if !r.wait_edges.is_empty() {
+            self.rows.extend(r.wait_edges.iter().copied());
+        }
+        let end = self.dropped + self.rows.len();
+        if let Some(frame) = self.frames.back_mut() {
+            frame.nodes.push((r.in_recovery, end));
+        }
     }
 
     /// The frame of cycle `t`, if the history holds it.
@@ -427,22 +503,24 @@ impl Oracle {
     pub fn with_arming(config: &SimConfig, arm: ArmedInvariants) -> Self {
         let topo = config.topology;
         let nodes = topo.node_count();
-        let slots = nodes * config.router.ports() * config.router.vcs_per_port();
+        let vcs = config.router.vcs_per_port();
+        let slots = nodes * config.router.ports() * vcs;
         Oracle {
             arm,
             router: config.router,
+            topo,
             neighbors: topo
                 .nodes()
                 .map(|n| Direction::CARDINAL.map(|d| topo.neighbor_id(n, d).map(NodeId::index)))
                 .collect(),
-            prev_back: vec![None; slots],
-            last_arrival: vec![None; slots],
+            arrivals: vec![Arrivals::default(); slots],
             tracked: vec![0; nodes * 4],
             prev_confirmed: vec![0; nodes],
             cthres: 1,
             hist: WaitHistory::default(),
             merged: PacketTable::default(),
-            holders: Vec::new(),
+            in_transit: Vec::new(),
+            returning: vec![0; vcs],
             timeline: None,
             expected_configured: Vec::new(),
             wear_folded: 0,
@@ -458,54 +536,95 @@ impl Oracle {
 
     /// Validates one commit-boundary snapshot. Returns the first
     /// violation found; internal tracking state is updated either way.
+    ///
+    /// One walk: the fault log and tables first, then one pass over the
+    /// routers in which each router's live input rows, live output rows
+    /// and outgoing links are visited once and feed every armed family,
+    /// then the network-level decisions (conservation, the probe chase).
+    /// Each family keeps its first violation; the earliest family's is
+    /// returned (the family order is `Family`'s). Arrival and probe tracking advance on
+    /// every check, after a failure too, so a caller that logs and
+    /// continues keeps getting coherent results.
     pub fn check(&mut self, snap: &NetSnapshot) -> Result<(), Violation> {
         if cfg!(debug_assertions) {
             self.assert_live_masks(snap);
         }
-        let mut first = self.check_structural(snap).err();
-        // Fault-event validation folds realized wear-out kills into the
-        // oracle's timeline mirror, so it must run every cycle (before
-        // the table comparison, and even after an earlier failure) for
-        // callers that log and continue.
-        first = first.or(self.check_fault_events(snap));
-        first = first.or_else(|| self.check_dead_ports(snap).err());
-        // Before the activity check: a dead router is also a skipped
-        // router, and a corpse holding traffic should be diagnosed as a
-        // dead-router violation, not a missed wake-up.
-        first = first.or_else(|| self.check_dead_routers(snap).err());
-        first = first.or_else(|| self.check_activity(snap).err());
-        if self.arm.exclusivity {
-            first = first.or_else(|| self.check_exclusivity(snap).err());
+        let mut out = Verdict {
+            now: snap.now,
+            first: None,
+        };
+        // Folds realized wear-out kills into the timeline mirror, so it
+        // runs before the table comparison, and on every check.
+        self.fault_events(snap, &mut out);
+        self.fault_tables(snap, &mut out);
+        let probe = self.arm.probe;
+        if probe {
+            // The chase for a confirmation observed at cycle `T` needs
+            // the frame of `T` itself, so this cycle is recorded first.
+            self.hist.start(snap.now, 4 * snap.routers.len() + 4);
         }
-        if self.arm.ordering {
-            first = first.or_else(|| self.check_ordering(snap).err());
+        let conservation = self.arm.conservation && out.open(Family::Conservation);
+        // The run of one packet's flits being merged (see `Oracle::mark`).
+        let mut run = None;
+        if conservation {
+            self.merged.reset();
+            for pe in &snap.pes {
+                self.mark(&pe.injecting, &mut run);
+            }
         }
-        if self.arm.credit_bound {
-            first = first.or_else(|| self.check_credits(snap).err());
+        let mut advanced = None;
+        for (n, r) in snap.routers.iter().enumerate() {
+            // Dead router: the flag agrees with the table, before the
+            // walk trusts the flag.
+            let listed = snap.dead_routers.iter().any(|&(m, _)| m == n);
+            if r.dead != listed {
+                out.note(Family::DeadRouter, Some(n), || {
+                    format!(
+                        "router dead flag is {} but the dead-router table {} it",
+                        r.dead,
+                        if listed { "lists" } else { "omits" }
+                    )
+                });
+            }
+            self.input_rows(snap, n, r, &mut out);
+            self.output_rows(snap, n, r, &mut out);
+            if self.arm.credit_bound && out.open(Family::Credits) {
+                self.link_credits(snap, n, r, &mut out);
+            }
+            if conservation {
+                self.mark(&r.flits, &mut run);
+                self.mark(r.slots.iter().map(|(f, _)| f), &mut run);
+                if let Some(w) = snap.wires.get(n) {
+                    self.mark(w.flit_in.iter().flatten().map(|s| &s.0), &mut run);
+                }
+            }
+            if probe {
+                self.hist.push(r);
+                if advanced.is_none() && r.deadlocks_confirmed != self.prev_confirmed[n] {
+                    advanced = Some(n);
+                }
+            }
         }
-        if self.arm.conservation {
-            first = first.or_else(|| self.check_conservation(snap).err());
+        if conservation {
+            if let Some((pkt, mask)) = run {
+                self.merged.add(pkt, mask);
+            }
+            self.conservation(snap, &mut out);
         }
-        // These two update tracking state and must run every cycle even
-        // after an earlier check failed, so that a caller that logs and
-        // continues keeps getting coherent results.
-        if self.arm.arrival {
-            first = first.or(self.check_arrival(snap));
+        if let Some(from) = advanced {
+            self.confirmations(snap, from, &mut out);
         }
-        if self.arm.probe {
-            first = first.or(self.check_probe(snap));
-        }
-        match first {
-            Some(v) => Err(v),
+        match out.first {
+            Some((_, v)) => Err(v),
             None => Ok(()),
         }
     }
 
     /// Debug builds: every router has the run's shape and the live
-    /// masks name exactly the VCs whose rows are not idle — what every
-    /// family below relies on to skip a VC — so a doctored snapshot that
-    /// forgets a bit fails here, loudly, rather than passing a family
-    /// that never looked at the VC.
+    /// masks name exactly the VCs whose rows are not idle — what the
+    /// walk relies on to skip a VC — so a doctored snapshot that forgets
+    /// a bit fails here, loudly, rather than passing a family that never
+    /// looked at the VC.
     fn assert_live_masks(&self, snap: &NetSnapshot) {
         let (ports, vcs) = (self.router.ports(), self.router.vcs_per_port());
         let stray = |live: u64| vcs < 64 && live >> vcs != 0;
@@ -542,238 +661,6 @@ impl Oracle {
         }
     }
 
-    /// Capacity bounds that hold in every configuration. Only live VCs
-    /// hold flits or slots, so only they are visited.
-    fn check_structural(&self, snap: &NetSnapshot) -> Result<(), Violation> {
-        let vcs = self.router.vcs_per_port();
-        let cap = self.router.port_capacity();
-        let depth = self.router.retrans_depth();
-        for (n, r) in snap.routers.iter().enumerate() {
-            // An idle port meets both bounds: no flit, and one slot per VC.
-            for (p, &live) in r.live_in.iter().enumerate().filter(|(_, &live)| live != 0) {
-                // Σ_v max(len(v), 1), an idle VC counting its one.
-                let mut floor = vcs;
-                for v in ones(live) {
-                    let len = r.inputs[p * vcs + v].flits.len();
-                    floor += len.saturating_sub(1);
-                    if len > cap.per_vc {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "structural",
-                            format!("input {p}.{v} holds {len} flits, capacity {}", cap.per_vc),
-                        ));
-                    }
-                }
-                // Reserved-slot floor: counting every empty VC's
-                // reserved slot, the port can never be oversubscribed —
-                // Σ_v max(len(v), 1) ≤ vcs + shared. This is the
-                // structural form of the liveness guarantee that an
-                // empty VC can always accept one flit (wormhole
-                // atomicity / §3.2 recovery).
-                let slots = vcs + cap.shared;
-                if floor > slots {
-                    return Err(Violation::new(
-                        snap.now,
-                        n,
-                        "structural",
-                        format!(
-                            "input port {p} breaks the reserved-slot floor: \
-                             Σ max(len, 1) = {floor} > {slots} slots"
-                        ),
-                    ));
-                }
-            }
-            for (p, (port, &live)) in r.ports.iter().zip(&r.live_out).enumerate() {
-                if port.st_queue.len() > 2 {
-                    return Err(Violation::new(
-                        snap.now,
-                        n,
-                        "structural",
-                        format!("output {p} ST queue holds {}", port.st_queue.len()),
-                    ));
-                }
-                for v in ones(live) {
-                    let len = r.outputs[p * vcs + v].slots.len();
-                    if len > depth {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "structural",
-                            format!("sender {p}.{v} holds {len} slots, depth {depth}"),
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Activity-gating soundness (armed in every configuration, like
-    /// the structural bounds): a router whose compute phase was skipped
-    /// this cycle (`!snap.computed[n]`) must have been provably
-    /// quiescent — empty input buffers with idle VC state machines,
-    /// empty ST queues, no output reservations, empty retransmission
-    /// senders, and no inbound wire entry that was already due (a due
-    /// entry left unpopped is a missed wake-up). "No armed fault"
-    /// needs no check of its own: the fault RNG is counter-based,
-    /// keyed on `(router, cycle)`, so a skipped cycle consumes no
-    /// draws by construction — there is no stream position to desync.
-    ///
-    /// `in_recovery` is deliberately *not* required to be false: a
-    /// deadlock activation delivered during the same cycle's commit can
-    /// flip a legitimately-skipped router into recovery after its
-    /// (skipped) compute slot; the wake-up wheel guarantees it computes
-    /// next cycle.
-    ///
-    /// An idle input VC passes, so the first live one fails; an idle
-    /// output VC passes too, so only the live ones are read.
-    fn check_activity(&self, snap: &NetSnapshot) -> Result<(), Violation> {
-        let vcs = self.router.vcs_per_port();
-        for (n, r) in snap.routers.iter().enumerate() {
-            if snap.computed.get(n).copied().unwrap_or(true) {
-                continue;
-            }
-            for (p, &live) in r.live_in.iter().enumerate() {
-                if let Some(v) = ones(live).next() {
-                    let row = &r.inputs[p * vcs + v];
-                    return Err(Violation::new(
-                        snap.now,
-                        n,
-                        "activity",
-                        format!(
-                            "compute skipped but input {p}.{v} holds {} flits in state {:?}",
-                            row.flits.len(),
-                            row.state
-                        ),
-                    ));
-                }
-            }
-            for (p, (port, &live)) in r.ports.iter().zip(&r.live_out).enumerate() {
-                if !port.st_queue.is_empty() {
-                    return Err(Violation::new(
-                        snap.now,
-                        n,
-                        "activity",
-                        format!("compute skipped but output {p} ST queue is non-empty"),
-                    ));
-                }
-                for v in ones(live) {
-                    let row = &r.outputs[p * vcs + v];
-                    if row.allocated.is_some() || !row.slots.is_empty() || row.replaying {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "activity",
-                            format!(
-                                "compute skipped but output {p}.{v} has a reservation or \
-                                 occupied retransmission sender"
-                            ),
-                        ));
-                    }
-                }
-            }
-            // Wire entries due strictly before `snap.now` were due at the
-            // skipped cycle (`now - 1`) and would have been popped by a
-            // computing router; entries due at `snap.now` were scheduled
-            // during this commit and are fine.
-            let w = &snap.wires[n];
-            for (p, slot) in w.flit_in.iter().enumerate() {
-                if let Some((_, _, at)) = slot {
-                    if *at < snap.now {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "activity",
-                            format!("compute skipped but a flit was due on port {p} at {at}"),
-                        ));
-                    }
-                }
-            }
-            for (d, (credits, nacks)) in w.credits_in.iter().zip(&w.nacks_in).enumerate() {
-                if let Some(&(_, at)) = credits.iter().chain(nacks).find(|(_, at)| *at < snap.now) {
-                    return Err(Violation::new(
-                        snap.now,
-                        n,
-                        "activity",
-                        format!("compute skipped but a credit/NACK was due on link {d} at {at}"),
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fault-table consistency and the dead-port allocation invariant.
-    ///
-    /// Consistency (armed whenever the oracle knows the run's fault
-    /// history, i.e. it was built with [`Oracle::new`]): the snapshot's
-    /// published `dead_ports` table must equal, entry for entry, what
-    /// the configuration's [`FaultTimeline`] implies for the snapshot
-    /// cycle — the simulator may neither hide a dead link nor invent
-    /// one.
-    ///
-    /// Dead-port allocation (armed per [`ArmedInvariants::dead_port`]):
-    /// no output VC on a dead port may hold a reservation granted at or
-    /// after the link's death cycle. Reservations granted strictly
-    /// before the death are legal — that wormhole is draining through
-    /// the reconfiguration transition — but a *new* grant onto a port
-    /// the router already knows is dead means the fault-aware VA filter
-    /// (or a legacy algorithm's live-link fallback) let a packet route
-    /// into the hole.
-    fn check_dead_ports(&self, snap: &NetSnapshot) -> Result<(), Violation> {
-        if let Some(tl) = &self.timeline {
-            // Snapshots are taken after `step()`, so the table reflects
-            // deaths detectable by the end of cycle `now - 1`.
-            let expect = || {
-                tl.dead_ports_at(snap.now.saturating_sub(1))
-                    .map(|(n, d, since)| (n.index(), d.index(), since))
-            };
-            if !snap.dead_ports.iter().copied().eq(expect()) {
-                let expect: Vec<_> = expect().collect();
-                return Err(Violation {
-                    cycle: snap.now,
-                    node: None,
-                    invariant: "fault-table",
-                    detail: format!(
-                        "snapshot publishes dead ports {:?} but the run's fault \
-                         history implies {:?}",
-                        snap.dead_ports, expect
-                    ),
-                });
-            }
-        }
-        if !self.arm.dead_port {
-            return Ok(());
-        }
-        let vcs = self.router.vcs_per_port();
-        for &(n, d, since) in &snap.dead_ports {
-            let Some(r) = snap.routers.get(n) else {
-                continue;
-            };
-            let Some(rows) = r.outputs.get(d * vcs..(d + 1) * vcs) else {
-                continue;
-            };
-            for (ov, row) in rows.iter().enumerate() {
-                let (Some((p, v)), Some(at)) = (row.allocated, row.allocated_at) else {
-                    continue;
-                };
-                if at >= since {
-                    return Err(Violation::new(
-                        snap.now,
-                        n,
-                        "dead-port",
-                        format!(
-                            "output {d}.{ov} is on a link dead since cycle {since} but \
-                             holds a reservation for input {p}.{v} granted at cycle {at}"
-                        ),
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Fault-log validation (armed whenever the oracle knows the run's
     /// configuration): the snapshot's fault-event feed must carry
     /// exactly the configured kills the timeline implies, and every
@@ -783,16 +670,11 @@ impl Oracle {
     /// published with the configured lag. Each valid new wear-out event
     /// is folded into the oracle's timeline mirror so the dead-port
     /// table comparison keeps tracking online deaths.
-    fn check_fault_events(&mut self, snap: &NetSnapshot) -> Option<Violation> {
-        self.timeline.as_ref()?;
-        let violation = |detail: String| {
-            Some(Violation {
-                cycle: snap.now,
-                node: None,
-                invariant: "fault-events",
-                detail,
-            })
-        };
+    fn fault_events(&mut self, snap: &NetSnapshot, out: &mut Verdict) {
+        if self.timeline.is_none() {
+            return;
+        }
+        let mut violation = |detail: String| out.note(Family::FaultEvents, None, || detail);
         // The log's two subsequences, compared where they lie: the
         // messages alone collect them.
         let events = |wearout: bool| {
@@ -865,18 +747,43 @@ impl Oracle {
             }
             self.wear_folded += 1;
         }
-        None
     }
 
-    /// Dead-router consistency (armed whenever the oracle knows the
-    /// run's fault history) and the structural corpse invariant (always
-    /// armed): the snapshot's dead-router table must match the
-    /// configuration, the per-router `dead` flags must agree with the
-    /// table, and a dead router must be an empty shell — the death
-    /// purge drained its buffers, queues, reservations and wires, and
-    /// its terminals neither hold nor generate traffic.
-    fn check_dead_routers(&self, snap: &NetSnapshot) -> Result<(), Violation> {
+    /// The fault tables and the dead-port allocation invariant.
+    ///
+    /// Consistency (armed whenever the oracle knows the run's fault
+    /// history, i.e. it was built with [`Oracle::new`]): the snapshot's
+    /// published `dead_ports` and `dead_routers` tables must equal, entry
+    /// for entry, what the configuration's [`FaultTimeline`] implies for
+    /// the snapshot cycle — the simulator may neither hide a death nor
+    /// invent one.
+    ///
+    /// Dead-port allocation (armed per [`ArmedInvariants::dead_port`]):
+    /// no output VC on a dead port may hold a reservation granted at or
+    /// after the link's death cycle. Reservations granted strictly
+    /// before the death are legal — that wormhole is draining through
+    /// the reconfiguration transition — but a *new* grant onto a port
+    /// the router already knows is dead means the fault-aware VA filter
+    /// (or a legacy algorithm's live-link fallback) let a packet route
+    /// into the hole. It visits the dead ports only.
+    fn fault_tables(&self, snap: &NetSnapshot, out: &mut Verdict) {
         if let Some(tl) = &self.timeline {
+            // Snapshots are taken after `step()`, so the table reflects
+            // deaths detectable by the end of cycle `now - 1`.
+            let expect = || {
+                tl.dead_ports_at(snap.now.saturating_sub(1))
+                    .map(|(n, d, since)| (n.index(), d.index(), since))
+            };
+            if !snap.dead_ports.iter().copied().eq(expect()) {
+                out.note(Family::DeadPortTable, None, || {
+                    format!(
+                        "snapshot publishes dead ports {:?} but the run's fault \
+                         history implies {:?}",
+                        snap.dead_ports,
+                        expect().collect::<Vec<_>>()
+                    )
+                });
+            }
             // `now`, not `now - 1`: the kill purge runs in the commit of
             // cycle `at - 1`, so a router dying at `now` is already dead
             // in a snapshot taken at `now` (see the snapshot builder).
@@ -885,310 +792,410 @@ impl Oracle {
                     .map(|(n, since)| (n.index(), since))
             };
             if !snap.dead_routers.iter().copied().eq(expect()) {
-                let expect: Vec<_> = expect().collect();
-                return Err(Violation {
-                    cycle: snap.now,
-                    node: None,
-                    invariant: "fault-table",
-                    detail: format!(
+                out.note(Family::DeadRouterTable, None, || {
+                    format!(
                         "snapshot publishes dead routers {:?} but the run's \
                          fault history implies {:?}",
-                        snap.dead_routers, expect
-                    ),
+                        snap.dead_routers,
+                        expect().collect::<Vec<_>>()
+                    )
                 });
             }
         }
+        if !self.arm.dead_port || !out.open(Family::DeadPort) {
+            return;
+        }
         let vcs = self.router.vcs_per_port();
-        let n_routers = snap.routers.len();
-        for (n, r) in snap.routers.iter().enumerate() {
-            let listed = snap.dead_routers.iter().any(|&(m, _)| m == n);
-            if r.dead != listed {
-                return Err(Violation::new(
-                    snap.now,
-                    n,
-                    "dead-router",
-                    format!(
-                        "router dead flag is {} but the dead-router table \
-                         {} it",
-                        r.dead,
-                        if listed { "lists" } else { "omits" }
-                    ),
-                ));
-            }
-            if !r.dead {
+        for &(n, d, since) in &snap.dead_ports {
+            let Some(r) = snap.routers.get(n) else {
                 continue;
-            }
-            // As for a skipped router: the first live input VC fails,
-            // and only a live output VC can.
-            for (p, &live) in r.live_in.iter().enumerate() {
-                if let Some(v) = ones(live).next() {
-                    let row = &r.inputs[p * vcs + v];
-                    return Err(Violation::new(
-                        snap.now,
-                        n,
-                        "dead-router",
+            };
+            let Some(rows) = r.outputs.get(d * vcs..(d + 1) * vcs) else {
+                continue;
+            };
+            for (ov, row) in rows.iter().enumerate() {
+                let (Some((p, v)), Some(at)) = (row.allocated, row.allocated_at) else {
+                    continue;
+                };
+                if at >= since {
+                    return out.note(Family::DeadPort, Some(n), || {
                         format!(
-                            "dead router still holds {} flits in input \
-                             {p}.{v} (state {:?})",
-                            row.flits.len(),
-                            row.state
-                        ),
-                    ));
-                }
-            }
-            for (p, (port, &live)) in r.ports.iter().zip(&r.live_out).enumerate() {
-                if !port.st_queue.is_empty() {
-                    return Err(Violation::new(
-                        snap.now,
-                        n,
-                        "dead-router",
-                        format!("dead router has a non-empty ST queue on output {p}"),
-                    ));
-                }
-                for v in ones(live) {
-                    let row = &r.outputs[p * vcs + v];
-                    if row.allocated.is_some() || !row.slots.is_empty() {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "dead-router",
-                            format!(
-                                "dead router output {p}.{v} holds a reservation \
-                                 or retransmission slots"
-                            ),
-                        ));
-                    }
-                }
-            }
-            if let Some(w) = snap.wires.get(n) {
-                for (p, slot) in w.flit_in.iter().enumerate() {
-                    if slot.is_some() {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "dead-router",
-                            format!("a flit is in flight into dead router port {p}"),
-                        ));
-                    }
-                }
-            }
-            for (t, pe) in snap.pes.iter().enumerate() {
-                if t % n_routers == n && (pe.queued > 0 || !pe.injecting.is_empty()) {
-                    return Err(Violation::new(
-                        snap.now,
-                        n,
-                        "dead-router",
-                        format!("terminal {t} of a dead router still holds traffic"),
-                    ));
+                            "output {d}.{ov} is on a link dead since cycle {since} but \
+                             holds a reservation for input {p}.{v} granted at cycle {at}"
+                        )
+                    });
                 }
             }
         }
-        Ok(())
     }
 
-    /// §4 exclusivity: committed VC allocations are single-owner and
-    /// in-range, and reservations match their owners. Routers in
-    /// deadlock recovery are skipped — recovery takeovers legitimately
-    /// leave stale reservations while held flits drain.
+    /// Router `n`'s live input rows, and for arrival the cardinal VCs it
+    /// tracked last cycle, each visited once for every family that reads
+    /// input VCs:
     ///
-    /// An output VC claimed by two active input VCs records at most one
-    /// of them, so the second claim, in (port, VC) order, is the one
-    /// whose reservation differs; it names both when the reservation
-    /// records the first.
-    fn check_exclusivity(&self, snap: &NetSnapshot) -> Result<(), Violation> {
-        let vcs = self.router.vcs_per_port();
-        for (n, r) in snap.routers.iter().enumerate() {
-            if r.in_recovery {
+    /// - *Structural* (always): each VC within its cap, and each port
+    ///   within the reserved-slot floor: Σ_v max(len(v), 1) ≤ vcs +
+    ///   shared, counting every empty VC's reserved slot. That is the
+    ///   structural form of the liveness guarantee that an empty VC can
+    ///   always accept one flit (wormhole atomicity / §3.2 recovery). An
+    ///   idle VC counts its one, so an idle port meets both bounds.
+    /// - *Dead router* and *activity* (always): a dead router, and one
+    ///   whose compute phase was skipped this cycle, hold no live input
+    ///   VC, so the first one fails.
+    /// - *Exclusivity* (§4): an active input VC points at an existing
+    ///   output VC whose reservation records it, unless an absorbed
+    ///   (held) slot explains the stale reservation. Routers in deadlock
+    ///   recovery are skipped: recovery takeovers legitimately leave
+    ///   stale reservations while held flits drain. An output VC claimed
+    ///   by two active input VCs records at most one of them, so the
+    ///   second claim in (port, VC) order is the one whose reservation
+    ///   differs; it names both when the reservation records the first.
+    /// - *Wormhole ordering*: adjacent flits are either consecutive
+    ///   flits of one packet or a tail→head boundary.
+    /// - *Arrival monotonicity* (HBH go-back-N replay equivalence):
+    ///   every flit accepted into a cardinal input VC either starts a
+    ///   packet (head) or advances strictly forward through the packet
+    ///   whose wormhole is open. Arrivals are detected by back-of-FIFO
+    ///   identity change; same-cycle arrive-and-depart flits are
+    ///   unobservable at the commit boundary, hence monotone (`seq`
+    ///   strictly increasing) rather than exact `seq + 1` succession.
+    ///   An idle VC with nothing tracked is a no-op.
+    fn input_rows(&mut self, snap: &NetSnapshot, n: usize, r: &RouterSnapshot, out: &mut Verdict) {
+        let (ports, vcs) = (self.router.ports(), self.router.vcs_per_port());
+        let cap = self.router.port_capacity();
+        let corpse = r.dead;
+        let skipped = !snap.computed.get(n).copied().unwrap_or(true);
+        let exclusive = self.arm.exclusivity && !r.in_recovery && out.open(Family::Exclusivity);
+        let ordering = self.arm.ordering && out.open(Family::Ordering);
+        let arrival = self.arm.arrival;
+        for (p, &live) in r.live_in.iter().enumerate() {
+            let track = arrival && p < 4;
+            let tracked = if track { self.tracked[n * 4 + p] } else { 0 };
+            if live | tracked == 0 {
                 continue;
             }
-            let ports = r.ports.len();
-            let held = |op: usize, ov: usize| {
-                let slots = r.outputs[op * vcs + ov].slots.of(&r.slots);
-                slots.iter().any(|(_, held)| *held)
-            };
-            // Whether input VC `(p, v)` exists and is active on `(op, ov)`.
-            let active_on = |(p, v): (usize, usize), op: usize, ov: usize| {
-                p < ports
-                    && v < vcs
-                    && matches!(
-                        r.inputs[p * vcs + v].state,
-                        VcStateView::Active { out_port, out_vc } if out_port == op && out_vc == ov
-                    )
-            };
-            for (p, &live) in r.live_in.iter().enumerate() {
-                for v in ones(live) {
-                    let VcStateView::Active { out_port, out_vc } = r.inputs[p * vcs + v].state
-                    else {
-                        continue;
-                    };
-                    if out_port >= ports || !r.ports[out_port].exists || out_vc >= vcs {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "exclusivity",
-                            format!("input {p}.{v} active toward invalid {out_port}.{out_vc}"),
-                        ));
+            let (mut floor, mut backs) = (vcs, 0);
+            for v in ones(live | tracked) {
+                let row = &r.inputs[p * vcs + v];
+                let flits = row.flits.of(&r.flits);
+                if live >> v & 1 == 1 {
+                    let len = flits.len();
+                    floor += len.saturating_sub(1);
+                    if len > cap.per_vc {
+                        out.note(Family::Structural, Some(n), || {
+                            format!("input {p}.{v} holds {len} flits, capacity {}", cap.per_vc)
+                        });
                     }
-                    let alloc = r.outputs[out_port * vcs + out_vc].allocated;
-                    if alloc == Some((p, v)) || held(out_port, out_vc) {
-                        continue;
+                    if corpse {
+                        out.note(Family::DeadRouter, Some(n), || {
+                            format!(
+                                "dead router still holds {len} flits in input {p}.{v} \
+                                 (state {:?})",
+                                row.state
+                            )
+                        });
                     }
-                    let first = alloc.filter(|&(q, w)| {
-                        (q, w) < (p, v)
-                            && r.live_in[q] >> w & 1 == 1
-                            && active_on((q, w), out_port, out_vc)
-                    });
-                    let detail = match first {
-                        Some((q, w)) => format!(
-                            "output VC {out_port}.{out_vc} allocated to both {q}.{w} and {p}.{v}"
-                        ),
-                        None => format!(
-                            "input {p}.{v} active toward {out_port}.{out_vc} but the \
-                             reservation records {alloc:?}"
-                        ),
-                    };
-                    return Err(Violation::new(snap.now, n, "exclusivity", detail));
+                    if skipped {
+                        out.note(Family::Activity, Some(n), || {
+                            format!(
+                                "compute skipped but input {p}.{v} holds {len} flits in \
+                                 state {:?}",
+                                row.state
+                            )
+                        });
+                    }
+                    if exclusive {
+                        exclusive_input(r, vcs, (p, v), n, out);
+                    }
+                    if ordering {
+                        ordered(flits, (p, v), n, out);
+                    }
+                }
+                if track {
+                    let seen = &mut self.arrivals[(n * ports + p) * vcs + v];
+                    let back = flits.last();
+                    let cur = back.map(key);
+                    if let Some(f) = back.filter(|_| cur != seen.back) {
+                        let ok = match seen.last {
+                            None | Some((_, _, true)) => f.kind.is_head(),
+                            Some((pkt, seq, false)) => {
+                                f.kind.is_head() || (f.packet.raw() == pkt && f.seq > seq)
+                            }
+                        };
+                        if !ok {
+                            let last = seen.last;
+                            out.note(Family::Arrival, Some(n), || {
+                                format!(
+                                    "input {p}.{v} accepted {} {:?}#{} after {last:?}",
+                                    f.packet, f.kind, f.seq
+                                )
+                            });
+                        }
+                        seen.last = Some((f.packet.raw(), f.seq, f.kind.is_tail()));
+                    }
+                    seen.back = cur;
+                    backs |= u64::from(cur.is_some()) << v;
                 }
             }
-            for (op, &live) in r.live_out.iter().enumerate() {
-                for ov in ones(live) {
-                    let Some((p, v)) = r.outputs[op * vcs + ov].allocated else {
-                        continue;
-                    };
-                    if !held(op, ov) && !active_on((p, v), op, ov) {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "exclusivity",
-                            format!(
-                                "reservation {op}.{ov} names {p}.{v}, which is not active on it"
-                            ),
-                        ));
-                    }
-                }
+            if track {
+                self.tracked[n * 4 + p] = backs;
+            }
+            let slots = vcs + cap.shared;
+            if live != 0 && floor > slots {
+                out.note(Family::Structural, Some(n), || {
+                    format!(
+                        "input port {p} breaks the reserved-slot floor: \
+                         Σ max(len, 1) = {floor} > {slots} slots"
+                    )
+                });
             }
         }
-        Ok(())
     }
 
-    /// Wormhole ordering: adjacent flits in every input buffer are
-    /// either consecutive flits of one packet or a tail→head boundary.
-    fn check_ordering(&self, snap: &NetSnapshot) -> Result<(), Violation> {
+    /// Router `n`'s output ports and live output rows, each visited once
+    /// for every family that reads them, then its inbound wires for the
+    /// two that must find them empty:
+    ///
+    /// - *Structural* (always): an ST queue holds at most two entries and
+    ///   a retransmission sender at most its depth.
+    /// - *Dead router* (always): the death purge drained the router's
+    ///   ST queues, reservations, senders and wires, and its terminals
+    ///   neither hold nor generate traffic.
+    /// - *Activity* (always): a router whose compute phase was skipped
+    ///   this cycle (`!snap.computed[n]`) must have been provably
+    ///   quiescent — empty ST queues, no output reservations, empty
+    ///   senders, no replay pending, and no inbound wire entry that was
+    ///   already due (a due entry left unpopped is a missed wake-up).
+    ///   "No armed fault" needs no check of its own: the fault RNG is
+    ///   counter-based, keyed on `(router, cycle)`, so a skipped cycle
+    ///   consumes no draws by construction. `in_recovery` is
+    ///   deliberately *not* required to be false: a deadlock activation
+    ///   delivered during the same cycle's commit can flip a
+    ///   legitimately-skipped router into recovery after its (skipped)
+    ///   compute slot; the wake-up wheel guarantees it computes next
+    ///   cycle.
+    /// - *Exclusivity* (§4): a reservation names an input VC active on
+    ///   it, unless an absorbed slot explains it.
+    fn output_rows(&self, snap: &NetSnapshot, n: usize, r: &RouterSnapshot, out: &mut Verdict) {
         let vcs = self.router.vcs_per_port();
-        for (n, r) in snap.routers.iter().enumerate() {
-            for (p, &live) in r.live_in.iter().enumerate() {
-                for v in ones(live) {
-                    for pair in r.inputs[p * vcs + v].flits.of(&r.flits).windows(2) {
-                        let (a, b) = (&pair[0], &pair[1]);
-                        let continues = !a.kind.is_tail()
-                            && b.packet == a.packet
-                            && b.seq == a.seq.wrapping_add(1)
-                            && !b.kind.is_head();
-                        let boundary = a.kind.is_tail() && b.kind.is_head();
-                        if !continues && !boundary {
-                            return Err(Violation::new(
-                                snap.now,
-                                n,
-                                "wormhole-order",
+        let depth = self.router.retrans_depth();
+        let corpse = r.dead;
+        let skipped = !snap.computed.get(n).copied().unwrap_or(true);
+        let exclusive = self.arm.exclusivity && !r.in_recovery && out.open(Family::Exclusivity);
+        for (op, (port, &live)) in r.ports.iter().zip(&r.live_out).enumerate() {
+            let queued = port.st_queue.len();
+            if queued > 2 {
+                out.note(Family::Structural, Some(n), || {
+                    format!("output {op} ST queue holds {queued}")
+                });
+            }
+            if queued > 0 && corpse {
+                out.note(Family::DeadRouter, Some(n), || {
+                    format!("dead router has a non-empty ST queue on output {op}")
+                });
+            }
+            if queued > 0 && skipped {
+                out.note(Family::Activity, Some(n), || {
+                    format!("compute skipped but output {op} ST queue is non-empty")
+                });
+            }
+            for ov in ones(live) {
+                let row = &r.outputs[op * vcs + ov];
+                let len = row.slots.len();
+                if len > depth {
+                    out.note(Family::Structural, Some(n), || {
+                        format!("sender {op}.{ov} holds {len} slots, depth {depth}")
+                    });
+                }
+                let occupied = row.allocated.is_some() || len > 0;
+                if corpse && occupied {
+                    out.note(Family::DeadRouter, Some(n), || {
+                        format!(
+                            "dead router output {op}.{ov} holds a reservation \
+                             or retransmission slots"
+                        )
+                    });
+                }
+                if skipped && (occupied || row.replaying) {
+                    out.note(Family::Activity, Some(n), || {
+                        format!(
+                            "compute skipped but output {op}.{ov} has a reservation or \
+                             occupied retransmission sender"
+                        )
+                    });
+                }
+                if exclusive {
+                    if let Some((p, v)) = row.allocated {
+                        if !active_on(r, vcs, (p, v), op, ov) && !held(r, vcs, op, ov) {
+                            out.note(Family::Exclusivity, Some(n), || {
                                 format!(
-                                    "input {p}.{v} holds {} {:?}#{} directly after {} {:?}#{}",
-                                    b.packet, b.kind, b.seq, a.packet, a.kind, a.seq
-                                ),
-                            ));
+                                    "reservation {op}.{ov} names {p}.{v}, which is not \
+                                     active on it"
+                                )
+                            });
                         }
                     }
                 }
             }
         }
-        Ok(())
+        if corpse {
+            if let Some(w) = snap.wires.get(n) {
+                if let Some(p) = w.flit_in.iter().position(Option::is_some) {
+                    out.note(Family::DeadRouter, Some(n), || {
+                        format!("a flit is in flight into dead router port {p}")
+                    });
+                }
+            }
+            let router = NodeId::new(n as u16);
+            for port in 4..self.router.ports() {
+                let t = self.topo.terminal_at(router, port).index();
+                let busy = snap.pes.get(t);
+                if busy.is_some_and(|pe| pe.queued > 0 || !pe.injecting.is_empty()) {
+                    out.note(Family::DeadRouter, Some(n), || {
+                        format!("terminal {t} of a dead router still holds traffic")
+                    });
+                }
+            }
+        }
+        if skipped {
+            // Wire entries due strictly before `snap.now` were due at the
+            // skipped cycle (`now - 1`) and would have been popped by a
+            // computing router; entries due at `snap.now` were scheduled
+            // during this commit and are fine.
+            let w = &snap.wires[n];
+            for (p, slot) in w.flit_in.iter().enumerate() {
+                if let Some(&(_, _, at)) = slot.as_ref().filter(|s| s.2 < snap.now) {
+                    out.note(Family::Activity, Some(n), || {
+                        format!("compute skipped but a flit was due on port {p} at {at}")
+                    });
+                }
+            }
+            for (d, (credits, nacks)) in w.credits_in.iter().zip(&w.nacks_in).enumerate() {
+                if let Some(&(_, at)) = credits.iter().chain(nacks).find(|(_, at)| *at < snap.now) {
+                    out.note(Family::Activity, Some(n), || {
+                        format!("compute skipped but a credit/NACK was due on link {d} at {at}")
+                    });
+                }
+            }
+        }
     }
 
-    /// Credit accounting per (node, direction, VC): credits left plus
-    /// every distinct flit holding one (ST queue, on the wire, in the
-    /// downstream buffer) plus credits in flight back can never exceed
-    /// the downstream VC's cap (`per_vc` of the port capacity) — and
-    /// equal it exactly in fault-free runs. A lost credit decrement or
-    /// a doubled increment shows up as the left side exceeding it.
+    /// Credit accounting on router `n`'s outgoing links, per (direction,
+    /// VC): credits left plus every distinct flit holding one (ST queue,
+    /// on the wire, in the downstream buffer) plus credits in flight back
+    /// can never exceed the downstream VC's cap (`per_vc` of the port
+    /// capacity) — and equal it exactly in fault-free runs. A lost credit
+    /// decrement or a doubled increment shows up as the left side
+    /// exceeding it.
     ///
     /// Replay duplicates are deduplicated by flit identity: a
     /// retransmitted copy shares its original's credit.
     ///
     /// A VC with full credits and nothing queued, on the wire, downstream
     /// or returning for it sums to exactly the cap, so only the VCs that
-    /// one of those names are visited: the live output VCs (credits off
+    /// one of those names are decided: the live output VCs (credits off
     /// the cap are live), the live downstream input VCs, and the tags in
-    /// the ST queue, on the wire and in the returning credits.
-    fn check_credits(&mut self, snap: &NetSnapshot) -> Result<(), Violation> {
+    /// the ST queue, on the wire and in the returning credits. One pass
+    /// over those three tallies each VC's share of them.
+    fn link_credits(
+        &mut self,
+        snap: &NetSnapshot,
+        n: usize,
+        r: &RouterSnapshot,
+        out: &mut Verdict,
+    ) {
         let vcs = self.router.vcs_per_port();
         let per_vc = self.router.port_capacity().per_vc;
-        let holders = &mut self.holders;
-        for (n, r) in snap.routers.iter().enumerate() {
-            for d in Direction::CARDINAL {
-                let op = d.index();
-                let Some(m) = self.neighbors[n][op] else {
-                    continue;
-                };
-                let q = d.opposite().index();
-                let down = &snap.routers[m];
-                let mut suspects = r.live_out[op] | down.live_in[q];
-                for (_, tag) in r.st_queue(op) {
+        let credits_in = &snap.wires[n].credits_in;
+        let (links, live_out) = (self.neighbors[n], &r.live_out[..4]);
+        for (op, m) in links.into_iter().enumerate() {
+            let Some(m) = m else {
+                continue;
+            };
+            let d = Direction::CARDINAL[op];
+            let q = d.opposite().index();
+            let down = &snap.routers[m];
+            let mut suspects = live_out[op] | down.live_in[q];
+            self.in_transit.clear();
+            if !r.ports[op].st_queue.is_empty() {
+                for (f, tag) in r.st_queue(op) {
                     suspects |= vc_bit(tag, vcs);
+                    self.in_transit.push((usize::from(tag), key(f)));
                 }
-                if let Some((_, wv, _)) = &snap.wires[m].flit_in[q] {
-                    suspects |= vc_bit(*wv, vcs);
+            }
+            if let Some((f, wv, _)) = &snap.wires[m].flit_in[q] {
+                suspects |= vc_bit(*wv, vcs);
+                // Replayed wire flits are skipped: the barrel shifter
+                // replays every unexpired slot after a NACK, so a
+                // retransmitted copy may duplicate a flit that was
+                // already accepted, popped and credited downstream.
+                // Skipping can only undercount, which keeps the bound
+                // sound (and fault-free runs never retransmit).
+                if f.retransmissions == 0 {
+                    self.in_transit.push((usize::from(*wv), key(f)));
                 }
-                for &(cv, _) in &snap.wires[n].credits_in[op] {
-                    suspects |= vc_bit(cv, vcs);
+            }
+            for &(cv, _) in &credits_in[op] {
+                let bit = vc_bit(cv, vcs);
+                suspects |= bit;
+                if bit != 0 {
+                    self.returning[usize::from(cv)] += 1;
                 }
-                for v in ones(suspects) {
-                    holders.clear();
-                    let mut add = |f: &Flit| {
-                        let k = key(f);
-                        if !holders.contains(&k) {
-                            holders.push(k);
-                        }
-                    };
-                    for (f, tag) in r.st_queue(op) {
-                        if usize::from(tag) == v {
-                            add(f);
-                        }
-                    }
-                    // Replayed wire flits are skipped: the barrel shifter
-                    // replays every unexpired slot after a NACK, so a
-                    // retransmitted copy may duplicate a flit that was
-                    // already accepted, popped and credited downstream.
-                    // Skipping can only undercount, which keeps the bound
-                    // sound (and fault-free runs never retransmit).
-                    if let Some((f, wv, _)) = &snap.wires[m].flit_in[q] {
-                        if usize::from(*wv) == v && f.retransmissions == 0 {
-                            add(f);
-                        }
-                    }
-                    for f in down.inputs[q * vcs + v].flits.of(&down.flits) {
-                        add(f);
-                    }
-                    let pending = snap.wires[n].credits_in[op]
-                        .iter()
-                        .filter(|(cv, _)| usize::from(*cv) == v)
-                        .count();
-                    let credits = r.outputs[op * vcs + v].credits as usize;
-                    let lhs = credits + holders.len() + pending;
-                    if lhs > per_vc || (self.arm.credit_exact && lhs != per_vc) {
-                        return Err(Violation::new(
-                            snap.now,
-                            n,
-                            "credit-accounting",
-                            format!(
-                                "link {d:?} vc {v}: {credits} credits + {} resident + \
-                                 {pending} returning = {lhs}, buffer depth {per_vc}",
-                                holders.len()
-                            ),
-                        ));
+            }
+            for v in ones(suspects) {
+                let pending = self.returning.get_mut(v).map_or(0, std::mem::take);
+                let resident = down.inputs[q * vcs + v].flits.of(&down.flits);
+                let transit = &self.in_transit;
+                // Each flit holds one credit, however many copies of it
+                // are resident, queued or on the wire.
+                let mut held = 0;
+                for (i, f) in resident.iter().enumerate() {
+                    let k = key(f);
+                    held += usize::from(!resident[..i].iter().any(|g| key(g) == k));
+                }
+                for (j, &(tv, k)) in transit.iter().enumerate() {
+                    held += usize::from(
+                        tv == v
+                            && !resident.iter().any(|g| key(g) == k)
+                            && !transit[..j].contains(&(v, k)),
+                    );
+                }
+                let credits = r.outputs[op * vcs + v].credits as usize;
+                let lhs = credits + held + pending;
+                if lhs > per_vc || (self.arm.credit_exact && lhs != per_vc) {
+                    out.note(Family::Credits, Some(n), || {
+                        format!(
+                            "link {d:?} vc {v}: {credits} credits + {held} resident + \
+                             {pending} returning = {lhs}, buffer depth {per_vc}"
+                        )
+                    });
+                }
+            }
+        }
+    }
+
+    /// Marks `flits` into the conservation table, merging a run of one
+    /// packet's flits in `run` before its one lookup.
+    #[inline]
+    fn mark<'a>(
+        &mut self,
+        flits: impl IntoIterator<Item = &'a Flit>,
+        run: &mut Option<(u64, u128)>,
+    ) {
+        for f in flits {
+            if f.seq >= 128 {
+                continue;
+            }
+            let (pkt, bit) = (f.packet.raw(), 1u128 << f.seq);
+            match run {
+                Some((p, mask)) if *p == pkt => *mask |= bit,
+                _ => {
+                    if let Some((p, mask)) = run.replace((pkt, bit)) {
+                        self.merged.add(p, mask);
                     }
                 }
             }
         }
-        Ok(())
     }
 
     /// Flit conservation, with the loss-accounting seam: for every
@@ -1200,74 +1207,30 @@ impl Oracle {
     /// `flits_lost` counter and never overlap a resident copy (a flit
     /// is delivered, in flight, or lost — never two at once).
     ///
-    /// Each router's two arenas hold every flit and slot it has, so each
-    /// is marked in one pass. Flits are merged per packet in a hash
-    /// table as they are marked, and one unsorted pass over it decides,
-    /// naming the lowest broken packet.
-    fn check_conservation(&mut self, snap: &NetSnapshot) -> Result<(), Violation> {
-        let table = &mut self.merged;
-        table.reset();
-        // A run of one packet's flits is merged before it reaches the
-        // table, so most flits cost no lookup.
-        let mut run: Option<(u64, u128)> = None;
-        let mut mark = |f: &Flit| {
-            if f.seq < 128 {
-                let (pkt, bit) = (f.packet.raw(), 1u128 << f.seq);
-                match &mut run {
-                    Some((p, mask)) if *p == pkt => *mask |= bit,
-                    _ => {
-                        if let Some((p, mask)) = run.replace((pkt, bit)) {
-                            table.add(p, mask);
-                        }
-                    }
-                }
-            }
-        };
-        for pe in &snap.pes {
-            for f in &pe.injecting {
-                mark(f);
-            }
-        }
-        for (r, w) in snap.routers.iter().zip(&snap.wires) {
-            for f in &r.flits {
-                mark(f);
-            }
-            for (f, _) in &r.slots {
-                mark(f);
-            }
-            for slot in w.flit_in.iter().flatten() {
-                mark(&slot.0);
-            }
-        }
-        if let Some((pkt, mask)) = run {
-            table.add(pkt, mask);
-        }
+    /// The walk marked every router's two arenas (which hold every flit
+    /// and slot it has) and wires, and the PEs' fronts, merging per
+    /// packet in the table; one unsorted pass over it decides, naming
+    /// the lowest broken packet.
+    fn conservation(&self, snap: &NetSnapshot, out: &mut Verdict) {
+        let mut violation = |detail: String| out.note(Family::Conservation, None, || detail);
         let ledgered: u64 = snap
             .lost
             .iter()
             .map(|&(_, m)| u64::from(m.count_ones()))
             .sum();
         if ledgered != snap.flits_lost {
-            return Err(Violation {
-                cycle: snap.now,
-                node: None,
-                invariant: "conservation",
-                detail: format!(
-                    "the loss ledger's masks name {ledgered} flits but the \
-                     flits_lost counter says {}",
-                    snap.flits_lost
-                ),
-            });
+            return violation(format!(
+                "the loss ledger's masks name {ledgered} flits but the \
+                 flits_lost counter says {}",
+                snap.flits_lost
+            ));
         }
-        let hole = |pkt: u64, mask: u128| Violation {
-            cycle: snap.now,
-            node: None,
-            invariant: "conservation",
-            detail: format!(
+        let hole = |pkt: u64, mask: u128| {
+            format!(
                 "packet p{pkt} resident∪lost seq mask {mask:#b} has a \
                  hole — a flit vanished with neither a retransmission \
                  copy nor a loss record"
-            ),
+            )
         };
         // One pass decides, and keeps the lowest broken packet so the
         // violation named is the same whatever order the table holds.
@@ -1282,128 +1245,56 @@ impl Oracle {
         if let Some((pkt, mask)) = broken {
             let lost = lost_mask(snap, pkt);
             if mask & lost != 0 {
-                return Err(Violation {
-                    cycle: snap.now,
-                    node: None,
-                    invariant: "conservation",
-                    detail: format!(
-                        "packet p{pkt} has flits both resident ({mask:#b}) and \
-                         in the loss ledger ({lost:#b}) — the death purge left \
-                         a copy of an amputated flit"
-                    ),
-                });
+                return violation(format!(
+                    "packet p{pkt} has flits both resident ({mask:#b}) and \
+                     in the loss ledger ({lost:#b}) — the death purge left \
+                     a copy of an amputated flit"
+                ));
             }
-            return Err(hole(pkt, mask | lost));
+            return violation(hole(pkt, mask | lost));
         }
         for &(pkt, mask) in &snap.lost {
             if mask == 0 {
-                return Err(Violation {
-                    cycle: snap.now,
-                    node: None,
-                    invariant: "conservation",
-                    detail: format!("packet p{pkt} has an empty loss-ledger entry"),
-                });
+                return violation(format!("packet p{pkt} has an empty loss-ledger entry"));
             }
             if self.merged.get(pkt).is_none() && !contiguous(mask) {
-                return Err(hole(pkt, mask));
+                return violation(hole(pkt, mask));
             }
         }
-        Ok(())
     }
 
-    /// Arrival monotonicity (HBH go-back-N replay equivalence): every
-    /// flit accepted into an input VC either starts a packet (head) or
-    /// advances strictly forward through the packet whose wormhole is
-    /// open. Duplicates and reordering at the accept boundary are
-    /// violations. Arrivals are detected by back-of-FIFO identity
-    /// change; same-cycle arrive-and-depart flits are unobservable at
-    /// the commit boundary, hence monotone (`seq` strictly increasing)
-    /// rather than exact `seq + 1` succession.
-    ///
-    /// An idle VC with nothing tracked is a no-op, so only the live VCs
-    /// and those tracked last cycle are visited.
-    fn check_arrival(&mut self, snap: &NetSnapshot) -> Option<Violation> {
-        let (ports, vcs) = (self.router.ports(), self.router.vcs_per_port());
-        let mut first = None;
-        for (n, r) in snap.routers.iter().enumerate() {
-            for d in Direction::CARDINAL {
-                let p = d.index();
-                let tracked = &mut self.tracked[n * 4 + p];
-                let visit = r.live_in[p] | *tracked;
-                *tracked = 0;
-                for v in ones(visit) {
-                    let idx = (n * ports + p) * vcs + v;
-                    let back = r.inputs[p * vcs + v].flits.of(&r.flits).last();
-                    let cur = back.map(key);
-                    if cur.is_some() && cur != self.prev_back[idx] {
-                        let f = back.expect("non-empty back");
-                        let ok = match self.last_arrival[idx] {
-                            None => f.kind.is_head(),
-                            Some((_, _, true)) => f.kind.is_head(),
-                            Some((pkt, seq, false)) => {
-                                f.kind.is_head() || (f.packet.raw() == pkt && f.seq > seq)
-                            }
-                        };
-                        if !ok && first.is_none() {
-                            first = Some(Violation::new(
-                                snap.now,
-                                n,
-                                "arrival-order",
-                                format!(
-                                    "input {p}.{v} accepted {} {:?}#{} after {:?}",
-                                    f.packet, f.kind, f.seq, self.last_arrival[idx]
-                                ),
-                            ));
-                        }
-                        self.last_arrival[idx] = Some((f.packet.raw(), f.seq, f.kind.is_tail()));
-                    }
-                    self.prev_back[idx] = cur;
-                    *tracked |= u64::from(cur.is_some()) << v;
-                }
-            }
-        }
-        first
-    }
-
-    /// Probe soundness (§3.2.2): when a node's `deadlocks_confirmed`
-    /// counter advances, a *temporally consistent* chain of blocked
-    /// channels must explain it — some probe launch (a buffer blocked
-    /// for at least `Cthres` cycles) from this node, forwarded one hop
-    /// per cycle through buffers that were blocked (or routers in
-    /// recovery, Rule 2) *at the instant the probe traversed them*, and
-    /// closing back at this node exactly now.
+    /// Probe soundness (§3.2.2), for the nodes from `from` on (the walk
+    /// found no counter moved before it): when a node's
+    /// `deadlocks_confirmed` counter advances, a *temporally consistent*
+    /// chain of blocked channels must explain it — some probe launch (a
+    /// buffer blocked for at least `Cthres` cycles) from this node,
+    /// forwarded one hop per cycle through buffers that were blocked (or
+    /// routers in recovery, Rule 2) *at the instant the probe traversed
+    /// them*, and closing back at this node exactly now.
     ///
     /// The probe side-band takes one cycle per hop, so the certificate a
     /// returned probe carries is temporal, not a single-snapshot cycle:
     /// each link was blocked when crossed. For a real deadlock the wait
     /// graph is static and the two coincide; a confirmation that no
     /// temporal chain supports would mean the Rules fired on a deadlock
-    /// that never existed in any form.
-    fn check_probe(&mut self, snap: &NetSnapshot) -> Option<Violation> {
-        // Record this cycle first: the chase for a confirmation observed
-        // at cycle `T` needs the frame of `T` itself. Confirmations near
-        // a restart of the history are accepted unverified.
-        self.hist.record(snap, 4 * snap.routers.len() + 4);
-        let mut first = None;
-        for (n, r) in snap.routers.iter().enumerate() {
+    /// that never existed in any form. Confirmations near a restart of
+    /// the history are accepted unverified.
+    fn confirmations(&mut self, snap: &NetSnapshot, from: usize, out: &mut Verdict) {
+        for (n, r) in snap.routers.iter().enumerate().skip(from) {
             let confirmed = r.deadlocks_confirmed;
             if confirmed > self.prev_confirmed[n]
-                && first.is_none()
+                && out.open(Family::Probe)
                 && !self.confirmation_explained(snap, n)
             {
-                first = Some(Violation::new(
-                    snap.now,
-                    n,
-                    "probe-soundness",
+                out.note(Family::Probe, Some(n), || {
                     format!(
                         "deadlock confirmation #{confirmed} but no temporally \
                          consistent blocked chain returns to this node"
-                    ),
-                ));
+                    )
+                });
             }
             self.prev_confirmed[n] = confirmed;
         }
-        first
     }
 
     /// Searches the wait-edge history for a probe chase that explains a
@@ -1487,5 +1378,79 @@ impl Oracle {
             }
         }
         unverifiable_horizon
+    }
+}
+
+/// Whether input VC `(p, v)` of `r` exists and is active on `(op, ov)`.
+#[inline]
+fn active_on(r: &RouterSnapshot, vcs: usize, (p, v): (usize, usize), op: usize, ov: usize) -> bool {
+    p < r.ports.len()
+        && v < vcs
+        && matches!(
+            r.inputs[p * vcs + v].state,
+            VcStateView::Active { out_port, out_vc } if out_port == op && out_vc == ov
+        )
+}
+
+/// Whether output VC `(op, ov)` of `r` holds an absorbed (held) slot.
+#[inline]
+fn held(r: &RouterSnapshot, vcs: usize, op: usize, ov: usize) -> bool {
+    let slots = r.outputs[op * vcs + ov].slots.of(&r.slots);
+    slots.iter().any(|(_, held)| *held)
+}
+
+/// The exclusivity step of live input VC `(p, v)` of router `n` (see
+/// [`Oracle::check`]'s input pass).
+fn exclusive_input(
+    r: &RouterSnapshot,
+    vcs: usize,
+    (p, v): (usize, usize),
+    n: usize,
+    out: &mut Verdict,
+) {
+    let VcStateView::Active { out_port, out_vc } = r.inputs[p * vcs + v].state else {
+        return;
+    };
+    if out_port >= r.ports.len() || !r.ports[out_port].exists || out_vc >= vcs {
+        return out.note(Family::Exclusivity, Some(n), || {
+            format!("input {p}.{v} active toward invalid {out_port}.{out_vc}")
+        });
+    }
+    let alloc = r.outputs[out_port * vcs + out_vc].allocated;
+    if alloc == Some((p, v)) || held(r, vcs, out_port, out_vc) {
+        return;
+    }
+    let first = alloc.filter(|&(q, w)| {
+        (q, w) < (p, v) && r.live_in[q] >> w & 1 == 1 && active_on(r, vcs, (q, w), out_port, out_vc)
+    });
+    out.note(Family::Exclusivity, Some(n), || match first {
+        Some((q, w)) => {
+            format!("output VC {out_port}.{out_vc} allocated to both {q}.{w} and {p}.{v}")
+        }
+        None => format!(
+            "input {p}.{v} active toward {out_port}.{out_vc} but the reservation records \
+             {alloc:?}"
+        ),
+    });
+}
+
+/// The wormhole-ordering step of live input VC `(p, v)` of router `n`,
+/// holding `flits`.
+fn ordered(flits: &[Flit], (p, v): (usize, usize), n: usize, out: &mut Verdict) {
+    for pair in flits.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        let continues = !a.kind.is_tail()
+            && b.packet == a.packet
+            && b.seq == a.seq.wrapping_add(1)
+            && !b.kind.is_head();
+        let boundary = a.kind.is_tail() && b.kind.is_head();
+        if !continues && !boundary {
+            return out.note(Family::Ordering, Some(n), || {
+                format!(
+                    "input {p}.{v} holds {} {:?}#{} directly after {} {:?}#{}",
+                    b.packet, b.kind, b.seq, a.packet, a.kind, a.seq
+                )
+            });
+        }
     }
 }

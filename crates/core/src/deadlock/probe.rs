@@ -23,6 +23,7 @@
 //! while this module owns the per-node protocol state machine.
 
 use ftnoc_types::geom::NodeId;
+use ftnoc_types::FixedKey;
 
 use crate::ac::VcRef;
 
@@ -79,7 +80,7 @@ pub struct ProbeProtocol {
     probe_outstanding: bool,
     /// Origins whose probes passed through us (Rule 3 evidence).
     #[allow(clippy::disallowed_types, reason = "lookup-only: membership tests")]
-    seen_probes: std::collections::HashSet<NodeId>,
+    seen_probes: std::collections::HashSet<NodeId, FixedKey>,
 }
 
 impl ProbeProtocol {

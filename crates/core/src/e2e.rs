@@ -18,6 +18,7 @@ use ftnoc_ecc::hamming;
 use ftnoc_types::flit::Flit;
 use ftnoc_types::geom::NodeId;
 use ftnoc_types::packet::{Packet, PacketId};
+use ftnoc_types::FixedKey;
 
 /// A packet awaiting acknowledgement at its source.
 #[derive(Debug, Clone)]
@@ -142,7 +143,7 @@ pub enum E2eVerdict {
 #[derive(Debug, Default)]
 pub struct E2eDestination {
     #[allow(clippy::disallowed_types, reason = "lookup-only: keyed entry/remove")]
-    partial: std::collections::HashMap<PacketId, PartialPacket>,
+    partial: std::collections::HashMap<PacketId, PartialPacket, FixedKey>,
 }
 
 #[derive(Debug, Clone)]

@@ -6,6 +6,7 @@
 //! [`HardFaults`] is the registry the routing and probing logic consult.
 
 use ftnoc_types::geom::{Direction, NodeId, Topology};
+use ftnoc_types::FixedKey;
 
 /// Registry of permanent failures in the network.
 #[derive(Debug, Clone, Default)]
@@ -14,8 +15,8 @@ use ftnoc_types::geom::{Direction, NodeId, Topology};
     reason = "lookup-only: insert/contains/is_empty"
 )]
 pub struct HardFaults {
-    dead_links: std::collections::HashSet<(NodeId, Direction)>,
-    dead_routers: std::collections::HashSet<NodeId>,
+    dead_links: std::collections::HashSet<(NodeId, Direction), FixedKey>,
+    dead_routers: std::collections::HashSet<NodeId, FixedKey>,
 }
 
 impl HardFaults {

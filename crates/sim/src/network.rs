@@ -61,7 +61,7 @@ use ftnoc_traffic::Injector;
 use ftnoc_types::flit::Flit;
 use ftnoc_types::geom::{Direction, NodeId};
 use ftnoc_types::packet::{Packet, PacketId};
-use ftnoc_types::Header;
+use ftnoc_types::{FixedKey, Header};
 
 use crate::arbiter::ones;
 use crate::config::{ErrorScheme, SimConfig, LOSS_MASK_FLITS};
@@ -329,10 +329,10 @@ pub(crate) struct NetCore<S: TraceSink> {
     activations: Vec<ActivationFlight>,
     /// Maps control packets to (class, referenced data packet).
     #[allow(clippy::disallowed_types, reason = "lookup-only: keyed insert/remove")]
-    control_refs: std::collections::HashMap<PacketId, (u8, PacketId)>,
+    control_refs: std::collections::HashMap<PacketId, (u8, PacketId), FixedKey>,
     /// Data packets already delivered clean (duplicate suppression).
     #[allow(clippy::disallowed_types, reason = "lookup-only: first-insert test")]
-    delivered: std::collections::HashSet<PacketId>,
+    delivered: std::collections::HashSet<PacketId, FixedKey>,
     /// Cumulative counters (reset via snapshots at warm-up).
     packets_injected: u64,
     packets_ejected: u64,

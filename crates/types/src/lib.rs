@@ -38,6 +38,12 @@ pub use geom::{Coord, Direction, NodeId, Topology, TopologyKind};
 pub use packet::{Packet, PacketId};
 pub use units::{Cycles, Millimeters2, Milliwatts, Nanojoules, Picojoules};
 
+/// The hasher of the run state's hash tables: std's SipHash-1-3 under a
+/// fixed key rather than the per-process random one, so the same run
+/// executes the same instructions every time. No such table is
+/// iterated, so the key never reached an output byte.
+pub type FixedKey = std::hash::BuildHasherDefault<std::hash::DefaultHasher>;
+
 /// The value a name table gives `text`. A table lists each value's
 /// printed name first and its aliases after it; the CLI flags and the
 /// `--repro` spec both parse through these tables.

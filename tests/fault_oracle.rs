@@ -702,3 +702,217 @@ fn a_live_mask_that_forgets_a_planted_flit_fails_loudly() {
     plant(&mut snap.routers[n], 0, flit);
     let _ = oracle.check(&snap);
 }
+
+/// A candidate for an exclusivity break at router `n`: an idle input VC
+/// `(p, v)` of a computed router outside recovery, and an output VC
+/// `(op, ov)` of an existing link port that records no owner and holds
+/// no absorbed slot (see `oracle_flags_an_active_vc_whose_output_records_no_owner`).
+fn unowned_output(
+    snap: &NetSnapshot,
+    n: usize,
+    vcs: usize,
+) -> Option<(usize, usize, usize, usize)> {
+    let r = &snap.routers[n];
+    if !snap.computed[n] || r.in_recovery {
+        return None;
+    }
+    let i = (r.inputs.iter()).position(|row| row.state == VcStateView::Idle)?;
+    let (op, ov) = (0..4).find_map(|op| {
+        if !r.ports[op].exists {
+            return None;
+        }
+        let ov = (0..vcs).find(|&ov| {
+            let row = &r.outputs[op * vcs + ov];
+            row.allocated.is_none() && row.slots.of(&r.slots).iter().all(|&(_, held)| !held)
+        })?;
+        Some((op, ov))
+    })?;
+    Some((i / vcs, i % vcs, op, ov))
+}
+
+/// Doctored snapshots that break two families at once, the later family
+/// at a lower router index than the earlier one: the oracle names the
+/// earlier family, at its own node and with its own detail, whatever
+/// order it walks the routers in. Credit accounting and conservation
+/// both come after exclusivity in the family order.
+#[test]
+fn the_earlier_family_wins_over_a_lower_router() {
+    let config = quiet_config();
+    let per_vc = config.router.port_capacity().per_vc as u32;
+    let vcs = config.router.vcs_per_port();
+    let topo = config.topology;
+    let mut oracle = Oracle::new(&config);
+    assert!(oracle.arming().exclusivity && oracle.arming().credit_exact);
+    assert!(oracle.arming().conservation);
+    let mut net = Network::new(config);
+    // Exclusivity is broken at the highest router that allows it, and the
+    // later families at a lower computed router `a` with an idle input
+    // VC and an idle outgoing link VC.
+    let (snap, (b, (p, v, op, ov), a, (d, lv), (ip, iv), flit)) =
+        checked_until(&mut net, &mut oracle, |snap| {
+            let flit = *buffered(snap).next()?;
+            let b = (0..snap.routers.len())
+                .rev()
+                .find(|&n| unowned_output(snap, n, vcs).is_some())?;
+            let excl = unowned_output(snap, b, vcs)?;
+            (0..b).find_map(|a| {
+                let r = &snap.routers[a];
+                if !snap.computed[a] {
+                    return None;
+                }
+                let link = Direction::CARDINAL.into_iter().find_map(|d| {
+                    topo.neighbor_id(NodeId::new(a as u16), d)?;
+                    let op = d.index();
+                    let lv = (0..vcs).find(|&lv| {
+                        r.outputs[op * vcs + lv].is_idle(per_vc)
+                            && !r.st_queue(op).any(|(_, tag)| usize::from(tag) == lv)
+                    })?;
+                    Some((d, lv))
+                })?;
+                let idle = (0..4 * vcs).find(|&i| r.inputs[i].is_idle())?;
+                Some((b, excl, a, link, (idle / vcs, idle % vcs), flit))
+            })
+        });
+    let break_exclusivity = |doctored: &mut NetSnapshot| {
+        let r = &mut doctored.routers[b];
+        r.inputs[p * vcs + v].state = VcStateView::Active {
+            out_port: op,
+            out_vc: ov,
+        };
+        r.live_in[p] |= 1 << v;
+    };
+    let expect_exclusivity = |doctored: &NetSnapshot, oracle: &mut Oracle| {
+        let violation = oracle
+            .check(doctored)
+            .expect_err("a doubly broken snapshot must be flagged");
+        assert_eq!(violation.invariant, "exclusivity", "{violation}");
+        assert_eq!(violation.node, Some(b));
+        let detail =
+            format!("input {p}.{v} active toward {op}.{ov} but the reservation records None");
+        assert_eq!(violation.detail, detail);
+    };
+    // Credit accounting at `a`, one credit above the cap.
+    let mut doctored = snap.clone();
+    break_exclusivity(&mut doctored);
+    doctored.routers[a].outputs[d.index() * vcs + lv].credits = per_vc + 1;
+    doctored.routers[a].live_out[d.index()] |= 1 << lv;
+    expect_exclusivity(&doctored, &mut oracle);
+    // Conservation at `a`: flits 0 and 2 of a packet no source issued,
+    // planted in an idle input VC (ordering, credits and arrival break
+    // there too, all after exclusivity).
+    let mut doctored = snap;
+    break_exclusivity(&mut doctored);
+    for seq in [0, 2] {
+        let orphan = Flit {
+            packet: PacketId::new(u64::MAX),
+            seq,
+            kind: FlitKind::Body,
+            ..flit
+        };
+        plant(&mut doctored.routers[a], ip * vcs + iv, orphan);
+    }
+    doctored.routers[a].live_in[ip] |= 1 << iv;
+    expect_exclusivity(&doctored, &mut oracle);
+}
+
+/// Breaks the structural bound on router `n`'s first ST queue: its span
+/// claims three entries (nothing but the structural family reads it
+/// when credit accounting and conservation are unarmed).
+fn overfill_st_queue(snap: &mut NetSnapshot, n: usize) {
+    let span = &mut snap.routers[n].ports[0].st_queue;
+    span.end = span.start + 3;
+}
+
+/// A caller that logs and continues: arrival and probe tracking advance
+/// on a check that fails on an earlier family, so the snapshots after
+/// it get the verdicts an unbroken history gives.
+///
+/// Arrival: a foreign body flit planted at the back of a busy VC is an
+/// arrival violation on its own, but beside a structural break the
+/// check names the break; the next check of the same VC then sees no
+/// new arrival and passes. Probe: 80 cycles whose checks all fail on a
+/// structural break still fill the probe window, so an unexplained
+/// confirmation after them is flagged rather than accepted as near a
+/// restart of the history.
+#[test]
+fn tracking_survives_an_earlier_failure() {
+    let config = quiet_config();
+    let per_vc = config.router.port_capacity().per_vc;
+    let vcs = config.router.vcs_per_port();
+    let mut arm = ArmedInvariants::none();
+    arm.arrival = true;
+    arm.probe = true;
+    let mut oracle = Oracle::with_arming(&config, arm);
+    let mut net = Network::new(config.clone());
+    let (snap, (n, p, v)) = checked_until(&mut net, &mut oracle, |snap| {
+        (0..snap.routers.len()).find_map(|n| {
+            let r = &snap.routers[n];
+            let i = (0..4 * vcs).find(|&i| (1..per_vc).contains(&r.inputs[i].flits.len()))?;
+            snap.computed[n].then_some((n, i / vcs, i % vcs))
+        })
+    });
+    let back = *snap.routers[n].inputs[p * vcs + v]
+        .flits
+        .of(&snap.routers[n].flits)
+        .last()
+        .expect("a busy VC");
+    let mut planted = snap.clone();
+    let orphan = Flit {
+        packet: PacketId::new(u64::MAX),
+        kind: FlitKind::Body,
+        ..back
+    };
+    plant(&mut planted.routers[n], p * vcs + v, orphan);
+
+    // Alone, the plant is an arrival violation (a second oracle, whose
+    // tracking is the first one's before the plant).
+    let mut alone = Oracle::with_arming(&config, arm);
+    let mut replay = Network::new(config.clone());
+    let mut scratch = NetSnapshot::default();
+    while scratch.now < snap.now {
+        replay.step();
+        replay.snapshot_into(&mut scratch);
+        alone.check(&scratch).expect("honest run must pass");
+    }
+    let violation = alone
+        .check(&planted)
+        .expect_err("a foreign body flit must be flagged");
+    assert_eq!(violation.invariant, "arrival-order", "{violation}");
+    assert_eq!(violation.node, Some(n));
+    assert!(
+        violation
+            .detail
+            .starts_with(&format!("input {p}.{v} accepted ")),
+        "{violation}"
+    );
+
+    // Beside a structural break, the break is named, and the plant's
+    // arrival is tracked all the same.
+    let mut both = planted.clone();
+    overfill_st_queue(&mut both, 0);
+    let violation = oracle.check(&both).expect_err("a structural break");
+    assert_eq!(violation.invariant, "structural", "{violation}");
+    assert_eq!(violation.node, Some(0));
+    oracle
+        .check(&planted)
+        .expect("an arrival already seen is no new arrival");
+
+    // The probe window fills on failing checks too.
+    let mut snap = NetSnapshot::default();
+    for _ in 0..80 {
+        net.step();
+        net.snapshot_into(&mut snap);
+        let mut broken = snap.clone();
+        overfill_st_queue(&mut broken, 0);
+        let violation = oracle.check(&broken).expect_err("a structural break");
+        assert_eq!(violation.invariant, "structural", "{violation}");
+    }
+    net.step();
+    net.snapshot_into(&mut snap);
+    snap.routers[0].deadlocks_confirmed += 1;
+    let violation = oracle
+        .check(&snap)
+        .expect_err("a confirmation no blocked chain explains must be flagged");
+    assert_eq!(violation.invariant, "probe-soundness", "{violation}");
+    assert_eq!(violation.node, Some(0));
+}
